@@ -16,7 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import WatchmenConfig
+from repro.core.config import (
+    FREQUENT_INTERVAL_FRAMES,
+    HEADER_BITS,
+    STATE_UPDATE_BITS,
+    WatchmenConfig,
+)
 from repro.core.protocol import WatchmenSession
 from repro.game.gamemap import GameMap, make_longest_yard
 from repro.game.simulator import generate_trace
@@ -44,10 +49,8 @@ def naive_p2p_node_kbps(
 ) -> float:
     """Per-node upload if every player streamed state to everyone."""
     config = config or WatchmenConfig()
-    updates_per_second = 1.0 / (
-        config.frame_seconds * config.frequent_interval_frames
-    )
-    bits_per_update = config.state_update_bits + config.header_bits
+    updates_per_second = 1.0 / (config.frame_seconds * FREQUENT_INTERVAL_FRAMES)
+    bits_per_update = STATE_UPDATE_BITS + HEADER_BITS
     return (num_players - 1) * updates_per_second * bits_per_update / 1000.0
 
 

@@ -28,7 +28,7 @@ class UpdateAgeResult:
     latency_name: str
     pdf: dict[int, float]  # age (frames) -> probability
     by_kind: dict[str, dict[int, float]]
-    stale_fraction: float  # ≥ max_useful_age — the paper's loss figure
+    stale_fraction: float  # ≥ MAX_USEFUL_AGE_FRAMES — the paper's loss figure
     mean_upload_kbps: float
     messages_sent: int
 
@@ -66,7 +66,7 @@ def update_age_experiment(
         latency_name=latency.name,
         pdf=report.age_pdf(),
         by_kind=by_kind,
-        stale_fraction=report.stale_fraction(config.max_useful_age_frames),
+        stale_fraction=report.stale_fraction(),
         mean_upload_kbps=report.mean_upload_kbps,
         messages_sent=report.messages_sent,
     )

@@ -415,7 +415,7 @@ def chaos_gate_failures(results: list[dict]) -> list[str]:
                 "falsely evicted (SLO: 0)"
             )
         reproxy = metrics["frames_to_reproxy"]
-        if params["failover"] and reproxy > PROXY_PERIOD_FRAMES:
+        if params["resilient"] and reproxy > PROXY_PERIOD_FRAMES:
             failures.append(
                 f"{name}: frames_to_reproxy {reproxy:.0f} exceeds one "
                 f"proxy period ({PROXY_PERIOD_FRAMES})"

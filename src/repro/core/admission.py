@@ -18,7 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import WatchmenConfig
+from repro.core.config import (
+    FRAMES_PER_SECOND,
+    FREQUENT_INTERVAL_FRAMES,
+    GUIDANCE_BITS,
+    HEADER_BITS,
+    POSITION_UPDATE_BITS,
+    STATE_UPDATE_BITS,
+    SUBSCRIPTION_BITS,
+    WatchmenConfig,
+)
 
 __all__ = [
     "AdmissionDecision",
@@ -31,23 +40,12 @@ __all__ = [
 def estimate_publisher_kbps(config: WatchmenConfig) -> float:
     """Upload a player needs just to publish his own avatar."""
     per_second = 1.0 / config.frame_seconds
-    state = (
-        (config.state_update_bits + config.header_bits + config.signature_bits)
-        * per_second
-        / config.frequent_interval_frames
-    )
-    guidance = (
-        (config.guidance_bits + config.header_bits + config.signature_bits)
-        * per_second
-        / config.guidance_interval_frames
-    )
-    position = (
-        (config.position_update_bits + config.header_bits + config.signature_bits)
-        * per_second
-        / config.position_interval_frames
-    )
+    overhead = HEADER_BITS + config.signature_bits
+    state = (STATE_UPDATE_BITS + overhead) * per_second / FREQUENT_INTERVAL_FRAMES
+    guidance = (GUIDANCE_BITS + overhead) * per_second / FRAMES_PER_SECOND
+    position = (POSITION_UPDATE_BITS + overhead) * per_second / FRAMES_PER_SECOND
     subscriptions = (
-        (config.subscription_bits + config.header_bits + config.signature_bits)
+        (SUBSCRIPTION_BITS + overhead)
         * per_second
         / max(1, config.subscription_retention_frames)
         * config.interest.interest_size
@@ -58,26 +56,22 @@ def estimate_publisher_kbps(config: WatchmenConfig) -> float:
 def estimate_proxy_kbps(config: WatchmenConfig, num_players: int) -> float:
     """Upload one proxy tenure costs (forwarding for a single client)."""
     per_second = 1.0 / config.frame_seconds
+    overhead = HEADER_BITS + config.signature_bits
     # Frequent updates to up to IS-size subscribers, every frame.
     frequent = (
-        (config.state_update_bits + config.header_bits + config.signature_bits)
-        * per_second
-        * config.interest.interest_size
+        (STATE_UPDATE_BITS + overhead) * per_second * config.interest.interest_size
     )
     # Guidance to a comparable number of VS subscribers, 1 Hz.
     guidance = (
-        (config.guidance_bits + config.header_bits + config.signature_bits)
+        (GUIDANCE_BITS + overhead)
         * per_second
-        / config.guidance_interval_frames
+        / FRAMES_PER_SECOND
         * config.interest.interest_size
     )
     # Position-only updates to everyone else, 1 Hz.
     others = max(0, num_players - 2 * config.interest.interest_size - 1)
     position = (
-        (config.position_update_bits + config.header_bits + config.signature_bits)
-        * per_second
-        / config.position_interval_frames
-        * others
+        (POSITION_UPDATE_BITS + overhead) * per_second / FRAMES_PER_SECOND * others
     )
     return (frequent + guidance + position) / 1000.0
 

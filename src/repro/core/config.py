@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Final
+from typing import TYPE_CHECKING, Final, Mapping
 
 if TYPE_CHECKING:
     from repro.game.interest import InterestConfig
@@ -38,6 +38,14 @@ __all__ = [
     "VISION_SLACK",
     "SIGNATURE_BITS",
     "STATE_UPDATE_BITS",
+    "DELTA_BASE_BITS",
+    "DELTA_FIELD_BITS",
+    "POSITION_UPDATE_BITS",
+    "GUIDANCE_BITS",
+    "SUBSCRIPTION_BITS",
+    "HANDOFF_BITS_PER_ENTRY",
+    "HEADER_BITS",
+    "GUIDANCE_CHECK_FRAMES",
     "MAX_USEFUL_AGE_FRAMES",
     "PROXY_SILENCE_THRESHOLD_FRAMES",
     "MAX_FAILOVER_ATTEMPTS",
@@ -45,12 +53,17 @@ __all__ = [
     "ACK_RETRY_MAX_BACKOFF_FRAMES",
     "ACK_RETRY_MAX_ATTEMPTS",
     "MEMBERSHIP_SILENCE_FRAMES",
+    "DEFENSE_INTERVAL_FRAMES",
     "STALE_VIEW_AGE_FRAMES",
     "BYZANTINE_RATE_MSGS_PER_FRAME",
     "BYZANTINE_RATE_BURST",
     "BYZANTINE_QUARANTINE_STRIKES",
     "BYZANTINE_QUARANTINE_FRAMES",
     "BYZANTINE_STARVATION_FRAMES",
+    "GE_P_GOOD_TO_BAD",
+    "GE_P_BAD_TO_GOOD",
+    "GE_LOSS_GOOD",
+    "GE_LOSS_BAD",
     "WatchmenConfig",
 ]
 
@@ -85,6 +98,32 @@ SIGNATURE_BITS: Final[int] = 100
 #: ~700-bit average full (non-delta) state update (Section IV).
 STATE_UPDATE_BITS: Final[int] = 700
 
+#: Delta coding ("updates show high temporal similarities and can be
+#: delta-coded, only including the differences"): a delta update pays a
+#: small base plus a per-changed-field cost (32 bits for unlisted fields).
+DELTA_BASE_BITS: Final[int] = 64
+DELTA_FIELD_BITS: Final[Mapping[str, int]] = {
+    "position": 96,
+    "velocity": 96,
+    "yaw": 32,
+    "health": 16,
+    "armor": 16,
+    "weapon": 24,
+    "ammo": 16,
+    "alive": 8,
+}
+
+#: Nominal payload sizes of the remaining message classes, and the
+#: UDP/IP + game header every datagram pays.
+POSITION_UPDATE_BITS: Final[int] = 220
+GUIDANCE_BITS: Final[int] = 420
+SUBSCRIPTION_BITS: Final[int] = 160
+HANDOFF_BITS_PER_ENTRY: Final[int] = 500
+HEADER_BITS: Final[int] = 224
+
+#: Frames of observed movement a guidance prediction is checked against.
+GUIDANCE_CHECK_FRAMES: Final[int] = 8
+
 #: 150 ms tolerable latency ⇒ updates older than 3 frames count as loss.
 MAX_USEFUL_AGE_FRAMES: Final[int] = 3
 
@@ -117,6 +156,11 @@ ACK_RETRY_MAX_ATTEMPTS: Final[int] = 4
 #: Section VI).  Must sit above PROXY_SILENCE_THRESHOLD_FRAMES so client
 #: failover always precedes eviction.
 MEMBERSHIP_SILENCE_FRAMES: Final[int] = 60
+
+#: While under a removal challenge a live player heartbeats directly to
+#: the roster (bypassing its possibly-dead proxy) at this cadence.  Always
+#: on: it costs nothing until someone is actually accused.
+DEFENSE_INTERVAL_FRAMES: Final[int] = 5
 
 #: A remote view older than two 1 Hz heartbeat periods cannot be explained
 #: by the dissemination tiers — the publisher's path is black-holed.  The
@@ -156,6 +200,17 @@ BYZANTINE_QUARANTINE_FRAMES: Final[int] = PROXY_PERIOD_FRAMES
 #: staleness definition.
 BYZANTINE_STARVATION_FRAMES: Final[int] = 2 * FRAMES_PER_SECOND
 
+# -- bursty-loss network model (NetworkConfig.loss_model) -------------------
+
+#: Two-state Gilbert–Elliott chain per link: per packet the state flips
+#: good→bad / bad→good with these probabilities, then the packet is lost
+#: at the new state's rate.  ~5 % stationary loss concentrated in bursts
+#: (stationary P[bad] = 0.05/(0.05+0.25) ≈ 0.167 at 30 % bad-state loss).
+GE_P_GOOD_TO_BAD: Final[float] = 0.05
+GE_P_BAD_TO_GOOD: Final[float] = 0.25
+GE_LOSS_GOOD: Final[float] = 0.0
+GE_LOSS_BAD: Final[float] = 0.3
+
 
 def _default_interest() -> "InterestConfig":
     # Imported lazily so this module stays an import leaf (game.interest
@@ -167,21 +222,14 @@ def _default_interest() -> "InterestConfig":
 
 @dataclass(frozen=True)
 class WatchmenConfig:
-    """Tuning knobs of a Watchmen session."""
+    """What a caller varies about a Watchmen session.
+
+    Everything else the protocol fixes is a module constant above.
+    """
 
     frame_seconds: float = FRAME_SECONDS
-    # -- dissemination rates (paper Section III-A) --------------------------
-    frequent_interval_frames: int = FREQUENT_INTERVAL_FRAMES  # IS: every 50 ms
-    guidance_interval_frames: int = FRAMES_PER_SECOND  # VS: one per second
-    position_interval_frames: int = FRAMES_PER_SECOND  # Others: every second
-    guidance_horizon_frames: int = FRAMES_PER_SECOND  # DR prediction validity
-    guidance_check_frames: int = 8  # verification window for guidance
-    #: Publish a full keyframe StateUpdate (resetting delta coding) once a
-    #: second even when deltas would do.
-    keyframe_interval_frames: int = FRAMES_PER_SECOND
     # -- proxy architecture (Sections III-B, IV) -----------------------------
     proxy_period_frames: int = PROXY_PERIOD_FRAMES
-    handoff_depth: int = HANDOFF_DEPTH  # follow-up on two previous proxies
     common_seed: bytes = b"watchmen-session"
     # -- subscriptions (Section VI latency optimizations) --------------------
     subscription_retention_frames: int = PROXY_PERIOD_FRAMES  # keep subs alive
@@ -189,44 +237,25 @@ class WatchmenConfig:
     relax_first_hop: bool = False  # send updates directly (lower security)
     # -- interest management --------------------------------------------------
     interest: InterestConfig = field(default_factory=_default_interest)
-    # -- wire-size model (Section IV: 100-bit signatures, 700-bit updates) ---
+    # -- key width (Section IV: ~100-bit lightweight signatures) --------------
     signature_bits: int = SIGNATURE_BITS
-    state_update_bits: int = STATE_UPDATE_BITS  # full state update payload
-    #: Delta coding ("updates show high temporal similarities and can be
-    #: delta-coded, only including the differences"): a delta update pays a
-    #: small base plus per-changed-field costs.
-    delta_base_bits: int = 64
-    delta_field_bits: dict = None  # type: ignore[assignment]
-    position_update_bits: int = 220
-    guidance_bits: int = 420
-    subscription_bits: int = 160
-    handoff_bits_per_entry: int = 500
-    header_bits: int = 224  # UDP/IP + game header
     # -- verification depth ----------------------------------------------------
     #: Enable the high-cost action-repetition replay check at proxies
     #: (Section V-A's "more accuracy but higher costs" option).
     action_repetition: bool = False
-    # -- robustness (repro.faults; both gates default OFF so fault-free ------
-    # -- runs stay bit-identical to the ungated protocol) --------------------
-    #: Fail over to the next verifiable candidate proxy when the scheduled
-    #: one stops heartbeating (changes traffic, hence the RNG stream).
-    proxy_failover: bool = False
-    #: Ack/retry (capped exponential backoff) for the critical low-rate
-    #: messages; state updates stay fire-and-forget per the paper.
-    reliable_delivery: bool = False
+    # -- robustness (repro.faults; default OFF so fault-free runs stay ------
+    # -- bit-identical to the ungated protocol) ------------------------------
+    #: Graceful degradation under crashes and loss, as one gate: fail over
+    #: to the next verifiable candidate proxy when the scheduled one stops
+    #: heartbeating, and ack/retry (capped exponential backoff) the
+    #: critical low-rate messages; state updates stay fire-and-forget per
+    #: the paper.
+    resilient: bool = False
+    #: The model checker shrinks the two silence thresholds (together with
+    #: ``proxy_period_frames``) so failover and eviction rounds fit inside
+    #: a bounded-exploration horizon.
     proxy_silence_threshold_frames: int = PROXY_SILENCE_THRESHOLD_FRAMES
-    max_failover_attempts: int = MAX_FAILOVER_ATTEMPTS
-    ack_retry_base_frames: int = ACK_RETRY_BASE_FRAMES
-    ack_retry_max_backoff_frames: int = ACK_RETRY_MAX_BACKOFF_FRAMES
-    ack_retry_max_attempts: int = ACK_RETRY_MAX_ATTEMPTS
-    #: Frames of silence before a peer may be proposed for removal.  The
-    #: model checker shrinks this (together with ``proxy_period_frames``)
-    #: so eviction rounds fit inside a bounded-exploration horizon.
     membership_silence_frames: int = MEMBERSHIP_SILENCE_FRAMES
-    #: While under a removal challenge a live player heartbeats directly
-    #: to the roster (bypassing its possibly-dead proxy) at this cadence.
-    #: Always on: it costs nothing until someone is actually accused.
-    defense_interval_frames: int = 5
     # -- Byzantine hardening (repro.faults.byzantine; default OFF so -------
     # -- benign runs stay bit-identical to the ungated protocol) -----------
     #: Equivocation cross-check, signed misbehavior evidence, tamper
@@ -234,73 +263,21 @@ class WatchmenConfig:
     #: limiting with bounded quarantine, and selective-forwarding /
     #: ack-withholding suspicion ratings.
     byzantine_hardening: bool = False
-    rate_limit_msgs_per_frame: int = BYZANTINE_RATE_MSGS_PER_FRAME
-    rate_limit_burst: int = BYZANTINE_RATE_BURST
-    quarantine_strikes: int = BYZANTINE_QUARANTINE_STRIKES
-    quarantine_frames: int = BYZANTINE_QUARANTINE_FRAMES
-    starvation_suspicion_frames: int = BYZANTINE_STARVATION_FRAMES
-    # -- responsiveness accounting -------------------------------------------
-    max_useful_age_frames: int = MAX_USEFUL_AGE_FRAMES  # ≥150 ms counts as loss
-
-    _DELTA_FIELD_BITS = {
-        "position": 96,
-        "velocity": 96,
-        "yaw": 32,
-        "health": 16,
-        "armor": 16,
-        "weapon": 24,
-        "ammo": 16,
-        "alive": 8,
-    }
 
     def __post_init__(self) -> None:
-        if self.delta_field_bits is None:
-            object.__setattr__(
-                self, "delta_field_bits", dict(self._DELTA_FIELD_BITS)
-            )
         if self.frame_seconds <= 0:
             raise ValueError("frame_seconds must be positive")
         if self.proxy_period_frames <= 0:
             raise ValueError("proxy_period_frames must be positive")
-        if self.frequent_interval_frames <= 0:
-            raise ValueError("frequent_interval_frames must be positive")
-        if self.guidance_interval_frames <= 0:
-            raise ValueError("guidance_interval_frames must be positive")
-        if self.position_interval_frames <= 0:
-            raise ValueError("position_interval_frames must be positive")
-        if self.keyframe_interval_frames <= 0:
-            raise ValueError("keyframe_interval_frames must be positive")
-        if self.handoff_depth < 0:
-            raise ValueError("handoff_depth must be non-negative")
-        if self.signature_bits <= 0 or self.state_update_bits <= 0:
-            raise ValueError("wire sizes must be positive")
+        if self.signature_bits <= 0:
+            raise ValueError("signature_bits must be positive")
         if self.proxy_silence_threshold_frames <= 0:
             raise ValueError("proxy_silence_threshold_frames must be positive")
-        if self.max_failover_attempts < 1:
-            raise ValueError("max_failover_attempts must be at least 1")
-        if self.defense_interval_frames <= 0:
-            raise ValueError("defense_interval_frames must be positive")
-        if self.ack_retry_base_frames <= 0:
-            raise ValueError("ack_retry_base_frames must be positive")
-        if self.ack_retry_max_backoff_frames < self.ack_retry_base_frames:
-            raise ValueError("ack_retry_max_backoff_frames below the base delay")
-        if self.ack_retry_max_attempts < 0:
-            raise ValueError("ack_retry_max_attempts must be non-negative")
         if self.membership_silence_frames <= self.proxy_silence_threshold_frames:
             raise ValueError(
                 "membership_silence_frames must exceed the proxy silence "
                 "threshold so failover precedes eviction"
             )
-        if self.rate_limit_msgs_per_frame <= 0:
-            raise ValueError("rate_limit_msgs_per_frame must be positive")
-        if self.rate_limit_burst < self.rate_limit_msgs_per_frame:
-            raise ValueError("rate_limit_burst below the per-frame refill")
-        if self.quarantine_strikes < 1:
-            raise ValueError("quarantine_strikes must be at least 1")
-        if self.quarantine_frames <= 0:
-            raise ValueError("quarantine_frames must be positive")
-        if self.starvation_suspicion_frames <= 0:
-            raise ValueError("starvation_suspicion_frames must be positive")
 
     def epoch_of_frame(self, frame: int) -> int:
         """The proxy epoch a frame belongs to."""

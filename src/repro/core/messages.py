@@ -15,7 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from repro.core.config import WatchmenConfig
+from repro.core.config import (
+    DELTA_BASE_BITS,
+    DELTA_FIELD_BITS,
+    GUIDANCE_BITS,
+    HANDOFF_BITS_PER_ENTRY,
+    HEADER_BITS,
+    POSITION_UPDATE_BITS,
+    STATE_UPDATE_BITS,
+    SUBSCRIPTION_BITS,
+    WatchmenConfig,
+)
 from repro.core.membership import RemovalProposal
 from repro.crypto.signatures import Signature
 from repro.game.avatar import AvatarSnapshot
@@ -157,7 +167,7 @@ class HandoffMessage:
     """Old proxy → new proxy at epoch boundaries.
 
     Carries the subscriber lists (so dissemination continues seamlessly)
-    plus state summaries of up to ``handoff_depth`` previous tenures
+    plus state summaries of up to ``HANDOFF_DEPTH`` previous tenures
     ("a proxy also embeds the summary it has received from its
     predecessor").
     """
@@ -176,7 +186,7 @@ class HandoffMessage:
 class AckMessage:
     """Hop-by-hop receipt for a critical low-rate message.
 
-    The reliable-delivery layer (``WatchmenConfig.reliable_delivery``)
+    The reliable-delivery layer (``WatchmenConfig.resilient``)
     retransmits an ackable message with capped exponential backoff until
     the receiving hop acks ``(acked_sender_id, acked_sequence)``.  State
     updates stay fire-and-forget per the paper; only the messages in
@@ -267,33 +277,29 @@ def message_size_bits(message: GameMessage, config: WatchmenConfig) -> int:
     """Nominal wire size of a message, per the paper's size model."""
     if isinstance(message, StateUpdate):
         if message.delta_fields:
-            body = config.delta_base_bits + sum(
-                config.delta_field_bits.get(name, 32)
-                for name in message.delta_fields
+            body = DELTA_BASE_BITS + sum(
+                DELTA_FIELD_BITS.get(name, 32) for name in message.delta_fields
             )
-            body = min(body, config.state_update_bits)
+            body = min(body, STATE_UPDATE_BITS)
         else:
-            body = config.state_update_bits
+            body = STATE_UPDATE_BITS
     elif isinstance(message, PositionUpdate):
-        body = config.position_update_bits
+        body = POSITION_UPDATE_BITS
     elif isinstance(message, GuidanceMessage):
-        body = config.guidance_bits
+        body = GUIDANCE_BITS
     elif isinstance(message, SubscriptionRequest):
-        body = config.subscription_bits
+        body = SUBSCRIPTION_BITS
     elif isinstance(message, KillClaim):
-        body = config.subscription_bits  # comparable small claim record
+        body = SUBSCRIPTION_BITS  # comparable small claim record
     elif isinstance(message, RemovalProposal):
-        body = config.subscription_bits  # tiny signed vote
+        body = SUBSCRIPTION_BITS  # tiny signed vote
     elif isinstance(message, AckMessage):
-        body = config.subscription_bits  # tiny signed receipt
+        body = SUBSCRIPTION_BITS  # tiny signed receipt
     elif isinstance(message, ProjectileSpawn):
-        body = config.position_update_bits  # origin + velocity + weapon
+        body = POSITION_UPDATE_BITS  # origin + velocity + weapon
     elif isinstance(message, MisbehaviorEvidence):
         # Two full signed updates plus a small claim record around them.
-        body = (
-            2 * (config.state_update_bits + config.signature_bits)
-            + config.subscription_bits
-        )
+        body = 2 * (STATE_UPDATE_BITS + config.signature_bits) + SUBSCRIPTION_BITS
     elif isinstance(message, HandoffMessage):
         entries = (
             1
@@ -301,11 +307,11 @@ def message_size_bits(message: GameMessage, config: WatchmenConfig) -> int:
             + len(message.vision_subscribers)
             + len(message.summaries)
         )
-        body = config.handoff_bits_per_entry * entries
+        body = HANDOFF_BITS_PER_ENTRY * entries
     else:
         raise TypeError(f"unknown message type {type(message).__name__}")
     signed = config.signature_bits if message.signature is not None else 0
-    return config.header_bits + body + signed
+    return HEADER_BITS + body + signed
 
 
 def message_size_bytes(message: GameMessage, config: WatchmenConfig) -> int:

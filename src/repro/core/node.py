@@ -23,7 +23,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace as dataclass_replace
 from typing import Callable, Protocol
 
-from repro.core.config import WatchmenConfig
+from repro.core.config import (
+    ACK_RETRY_BASE_FRAMES,
+    ACK_RETRY_MAX_ATTEMPTS,
+    ACK_RETRY_MAX_BACKOFF_FRAMES,
+    BYZANTINE_QUARANTINE_FRAMES,
+    BYZANTINE_QUARANTINE_STRIKES,
+    BYZANTINE_RATE_BURST,
+    BYZANTINE_RATE_MSGS_PER_FRAME,
+    BYZANTINE_STARVATION_FRAMES,
+    DEFENSE_INTERVAL_FRAMES,
+    FRAMES_PER_SECOND,
+    FREQUENT_INTERVAL_FRAMES,
+    GUIDANCE_CHECK_FRAMES,
+    HANDOFF_DEPTH,
+    MAX_FAILOVER_ATTEMPTS,
+    WatchmenConfig,
+)
 from repro.core.membership import MembershipView
 from repro.core.messages import (
     ACKABLE_TYPES,
@@ -279,7 +295,7 @@ class WatchmenNode:
         )
         self.guidance_verifier = GuidanceVerifier(
             config.frame_seconds,
-            check_horizon_frames=config.guidance_check_frames,
+            check_horizon_frames=GUIDANCE_CHECK_FRAMES,
         )
         self.projectiles = ProjectileTracker()
         self.kill_verifier = KillVerifier(game_map, projectiles=self.projectiles)
@@ -308,7 +324,10 @@ class WatchmenNode:
         self._deferred_claims: list[tuple[int, KillClaim, float]] = []
         self._last_published: AvatarSnapshot | None = None
 
-        # -- robustness (both layers config-gated, default off) ------------
+        # -- robustness (``config.resilient``, default off) ------------------
+        #: how far down a player's verifiable candidate walk a first hop
+        #: may sit: 0 (the scheduled proxy alone) in the paper's protocol
+        self._failover_depth = MAX_FAILOVER_ATTEMPTS if config.resilient else 0
         #: (destination, original sender, sequence) -> awaiting ack
         self._pending_acks: dict[tuple[int, int, int], _PendingSend] = {}
         #: the proxy my publications currently route to (failover tracking)
@@ -388,7 +407,7 @@ class WatchmenNode:
             self._register_epoch_clients(epoch)
 
         # -- proxy liveness / failover (config-gated; Section VI extended) ----
-        if self.config.proxy_failover and not self.is_server:
+        if self.config.resilient and not self.is_server:
             self._update_proxy_liveness(frame, epoch)
 
         # -- publisher duties (players only) -----------------------------------
@@ -425,7 +444,7 @@ class WatchmenNode:
             state.table.expire(frame)
 
         # -- reliable delivery: retransmit unacked critical messages ----------
-        if self.config.reliable_delivery:
+        if self.config.resilient:
             self._drive_retries(frame)
 
         # -- behaviour extras (fabricated traffic from cheats) ---------------
@@ -447,9 +466,7 @@ class WatchmenNode:
         snapshot = self.known.get(other_id)
         if snapshot is None:
             return None
-        ahead = min(
-            max(0, frame - snapshot.frame), self.config.guidance_horizon_frames
-        )
+        ahead = min(max(0, frame - snapshot.frame), FRAMES_PER_SECOND)
         if ahead == 0 or not snapshot.alive:
             return snapshot
         extrapolated = snapshot.position + snapshot.velocity * (
@@ -493,7 +510,7 @@ class WatchmenNode:
         self.recency.record(self.player_id, other_id, frame)
 
     # ------------------------------------------------------------------
-    # Proxy liveness & failover (config-gated graceful degradation)
+    # Proxy liveness & failover (graceful degradation under ``resilient``)
     # ------------------------------------------------------------------
 
     def _node_seems_dead(self, node_id: int, frame: int) -> bool:
@@ -517,15 +534,12 @@ class WatchmenNode:
         )
 
     def _live_proxy_of(self, player_id: int, epoch: int, frame: int) -> int:
-        """The first failover candidate not currently presumed dead."""
-        primary = self.schedule.proxy_of(player_id, epoch)
-        if not self.config.proxy_failover:
-            return primary
-        for attempt in range(self.config.max_failover_attempts + 1):
-            candidate = self.schedule.candidate_of(player_id, epoch, attempt)
-            if not self._node_seems_dead(candidate, frame):
-                return candidate
-        return primary  # every candidate suspect: fall back to the schedule
+        """The first legitimate first hop not currently presumed dead."""
+        for hop in self.schedule.first_hops(player_id, epoch, self._failover_depth):
+            if not self._node_seems_dead(hop, frame):
+                return hop
+        # every candidate suspect: fall back to the schedule
+        return self.schedule.proxy_of(player_id, epoch)
 
     def _publish_proxies(self, frame: int, epoch: int, scheduled: int) -> list[int]:
         """Destinations for this frame's publications.
@@ -536,36 +550,23 @@ class WatchmenNode:
         verifying and forwarding, and if it crashed the copy merely
         evaporates, so either way no client is stranded.
         """
-        if not self.config.proxy_failover:
-            return [scheduled]
         live = self._live_proxy_of(self.player_id, epoch, frame)
         if live == scheduled:
             return [scheduled]
         return [live, scheduled]
 
-    def _failover_rank(self, player_id: int, epoch: int) -> int | None:
-        """My position in a player's verifiable candidate walk, or None.
+    def _serves(self, player_id: int, epoch: int) -> bool:
+        """Am I a legitimate first hop for this player's epoch?
 
-        0 means scheduled proxy; 1..max_failover_attempts means I am a
-        legitimate stand-in receivers may accept traffic through.  This
-        is the bounded relaxation failover buys: a route is valid iff it
-        hits one of the first ``max_failover_attempts`` candidates, all
-        of which any verifier can recompute from the shared schedule.
+        The scheduled proxy always is; under ``resilient`` so are the
+        first ``MAX_FAILOVER_ATTEMPTS`` stand-in candidates.  This is the
+        bounded relaxation failover buys: a route is valid iff it hits
+        one of those nodes, all of which any verifier can recompute from
+        the shared schedule.
         """
-        try:
-            if self.schedule.proxy_of(player_id, epoch) == self.player_id:
-                return 0
-            if not self.config.proxy_failover:
-                return None
-            for attempt in range(1, self.config.max_failover_attempts + 1):
-                if (
-                    self.schedule.candidate_of(player_id, epoch, attempt)
-                    == self.player_id
-                ):
-                    return attempt
-        except KeyError:
-            return None
-        return None
+        return self.schedule.verify_route(
+            player_id, epoch, self.player_id, self._failover_depth
+        )
 
     def _update_proxy_liveness(self, frame: int, epoch: int) -> None:
         """Detect newly-dead proxies; fail over and re-subscribe."""
@@ -652,7 +653,7 @@ class WatchmenNode:
             self._pending_acks[key] = _PendingSend(
                 message=message,
                 destination=destination,
-                next_frame=self.current_frame + self.config.ack_retry_base_frames,
+                next_frame=self.current_frame + ACK_RETRY_BASE_FRAMES,
             )
 
     def _drive_retries(self, frame: int) -> None:
@@ -664,7 +665,7 @@ class WatchmenNode:
             pending = self._pending_acks.pop(key, None)
             if pending is None:
                 continue
-            if pending.attempt >= self.config.ack_retry_max_attempts:
+            if pending.attempt >= ACK_RETRY_MAX_ATTEMPTS:
                 self._ctr_retry_exhausted.inc()
                 if self.config.byzantine_hardening and not self._node_seems_dead(
                     pending.destination, frame
@@ -694,8 +695,8 @@ class WatchmenNode:
                 continue  # give up; the destination is gone or the path is cut
             pending.attempt += 1
             backoff = min(
-                self.config.ack_retry_base_frames * (2 ** pending.attempt),
-                self.config.ack_retry_max_backoff_frames,
+                ACK_RETRY_BASE_FRAMES * (2 ** pending.attempt),
+                ACK_RETRY_MAX_BACKOFF_FRAMES,
             )
             pending.next_frame = frame + backoff
             destination = self._retry_destination(
@@ -714,9 +715,7 @@ class WatchmenNode:
         self, message: GameMessage, current: int, frame: int
     ) -> int:
         """Re-route a retry around a proxy that died since the first send."""
-        if not self.config.proxy_failover or not self._node_seems_dead(
-            current, frame
-        ):
+        if not self._node_seems_dead(current, frame):
             return current
         epoch = self.config.epoch_of_frame(frame)
         try:
@@ -759,11 +758,10 @@ class WatchmenNode:
     def _publish_updates(
         self, frame: int, snapshot: AvatarSnapshot, proxies: list[int]
     ) -> None:
-        cfg = self.config
-        if frame % cfg.frequent_interval_frames == 0:
+        if frame % FREQUENT_INTERVAL_FRAMES == 0:
             # Delta-code against the previous update; send a keyframe once
             # per second so late receivers resynchronise.
-            if self._last_published is None or frame % cfg.keyframe_interval_frames == 0:
+            if self._last_published is None or frame % FRAMES_PER_SECOND == 0:
                 delta: tuple[str, ...] = ()
             else:
                 delta = tuple(
@@ -778,7 +776,7 @@ class WatchmenNode:
             )
             self._last_published = snapshot
             self._route_publication(update, proxies)
-        if frame % cfg.guidance_interval_frames == 0:
+        if frame % FRAMES_PER_SECOND == 0:  # the 1 Hz tiers
             guidance = GuidanceMessage(
                 sender_id=self.player_id,
                 frame=frame,
@@ -787,7 +785,6 @@ class WatchmenNode:
                 prediction=self._guidance_prediction(frame, snapshot),
             )
             self._route_publication(guidance, proxies)
-        if frame % cfg.position_interval_frames == 0:
             position = PositionUpdate(
                 sender_id=self.player_id,
                 frame=frame,
@@ -804,12 +801,11 @@ class WatchmenNode:
         horizon — the paper's AI-guidance-enhanced dead reckoning [16].
         Otherwise fall back to first-order (current velocity).
         """
-        horizon = self.config.guidance_horizon_frames
-        window = self.config.guidance_check_frames
+        horizon = FRAMES_PER_SECOND  # valid until the next 1 Hz guidance
         if self.own_future is not None:
-            ahead = self.own_future(frame + window)
+            ahead = self.own_future(frame + GUIDANCE_CHECK_FRAMES)
             if ahead is not None and ahead.alive and snapshot.alive:
-                dt = self.config.frame_seconds * window
+                dt = self.config.frame_seconds * GUIDANCE_CHECK_FRAMES
                 velocity = (ahead.position - snapshot.position) / dt
                 return GuidancePrediction(
                     frame=frame,
@@ -916,26 +912,19 @@ class WatchmenNode:
     def _perform_handoffs(self, frame: int, new_epoch: int) -> None:
         """End-of-tenure: ship each client's state to its next proxy."""
         for client_id in list(self._clients):
-            new_proxy = self.schedule.proxy_of(client_id, new_epoch)
-            if self.config.proxy_failover:
-                # Hand off to the candidate that will actually serve the
-                # client next epoch (the scheduled one may be dead).
-                new_proxy = self._live_proxy_of(client_id, new_epoch, frame)
+            # Hand off to the candidate that will actually serve the
+            # client next epoch (under failover the scheduled one may be dead).
+            new_proxy = self._live_proxy_of(client_id, new_epoch, frame)
             if new_proxy == self.player_id:
                 continue  # re-elected; keep serving
+            # A verifiable stand-in that actually served the client during
+            # the ending epoch hands off like a real proxy.
             was_proxy = (
                 self.schedule.proxy_of(client_id, new_epoch - 1) == self.player_id
+            ) or (
+                self._clients[client_id].update_count > 0
+                and self._serves(client_id, new_epoch - 1)
             )
-            if not was_proxy and self.config.proxy_failover:
-                # A verifiable stand-in that actually served the client
-                # during the ending epoch hands off like a real proxy.
-                state = self._clients[client_id]
-                was_proxy = state.update_count > 0 and self.schedule.verify_route(
-                    client_id,
-                    new_epoch - 1,
-                    self.player_id,
-                    self.config.max_failover_attempts,
-                )
             if not was_proxy:
                 # Ghost entry from grace-period traffic; only the real
                 # outgoing proxy performs the handoff.
@@ -951,8 +940,9 @@ class WatchmenNode:
                 update_count=state.update_count,
                 suspicion_flags=state.suspicion_flags,
             )
-            depth = self.config.handoff_depth
-            summaries = (my_summary,) + state.predecessor_summaries[: depth - 1]
+            summaries = (my_summary,) + state.predecessor_summaries[
+                : HANDOFF_DEPTH - 1
+            ]
             handoff = HandoffMessage(
                 sender_id=self.player_id,
                 player_id=client_id,
@@ -1039,7 +1029,7 @@ class WatchmenNode:
 
     def _defend_liveness(self, frame: int) -> None:
         """One direct heartbeat burst to the whole roster, rate-limited."""
-        if frame - self._last_defense_frame < self.config.defense_interval_frames:
+        if frame - self._last_defense_frame < DEFENSE_INTERVAL_FRAMES:
             return
         snapshot = self.known.get(self.player_id)
         if snapshot is None or self.is_server:
@@ -1068,14 +1058,11 @@ class WatchmenNode:
         epoch = self.config.epoch_of_frame(frame)
         acceptors: set[int] = set()
         try:
-            acceptors.add(self.schedule.proxy_of(self.player_id, epoch))
+            acceptors.update(
+                self.schedule.first_hops(self.player_id, epoch, self._failover_depth)
+            )
             if epoch > 0:
                 acceptors.add(self.schedule.proxy_of(self.player_id, epoch - 1))
-            if self.config.proxy_failover:
-                for attempt in range(1, self.config.max_failover_attempts + 1):
-                    acceptors.add(
-                        self.schedule.candidate_of(self.player_id, epoch, attempt)
-                    )
         except KeyError:
             pass
         return acceptors
@@ -1088,9 +1075,7 @@ class WatchmenNode:
                     client_id=client_id,
                     retention_frames=self.config.subscription_retention_frames,
                 ),
-                rate=RateVerifier(
-                    expected_interval_frames=self.config.frequent_interval_frames
-                ),
+                rate=RateVerifier(expected_interval_frames=FREQUENT_INTERVAL_FRAMES),
             )
             self._clients[client_id] = state
         return state
@@ -1166,7 +1151,7 @@ class WatchmenNode:
         if not accepted:
             return
         if (
-            self.config.reliable_delivery
+            self.config.resilient
             and src != self.player_id
             and isinstance(message, ACKABLE_TYPES)
         ):
@@ -1290,18 +1275,14 @@ class WatchmenNode:
                 self._on_equivocation(src, archived, message)
                 return False
         self.metrics.count_replayed_message()
-        if (
-            not tracked
-            or self.config.reliable_delivery
-            or self.config.proxy_failover
-        ):
-            # With the robustness layers on, duplicates are an expected
+        if not tracked or self.config.resilient:
+            # With the robustness layer on, duplicates are an expected
             # artefact of dual-send failover, retransmissions and
             # network duplication — screen them silently instead of
             # convicting an honest sender.  The ack still goes out so a
             # retransmitting peer stops resending a delivered message.
             if (
-                self.config.reliable_delivery
+                self.config.resilient
                 and src != self.player_id
                 and isinstance(message, ACKABLE_TYPES)
             ):
@@ -1334,7 +1315,7 @@ class WatchmenNode:
         Honest links carry a few messages per frame (epoch bursts stay
         well under the burst allowance), so they never strike; a flooder
         drains its bucket within a couple of frames, accumulates strikes
-        and is silenced for ``quarantine_frames`` — bounded, so a false
+        and is silenced for ``BYZANTINE_QUARANTINE_FRAMES`` — bounded, so a false
         positive self-heals instead of becoming an eviction.
         """
         frame = self.current_frame
@@ -1347,11 +1328,11 @@ class WatchmenNode:
             self._rate_strikes.pop(src, None)
             self._rate_buckets.pop(src, None)
         tokens, last = self._rate_buckets.get(
-            src, (float(self.config.rate_limit_burst), frame)
+            src, (float(BYZANTINE_RATE_BURST), frame)
         )
         tokens = min(
-            float(self.config.rate_limit_burst),
-            tokens + (frame - last) * self.config.rate_limit_msgs_per_frame,
+            float(BYZANTINE_RATE_BURST),
+            tokens + (frame - last) * BYZANTINE_RATE_MSGS_PER_FRAME,
         )
         if tokens >= 1.0:
             self._rate_buckets[src] = (tokens - 1.0, frame)
@@ -1359,8 +1340,8 @@ class WatchmenNode:
         self._rate_buckets[src] = (tokens, frame)
         strikes = self._rate_strikes.get(src, 0) + 1
         self._rate_strikes[src] = strikes
-        if strikes >= self.config.quarantine_strikes:
-            self._quarantined_until[src] = frame + self.config.quarantine_frames
+        if strikes >= BYZANTINE_QUARANTINE_STRIKES:
+            self._quarantined_until[src] = frame + BYZANTINE_QUARANTINE_FRAMES
             self._rate_strikes[src] = 0
             self.quarantine_events.append((frame, src))
             self._ctr_quarantines.inc()
@@ -1497,20 +1478,20 @@ class WatchmenNode:
         """Selective-forwarding suspicion: a peer is dark while its proxy is live.
 
         If we have not heard *anything* attributable to a subject for
-        ``starvation_suspicion_frames`` but the subject's proxy is
+        ``BYZANTINE_STARVATION_FRAMES`` but the subject's proxy is
         demonstrably alive (heard within one publishing interval), the
         likeliest explanation is the proxy eating the subject's traffic.
         Low-confidence rating only — partitions look the same from here,
         and the defense-burst machinery is what actually protects the
         victim from eviction.
         """
-        if frame == 0 or frame % self.config.position_interval_frames != 0:
+        if frame == 0 or frame % FRAMES_PER_SECOND != 0:
             return
         for subject in self.membership.current_roster():
             if subject == self.player_id or subject in self.membership.exempt:
                 continue
             last = self.membership.last_heard_frame(subject)
-            if last is None or frame - last <= self.config.starvation_suspicion_frames:
+            if last is None or frame - last <= BYZANTINE_STARVATION_FRAMES:
                 continue
             if self.membership.proposal_count(subject) > 0:
                 continue  # removal machinery already has the case
@@ -1522,10 +1503,7 @@ class WatchmenNode:
             if proxy in (self.player_id, subject):
                 continue
             proxy_last = self.membership.last_heard_frame(proxy)
-            if (
-                proxy_last is None
-                or frame - proxy_last > self.config.position_interval_frames
-            ):
+            if proxy_last is None or frame - proxy_last > FRAMES_PER_SECOND:
                 continue  # proxy not demonstrably alive; could be a partition
             key = (proxy, subject, epoch)
             if key in self._starvation_rated:
@@ -1555,10 +1533,9 @@ class WatchmenNode:
         sender = update.sender_id
         if sender == self.player_id:
             return
-        i_am_proxy = self._accepts_first_hop_from(sender)
         if src == sender:
             # First hop: only legitimate when I am the proxy (or relaxed mode).
-            if i_am_proxy:
+            if self._accepts_first_hop_from(sender):
                 self._proxy_ingest_update(update)
                 return
             if not self.config.relax_first_hop:
@@ -1757,15 +1734,10 @@ class WatchmenNode:
             self._verify_subscription(request)
             epoch = self.config.epoch_of_frame(self.current_frame)
             try:
-                if self.config.proxy_failover:
-                    # Relay to the candidate actually serving the target.
-                    target_proxy = self._live_proxy_of(
-                        request.target_id, epoch, self.current_frame
-                    )
-                else:
-                    target_proxy = self.schedule.proxy_of(
-                        request.target_id, epoch
-                    )
+                # Relay to the candidate actually serving the target.
+                target_proxy = self._live_proxy_of(
+                    request.target_id, epoch, self.current_frame
+                )
             except KeyError:
                 # Target already evicted from the roster (the game world
                 # may lag membership); nothing to relay to.
@@ -1777,11 +1749,8 @@ class WatchmenNode:
                 self.metrics.count_forwarded_message()
             return
         # Stage 2: I should be the target's proxy — record the subscriber.
-        if self.config.proxy_failover:
-            epoch = self.config.epoch_of_frame(self.current_frame)
-            if self._failover_rank(request.target_id, epoch) is not None:
-                self._register_subscription(request)
-        elif self._is_proxy_of(request.target_id):
+        epoch = self.config.epoch_of_frame(self.current_frame)
+        if self._serves(request.target_id, epoch):
             self._register_subscription(request)
 
     def _verify_subscription(self, request: SubscriptionRequest) -> None:
@@ -1915,22 +1884,15 @@ class WatchmenNode:
     # the same expiry-refresh table inserts as _on_subscription
     def _on_handoff(self, message: HandoffMessage) -> None:
         client_id = message.player_id
-        try:
-            expected_old_proxy = self.schedule.proxy_of(client_id, message.epoch)
-        except KeyError:
+        if client_id not in self.roster:
             # The client is no longer in my schedule (evicted while this
             # handoff was in flight); a straggler must not crash the node.
             return
-        legitimate = message.sender_id == expected_old_proxy
-        if not legitimate and self.config.proxy_failover:
-            # A stand-in candidate is a verifiable sender too.
-            legitimate = self.schedule.verify_route(
-                client_id,
-                message.epoch,
-                message.sender_id,
-                self.config.max_failover_attempts,
-            )
-        if not legitimate:
+        # The outgoing proxy — or, under failover, a stand-in candidate —
+        # is a sender any node can verify against the schedule.
+        if not self.schedule.verify_route(
+            client_id, message.epoch, message.sender_id, self._failover_depth
+        ):
             self._emit_rating(
                 CheatRating(
                     verifier_id=self.player_id,
@@ -1944,11 +1906,7 @@ class WatchmenNode:
                 )
             )
             return
-        if self.config.proxy_failover:
-            epoch_now = self.config.epoch_of_frame(self.current_frame)
-            if self._failover_rank(client_id, epoch_now) is None:
-                return
-        elif not self._is_proxy_of(client_id):
+        if not self._serves(client_id, self.config.epoch_of_frame(self.current_frame)):
             return
         state = self._client_state(client_id)
         state.table.import_sets(
@@ -1984,19 +1942,10 @@ class WatchmenNode:
         verifiable stand-in candidate also accepts first-hop traffic.
         """
         epoch = self.config.epoch_of_frame(self.current_frame)
-        try:
-            if self.schedule.proxy_of(player_id, epoch) == self.player_id:
-                return True
-            if (
-                epoch > 0
-                and self.schedule.proxy_of(player_id, epoch - 1) == self.player_id
-            ):
-                return True
-        except KeyError:
-            return False
-        if self.config.proxy_failover:
-            return self._failover_rank(player_id, epoch) is not None
-        return False
+        return self._serves(player_id, epoch) or (
+            epoch > 0
+            and self.schedule.verify_proxy(player_id, epoch - 1, self.player_id)
+        )
 
     def _confidence_about(self, subject_id: int) -> float:
         """My vantage-point confidence about a subject (c_P>c_IS>c_VS>c_O)."""
@@ -2030,7 +1979,7 @@ class WatchmenNode:
             self.on_message(self.player_id, message)
             return
         signed = self._signed(message)
-        if self.config.reliable_delivery and isinstance(signed, ACKABLE_TYPES):
+        if self.config.resilient and isinstance(signed, ACKABLE_TYPES):
             self._register_pending(signed, destination)
         # Charge what actually crosses the wire: the canonical binary
         # frame.  The nominal bit model (message_size_bits) survives as

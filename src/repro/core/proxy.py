@@ -18,6 +18,7 @@ The pool can exclude low-resource nodes and weight powerful ones
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.core.config import PROXY_PERIOD_FRAMES
 from repro.crypto.prng import VerifiablePrng
@@ -158,6 +159,16 @@ class ProxySchedule:
         self._candidates[(player_id, epoch, attempt)] = candidate
         return candidate
 
+    def first_hops(self, player_id: int, epoch: int, depth: int) -> Iterator[int]:
+        """The scheduled proxy, then the first ``depth`` failover candidates.
+
+        The bounded set of nodes a player may legitimately route through
+        in ``epoch`` — the one statement of the failover walk.  Depth 0
+        is the paper's protocol: the scheduled proxy alone.
+        """
+        for attempt in range(depth + 1):
+            yield self.candidate_of(player_id, epoch, attempt)
+
     def clients_of(self, proxy_id: int, epoch: int) -> list[int]:
         """All players served by ``proxy_id`` during ``epoch``."""
         return [
@@ -192,10 +203,7 @@ class ProxySchedule:
         honest node may legitimately route through after crashes.
         """
         try:
-            return any(
-                self.candidate_of(player_id, epoch, attempt) == claimed_proxy
-                for attempt in range(max_attempts + 1)
-            )
+            return claimed_proxy in self.first_hops(player_id, epoch, max_attempts)
         except (KeyError, ValueError):
             return False
 

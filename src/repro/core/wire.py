@@ -31,15 +31,13 @@ Frame layout (see docs/PROTOCOL.md for the full field tables)::
     frozenset := uvarint value*         # strictly ascending
     dataclass := field*                 # nested, structural
 
-The legacy JSON envelope survives as :func:`encode_json_bytes` /
-:func:`decode_json_bytes` (debug dumps, size comparisons); the dict forms
-:func:`encode_message` / :func:`decode_message` are unchanged.
+:func:`encode_message` is the one-way JSON-safe dict form the tape
+verifier prints in human-readable diffs; nothing decodes it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import struct
 import types
 import typing
@@ -69,13 +67,10 @@ __all__ = [
     "MESSAGE_TAGS",
     "WireError",
     "encode_message",
-    "decode_message",
     "encode_bytes",
     "decode_bytes",
     "encode_signable",
     "encoded_size",
-    "encode_json_bytes",
-    "decode_json_bytes",
 ]
 
 
@@ -423,11 +418,7 @@ def _build_codec(declared: Any) -> tuple[_Encoder, _Decoder]:
 
 
 def _codec_for_dataclass(cls: type) -> tuple[_Encoder, _Decoder]:
-    hints = _hints_for(cls)
-    plan = tuple(
-        (field.name, _codec_for(hints[field.name]))
-        for field in dataclasses.fields(cls)
-    )
+    plan = _field_plan(cls)
 
     def encode(value: Any, out: bytearray) -> None:
         if type(value) is not cls:
@@ -453,7 +444,9 @@ def _codec_for_dataclass(cls: type) -> tuple[_Encoder, _Decoder]:
 
 
 def _field_plan(cls: type) -> tuple[tuple[str, tuple[_Encoder, _Decoder]], ...]:
-    hints = _hints_for(cls)
+    # `from __future__ import annotations` makes every hint a string until
+    # this call; callers cache the plan, so it resolves once per class.
+    hints = typing.get_type_hints(cls)
     return tuple(
         (field.name, _codec_for(hints[field.name]))
         for field in dataclasses.fields(cls)
@@ -532,7 +525,7 @@ def encoded_size(message: GameMessage) -> int:
     return len(encode_bytes(message))
 
 
-# ---- JSON-safe dict forms (unchanged; debug dumps and human diffs) ---------
+# ---- JSON-safe dict form (human-readable tape diffs) -----------------------
 
 
 def _encode_value(value: Any) -> Any:
@@ -570,98 +563,3 @@ def encode_message(message: GameMessage) -> dict[str, Any]:
             for field in dataclasses.fields(message)
         },
     }
-
-
-def _hints_for(cls: type) -> dict[str, Any]:
-    # Resolved once per class; `from __future__ import annotations` makes
-    # every hint a string until this call.
-    cached = _HINTS_CACHE.get(cls)
-    if cached is None:
-        cached = typing.get_type_hints(cls)
-        _HINTS_CACHE[cls] = cached
-    return cached
-
-
-_HINTS_CACHE: dict[type, dict[str, Any]] = {}
-
-
-def _decode_value(declared: Any, data: Any) -> Any:
-    origin = typing.get_origin(declared)
-    if origin in (Union, types.UnionType):
-        arms = [a for a in typing.get_args(declared) if a is not type(None)]
-        if data is None:
-            return None
-        if len(arms) != 1:
-            raise WireError(f"ambiguous union {declared!r}")
-        return _decode_value(arms[0], data)
-    if origin is tuple:
-        args = typing.get_args(declared)
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(_decode_value(args[0], item) for item in data)
-        return tuple(
-            _decode_value(arm, item) for arm, item in zip(args, data, strict=True)
-        )
-    if origin is frozenset:
-        (arm,) = typing.get_args(declared)
-        return frozenset(_decode_value(arm, item) for item in data)
-    if declared is Signature:
-        if not isinstance(data, dict):
-            raise WireError("signature payload must be an object")
-        return Signature(
-            scheme=data["scheme"],
-            signer_id=data["signer_id"],
-            data=bytes.fromhex(data["data"]),
-        )
-    if declared is bytes:
-        return bytes.fromhex(data)
-    if dataclasses.is_dataclass(declared):
-        if not isinstance(data, dict):
-            raise WireError(
-                f"{declared.__name__} payload must be an object, got {type(data).__name__}"
-            )
-        hints = _hints_for(declared)
-        kwargs = {
-            field.name: _decode_value(hints[field.name], data[field.name])
-            for field in dataclasses.fields(declared)
-        }
-        return declared(**kwargs)
-    if declared is float and isinstance(data, int):
-        return float(data)
-    if declared in (int, float, str, bool, object) or declared is Any:
-        return data
-    raise WireError(f"cannot decode declared type {declared!r}")
-
-
-def decode_message(data: dict[str, Any]) -> GameMessage:
-    """Inverse of :func:`encode_message`; raises WireError on bad input."""
-    if not isinstance(data, dict) or "type" not in data:
-        raise WireError("wire payload must be a dict with a 'type' tag")
-    cls = MESSAGE_TYPES.get(data["type"])
-    if cls is None:
-        raise WireError(f"unknown message type {data['type']!r}")
-    hints = _hints_for(cls)
-    try:
-        kwargs = {
-            field.name: _decode_value(hints[field.name], data[field.name])
-            for field in dataclasses.fields(cls)
-        }
-    except KeyError as error:
-        raise WireError(f"{data['type']}: missing field {error}") from error
-    return cls(**kwargs)
-
-
-def encode_json_bytes(message: GameMessage) -> bytes:
-    """Canonical UTF-8 JSON bytes (sorted keys — stable across nodes).
-    The pre-binary envelope, kept for debug dumps and the wire bench's
-    size comparison; the protocol itself ships :func:`encode_bytes`."""
-    return json.dumps(
-        encode_message(message), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-
-
-def decode_json_bytes(payload: bytes) -> GameMessage:
-    try:
-        data = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise WireError(f"undecodable wire bytes: {error}") from error
-    return decode_message(data)

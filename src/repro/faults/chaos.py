@@ -80,8 +80,8 @@ class ChaosScenario:
     burst_loss: bool = False
     duplication_rate: float = 0.0
     latency_spike_ms: float = 0.0
-    failover: bool = True
-    reliable: bool = True
+    #: Run with ``WatchmenConfig.resilient`` (failover + ack/retry).
+    resilient: bool = True
     #: Adversarial (Byzantine) fault kind, or "" for pure-fault scenarios:
     #: equivocation | tamper | flood | selective_forward | ack_withhold.
     byzantine: str = ""
@@ -122,8 +122,7 @@ def default_scenarios() -> tuple[ChaosScenario, ...]:
             "proxy_kill_no_failover",
             "contrast: the same proxy kill with failover disabled",
             proxy_kill=True,
-            failover=False,
-            reliable=False,
+            resilient=False,
         ),
     )
 
@@ -350,16 +349,11 @@ def _run_once(
     trace: GameTrace,
     schedule: FaultSchedule | None,
     *,
-    failover: bool,
-    reliable: bool,
+    resilient: bool,
     burst_loss: bool,
     hardening: bool = False,
 ) -> tuple[SessionReport, WatchmenSession, list[tuple[int, float]]]:
-    config = WatchmenConfig(
-        proxy_failover=failover,
-        reliable_delivery=reliable,
-        byzantine_hardening=hardening,
-    )
+    config = WatchmenConfig(resilient=resilient, byzantine_hardening=hardening)
     if burst_loss:
         network_config = NetworkConfig(
             seed=trace.seed, loss_model="gilbert-elliott"
@@ -512,7 +506,7 @@ def run_chaos(
     matrix = scenarios if scenarios is not None else default_scenarios()
     trace = generate_trace(num_players=players, num_frames=frames, seed=seed)
     baseline_report, _, _ = _run_once(
-        trace, None, failover=True, reliable=True, burst_loss=False
+        trace, None, resilient=True, burst_loss=False
     )
     baseline_p95 = baseline_report.view_error_stats().get("p95", 0.0)
 
@@ -524,8 +518,7 @@ def run_chaos(
         report, session, staleness = _run_once(
             trace,
             schedule,
-            failover=scenario.failover,
-            reliable=scenario.reliable,
+            resilient=scenario.resilient,
             burst_loss=scenario.burst_loss,
             hardening=scenario.hardening,
         )
@@ -547,8 +540,7 @@ def run_chaos(
                     "players": players,
                     "frames": frames,
                     "seed": seed,
-                    "failover": scenario.failover,
-                    "reliable": scenario.reliable,
+                    "resilient": scenario.resilient,
                     "byzantine": scenario.byzantine,
                     "hardening": scenario.hardening,
                 },

@@ -40,24 +40,15 @@ CONFIG_REL = "src/repro/core/config.py"
 #: parameter/field/keyword name -> constant in core/config.py.
 CONSTANT_ALIASES: dict[str, str] = {
     "frame_seconds": "FRAME_SECONDS",
-    "frequent_interval_frames": "FREQUENT_INTERVAL_FRAMES",
-    "guidance_interval_frames": "FRAMES_PER_SECOND",
-    "position_interval_frames": "FRAMES_PER_SECOND",
-    "guidance_horizon_frames": "FRAMES_PER_SECOND",
     "horizon_frames": "FRAMES_PER_SECOND",
-    "keyframe_interval_frames": "FRAMES_PER_SECOND",
-    "frames_per_second": "FRAMES_PER_SECOND",
     "proxy_period_frames": "PROXY_PERIOD_FRAMES",
     "subscription_retention_frames": "PROXY_PERIOD_FRAMES",
     "retention_frames": "PROXY_PERIOD_FRAMES",
-    "handoff_depth": "HANDOFF_DEPTH",
     "interest_size": "INTEREST_SET_SIZE",
     "vision_half_angle": "VISION_HALF_ANGLE",
     "vision_slack": "VISION_SLACK",
     "signature_bits": "SIGNATURE_BITS",
-    "state_update_bits": "STATE_UPDATE_BITS",
     "max_useful_age": "MAX_USEFUL_AGE_FRAMES",
-    "max_useful_age_frames": "MAX_USEFUL_AGE_FRAMES",
 }
 
 #: Packages C601 sweeps (repo-relative path prefixes under the root).

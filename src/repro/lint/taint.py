@@ -89,9 +89,9 @@ RECEIVE_ENTRY_NAMES = frozenset({"on_message", "receive", "deliver", "handle_dat
 
 _SECRET_ATTRS = frozenset({"secret", "master_seed", "_key", "_keys"})
 _SECRET_CALLS = frozenset({"key_for"})
-_PAYLOAD_CALLS = frozenset({"decode_message", "decode_message_bytes"})
+_PAYLOAD_CALLS = frozenset({"decode_bytes"})
 #: Encode primitives: handing a secret to the wire codec is a send.
-_ENCODE_CALLS = frozenset({"encode_message", "encode_message_bytes"})
+_ENCODE_CALLS = frozenset({"encode_bytes", "encode_signable", "encode_message"})
 _EXACT_ATTRS = frozenset({"snapshot", "last_snapshot"})
 _EXACT_STORES = frozenset({"known"})
 _EXACT_PARAM_TYPES = frozenset({"AvatarSnapshot"})

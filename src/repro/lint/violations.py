@@ -196,7 +196,7 @@ _CATALOG_ENTRIES = (
         summary="message type without a wire codec registration",
         rationale=(
             "core/wire.py's MESSAGE_TYPES registry is the serialization "
-            "boundary: encode_message/decode_message only round-trip types "
+            "boundary: encode_bytes/decode_bytes only round-trip types "
             "registered there.  An unregistered member works in-process (the "
             "simulated network passes Python objects) but would fail the "
             "moment traffic crosses a real socket or a trace is persisted, "

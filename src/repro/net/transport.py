@@ -14,6 +14,12 @@ from random import Random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from repro.core.config import (
+    GE_LOSS_BAD,
+    GE_LOSS_GOOD,
+    GE_P_BAD_TO_GOOD,
+    GE_P_GOOD_TO_BAD,
+)
 from repro.net.bandwidth import BandwidthMeter, UploadBudget
 from repro.net.events import EventQueue
 from repro.net.latency import LatencyMatrix
@@ -61,20 +67,14 @@ class NetworkConfig:
 
     ``loss_model`` selects between the paper's i.i.d. loss and a two-state
     Gilbert–Elliott chain for bursty loss: each link carries a good/bad
-    state; per packet the state evolves (``ge_p_good_to_bad`` /
-    ``ge_p_bad_to_good``) and the packet is lost at that state's rate.
-    The defaults give a ~5 % stationary loss concentrated in bursts
-    (stationary P[bad] = 0.05/(0.05+0.25) ≈ 0.167 at 30 % bad-state loss).
+    state; per packet the state evolves and the packet is lost at that
+    state's rate (the ``GE_*`` constants in :mod:`repro.core.config`).
     """
 
     loss_rate: float = 0.01
     jitter_ms: float = 3.0  # half-width of uniform jitter added per packet
     seed: int = 0
     loss_model: str = "iid"  # "iid" | "gilbert-elliott"
-    ge_p_good_to_bad: float = 0.05
-    ge_p_bad_to_good: float = 0.25
-    ge_loss_good: float = 0.0
-    ge_loss_bad: float = 0.3
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_rate < 1.0:
@@ -83,10 +83,6 @@ class NetworkConfig:
             raise ValueError("jitter_ms must be non-negative")
         if self.loss_model not in ("iid", "gilbert-elliott"):
             raise ValueError(f"unknown loss_model {self.loss_model!r}")
-        for name in ("ge_p_good_to_bad", "ge_p_bad_to_good", "ge_loss_good", "ge_loss_bad"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
 
 
 class DatagramNetwork:
@@ -312,11 +308,11 @@ class DatagramNetwork:
         # the new state's rate — losses cluster while the link is bad.
         key = (src, dst)
         bad = self._ge_state.get(key, False)
-        flip = cfg.ge_p_bad_to_good if bad else cfg.ge_p_good_to_bad
+        flip = GE_P_BAD_TO_GOOD if bad else GE_P_GOOD_TO_BAD
         if self.rng.random() < flip:
             bad = not bad
         self._ge_state[key] = bad
-        rate = cfg.ge_loss_bad if bad else cfg.ge_loss_good
+        rate = GE_LOSS_BAD if bad else GE_LOSS_GOOD
         return rate > 0.0 and self.rng.random() < rate
 
     def _deliver(self, datagram: Datagram) -> None:

@@ -119,6 +119,8 @@ class TapeScenario:
     #: the *materialised* schedule embedded in the tape is authoritative at
     #: verify time), or None for a fault-free run
     chaos: str | None = None
+    #: serialized as two fields (the tape format is frozen) but one gate:
+    #: both map to ``WatchmenConfig.resilient`` and must agree
     failover: bool = True
     reliable: bool = True
     #: run with ``WatchmenConfig.byzantine_hardening`` enabled (adopted
@@ -221,8 +223,8 @@ class TapeScenario:
         entry = self._chaos_entry()
         return replace(
             self,
-            failover=entry.failover,
-            reliable=entry.reliable,
+            failover=entry.resilient,
+            reliable=entry.resilient,
             hardening=entry.hardening,
         )
 
@@ -234,15 +236,18 @@ class TapeScenario:
         return uniform_lan(size)
 
     def make_config(self) -> WatchmenConfig:
-        overrides: dict[str, Any] = {}
+        if self.failover != self.reliable:
+            raise ValueError(
+                "failover and reliable are one gate (WatchmenConfig.resilient); "
+                "a scenario must set them alike"
+            )
+        settings: dict[str, Any] = {
+            "resilient": self.failover,
+            "byzantine_hardening": self.hardening,
+        }
         if self.mc is not None:
-            overrides = dict(self.mc.get("config", {}))
-        overrides.setdefault("byzantine_hardening", self.hardening)
-        return WatchmenConfig(
-            proxy_failover=self.failover,
-            reliable_delivery=self.reliable,
-            **overrides,
-        )
+            settings.update(self.mc.get("config", {}))
+        return WatchmenConfig(**settings)
 
     def make_session(
         self,

@@ -30,7 +30,14 @@ from dataclasses import replace
 import pytest
 
 from repro.core import WatchmenSession
-from repro.core.config import WatchmenConfig
+from repro.core import node as node_module
+from repro.core.config import (
+    BYZANTINE_QUARANTINE_FRAMES,
+    BYZANTINE_QUARANTINE_STRIKES,
+    BYZANTINE_RATE_BURST,
+    BYZANTINE_RATE_MSGS_PER_FRAME,
+    WatchmenConfig,
+)
 from repro.core.membership import MembershipView
 from repro.core.messages import (
     MisbehaviorEvidence,
@@ -201,16 +208,12 @@ class TestWatermarkEviction:
         node.on_message(0, harness.signed_position(0, 3000))  # still tracked
         assert len(ratings_with(node, "replayed sequence 3000")) == 1
 
-    def test_eviction_purges_equivocation_archive_in_lockstep(self):
+    def test_eviction_purges_equivocation_archive_in_lockstep(self, monkeypatch):
         # Rate limits lifted: this test floods sequences on purpose and
         # is about archive GC, not the flood defense.
-        harness = Harness(
-            config=WatchmenConfig(
-                byzantine_hardening=True,
-                rate_limit_msgs_per_frame=100_000,
-                rate_limit_burst=100_000,
-            )
-        )
+        monkeypatch.setattr(node_module, "BYZANTINE_RATE_MSGS_PER_FRAME", 100_000)
+        monkeypatch.setattr(node_module, "BYZANTINE_RATE_BURST", 100_000)
+        harness = Harness(config=hardened())
         harness.tick(0)
         proxy = harness.schedule.proxy_of(0, 0)
         node = harness.nodes[proxy]
@@ -294,7 +297,7 @@ class TestEnvelopeAdversarial:
         assert ratings_with(node, "equivocation") == []
 
     def test_reliable_mode_screens_duplicates_silently(self):
-        config = WatchmenConfig(reliable_delivery=True, proxy_failover=True)
+        config = WatchmenConfig(resilient=True)
         harness = Harness(config=config)
         harness.tick(0)
         node = harness.nodes[1]
@@ -322,8 +325,7 @@ class TestEnvelopeAdversarial:
         # dual-send failover) are on — which is how hardening deploys.
         config = WatchmenConfig(
             byzantine_hardening=True,
-            reliable_delivery=True,
-            proxy_failover=True,
+            resilient=True,
         )
 
         @given(data=st.data())
@@ -466,8 +468,8 @@ class TestRateLimitQuarantine:
         node = harness.nodes[1]
         drops = []
         node.protocol_drop = drops.append
-        burst = harness.config.rate_limit_burst
-        strikes = harness.config.quarantine_strikes
+        burst = BYZANTINE_RATE_BURST
+        strikes = BYZANTINE_QUARANTINE_STRIKES
         for i in range(burst + strikes + 5):
             node.on_message(2, harness.signed_position(2, 800 + i))
         assert [src for _, src in node.quarantine_events] == [2]
@@ -476,7 +478,7 @@ class TestRateLimitQuarantine:
         # Bounded: quarantine expires, the link speaks again, strikes
         # are forgiven — a false positive self-heals instead of
         # escalating toward an eviction.
-        resume = harness.config.quarantine_frames + 1
+        resume = BYZANTINE_QUARANTINE_FRAMES + 1
         node.on_frame(resume, snap(1, frame=resume, x=100.0))
         before = len(drops)
         node.on_message(2, harness.signed_position(2, 900))
@@ -488,7 +490,7 @@ class TestRateLimitQuarantine:
         harness = Harness(config=hardened())
         harness.tick(0)
         node = harness.nodes[1]
-        rate = harness.config.rate_limit_msgs_per_frame
+        rate = BYZANTINE_RATE_MSGS_PER_FRAME
         sequence = 1000
         for frame in range(1, 31):
             node.on_frame(frame, snap(1, frame=frame, x=100.0))

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.core.config import WatchmenConfig
+from repro.core.config import (
+    FRAME_SECONDS,
+    FRAMES_PER_SECOND,
+    HANDOFF_DEPTH,
+    MAX_USEFUL_AGE_FRAMES,
+    STATE_UPDATE_BITS,
+    WatchmenConfig,
+)
+from repro.replay import TapeScenario
 
 
 class TestValidation:
@@ -17,12 +25,9 @@ class TestValidation:
         [
             ("frame_seconds", 0.0),
             ("proxy_period_frames", 0),
-            ("frequent_interval_frames", 0),
-            ("guidance_interval_frames", -5),
-            ("position_interval_frames", 0),
-            ("handoff_depth", -1),
             ("signature_bits", 0),
-            ("state_update_bits", -1),
+            ("proxy_silence_threshold_frames", 0),
+            ("membership_silence_frames", 30),  # not above the proxy threshold
         ],
     )
     def test_invalid_values_rejected(self, field, value):
@@ -58,12 +63,11 @@ class TestPaperConstants:
         assert WatchmenConfig().frame_seconds == 0.05
 
     def test_guidance_once_per_second(self):
-        config = WatchmenConfig()
-        assert config.guidance_interval_frames * config.frame_seconds == 1.0
+        # guidance and position-only updates share the 1 Hz tier
+        assert FRAMES_PER_SECOND * WatchmenConfig().frame_seconds == 1.0
 
     def test_position_updates_once_per_second(self):
-        config = WatchmenConfig()
-        assert config.position_interval_frames * config.frame_seconds == 1.0
+        assert FRAMES_PER_SECOND * FRAME_SECONDS == 1.0
 
     def test_proxy_period_couple_of_seconds(self):
         config = WatchmenConfig()
@@ -74,11 +78,38 @@ class TestPaperConstants:
         assert WatchmenConfig().signature_bits == 100
 
     def test_state_update_700_bits(self):
-        assert WatchmenConfig().state_update_bits == 700
+        assert STATE_UPDATE_BITS == 700
 
     def test_handoff_two_predecessors(self):
-        assert WatchmenConfig().handoff_depth == 2
+        assert HANDOFF_DEPTH == 2
 
     def test_150ms_staleness_bound(self):
         config = WatchmenConfig()
-        assert config.max_useful_age_frames * config.frame_seconds == pytest.approx(0.15)
+        assert MAX_USEFUL_AGE_FRAMES * config.frame_seconds == pytest.approx(0.15)
+
+
+class TestScenarioMapping:
+    """TapeScenario keeps two serialized flags for the one ``resilient`` gate."""
+
+    @pytest.mark.parametrize("gate", [True, False])
+    def test_flags_map_to_the_one_gate(self, gate):
+        scenario = TapeScenario(players=4, frames=40, seed=1, failover=gate,
+                                reliable=gate)
+        assert scenario.make_config().resilient is gate
+
+    @pytest.mark.parametrize("failover,reliable", [(True, False), (False, True)])
+    def test_split_flags_rejected(self, failover, reliable):
+        scenario = TapeScenario(players=4, frames=40, seed=1, failover=failover,
+                                reliable=reliable)
+        with pytest.raises(ValueError, match="one gate"):
+            scenario.make_config()
+
+    def test_mc_override_wins_over_scenario_flags(self):
+        # used to raise TypeError: multiple values for 'proxy_failover'
+        scenario = TapeScenario(
+            players=4, frames=40, seed=1, hardening=False,
+            mc={"config": {"resilient": False, "byzantine_hardening": True}},
+        )
+        config = scenario.make_config()
+        assert config.resilient is False
+        assert config.byzantine_hardening is True

@@ -10,6 +10,7 @@ a duplicated numeric literal), and the constants agree with the
 from __future__ import annotations
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -21,13 +22,16 @@ from repro.core.config import (
     HANDOFF_DEPTH,
     INTEREST_SET_SIZE,
     MAX_USEFUL_AGE_FRAMES,
+    MEMBERSHIP_SILENCE_FRAMES,
     PROXY_PERIOD_FRAMES,
+    PROXY_SILENCE_THRESHOLD_FRAMES,
     SIGNATURE_BITS,
     STATE_UPDATE_BITS,
     VISION_HALF_ANGLE,
     VISION_SLACK,
     WatchmenConfig,
 )
+from repro.net.transport import NetworkConfig
 
 pytestmark = pytest.mark.lint
 
@@ -102,10 +106,10 @@ class TestConstantsMatchConfigDefaults:
         cfg = WatchmenConfig()
         assert cfg.frame_seconds == FRAME_SECONDS
         assert cfg.proxy_period_frames == PROXY_PERIOD_FRAMES
-        assert cfg.handoff_depth == HANDOFF_DEPTH
+        assert cfg.subscription_retention_frames == PROXY_PERIOD_FRAMES
         assert cfg.signature_bits == SIGNATURE_BITS
-        assert cfg.state_update_bits == STATE_UPDATE_BITS
-        assert cfg.keyframe_interval_frames == FRAMES_PER_SECOND
+        assert cfg.proxy_silence_threshold_frames == PROXY_SILENCE_THRESHOLD_FRAMES
+        assert cfg.membership_silence_frames == MEMBERSHIP_SILENCE_FRAMES
 
     def test_interest_config_uses_the_constants(self):
         cfg = WatchmenConfig()
@@ -123,7 +127,71 @@ class TestConstantsMatchConfigDefaults:
         assert VISION_SLACK == pytest.approx(math.radians(15.0))
         assert SIGNATURE_BITS == 100
         assert STATE_UPDATE_BITS == 700
+        assert HANDOFF_DEPTH == 2
         assert MAX_USEFUL_AGE_FRAMES == 3
 
     def test_frame_rate_consistency(self):
         assert FRAMES_PER_SECOND * FRAME_SECONDS == pytest.approx(1.0)
+
+
+# -- knob-creep guard ---------------------------------------------------------
+
+#: Session-identity settings — tick length, the shared schedule seed, key
+#: width.  A deployment sets them; no experiment in the tree varies them.
+DEPLOYMENT_SETTINGS = {"frame_seconds", "common_seed", "signature_bits"}
+
+#: Where a non-test caller can live (tests and examples do not count).
+CALLER_ROOTS = ("src", "benchmarks", "perfbench")
+
+
+def _settings_passed(config_class: type, defining_module: Path) -> set[str]:
+    """Names some caller outside ``defining_module`` hands to ``config_class``:
+    keywords of a direct constructor call, plus every string key of a dict
+    literal (the ``WatchmenConfig(**overrides)`` idiom of the ablation
+    benches, ``TapeScenario.make_config`` and the mc scenarios)."""
+    passed: set[str] = set()
+    for root in CALLER_ROOTS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            if path == defining_module:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    # WatchmenConfig(...) or config.WatchmenConfig(...)
+                    callee = getattr(node.func, "attr", None) or getattr(
+                        node.func, "id", None
+                    )
+                    if callee == config_class.__name__:
+                        passed.update(k.arg for k in node.keywords if k.arg)
+                elif isinstance(node, ast.Dict):
+                    passed.update(
+                        key.value
+                        for key in node.keys
+                        if isinstance(key, ast.Constant)
+                        and isinstance(key.value, str)
+                    )
+    return passed
+
+
+class TestEveryKnobHasACaller:
+    """A config field nobody outside tests sets is a constant, not an option."""
+
+    @pytest.mark.parametrize(
+        ("config_class", "rel"),
+        [(WatchmenConfig, "core/config.py"), (NetworkConfig, "net/transport.py")],
+    )
+    def test_every_field_is_set_by_a_non_test_caller(self, config_class, rel):
+        passed = _settings_passed(config_class, SRC / rel)
+        unset = {
+            field.name
+            for field in dataclasses.fields(config_class)
+            if field.name not in passed | DEPLOYMENT_SETTINGS
+        }
+        assert not unset, (
+            f"{config_class.__name__} fields no caller under "
+            f"{'/, '.join(CALLER_ROOTS)}/ ever sets: {sorted(unset)} — make "
+            "them Final constants in core/config.py"
+        )
+
+    def test_field_budget(self):
+        assert len(dataclasses.fields(WatchmenConfig)) <= 14
+        assert len(dataclasses.fields(NetworkConfig)) <= 4

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import WatchmenConfig
+from repro.core.config import HEADER_BITS, STATE_UPDATE_BITS, WatchmenConfig
 from repro.core.messages import (
     SUB_INTEREST,
     SUB_VISION,
@@ -104,7 +104,7 @@ class TestSizeModel:
     def test_state_update_size(self, config):
         update = StateUpdate(1, 0, 1, snap())
         bits = message_size_bits(update, config)
-        assert bits == config.header_bits + config.state_update_bits
+        assert bits == HEADER_BITS + STATE_UPDATE_BITS
 
     def test_signature_adds_100_bits(self, config):
         from repro.crypto.signatures import HmacSigner

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import WatchmenConfig
+from repro.core.config import HANDOFF_DEPTH, WatchmenConfig
 from repro.core.messages import (
     SUB_INTEREST,
     StateUpdate,
@@ -268,7 +268,7 @@ class TestHandoff:
         with_summary = [h for h in handoffs if h.summaries]
         assert with_summary
         depth = max(len(h.summaries) for h in handoffs)
-        assert depth <= config.handoff_depth
+        assert depth <= HANDOFF_DEPTH
 
     def test_forged_handoff_rejected(self):
         config = WatchmenConfig(proxy_period_frames=10)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import WatchmenConfig, WatchmenSession
+from repro.core.config import FRAMES_PER_SECOND, HANDOFF_DEPTH
 from repro.core.messages import (
     HandoffMessage,
     StateUpdate,
@@ -130,7 +131,7 @@ class TestEstimateOf:
 
     def test_extrapolation_clamped_at_horizon(self, node):
         snapshot = node.known[1]
-        horizon = node.config.guidance_horizon_frames
+        horizon = FRAMES_PER_SECOND  # the guidance prediction's validity
         at_horizon = node.estimate_of(1, snapshot.frame + horizon)
         way_past = node.estimate_of(1, snapshot.frame + horizon + 100)
         assert at_horizon.position == way_past.position
@@ -204,7 +205,7 @@ class TestHandoffContents:
     def test_summary_chain_depth_bounded(self, handoffs):
         session, messages = handoffs
         for message in messages:
-            assert len(message.summaries) <= session.config.handoff_depth
+            assert len(message.summaries) <= HANDOFF_DEPTH
 
     def test_first_summary_is_senders_own(self, handoffs):
         _, messages = handoffs

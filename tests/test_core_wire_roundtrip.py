@@ -21,10 +21,7 @@ from repro.core.wire import (
     MESSAGE_TYPES,
     WireError,
     decode_bytes,
-    decode_json_bytes,
-    decode_message,
     encode_bytes,
-    encode_json_bytes,
     encode_message,
     encode_signable,
 )
@@ -92,8 +89,13 @@ def build_message(cls: type) -> object:
 class TestRoundTrip:
     @pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda c: c.__name__)
     def test_every_union_member_round_trips(self, cls):
+        # ... and its dict form (what tape diffs print) is JSON-safe, tagged,
+        # and the same before and after a trip through the binary codec.
         message = build_message(cls)
-        assert decode_message(encode_message(message)) == message
+        envelope = encode_message(message)
+        assert envelope["type"] == cls.__name__
+        assert json.loads(json.dumps(envelope)) == envelope
+        assert encode_message(decode_bytes(encode_bytes(message))) == envelope
 
     @pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda c: c.__name__)
     def test_bytes_round_trip_and_stability(self, cls):
@@ -113,7 +115,7 @@ class TestRoundTrip:
             claimed_distance=9.5,
             signature=None,
         )
-        assert decode_message(encode_message(message)) == message
+        assert decode_bytes(encode_bytes(message)) == message
 
     def test_empty_collections_survive(self):
         message = msgs.HandoffMessage(
@@ -126,7 +128,7 @@ class TestRoundTrip:
             summaries=(),
             signature=None,
         )
-        decoded = decode_message(encode_message(message))
+        decoded = decode_bytes(encode_bytes(message))
         assert decoded == message
         assert isinstance(decoded.interest_subscribers, frozenset)
         assert isinstance(decoded.summaries, tuple)
@@ -149,7 +151,7 @@ class TestRoundTrip:
             vision_subscribers=frozenset({5, 6}),
             summaries=(summary,),
         )
-        assert decode_message(encode_message(message)) == message
+        assert decode_bytes(encode_bytes(message)) == message
 
 
 class TestRegistry:
@@ -171,21 +173,12 @@ class TestRegistry:
             assert wire[0] == MESSAGE_TAGS[cls.__name__]
 
     def test_json_envelope_retained_with_type_tag(self):
+        # The dict form survives (one way) for human-readable tape diffs.
         message = build_message(msgs.PositionUpdate)
         envelope = encode_message(message)
         assert envelope["type"] == "PositionUpdate"
-        # The legacy JSON form stays canonical (sorted keys, compact).
-        wire = encode_json_bytes(message)
-        parsed = json.loads(wire.decode("utf-8"))
-        assert parsed == json.loads(
-            json.dumps(envelope, sort_keys=True, separators=(",", ":"))
-        )
-        assert decode_json_bytes(wire) == message
-
-    def test_binary_beats_json_on_every_type(self):
-        for cls in MESSAGE_CLASSES:
-            message = build_message(cls)
-            assert len(encode_bytes(message)) < len(encode_json_bytes(message))
+        assert envelope["sender_id"] == message.sender_id
+        assert envelope["signature"]["data"] == message.signature.data.hex()
 
     def test_signable_bytes_is_frame_minus_signature(self):
         message = build_message(msgs.StateUpdate)
@@ -198,14 +191,6 @@ class TestRegistry:
 
 
 class TestErrors:
-    def test_unknown_type_tag(self):
-        with pytest.raises(WireError):
-            decode_message({"type": "Teleport", "sender_id": 1})
-
-    def test_missing_type_tag(self):
-        with pytest.raises(WireError):
-            decode_message({"sender_id": 1})
-
     def test_unregistered_message_encode(self):
         @dataclasses.dataclass(frozen=True, slots=True)
         class Rogue:
@@ -214,17 +199,9 @@ class TestErrors:
         with pytest.raises(WireError):
             encode_message(Rogue(sender_id=1))
 
-    def test_bad_payload_field(self):
-        envelope = encode_message(build_message(msgs.KillClaim))
-        envelope.pop("victim_id")
-        with pytest.raises(WireError):
-            decode_message(envelope)
-
     def test_malformed_bytes(self):
         with pytest.raises(WireError):
             decode_bytes(b"{not json")
-        with pytest.raises(WireError):
-            decode_json_bytes(b"{not json")
 
 
 class TestMalformedBinary:

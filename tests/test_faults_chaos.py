@@ -45,8 +45,8 @@ class TestFaultFreeBitIdentity:
 
     def test_gates_default_off(self):
         config = WatchmenConfig()
-        assert config.proxy_failover is False
-        assert config.reliable_delivery is False
+        assert config.resilient is False
+        assert config.byzantine_hardening is False
 
 
 class TestScheduleBuilding:
@@ -126,7 +126,7 @@ class TestChaosMatrix:
         bad = [
             {
                 "scenario": "synthetic",
-                "params": {"failover": True},
+                "params": {"resilient": True},
                 "metrics": {
                     "false_evictions": 1.0,
                     "frames_to_reproxy": PROXY_PERIOD_FRAMES + 1.0,

@@ -438,7 +438,7 @@ class TestRealRepoMutations:
             tmp_path,
             "messages.py",
             "    elif isinstance(message, AckMessage):\n"
-            "        body = config.subscription_bits  # tiny signed receipt\n",
+            "        body = SUBSCRIPTION_BITS  # tiny signed receipt\n",
             "",
         )
         assert [v.rule for v in violations] == ["P204"]

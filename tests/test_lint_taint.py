@@ -334,6 +334,13 @@ def real_tree_violations(mutate=None):
 VERIFY_CALL = "accepted = self._verify_envelope(src, message)"
 PUBLISH_ANCHOR = "    def _publish_updates("
 
+RAW_INGEST_METHOD = (
+    "    def _ingest_raw(self, frame_bytes):\n"
+    "        update = decode_bytes(frame_bytes)\n"
+    "        self.known[update.sender_id] = update.snapshot\n"
+    "\n"
+)
+
 LEAK_METHOD = (
     "    def _leak_key(self, peer):\n"
     "        leaked = self.signer.registry.key_for(self.player_id)\n"
@@ -368,3 +375,18 @@ class TestRealTree:
         s702 = [v for v in violations if v.rule == "S702"]
         assert s702, "key material reaching a send must be detected"
         assert any("key material from key_for()" in v.message for v in s702)
+
+    def test_unverified_decode_bytes_result_into_known_raises_s701(self):
+        # The live codec is a payload source: bytes off the wire that skip
+        # _verify_envelope must not reach authoritative state.
+        def add_raw_ingest(text: str) -> str:
+            assert PUBLISH_ANCHOR in text
+            return text.replace(
+                PUBLISH_ANCHOR, RAW_INGEST_METHOD + PUBLISH_ANCHOR, 1
+            )
+
+        violations = real_tree_violations(add_raw_ingest)
+        s701 = [v for v in violations if v.rule == "S701"]
+        assert s701, "decode_bytes() output must be tainted as network payload"
+        assert any("decode_bytes" in v.message for v in s701)
+        assert any("known" in v.message for v in s701)

@@ -72,9 +72,7 @@ class TestLivePlayerNeverEvicted:
     @settings(max_examples=6, deadline=None, derandomize=True)
     def test_no_false_eviction_under_loss(self, seed, loss_rate, gates):
         trace = generate_trace(num_players=8, num_frames=200, seed=seed)
-        config = WatchmenConfig(
-            proxy_failover=gates, reliable_delivery=gates
-        )
+        config = WatchmenConfig(resilient=gates)
         session = WatchmenSession(
             trace,
             config=config,
@@ -103,7 +101,7 @@ class TestProxyCrashStrandsNobody:
                 CrashProxyFault(player_id=target, frame=fault_frame),
             )
         )
-        config = WatchmenConfig(proxy_failover=True, reliable_delivery=True)
+        config = WatchmenConfig(resilient=True)
         session = WatchmenSession(trace, config=config, faults=schedule)
         report = session.run()
         (victim,) = report.crashed
