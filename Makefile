@@ -22,11 +22,13 @@ lint-fix:
 # The pre-push check: static analysis (per-file rules narrowed to files
 # that differ from origin/main, whole-program families always full-tree;
 # falls back to a full scan outside a git clone), the analyzer's own test
-# suite, then the chaos matrix at the CI job's parameters — the
+# suite, the byte-identical tape gate (seconds; the safety net of every
+# refactor), then the chaos matrix at the CI job's parameters — the
 # recovery-SLO gate (docs/ROBUSTNESS.md).
 precheck:
 	$(PYTHON) -m repro lint --changed-only --json - \
 		&& $(PYTHON) -m pytest -m lint -q \
+		&& $(MAKE) replay-verify \
 		&& $(PYTHON) -m repro chaos --players 12 --frames 240 --seed 7
 
 bench:

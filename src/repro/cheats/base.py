@@ -82,6 +82,9 @@ class CheatBehaviour:
         del frame
         return []
 
+    def observe_incoming(self, frame: int, src: int, message: GameMessage) -> None:
+        del frame, src, message
+
     # -- helpers ---------------------------------------------------------------
 
     def _roll(self) -> bool:

@@ -20,17 +20,11 @@ rewrite, drop, duplicate or fabricate a node's outgoing messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dataclass_replace
-from typing import Callable, Protocol
+from dataclasses import InitVar, dataclass, field, replace as dataclass_replace
+from typing import Callable, Iterable, Protocol
 
 from repro.core.config import (
-    ACK_RETRY_BASE_FRAMES,
-    ACK_RETRY_MAX_ATTEMPTS,
-    ACK_RETRY_MAX_BACKOFF_FRAMES,
-    BYZANTINE_QUARANTINE_FRAMES,
     BYZANTINE_QUARANTINE_STRIKES,
-    BYZANTINE_RATE_BURST,
-    BYZANTINE_RATE_MSGS_PER_FRAME,
     BYZANTINE_STARVATION_FRAMES,
     DEFENSE_INTERVAL_FRAMES,
     FRAMES_PER_SECOND,
@@ -39,6 +33,15 @@ from repro.core.config import (
     HANDOFF_DEPTH,
     MAX_FAILOVER_ATTEMPTS,
     WatchmenConfig,
+)
+from repro.core.delivery import (
+    ADMITTED,
+    DUPLICATE,
+    FRESH,
+    QUARANTINED,
+    AckLedger,
+    HopLimiter,
+    SequenceWindow,
 )
 from repro.core.membership import MembershipView
 from repro.core.messages import (
@@ -80,13 +83,9 @@ from repro.game.deadreckoning import GuidancePrediction, predict_linear
 from repro.game.gamemap import GameMap
 from repro.game.interest import InteractionRecency, LosCache
 from repro.game.vector import Vec3
+from repro.game.weapons import WEAPONS
 from repro.game.physics import Physics
-from repro.obs.registry import (
-    NULL_COUNTER,
-    NULL_HISTOGRAM,
-    MetricsRegistry,
-    get_registry,
-)
+from repro.obs.registry import MetricsRegistry, get_registry
 
 __all__ = ["NodeBehaviour", "HonestBehaviour", "WatchmenNode", "NodeMetrics"]
 
@@ -94,23 +93,10 @@ __all__ = ["NodeBehaviour", "HonestBehaviour", "WatchmenNode", "NodeMetrics"]
 class NodeBehaviour(Protocol):
     """The cheat-injection surface: hooks on a node's externally visible acts.
 
-    Honest nodes use :class:`HonestBehaviour` (identity hooks).  Cheats
-    override some hooks; see :mod:`repro.cheats`.
+    The bodies below are the honest defaults (identity hooks), inherited
+    by :class:`HonestBehaviour`.  Cheats override some hooks; see
+    :mod:`repro.cheats`.
     """
-
-    def mutate_snapshot(
-        self, frame: int, snapshot: AvatarSnapshot
-    ) -> AvatarSnapshot: ...
-
-    def filter_outgoing(
-        self, frame: int, message: GameMessage, destination: int
-    ) -> list[tuple[GameMessage, int]]: ...
-
-    def extra_messages(self, frame: int) -> list[tuple[GameMessage, int]]: ...
-
-
-class HonestBehaviour:
-    """Identity hooks: play exactly by the protocol."""
 
     def mutate_snapshot(self, frame: int, snapshot: AvatarSnapshot) -> AvatarSnapshot:
         del frame
@@ -126,6 +112,16 @@ class HonestBehaviour:
         del frame
         return []
 
+    def observe_incoming(self, frame: int, src: int, message: GameMessage) -> None:
+        del frame, src, message
+
+
+class HonestBehaviour(NodeBehaviour):
+    """Identity hooks: play exactly by the protocol."""
+
+
+#: Sent peer to peer, never through a proxy: no first-hop role to triage.
+_PEER_TYPES = (AckMessage, HandoffMessage, RemovalProposal, MisbehaviorEvidence)
 
 #: Update-age histogram bounds, in frames (0 = same-frame delivery).
 AGE_BUCKETS = (0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0)
@@ -135,12 +131,13 @@ AGE_BUCKETS = (0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 
 class NodeMetrics:
     """Everything a node measures locally.
 
-    The plain fields remain the per-node read API; :meth:`bind` wires the
-    same observations into a shared :class:`MetricsRegistry` so session
-    totals (counters, the update-age histogram) come for free.  Unbound
-    instances feed null singletons — zero overhead, no registry needed.
+    The plain fields are the per-node read API; every observation is also
+    mirrored into the shared :class:`MetricsRegistry` the node was built
+    with, so session totals (counters, the update-age histogram) come for
+    free — and cost nothing when that registry is the disabled default.
     """
 
+    registry: InitVar[MetricsRegistry]
     update_ages: list[tuple[str, int]] = field(default_factory=list)  # (kind, frames)
     ratings: list[CheatRating] = field(default_factory=list)
     signature_failures: int = 0
@@ -148,17 +145,7 @@ class NodeMetrics:
     direct_update_violations: int = 0
     forwarded_messages: int = 0
 
-    def __post_init__(self) -> None:
-        self._ctr_signature = NULL_COUNTER
-        self._ctr_replayed = NULL_COUNTER
-        self._ctr_direct = NULL_COUNTER
-        self._ctr_forwarded = NULL_COUNTER
-        self._ctr_ratings = NULL_COUNTER
-        self._ctr_suspicious = NULL_COUNTER
-        self._hist_age = NULL_HISTOGRAM
-
-    def bind(self, registry: MetricsRegistry) -> None:
-        """Mirror this node's observations into session-wide instruments."""
+    def __post_init__(self, registry: MetricsRegistry) -> None:
         self._ctr_signature = registry.counter("node.signature_failures")
         self._ctr_replayed = registry.counter("node.replayed_messages")
         self._ctr_direct = registry.counter("node.direct_update_violations")
@@ -167,10 +154,7 @@ class NodeMetrics:
         self._ctr_suspicious = registry.counter("node.ratings_suspicious")
         self._hist_age = registry.histogram("node.update_age_frames", AGE_BUCKETS)
 
-    def ages_of(self, kind: str | None = None) -> list[int]:
-        return [age for k, age in self.update_ages if kind is None or k == kind]
-
-    # ---- recording (each mirrors into the bound registry) ----------------
+    # ---- recording (each mirrors into the registry) ----------------------
 
     def count_signature_failure(self) -> None:
         self.signature_failures += 1
@@ -230,16 +214,6 @@ class _ClientState:
         return best
 
 
-@dataclass
-class _PendingSend:
-    """One critical message awaiting its hop-by-hop ack (reliable delivery)."""
-
-    message: GameMessage  # already signed; retransmissions reuse the bytes
-    destination: int
-    next_frame: int  # when the next retransmission fires
-    attempt: int = 0  # retransmissions performed so far
-
-
 class WatchmenNode:
     """One player's full protocol endpoint."""
 
@@ -272,8 +246,7 @@ class WatchmenNode:
         self._rating_sink = rating_sink
         obs = registry if registry is not None else get_registry()
         self._obs = obs
-        self.metrics = NodeMetrics()
-        self.metrics.bind(obs)
+        self.metrics = NodeMetrics(obs)
         self._hist_verify = obs.histogram("node.verify_seconds")
         self._hist_handle = obs.histogram("node.on_message_seconds")
         self._handled_by_type: dict[type, object] = {}
@@ -312,10 +285,13 @@ class WatchmenNode:
         #: avatar's near-future actions" — in trace replay the publisher's
         #: intent is his recorded future.  Set by the session.
         self.own_future = None  # frame -> AvatarSnapshot | None
+        #: Relaxed-first-hop audience lookup ``(publisher, message) ->
+        #: destinations``; set by the session (see ``_route_publication``).
+        self.audience_oracle = None
         self.current_frame = 0
+        self.current_epoch = 0
         self.current_sets = None  # latest PlannedSubscriptions
         self._sequence = 0
-        self._seen_sequences: dict[int, set[int]] = {}
         self._clients: dict[int, _ClientState] = {}
         self._pending_kills: list[KillClaim] = []
         self._pending_projectiles: list[ProjectileSpawn] = []
@@ -324,12 +300,24 @@ class WatchmenNode:
         self._deferred_claims: list[tuple[int, KillClaim, float]] = []
         self._last_published: AvatarSnapshot | None = None
 
-        # -- robustness (``config.resilient``, default off) ------------------
+        # -- the mode gates, resolved here: each mechanism below is built
+        # -- inert in the paper profile, so its call sites carry no fork ------
         #: how far down a player's verifiable candidate walk a first hop
         #: may sit: 0 (the scheduled proxy alone) in the paper's protocol
         self._failover_depth = MAX_FAILOVER_ATTEMPTS if config.resilient else 0
-        #: (destination, original sender, sequence) -> awaiting ack
-        self._pending_acks: dict[tuple[int, int, int], _PendingSend] = {}
+        #: ack/retry for the critical low-rate messages (none ackable
+        #: unless ``resilient``)
+        self._acks = AckLedger(ACKABLE_TYPES if config.resilient else ())
+        #: replay screening, always on; under hardening it also archives
+        #: the first-seen signed StateUpdate per (sender, sequence) for the
+        #: equivocation detector to cross-check later copies against
+        self._window = SequenceWindow(
+            archived=(StateUpdate,) if config.byzantine_hardening else ()
+        )
+        #: per-hop flood defense (unlimited unless hardened)
+        self._hops = HopLimiter(limited=config.byzantine_hardening)
+
+        # -- robustness (``config.resilient``, default off) ------------------
         #: the proxy my publications currently route to (failover tracking)
         self._active_proxy: int | None = None
         #: every failover performed: (frame, scheduled_proxy, replacement)
@@ -349,18 +337,8 @@ class WatchmenNode:
         self._ctr_defenses = obs.counter("node.liveness_defenses")
 
         # -- Byzantine hardening (config-gated, default off) ----------------
-        #: per-sender low watermark: sequences at or below were evicted
-        #: from the dedup window and screen as *silent* duplicates
-        self._seen_watermark: dict[int, int] = {}
-        #: first-seen signed StateUpdate per (sender, sequence): what the
-        #: equivocation detector cross-checks later copies against
-        self._update_archive: dict[int, dict[int, StateUpdate]] = {}
         #: accused players this node already broadcast evidence about
         self._evidence_emitted: set[int] = set()
-        #: token-bucket state per transmitting hop: (tokens, last frame)
-        self._rate_buckets: dict[int, tuple[float, int]] = {}
-        self._rate_strikes: dict[int, int] = {}
-        self._quarantined_until: dict[int, int] = {}
         #: (proxy, subject, epoch) starvation suspicions already rated
         self._starvation_rated: set[tuple[int, int, int]] = set()
         #: (frame, src) per quarantine imposed — the chaos harness gates
@@ -371,9 +349,9 @@ class WatchmenNode:
         #: (frame, subject, kind) circumstantial byzantine suspicions
         #: (kind: "tamper_hop" | "starvation" | "ack_withhold")
         self.suspicion_events: list[tuple[int, int, str]] = []
-        #: optional sink into the transport's unified drop accounting
-        #: (set by the session to ``DatagramNetwork.count_protocol_drop``)
-        self.protocol_drop: Callable[[str], None] | None = None
+        #: sink into the transport's unified drop accounting (the session
+        #: points it at ``DatagramNetwork.count_protocol_drop``)
+        self.protocol_drop: Callable[[str], None] = lambda cause: None
         self._ctr_equivocations = obs.counter("node.equivocations_detected")
         self._ctr_quarantines = obs.counter("node.quarantines")
         self._ctr_convictions = obs.counter("node.evidence_convictions")
@@ -391,19 +369,17 @@ class WatchmenNode:
         proxy/verification half.
         """
         self.current_frame = frame
-        epoch = self.config.epoch_of_frame(frame)
+        self.current_epoch = epoch = self.config.epoch_of_frame(frame)
 
-        # Agreed departures take effect at epoch boundaries ("removed in
-        # the next round ... from the proxy pool").
         if frame % self.config.proxy_period_frames == 0:
+            # Agreed departures take effect at epoch boundaries ("removed
+            # in the next round ... from the proxy pool").
             applied = self.membership.apply_removals(epoch)
             if applied:
                 self._apply_roster_removals(applied)
-
-        # Handoffs first so the new proxies are live for this epoch.
-        if frame > 0 and frame % self.config.proxy_period_frames == 0:
-            self._perform_handoffs(frame, epoch)
-        if frame % self.config.proxy_period_frames == 0:
+            # Handoffs first so the new proxies are live for this epoch.
+            if frame > 0:
+                self._perform_handoffs(frame, epoch)
             self._register_epoch_clients(epoch)
 
         # -- proxy liveness / failover (config-gated; Section VI extended) ----
@@ -414,25 +390,22 @@ class WatchmenNode:
         if own_snapshot is not None and not self.is_server:
             own_snapshot = self.behaviour.mutate_snapshot(frame, own_snapshot)
             self.known[self.player_id] = own_snapshot
-            my_proxy = self.schedule.proxy_of(self.player_id, epoch)
-            proxies = self._publish_proxies(frame, epoch, my_proxy)
+            proxies = self._publish_proxies(frame, epoch)
             self._publish_updates(frame, own_snapshot, proxies)
             self._publish_subscriptions(frame, own_snapshot, proxies)
-            self._publish_kill_claims(frame, proxies)
+            self._publish_kill_claims(proxies)
 
         # -- deferred projectile-kill judgements -------------------------------
-        due = [c for c in self._deferred_claims if c[0] <= frame]
-        if due:
-            self._deferred_claims = [
-                c for c in self._deferred_claims if c[0] > frame
-            ]
-            for _, claim, confidence in due:
-                self._judge_kill_claim_now(claim, confidence)
+        # (queued in arrival order with a fixed delay, so due-frame order)
+        while self._deferred_claims and self._deferred_claims[0][0] <= frame:
+            _, claim, confidence = self._deferred_claims.pop(0)
+            self._judge_kill_claim_now(claim, confidence)
 
         # -- churn detection (heartbeats; Section VI) -------------------------
         self._propose_departures(frame, epoch)
-        if not self.is_server:
-            self._drive_defense(frame)
+        if not self.is_server and frame <= self._defense_until_frame:
+            # keep heartbeating directly while the challenge window is open
+            self._defend_liveness(frame)
 
         # -- selective-forwarding suspicion (Byzantine hardening, gated) ------
         if self.config.byzantine_hardening:
@@ -444,8 +417,7 @@ class WatchmenNode:
             state.table.expire(frame)
 
         # -- reliable delivery: retransmit unacked critical messages ----------
-        if self.config.resilient:
-            self._drive_retries(frame)
+        self._drive_retries(frame)
 
         # -- behaviour extras (fabricated traffic from cheats) ---------------
         # Extras bypass filter_outgoing: they are already the behaviour's
@@ -464,13 +436,10 @@ class WatchmenNode:
         actual state").
         """
         snapshot = self.known.get(other_id)
-        if snapshot is None:
-            return None
-        ahead = min(max(0, frame - snapshot.frame), FRAMES_PER_SECOND)
-        if ahead == 0 or not snapshot.alive:
+        if snapshot is None or not snapshot.alive or frame <= snapshot.frame:
             return snapshot
-        extrapolated = snapshot.position + snapshot.velocity * (
-            ahead * self.config.frame_seconds
+        extrapolated = predict_linear(snapshot).position_at(
+            frame, self.config.frame_seconds
         )
         return dataclass_replace(snapshot, frame=frame, position=extrapolated)
 
@@ -541,7 +510,7 @@ class WatchmenNode:
         # every candidate suspect: fall back to the schedule
         return self.schedule.proxy_of(player_id, epoch)
 
-    def _publish_proxies(self, frame: int, epoch: int, scheduled: int) -> list[int]:
+    def _publish_proxies(self, frame: int, epoch: int) -> list[int]:
         """Destinations for this frame's publications.
 
         Normally just the scheduled proxy.  During failover the live
@@ -550,10 +519,9 @@ class WatchmenNode:
         verifying and forwarding, and if it crashed the copy merely
         evaporates, so either way no client is stranded.
         """
+        scheduled = self.schedule.proxy_of(self.player_id, epoch)
         live = self._live_proxy_of(self.player_id, epoch, frame)
-        if live == scheduled:
-            return [scheduled]
-        return [live, scheduled]
+        return [scheduled] if live == scheduled else [live, scheduled]
 
     def _serves(self, player_id: int, epoch: int) -> bool:
         """Am I a legitimate first hop for this player's epoch?
@@ -598,12 +566,8 @@ class WatchmenNode:
                 for target in sorted(
                     self.current_sets.interest | self.current_sets.vision
                 )
-                if target in self.known or target in self.roster
-            ]
-            affected = [
-                target
-                for target in affected
-                if self._scheduled_proxy_in(target, epoch, newly_dead)
+                if (target in self.known or target in self.roster)
+                and self._scheduled_proxy_in(target, epoch, newly_dead)
             ]
             if affected:
                 self._resubscribe(frame, epoch, targets=affected)
@@ -623,49 +587,22 @@ class WatchmenNode:
         sets = self.current_sets
         if sets is None:
             return
-        scheduled = self.schedule.proxy_of(self.player_id, epoch)
-        proxies = self._publish_proxies(frame, epoch, scheduled)
-        for kind, members in (
-            (SUB_INTEREST, sorted(sets.interest)),
-            (SUB_VISION, sorted(sets.vision)),
-        ):
-            for target in members:
-                if targets is not None and target not in targets:
-                    continue
-                request = SubscriptionRequest(
-                    sender_id=self.player_id,
-                    target_id=target,
-                    kind=kind,
-                    frame=frame,
-                    sequence=self._next_sequence(),
-                )
-                for proxy in proxies:
-                    self._transmit(request, proxy)
+        wanted = sets.interest | sets.vision if targets is None else set(targets)
+        self._send_subscriptions(
+            frame,
+            self._publish_proxies(frame, epoch),
+            sets.interest & wanted,
+            sets.vision & wanted,
+        )
 
     # ------------------------------------------------------------------
     # Reliable delivery (ack/retry for critical low-rate messages)
     # ------------------------------------------------------------------
 
-    def _register_pending(self, message: GameMessage, destination: int) -> None:
-        """Start tracking an ackable send (no-op for retransmissions)."""
-        key = (destination, message.sender_id, message.sequence)
-        if key not in self._pending_acks:
-            self._pending_acks[key] = _PendingSend(
-                message=message,
-                destination=destination,
-                next_frame=self.current_frame + ACK_RETRY_BASE_FRAMES,
-            )
-
     def _drive_retries(self, frame: int) -> None:
         """Retransmit due unacked messages with capped exponential backoff."""
-        due = sorted(
-            key for key, p in self._pending_acks.items() if p.next_frame <= frame
-        )
-        for key in due:
-            pending = self._pending_acks.pop(key, None)
-            if pending is None:
-                continue
-            if pending.attempt >= ACK_RETRY_MAX_ATTEMPTS:
+        for pending in self._acks.due(frame):
+            if pending.exhausted:
                 self._ctr_retry_exhausted.inc()
                 if self.config.byzantine_hardening and not self._node_seems_dead(
                     pending.destination, frame
@@ -677,37 +614,21 @@ class WatchmenNode:
                     self.suspicion_events.append(
                         (frame, pending.destination, "ack_withhold")
                     )
-                    self._emit_rating(
-                        CheatRating(
-                            verifier_id=self.player_id,
-                            subject_id=pending.destination,
-                            frame=frame,
-                            check=CheckKind.RATE,
-                            rating=6.0,
-                            confidence=Confidence.OTHER,
-                            deviation=float(pending.attempt),
-                            detail=(
-                                "retry ladder exhausted against a live "
-                                "destination (ack withholding?)"
-                            ),
-                        )
+                    self._rate_violation(
+                        pending.destination,
+                        6.0,
+                        "retry ladder exhausted against a live "
+                        "destination (ack withholding?)",
+                        confidence=Confidence.OTHER,
+                        deviation=float(pending.attempt),
                     )
                 continue  # give up; the destination is gone or the path is cut
-            pending.attempt += 1
-            backoff = min(
-                ACK_RETRY_BASE_FRAMES * (2 ** pending.attempt),
-                ACK_RETRY_MAX_BACKOFF_FRAMES,
-            )
-            pending.next_frame = frame + backoff
             destination = self._retry_destination(
                 pending.message, pending.destination, frame
             )
-            pending.destination = destination
             # Re-file under the (possibly re-routed) key *before* sending,
-            # so _register_pending sees it and keeps the attempt count.
-            self._pending_acks[
-                (destination, pending.message.sender_id, pending.message.sequence)
-            ] = pending
+            # so the send sees it tracked and keeps the attempt count.
+            self._acks.refile(pending, destination, frame)
             self._ctr_retries.inc()
             self._transmit_unfiltered(pending.message, destination)
 
@@ -717,24 +638,21 @@ class WatchmenNode:
         """Re-route a retry around a proxy that died since the first send."""
         if not self._node_seems_dead(current, frame):
             return current
-        epoch = self.config.epoch_of_frame(frame)
+        mine = message.sender_id == self.player_id
+        if isinstance(message, HandoffMessage):
+            subject = message.player_id
+        elif isinstance(message, SubscriptionRequest):
+            # My own request goes to my live proxy; a stage-2 relay is
+            # re-aimed at the target's.
+            subject = self.player_id if mine else message.target_id
+        elif isinstance(message, KillClaim) and mine:
+            subject = self.player_id
+        else:
+            return current  # direct sends (proposals, witness copies): keep
         try:
-            if (
-                isinstance(message, (SubscriptionRequest, KillClaim))
-                and message.sender_id == self.player_id
-            ):
-                return self._live_proxy_of(self.player_id, epoch, frame)
-            if (
-                isinstance(message, SubscriptionRequest)
-                and message.sender_id != self.player_id
-            ):
-                # Stage-2 relay: re-aim at the target's live proxy.
-                return self._live_proxy_of(message.target_id, epoch, frame)
-            if isinstance(message, HandoffMessage):
-                return self._live_proxy_of(message.player_id, epoch, frame)
+            return self._live_proxy_of(subject, self.current_epoch, frame)
         except KeyError:
             return current
-        return current  # direct sends (proposals, witness copies): keep
 
     def _send_ack(self, src: int, message: GameMessage) -> None:
         """Receipt for an ackable message, back to the sending hop."""
@@ -749,7 +667,7 @@ class WatchmenNode:
         self._transmit(ack, src)
 
     def _on_ack(self, src: int, ack: AckMessage) -> None:
-        self._pending_acks.pop((src, ack.acked_sender_id, ack.acked_sequence), None)
+        self._acks.settle(src, ack)
 
     # ------------------------------------------------------------------
     # Publishing
@@ -785,13 +703,16 @@ class WatchmenNode:
                 prediction=self._guidance_prediction(frame, snapshot),
             )
             self._route_publication(guidance, proxies)
-            position = PositionUpdate(
-                sender_id=self.player_id,
-                frame=frame,
-                sequence=self._next_sequence(),
-                snapshot=snapshot.position_only(),
-            )
-            self._route_publication(position, proxies)
+            self._route_publication(self._heartbeat(frame, snapshot), proxies)
+
+    def _heartbeat(self, frame: int, snapshot: AvatarSnapshot) -> PositionUpdate:
+        """The 1 Hz position-only tier, which doubles as the liveness beacon."""
+        return PositionUpdate(
+            sender_id=self.player_id,
+            frame=frame,
+            sequence=self._next_sequence(),
+            snapshot=snapshot.position_only(),
+        )
 
     def _guidance_prediction(self, frame: int, snapshot: AvatarSnapshot) -> GuidancePrediction:
         """Intent-informed dead reckoning for one's own avatar.
@@ -823,86 +744,53 @@ class WatchmenNode:
         failover it is [live candidate, scheduled proxy] (receivers dedup
         by sequence).  With ``relax_first_hop`` (Section VI, optimization
         3) updates go straight to the audience, with concurrent copies to
-        the proxies for verification.
+        the proxies for verification.  A node cannot compute locally whose
+        IS/VS it is in, so that audience comes from ``audience_oracle`` —
+        the session's stand-in for the proxy piggybacking its subscriber
+        list back to the publisher.
         """
-        if not self.config.relax_first_hop or isinstance(
-            message, SubscriptionRequest
+        if (
+            self.config.relax_first_hop
+            and self.audience_oracle is not None
+            and not isinstance(message, SubscriptionRequest)
         ):
-            for proxy in proxies:
-                self._transmit(message, proxy)
-            return
-        audience = self._direct_audience(message)
-        for destination in audience:
-            self._transmit(message, destination)
-        for proxy in proxies:  # concurrent verification copy
+            for destination in self.audience_oracle(self.player_id, message):
+                self._transmit(message, destination)
+        for proxy in proxies:
             self._transmit(message, proxy)
-
-    def _direct_audience(self, message: GameMessage) -> list[int]:
-        """Relaxed-mode audience; mirrors the proxy's forwarding rules.
-
-        The node only knows its audience through what its proxy told it at
-        the latest handoff; we approximate with its own subscriber table if
-        it happens to be its own proxy's client record, falling back to the
-        symmetric heuristic (players whose IS/VS I am likely in cannot be
-        computed locally), so relaxed mode broadcasts frequent updates to
-        players that have *me* in their planned sets — which the session
-        wires through the shared subscriber oracle.
-        """
-        oracle = getattr(self, "audience_oracle", None)
-        if oracle is None:
-            return []
-        return oracle(self.player_id, message)
 
     def _publish_subscriptions(
         self, frame: int, snapshot: AvatarSnapshot, proxies: list[int]
     ) -> None:
         plan = self.planner.plan(frame, snapshot, self.known)
         self.current_sets = plan
-        for target in sorted(plan.new_interest):
-            request = SubscriptionRequest(
-                sender_id=self.player_id,
-                target_id=target,
-                kind=SUB_INTEREST,
-                frame=frame,
-                sequence=self._next_sequence(),
-            )
-            for proxy in proxies:
-                self._transmit(request, proxy)
-        for target in sorted(plan.new_vision):
-            request = SubscriptionRequest(
-                sender_id=self.player_id,
-                target_id=target,
-                kind=SUB_VISION,
-                frame=frame,
-                sequence=self._next_sequence(),
-            )
-            for proxy in proxies:
-                self._transmit(request, proxy)
+        self._send_subscriptions(frame, proxies, plan.new_interest, plan.new_vision)
 
-    def _publish_kill_claims(self, frame: int, proxies: list[int]) -> None:
-        for spawn in self._pending_projectiles:
-            stamped = ProjectileSpawn(
-                sender_id=spawn.sender_id,
-                frame=spawn.frame,
-                sequence=self._next_sequence(),
-                weapon=spawn.weapon,
-                origin=spawn.origin,
-                velocity=spawn.velocity,
+    def _send_subscriptions(
+        self,
+        frame: int,
+        proxies: list[int],
+        interest: Iterable[int],
+        vision: Iterable[int],
+    ) -> None:
+        for kind, targets in ((SUB_INTEREST, interest), (SUB_VISION, vision)):
+            for target in sorted(targets):
+                request = SubscriptionRequest(
+                    sender_id=self.player_id,
+                    target_id=target,
+                    kind=kind,
+                    frame=frame,
+                    sequence=self._next_sequence(),
+                )
+                self._route_publication(request, proxies)
+
+    def _publish_kill_claims(self, proxies: list[int]) -> None:
+        """Announce queued spawns, then claims, each stamped at send time."""
+        for queued in (*self._pending_projectiles, *self._pending_kills):
+            self._route_publication(
+                dataclass_replace(queued, sequence=self._next_sequence()), proxies
             )
-            for proxy in proxies:
-                self._transmit(stamped, proxy)
         self._pending_projectiles.clear()
-        for claim in self._pending_kills:
-            stamped = KillClaim(
-                sender_id=claim.sender_id,
-                victim_id=claim.victim_id,
-                frame=claim.frame,
-                sequence=self._next_sequence(),
-                weapon=claim.weapon,
-                claimed_distance=claim.claimed_distance,
-            )
-            for proxy in proxies:
-                self._transmit(stamped, proxy)
         self._pending_kills.clear()
 
     # ------------------------------------------------------------------
@@ -992,9 +880,7 @@ class WatchmenNode:
             self.membership.record_proposal(
                 self.player_id, subject, frame, epoch
             )
-            for destination in self.membership.current_roster():
-                if destination != self.player_id:
-                    self._transmit(proposal, destination)
+            self._broadcast(proposal)
 
     # repro-mc: commutes[membership] -- record_proposal is a set-insert
     # keyed by (proposer, subject); every delivery in one frame sees the
@@ -1014,18 +900,12 @@ class WatchmenNode:
             )
             self._defend_liveness(self.current_frame)
             return
-        epoch = self.config.epoch_of_frame(self.current_frame)
         self.membership.record_proposal(
             message.sender_id,
             message.subject_id,
             self.current_frame,
-            epoch,
+            self.current_epoch,
         )
-
-    def _drive_defense(self, frame: int) -> None:
-        """Keep heartbeating directly while the challenge window is open."""
-        if frame <= self._defense_until_frame:
-            self._defend_liveness(frame)
 
     def _defend_liveness(self, frame: int) -> None:
         """One direct heartbeat burst to the whole roster, rate-limited."""
@@ -1036,35 +916,27 @@ class WatchmenNode:
             return
         self._last_defense_frame = frame
         self._ctr_defenses.inc()
-        update = PositionUpdate(
-            sender_id=self.player_id,
-            frame=frame,
-            sequence=self._next_sequence(),
-            snapshot=snapshot.position_only(),
-        )
         # Skip destinations that treat my traffic as first-hop and re-forward
         # it (my proxies/candidates): the forwarded copy would collide with
         # the direct one and read as a replay.  They hear my first-hop
         # publications — which refresh their heartbeat — already.
-        forwarders = self._first_hop_acceptors(frame)
-        for destination in self.membership.current_roster():
-            if destination != self.player_id and destination not in forwarders:
-                self._transmit(update, destination)
+        self._broadcast(
+            self._heartbeat(frame, snapshot), skip=self._first_hop_acceptors(frame)
+        )
 
     def _first_hop_acceptors(self, frame: int) -> set[int]:
         """Nodes that accept-and-forward my direct traffic (see
         ``_accepts_first_hop_from``) — recomputed sender-side from the
         same shared schedule."""
-        epoch = self.config.epoch_of_frame(frame)
-        acceptors: set[int] = set()
+        epoch = self.current_epoch
         try:
-            acceptors.update(
+            acceptors = set(
                 self.schedule.first_hops(self.player_id, epoch, self._failover_depth)
             )
             if epoch > 0:
                 acceptors.add(self.schedule.proxy_of(self.player_id, epoch - 1))
-        except KeyError:
-            pass
+        except KeyError:  # I am no longer in the schedule: nobody forwards for me
+            return set()
         return acceptors
 
     def _client_state(self, client_id: int) -> _ClientState:
@@ -1081,9 +953,7 @@ class WatchmenNode:
         return state
 
     def _poll_client_silence(self, frame: int) -> None:
-        epoch_start = (
-            self.config.epoch_of_frame(frame) * self.config.proxy_period_frames
-        )
+        epoch_start = self.current_epoch * self.config.proxy_period_frames
         for client_id, state in self._clients.items():
             if not self._is_proxy_of(client_id):
                 continue  # grace-period ghost; the new proxy watches now
@@ -1094,28 +964,22 @@ class WatchmenNode:
                 Confidence.PROXY,
                 not_before_frame=epoch_start,
             )
-            if rating is None:
-                # Dead air since we took over: a client that sent nothing
-                # at all this tenure is escaping (or unreachable).
-                last = state.rate.last_arrival_wallclock(client_id)
-                silent_for = frame - max(
-                    epoch_start, last if last is not None else -(10**9)
-                )
-                grace = 16  # handoff + first-hop latency
-                if last is None and frame > 0 and silent_for > grace:
-                    rating = CheatRating(
-                        verifier_id=self.player_id,
-                        subject_id=client_id,
-                        frame=frame,
-                        check=CheckKind.RATE,
-                        rating=min(10.0, 5.0 + 0.2 * (silent_for - grace)),
-                        confidence=Confidence.PROXY,
-                        deviation=float(silent_for),
-                        detail=f"no traffic at all for {silent_for} frames (escaping?)",
-                    )
             if rating is not None:
                 self._emit_rating(rating)
                 state.suspicion_flags += 1
+            elif frame > 0 and state.rate.last_arrival_wallclock(client_id) is None:
+                # Dead air since we took over: a client that sent nothing
+                # at all this tenure is escaping (or unreachable).
+                silent_for = frame - epoch_start
+                grace = 16  # handoff + first-hop latency
+                if silent_for > grace:
+                    self._rate_violation(
+                        client_id,
+                        min(10.0, 5.0 + 0.2 * (silent_for - grace)),
+                        f"no traffic at all for {silent_for} frames (escaping?)",
+                        deviation=float(silent_for),
+                    )
+                    state.suspicion_flags += 1
 
     # ------------------------------------------------------------------
     # Receiving
@@ -1132,236 +996,132 @@ class WatchmenNode:
             self._dispatch_message(src, message)
 
     def _dispatch_message(self, src: int, message: GameMessage) -> None:
-        if (
-            self.config.byzantine_hardening
-            and src != self.player_id
-            and not self._rate_limit_admit(src)
-        ):
-            # Flood defense: the sending hop is over its token budget (or
-            # already quarantined) — the message is dropped before any
-            # signature work, which is the point: verification is the cost
-            # a flooder would otherwise impose.
-            self._count_protocol_drop("quarantine")
-            return
-        observe = getattr(self.behaviour, "observe_incoming", None)
-        if observe is not None:
-            observe(self.current_frame, src, message)
+        """The receive pipeline; docs/PROTOCOL.md §9 tabulates the stages.
+
+        hop admission → envelope (signature) → sequence window → ack →
+        first-hop triage → the type's handler.  Each stage before the
+        handler may drop the message.
+        """
+        # ``src == self.player_id`` is a retry looped back onto myself (see
+        # ``_transmit_unfiltered``): no hop to police, nobody to receipt.
+        if src != self.player_id:
+            admission = self._hops.admit(src, self.current_frame)
+            if admission is not ADMITTED:
+                # Flood defense: the sending hop is over its token budget
+                # (or already quarantined) — the message is dropped before
+                # any signature work, which is the point: verification is
+                # the cost a flooder would otherwise impose.
+                if admission is QUARANTINED:
+                    self._note_quarantine(src)
+                self.protocol_drop("quarantine")
+                return
+        self.behaviour.observe_incoming(self.current_frame, src, message)
         with self._hist_verify.time():
             accepted = self._verify_envelope(src, message)
         if not accepted:
             return
-        if (
-            self.config.resilient
-            and src != self.player_id
-            and isinstance(message, ACKABLE_TYPES)
-        ):
+        verdict = self._window.screen(message)
+        if src != self.player_id and isinstance(message, self._acks.ackable):
+            # Fresh or repeat alike: the receipt for a duplicate is what
+            # stops a retransmitting peer resending a delivered message.
             self._send_ack(src, message)
+        if verdict is not FRESH:
+            self._screen_duplicate(message, tracked=verdict is DUPLICATE)
+            return
+        # First-hop triage, once: did the origin hand me this itself, and
+        # am I (recently) a proxy he may legitimately route through?
+        sender = message.sender_id
+        first_hop = (
+            src == sender
+            and not isinstance(message, _PEER_TYPES)
+            and self._accepts_first_hop_from(sender)
+        )
         if isinstance(message, StateUpdate):
-            self._on_state_update(src, message)
+            self._on_state_update(src, message, first_hop)
         elif isinstance(message, GuidanceMessage):
-            self._on_guidance(src, message)
+            self._on_guidance(message, first_hop)
         elif isinstance(message, PositionUpdate):
-            self._on_position_update(src, message)
+            self._on_position_update(message, first_hop)
         elif isinstance(message, SubscriptionRequest):
-            self._on_subscription(src, message)
+            self._on_subscription(src, message, first_hop)
         elif isinstance(message, KillClaim):
-            self._on_kill_claim(src, message)
+            self._on_kill_claim(message, first_hop)
         elif isinstance(message, ProjectileSpawn):
-            self._on_projectile_spawn(src, message)
+            self._on_projectile_spawn(message, first_hop)
         elif isinstance(message, HandoffMessage):
             self._on_handoff(message)
         elif isinstance(message, RemovalProposal):
             self._on_removal_proposal(message)
         elif isinstance(message, MisbehaviorEvidence):
-            self._on_misbehavior_evidence(src, message)
+            self._on_misbehavior_evidence(message)
         elif isinstance(message, AckMessage):
             self._on_ack(src, message)
 
     def _verify_envelope(self, src: int, message: GameMessage) -> bool:  # repro-taint: sanitizer
-        """Signature + replay screening on every received message."""
-        if message.signature is None or not self.signer.verify(
+        """Signature screening on every received message."""
+        if message.signature is not None and self.signer.verify(
             message.sender_id, signable_bytes(message), message.signature
         ):
-            self.metrics.count_signature_failure()
-            if self.config.byzantine_hardening and src != message.sender_id:
-                # A relayed message that fails its origin signature was
-                # mutated *in flight*: the origin's signing path either
-                # produces valid bytes or nothing.  Blame the relaying hop,
-                # not the named sender — that is exactly the tampering-proxy
-                # attack the signatures exist to catch.
-                self._count_protocol_drop("tamper")
-                self.suspicion_events.append(
-                    (self.current_frame, src, "tamper_hop")
-                )
-                self._emit_rating(
-                    CheatRating(
-                        verifier_id=self.player_id,
-                        subject_id=src,
-                        frame=self.current_frame,
-                        check=CheckKind.RATE,
-                        rating=10.0,
-                        confidence=Confidence.PROXY,
-                        deviation=1.0,
-                        detail="relayed message fails its signature (tampering hop)",
-                    )
-                )
-                return False
-            self._emit_rating(
-                CheatRating(
-                    verifier_id=self.player_id,
-                    subject_id=message.sender_id,
-                    frame=self.current_frame,
-                    check=CheckKind.RATE,
-                    rating=10.0,
-                    confidence=Confidence.PROXY,
-                    deviation=1.0,
-                    detail="invalid or missing signature",
-                )
+            return True
+        self.metrics.count_signature_failure()
+        if self.config.byzantine_hardening and src != message.sender_id:
+            # A relayed message that fails its origin signature was
+            # mutated *in flight*: the origin's signing path either
+            # produces valid bytes or nothing.  Blame the relaying hop,
+            # not the named sender — that is exactly the tampering-proxy
+            # attack the signatures exist to catch.
+            self.protocol_drop("tamper")
+            self.suspicion_events.append((self.current_frame, src, "tamper_hop"))
+            self._rate_violation(
+                src, 10.0, "relayed message fails its signature (tampering hop)"
             )
-            return False
-        seen = self._seen_sequences.setdefault(message.sender_id, set())
-        if message.sequence <= self._seen_watermark.get(message.sender_id, -1):
-            # Below the eviction watermark: this sequence was tracked once
-            # and its tombstone has been garbage-collected.  A late
-            # retransmit landing here is indistinguishable from a replay,
-            # so it is *always* screened silently — never reprocessed (the
-            # pre-watermark code silently accepted these) and never treated
-            # as cheat evidence.
-            return self._screen_duplicate(src, message, tracked=False)
-        if message.sequence in seen:
-            return self._screen_duplicate(src, message, tracked=True)
-        seen.add(message.sequence)
-        if self.config.byzantine_hardening and isinstance(message, StateUpdate):
-            # First-seen signed update per (sender, sequence): the archive
-            # the equivocation detector cross-checks duplicates against.
-            self._update_archive.setdefault(message.sender_id, {})[
-                message.sequence
-            ] = message
-        if len(seen) > 4096:  # bounded memory; old sequences cannot return
-            kept = sorted(seen)
-            # The watermark is the highest evicted sequence: everything at
-            # or below it is "seen" by fiat, so eviction can never turn a
-            # stale retransmit into fresh (reprocessed) traffic.
-            self._seen_watermark[message.sender_id] = kept[-2049]
-            self._seen_sequences[message.sender_id] = set(kept[-2048:])
-            archive = self._update_archive.get(message.sender_id)
-            if archive:
-                watermark = kept[-2049]
-                for sequence in [s for s in archive if s <= watermark]:
-                    del archive[sequence]
-        return True
+        else:
+            self._rate_violation(
+                message.sender_id, 10.0, "invalid or missing signature"
+            )
+        return False
 
-    def _screen_duplicate(
-        self, src: int, message: GameMessage, *, tracked: bool
-    ) -> bool:
+    def _screen_duplicate(self, message: GameMessage, *, tracked: bool) -> None:
         """Handle a message whose sequence was already seen (or evicted).
 
-        ``tracked`` duplicates of a signed ``StateUpdate`` are first
-        cross-checked against the archived original: same sequence but
-        *different* signed bytes is cryptographic equivocation, the one
-        duplicate that is proof of misbehavior rather than an artefact.
+        ``tracked`` duplicates are first cross-checked against the
+        archived original (signed ``StateUpdate``s under hardening): same
+        sequence but *different* signed bytes is cryptographic
+        equivocation, the one duplicate that is proof of misbehavior
+        rather than an artefact.  An evicted sequence is *always* screened
+        silently — never reprocessed and never treated as cheat evidence.
         """
-        if (
-            tracked
-            and self.config.byzantine_hardening
-            and isinstance(message, StateUpdate)
-        ):
-            archived = self._update_archive.get(message.sender_id, {}).get(
-                message.sequence
-            )
+        if tracked:
+            archived = self._window.first_seen(message)
             if archived is not None and signable_bytes(archived) != signable_bytes(
                 message
             ):
-                self._on_equivocation(src, archived, message)
-                return False
+                self._on_equivocation(archived, message)
+                return
         self.metrics.count_replayed_message()
-        if not tracked or self.config.resilient:
+        if tracked and not self.config.resilient:
             # With the robustness layer on, duplicates are an expected
-            # artefact of dual-send failover, retransmissions and
-            # network duplication — screen them silently instead of
-            # convicting an honest sender.  The ack still goes out so a
-            # retransmitting peer stops resending a delivered message.
-            if (
-                self.config.resilient
-                and src != self.player_id
-                and isinstance(message, ACKABLE_TYPES)
-            ):
-                self._send_ack(src, message)
-            return False
-        self._emit_rating(
-            CheatRating(
-                verifier_id=self.player_id,
-                subject_id=message.sender_id,
-                frame=self.current_frame,
-                check=CheckKind.RATE,
-                rating=10.0,
-                confidence=Confidence.PROXY,
-                deviation=1.0,
-                detail=f"replayed sequence {message.sequence}",
+            # artefact of dual-send failover, retransmissions and network
+            # duplication — screened silently instead of convicting an
+            # honest sender.  Without it a tracked repeat is a replay.
+            self._rate_violation(
+                message.sender_id, 10.0, f"replayed sequence {message.sequence}"
             )
-        )
-        return False
 
     # -- Byzantine hardening ----------------------------------------------
 
-    def _count_protocol_drop(self, cause: str) -> None:
-        """Fold a protocol-layer rejection into the transport's drop books."""
-        if self.protocol_drop is not None:
-            self.protocol_drop(cause)
-
-    def _rate_limit_admit(self, src: int) -> bool:
-        """Token-bucket admission per sending hop, with bounded quarantine.
-
-        Honest links carry a few messages per frame (epoch bursts stay
-        well under the burst allowance), so they never strike; a flooder
-        drains its bucket within a couple of frames, accumulates strikes
-        and is silenced for ``BYZANTINE_QUARANTINE_FRAMES`` — bounded, so a false
-        positive self-heals instead of becoming an eviction.
-        """
-        frame = self.current_frame
-        until = self._quarantined_until.get(src)
-        if until is not None:
-            if frame < until:
-                return False
-            # Quarantine served: fresh bucket, strikes forgiven.
-            del self._quarantined_until[src]
-            self._rate_strikes.pop(src, None)
-            self._rate_buckets.pop(src, None)
-        tokens, last = self._rate_buckets.get(
-            src, (float(BYZANTINE_RATE_BURST), frame)
+    def _note_quarantine(self, src: int) -> None:
+        """A hop just struck out of its token bucket (``HopLimiter``)."""
+        self.quarantine_events.append((self.current_frame, src))
+        self._ctr_quarantines.inc()
+        self._rate_violation(
+            src,
+            8.0,
+            "message flood: token bucket exhausted repeatedly",
+            deviation=float(BYZANTINE_QUARANTINE_STRIKES),
         )
-        tokens = min(
-            float(BYZANTINE_RATE_BURST),
-            tokens + (frame - last) * BYZANTINE_RATE_MSGS_PER_FRAME,
-        )
-        if tokens >= 1.0:
-            self._rate_buckets[src] = (tokens - 1.0, frame)
-            return True
-        self._rate_buckets[src] = (tokens, frame)
-        strikes = self._rate_strikes.get(src, 0) + 1
-        self._rate_strikes[src] = strikes
-        if strikes >= BYZANTINE_QUARANTINE_STRIKES:
-            self._quarantined_until[src] = frame + BYZANTINE_QUARANTINE_FRAMES
-            self._rate_strikes[src] = 0
-            self.quarantine_events.append((frame, src))
-            self._ctr_quarantines.inc()
-            self._emit_rating(
-                CheatRating(
-                    verifier_id=self.player_id,
-                    subject_id=src,
-                    frame=frame,
-                    check=CheckKind.RATE,
-                    rating=8.0,
-                    confidence=Confidence.PROXY,
-                    deviation=float(strikes),
-                    detail="message flood: token bucket exhausted repeatedly",
-                )
-            )
-        return False
 
-    def _on_equivocation(
-        self, src: int, archived: StateUpdate, conflict: StateUpdate
-    ) -> None:
+    def _on_equivocation(self, archived: StateUpdate, conflict: StateUpdate) -> None:
         """Two validly-signed updates, same sequence, different payloads.
 
         This is cryptographic proof the *origin* equivocated (no relay can
@@ -1372,20 +1132,11 @@ class WatchmenNode:
         accused = conflict.sender_id
         self._ctr_equivocations.inc()
         self.equivocation_events.append((self.current_frame, accused))
-        self._emit_rating(
-            CheatRating(
-                verifier_id=self.player_id,
-                subject_id=accused,
-                frame=self.current_frame,
-                check=CheckKind.RATE,
-                rating=10.0,
-                confidence=Confidence.PROXY,
-                deviation=1.0,
-                detail=(
-                    "equivocation: conflicting signed payloads for "
-                    f"sequence {conflict.sequence}"
-                ),
-            )
+        self._rate_violation(
+            accused,
+            10.0,
+            "equivocation: conflicting signed payloads for "
+            f"sequence {conflict.sequence}",
         )
         if accused in self._evidence_emitted:
             return
@@ -1399,33 +1150,20 @@ class WatchmenNode:
             second=conflict,
         )
         self._convict_on_evidence(evidence)
-        for destination in self.membership.current_roster():
-            if destination != self.player_id:
-                self._transmit(evidence, destination)
+        self._broadcast(evidence)
 
     # repro-mc: commutes[membership] -- convictions are idempotent per subject
-    def _on_misbehavior_evidence(
-        self, src: int, evidence: MisbehaviorEvidence
-    ) -> None:
+    def _on_misbehavior_evidence(self, evidence: MisbehaviorEvidence) -> None:
         if not self.config.byzantine_hardening:
             return
-        if not self._evidence_is_valid(evidence):
+        if self._evidence_is_valid(evidence):
+            self._convict_on_evidence(evidence)
+        else:
             # An invalid evidence message is itself an accusation forgery
             # attempt (or corruption); rate the reporter, not the accused.
-            self._emit_rating(
-                CheatRating(
-                    verifier_id=self.player_id,
-                    subject_id=evidence.sender_id,
-                    frame=self.current_frame,
-                    check=CheckKind.RATE,
-                    rating=8.0,
-                    confidence=Confidence.PROXY,
-                    deviation=1.0,
-                    detail="misbehavior evidence fails verification",
-                )
+            self._rate_violation(
+                evidence.sender_id, 8.0, "misbehavior evidence fails verification"
             )
-            return
-        self._convict_on_evidence(evidence)
 
     def _evidence_is_valid(self, evidence: MisbehaviorEvidence) -> bool:
         """Re-verify the self-certifying proof; trust nothing about it."""
@@ -1461,17 +1199,10 @@ class WatchmenNode:
         )
         if self.membership.convict(evidence.accused_id, due_epoch):
             self._ctr_convictions.inc()
-            self._emit_rating(
-                CheatRating(
-                    verifier_id=self.player_id,
-                    subject_id=evidence.accused_id,
-                    frame=self.current_frame,
-                    check=CheckKind.RATE,
-                    rating=10.0,
-                    confidence=Confidence.PROXY,
-                    deviation=1.0,
-                    detail="verified misbehavior evidence (signed equivocation)",
-                )
+            self._rate_violation(
+                evidence.accused_id,
+                10.0,
+                "verified misbehavior evidence (signed equivocation)",
             )
 
     def _scan_starvation(self, frame: int, epoch: int) -> None:
@@ -1510,51 +1241,30 @@ class WatchmenNode:
                 continue
             self._starvation_rated.add(key)
             self.suspicion_events.append((frame, proxy, "starvation"))
-            self._emit_rating(
-                CheatRating(
-                    verifier_id=self.player_id,
-                    subject_id=proxy,
-                    frame=frame,
-                    check=CheckKind.RATE,
-                    rating=6.0,
-                    confidence=Confidence.OTHER,
-                    deviation=float(frame - last),
-                    detail=(
-                        f"player {subject} dark while its proxy stays live "
-                        "(selective forwarding?)"
-                    ),
-                )
+            self._rate_violation(
+                proxy,
+                6.0,
+                f"player {subject} dark while its proxy stays live "
+                "(selective forwarding?)",
+                confidence=Confidence.OTHER,
+                deviation=float(frame - last),
             )
 
     # -- state updates ----------------------------------------------------
 
     # repro-mc: commutes[known] -- per-sender LWW merge, frame-stamp guarded
-    def _on_state_update(self, src: int, update: StateUpdate) -> None:
+    def _on_state_update(self, src: int, update: StateUpdate, first_hop: bool) -> None:
         sender = update.sender_id
         if sender == self.player_id:
             return
-        if src == sender:
-            # First hop: only legitimate when I am the proxy (or relaxed mode).
-            if self._accepts_first_hop_from(sender):
-                self._proxy_ingest_update(update)
-                return
-            if not self.config.relax_first_hop:
-                # Direct send around the proxy: consistency-cheat attempt.
-                self.metrics.count_direct_update_violation()
-                self._emit_rating(
-                    CheatRating(
-                        verifier_id=self.player_id,
-                        subject_id=sender,
-                        frame=self.current_frame,
-                        check=CheckKind.RATE,
-                        rating=9.0,
-                        confidence=Confidence.PROXY,
-                        deviation=1.0,
-                        detail="direct state update bypassing proxy",
-                    )
-                )
-                return
-        self._consume_state_update(update)
+        if first_hop:
+            self._proxy_ingest_update(update)
+        elif src == sender and not self.config.relax_first_hop:
+            # Direct send around the proxy: consistency-cheat attempt.
+            self.metrics.count_direct_update_violation()
+            self._rate_violation(sender, 9.0, "direct state update bypassing proxy")
+        else:
+            self._consume_state_update(update)
 
     def _proxy_ingest_update(self, update: StateUpdate) -> None:
         """Proxy side: verify the client's update and fan it out."""
@@ -1562,146 +1272,143 @@ class WatchmenNode:
         self.membership.heard_from(sender, self.current_frame)
         state = self._client_state(sender)
         state.update_count += 1
-
         for rating in state.rate.observe(
             self.player_id, sender, update.frame, self.current_frame, Confidence.PROXY
         ):
             self._emit_rating(rating)
             state.suspicion_flags += 1
-        position_rating = self.position_verifier.observe(
-            self.player_id, update.snapshot, Confidence.PROXY
-        )
-        if position_rating is not None:
-            self._emit_rating(position_rating)
-            if position_rating.suspicious:
-                state.suspicion_flags += 1
-        aim_rating = self.aim_verifier.observe(
-            self.player_id, update.snapshot, Confidence.PROXY
-        )
-        if aim_rating is not None:
-            self._emit_rating(aim_rating)
-            if aim_rating.suspicious:
-                state.suspicion_flags += 1
-        if self.action_repetition_verifier is not None:
-            replay_rating = self.action_repetition_verifier.observe(
-                self.player_id, update.snapshot, Confidence.PROXY
-            )
-            if replay_rating is not None and replay_rating.suspicious:
-                self._emit_rating(replay_rating)
-                state.suspicion_flags += 1
-        guidance_rating = self.guidance_verifier.observe_position(
-            self.player_id, update.snapshot, Confidence.PROXY, calibrate=True
-        )
-        if guidance_rating is not None:
-            self._emit_rating(guidance_rating)
-
+        self._verify_pose(update.snapshot, Confidence.PROXY, client=state)
         state.last_snapshot = update.snapshot
         state.remember(update.snapshot)
         self.known[sender] = update.snapshot
-
-        if self.config.relax_first_hop:
-            return  # publisher already sent directly; we only verified
-        for subscriber in state.table.interest_subscribers(self.current_frame):
-            if subscriber not in (sender, self.player_id):
-                self._transmit(update, subscriber)
-                self.metrics.count_forwarded_message()
+        if not self.config.relax_first_hop:  # else the publisher sent directly
+            self._relay(update, state.table.interest_subscribers(self.current_frame))
 
     def _consume_state_update(self, update: StateUpdate) -> None:
         """Subscriber side: measure age, refresh view, verify."""
         sender = update.sender_id
-        self.membership.heard_from(sender, self.current_frame)
-        self._record_age("state", update.frame)
-        previous = self.known.get(sender)
-        if previous is None or previous.frame <= update.frame:
-            self.known[sender] = update.snapshot
-        confidence = self._confidence_about(sender)
-        rating = self.position_verifier.observe(
-            self.player_id, update.snapshot, confidence
-        )
-        if rating is not None:
-            self._emit_rating(rating)
-        aim_rating = self.aim_verifier.observe(
-            self.player_id, update.snapshot, confidence
-        )
-        if aim_rating is not None:
-            self._emit_rating(aim_rating)
+        self._refresh_view("state", sender, update.frame, update.snapshot)
+        self._verify_pose(update.snapshot, self._confidence_about(sender))
+
+    def _verify_pose(
+        self,
+        snapshot: AvatarSnapshot,
+        confidence: float,
+        *,
+        aim: bool = True,
+        client: _ClientState | None = None,
+    ) -> None:
+        """The per-update verifier chain: position, aim, guidance deviation.
+
+        One chain for both vantage points.  A proxy passes its ``client``
+        record: suspicious verdicts then also count toward the client's
+        handoff summary, and the action-repetition replay check (which
+        needs the unbroken first-hop stream) runs when configured.
+        Position-only snapshots carry no orientation, so ``aim`` is off.
+        """
+        verdicts = [self.position_verifier.observe(self.player_id, snapshot, confidence)]
+        if aim:
+            verdicts.append(
+                self.aim_verifier.observe(self.player_id, snapshot, confidence)
+            )
+        if client is not None and self.action_repetition_verifier is not None:
+            replay = self.action_repetition_verifier.observe(
+                self.player_id, snapshot, confidence
+            )
+            if replay is not None and replay.suspicious:
+                verdicts.append(replay)
+        for rating in verdicts:
+            if rating is not None:
+                self._emit_rating(rating)
+                if client is not None and rating.suspicious:
+                    client.suspicion_flags += 1
         guidance_rating = self.guidance_verifier.observe_position(
-            self.player_id, update.snapshot, confidence, calibrate=True
+            self.player_id, snapshot, confidence, calibrate=True
         )
         if guidance_rating is not None:
             self._emit_rating(guidance_rating)
 
+    def _refresh_view(
+        self, kind: str, sender: int, frame: int, snapshot: AvatarSnapshot
+    ) -> None:
+        """Subscriber side of every tier: heartbeat, age sample, view merge."""
+        self.membership.heard_from(sender, self.current_frame)
+        self.metrics.record_age(kind, max(0, self.current_frame - frame))
+        self._merge_known(sender, frame, snapshot)
+
+    def _merge_known(self, sender: int, frame: int, snapshot: AvatarSnapshot) -> None:
+        """Last writer wins, by frame stamp: a late arrival never rolls a
+        view back (what makes the ``known`` handlers commute)."""
+        previous = self.known.get(sender)
+        if previous is None or previous.frame <= frame:
+            self.known[sender] = snapshot
+
+    def _relay(self, message: GameMessage, audience: Iterable[int]) -> None:
+        """Proxy fan-out: forward a client's message to ``audience``, minus
+        the client himself and me."""
+        for destination in audience:
+            if destination != message.sender_id and destination != self.player_id:
+                self._transmit(message, destination)
+                self.metrics.count_forwarded_message()
+
+    def _broadcast(
+        self, message: GameMessage, skip: Iterable[int] = ()
+    ) -> None:
+        """Send directly to every current roster member but me (and ``skip``)."""
+        for destination in self.membership.current_roster():
+            if destination != self.player_id and destination not in skip:
+                self._transmit(message, destination)
+
     # -- guidance ------------------------------------------------------------
 
     # repro-mc: commutes[known] -- per-sender LWW merge, frame-stamp guarded
-    def _on_guidance(self, src: int, message: GuidanceMessage) -> None:
+    def _on_guidance(self, message: GuidanceMessage, first_hop: bool) -> None:
         sender = message.sender_id
         if sender == self.player_id:
             return
-        if src == sender and self._accepts_first_hop_from(sender):
+        if first_hop:
             state = self._client_state(sender)
             state.last_snapshot = message.snapshot
             self.known[sender] = message.snapshot
-            self.guidance_verifier.observe_guidance(sender, message.prediction)
-            if self.config.relax_first_hop:
-                return
-            for subscriber in state.table.vision_subscribers(self.current_frame):
-                if subscriber not in (sender, self.player_id):
-                    self._transmit(message, subscriber)
-                    self.metrics.count_forwarded_message()
-            return
-        self.membership.heard_from(sender, self.current_frame)
-        self._record_age("guidance", message.frame)
-        previous = self.known.get(sender)
-        if previous is None or previous.frame <= message.frame:
-            self.known[sender] = message.snapshot
+            if not self.config.relax_first_hop:  # else the publisher sent directly
+                self._relay(
+                    message, state.table.vision_subscribers(self.current_frame)
+                )
+        else:
+            self._refresh_view("guidance", sender, message.frame, message.snapshot)
         self.guidance_verifier.observe_guidance(sender, message.prediction)
 
     # -- infrequent position updates ---------------------------------------
 
     # repro-mc: commutes[known] -- per-sender LWW merge, frame-stamp guarded
-    def _on_position_update(self, src: int, message: PositionUpdate) -> None:
+    def _on_position_update(self, message: PositionUpdate, first_hop: bool) -> None:
         sender = message.sender_id
         if sender == self.player_id:
             return
-        if src == sender and self._accepts_first_hop_from(sender):
+        if first_hop:
             # First-hop traffic is itself a heartbeat: the forwarding
             # proxy must not keep silence evidence armed against a client
             # it is actively relaying for.
             self.membership.heard_from(sender, self.current_frame)
-            state = self._client_state(sender)
-            audience = self._others_audience(sender, state)
-            for destination in audience:
-                self._transmit(message, destination)
-                self.metrics.count_forwarded_message()
+            self._relay(
+                message, self._others_audience(sender, self._client_state(sender))
+            )
             return
-        self.membership.heard_from(sender, self.current_frame)
-        self._record_age("position", message.frame)
+        snapshot = message.snapshot
         previous = self.known.get(sender)
-        if previous is None:
-            self.known[sender] = message.snapshot
-        elif previous.frame <= message.frame:
+        if previous is not None:
             # Merge: position updates carry only identity/position — keep
             # the richer fields from whatever we knew before.
-            self.known[sender] = dataclass_replace(
+            snapshot = dataclass_replace(
                 previous,
                 frame=message.frame,
-                position=message.snapshot.position,
-                alive=message.snapshot.alive,
+                position=snapshot.position,
+                alive=snapshot.alive,
             )
-        rating = self.position_verifier.observe(
-            self.player_id, message.snapshot, self._confidence_about(sender)
+        self._refresh_view("position", sender, message.frame, snapshot)
+        self._verify_pose(
+            message.snapshot, self._confidence_about(sender), aim=False
         )
-        if rating is not None:
-            self._emit_rating(rating)
-        guidance_rating = self.guidance_verifier.observe_position(
-            self.player_id,
-            message.snapshot,
-            self._confidence_about(sender),
-            calibrate=True,
-        )
-        if guidance_rating is not None:
-            self._emit_rating(guidance_rating)
 
     def _others_audience(self, sender: int, state: _ClientState) -> list[int]:
         """Everyone outside the sender's IS/VS subscriber lists.
@@ -1714,44 +1421,43 @@ class WatchmenNode:
         return [
             player
             for player in self.roster
-            if player not in (sender, self.player_id)
-            and player not in interest
-            and player not in vision
+            if player not in interest and player not in vision
         ]
 
     # -- subscriptions ----------------------------------------------------------
 
     # repro-mc: commutes[table] -- expiry-refresh inserts; IS-supersedes-VS
     # resolves the same way in either order
-    def _on_subscription(self, src: int, request: SubscriptionRequest) -> None:
+    def _on_subscription(
+        self, src: int, request: SubscriptionRequest, first_hop: bool
+    ) -> None:
         sender = request.sender_id
         if request.target_id == sender:
             return
-        if src == sender:
-            # Stage 1: I should be the sender's proxy — verify, then relay.
-            if not self._accepts_first_hop_from(sender):
-                return
-            self._verify_subscription(request)
-            epoch = self.config.epoch_of_frame(self.current_frame)
-            try:
-                # Relay to the candidate actually serving the target.
-                target_proxy = self._live_proxy_of(
-                    request.target_id, epoch, self.current_frame
-                )
-            except KeyError:
-                # Target already evicted from the roster (the game world
-                # may lag membership); nothing to relay to.
-                return
-            if target_proxy == self.player_id:
+        epoch = self.current_epoch
+        if src != sender:
+            # Stage 2: I should be the target's proxy — record the subscriber.
+            if self._serves(request.target_id, epoch):
                 self._register_subscription(request)
-            else:
-                self._transmit(request, target_proxy)
-                self.metrics.count_forwarded_message()
             return
-        # Stage 2: I should be the target's proxy — record the subscriber.
-        epoch = self.config.epoch_of_frame(self.current_frame)
-        if self._serves(request.target_id, epoch):
+        # Stage 1: I should be the sender's proxy — verify, then relay.
+        if not first_hop:
+            return
+        self._verify_subscription(request)
+        try:
+            # Relay to the candidate actually serving the target.
+            target_proxy = self._live_proxy_of(
+                request.target_id, epoch, self.current_frame
+            )
+        except KeyError:
+            # Target already evicted from the roster (the game world
+            # may lag membership); nothing to relay to.
+            return
+        if target_proxy == self.player_id:
             self._register_subscription(request)
+        else:
+            self._transmit(request, target_proxy)
+            self.metrics.count_forwarded_message()
 
     def _verify_subscription(self, request: SubscriptionRequest) -> None:
         # Judge against the subscriber's pose at (or just after) the frame
@@ -1792,53 +1498,18 @@ class WatchmenNode:
 
     # -- kill claims -------------------------------------------------------------
 
-    def _on_kill_claim(self, src: int, claim: KillClaim) -> None:
+    def _on_kill_claim(self, claim: KillClaim, first_hop: bool) -> None:
         sender = claim.sender_id
-        if src == sender and self._accepts_first_hop_from(sender):
+        if first_hop:
             self._judge_kill_claim(claim, Confidence.PROXY)
-            state = self._client_state(sender)
-            witnesses = state.table.interest_subscribers(
-                self.current_frame
-            ) | state.table.vision_subscribers(self.current_frame)
-            for witness in witnesses:
-                if witness not in (sender, self.player_id):
-                    self._transmit(claim, witness)
-                    self.metrics.count_forwarded_message()
-            return
-        self._judge_kill_claim(claim, self._confidence_about(sender))
+            self._relay(claim, self._witnesses_of(sender))
+        else:
+            self._judge_kill_claim(claim, self._confidence_about(sender))
 
-    def _on_projectile_spawn(self, src: int, spawn: ProjectileSpawn) -> None:
+    def _on_projectile_spawn(self, spawn: ProjectileSpawn, first_hop: bool) -> None:
         sender = spawn.sender_id
         if sender == self.player_id:
             return
-        if src == sender and self._accepts_first_hop_from(sender):
-            rating = self.projectiles.verify_spawn(
-                self.player_id,
-                spawn.frame,
-                sender,
-                spawn.weapon,
-                spawn.origin,
-                spawn.velocity,
-                self.known.get(sender),
-                Confidence.PROXY,
-            )
-            self._emit_rating(rating)
-            if rating.suspicious:
-                self._client_state(sender).suspicion_flags += 1
-            self.projectiles.record(
-                sender, spawn.frame, spawn.weapon, spawn.origin, spawn.velocity
-            )
-            # Witnesses (the client's subscribers) also track the object.
-            state = self._client_state(sender)
-            witnesses = state.table.interest_subscribers(
-                self.current_frame
-            ) | state.table.vision_subscribers(self.current_frame)
-            for witness in witnesses:
-                if witness not in (sender, self.player_id):
-                    self._transmit(spawn, witness)
-                    self.metrics.count_forwarded_message()
-            return
-        # Witness side: record for later kill-claim corroboration.
         rating = self.projectiles.verify_spawn(
             self.player_id,
             spawn.frame,
@@ -1847,18 +1518,31 @@ class WatchmenNode:
             spawn.origin,
             spawn.velocity,
             self.known.get(sender),
-            self._confidence_about(sender),
+            Confidence.PROXY if first_hop else self._confidence_about(sender),
         )
-        if rating.suspicious:
+        # The proxy's verdict always goes on record; a witness reports
+        # only what looks wrong.
+        if first_hop or rating.suspicious:
             self._emit_rating(rating)
+        if first_hop and rating.suspicious:
+            self._client_state(sender).suspicion_flags += 1
+        # Recorded for later kill-claim corroboration.
         self.projectiles.record(
             sender, spawn.frame, spawn.weapon, spawn.origin, spawn.velocity
         )
+        if first_hop:
+            # Witnesses (the client's subscribers) also track the object.
+            self._relay(spawn, self._witnesses_of(sender))
+
+    def _witnesses_of(self, client_id: int) -> set[int]:
+        """A client's IS and VS subscribers: who sees his shots land."""
+        table = self._client_state(client_id).table
+        return table.interest_subscribers(
+            self.current_frame
+        ) | table.vision_subscribers(self.current_frame)
 
     def _judge_kill_claim(self, claim: KillClaim, confidence: float) -> None:
-        from repro.game.weapons import WEAPONS as _WEAPONS
-
-        spec = _WEAPONS.get(claim.weapon)
+        spec = WEAPONS.get(claim.weapon)
         if spec is not None and spec.projectile_speed is not None:
             self._deferred_claims.append((self.current_frame + 4, claim, confidence))
             return
@@ -1893,20 +1577,11 @@ class WatchmenNode:
         if not self.schedule.verify_route(
             client_id, message.epoch, message.sender_id, self._failover_depth
         ):
-            self._emit_rating(
-                CheatRating(
-                    verifier_id=self.player_id,
-                    subject_id=message.sender_id,
-                    frame=self.current_frame,
-                    check=CheckKind.RATE,
-                    rating=10.0,
-                    confidence=Confidence.PROXY,
-                    deviation=1.0,
-                    detail="handoff from a node that was not the proxy",
-                )
+            self._rate_violation(
+                message.sender_id, 10.0, "handoff from a node that was not the proxy"
             )
             return
-        if not self._serves(client_id, self.config.epoch_of_frame(self.current_frame)):
+        if not self._serves(client_id, self.current_epoch):
             return
         state = self._client_state(client_id)
         state.table.import_sets(
@@ -1916,22 +1591,18 @@ class WatchmenNode:
         )
         state.predecessor_summaries = message.summaries
         if message.summaries and message.summaries[0].last_snapshot is not None:
-            state.last_snapshot = message.summaries[0].last_snapshot
-            existing = self.known.get(client_id)
             incoming = message.summaries[0].last_snapshot
-            if existing is None or existing.frame <= incoming.frame:
-                self.known[client_id] = incoming
+            state.last_snapshot = incoming
+            self._merge_known(client_id, incoming.frame, incoming)
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
 
     def _is_proxy_of(self, player_id: int) -> bool:
-        epoch = self.config.epoch_of_frame(self.current_frame)
-        try:
-            return self.schedule.proxy_of(player_id, epoch) == self.player_id
-        except KeyError:
-            return False
+        return self.schedule.verify_proxy(
+            player_id, self.current_epoch, self.player_id
+        )
 
     def _accepts_first_hop_from(self, player_id: int) -> bool:
         """Was I this player's proxy recently enough to accept his traffic?
@@ -1941,7 +1612,7 @@ class WatchmenNode:
         instead of flagging an honest sender.  With failover enabled a
         verifiable stand-in candidate also accepts first-hop traffic.
         """
-        epoch = self.config.epoch_of_frame(self.current_frame)
+        epoch = self.current_epoch
         return self._serves(player_id, epoch) or (
             epoch > 0
             and self.schedule.verify_proxy(player_id, epoch - 1, self.player_id)
@@ -1965,9 +1636,6 @@ class WatchmenNode:
 
     def _transmit(self, message: GameMessage, destination: int) -> None:
         """Sign and send through the behaviour hooks and the transport."""
-        if destination == self.player_id:
-            self.on_message(self.player_id, message)
-            return
         for out_message, out_destination in self.behaviour.filter_outgoing(
             self.current_frame, message, destination
         ):
@@ -1975,12 +1643,15 @@ class WatchmenNode:
 
     def _transmit_unfiltered(self, message: GameMessage, destination: int) -> None:
         """Sign and send without re-applying the behaviour's filter."""
-        if destination == self.player_id:
-            self.on_message(self.player_id, message)
-            return
         signed = self._signed(message)
-        if self.config.resilient and isinstance(signed, ACKABLE_TYPES):
-            self._register_pending(signed, destination)
+        if destination == self.player_id:
+            # Loopback.  One caller gets here: ``_drive_retries`` re-aiming
+            # a stage-2 subscription relay or a handoff at the live
+            # stand-in for a dead proxy, when that stand-in is me.  The
+            # (already signed) message takes the ordinary receive path.
+            self.on_message(self.player_id, signed)
+            return
+        self._acks.track(signed, destination, self.current_frame)
         # Charge what actually crosses the wire: the canonical binary
         # frame.  The nominal bit model (message_size_bits) survives as
         # the paper-arithmetic cross-check in the crypto_overhead bench.
@@ -1993,21 +1664,37 @@ class WatchmenNode:
         # Sign with *our own* key: a node claiming another sender_id
         # (spoofing) produces a signature that fails verification at the
         # receiver, which is exactly how the paper defeats spoofing.
-        signature = self.signer.sign(self.player_id, signable_bytes(message))
-        return type(message)(
-            **{
-                name: getattr(message, name)
-                for name in message.__dataclass_fields__
-                if name != "signature"
-            },
-            signature=signature,
+        return dataclass_replace(
+            message,
+            signature=self.signer.sign(self.player_id, signable_bytes(message)),
         )
-
-    def _record_age(self, kind: str, stamped_frame: int) -> None:
-        age = max(0, self.current_frame - stamped_frame)
-        self.metrics.record_age(kind, age)
 
     def _emit_rating(self, rating: CheatRating) -> None:
         self.metrics.record_rating(rating)
         if self._rating_sink is not None:
             self._rating_sink(rating)
+
+    def _rate_violation(
+        self,
+        subject_id: int,
+        rating: float,
+        detail: str,
+        *,
+        confidence: float = Confidence.PROXY,
+        deviation: float = 1.0,
+    ) -> None:
+        """Rate a protocol violation: not a game-state check but a breach
+        of the message discipline itself (all file under ``CheckKind.RATE``,
+        stamped with the current frame)."""
+        self._emit_rating(
+            CheatRating(
+                verifier_id=self.player_id,
+                subject_id=subject_id,
+                frame=self.current_frame,
+                check=CheckKind.RATE,
+                rating=rating,
+                confidence=confidence,
+                deviation=deviation,
+                detail=detail,
+            )
+        )

@@ -35,7 +35,7 @@ from repro.game.interest import LosCache
 from repro.game.trace import GameTrace, ShotEvent
 from repro.net.events import EventQueue
 from repro.net.latency import LatencyMatrix, king_like
-from repro.net.transport import Datagram, DatagramNetwork, NetworkConfig
+from repro.net.transport import DatagramNetwork, NetworkConfig
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.stats import nearest_rank
 
@@ -235,58 +235,38 @@ class WatchmenSession:
                     seed=faults.seed + player_id,
                 )
         self.nodes: dict[int, WatchmenNode] = {}
-        for player_id in roster:
+        for node_id in roster + self.server_ids:
+            behaviour = behaviours.get(node_id)
             node = WatchmenNode(
-                player_id=player_id,
+                player_id=node_id,
                 roster=roster,
                 game_map=self.game_map,
                 config=self.config,
                 schedule=self.schedule,
                 signer=self.signer,
                 send=self.network.send,
-                behaviour=behaviours.get(player_id),
+                behaviour=behaviour,
                 rating_sink=self.reputation.submit_rating,
+                is_server=node_id in self.server_ids,
                 registry=self.obs,
                 los_cache=self.los_cache,
             )
-            behaviour = behaviours.get(player_id)
             if isinstance(behaviour, ByzantineBehaviour):
                 behaviour.bind(node)
-            if self.config.byzantine_hardening:
+            # Seed frame-0 knowledge: FPS "players are usually aware of all
+            # entities of the game" when the match starts.
+            node.known = dict(trace.frames[0])
+            if not node.is_server:
                 # Protocol-layer rejections (tamper, quarantine) flow into
                 # the transport's unified drop books so messages_lost and
                 # dropped_by_cause stay one coherent account.
                 node.protocol_drop = self.network.count_protocol_drop
-            # Seed frame-0 knowledge: FPS "players are usually aware of all
-            # entities of the game" when the match starts.
-            node.known = dict(trace.frames[0])
-            node.audience_oracle = self._audience_oracle_for(player_id)
-            node.own_future = self._future_oracle_for(player_id)
-            self.nodes[player_id] = node
+                node.audience_oracle = self._audience_oracle_for(node_id)
+                node.own_future = self._future_oracle_for(node_id)
+            self.nodes[node_id] = node
             self.network.register(
-                player_id,
-                lambda datagram, n=node: self._deliver(n, datagram),
-            )
-
-        for server_id in self.server_ids:
-            server_node = WatchmenNode(
-                player_id=server_id,
-                roster=roster,
-                game_map=self.game_map,
-                config=self.config,
-                schedule=self.schedule,
-                signer=self.signer,
-                send=self.network.send,
-                rating_sink=self.reputation.submit_rating,
-                is_server=True,
-                registry=self.obs,
-                los_cache=self.los_cache,
-            )
-            server_node.known = dict(trace.frames[0])
-            self.nodes[server_id] = server_node
-            self.network.register(
-                server_id,
-                lambda datagram, n=server_node: self._deliver(n, datagram),
+                node_id,
+                lambda datagram, n=node: n.on_message(datagram.src, datagram.payload),
             )
 
         self._kills_by_frame: dict[int, list] = {}
@@ -297,13 +277,6 @@ class WatchmenSession:
             self._shots_by_frame.setdefault(shot.frame, []).append(shot)
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _deliver(node: WatchmenNode, datagram: Datagram) -> None:
-        payload = datagram.payload
-        if isinstance(payload, tuple):  # defensive: no tuple payloads expected
-            raise TypeError("unexpected tuple payload")
-        node.on_message(datagram.src, payload)  # type: ignore[arg-type]
 
     def _future_oracle_for(
         self, player_id: int

@@ -277,6 +277,9 @@ class ByzantineBehaviour:
                 result.append((msg, dest))
         return result
 
+    def observe_incoming(self, frame: int, src: int, message: GameMessage) -> None:
+        self.inner.observe_incoming(frame, src, message)
+
     def extra_messages(self, frame: int) -> list[tuple[GameMessage, int]]:
         extras = list(self.inner.extra_messages(frame))
         node = self._node

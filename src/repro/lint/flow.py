@@ -30,8 +30,12 @@ __all__ = ["run_flow_rules", "FULL_STATE_TYPES", "REDUCTION_HELPERS"]
 #: Message types carrying full (IS-tier) state.
 FULL_STATE_TYPES = frozenset({"StateUpdate", "FullUpdate"})
 
-#: The transmit primitives a message can physically leave a node through.
-TRANSMIT_NAMES = frozenset({"_transmit", "_transmit_unfiltered", "_send_raw", "send"})
+#: The transmit primitives a message can physically leave a node through,
+#: plus the node's fan-out wrappers over them (message first, like
+#: ``_transmit``): a relay or broadcast *is* a send to the F/S/M rules.
+TRANSMIT_NAMES = frozenset(
+    {"_transmit", "_transmit_unfiltered", "_send_raw", "send", "_relay", "_broadcast"}
+)
 
 #: Reduced-resolution message type -> the payload field that must be reduced.
 REDUCED_MESSAGES = {"PositionUpdate": "snapshot", "GuidanceMessage": "prediction"}

@@ -25,6 +25,7 @@ from __future__ import annotations
 import ast
 
 from repro.lint.callgraph import CallGraph, FunctionInfo
+from repro.lint.flow import TRANSMIT_NAMES
 from repro.lint.violations import Violation
 
 __all__ = ["run_routing_rules", "SANCTIONED_EGRESS"]
@@ -41,11 +42,6 @@ _SINK_ARITY = 4
 SANCTIONED_EGRESS = frozenset({"repro.core.node.WatchmenNode._transmit_unfiltered"})
 
 _PROXY_MODULE_PREFIX = "repro.core.proxy."
-
-#: Transmit wrappers a handler would reply through.
-_TRANSMIT_NAMES = frozenset(
-    {"_transmit", "_transmit_unfiltered", "_send_raw", "send"}
-)
 
 _HANDLER_EXACT = frozenset({"on_message", "_dispatch_message"})
 _HANDLER_PREFIXES = ("_on_", "_handle_")
@@ -153,7 +149,7 @@ def _check_r502(
             if isinstance(node.func, ast.Name)
             else None
         )
-        if name not in _TRANSMIT_NAMES:
+        if name not in TRANSMIT_NAMES:
             continue
         destination = _destination_argument(node)
         if (

@@ -217,7 +217,8 @@ class TapeScenario:
         return schedule
 
     def with_chaos_flags(self) -> "TapeScenario":
-        """Adopt the named chaos scenario's failover/reliability/hardening."""
+        """Adopt the named chaos scenario's failover/reliability/hardening,
+        and its bursty (Gilbert–Elliott) loss model when it asks for one."""
         if self.chaos is None:
             return self
         entry = self._chaos_entry()
@@ -226,6 +227,7 @@ class TapeScenario:
             failover=entry.resilient,
             reliable=entry.resilient,
             hardening=entry.hardening,
+            loss_model="gilbert-elliott" if entry.burst_loss else self.loss_model,
         )
 
     def make_latency(self, size: int) -> LatencyMatrix:

@@ -30,7 +30,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import WatchmenSession
-from repro.core import node as node_module
+from repro.core import delivery as delivery_module
 from repro.core.config import (
     BYZANTINE_QUARANTINE_FRAMES,
     BYZANTINE_QUARANTINE_STRIKES,
@@ -176,8 +176,8 @@ class TestWatermarkEviction:
         harness = Harness()
         harness.tick(0)
         node = self._flood_sequences(harness, 1, 0, 4200)
-        assert node._seen_watermark[0] == 2048
-        seen = node._seen_sequences[0]
+        assert node._window.watermark[0] == 2048
+        seen = node._window.seen[0]
         assert min(seen) == 2049 and max(seen) == 4199
         assert len(seen) <= 4096
 
@@ -198,7 +198,7 @@ class TestWatermarkEviction:
         assert node.metrics.replayed_messages == before_replays + 1
         assert ratings_with(node, "replayed sequence 100") == []
         # Not reprocessed either: the sequence stays evicted, not re-seen.
-        assert 100 not in node._seen_sequences[0]
+        assert 100 not in node._window.seen[0]
 
     def test_tracked_replay_still_rates_with_gates_off(self):
         """Contrast: a *tracked* duplicate with all gates off still rates."""
@@ -211,17 +211,17 @@ class TestWatermarkEviction:
     def test_eviction_purges_equivocation_archive_in_lockstep(self, monkeypatch):
         # Rate limits lifted: this test floods sequences on purpose and
         # is about archive GC, not the flood defense.
-        monkeypatch.setattr(node_module, "BYZANTINE_RATE_MSGS_PER_FRAME", 100_000)
-        monkeypatch.setattr(node_module, "BYZANTINE_RATE_BURST", 100_000)
+        monkeypatch.setattr(delivery_module, "BYZANTINE_RATE_MSGS_PER_FRAME", 100_000)
+        monkeypatch.setattr(delivery_module, "BYZANTINE_RATE_BURST", 100_000)
         harness = Harness(config=hardened())
         harness.tick(0)
         proxy = harness.schedule.proxy_of(0, 0)
         node = harness.nodes[proxy]
         for sequence in range(4200):
             node.on_message(0, harness.signed_state(0, sequence))
-        archive = node._update_archive[0]
+        archive = node._window.archive[0]
         assert archive, "hardening must archive first-seen updates"
-        assert min(archive) > node._seen_watermark[0]
+        assert min(archive) > node._window.watermark[0]
 
 
 # ---- satellite 3: envelope adversarial edges ------------------------------
@@ -483,7 +483,7 @@ class TestRateLimitQuarantine:
         before = len(drops)
         node.on_message(2, harness.signed_position(2, 900))
         assert len(drops) == before
-        assert node._quarantined_until == {}
+        assert node._hops.quarantined_until == {}
         assert len(node.quarantine_events) == 1
 
     def test_honest_pacing_never_strikes(self):
@@ -498,7 +498,7 @@ class TestRateLimitQuarantine:
                 node.on_message(2, harness.signed_position(2, sequence, frame))
                 sequence += 1
         assert node.quarantine_events == []
-        assert node._rate_strikes.get(2, 0) == 0
+        assert node._hops.strikes.get(2, 0) == 0
 
     def test_own_loopback_traffic_exempt(self):
         harness = Harness(config=hardened())

@@ -113,3 +113,17 @@ class TestScenarioMapping:
         config = scenario.make_config()
         assert config.resilient is False
         assert config.byzantine_hardening is True
+
+    def test_chaos_flags_adopt_the_bursty_loss_model(self):
+        # a taped burst_loss_5pct used to run i.i.d. loss while `repro chaos`
+        # ran the same scenario name under Gilbert–Elliott
+        scenario = TapeScenario(
+            players=6, frames=40, seed=1, chaos="burst_loss_5pct"
+        ).with_chaos_flags()
+        assert scenario.loss_model == "gilbert-elliott"
+        game_map = scenario.make_map()
+        session = scenario.make_session(scenario.make_trace(game_map), game_map=game_map)
+        assert session.network.config.loss_model == "gilbert-elliott"
+        # scenarios that do not ask for bursts keep whatever the caller set
+        crash = TapeScenario(players=6, frames=40, seed=1, chaos="crash_10pct")
+        assert crash.with_chaos_flags().loss_model == "iid"

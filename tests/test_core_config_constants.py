@@ -195,3 +195,65 @@ class TestEveryKnobHasACaller:
     def test_field_budget(self):
         assert len(dataclasses.fields(WatchmenConfig)) <= 14
         assert len(dataclasses.fields(NetworkConfig)) <= 4
+
+
+# -- mode-gate guard ------------------------------------------------------------
+
+#: ``resilient`` / ``byzantine_hardening`` switch *mechanisms* on in
+#: ``WatchmenNode.__init__`` (failover depth, ack ledger, sequence archive,
+#: hop limiter — each built inert otherwise).  What may still read the flags
+#: afterwards is policy: the proxy-liveness drive, the starvation scan,
+#: tamper-hop blame, silent duplicate screening, evidence acceptance and the
+#: ack-withhold rating.  The bound only ratchets down.
+MODE_GATE_READ_BUDGET = 6
+MODE_GATES = {"resilient", "byzantine_hardening"}
+
+
+def _gate_reads(tree: ast.AST) -> list[ast.Attribute]:
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in MODE_GATES
+        and isinstance(node.ctx, ast.Load)
+    ]
+
+
+class TestModeGatesAreResolvedAtConstruction:
+    def _node_class(self) -> ast.ClassDef:
+        tree = ast.parse((SRC / "core" / "node.py").read_text())
+        return next(
+            node
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "WatchmenNode"
+        )
+
+    def test_gate_reads_outside_init_stay_within_budget(self):
+        reads = [
+            (method.name, read.lineno)
+            for method in self._node_class().body
+            if isinstance(method, ast.FunctionDef) and method.name != "__init__"
+            for read in _gate_reads(method)
+        ]
+        assert len(reads) <= MODE_GATE_READ_BUDGET, (
+            f"{len(reads)} reads of config.resilient/byzantine_hardening outside "
+            f"WatchmenNode.__init__ (budget {MODE_GATE_READ_BUDGET}): {reads} — "
+            "build the mechanism inert in __init__ instead of forking at the call site"
+        )
+
+    def test_init_does_not_park_a_gate_on_an_attribute(self):
+        # ``self._hardened = config.byzantine_hardening`` branched on at the
+        # old call site is the same fork with one more name
+        init = next(
+            method
+            for method in self._node_class().body
+            if isinstance(method, ast.FunctionDef) and method.name == "__init__"
+        )
+        parked = [
+            ast.unparse(node)
+            for node in ast.walk(init)
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr in MODE_GATES
+        ]
+        assert parked == []

@@ -217,23 +217,65 @@ class TestF402:
         assert violations == []
 
 
+def real_tree(mutate_node=None):
+    """(call graph, sources) of src/repro, core/node.py optionally rewritten."""
+    import pathlib
+
+    from repro.lint.callgraph import module_name_for
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    parsed = []
+    sources = {}
+    for file in sorted((root / "src" / "repro").rglob("*.py")):
+        rel = file.relative_to(root).as_posix()
+        name = module_name_for(rel)
+        if name is None:
+            continue
+        text = file.read_text()
+        if mutate_node is not None and rel == "src/repro/core/node.py":
+            text = mutate_node(text)
+        parsed.append(ParsedModule(module=name, path=rel, tree=ast.parse(text)))
+        sources[rel] = text.splitlines()
+    return build_call_graph(parsed), sources
+
+
 class TestRealTreeIsClean:
     def test_no_flow_violations_in_repo(self):
-        import pathlib
+        assert run_flow_rules(*real_tree()) == []
 
-        from repro.lint.callgraph import module_name_for
 
-        root = pathlib.Path(__file__).resolve().parent.parent
-        parsed = []
-        sources = {}
-        for file in sorted((root / "src" / "repro").rglob("*.py")):
-            rel = file.relative_to(root).as_posix()
-            name = module_name_for(rel)
-            if name is None:
-                continue
-            text = file.read_text()
-            parsed.append(
-                ParsedModule(module=name, path=rel, tree=ast.parse(text))
-            )
-            sources[rel] = text.splitlines()
-        assert run_flow_rules(build_call_graph(parsed), sources) == []
+class TestF402IsNotSubsumedByS703:
+    """S703 tracks *known* exact sources; F402 denies by default.
+
+    The audit docs/STATIC_ANALYSIS.md records: S703 catches every F402
+    finding whose payload it can trace to an ``AvatarSnapshot``-typed
+    value, and misses the ones that come from anywhere else — so F402
+    stays.  This is also F402's real-tree mutation test.
+    """
+
+    GUIDANCE = "prediction=self._guidance_prediction(frame, snapshot),"
+
+    def _rules_fired(self, replacement: str) -> tuple[list[str], list[str]]:
+        from repro.lint.taint import run_taint_rules
+
+        def mutate(text: str) -> str:
+            assert self.GUIDANCE in text
+            return text.replace(self.GUIDANCE, replacement)
+
+        graph, sources = real_tree(mutate)
+        f402 = [v.rule for v in run_flow_rules(graph, sources) if v.rule == "F402"]
+        s703 = [
+            v.rule for v in run_taint_rules(graph, sources)[0] if v.rule == "S703"
+        ]
+        return f402, s703
+
+    def test_typed_snapshot_payload_trips_both(self):
+        assert self._rules_fired("prediction=snapshot,") == (["F402"], ["S703"])
+
+    def test_untyped_exact_source_trips_only_f402(self):
+        # own_future is an untyped oracle returning the player's *exact*
+        # upcoming snapshot: no source S703 knows, but not a reduction either
+        assert self._rules_fired("prediction=self.own_future(frame),") == (
+            ["F402"],
+            [],
+        )

@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
 import pytest
 
-from repro.lint.callgraph import ParsedModule, build_call_graph, module_name_for
+from repro.lint.callgraph import ParsedModule, build_call_graph
 from repro.lint.taint import run_taint_rules
+from tests.test_lint_flow import real_tree
 
 pytestmark = pytest.mark.lint
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def taint_violations(*modules: tuple[str, str]):
@@ -312,22 +310,7 @@ def real_tree_violations(mutate=None):
     ``mutate`` (optional) rewrites the source text of core/node.py before
     parsing — the mutation-acceptance fixture hook.
     """
-    program_root = REPO_ROOT / "src" / "repro"
-    modules: list[ParsedModule] = []
-    sources: dict[str, list[str]] = {}
-    for file in sorted(program_root.rglob("*.py")):
-        rel = file.relative_to(REPO_ROOT).as_posix()
-        text = file.read_text(encoding="utf-8")
-        if mutate is not None and rel == "src/repro/core/node.py":
-            text = mutate(text)
-        module = module_name_for(rel)
-        if module is None:
-            continue
-        modules.append(
-            ParsedModule(module=module, path=rel, tree=ast.parse(text))
-        )
-        sources[rel] = text.splitlines()
-    violations, _stats = run_taint_rules(build_call_graph(modules), sources)
+    violations, _stats = run_taint_rules(*real_tree(mutate))
     return violations
 
 
