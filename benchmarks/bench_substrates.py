@@ -44,10 +44,11 @@ def test_network_send_deliver(benchmark):
     )
     for node in range(16):
         network.register(node, lambda datagram: None)
+    datagram = bytes(120)
 
     def burst():
         for i in range(100):
-            network.send(i % 16, (i + 1) % 16, "payload", 120)
+            network.send(i % 16, (i + 1) % 16, datagram)
         queue.run()
 
     benchmark(burst)

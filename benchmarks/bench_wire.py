@@ -8,7 +8,13 @@ bandwidth story the scalability numbers rest on:
   on the wire, which must stay within 2x the paper's 1024-bit figure;
 - ``mean_bytes.<MessageType>`` — per-type mean binary frame size
   (deterministic for the pinned scenario, so the bench-diff gate pins
-  the codec's framing byte-for-byte).
+  the codec's framing byte-for-byte);
+- ``encodes_per_send`` — frames produced by encoding (one per signing,
+  plus any re-encode of a message the frame memo no longer holds) per
+  datagram sent; the ROADMAP's bytes-on-the-wire gate is <= 1.0, and a
+  relay that starts re-serialising what it forwards pushes it past that;
+- ``decodes_per_delivery`` — validating decodes per delivered datagram
+  (each distinct frame is decoded once per session, then looked up).
 
 (The 5.1x shrink over the JSON envelope this codec replaced is recorded
 in docs/PROTOCOL.md section 7.)
@@ -20,6 +26,7 @@ so the published metrics are machine-independent and the gate is exact.
 from collections import defaultdict
 
 from repro.core.wire import decode_bytes
+from repro.obs import MetricsRegistry, use_registry
 from repro.replay import TapeScenario, record_session
 
 from conftest import SMOKE, publish
@@ -29,10 +36,23 @@ FRAMES = 60
 SEED = 2013
 #: Acceptance: a signed update stays within 2x the paper's 1024 bits.
 SIGNED_UPDATE_CEILING_BITS = 2 * 1024
+#: Acceptance (ROADMAP, "Bytes on the wire"): at most one encode per send.
+ENCODES_PER_SEND_CEILING = 1.0
 
 
 def test_binary_codec_frame_sizes(results_dir):
-    tape = record_session(TapeScenario(players=PLAYERS, frames=FRAMES, seed=SEED))
+    registry = MetricsRegistry(enabled=True)
+    with use_registry(registry):
+        tape = record_session(
+            TapeScenario(players=PLAYERS, frames=FRAMES, seed=SEED)
+        )
+    counters = registry.snapshot()["counters"]
+    encodes_per_send = (
+        counters["node.frames_signed"] + counters["wire.frames.reencoded"]
+    ) / counters["net.datagrams.sent"]
+    decodes_per_delivery = (
+        counters["wire.frames.decoded"] / counters["net.datagrams.delivered"]
+    )
 
     binary_bytes: dict[str, int] = defaultdict(int)
     counts: dict[str, int] = defaultdict(int)
@@ -57,9 +77,16 @@ def test_binary_codec_frame_sizes(results_dir):
         f"= {signed_update_max * 8} bits "
         f"(paper budget 1024, gate: <= {SIGNED_UPDATE_CEILING_BITS})"
     )
+    lines.append(
+        f"encodes per send {encodes_per_send:.3f} "
+        f"(gate: <= {ENCODES_PER_SEND_CEILING}), "
+        f"decodes per delivery {decodes_per_delivery:.3f}"
+    )
 
     metrics: dict[str, float] = {
         "signed_state_update_max_bytes": float(signed_update_max),
+        "encodes_per_send": encodes_per_send,
+        "decodes_per_delivery": decodes_per_delivery,
     }
     for name in sorted(counts):
         metrics[f"mean_bytes.{name}"] = binary_bytes[name] / counts[name]
@@ -78,6 +105,10 @@ def test_binary_codec_frame_sizes(results_dir):
         metrics=metrics,
     )
 
+    assert encodes_per_send <= ENCODES_PER_SEND_CEILING, (
+        f"{encodes_per_send:.3f} encodes per send: a message is framed once, "
+        "where it is signed, and forwarded as the buffer it arrived in"
+    )
     assert signed_update_max > 0, "session recorded no signed StateUpdate"
     assert signed_update_max * 8 <= SIGNED_UPDATE_CEILING_BITS, (
         f"signed StateUpdate is {signed_update_max * 8} bits on the wire; "

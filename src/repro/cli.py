@@ -364,6 +364,19 @@ def _print_metrics_summary(snapshot: dict, wall: float) -> None:
         f"mean {gauges.get('net.upload_kbps.mean', 0.0):.0f} kbps, "
         f"max {gauges.get('net.upload_kbps.max', 0.0):.0f} kbps"
     )
+    datagrams = counters.get("net.datagrams.sent", 0)
+    decoded = counters.get("wire.frames.decoded", 0)
+    reused = counters.get("wire.frames.reused", 0)
+    if datagrams and decoded + reused:
+        encodes = counters.get("node.frames_signed", 0) + counters.get(
+            "wire.frames.reencoded", 0
+        )
+        print(
+            "wire               : "
+            f"encodes_per_send {encodes / datagrams:.3f}, "
+            f"{reused / (decoded + reused):.1%} of received frames reused "
+            f"({decoded} decoded)"
+        )
     sent = {
         name.removeprefix("net.sent.").removesuffix(".count"): value
         for name, value in counters.items()

@@ -42,8 +42,10 @@ class SequenceWindow:
     half is evicted behind a per-sender low watermark, and everything at
     or below the watermark is "seen" by fiat — eviction can never turn a
     stale retransmit into fresh (reprocessed) traffic.  First sightings
-    of the ``archived`` types are kept whole (what the equivocation
-    detector cross-checks later copies against) and purged in lockstep.
+    of the ``archived`` types are kept as the buffer that arrived (what
+    the equivocation detector cross-checks later copies against; one
+    ``bytes`` object shared by every witness, where a decoded message
+    would pin its whole snapshot graph) and purged in lockstep.
     """
 
     def __init__(self, archived: tuple[type, ...] = ()) -> None:
@@ -51,10 +53,10 @@ class SequenceWindow:
         self.seen: dict[int, set[int]] = {}
         #: per sender, the highest evicted sequence
         self.watermark: dict[int, int] = {}
-        #: per sender, sequence -> first-seen message of an archived type
-        self.archive: dict[int, dict[int, GameMessage]] = {}
+        #: per sender, sequence -> first-seen wire buffer of an archived type
+        self.archive: dict[int, dict[int, bytes]] = {}
 
-    def screen(self, message: GameMessage) -> str:
+    def screen(self, message: GameMessage, buffer: bytes) -> str:
         """Record a first sighting (``FRESH``) or classify the repeat.
 
         ``EVICTED``: the sequence was tracked once and its tombstone has
@@ -71,7 +73,7 @@ class SequenceWindow:
             return DUPLICATE
         seen.add(sequence)
         if isinstance(message, self._archived):
-            self.archive.setdefault(sender, {})[sequence] = message
+            self.archive.setdefault(sender, {})[sequence] = buffer
         if len(seen) > WINDOW_CAPACITY:  # old sequences cannot return
             kept = sorted(seen)
             watermark = kept[-(WINDOW_CAPACITY // 2) - 1]
@@ -83,8 +85,8 @@ class SequenceWindow:
                     del archive[stale]
         return FRESH
 
-    def first_seen(self, message: GameMessage) -> GameMessage | None:
-        """The archived original a tracked duplicate repeats, if any."""
+    def first_seen(self, message: GameMessage) -> bytes | None:
+        """The archived buffer a tracked duplicate repeats, if any."""
         if not isinstance(message, self._archived):
             return None
         return self.archive.get(message.sender_id, {}).get(message.sequence)
@@ -94,7 +96,8 @@ class SequenceWindow:
 class PendingSend:
     """One critical message awaiting its hop-by-hop ack."""
 
-    message: GameMessage  # already signed; retransmissions reuse the bytes
+    message: GameMessage  # what routes a retry (type, sender, sequence)
+    buffer: bytes  # what is retransmitted: the signed frame of the first send
     destination: int
     next_frame: int  # when the next retransmission fires
     attempt: int = 0  # retransmissions performed so far
@@ -116,12 +119,16 @@ class AckLedger:
         self.ackable = ackable
         self._pending: dict[tuple[int, int, int], PendingSend] = {}
 
-    def track(self, message: GameMessage, destination: int, frame: int) -> None:
+    def track(
+        self, message: GameMessage, buffer: bytes, destination: int, frame: int
+    ) -> None:
         """Start the retry clock on an ackable send (no-op for a resend)."""
         if isinstance(message, self.ackable):
             self._pending.setdefault(
                 (destination, message.sender_id, message.sequence),
-                PendingSend(message, destination, frame + ACK_RETRY_BASE_FRAMES),
+                PendingSend(
+                    message, buffer, destination, frame + ACK_RETRY_BASE_FRAMES
+                ),
             )
 
     def settle(self, src: int, ack: AckMessage) -> None:

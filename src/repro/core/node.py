@@ -14,8 +14,12 @@ One node plays all three roles of Figure 3 at once:
   verifies whatever it can see (IS/VS/other-grade confidence).
 
 Nodes never mutate each other; all communication goes through the
-datagram transport.  Cheats plug in as a :class:`NodeBehaviour` that may
-rewrite, drop, duplicate or fabricate a node's outgoing messages.
+datagram transport, as ``bytes``: a message is framed once, where it is
+signed, every receiver verifies the buffer it was handed, and a relay
+sends that buffer on untouched.  Cheats plug in as a
+:class:`NodeBehaviour` that may rewrite, drop, duplicate or fabricate a
+node's outgoing messages — a rewritten message is a different object and
+is encoded afresh, so what crosses the wire is what the cheat made.
 """
 
 from __future__ import annotations
@@ -60,11 +64,10 @@ from repro.core.messages import (
     RemovalProposal,
     StateUpdate,
     SubscriptionRequest,
-    signable_bytes,
 )
 from repro.core.proxy import ProxySchedule
 from repro.core.subscriptions import SubscriberTable, SubscriptionPlanner
-from repro.core.wire import encoded_size
+from repro.core.wire import FrameMemo, WireError, encode_signable, seal
 from repro.core.verification import (
     AimVerifier,
     CheatRating,
@@ -225,12 +228,13 @@ class WatchmenNode:
         config: WatchmenConfig,
         schedule: ProxySchedule,
         signer: HmacSigner,
-        send: Callable[[int, int, GameMessage, int], bool],
+        send: Callable[[int, int, bytes], bool],
         behaviour: NodeBehaviour | None = None,
         rating_sink: Callable[[CheatRating], None] | None = None,
         is_server: bool = False,
         registry: MetricsRegistry | None = None,
         los_cache: LosCache | None = None,
+        frames: FrameMemo | None = None,
     ) -> None:
         self.player_id = player_id
         #: Hybrid-architecture servers proxy and verify but never publish
@@ -250,6 +254,10 @@ class WatchmenNode:
         self._hist_verify = obs.histogram("node.verify_seconds")
         self._hist_handle = obs.histogram("node.on_message_seconds")
         self._handled_by_type: dict[type, object] = {}
+        #: what received buffers decode to (a session shares one memo
+        #: between its nodes, the way it shares ``los_cache``)
+        self._frames = frames if frames is not None else FrameMemo(obs)
+        self._ctr_signed = obs.counter("node.frames_signed")
 
         physics = Physics(game_map)
         self.action_repetition_verifier = None
@@ -630,7 +638,7 @@ class WatchmenNode:
             # so the send sees it tracked and keeps the attempt count.
             self._acks.refile(pending, destination, frame)
             self._ctr_retries.inc()
-            self._transmit_unfiltered(pending.message, destination)
+            self._transmit_unfiltered(pending.message, destination, pending.buffer)
 
     def _retry_destination(
         self, message: GameMessage, current: int, frame: int
@@ -985,22 +993,37 @@ class WatchmenNode:
     # Receiving
     # ------------------------------------------------------------------
 
-    def on_message(self, src: int, message: GameMessage) -> None:
-        """Entry point for every delivered datagram payload."""
-        counter = self._handled_by_type.get(type(message))
-        if counter is None:
-            counter = self._obs.counter(f"node.handled.{type(message).__name__}")
-            self._handled_by_type[type(message)] = counter
-        counter.inc()
+    def on_message(self, src: int, buffer: bytes) -> None:
+        """Entry point for every delivered datagram: open it, dispatch it."""
         with self._hist_handle.time():
-            self._dispatch_message(src, message)
+            try:
+                message, signed_end = self._frames.open_frame(buffer)
+            except WireError:
+                # Fails closed where it enters.  An honest hop only relays
+                # what it could open itself, so whoever handed me this
+                # either made it or forwarded blind.
+                self.protocol_drop("malformed")
+                self._rate_violation(src, 10.0, "malformed frame")
+                return
+            counter = self._handled_by_type.get(type(message))
+            if counter is None:
+                counter = self._obs.counter(
+                    f"node.handled.{type(message).__name__}"
+                )
+                self._handled_by_type[type(message)] = counter
+            counter.inc()
+            self._dispatch_message(src, message, buffer, signed_end)
 
-    def _dispatch_message(self, src: int, message: GameMessage) -> None:
+    def _dispatch_message(
+        self, src: int, message: GameMessage, buffer: bytes, signed_end: int
+    ) -> None:
         """The receive pipeline; docs/PROTOCOL.md §9 tabulates the stages.
 
-        hop admission → envelope (signature) → sequence window → ack →
-        first-hop triage → the type's handler.  Each stage before the
-        handler may drop the message.
+        (open frame →) hop admission → envelope (signature) → sequence
+        window → ack → first-hop triage → the type's handler.  Each stage
+        before the handler may drop the message.  ``message`` is what
+        ``buffer`` decodes to; its signature has to cover
+        ``buffer[:signed_end]``.
         """
         # ``src == self.player_id`` is a retry looped back onto myself (see
         # ``_transmit_unfiltered``): no hop to police, nobody to receipt.
@@ -1016,17 +1039,20 @@ class WatchmenNode:
                 self.protocol_drop("quarantine")
                 return
         self.behaviour.observe_incoming(self.current_frame, src, message)
+        signed = buffer[:signed_end]
         with self._hist_verify.time():
-            accepted = self._verify_envelope(src, message)
+            accepted = self._verify_envelope(src, message, signed)
         if not accepted:
             return
-        verdict = self._window.screen(message)
+        verdict = self._window.screen(message, buffer)
         if src != self.player_id and isinstance(message, self._acks.ackable):
             # Fresh or repeat alike: the receipt for a duplicate is what
             # stops a retransmitting peer resending a delivered message.
             self._send_ack(src, message)
         if verdict is not FRESH:
-            self._screen_duplicate(message, tracked=verdict is DUPLICATE)
+            self._screen_duplicate(
+                message, buffer, signed, tracked=verdict is DUPLICATE
+            )
             return
         # First-hop triage, once: did the origin hand me this itself, and
         # am I (recently) a proxy he may legitimately route through?
@@ -1057,11 +1083,19 @@ class WatchmenNode:
         elif isinstance(message, AckMessage):
             self._on_ack(src, message)
 
-    def _verify_envelope(self, src: int, message: GameMessage) -> bool:  # repro-taint: sanitizer
-        """Signature screening on every received message."""
-        if message.signature is not None and self.signer.verify(
-            message.sender_id, signable_bytes(message), message.signature
-        ):
+    # repro-taint: sanitizer
+    def _signature_holds(self, message: GameMessage, signed: bytes) -> bool:
+        """Did the named sender sign ``signed``, the bytes ``message`` was
+        decoded from?  Never remembered: asked again on every delivery."""
+        return message.signature is not None and self.signer.verify(
+            message.sender_id, signed, message.signature
+        )
+
+    # repro-taint: sanitizer
+    def _verify_envelope(self, src: int, message: GameMessage, signed: bytes) -> bool:
+        """Signature screening on every received message, over ``signed``:
+        the signed prefix of the buffer that was actually delivered."""
+        if self._signature_holds(message, signed):
             return True
         self.metrics.count_signature_failure()
         if self.config.byzantine_hardening and src != message.sender_id:
@@ -1081,7 +1115,9 @@ class WatchmenNode:
             )
         return False
 
-    def _screen_duplicate(self, message: GameMessage, *, tracked: bool) -> None:
+    def _screen_duplicate(
+        self, message: GameMessage, buffer: bytes, signed: bytes, *, tracked: bool
+    ) -> None:
         """Handle a message whose sequence was already seen (or evicted).
 
         ``tracked`` duplicates are first cross-checked against the
@@ -1092,12 +1128,19 @@ class WatchmenNode:
         silently — never reprocessed and never treated as cheat evidence.
         """
         if tracked:
+            # An honest repeat is the same buffer again; only a differing
+            # one is worth opening.  The archived copy passed the envelope
+            # check when it arrived, and passes it again before it is used
+            # as evidence.
             archived = self._window.first_seen(message)
-            if archived is not None and signable_bytes(archived) != signable_bytes(
-                message
-            ):
-                self._on_equivocation(archived, message)
-                return
+            if archived is not None and archived != buffer:
+                first, first_end = self._frames.open_frame(archived)
+                signed_first = archived[:first_end]
+                if signed_first != signed and self._signature_holds(
+                    first, signed_first
+                ):
+                    self._on_equivocation(first, message)
+                    return
         self.metrics.count_replayed_message()
         if tracked and not self.config.resilient:
             # With the robustness layer on, duplicates are an expected
@@ -1177,14 +1220,14 @@ class WatchmenNode:
             return False  # nodes do not convict themselves on hearsay
         if first.sequence != second.sequence:
             return False
-        if signable_bytes(first) == signable_bytes(second):
+        # The nested updates have no buffer of their own: the evidence
+        # frame carries them as fields, so their signed bytes are rebuilt.
+        signed_first, signed_second = encode_signable(first), encode_signable(second)
+        if signed_first == signed_second:
             return False  # identical retransmission, not equivocation
-        for inner in (first, second):
-            if inner.signature is None or not self.signer.verify(
-                inner.sender_id, signable_bytes(inner), inner.signature
-            ):
-                return False
-        return True
+        return self._signature_holds(first, signed_first) and self._signature_holds(
+            second, signed_second
+        )
 
     def _convict_on_evidence(self, evidence: MisbehaviorEvidence) -> None:
         """Schedule a quorum-free removal backed by verified evidence.
@@ -1641,33 +1684,44 @@ class WatchmenNode:
         ):
             self._transmit_unfiltered(out_message, out_destination)
 
-    def _transmit_unfiltered(self, message: GameMessage, destination: int) -> None:
-        """Sign and send without re-applying the behaviour's filter."""
-        signed = self._signed(message)
+    def _transmit_unfiltered(
+        self, message: GameMessage, destination: int, buffer: bytes | None = None
+    ) -> None:
+        """Sign and send without re-applying the behaviour's filter.
+
+        ``buffer`` is the frame of an earlier send of ``message`` (a
+        retransmission goes out as the bytes the first attempt did).
+        """
+        if buffer is None:
+            buffer = self._signed(message)
         if destination == self.player_id:
             # Loopback.  One caller gets here: ``_drive_retries`` re-aiming
             # a stage-2 subscription relay or a handoff at the live
             # stand-in for a dead proxy, when that stand-in is me.  The
-            # (already signed) message takes the ordinary receive path.
-            self.on_message(self.player_id, signed)
+            # signed buffer takes the ordinary receive path.
+            self.on_message(self.player_id, buffer)
             return
-        self._acks.track(signed, destination, self.current_frame)
-        # Charge what actually crosses the wire: the canonical binary
-        # frame.  The nominal bit model (message_size_bits) survives as
-        # the paper-arithmetic cross-check in the crypto_overhead bench.
-        size = encoded_size(signed)
-        self._send_raw(self.player_id, destination, signed, size)
+        self._acks.track(message, buffer, destination, self.current_frame)
+        self._send_raw(self.player_id, destination, buffer)
 
-    def _signed(self, message: GameMessage) -> GameMessage:
+    def _signed(self, message: GameMessage) -> bytes:
+        """The frame ``message`` crosses the wire as.
+
+        A message that already carries a signature is somebody's signed
+        frame: it leaves as the buffer it arrived in (or, if a behaviour
+        hook swapped the object, as whatever that object encodes to —
+        which then fails verification downstream).  An unsigned one is
+        mine to sign, and is framed here, once: the signed bytes plus the
+        signature field *are* the frame.
+        """
         if message.signature is not None:
-            return message
+            return self._frames.frame_of(message)
         # Sign with *our own* key: a node claiming another sender_id
         # (spoofing) produces a signature that fails verification at the
         # receiver, which is exactly how the paper defeats spoofing.
-        return dataclass_replace(
-            message,
-            signature=self.signer.sign(self.player_id, signable_bytes(message)),
-        )
+        signable = encode_signable(message)
+        self._ctr_signed.inc()
+        return seal(signable, self.signer.sign(self.player_id, signable))
 
     def _emit_rating(self, rating: CheatRating) -> None:
         self.metrics.record_rating(rating)

@@ -25,6 +25,7 @@ from repro.core.node import HonestBehaviour, NodeBehaviour, WatchmenNode
 from repro.core.proxy import ProxySchedule
 from repro.core.reputation import ReputationBoard
 from repro.core.verification import CheatRating
+from repro.core.wire import TAG_NAMES, FrameMemo
 from repro.crypto.signatures import HmacSigner
 from repro.faults.byzantine import ByzantineBehaviour
 from repro.faults.injector import FaultInjector
@@ -55,7 +56,8 @@ class SessionReport:
     messages_sent: int = 0
     #: Every datagram that died anywhere: in flight, over budget, or NAT.
     messages_lost: int = 0
-    #: The same deaths, broken down (loss | budget | nat | partition | crashed).
+    #: The same deaths, broken down (loss | budget | nat | partition | crashed
+    #: | malformed | tamper | quarantine).
     dropped_by_cause: dict[str, int] = field(default_factory=dict)
     ratings: list[CheatRating] = field(default_factory=list)
     banned: set[int] = field(default_factory=set)
@@ -68,7 +70,8 @@ class SessionReport:
     #: Byzantine hardening telemetry (all zero with the gate off):
     #: equivocation detections across all witnesses, evidence-backed
     #: convictions recorded, quarantine impositions, and messages the
-    #: protocol layer itself refused (tamper + quarantine drops).
+    #: protocol layer itself refused (tamper + quarantine drops, plus
+    #: malformed frames, which are refused in every profile).
     equivocations_detected: int = 0
     evidence_convictions: int = 0
     quarantines: int = 0
@@ -162,6 +165,7 @@ class WatchmenSession:
             latency or king_like(total_endpoints, seed=trace.seed),
             network_config or NetworkConfig(seed=trace.seed),
             registry=self.obs,
+            kinds=TAG_NAMES,
         )
         if self.network.latency.size < total_endpoints:
             raise ValueError("latency matrix too small for players + servers")
@@ -217,6 +221,10 @@ class WatchmenSession:
         #: differ (dead reckoning), so entries are keyed by exact eye
         #: positions — sharing never changes results, only avoids repeats.
         self.los_cache = LosCache(self.game_map)
+        #: One frame memo for every node: a buffer that reaches many of
+        #: them is decoded (with full validation) by the first and looked
+        #: up by the rest; each still verifies the signature for itself.
+        self.frames = FrameMemo(self.obs)
 
         behaviours = dict(behaviours or {})
         #: Players running under a Byzantine fault entry this run (the
@@ -250,17 +258,18 @@ class WatchmenSession:
                 is_server=node_id in self.server_ids,
                 registry=self.obs,
                 los_cache=self.los_cache,
+                frames=self.frames,
             )
             if isinstance(behaviour, ByzantineBehaviour):
                 behaviour.bind(node)
             # Seed frame-0 knowledge: FPS "players are usually aware of all
             # entities of the game" when the match starts.
             node.known = dict(trace.frames[0])
+            # Protocol-layer rejections (malformed, tamper, quarantine) flow
+            # into the transport's unified drop books so messages_lost and
+            # dropped_by_cause stay one coherent account.
+            node.protocol_drop = self.network.count_protocol_drop
             if not node.is_server:
-                # Protocol-layer rejections (tamper, quarantine) flow into
-                # the transport's unified drop books so messages_lost and
-                # dropped_by_cause stay one coherent account.
-                node.protocol_drop = self.network.count_protocol_drop
                 node.audience_oracle = self._audience_oracle_for(node_id)
                 node.own_future = self._future_oracle_for(node_id)
             self.nodes[node_id] = node

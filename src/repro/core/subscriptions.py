@@ -184,10 +184,15 @@ class SubscriberTable:
         vision: frozenset[int],
         frame: int,
     ) -> None:
-        """Install subscriber lists received in a handoff message."""
-        for subscriber in interest:
+        """Install subscriber lists received in a handoff message.
+
+        In ascending id order: the tables are insertion-ordered and fix
+        the relay order, which must not depend on how the sender happened
+        to build two value-equal sets.
+        """
+        for subscriber in sorted(interest):
             if subscriber != self.client_id:
                 self._interest[subscriber] = frame + self.retention_frames
-        for subscriber in vision:
+        for subscriber in sorted(vision):
             if subscriber != self.client_id and subscriber not in self._interest:
                 self._vision[subscriber] = frame + self.retention_frames

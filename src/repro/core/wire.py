@@ -1,10 +1,10 @@
 """The serialization boundary: GameMessage <-> canonical binary frames.
 
-The simulated network passes Python objects, but persistence (traces of
-protocol traffic), cross-process deployment and the conformance analyzer
-all need an explicit, total codec.  ``MESSAGE_TYPES`` is the registry the
-``P203`` lint rule cross-references against the ``GameMessage`` union:
-adding a message type without registering it here fails ``repro lint``.
+A message in flight is its frame: the transport carries ``bytes``, a
+receiver opens them through :class:`FrameMemo`, and a forwarder sends the
+buffer it received.  ``MESSAGE_TYPES`` is the registry the ``P203`` lint
+rule cross-references against the ``GameMessage`` union: adding a
+message type without registering it here fails ``repro lint``.
 ``MESSAGE_TAGS`` assigns each registered type its one-byte wire tag; the
 ``P206`` rule keeps the two tables in lockstep.
 
@@ -20,7 +20,8 @@ match that arithmetic instead of paying JSON's 5-10x envelope tax.
 
 Frame layout (see docs/PROTOCOL.md for the full field tables)::
 
-    frame     := tag:u8 field*          # fields in dataclass order
+    frame     := tag:u8 field*          # fields in dataclass order;
+                                        # the signature field comes last
     int       := zigzag LEB128 varint   # minimal encoding required
     float     := IEEE-754 binary64, big-endian (bit-exact)
     bool      := u8 (0|1)
@@ -61,16 +62,21 @@ from repro.crypto.signatures import Signature
 from repro.game.avatar import AvatarSnapshot
 from repro.game.deadreckoning import GuidancePrediction
 from repro.game.vector import Vec3
+from repro.obs.registry import MetricsRegistry, get_registry
 
 __all__ = [
     "MESSAGE_TYPES",
     "MESSAGE_TAGS",
+    "TAG_NAMES",
     "WireError",
     "encode_message",
     "encode_bytes",
     "decode_bytes",
     "encode_signable",
     "encoded_size",
+    "seal",
+    "FRAME_MEMO_CAPACITY",
+    "FrameMemo",
 ]
 
 
@@ -113,6 +119,11 @@ MESSAGE_TAGS: dict[str, int] = {
 _TAG_TO_TYPE: dict[int, type] = {
     MESSAGE_TAGS[name]: cls for name, cls in MESSAGE_TYPES.items()
 }
+
+#: Leading frame byte -> message type name, for whoever books or schedules
+#: frames by kind without opening them (transport counters, the tape
+#: histogram, the model checker's capture filter).
+TAG_NAMES: dict[int, str] = {tag: name for name, tag in MESSAGE_TAGS.items()}
 
 #: Payload dataclasses that appear as message fields (encoded as dicts).
 #: StateUpdate is both a wire message and a payload: misbehavior evidence
@@ -521,8 +532,101 @@ def encode_signable(message: GameMessage) -> bytes:
 
 
 def encoded_size(message: GameMessage) -> int:
-    """Serialized frame size in bytes — what the bandwidth model charges."""
+    """Serialized frame size in bytes, for offline sizing — a live frame
+    is charged ``len(frame)``.  Off every live path but kept by name:
+    perfbench's tracer resolves its ``core.wire`` boundaries by name."""
     return len(encode_bytes(message))
+
+
+_encode_signature_field = _codec_for(Signature | None)[0]
+
+
+def _signature_field(signature: Signature | None) -> bytes:
+    """A frame's last field: presence byte, then scheme, signer and MAC."""
+    out = bytearray()
+    _encode_signature_field(signature, out)
+    return bytes(out)
+
+
+def seal(signable: bytes, signature: Signature) -> bytes:
+    """The frame of a signed message from the bytes that were signed:
+    ``encode_signable(m)`` ‖ signature field == ``encode_bytes(signed m)``,
+    because every message type declares ``signature`` last."""
+    return signable + _signature_field(signature)
+
+
+# ---- frames in flight ------------------------------------------------------
+
+#: Distinct frames a :class:`FrameMemo` remembers.  Sized from a
+#: measurement, not a knob (docs/PERFORMANCE.md): at 2 048 a 48-player
+#: session decodes every distinct delivered frame exactly once, for
+#: about +1 MiB over 512 entries; 16 384 decodes no fewer there and
+#: costs +3 to +6 MiB on every workload.
+FRAME_MEMO_CAPACITY = 2048
+
+
+class FrameMemo:
+    """What each in-flight buffer decodes to, and which buffer a decoded
+    message arrived as.
+
+    Decoding is a pure function of immutable bytes and every message is
+    a frozen dataclass of immutable values, so remembering the result
+    changes nothing a receiver can observe — it only means a frame that
+    reaches many nodes of one process (a session shares one memo) pays
+    the validating :func:`decode_bytes` once, not once per delivery.
+    Nothing about *trust* is remembered: signatures are checked by each
+    receiver, on every delivery, over the bytes it was handed.
+
+    The reverse direction is by identity: the object :meth:`open_frame`
+    returned maps back to the very buffer it came from, so a relay,
+    retransmission or loopback sends that buffer untouched.  Any other
+    object — a hand-built message, a copy a tampering hop altered — is
+    encoded afresh.  The oldest entry is evicted at
+    ``FRAME_MEMO_CAPACITY``; canonical framing makes that invisible
+    (the frame re-decodes, the message re-encodes, to equal values).
+    """
+
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+        #: frame -> (message, end of the signed prefix), oldest first
+        self._opened: dict[bytes, tuple[GameMessage, int]] = {}
+        #: id(message) -> frame, for exactly the messages ``_opened`` holds
+        #: (and thereby keeps alive, so an id is never a recycled one)
+        self._arrived_as: dict[int, bytes] = {}
+        obs = registry if registry is not None else get_registry()
+        self._ctr_decoded = obs.counter("wire.frames.decoded")
+        self._ctr_reused = obs.counter("wire.frames.reused")
+        self._ctr_reencoded = obs.counter("wire.frames.reencoded")
+
+    def __len__(self) -> int:
+        return len(self._opened)
+
+    def open_frame(self, frame: bytes) -> tuple[GameMessage, int]:
+        """``(message, signed_end)`` for a received buffer; the signature
+        covers ``frame[:signed_end]``.  Raises :class:`WireError` for
+        anything :func:`decode_bytes` rejects."""
+        if type(frame) is not bytes:
+            raise WireError("wire frame must be bytes")
+        entry = self._opened.get(frame)
+        if entry is not None:
+            self._ctr_reused.inc()
+            return entry
+        message = decode_bytes(frame)
+        entry = (message, len(frame) - len(_signature_field(message.signature)))
+        if len(self._opened) >= FRAME_MEMO_CAPACITY:
+            evicted, _ = self._opened.pop(next(iter(self._opened)))
+            del self._arrived_as[id(evicted)]
+        self._opened[frame] = entry
+        self._arrived_as[id(message)] = frame
+        self._ctr_decoded.inc()
+        return entry
+
+    def frame_of(self, message: GameMessage) -> bytes:
+        """The buffer ``message`` arrived as, else a fresh encoding."""
+        frame = self._arrived_as.get(id(message))
+        if frame is None:
+            self._ctr_reencoded.inc()
+            frame = encode_bytes(message)
+        return frame
 
 
 # ---- JSON-safe dict form (human-readable tape diffs) -----------------------

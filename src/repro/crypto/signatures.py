@@ -248,19 +248,20 @@ class HmacSigner:
         del seed
         self.registry.key_for(player_id)
 
+    def _mac(self, player_id: int, message: bytes) -> bytes:
+        return hmac.digest(self.registry.key_for(player_id), message, "sha256")[
+            : self._size_bytes
+        ]
+
     def sign(self, player_id: int, message: bytes) -> Signature:
-        mac = hmac.new(
-            self.registry.key_for(player_id), message, hashlib.sha256
-        ).digest()
         return Signature(
             scheme=self.scheme,
             signer_id=player_id,
-            data=mac[: self._size_bytes],
+            data=self._mac(player_id, message),
         )
 
     # repro-taint: sanitizer
     def verify(self, player_id: int, message: bytes, signature: Signature) -> bool:
         if signature.scheme != self.scheme or signature.signer_id != player_id:
             return False
-        expected = self.sign(player_id, message)
-        return hmac.compare_digest(expected.data, signature.data)
+        return hmac.compare_digest(self._mac(player_id, message), signature.data)

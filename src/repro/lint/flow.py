@@ -100,8 +100,8 @@ def _gate_qnames(graph: CallGraph) -> frozenset[str]:
     )
 
 
-#: Raw 4-arg primitives (``src, destination, message, size``) carry the
-#: payload in the third slot; the filtered ``_transmit`` wrappers lead with it.
+#: Raw primitives (``src, destination, frame``) carry the payload in
+#: the third slot; the filtered ``_transmit`` wrappers lead with it.
 _RAW_PRIMITIVES = frozenset({"_send_raw", "send"})
 
 

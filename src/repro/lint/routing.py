@@ -8,8 +8,8 @@ re-opens network-level cheats (suppression, timestamp games) that the
 proxy exists to catch.
 
 * **R501** — a direct transport-sink call (``Transport.send``-shaped:
-  attribute named ``send``/``_send_raw`` taking the 4-argument
-  ``(src, dst, payload, size)`` shape) from ``core/node.py`` or
+  attribute named ``send``/``_send_raw`` taking the 3-argument
+  ``(src, dst, frame)`` shape) from ``core/node.py`` or
   ``game/*`` outside the one sanctioned egress point
   (``WatchmenNode._transmit_unfiltered``) and with no call edge into the
   proxy layer (``core/proxy.py``).
@@ -33,8 +33,8 @@ __all__ = ["run_routing_rules", "SANCTIONED_EGRESS"]
 #: Attribute names that look like the raw transport sink.
 _SINK_ATTRS = frozenset({"send", "_send_raw"})
 
-#: The (src, dst, payload, size) transport signature arity.
-_SINK_ARITY = 4
+#: The (src, dst, frame) transport signature arity.
+_SINK_ARITY = 3
 
 #: The one function allowed to touch the raw transport: every message
 #: funnels through it after signing + behaviour filtering, and its callers
@@ -97,7 +97,7 @@ def _check_r501(
         if not isinstance(func, ast.Attribute) or func.attr not in _SINK_ATTRS:
             continue
         if len(node.args) + len(node.keywords) != _SINK_ARITY:
-            continue  # not the (src, dst, payload, size) transport shape
+            continue  # not the (src, dst, frame) transport shape
         if routes_via_proxy:
             continue
         violations.append(

@@ -10,7 +10,8 @@ binary-codec and async-transport roadmap items will perform) no longer
 slips through.
 
 * **S701** — an unsanitized network payload (a ``GameMessage`` entering a
-  receive entry point, or a wire-decode result) reaches an authoritative
+  receive entry point, or a wire-decode result — the live path: a node
+  opens every received buffer with ``open_frame``) reaches an authoritative
   sink: a state-store write (``known``/``roster``), a membership/
   reputation/subscription mutation, or a ``_on_*``/``_handle_*`` dispatch
   handler — on some path with no ``_verify_envelope``/signature check.
@@ -89,7 +90,9 @@ RECEIVE_ENTRY_NAMES = frozenset({"on_message", "receive", "deliver", "handle_dat
 
 _SECRET_ATTRS = frozenset({"secret", "master_seed", "_key", "_keys"})
 _SECRET_CALLS = frozenset({"key_for"})
-_PAYLOAD_CALLS = frozenset({"decode_bytes"})
+#: Calls whose result is a message straight off the wire: the codec's
+#: decoder and the frame memo a node opens received buffers through.
+_PAYLOAD_CALLS = frozenset({"decode_bytes", "open_frame"})
 #: Encode primitives: handing a secret to the wire codec is a send.
 _ENCODE_CALLS = frozenset({"encode_bytes", "encode_signable", "encode_message"})
 _EXACT_ATTRS = frozenset({"snapshot", "last_snapshot"})

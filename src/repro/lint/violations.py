@@ -332,7 +332,7 @@ _CATALOG_ENTRIES = (
             "Section III-B: all of a player's traffic flows through its "
             "proxies — that is what hides network identities and gives "
             "verification its vantage point.  The rule flags any "
-            "4-argument (src, dst, payload, size) send-shaped call from "
+            "3-argument (src, dst, frame) send-shaped call from "
             "core/node.py or game/* unless it is the sanctioned egress "
             "point (WatchmenNode._transmit_unfiltered) or the enclosing "
             "function has a call edge into core/proxy.py.  Everything "
@@ -342,7 +342,7 @@ _CATALOG_ENTRIES = (
         ),
         scope="core/node.py + src/repro/game (whole-program)",
         examples=(
-            "flags:  self._send_raw(self.player_id, peer, msg, size)  # in a handler",
+            "flags:  self._send_raw(self.player_id, peer, frame)  # in a handler",
             "ok:     self._transmit(message, destination)",
         ),
     ),

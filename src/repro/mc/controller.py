@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.core.protocol import WatchmenSession
+from repro.core.wire import TAG_NAMES
 from repro.net.transport import DatagramNetwork, ScheduleController
 
 __all__ = ["Action", "McDecision", "McController"]
@@ -58,8 +59,7 @@ class _Captured:
     capture_id: int
     src: int
     dst: int
-    payload: object
-    size_bytes: int
+    frame: bytes
     sent_at: float
     type_name: str
     ready_at: int
@@ -160,7 +160,7 @@ class McController(ScheduleController):
 
     # ---- ScheduleController ----------------------------------------------
 
-    def intercept(self, src: int, dst: int, payload: object, size_bytes: int) -> bool:
+    def intercept(self, src: int, dst: int, frame: bytes) -> bool:
         network = self._network
         if network is None:
             return False
@@ -170,7 +170,7 @@ class McController(ScheduleController):
             return False  # local loopback is synchronous; never reordered
         if self.controlled_src is not None and src not in self.controlled_src:
             return False
-        type_name = type(payload).__name__
+        type_name = TAG_NAMES.get(frame[0])
         if type_name not in self.controlled:
             return False
         self._pending.append(
@@ -178,8 +178,7 @@ class McController(ScheduleController):
                 capture_id=self._next_id,
                 src=src,
                 dst=dst,
-                payload=payload,
-                size_bytes=size_bytes,
+                frame=frame,
                 sent_at=network.queue.now,
                 type_name=type_name,
                 ready_at=self._frame + 1,
@@ -254,9 +253,7 @@ class McController(ScheduleController):
         if action == "deliver":
             self._pending.remove(entry)
             self.delivered += 1
-            network.deliver_captured(
-                entry.src, entry.dst, entry.payload, entry.size_bytes, entry.sent_at
-            )
+            network.deliver_captured(entry.src, entry.dst, entry.frame, entry.sent_at)
         elif action == "drop":
             self._pending.remove(entry)
             self._drops_used += 1
@@ -266,17 +263,14 @@ class McController(ScheduleController):
             self._dups_used += 1
             self.duplicated += 1
             self.delivered += 1
-            network.deliver_captured(
-                entry.src, entry.dst, entry.payload, entry.size_bytes, entry.sent_at
-            )
+            network.deliver_captured(entry.src, entry.dst, entry.frame, entry.sent_at)
             self._pending.remove(entry)
             self._pending.append(
                 _Captured(
                     capture_id=self._next_id,
                     src=entry.src,
                     dst=entry.dst,
-                    payload=entry.payload,
-                    size_bytes=entry.size_bytes,
+                    frame=entry.frame,
                     sent_at=entry.sent_at,
                     type_name=entry.type_name,
                     ready_at=frame,

@@ -6,13 +6,18 @@ loss.  :class:`DatagramNetwork` models exactly that: each send is delayed
 by the latency matrix plus jitter, dropped i.i.d. with the loss rate,
 metered for bandwidth, optionally clipped by an upload budget, and blocked
 when NAT traversal between the pair failed.
+
+A datagram is a ``bytes`` buffer and is charged ``len(frame)``.  The
+network never opens one: the only thing it reads is the leading kind
+byte, and only to label its per-type send counters from the ``kinds``
+table its owner hands it.
 """
 
 from __future__ import annotations
 
 from random import Random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.core.config import (
     GE_LOSS_BAD,
@@ -45,7 +50,7 @@ class ScheduleController:
     controller that intercepts nothing is bit-identical to no controller.
     """
 
-    def intercept(self, src: int, dst: int, payload: object, size_bytes: int) -> bool:
+    def intercept(self, src: int, dst: int, frame: bytes) -> bool:
         raise NotImplementedError
 
 
@@ -55,10 +60,13 @@ class Datagram:
 
     src: int
     dst: int
-    payload: object
-    size_bytes: int
+    payload: bytes
     sent_at: float
     delivered_at: float
+
+    @property
+    def size_bytes(self) -> int:
+        return len(self.payload)
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,6 +104,7 @@ class DatagramNetwork:
         budget: UploadBudget | None = None,
         reachability: Reachability | None = None,
         registry: MetricsRegistry | None = None,
+        kinds: Mapping[int, str] | None = None,
     ) -> None:
         self.queue = queue
         self.latency = latency
@@ -122,9 +131,9 @@ class DatagramNetwork:
         self.faults: FaultInjector | None = None
         #: Pure-observation send taps (see :mod:`repro.replay`): called
         #: after every offered datagram with its acceptance outcome.  Taps
-        #: must never mutate the payload or send — the tape recorder
-        #: relies on a tapped run being bit-identical to an untapped one.
-        self.send_taps: list[Callable[[int, int, object, int, bool], None]] = []
+        #: must never send — the tape recorder relies on a tapped run
+        #: being bit-identical to an untapped one.
+        self.send_taps: list[Callable[[int, int, bytes, bool], None]] = []
         #: Optional delivery-schedule controller (see :mod:`repro.mc`).
         self.controller: ScheduleController | None = None
         self._ge_state: dict[tuple[int, int], bool] = {}  # link -> in bad state
@@ -133,7 +142,11 @@ class DatagramNetwork:
         # disabled registry costs one no-op call per event.
         obs = registry if registry is not None else get_registry()
         self._obs = obs
-        self._sent_by_type: dict[type, tuple] = {}
+        #: leading frame byte -> the name its sends are booked under
+        #: (``net.sent.<name>.*``); a byte the table lacks books as
+        #: ``tag<N>``, so the per-type rows always sum to the total
+        self._kinds = kinds or {}
+        self._sent_by_kind: dict[int, tuple] = {}
         self._ctr_sent = obs.counter("net.datagrams.sent")
         self._ctr_lost = obs.counter("net.datagrams.lost")
         self._ctr_delivered = obs.counter("net.datagrams.delivered")
@@ -154,7 +167,7 @@ class DatagramNetwork:
         self.controller = controller
 
     def deliver_captured(
-        self, src: int, dst: int, payload: object, size_bytes: int, sent_at: float
+        self, src: int, dst: int, frame: bytes, sent_at: float
     ) -> None:
         """Deliver a controller-captured datagram at the current sim time.
 
@@ -162,15 +175,15 @@ class DatagramNetwork:
         datagram re-enters the normal delivery path (counters, bandwidth
         accounting, crashed-destination screening).
         """
-        datagram = Datagram(
-            src=src,
-            dst=dst,
-            payload=payload,
-            size_bytes=size_bytes,
-            sent_at=sent_at,
-            delivered_at=self.queue.now,
+        self._deliver(
+            Datagram(
+                src=src,
+                dst=dst,
+                payload=frame,
+                sent_at=sent_at,
+                delivered_at=self.queue.now,
+            )
         )
-        self._deliver(datagram)
 
     def drop_captured(self) -> None:
         """Account a controller-decided drop (cause ``schedule``)."""
@@ -185,7 +198,7 @@ class DatagramNetwork:
         tampered signature, a quarantined link); folding those into the
         same ``net.dropped.{cause}`` registry keeps ``messages_lost``
         consistent with the PR 4 convention that every dead datagram has
-        exactly one cause counter.
+        exactly one cause counter (tamper | quarantine | malformed).
         """
         self.rejected_by_protocol += 1
         self._count_drop(cause)
@@ -207,21 +220,22 @@ class DatagramNetwork:
     def unregister(self, node_id: int) -> None:
         self._handlers.pop(node_id, None)
 
-    def send(self, src: int, dst: int, payload: object, size_bytes: int) -> bool:
+    def send(self, src: int, dst: int, frame: bytes) -> bool:
         """Send one datagram; returns False when it was locally refused.
 
         Loss in flight still returns True — the sender cannot observe it,
         exactly like UDP.
         """
-        accepted = self._send(src, dst, payload, size_bytes)
+        accepted = self._send(src, dst, frame)
         for tap in self.send_taps:
-            tap(src, dst, payload, size_bytes, accepted)
+            tap(src, dst, frame, accepted)
         return accepted
 
-    def _send(self, src: int, dst: int, payload: object, size_bytes: int) -> bool:
+    def _send(self, src: int, dst: int, frame: bytes) -> bool:
         """The actual send path (:meth:`send` minus the observation taps)."""
-        if size_bytes <= 0:
-            raise ValueError("size_bytes must be positive")
+        size_bytes = len(frame)
+        if size_bytes == 0:
+            raise ValueError("a datagram must not be empty")
         now = self.queue.now
         if self.reachability is not None and not self.reachability.can_reach(src, dst):
             self.blocked_by_nat += 1
@@ -237,18 +251,19 @@ class DatagramNetwork:
         self.sent += 1
         self._ctr_sent.inc()
         self._ctr_bytes.inc(size_bytes)
-        per_type = self._sent_by_type.get(type(payload))
+        tag = frame[0]
+        per_type = self._sent_by_kind.get(tag)
         if per_type is None:
-            kind = type(payload).__name__
+            kind = self._kinds.get(tag, f"tag{tag}")
             per_type = (
                 self._obs.counter(f"net.sent.{kind}.count"),
                 self._obs.counter(f"net.sent.{kind}.bytes"),
             )
-            self._sent_by_type[type(payload)] = per_type
+            self._sent_by_kind[tag] = per_type
         per_type[0].inc()
         per_type[1].inc(size_bytes)
         if self.controller is not None and self.controller.intercept(
-            src, dst, payload, size_bytes
+            src, dst, frame
         ):
             # Captured: the controller owns delivery from here — including
             # loss, which it models as explicit budgeted drop decisions, so
@@ -277,8 +292,7 @@ class DatagramNetwork:
         datagram = Datagram(
             src=src,
             dst=dst,
-            payload=payload,
-            size_bytes=size_bytes,
+            payload=frame,
             sent_at=now,
             delivered_at=now + delay,
         )
@@ -289,8 +303,7 @@ class DatagramNetwork:
                 copy = Datagram(
                     src=src,
                     dst=dst,
-                    payload=payload,
-                    size_bytes=size_bytes,
+                    payload=frame,
                     sent_at=now,
                     delivered_at=now + delay + offset,
                 )

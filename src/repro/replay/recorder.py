@@ -7,20 +7,18 @@ transport, with its local acceptance outcome).  Neither hook perturbs the
 run: a taped session is bit-identical to an untapped one, which is what
 lets verify mode compare streams byte for byte.
 
-Recording is deliberately two-phase.  During the run the tap only appends
-``(src, dst, payload, size, accepted)`` tuples — payloads are frozen
-message dataclasses, so holding references is safe and costs one list
-append per datagram.  The expensive part (canonical wire encoding of
-every message, digest chaining) happens once in :meth:`finalize`, after
-the frame loop has finished; that is how record mode stays within its
-≤10 % frame-loop overhead budget.
+Recording is two-phase.  During the run the tap only appends
+``(src, dst, frame, accepted)`` tuples — the very ``bytes`` the transport
+was handed, so a tape row is what crossed the wire and costs one list
+append per datagram.  Digest chaining happens once in :meth:`finalize`,
+after the frame loop has finished; that is how record mode stays within
+its ≤10 % frame-loop overhead budget.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.wire import encode_bytes
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.replay.scenario import TapeScenario
 from repro.replay.tape import Tape, TapedMessage, TapeFrame
@@ -45,8 +43,8 @@ class TapeRecorder:
         self.session = session
         self.scenario = scenario
         self.faults = faults
-        self._frames: list[tuple[int, list[tuple[int, int, object, int, bool]]]] = []
-        self._current: list[tuple[int, int, object, int, bool]] = []
+        self._frames: list[tuple[int, list[tuple[int, int, bytes, bool]]]] = []
+        self._current: list[tuple[int, int, bytes, bool]] = []
         self._attached = False
         self._finalized = False
         obs = registry if registry is not None else get_registry()
@@ -83,18 +81,16 @@ class TapeRecorder:
         self._current = []
         self._frames.append((frame, self._current))
 
-    def _tap(
-        self, src: int, dst: int, payload: object, size_bytes: int, accepted: bool
-    ) -> None:
+    def _tap(self, src: int, dst: int, frame: bytes, accepted: bool) -> None:
         # Sends fired from delivery callbacks between ticks land on the
         # last-started frame — the same attribution record and verify use,
         # so frame-level comparison stays deterministic.
-        self._current.append((src, dst, payload, size_bytes, accepted))
+        self._current.append((src, dst, frame, accepted))
 
     # ---- finalisation ------------------------------------------------------
 
     def finalize(self) -> Tape:
-        """Wire-encode the captured stream and fingerprint it."""
+        """Fingerprint the captured stream."""
         if self._finalized:
             raise RuntimeError("recorder already finalized")
         self._finalized = True
@@ -108,11 +104,11 @@ class TapeRecorder:
                     TapedMessage(
                         src=src,
                         dst=dst,
-                        size_bytes=size_bytes,
+                        size_bytes=len(frame),
                         accepted=accepted,
-                        payload=encode_bytes(payload),
+                        payload=frame,
                     )
-                    for src, dst, payload, size_bytes, accepted in raw
+                    for src, dst, frame, accepted in raw
                 ]
                 frames.append(TapeFrame(frame=frame_index, messages=messages))
                 total_messages += len(messages)

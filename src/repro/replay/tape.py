@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.core.wire import MESSAGE_TAGS
+from repro.core.wire import TAG_NAMES
 from repro.faults.schedule import FaultSchedule
 from repro.game.trace import GameTrace
 from repro.replay.scenario import TapeScenario
@@ -70,9 +70,6 @@ __all__ = [
 
 TAPE_FORMAT = "repro.tape.v1"
 TAPE_VERSION = 2
-
-#: wire tag byte -> message type name, for the inspect histogram
-_TAG_NAMES: dict[int, str] = {tag: name for name, tag in MESSAGE_TAGS.items()}
 
 
 class TapeError(ValueError):
@@ -134,7 +131,7 @@ class TapedMessage:
         """Message type from the frame's leading tag byte ('?' if alien)."""
         if not self.payload:
             return "?"
-        return _TAG_NAMES.get(self.payload[0], "?")
+        return TAG_NAMES.get(self.payload[0], "?")
 
 
 @dataclass(slots=True)

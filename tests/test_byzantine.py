@@ -61,6 +61,7 @@ from repro.game.avatar import AvatarSnapshot
 from repro.game.gamemap import make_arena
 from repro.game.vector import Vec3
 from repro.obs import MetricsRegistry
+from tests.wirekit import LoopbackWire, deliver
 
 
 def snap(player_id, frame=0, x=0.0, y=-800.0):
@@ -81,7 +82,7 @@ def snap(player_id, frame=0, x=0.0, y=-800.0):
 class Harness:
     """N nodes over an instant, lossless, synchronous loopback."""
 
-    def __init__(self, num_players=4, config=None):
+    def __init__(self, num_players=4, config=None, lose=None):
         self.config = config or WatchmenConfig()
         roster = list(range(num_players))
         self.schedule = ProxySchedule(
@@ -90,8 +91,10 @@ class Harness:
             proxy_period_frames=self.config.proxy_period_frames,
         )
         self.signer = HmacSigner()
-        self.sent = []
-        self.nodes = {}
+        wire = LoopbackWire(lose)
+        self.sent = wire.sent
+        self.frames = wire.frames
+        self.nodes = wire.nodes
         for player_id in roster:
             self.nodes[player_id] = WatchmenNode(
                 player_id=player_id,
@@ -100,15 +103,8 @@ class Harness:
                 config=self.config,
                 schedule=self.schedule,
                 signer=self.signer,
-                send=self._send,
+                send=wire.send,
             )
-
-    def _send(self, src, dst, message, size):
-        self.sent.append((src, dst, message))
-        node = self.nodes.get(dst)
-        if node is not None:
-            node.on_message(src, message)
-        return True
 
     def tick(self, frame):
         for player_id, node in self.nodes.items():
@@ -169,7 +165,7 @@ class TestWatermarkEviction:
     def _flood_sequences(self, harness, receiver, sender, count):
         node = harness.nodes[receiver]
         for sequence in range(count):
-            node.on_message(sender, harness.signed_position(sender, sequence))
+            deliver(node, sender, harness.signed_position(sender, sequence))
         return node
 
     def test_eviction_installs_watermark_and_bounds_memory(self):
@@ -194,7 +190,7 @@ class TestWatermarkEviction:
         node = self._flood_sequences(harness, 1, 0, 4200)
         before_replays = node.metrics.replayed_messages
         evicted = harness.signed_position(0, 100)  # below watermark 2048
-        node.on_message(0, evicted)
+        deliver(node, 0, evicted)
         assert node.metrics.replayed_messages == before_replays + 1
         assert ratings_with(node, "replayed sequence 100") == []
         # Not reprocessed either: the sequence stays evicted, not re-seen.
@@ -205,7 +201,7 @@ class TestWatermarkEviction:
         harness = Harness()
         harness.tick(0)
         node = self._flood_sequences(harness, 1, 0, 4200)
-        node.on_message(0, harness.signed_position(0, 3000))  # still tracked
+        deliver(node, 0, harness.signed_position(0, 3000))  # still tracked
         assert len(ratings_with(node, "replayed sequence 3000")) == 1
 
     def test_eviction_purges_equivocation_archive_in_lockstep(self, monkeypatch):
@@ -218,7 +214,7 @@ class TestWatermarkEviction:
         proxy = harness.schedule.proxy_of(0, 0)
         node = harness.nodes[proxy]
         for sequence in range(4200):
-            node.on_message(0, harness.signed_state(0, sequence))
+            deliver(node, 0, harness.signed_state(0, sequence))
         archive = node._window.archive[0]
         assert archive, "hardening must archive first-seen updates"
         assert min(archive) > node._window.watermark[0]
@@ -236,7 +232,7 @@ class TestEnvelopeAdversarial:
         node.protocol_drop = drops.append
         message = harness.signed_state(0, 500)
         tampered = replace(message, snapshot=snap(0, x=9999.0))
-        node.on_message(3, tampered)  # relayed by 3, signed by 0
+        deliver(node, 3, tampered)  # relayed by 3, signed by 0
         assert (0, 3, "tamper_hop") in node.suspicion_events
         assert drops == ["tamper"]
         assert [r.subject_id for r in ratings_with(node, "tampering hop")] == [3]
@@ -251,7 +247,7 @@ class TestEnvelopeAdversarial:
         harness.tick(0)
         node = harness.nodes[1]
         message = StateUpdate(0, 0, 501, snap(0))  # unsigned
-        node.on_message(0, message)  # src == sender: nothing was relayed
+        deliver(node, 0, message)  # src == sender: nothing was relayed
         assert node.suspicion_events == []
         assert [
             r.subject_id for r in ratings_with(node, "invalid or missing")
@@ -266,7 +262,7 @@ class TestEnvelopeAdversarial:
         spoofed = replace(
             message, signature=harness.signer.sign(2, signable_bytes(message))
         )
-        node.on_message(2, spoofed)
+        deliver(node, 2, spoofed)
         # The verify keys off the claimed sender (0), so the signature
         # fails; hardening pins the blame on the delivering hop (2).
         assert (0, 2, "tamper_hop") in node.suspicion_events
@@ -277,7 +273,7 @@ class TestEnvelopeAdversarial:
         harness.tick(0)
         node = harness.nodes[1]
         message = harness.signed_state(0, 503)
-        node.on_message(3, replace(message, snapshot=snap(0, x=123.0)))
+        deliver(node, 3, replace(message, snapshot=snap(0, x=123.0)))
         assert node.suspicion_events == []
         assert [
             r.subject_id for r in ratings_with(node, "invalid or missing")
@@ -289,9 +285,9 @@ class TestEnvelopeAdversarial:
         proxy = harness.schedule.proxy_of(0, 0)
         node = harness.nodes[proxy]
         message = harness.signed_state(0, 504)
-        node.on_message(0, message)
+        deliver(node, 0, message)
         before = node.metrics.replayed_messages
-        node.on_message(0, message)
+        deliver(node, 0, message)
         assert node.metrics.replayed_messages == before + 1
         assert node.equivocation_events == []
         assert ratings_with(node, "equivocation") == []
@@ -302,8 +298,8 @@ class TestEnvelopeAdversarial:
         harness.tick(0)
         node = harness.nodes[1]
         message = harness.signed_position(0, 505)
-        node.on_message(0, message)
-        node.on_message(0, message)
+        deliver(node, 0, message)
+        deliver(node, 0, message)
         assert ratings_with(node, "replayed sequence") == []
 
     def test_honest_retransmit_interleavings_never_accuse(self):
@@ -341,7 +337,7 @@ class TestEnvelopeAdversarial:
             )
             batch = data.draw(st.permutations(originals + extras))
             for message in batch:
-                node.on_message(0, message)
+                deliver(node, 0, message)
             assert node.equivocation_events == []
             assert node.quarantine_events == []
             assert not any(
@@ -367,8 +363,8 @@ class TestEquivocation:
         proxy = harness.schedule.proxy_of(0, 0)
         witness = harness.nodes[proxy]
         first, second = self._conflict(harness)
-        witness.on_message(0, first)
-        witness.on_message(0, second)
+        deliver(witness, 0, first)
+        deliver(witness, 0, second)
         assert [(f, who) for f, who in witness.equivocation_events] == [(0, 0)]
         assert len(ratings_with(witness, "equivocation: conflicting")) == 1
         evidence = [
@@ -388,12 +384,12 @@ class TestEquivocation:
         witness = harness.nodes[proxy]
         first, second = self._conflict(harness, sequence=701)
         third = harness.signed_state(0, 701, x=-4000.0)
-        witness.on_message(0, first)
-        witness.on_message(0, second)
+        deliver(witness, 0, first)
+        deliver(witness, 0, second)
         before = len(
             [m for _, _, m in harness.sent if isinstance(m, MisbehaviorEvidence)]
         )
-        witness.on_message(0, third)
+        deliver(witness, 0, third)
         after = len(
             [m for _, _, m in harness.sent if isinstance(m, MisbehaviorEvidence)]
         )
@@ -405,7 +401,7 @@ class TestEquivocation:
         node = harness.nodes[2]
         first, second = self._conflict(harness, sequence=702)
         evidence = harness.signed_evidence(1, 0, first, second)
-        node.on_message(1, evidence)
+        deliver(node, 1, evidence)
         assert 0 in node.membership.convicted
         assert len(ratings_with(node, "verified misbehavior evidence")) == 1
 
@@ -433,7 +429,7 @@ class TestEquivocation:
         else:
             broken = replace(second, signature=first.signature)
             evidence = harness.signed_evidence(1, 0, first, broken)
-        node.on_message(1, evidence)
+        deliver(node, 1, evidence)
         assert node.membership.convicted == set()
         rated = ratings_with(node, "evidence fails verification")
         assert [r.subject_id for r in rated] == [1]  # the reporter, not 0
@@ -444,7 +440,7 @@ class TestEquivocation:
         accused = harness.nodes[0]
         first, second = self._conflict(harness, sequence=705)
         evidence = harness.signed_evidence(1, 0, first, second)
-        accused.on_message(1, evidence)
+        deliver(accused, 1, evidence)
         assert 0 not in accused.membership.convicted
 
     def test_hardening_off_ignores_evidence(self):
@@ -453,7 +449,7 @@ class TestEquivocation:
         node = harness.nodes[2]
         first, second = self._conflict(harness, sequence=706)
         evidence = harness.signed_evidence(1, 0, first, second)
-        node.on_message(1, evidence)
+        deliver(node, 1, evidence)
         assert node.membership.convicted == set()
         assert node.metrics.ratings == []
 
@@ -471,7 +467,7 @@ class TestRateLimitQuarantine:
         burst = BYZANTINE_RATE_BURST
         strikes = BYZANTINE_QUARANTINE_STRIKES
         for i in range(burst + strikes + 5):
-            node.on_message(2, harness.signed_position(2, 800 + i))
+            deliver(node, 2, harness.signed_position(2, 800 + i))
         assert [src for _, src in node.quarantine_events] == [2]
         assert drops.count("quarantine") >= 5
         assert len(ratings_with(node, "message flood")) == 1
@@ -481,7 +477,7 @@ class TestRateLimitQuarantine:
         resume = BYZANTINE_QUARANTINE_FRAMES + 1
         node.on_frame(resume, snap(1, frame=resume, x=100.0))
         before = len(drops)
-        node.on_message(2, harness.signed_position(2, 900))
+        deliver(node, 2, harness.signed_position(2, 900))
         assert len(drops) == before
         assert node._hops.quarantined_until == {}
         assert len(node.quarantine_events) == 1
@@ -495,7 +491,7 @@ class TestRateLimitQuarantine:
         for frame in range(1, 31):
             node.on_frame(frame, snap(1, frame=frame, x=100.0))
             for _ in range(rate - 1):
-                node.on_message(2, harness.signed_position(2, sequence, frame))
+                deliver(node, 2, harness.signed_position(2, sequence, frame))
                 sequence += 1
         assert node.quarantine_events == []
         assert node._hops.strikes.get(2, 0) == 0
@@ -505,7 +501,7 @@ class TestRateLimitQuarantine:
         harness.tick(0)
         node = harness.nodes[1]
         for i in range(200):
-            node.on_message(1, harness.signed_position(1, 1200 + i))
+            deliver(node, 1, harness.signed_position(1, 1200 + i))
         assert node.quarantine_events == []
 
 

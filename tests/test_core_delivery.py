@@ -36,6 +36,7 @@ from repro.core.messages import (
     SubscriptionRequest,
 )
 from tests.test_byzantine import snap
+from tests.wirekit import as_frame
 
 
 def state(sender, sequence, x=0.0):
@@ -50,42 +51,51 @@ def subscription(sender, sequence, target=9):
     return SubscriptionRequest(sender, target, SUB_INTEREST, 0, sequence)
 
 
+def screen(window, message):
+    """Screen ``message`` as the buffer it would arrive in."""
+    return window.screen(message, as_frame(message))
+
+
+def track(ledger, message, destination, frame):
+    ledger.track(message, as_frame(message), destination, frame)
+
+
 class TestSequenceWindow:
     def test_first_sighting_is_fresh_and_repeats_are_duplicates(self):
         window = SequenceWindow()
-        assert window.screen(position(0, 5)) == FRESH
-        assert window.screen(position(0, 5)) == DUPLICATE
+        assert screen(window, position(0, 5)) == FRESH
+        assert screen(window, position(0, 5)) == DUPLICATE
         # the window is per sender: another sender's 5 is new
-        assert window.screen(position(1, 5)) == FRESH
+        assert screen(window, position(1, 5)) == FRESH
 
     def test_eviction_installs_a_watermark_that_screens_forever(self):
         window = SequenceWindow()
         for sequence in range(WINDOW_CAPACITY + 1):
-            assert window.screen(position(0, sequence)) == FRESH
+            assert screen(window, position(0, sequence)) == FRESH
         half = WINDOW_CAPACITY // 2
         assert window.watermark[0] == half
         assert min(window.seen[0]) == half + 1
         assert len(window.seen[0]) == half
         # below the watermark: evicted, and never re-admitted as seen
-        assert window.screen(position(0, 3)) == EVICTED
+        assert screen(window, position(0, 3)) == EVICTED
         assert 3 not in window.seen[0]
         # above it and still tracked: an ordinary duplicate
-        assert window.screen(position(0, half + 1)) == DUPLICATE
+        assert screen(window, position(0, half + 1)) == DUPLICATE
 
     def test_inert_window_archives_nothing(self):
         window = SequenceWindow()
         update = state(0, 1)
-        window.screen(update)
+        screen(window, update)
         assert window.archive == {}
         assert window.first_seen(update) is None
 
     def test_archive_keeps_first_sighting_of_archived_types_only(self):
         window = SequenceWindow(archived=(StateUpdate,))
         original, conflicting = state(0, 7, x=1.0), state(0, 7, x=2.0)
-        window.screen(original)
-        window.screen(position(0, 8))
-        assert window.screen(conflicting) == DUPLICATE
-        assert window.first_seen(conflicting) is original
+        screen(window, original)
+        screen(window, position(0, 8))
+        assert screen(window, conflicting) == DUPLICATE
+        assert window.first_seen(conflicting) == as_frame(original)
         assert window.archive[0].keys() == {7}
         # a different type reusing an archived sequence is not "the same
         # message, signed twice": no original to cross-check against
@@ -94,7 +104,7 @@ class TestSequenceWindow:
     def test_eviction_purges_the_archive_in_lockstep(self):
         window = SequenceWindow(archived=(StateUpdate,))
         for sequence in range(WINDOW_CAPACITY + 1):
-            window.screen(state(0, sequence))
+            screen(window, state(0, sequence))
         assert min(window.archive[0]) > window.watermark[0]
         assert window.first_seen(state(0, 3)) is None
 
@@ -102,14 +112,14 @@ class TestSequenceWindow:
 class TestAckLedger:
     def test_inert_ledger_tracks_nothing(self):
         ledger = AckLedger()
-        ledger.track(subscription(0, 1), destination=4, frame=0)
+        track(ledger, subscription(0, 1), destination=4, frame=0)
         assert len(ledger._pending) == 0
         assert list(ledger.due(10_000)) == []
 
     def test_only_ackable_types_are_tracked_and_acks_settle_them(self):
         ledger = AckLedger((SubscriptionRequest,))
-        ledger.track(subscription(0, 1), destination=4, frame=0)
-        ledger.track(position(0, 2), destination=4, frame=0)
+        track(ledger, subscription(0, 1), destination=4, frame=0)
+        track(ledger, position(0, 2), destination=4, frame=0)
         assert len(ledger._pending) == 1
         # an ack from the wrong hop settles nothing
         ledger.settle(5, AckMessage(5, 0, 1, acked_sender_id=0, acked_sequence=1))
@@ -119,7 +129,7 @@ class TestAckLedger:
 
     def test_due_respects_the_retry_clock_and_pops(self):
         ledger = AckLedger((SubscriptionRequest,))
-        ledger.track(subscription(0, 1), destination=4, frame=10)
+        track(ledger, subscription(0, 1), destination=4, frame=10)
         assert list(ledger.due(10 + ACK_RETRY_BASE_FRAMES - 1)) == []
         (pending,) = ledger.due(10 + ACK_RETRY_BASE_FRAMES)
         assert (pending.destination, pending.attempt) == (4, 0)
@@ -127,7 +137,7 @@ class TestAckLedger:
 
     def test_refile_backs_off_exponentially_to_a_cap_then_exhausts(self):
         ledger = AckLedger((SubscriptionRequest,))
-        ledger.track(subscription(0, 1), destination=4, frame=0)
+        track(ledger, subscription(0, 1), destination=4, frame=0)
         frame, gaps = ACK_RETRY_BASE_FRAMES, []
         for _ in range(ACK_RETRY_MAX_ATTEMPTS):
             (pending,) = ledger.due(frame)
@@ -145,10 +155,10 @@ class TestAckLedger:
     def test_resend_after_refile_keeps_the_attempt_count(self):
         ledger = AckLedger((SubscriptionRequest,))
         request = subscription(0, 1)
-        ledger.track(request, destination=4, frame=0)
+        track(ledger, request, destination=4, frame=0)
         (pending,) = ledger.due(ACK_RETRY_BASE_FRAMES)
         ledger.refile(pending, 6, ACK_RETRY_BASE_FRAMES)  # re-routed to hop 6
-        ledger.track(request, destination=6, frame=ACK_RETRY_BASE_FRAMES)
+        track(ledger, request, destination=6, frame=ACK_RETRY_BASE_FRAMES)
         assert len(ledger._pending) == 1
         ledger.settle(6, AckMessage(6, 0, 1, acked_sender_id=0, acked_sequence=1))
         assert len(ledger._pending) == 0
@@ -158,8 +168,8 @@ class TestAckLedger:
         # 4 is re-routed onto hop 6's key, which is also due this frame
         ledger = AckLedger((SubscriptionRequest,))
         request = subscription(0, 1)
-        ledger.track(request, destination=4, frame=0)
-        ledger.track(request, destination=6, frame=0)
+        track(ledger, request, destination=4, frame=0)
+        track(ledger, request, destination=6, frame=0)
         seen = []
         for pending in ledger.due(ACK_RETRY_BASE_FRAMES):
             seen.append((pending.destination, pending.attempt))

@@ -15,6 +15,7 @@ from repro.crypto.signatures import HmacSigner
 from repro.game.avatar import AvatarSnapshot
 from repro.game.gamemap import make_arena
 from repro.game.vector import Vec3
+from tests.wirekit import LoopbackWire, deliver
 
 
 def snap(player_id, frame=0, x=0.0, y=-800.0, yaw=0.0, alive=True):
@@ -44,9 +45,10 @@ class LoopbackHarness:
             proxy_period_frames=self.config.proxy_period_frames,
         )
         self.signer = HmacSigner()
-        self.sent = []  # (src, dst, message)
+        wire = LoopbackWire()
+        self.sent = wire.sent  # (src, dst, message)
         behaviours = behaviours or {}
-        self.nodes = {}
+        self.nodes = wire.nodes
         for player_id in roster:
             self.nodes[player_id] = WatchmenNode(
                 player_id=player_id,
@@ -55,16 +57,9 @@ class LoopbackHarness:
                 config=self.config,
                 schedule=self.schedule,
                 signer=self.signer,
-                send=self._send,
+                send=wire.send,
                 behaviour=behaviours.get(player_id),
             )
-
-    def _send(self, src, dst, message, size):
-        self.sent.append((src, dst, message))
-        node = self.nodes.get(dst)
-        if node is not None:
-            node.on_message(src, message)
-        return True
 
     def tick(self, frame, positions=None):
         positions = positions or {}
@@ -175,7 +170,7 @@ class TestEnvelopeSecurity:
         harness.tick(0)
         node = harness.nodes[1]
         before = node.metrics.signature_failures
-        node.on_message(0, StateUpdate(0, 0, 999, snap(0)))
+        deliver(node, 0, StateUpdate(0, 0, 999, snap(0)))
         assert node.metrics.signature_failures == before + 1
 
     def test_spoofed_sender_rejected(self):
@@ -189,7 +184,7 @@ class TestEnvelopeSecurity:
             signature=harness.signer.sign(2, signable_bytes(message)),
         )
         before = node.metrics.signature_failures
-        node.on_message(2, forged)
+        deliver(node, 2, forged)
         assert node.metrics.signature_failures == before + 1
 
     def test_replayed_message_rejected(self):
@@ -201,9 +196,9 @@ class TestEnvelopeSecurity:
             0, 0, 997, snap(0),
             signature=harness.signer.sign(0, signable_bytes(message)),
         )
-        node.on_message(0, signed)
+        deliver(node, 0, signed)
         before = node.metrics.replayed_messages
-        node.on_message(0, signed)
+        deliver(node, 0, signed)
         assert node.metrics.replayed_messages == before + 1
 
     def test_tampered_forward_rejected(self):
@@ -219,7 +214,7 @@ class TestEnvelopeSecurity:
         )
         tampered = replace(signed, snapshot=snap(0, x=9999.0))
         before = node.metrics.signature_failures
-        node.on_message(3, tampered)
+        deliver(node, 3, tampered)
         assert node.metrics.signature_failures == before + 1
 
     def test_direct_update_bypassing_proxy_flagged(self):
@@ -238,7 +233,7 @@ class TestEnvelopeSecurity:
             message, signature=harness.signer.sign(0, signable_bytes(message))
         )
         before = receiver.metrics.direct_update_violations
-        receiver.on_message(0, signed)
+        deliver(receiver, 0, signed)
         assert receiver.metrics.direct_update_violations == before + 1
 
 
@@ -298,7 +293,7 @@ class TestHandoff:
             signature=harness.signer.sign(imposter, signable_bytes(message)),
         )
         before = len(node.metrics.ratings)
-        node.on_message(imposter, signed)
+        deliver(node, imposter, signed)
         new = node.metrics.ratings[before:]
         assert any(r.subject_id == imposter and r.rating == 10.0 for r in new)
 

@@ -12,6 +12,7 @@ from repro.core.messages import (
 from repro.game.avatar import AvatarSnapshot
 from repro.game.vector import Vec3
 from repro.net.latency import uniform_lan
+from tests.wirekit import as_message
 
 
 def collect_messages(session, predicate):
@@ -19,10 +20,11 @@ def collect_messages(session, predicate):
     collected = []
     original_send = session.network.send
 
-    def spy(src, dst, payload, size):
-        if predicate(payload):
-            collected.append((src, dst, payload, size))
-        return original_send(src, dst, payload, size)
+    def spy(src, dst, frame):
+        message = as_message(frame)
+        if predicate(message):
+            collected.append((src, dst, message, len(frame)))
+        return original_send(src, dst, frame)
 
     for node in session.nodes.values():
         node._send_raw = spy

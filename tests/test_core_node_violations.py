@@ -1,4 +1,4 @@
-"""The twelve protocol-violation ratings, pinned field for field.
+"""The thirteen protocol-violation ratings, pinned field for field.
 
 These are the ratings ``WatchmenNode`` itself files (``CheckKind.RATE``)
 when the *message discipline* is breached, as opposed to the game-state
@@ -29,6 +29,7 @@ from repro.core.messages import (
 )
 from repro.core.verification import CheckKind, Confidence
 from tests.test_byzantine import Harness, hardened, snap
+from tests.wirekit import as_frame, deliver
 
 
 def _non_proxy_of(harness, client, exclude=()):
@@ -41,8 +42,16 @@ def invalid_signature():
     harness.tick(0)
     node = harness.nodes[1]
     forged = replace(harness.signed_position(0, 500), snapshot=snap(0, x=77.0))
-    node.on_message(0, forged)
+    deliver(node, 0, forged)
     return node, 0, 10.0, Confidence.PROXY, 1.0, "invalid or missing signature"
+
+
+def malformed_frame():
+    harness = Harness()
+    harness.tick(0)
+    node = harness.nodes[1]
+    node.on_message(3, as_frame(harness.signed_position(0, 500))[:-1])  # truncated
+    return node, 3, 10.0, Confidence.PROXY, 1.0, "malformed frame"
 
 
 def tampering_hop():
@@ -50,7 +59,7 @@ def tampering_hop():
     harness.tick(0)
     node = harness.nodes[1]
     tampered = replace(harness.signed_state(0, 500), snapshot=snap(0, x=9999.0))
-    node.on_message(3, tampered)  # relayed by 3, signed by 0
+    deliver(node, 3, tampered)  # relayed by 3, signed by 0
     return (node, 3, 10.0, Confidence.PROXY, 1.0,
             "relayed message fails its signature (tampering hop)")
 
@@ -60,8 +69,8 @@ def replayed_sequence():
     harness.tick(0)
     node = harness.nodes[1]
     message = harness.signed_position(0, 640)
-    node.on_message(0, message)
-    node.on_message(0, message)
+    deliver(node, 0, message)
+    deliver(node, 0, message)
     return node, 0, 10.0, Confidence.PROXY, 1.0, "replayed sequence 640"
 
 
@@ -70,15 +79,15 @@ def message_flood():
     harness.tick(0)
     node = harness.nodes[1]
     for i in range(BYZANTINE_RATE_BURST + BYZANTINE_QUARANTINE_STRIKES):
-        node.on_message(2, harness.signed_position(2, 800 + i))
+        deliver(node, 2, harness.signed_position(2, 800 + i))
     return (node, 2, 8.0, Confidence.PROXY, float(BYZANTINE_QUARANTINE_STRIKES),
             "message flood: token bucket exhausted repeatedly")
 
 
 def _equivocate(harness, witness):
     node = harness.nodes[witness]
-    node.on_message(0, harness.signed_state(0, 700, x=0.0))
-    node.on_message(0, harness.signed_state(0, 700, x=500.0))
+    deliver(node, 0, harness.signed_state(0, 700, x=0.0))
+    deliver(node, 0, harness.signed_state(0, 700, x=500.0))
     return node
 
 
@@ -105,7 +114,7 @@ def forged_evidence():
     harness.tick(0)
     node = harness.nodes[2]
     same = harness.signed_state(0, 701)
-    node.on_message(1, harness.signed_evidence(1, 0, same, same))
+    deliver(node, 1, harness.signed_evidence(1, 0, same, same))
     return (node, 1, 8.0, Confidence.PROXY, 1.0,
             "misbehavior evidence fails verification")
 
@@ -114,7 +123,7 @@ def direct_update_bypassing_proxy():
     harness = Harness()
     harness.tick(0)
     node = harness.nodes[_non_proxy_of(harness, 0)]
-    node.on_message(0, harness.signed_state(0, 900))
+    deliver(node, 0, harness.signed_state(0, 900))
     return (node, 0, 9.0, Confidence.PROXY, 1.0,
             "direct state update bypassing proxy")
 
@@ -132,7 +141,7 @@ def handoff_from_a_non_proxy():
     signed = replace(
         handoff, signature=harness.signer.sign(impostor, signable_bytes(handoff))
     )
-    node.on_message(impostor, signed)
+    deliver(node, impostor, signed)
     return (node, impostor, 10.0, Confidence.PROXY, 1.0,
             "handoff from a node that was not the proxy")
 
@@ -162,17 +171,12 @@ def starving_proxy():
             "(selective forwarding?)")
 
 
-class _AckEater(Harness):
-    """Loopback that loses every receipt: destinations look ack-withholding."""
-
-    def _send(self, src, dst, message, size):
-        if isinstance(message, AckMessage):
-            return True
-        return super()._send(src, dst, message, size)
-
-
 def ack_withholding():
-    harness = _AckEater(config=WatchmenConfig(resilient=True, byzantine_hardening=True))
+    # a loopback that loses every receipt: destinations look ack-withholding
+    harness = Harness(
+        config=WatchmenConfig(resilient=True, byzantine_hardening=True),
+        lose=lambda message: isinstance(message, AckMessage),
+    )
     harness.tick(0)
     node = harness.nodes[1]
     node._transmit(RemovalProposal(sender_id=1, subject_id=3, frame=0, sequence=990), 2)
@@ -186,6 +190,7 @@ def ack_withholding():
 
 
 CASES = [
+    malformed_frame,
     invalid_signature,
     tampering_hop,
     replayed_sequence,

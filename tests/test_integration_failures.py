@@ -117,11 +117,11 @@ class TestChurnDeparture:
         # by dropping his outbound too).
         original_send = session.network.send
 
-        def send_unless_departed(src, dst, payload, size):
+        def send_unless_departed(src, dst, frame):
             now_frame = int(session.queue.now / session.config.frame_seconds)
             if src == 5 and now_frame >= depart_frame:
                 return False
-            return original_send(src, dst, payload, size)
+            return original_send(src, dst, frame)
 
         for node in session.nodes.values():
             node._send_raw = send_unless_departed

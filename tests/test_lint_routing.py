@@ -39,8 +39,8 @@ class TestR501:
             (
                 "repro.core.node",
                 "class Node:\n"
-                "    def leak(self, message):\n"
-                "        self.transport.send(self.player_id, 0, message, 1)\n",
+                "    def leak(self, frame):\n"
+                "        self.transport.send(self.player_id, 0, frame)\n",
             ),
         )
         assert [v.rule for v in violations] == ["R501"]
@@ -51,8 +51,8 @@ class TestR501:
             (
                 "repro.game.weapons",
                 "class Weapon:\n"
-                "    def fire(self, message):\n"
-                "        self.node._send_raw(1, 2, message, 10)\n",
+                "    def fire(self, frame):\n"
+                "        self.node._send_raw(1, 2, frame)\n",
             ),
         )
         assert [v.rule for v in violations] == ["R501"]
@@ -62,8 +62,8 @@ class TestR501:
             (
                 "repro.core.node",
                 "class WatchmenNode:\n"
-                "    def _transmit_unfiltered(self, destination, signed, size):\n"
-                "        self._send_raw(self.player_id, destination, signed, size)\n",
+                "    def _transmit_unfiltered(self, destination, frame):\n"
+                "        self._send_raw(self.player_id, destination, frame)\n",
             ),
         )
         assert violations == []
@@ -78,9 +78,9 @@ class TestR501:
                 "repro.core.node",
                 "from repro.core.proxy import proxies_for\n"
                 "class Node:\n"
-                "    def route(self, message, frame):\n"
+                "    def route(self, buffer, frame):\n"
                 "        for proxy in proxies_for(self.player_id, frame):\n"
-                "            self.transport.send(self.player_id, proxy, message, 1)\n",
+                "            self.transport.send(self.player_id, proxy, buffer)\n",
             ),
         )
         assert violations == []
@@ -102,9 +102,9 @@ class TestR501:
             (
                 "repro.core.node",
                 "class Node:\n"
-                "    def leak(self, message, frame):\n"
+                "    def leak(self, buffer, frame):\n"
                 "        epoch = self.config.epoch_of_frame(frame)\n"
-                "        self.transport.send(self.player_id, epoch, message, 1)\n",
+                "        self.transport.send(self.player_id, epoch, buffer)\n",
             ),
         )
         assert [v.rule for v in violations] == ["R501"]
@@ -125,8 +125,8 @@ class TestR501:
             (
                 "repro.net.transport",
                 "class Transport:\n"
-                "    def deliver(self, message):\n"
-                "        self.socket.send(1, 2, message, 3)\n",
+                "    def deliver(self, frame):\n"
+                "        self.socket.send(1, 2, frame)\n",
             ),
         )
         assert violations == []
@@ -214,8 +214,8 @@ class TestAcceptanceProxyBypass:
         assert marker in source
         patched = source.replace(
             marker,
-            "    def _shortcut(self, message):\n"
-            "        self._send_raw(self.player_id, 0, message, 1)\n"
+            "    def _shortcut(self, frame):\n"
+            "        self._send_raw(self.player_id, 0, frame)\n"
             "\n" + marker,
             1,
         )

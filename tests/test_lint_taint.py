@@ -314,7 +314,7 @@ def real_tree_violations(mutate=None):
     return violations
 
 
-VERIFY_CALL = "accepted = self._verify_envelope(src, message)"
+VERIFY_CALL = "accepted = self._verify_envelope(src, message, signed)"
 PUBLISH_ANCHOR = "    def _publish_updates("
 
 RAW_INGEST_METHOD = (

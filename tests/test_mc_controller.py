@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.wire import MESSAGE_TAGS
 from repro.mc.controller import McController
 
-
-class Ping:
-    pass
-
-
-class Pong:
-    pass
+#: The controller reads nothing of a frame but its leading kind byte, so
+#: one-byte frames of two real kinds stand in for whole messages.
+PING_KIND, PONG_KIND = "AckMessage", "RemovalProposal"
+PING = bytes((MESSAGE_TAGS[PING_KIND],))
+PONG = bytes((MESSAGE_TAGS[PONG_KIND],))
 
 
 class FakeQueue:
@@ -27,15 +26,15 @@ class FakeNetwork:
         self.delivered: list[tuple[int, int, object]] = []
         self.drops = 0
 
-    def deliver_captured(self, src, dst, payload, size_bytes, sent_at):
-        self.delivered.append((src, dst, payload))
+    def deliver_captured(self, src, dst, frame, sent_at):
+        self.delivered.append((src, dst, frame))
 
     def drop_captured(self):
         self.drops += 1
 
 
 def controller(**kwargs) -> tuple[McController, FakeNetwork]:
-    defaults = dict(controlled=("Ping",), window=(0, 100))
+    defaults = dict(controlled=(PING_KIND,), window=(0, 100))
     defaults.update(kwargs)
     ctl = McController(**defaults)
     net = FakeNetwork()
@@ -47,37 +46,37 @@ class TestIntercept:
     def test_captures_controlled_type_inside_window(self):
         ctl, _ = controller(window=(5, 10))
         ctl.begin_frame(5)
-        assert ctl.intercept(0, 1, Ping(), 64)
+        assert ctl.intercept(0, 1, PING)
         assert ctl.captured == 1
-        assert ctl.meta[0] == (0, 1, "Ping")
+        assert ctl.meta[0] == (0, 1, PING_KIND)
 
     def test_outside_window(self):
         ctl, _ = controller(window=(5, 10))
         ctl.begin_frame(4)
-        assert not ctl.intercept(0, 1, Ping(), 64)
+        assert not ctl.intercept(0, 1, PING)
         ctl.begin_frame(10)  # window end is exclusive
-        assert not ctl.intercept(0, 1, Ping(), 64)
+        assert not ctl.intercept(0, 1, PING)
         assert ctl.captured == 0
 
     def test_uncontrolled_type(self):
         ctl, _ = controller()
         ctl.begin_frame(0)
-        assert not ctl.intercept(0, 1, Pong(), 64)
+        assert not ctl.intercept(0, 1, PONG)
 
     def test_local_loopback_is_never_captured(self):
         ctl, _ = controller()
         ctl.begin_frame(0)
-        assert not ctl.intercept(2, 2, Ping(), 64)
+        assert not ctl.intercept(2, 2, PING)
 
     def test_controlled_src_filter(self):
         ctl, _ = controller(controlled_src=(0, 1))
         ctl.begin_frame(0)
-        assert not ctl.intercept(3, 1, Ping(), 64)
-        assert ctl.intercept(0, 1, Ping(), 64)
+        assert not ctl.intercept(3, 1, PING)
+        assert ctl.intercept(0, 1, PING)
 
     def test_without_network_nothing_is_captured(self):
-        ctl = McController(controlled=("Ping",), window=(0, 100))
-        assert not ctl.intercept(0, 1, Ping(), 64)
+        ctl = McController(controlled=(PING_KIND,), window=(0, 100))
+        assert not ctl.intercept(0, 1, PING)
 
     def test_empty_window_is_rejected(self):
         with pytest.raises(ValueError):
@@ -88,7 +87,7 @@ class TestDecisionLoop:
     def test_capture_is_released_on_the_next_frame(self):
         ctl, net = controller()
         ctl.begin_frame(3)
-        ctl.intercept(0, 1, Ping(), 64)
+        ctl.intercept(0, 1, PING)
         assert net.delivered == []  # not ready within the sending frame
         ctl.begin_frame(4)
         assert [d[:2] for d in net.delivered] == [(0, 1)]
@@ -97,8 +96,8 @@ class TestDecisionLoop:
     def test_default_policy_delivers_in_canonical_order(self):
         ctl, net = controller()
         ctl.begin_frame(0)
-        ctl.intercept(2, 1, Ping(), 64)  # capture 0
-        ctl.intercept(0, 1, Ping(), 64)  # capture 1, lower src
+        ctl.intercept(2, 1, PING)  # capture 0
+        ctl.intercept(0, 1, PING)  # capture 1, lower src
         ctl.begin_frame(1)
         # canonical key orders by (ready_at, src, dst, type, id)
         assert [d[0] for d in net.delivered] == [0, 2]
@@ -107,9 +106,9 @@ class TestDecisionLoop:
     def test_head_only_fault_actions(self):
         ctl, _ = controller(drop_budget=1, dup_budget=1, defer_limit=1)
         ctl.begin_frame(0)
-        ctl.intercept(0, 9, Ping(), 64)
-        ctl.intercept(1, 9, Ping(), 64)
-        ctl.intercept(2, 9, Ping(), 64)
+        ctl.intercept(0, 9, PING)
+        ctl.intercept(1, 9, PING)
+        ctl.intercept(2, 9, PING)
         ctl.begin_frame(1)
         first = ctl.decisions[0].enabled
         # delivery of every ready message, faults only for the head (id 0)
@@ -133,8 +132,8 @@ class TestDecisionLoop:
     def test_scripted_reorder(self):
         ctl, net = controller(schedule=(("deliver", 1),))
         ctl.begin_frame(0)
-        ctl.intercept(0, 9, Ping(), 64)
-        ctl.intercept(1, 9, Ping(), 64)
+        ctl.intercept(0, 9, PING)
+        ctl.intercept(1, 9, PING)
         ctl.begin_frame(1)
         assert [d[0] for d in net.delivered] == [1, 0]
         assert ctl.fallbacks == 0
@@ -142,7 +141,7 @@ class TestDecisionLoop:
     def test_unenabled_scripted_action_falls_back_and_counts(self):
         ctl, net = controller(schedule=(("deliver", 99),))
         ctl.begin_frame(0)
-        ctl.intercept(0, 9, Ping(), 64)
+        ctl.intercept(0, 9, PING)
         ctl.begin_frame(1)
         assert ctl.fallbacks == 1
         assert [d[0] for d in net.delivered] == [0]  # default policy applied
@@ -152,8 +151,8 @@ class TestFaultBudgets:
     def test_drop(self):
         ctl, net = controller(drop_budget=1, schedule=(("drop", 0),))
         ctl.begin_frame(0)
-        ctl.intercept(0, 9, Ping(), 64)
-        ctl.intercept(1, 9, Ping(), 64)
+        ctl.intercept(0, 9, PING)
+        ctl.intercept(1, 9, PING)
         ctl.begin_frame(1)
         assert net.drops == 1
         assert ctl.dropped == 1
@@ -164,18 +163,18 @@ class TestFaultBudgets:
     def test_dup_delivers_and_requeues_a_copy(self):
         ctl, net = controller(dup_budget=1, schedule=(("dup", 0),))
         ctl.begin_frame(0)
-        ctl.intercept(0, 9, Ping(), 64)
+        ctl.intercept(0, 9, PING)
         ctl.begin_frame(1)
         # original delivered by the dup, the copy by the next decision
         assert [d[0] for d in net.delivered] == [0, 0]
         assert ctl.duplicated == 1
         assert ctl.delivered == 2
-        assert ctl.meta[1] == (0, 9, "Ping")
+        assert ctl.meta[1] == (0, 9, PING_KIND)
 
     def test_defer_pushes_to_the_next_frame(self):
         ctl, net = controller(defer_limit=1, schedule=(("defer", 0),))
         ctl.begin_frame(0)
-        ctl.intercept(0, 9, Ping(), 64)
+        ctl.intercept(0, 9, PING)
         ctl.begin_frame(1)
         assert net.delivered == []
         assert ctl.deferred == 1
@@ -189,8 +188,8 @@ class TestFaultBudgets:
             defer_limit=1, defer_budget=1, schedule=(("defer", 0),)
         )
         ctl.begin_frame(0)
-        ctl.intercept(0, 9, Ping(), 64)
-        ctl.intercept(1, 9, Ping(), 64)
+        ctl.intercept(0, 9, PING)
+        ctl.intercept(1, 9, PING)
         ctl.begin_frame(1)
         # capture 1 still had its per-message allowance, but the global
         # budget was spent on capture 0
@@ -201,7 +200,7 @@ class TestFaultBudgets:
     def test_stats_shape(self):
         ctl, _ = controller()
         ctl.begin_frame(0)
-        ctl.intercept(0, 9, Ping(), 64)
+        ctl.intercept(0, 9, PING)
         ctl.begin_frame(1)
         assert ctl.stats() == {
             "captured": 1,

@@ -21,21 +21,27 @@ def make_network(size=4, loss=0.0, jitter=0.0, budget=None, reachability=None):
     return queue, network
 
 
+def datagram_of(size):
+    """An opaque buffer the network charges ``size`` bytes for."""
+    return b"x" * size
+
+
 class TestDelivery:
     def test_message_delivered_with_latency(self):
         queue, network = make_network()
         inbox = []
         network.register(1, inbox.append)
-        network.send(0, 1, "hello", 100)
+        network.send(0, 1, b"hello")
         queue.run()
         assert len(inbox) == 1
         datagram = inbox[0]
-        assert datagram.payload == "hello"
+        assert datagram.payload == b"hello"
+        assert datagram.size_bytes == 5
         assert datagram.delivered_at == pytest.approx(0.010)
 
     def test_unregistered_destination_dropped_silently(self):
         queue, network = make_network()
-        assert network.send(0, 3, "x", 10)
+        assert network.send(0, 3, datagram_of(10))
         queue.run()
         assert network.delivered == 0
 
@@ -44,7 +50,7 @@ class TestDelivery:
         inbox = []
         network.register(0, inbox.append)
         for _ in range(50):
-            network.send(0, 0, "self", 10)
+            network.send(0, 0, b"self")
         queue.run()
         assert len(inbox) == 50
 
@@ -56,14 +62,14 @@ class TestDelivery:
     def test_invalid_size_rejected(self):
         _, network = make_network()
         with pytest.raises(ValueError):
-            network.send(0, 1, "x", 0)
+            network.send(0, 1, b"")
 
     def test_unregister_stops_delivery(self):
         queue, network = make_network()
         inbox = []
         network.register(1, inbox.append)
         network.unregister(1)
-        network.send(0, 1, "x", 10)
+        network.send(0, 1, datagram_of(10))
         queue.run()
         assert inbox == []
 
@@ -73,7 +79,7 @@ class TestLoss:
         queue, network = make_network(loss=0.2)
         network.register(1, lambda d: None)
         for _ in range(3000):
-            network.send(0, 1, "x", 10)
+            network.send(0, 1, datagram_of(10))
         queue.run()
         assert network.loss_observed == pytest.approx(0.2, abs=0.03)
         assert network.delivered == network.sent - network.lost
@@ -82,7 +88,7 @@ class TestLoss:
         queue, network = make_network(loss=0.0)
         network.register(1, lambda d: None)
         for _ in range(100):
-            network.send(0, 1, "x", 10)
+            network.send(0, 1, datagram_of(10))
         queue.run()
         assert network.lost == 0
 
@@ -101,7 +107,7 @@ class TestJitter:
         times = []
         network.register(1, lambda d: times.append(d.delivered_at))
         for _ in range(100):
-            network.send(0, 1, "x", 10)
+            network.send(0, 1, datagram_of(10))
         queue.run()
         assert max(times) - min(times) > 0.001
         assert all(t >= 0.010 for t in times)
@@ -112,7 +118,7 @@ class TestBudget:
         budget = UploadBudget(bytes_per_second=100)
         queue, network = make_network(budget=budget)
         network.register(1, lambda d: None)
-        results = [network.send(0, 1, "x", 60) for _ in range(3)]
+        results = [network.send(0, 1, datagram_of(60)) for _ in range(3)]
         assert results == [True, False, False]
         assert network.dropped_over_budget == 2
 
@@ -120,8 +126,8 @@ class TestBudget:
         budget = UploadBudget(bytes_per_second=100)
         queue, network = make_network(budget=budget)
         network.register(2, lambda d: None)
-        assert network.send(0, 2, "x", 80)
-        assert network.send(1, 2, "x", 80)  # different sender, own budget
+        assert network.send(0, 2, datagram_of(80))
+        assert network.send(1, 2, datagram_of(80))  # different sender, own budget
 
 
 class TestNatIntegration:
@@ -133,7 +139,7 @@ class TestNatIntegration:
         reach = Reachability(profiles, seed=1)
         queue, network = make_network(size=2, reachability=reach)
         network.register(1, lambda d: None)
-        assert not network.send(0, 1, "x", 10)
+        assert not network.send(0, 1, datagram_of(10))
         assert network.blocked_by_nat == 1
 
     def test_open_pair_allowed(self):
@@ -141,14 +147,37 @@ class TestNatIntegration:
         reach = Reachability(profiles, seed=1)
         queue, network = make_network(size=2, reachability=reach)
         network.register(1, lambda d: None)
-        assert network.send(0, 1, "x", 10)
+        assert network.send(0, 1, datagram_of(10))
 
 
 class TestMetering:
     def test_bandwidth_recorded(self):
         queue, network = make_network()
         network.register(1, lambda d: None)
-        network.send(0, 1, "x", 500)
+        network.send(0, 1, datagram_of(500))
         queue.run()
         assert network.meter.usage(0).sent_bytes == 500
         assert network.meter.usage(1).received_bytes == 500
+
+
+class TestPerKindBooks:
+    def test_sends_are_booked_under_the_kind_table_by_leading_byte(self):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry(enabled=True)
+        network = DatagramNetwork(
+            EventQueue(),
+            uniform_lan(4, one_way_ms=10.0),
+            NetworkConfig(loss_rate=0.0, seed=1),
+            registry=registry,
+            kinds={1: "StateUpdate"},
+        )
+        network.send(0, 1, b"\x01" + bytes(9))
+        network.send(0, 1, b"\x01" + bytes(19))
+        network.send(0, 1, b"\x7f")  # a kind the table does not know
+        counters = registry.snapshot()["counters"]
+        assert counters["net.sent.StateUpdate.count"] == 2
+        assert counters["net.sent.StateUpdate.bytes"] == 30
+        assert counters["net.sent.tag127.count"] == 1
+        assert counters["net.bytes.sent"] == 31
+        assert counters["net.datagrams.sent"] == 3
