@@ -4,8 +4,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test fast lint lint-fix precheck bench chaos chaos-byz tapes \
-	replay-verify model-check
+.PHONY: test fast lint lint-fix precheck bench bench-pairs chaos chaos-byz \
+	tapes replay-verify model-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -37,6 +37,17 @@ bench:
 		benchmarks/bench_interest.py benchmarks/bench_tape.py \
 		benchmarks/bench_wire.py benchmarks/bench_kernels.py \
 		-q --benchmark-disable
+
+# How a performance claim is measured (docs/PERFORMANCE.md): alternating
+# perfbench driver pairs, BASE (a git ref) against the working tree.
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=paper48 PAIRS=10 FIRST_SEED=500
+BASE ?= HEAD
+WORKLOAD ?= crowd96
+PAIRS ?= 10
+FIRST_SEED ?= 500
+bench-pairs:
+	$(PYTHON) scripts/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --first-seed $(FIRST_SEED)
 
 # Regenerate the golden tape corpus (docs/REPLAY.md).  Recording is
 # deterministic: on an unchanged protocol this rewrites identical bytes,

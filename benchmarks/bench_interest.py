@@ -12,6 +12,10 @@ rosters placed on the longest-yard map, and publishes both sides in one
   bench-diff CI gate watches (``<= 1/3`` means the >=3x speedup holds);
 - ``los_box_tests_fast.nN`` — deterministic count of slab tests the grid
   actually ran ("LOS tests avoided" is derived against the naive count);
+- ``observer_frames_per_classification`` — ``ObserverFrame`` constructions
+  per plan / verified subscription over a small full session (a count, so
+  machine-independent): the hoisting is one frame per classification, and
+  a caller that goes back to per-candidate helpers pushes it to ~n;
 - ``wall_seconds`` — end-to-end bench cost.
 
 Equality of the two paths is asserted here too (cheap insurance on top of
@@ -30,6 +34,8 @@ from repro.game.interest import (
     compute_sets_reference,
 )
 from repro.game.vector import Vec3
+from repro.obs import MetricsRegistry, use_registry
+from repro.replay import TapeScenario
 
 from conftest import SMOKE, publish
 
@@ -38,6 +44,11 @@ SEED = 2013
 #: Keep timing each path until it has run at least this long (noise floor).
 MIN_MEASURE_SECONDS = 0.05 if SMOKE else 0.25
 SPEEDUP_FLOOR = 3.0  # acceptance: >=3x on pairs/sec at 32+ players
+#: The full session the hoisting ratio is counted over (paper profile).
+SESSION_PLAYERS = 12
+SESSION_FRAMES = 40
+#: Acceptance: one ObserverFrame per plan / verified subscription.
+OBSERVER_FRAMES_CEILING = 1.0
 
 
 def _make_roster(
@@ -87,8 +98,22 @@ def _measure(op, base_reps: int) -> tuple[float, int]:
     return total, reps
 
 
+def _observer_frames_per_classification(yard) -> float:
+    """Planner and proxy-side verifier, counted over one real session."""
+    scenario = TapeScenario(
+        players=SESSION_PLAYERS, frames=SESSION_FRAMES, seed=SEED,
+        failover=False, reliable=False, hardening=False,
+    )
+    registry = MetricsRegistry(enabled=True)
+    with use_registry(registry):
+        scenario.make_session(scenario.make_trace(yard), None, yard).run()
+    counters = registry.snapshot()["counters"]
+    return counters["interest.observer_frames"] / counters["interest.classifications"]
+
+
 def test_interest_fast_path_speedup(yard, results_dir):
     config = InterestConfig()
+    frames_per_classification = _observer_frames_per_classification(yard)
     wall_start = time.perf_counter()
     lines = []
     metrics = {}
@@ -139,6 +164,12 @@ def test_interest_fast_path_speedup(yard, results_dir):
 
     wall = time.perf_counter() - wall_start
     metrics["wall_seconds"] = wall
+    metrics["observer_frames_per_classification"] = frames_per_classification
+    lines.append(
+        f"ObserverFrames per plan / verified subscription, "
+        f"{SESSION_PLAYERS}p x {SESSION_FRAMES}f session: "
+        f"{frames_per_classification:.3f} (gate: <= {OBSERVER_FRAMES_CEILING})"
+    )
     body = "\n".join(lines) + (
         "\n(fast = spatial grid + per-frame symmetric LOS cache + hoisted "
         "observer state + top-k selection; naive = retained reference)\n"
@@ -152,12 +183,17 @@ def test_interest_fast_path_speedup(yard, results_dir):
             "seed": SEED,
             "players": PLAYER_COUNTS,
             "min_measure_seconds": MIN_MEASURE_SECONDS,
+            "session": [SESSION_PLAYERS, SESSION_FRAMES],
             "smoke": SMOKE,
         },
         metrics=metrics,
         wall_seconds=wall,
     )
 
+    assert frames_per_classification <= OBSERVER_FRAMES_CEILING, (
+        f"{frames_per_classification:.2f} ObserverFrames per classification: "
+        "the planner and the subscription verifier build one per call"
+    )
     for n, speedup in speedups.items():
         if n >= 32:
             assert speedup >= SPEEDUP_FLOOR, (

@@ -69,6 +69,7 @@ from repro.obs import (
     diff_rows,
     format_diff,
     load_bench_rows,
+    use_registry,
     write_bench_json,
 )
 
@@ -322,7 +323,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         registry=registry,
     )
     start = time.perf_counter()
-    session.run()
+    # The interest layer counts into the process-wide registry.
+    with use_registry(registry):
+        session.run()
     wall = time.perf_counter() - start
     registry.gauge("session.wall_seconds").set(wall)
 
@@ -376,6 +379,14 @@ def _print_metrics_summary(snapshot: dict, wall: float) -> None:
             f"encodes_per_send {encodes / datagrams:.3f}, "
             f"{reused / (decoded + reused):.1%} of received frames reused "
             f"({decoded} decoded)"
+        )
+    classifications = counters.get("interest.classifications", 0)
+    if classifications:
+        frames = counters.get("interest.observer_frames", 0)
+        print(
+            "interest           : "
+            f"observer_frames_per_classification {frames / classifications:.3f} "
+            f"({classifications} plans + verified subscriptions)"
         )
     sent = {
         name.removeprefix("net.sent.").removesuffix(".count"): value

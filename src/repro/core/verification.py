@@ -18,18 +18,19 @@ keeps the false-positive rate at the paper's ≤5 % operating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass
 
 from repro.core.config import FRAME_SECONDS
 from repro.game.avatar import AvatarSnapshot
 from repro.game.deadreckoning import (
     GuidancePrediction,
 )
-from repro.game.gamemap import GameMap, eye_position
-from repro.game.interest import InterestConfig, attention_score, in_vision_cone
+from repro.game.gamemap import EYE_HEIGHT, GameMap, eye_position
+from repro.game.interest import InterestConfig, ObserverFrame
 from repro.game.physics import Physics
 from repro.game.vector import Vec3
 from repro.game.weapons import WEAPONS
+from repro.obs.registry import get_registry
 
 __all__ = [
     "Confidence",
@@ -667,7 +668,32 @@ class SubscriptionVerifier:
         slack_frames: int = 8,
     ) -> CheatRating:
         """Rate a VS subscription; slack_frames forgives subscription latency."""
-        if in_vision_cone(subscriber, target, self.interest):
+        get_registry().counter("interest.classifications").inc()
+        oframe = ObserverFrame(subscriber, self.interest)
+        rating, deviation, detail = self._rate_vision(
+            oframe, frame, target, slack_frames
+        )
+        return CheatRating(
+            verifier_id=verifier_id,
+            subject_id=subscriber.player_id,
+            frame=frame,
+            check=CheckKind.VS_SUBSCRIPTION,
+            rating=rating,
+            confidence=confidence,
+            deviation=deviation,
+            detail=detail,
+        )
+
+    def _rate_vision(
+        self,
+        oframe: ObserverFrame,
+        frame: int,
+        target: AvatarSnapshot,
+        slack_frames: int = 8,
+    ) -> tuple[float, float, str]:
+        """(rating, deviation, detail) of the cone check both kinds share."""
+        subscriber = oframe.snapshot
+        if oframe.in_vision_cone(target):
             rating, deviation, detail = MIN_RATING, 0.0, "target inside cone"
             # Maphack signature: inside the cone but behind a wall — "the
             # avatars that are in a player's vision range, but behind a
@@ -676,7 +702,7 @@ class SubscriptionVerifier:
             staleness = max(
                 0, frame - subscriber.frame, frame - target.frame
             )
-            if staleness <= 4 and self._solidly_occluded(subscriber, target):
+            if staleness <= 4 and self._solidly_occluded(oframe, target):
                 deviation = 0.3 * subscriber.position.distance_to(
                     target.position
                 )
@@ -690,40 +716,26 @@ class SubscriptionVerifier:
             # velocity and take the most charitable reading: an honest
             # subscription matches some recent target position, a bogus one
             # (never-visible target) matches none.
-            deviation = self._cone_deviation(subscriber, target)
+            deviation = self._cone_deviation(oframe, target.position)
             for rewind_frames in (10, 20):
-                rewound = dataclass_replace(
-                    target,
-                    position=target.position
-                    - target.velocity * (0.05 * rewind_frames),
+                rewound = target.position - target.velocity * (
+                    0.05 * rewind_frames
                 )
-                if in_vision_cone(
-                    subscriber, rewound, self.interest
+                if oframe.cone_contains(
+                    rewound.x, rewound.y, rewound.z + EYE_HEIGHT
                 ) and self.game_map.line_of_sight(
-                    eye_position(subscriber.position),
-                    eye_position(rewound.position),
+                    oframe.eye, eye_position(rewound)
                 ):
                     deviation = 0.0
                     break
-                deviation = min(
-                    deviation, self._cone_deviation(subscriber, rewound)
-                )
+                deviation = min(deviation, self._cone_deviation(oframe, rewound))
             # Allow the target to be a few frames of movement outside the
             # cone: subscriptions are predicted/retained, not instantaneous.
             allowed = 320.0 * 0.05 * slack_frames + 0.15 * self.interest.vision_radius
             rating = rating_from_deviation(deviation, allowed)
             rating = self._escalate(subscriber.player_id, frame, rating)
             detail = f"target {deviation:.0f}u outside cone"
-        return CheatRating(
-            verifier_id=verifier_id,
-            subject_id=subscriber.player_id,
-            frame=frame,
-            check=CheckKind.VS_SUBSCRIPTION,
-            rating=rating,
-            confidence=confidence,
-            deviation=deviation,
-            detail=detail,
-        )
+        return rating, deviation, detail
 
     def verify_interest_subscription(
         self,
@@ -735,10 +747,10 @@ class SubscriptionVerifier:
         confidence: float,
     ) -> CheatRating:
         """Rate an IS subscription by the target's attention rank."""
-        vision_rating = self.verify_vision_subscription(
-            verifier_id, frame, subscriber, target, confidence
-        )
-        if vision_rating.rating > MIN_RATING:
+        get_registry().counter("interest.classifications").inc()
+        oframe = ObserverFrame(subscriber, self.interest)
+        rating, deviation, _ = self._rate_vision(oframe, frame, target)
+        if rating > MIN_RATING:
             # Not even visible: inherit the cone deviation but tag as IS.
             # (Escalation already applied inside the vision check.)
             return CheatRating(
@@ -746,23 +758,12 @@ class SubscriptionVerifier:
                 subject_id=subscriber.player_id,
                 frame=frame,
                 check=CheckKind.IS_SUBSCRIPTION,
-                rating=vision_rating.rating,
+                rating=rating,
                 confidence=confidence,
-                deviation=vision_rating.deviation,
+                deviation=deviation,
                 detail="IS target outside vision cone",
             )
-        target_score = attention_score(subscriber, target, frame, self.interest)
-        rank = 1
-        for other_id, other in known.items():
-            if other_id in (subscriber.player_id, target.player_id):
-                continue
-            if not other.alive or not in_vision_cone(subscriber, other, self.interest):
-                continue
-            if (
-                attention_score(subscriber, other, frame, self.interest)
-                > target_score
-            ):
-                rank += 1
+        rank = oframe.attention_rank(target, known)
         allowed_rank = self.interest.interest_size * 2  # generous: local views differ
         rating = rating_from_deviation(float(rank), float(allowed_rank))
         rating = self._escalate(subscriber.player_id, frame, rating)
@@ -791,7 +792,7 @@ class SubscriptionVerifier:
         return min(MAX_RATING, rating + self.repeat_step * max(0, repeats - 1))
 
     def _solidly_occluded(
-        self, subscriber: AvatarSnapshot, target: AvatarSnapshot
+        self, oframe: ObserverFrame, target: AvatarSnapshot
     ) -> bool:
         """Blocked along the direct line *and* laterally offset lines.
 
@@ -800,7 +801,7 @@ class SubscriptionVerifier:
         subscriptions.  A maphack target sits deep behind geometry, where
         every sampled ray is blocked.
         """
-        eye_a = eye_position(subscriber.position)
+        eye_a = oframe.eye
         eye_b = eye_position(target.position)
         direction = (eye_b - eye_a).with_z(0.0).normalized()
         perp = Vec3(-direction.y, direction.x, 0.0) * 40.0
@@ -813,21 +814,16 @@ class SubscriptionVerifier:
             not self.game_map.line_of_sight(a, b) for a, b in samples
         )
 
-    def _cone_deviation(
-        self, subscriber: AvatarSnapshot, target: AvatarSnapshot
-    ) -> float:
-        """Distance-like metric from the target to the subscriber's cone."""
-        offset = target.position - subscriber.position
+    def _cone_deviation(self, oframe: ObserverFrame, position: Vec3) -> float:
+        """Distance-like metric from ``position`` (feet) to the subscriber's cone."""
+        offset = position - oframe.snapshot.position
         distance = offset.length()
-        radial_excess = max(0.0, distance - self.interest.vision_radius)
-        aim = Vec3.from_yaw(subscriber.yaw)
+        radial_excess = max(0.0, distance - oframe.vision_radius)
         angle_excess = max(
-            0.0, aim.angle_to(offset) - self.interest.effective_half_angle
+            0.0, oframe.aim.angle_to(offset) - oframe.half_angle_slack
         )
         # Arc-length conversion puts the angular excess in world units.
-        return radial_excess + angle_excess * min(
-            distance, self.interest.vision_radius
-        )
+        return radial_excess + angle_excess * min(distance, oframe.vision_radius)
 
 
 class RateVerifier:

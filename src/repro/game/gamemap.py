@@ -368,7 +368,7 @@ class GameMap:
 # Built-in maps
 # --------------------------------------------------------------------------
 
-_EYE_HEIGHT = 48.0  # Quake-ish view height above the standing surface
+EYE_HEIGHT = 48.0  # Quake-ish view height above the standing surface
 
 
 def _platform(cx: float, cy: float, half: float, top: float, name: str) -> Box:
@@ -589,4 +589,4 @@ def make_corridors(lanes: int = 3, lane_width: float = 300.0,
 
 def eye_position(feet: Vec3) -> Vec3:
     """The camera position for an avatar standing at ``feet``."""
-    return feet.with_z(feet.z + _EYE_HEIGHT)
+    return feet.with_z(feet.z + EYE_HEIGHT)

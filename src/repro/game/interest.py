@@ -15,8 +15,9 @@ Performance architecture (see docs/PERFORMANCE.md): the classification
 runs every 50 ms frame for every player, so the hot path is organised as
 
 - :class:`ObserverFrame` — per-observer hoisted state (eye position, aim
-  vector, squared-distance cull bound) computed once per observer instead
-  of once per (observer, target) pair;
+  vector, squared-distance cull bound) and the scalar cone / attention
+  kernels over it, built once per plan and once per proxy-side
+  subscription check instead of once per (observer, target) pair;
 - :class:`LosCache` — a per-frame symmetric memo over
   :meth:`GameMap.line_of_sight` (LOS(a, b) == LOS(b, a) because the map
   canonicalises endpoint order), shared across all observers of a frame;
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 from repro.core.config import INTEREST_SET_SIZE, VISION_HALF_ANGLE, VISION_SLACK
 from repro.game.avatar import AvatarSnapshot
-from repro.game.gamemap import GameMap, eye_position
+from repro.game.gamemap import EYE_HEIGHT, GameMap, eye_position
 from repro.game.vector import Vec3, clamp
 from repro.obs.registry import get_registry
 
@@ -186,13 +187,18 @@ class LosCache:
 
 
 class ObserverFrame:
-    """Hoisted per-observer state for one frame of classification.
+    """Hoisted per-observer state for one classification or verification.
 
     The naive path rebuilds ``eye_position(observer.position)`` and
     ``Vec3.from_yaw(observer.yaw)`` for *every* target; this computes them
-    once.  The scalar methods below mirror the reference arithmetic
-    operation-for-operation (same order, same intermediate expressions) so
-    their results are bit-identical — the property tests enforce it.
+    once.  It is the one place the cone / attention arithmetic runs: the
+    planner (:func:`compute_sets`) builds one per plan and the proxy-side
+    :class:`~repro.core.verification.SubscriptionVerifier` one per verified
+    subscription (the ``interest.observer_frames`` counter over
+    ``interest.classifications`` is that ratio, gated at <= 1).  The scalar
+    methods below mirror the reference arithmetic operation-for-operation
+    (same order, same intermediate expressions) so their results are
+    bit-identical — the property tests enforce it.
     """
 
     __slots__ = (
@@ -201,6 +207,7 @@ class ObserverFrame:
         "eye",
         "aim",
         "aim_length",
+        "vision_radius",
         "cull_radius_sq",
         "half_angle_slack",
         "half_angle_strict",
@@ -212,6 +219,7 @@ class ObserverFrame:
         self.eye = eye_position(observer.position)
         self.aim = Vec3.from_yaw(observer.yaw)
         self.aim_length = self.aim.length()
+        self.vision_radius = config.vision_radius
         # Conservative squared-distance cull: anything beyond this is
         # certainly outside vision_radius, so the exact sqrt-based check
         # only runs for pairs that might be visible.  The 1e-6 slack keeps
@@ -220,22 +228,31 @@ class ObserverFrame:
         self.cull_radius_sq = cull * cull
         self.half_angle_slack = config.effective_half_angle
         self.half_angle_strict = config.vision_half_angle
+        get_registry().counter("interest.observer_frames").inc()
 
     def in_vision_cone(self, target: AvatarSnapshot, slack: bool = True) -> bool:
         """Exact mirror of :func:`in_vision_cone` with hoisted observer state."""
-        return self._cone_check(eye_position(target.position), slack)
+        position = target.position
+        return self.cone_contains(
+            position.x, position.y, position.z + EYE_HEIGHT, slack
+        )
 
-    def _cone_check(self, target_eye: Vec3, slack: bool = True) -> bool:
-        """Cone test against a precomputed target eye position."""
+    def cone_contains(self, x: float, y: float, z: float, slack: bool = True) -> bool:
+        """Cone test against a target *eye* at ``(x, y, z)``, in scalars.
+
+        ``eye_position(feet)`` is ``feet.with_z(feet.z + EYE_HEIGHT)``, so a
+        caller holding feet passes ``feet.z + EYE_HEIGHT`` and gets the
+        same floats without building the eye ``Vec3``.
+        """
         eye = self.eye
-        dx = target_eye.x - eye.x
-        dy = target_eye.y - eye.y
-        dz = target_eye.z - eye.z
+        dx = x - eye.x
+        dy = y - eye.y
+        dz = z - eye.z
         dist_sq = dx * dx + dy * dy + dz * dz
         if dist_sq > self.cull_radius_sq:
             return False  # early-out; exact check below is strictly stronger
         distance = math.sqrt(dist_sq)
-        if distance > self.config.vision_radius or distance == 0.0:
+        if distance > self.vision_radius or distance == 0.0:
             return False
         half_angle = self.half_angle_slack if slack else self.half_angle_strict
         aim = self.aim
@@ -337,6 +354,81 @@ class ObserverFrame:
             scores[other_id] = proximity + aim_term + recent
         return scores
 
+    def attention_rank(
+        self, target: AvatarSnapshot, everyone: dict[int, AvatarSnapshot]
+    ) -> int:
+        """1 + the live in-cone avatars of ``everyone`` out-scoring ``target``.
+
+        The proxy-side IS check: where ``target`` stands in the observer's
+        attention order, recency-free (a proxy holds no interaction
+        history).  One flat pass: per candidate the cone test of
+        :meth:`cone_contains`, then — only for the few inside the cone —
+        the score of :meth:`attention_score`, each expression for
+        expression (they share ``dx``, ``dy`` and the left-associated
+        ``dx * dx + dy * dy`` prefix; the two ``dz`` differ, eye to eye
+        against feet to feet, and are both kept).
+        """
+        observer = self.snapshot
+        observer_id = observer.player_id
+        target_id = target.player_id
+        threshold = self.attention_score(target, 0)
+        position = observer.position
+        opx, opy, opz = position.x, position.y, position.z
+        eye_z = self.eye.z
+        aim = self.aim
+        ax, ay, az = aim.x, aim.y, aim.z
+        aim_length = self.aim_length
+        vision_radius = self.vision_radius
+        cull_radius_sq = self.cull_radius_sq
+        half_angle = self.half_angle_slack
+        proximity_scale = self.config.proximity_scale
+        sqrt = math.sqrt
+        acos = math.acos
+        pi = math.pi
+        rank = 1
+        for other_id, other in everyone.items():
+            if other_id == observer_id or other_id == target_id or not other.alive:
+                continue
+            other_position = other.position
+            dx = other_position.x - opx
+            dy = other_position.y - opy
+            dxy_sq = dx * dx + dy * dy
+            dot_xy = ax * dx + ay * dy
+            # -- cone_contains, eye to eye
+            dz = (other_position.z + EYE_HEIGHT) - eye_z
+            dist_sq = dxy_sq + dz * dz
+            if dist_sq > cull_radius_sq:
+                continue
+            distance = sqrt(dist_sq)
+            if distance > vision_radius or distance == 0.0:
+                continue
+            denom = aim_length * distance
+            if denom != 0.0:
+                cosine = (dot_xy + az * dz) / denom
+                cosine = (
+                    -1.0 if cosine < -1.0 else 1.0 if cosine > 1.0 else cosine
+                )
+                # ``not <=``, never ``>``: a NaN pose stays outside the cone
+                if not acos(cosine) <= half_angle:
+                    continue
+            # -- attention_score, feet to feet, no recency
+            dz = other_position.z - opz
+            distance = sqrt(dxy_sq + dz * dz)
+            proximity = 1.0 / (1.0 + distance / proximity_scale)
+            horizontal = sqrt(dxy_sq + 0.0 * 0.0)
+            denom = aim_length * horizontal
+            if denom == 0.0:
+                aim_error = 0.0
+            else:
+                cosine = (dot_xy + az * 0.0) / denom
+                cosine = (
+                    -1.0 if cosine < -1.0 else 1.0 if cosine > 1.0 else cosine
+                )
+                aim_error = acos(cosine)
+            if proximity + max(0.0, 1.0 - aim_error / pi) + 0.0 > threshold:
+                rank += 1
+        return rank
+
 
 def in_vision_cone(
     observer: AvatarSnapshot,
@@ -377,26 +469,60 @@ def _classify(
     recency: InteractionRecency | None,
     eyes: dict[int, Vec3] | None,
 ) -> InterestSets:
-    """Shared classification core of the single and batched entry points."""
+    """Shared classification core of the single and batched entry points.
+
+    The cone test is :meth:`ObserverFrame.cone_contains` inlined over
+    hoisted locals (expression for expression), so without a precomputed
+    ``eyes`` table a target's eye ``Vec3`` is built only for the pairs
+    that pass the cone and go on to line of sight.
+    """
     visible: list[int] = []
-    others: set[int] = set()
     observer_id = oframe.snapshot.player_id
     observer_eye = oframe.eye
+    ex, ey, ez = observer_eye.x, observer_eye.y, observer_eye.z
+    aim = oframe.aim
+    ax, ay, az = aim.x, aim.y, aim.z
+    aim_length = oframe.aim_length
+    vision_radius = oframe.vision_radius
+    cull_radius_sq = oframe.cull_radius_sq
+    half_angle = oframe.half_angle_slack
+    sqrt = math.sqrt
+    acos = math.acos
+    line_of_sight = los.line_of_sight
     for other_id, snap in everyone.items():
-        if other_id == observer_id:
+        if other_id == observer_id or not snap.alive:
             continue
-        if not snap.alive:
-            others.add(other_id)
-            continue
-        target_eye = eyes[other_id] if eyes is not None else eye_position(
-            snap.position
-        )
-        if oframe._cone_check(target_eye) and los.line_of_sight(
-            observer_eye, target_eye
-        ):
-            visible.append(other_id)
+        if eyes is not None:
+            target_eye = eyes[other_id]
+            tx, ty, tz = target_eye.x, target_eye.y, target_eye.z
         else:
-            others.add(other_id)
+            target_eye = None
+            position = snap.position
+            tx, ty, tz = position.x, position.y, position.z + EYE_HEIGHT
+        dx = tx - ex
+        dy = ty - ey
+        dz = tz - ez
+        dist_sq = dx * dx + dy * dy + dz * dz
+        if dist_sq > cull_radius_sq:
+            continue
+        distance = sqrt(dist_sq)
+        if distance > vision_radius or distance == 0.0:
+            continue
+        denom = aim_length * distance
+        if denom != 0.0:
+            cosine = (ax * dx + ay * dy + az * dz) / denom
+            cosine = -1.0 if cosine < -1.0 else 1.0 if cosine > 1.0 else cosine
+            # ``not <=``, never ``>``: a NaN pose stays outside the cone
+            if not acos(cosine) <= half_angle:
+                continue
+        if target_eye is None:
+            target_eye = Vec3(tx, ty, tz)  # == eye_position(snap.position)
+        if line_of_sight(observer_eye, target_eye):
+            visible.append(other_id)
+    # Others: everyone who is neither the observer nor visible.
+    others = set(everyone)
+    others.discard(observer_id)
+    others.difference_update(visible)
 
     if len(visible) <= config.interest_size:
         # Fewer visible players than IS slots: everyone visible is in the
@@ -446,6 +572,7 @@ def compute_sets(
     one); results are identical either way.
     """
     config = config or InterestConfig()
+    get_registry().counter("interest.classifications").inc()
     oframe = ObserverFrame(observer, config)
     return _classify(
         oframe, everyone, los if los is not None else game_map, frame, config,
@@ -485,6 +612,7 @@ def compute_all_sets(
             result[observer_id] = _classify(
                 oframe, everyone, los, frame, config, recency, eyes
             )
+    obs.counter("interest.classifications").inc(len(ids))
     obs.counter("interest.pairs").inc(len(ids) * max(0, len(everyone) - 1))
     obs.counter("interest.los_cache_hits").inc(los.hits - hits_before)
     obs.counter("interest.los_cache_misses").inc(los.misses - misses_before)

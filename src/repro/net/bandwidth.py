@@ -36,7 +36,10 @@ class BandwidthMeter:
         self._end_time = 0.0
 
     def usage(self, node_id: int) -> NodeUsage:
-        return self._usage.setdefault(node_id, NodeUsage())
+        entry = self._usage.get(node_id)
+        if entry is None:  # insert on miss; a setdefault default is built every call
+            entry = self._usage[node_id] = NodeUsage()
+        return entry
 
     def record_send(self, node_id: int, size_bytes: int, time: float) -> None:
         entry = self.usage(node_id)

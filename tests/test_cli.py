@@ -105,6 +105,7 @@ class TestMetrics:
         out = capsys.readouterr().out
         assert "frame time" in out
         assert "bandwidth" in out
+        assert "observer_frames_per_classification 1.000" in out
 
     def test_metrics_json_stdout(self, capsys):
         assert main([

@@ -1,0 +1,199 @@
+"""Exactness gate for the proxy-side subscription verifier.
+
+:class:`SubscriptionVerifier` runs every cone test, both rewound-target
+tests and the whole attention-rank scan of one call on a single
+:class:`ObserverFrame`.  It must rate exactly as the per-pair verifier it
+replaced, which is retained verbatim in
+``tests/reference/subscription_verifier.py``:
+
+- a hypothesis property drives both over random maps, rosters, yaws,
+  velocities, stale frames and a pre-loaded escalation history, and
+  compares every :class:`CheatRating` field for field plus the escalation
+  state they leave behind;
+- a branch census proves the generator reaches every arm of the check
+  (in-cone, occluded, rewind-rescued, outside, IS rank), so the property
+  is not vacuously green;
+- one full paper-profile session pins the sha256 of its complete rating
+  stream to the value recorded before the verifier was hoisted;
+- a counter test holds the hoisting itself: one ``ObserverFrame`` per
+  verified subscription.
+"""
+
+import hashlib
+import math
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.verification import CheatRating, Confidence, SubscriptionVerifier
+from repro.game.avatar import AvatarSnapshot
+from repro.game.gamemap import GameMap
+from repro.game.interest import InterestConfig
+from repro.game.vector import Vec3
+from repro.obs import MetricsRegistry, use_registry
+from repro.replay import TapeScenario
+
+from tests.reference.subscription_verifier import ReferenceSubscriptionVerifier
+from tests.test_game_interest_fast import _random_world
+
+#: sha256 over every field of every rating of the pinned session below,
+#: recorded at the commit before PR 15 (28 269 ratings)
+PINNED_SESSION_RATINGS = 28269
+PINNED_SESSION_SHA256 = (
+    "090b46d16741a596e3d39234e457425117bfb8a42d35423267850fa3e6b56292"
+)
+
+
+def rating_stream_sha256(ratings: list[CheatRating]) -> str:
+    digest = hashlib.sha256()
+    for r in ratings:
+        digest.update(repr((
+            r.verifier_id, r.subject_id, r.frame, r.check,
+            r.rating, r.confidence, r.deviation, r.detail,
+        )).encode())
+    return digest.hexdigest()
+
+
+def _random_roster(rng: Random, players: int, now: int) -> dict[int, AvatarSnapshot]:
+    """A proxy's ``known`` view: some dead, some stacked on one spot (so a
+    subscriber meets ``distance == 0.0``), some fast enough that the 10-
+    and 20-frame rewinds land somewhere else entirely, some views stale."""
+    roster: dict[int, AvatarSnapshot] = {}
+    for pid in range(players):
+        if pid and rng.random() < 0.1:
+            position = roster[rng.randrange(pid)].position  # co-located
+        else:
+            position = Vec3(
+                rng.uniform(-2200, 2200), rng.uniform(-2200, 2200),
+                rng.uniform(-100, 300),
+            )
+        speed = rng.choice((0.0, 320.0, 320.0, 1500.0))
+        heading = rng.uniform(-math.pi, math.pi)
+        roster[pid] = AvatarSnapshot(
+            player_id=pid,
+            frame=now - rng.choice((0, 0, 1, 2, 6, 30)),
+            position=position,
+            velocity=Vec3(math.cos(heading) * speed, math.sin(heading) * speed, 0.0),
+            yaw=rng.uniform(-math.pi, math.pi),
+            health=100, armor=0, weapon="machinegun", ammo=10,
+            alive=rng.random() > 0.12,
+        )
+    return roster
+
+
+def _verifier_pair(rng: Random, game_map: GameMap, players: int, now: int):
+    """The fast and the reference verifier, escalation history pre-loaded."""
+    config = InterestConfig()
+    fast = SubscriptionVerifier(game_map, config)
+    reference = ReferenceSubscriptionVerifier(game_map, config)
+    for pid in range(players):
+        if rng.random() < 0.3:
+            history = sorted(
+                now - rng.randrange(0, 400) for _ in range(rng.randrange(1, 6))
+            )
+            fast._suspicious_frames[pid] = list(history)
+            reference._suspicious_frames[pid] = list(history)
+    return fast, reference
+
+
+def _drive(seed: int, players: int, boxes: int, checks: int) -> list[CheatRating]:
+    """Run ``checks`` random subscriptions through both verifiers, asserting
+    equality after each; returns the ratings (for the branch census)."""
+    rng = Random(seed)
+    now = 50 + seed % 400
+    game_map, _, _ = _random_world(seed, 0, boxes)  # the map only
+    roster = _random_roster(rng, players, now)
+    fast, reference = _verifier_pair(rng, game_map, players, now)
+    ratings = []
+    for _ in range(checks):
+        subscriber_id, target_id = rng.sample(range(players), 2)
+        subscriber, target = roster[subscriber_id], roster[target_id]
+        if rng.random() < 0.5:
+            # an honest subscriber is usually looking somewhere near the target
+            offset = target.position - subscriber.position
+            subscriber = AvatarSnapshot(
+                player_id=subscriber.player_id, frame=subscriber.frame,
+                position=subscriber.position, velocity=subscriber.velocity,
+                yaw=offset.yaw() + rng.uniform(-1.3, 1.3),
+                health=100, armor=0, weapon="machinegun", ammo=10, alive=True,
+            )
+        verifier_id = rng.randrange(players)
+        confidence = rng.choice((Confidence.PROXY, Confidence.INTEREST))
+        if rng.random() < 0.5:
+            args = (verifier_id, now, subscriber, target, confidence)
+            got = fast.verify_vision_subscription(*args)
+            want = reference.verify_vision_subscription(*args)
+        else:
+            args = (verifier_id, now, subscriber, target, roster, confidence)
+            got = fast.verify_interest_subscription(*args)
+            want = reference.verify_interest_subscription(*args)
+        assert got == want
+        assert fast._suspicious_frames == reference._suspicious_frames
+        ratings.append(got)
+    return ratings
+
+
+class TestFastVerifierEqualsReference:
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=2, max_value=64),
+        st.integers(min_value=0, max_value=14),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ratings_and_escalation_state_match(self, seed, players, boxes):
+        _drive(seed, players, boxes, checks=12)
+
+    def test_generator_reaches_every_branch(self):
+        seen: dict[str, int] = {}
+        for seed in range(40):
+            for rating in _drive(seed, players=24, boxes=10, checks=20):
+                if rating.detail.startswith("target attention rank"):
+                    key = "rank>1" if rating.deviation > 1.0 else "rank=1"
+                elif rating.detail.endswith("outside cone"):
+                    # VS arm; deviation 0.0 there means a rewind was rescued
+                    # by cone + line of sight
+                    key = "rescued" if rating.deviation == 0.0 else "outside"
+                else:
+                    key = rating.detail
+                seen[key] = seen.get(key, 0) + 1
+                if rating.rating >= 10.0:
+                    seen["saturated"] = seen.get("saturated", 0) + 1
+        for branch in (
+            "target inside cone",
+            "target inside cone but occluded",
+            "rescued",
+            "outside",
+            "IS target outside vision cone",
+            "rank=1",
+            "rank>1",
+            "saturated",
+        ):
+            assert seen.get(branch, 0) >= 3, (branch, seen)
+
+    def test_one_observer_frame_per_verified_subscription(self):
+        registry = MetricsRegistry(enabled=True)
+        with use_registry(registry):
+            _drive(seed=11, players=32, boxes=8, checks=30)
+        counters = registry.snapshot()["counters"]
+        # the reference goes through the naive helpers and counts nothing
+        assert counters["interest.classifications"] == 30
+        assert counters["interest.observer_frames"] == 30
+
+
+@pytest.mark.slow
+def test_paper_profile_session_rating_stream_is_pinned():
+    """24 players x 40 frames, paper profile, seed 7: every rating of the
+    run — subscription checks and all the others — hashes to the value
+    recorded at the parent of PR 15.  A fast path that drops, reorders or
+    perturbs one rating by one ulp changes it."""
+    scenario = TapeScenario(
+        players=24, frames=40, seed=7,
+        failover=False, reliable=False, hardening=False,
+    )
+    game_map = scenario.make_map()
+    trace = scenario.make_trace(game_map)
+    report = scenario.make_session(trace, None, game_map).run()
+    assert len(report.ratings) == PINNED_SESSION_RATINGS
+    assert rating_stream_sha256(report.ratings) == PINNED_SESSION_SHA256

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -36,6 +37,7 @@ from repro.game.interest import (
     InterestConfig,
     ObserverFrame,
     _attention_score_reference,
+    _in_vision_cone_reference,
 )
 from repro.game.physics import MoveIntent, Physics
 from repro.game.simulator import generate_trace
@@ -254,6 +256,32 @@ class TestAttentionBatch:
             assert bits(batched[pid]) == bits(
                 oframe.attention_score(roster[pid], 0, None)
             )
+
+
+class TestAttentionRank:
+    @given(seed=st.integers(0, 10_000), count=st.integers(2, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_rank_matches_per_candidate_reference(self, seed, count):
+        roster = _roster(seed, count)
+        # a few avatars stacked on the observer: the distance == 0.0 arm
+        for pid in range(2, count, 9):
+            roster[pid] = replace(roster[pid], position=roster[0].position)
+        config = InterestConfig()
+        observer = roster[0]
+        oframe = ObserverFrame(observer, config)
+        for target_id in range(1, count):
+            target = roster[target_id]
+            target_score = _attention_score_reference(observer, target, 0, config)
+            rank = 1 + sum(
+                1
+                for pid, other in roster.items()
+                if pid not in (0, target_id)
+                and other.alive
+                and _in_vision_cone_reference(observer, other, config)
+                and _attention_score_reference(observer, other, 0, config)
+                > target_score
+            )
+            assert oframe.attention_rank(target, roster) == rank
 
 
 class TestBotPerception:

@@ -43,6 +43,24 @@ class TestMeter:
         assert usage.sent_messages == 2
         assert usage.received_messages == 1
 
+    def test_usage_builds_one_entry_per_node(self, monkeypatch):
+        from repro.net import bandwidth
+
+        built = []
+
+        class CountingUsage(bandwidth.NodeUsage):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(bandwidth, "NodeUsage", CountingUsage)
+        meter = BandwidthMeter()
+        first = meter.usage(3)
+        meter.record_send(3, 10, 0.1)
+        meter.record_receive(3, 10, 0.2)
+        assert meter.usage(3) is first
+        assert built == [first]  # lookups after the first construct nothing
+
     def test_node_ids_sorted(self):
         meter = BandwidthMeter()
         meter.record_send(5, 10, 0.1)
