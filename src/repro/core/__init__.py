@@ -1,15 +1,8 @@
 """Watchmen core: the paper's contribution.
 
-The one-stop import surface:
-
-- :class:`~repro.core.config.WatchmenConfig` — all protocol tunables;
-- :class:`~repro.core.protocol.WatchmenSession` — run a trace through the
-  full protocol over a simulated WAN and collect metrics;
-- :class:`~repro.core.proxy.ProxySchedule` — random/verifiable/dynamic
-  proxy assignment;
-- :mod:`~repro.core.verification` — sanity-check verifiers and ratings;
-- :mod:`~repro.core.reputation` — reputation & banning backends;
-- :mod:`~repro.core.disclosure` — information-exposure accounting.
+The package re-exports only what callers import through it — the
+config, the session, the reputation backends, the admission estimates;
+everything else is imported from its own submodule.
 
 Re-exports resolve lazily (PEP 562): importing a single leaf such as
 :mod:`repro.core.config` must not drag in the whole protocol stack, both
@@ -23,83 +16,14 @@ from typing import Any
 
 #: Public name -> defining submodule, resolved on first attribute access.
 _EXPORTS = {
-    "ActionRepetitionVerifier": "repro.core.action_repetition",
-    "AdmissionDecision": "repro.core.admission",
     "estimate_proxy_kbps": "repro.core.admission",
     "estimate_publisher_kbps": "repro.core.admission",
     "feasibility_test": "repro.core.admission",
     "WatchmenConfig": "repro.core.config",
-    "FRAME_SECONDS": "repro.core.config",
-    "FRAMES_PER_SECOND": "repro.core.config",
-    "FREQUENT_INTERVAL_FRAMES": "repro.core.config",
-    "PROXY_PERIOD_FRAMES": "repro.core.config",
-    "HANDOFF_DEPTH": "repro.core.config",
-    "INTEREST_SET_SIZE": "repro.core.config",
-    "VISION_HALF_ANGLE": "repro.core.config",
-    "VISION_SLACK": "repro.core.config",
-    "SIGNATURE_BITS": "repro.core.config",
-    "STATE_UPDATE_BITS": "repro.core.config",
-    "MAX_USEFUL_AGE_FRAMES": "repro.core.config",
-    "ExposureCategory": "repro.core.disclosure",
-    "ExposureHistogram": "repro.core.disclosure",
-    "InfoLevel": "repro.core.disclosure",
-    "coalition_category": "repro.core.disclosure",
-    "watchmen_observer_level": "repro.core.disclosure",
-    "SUB_INTEREST": "repro.core.messages",
-    "SUB_VISION": "repro.core.messages",
-    "GuidanceMessage": "repro.core.messages",
-    "HandoffMessage": "repro.core.messages",
-    "KillClaim": "repro.core.messages",
-    "PositionUpdate": "repro.core.messages",
-    "StateUpdate": "repro.core.messages",
-    "SubscriptionRequest": "repro.core.messages",
-    "message_size_bits": "repro.core.messages",
-    "message_size_bytes": "repro.core.messages",
-    "signable_bytes": "repro.core.messages",
-    "MembershipView": "repro.core.membership",
-    "RemovalProposal": "repro.core.membership",
-    "HonestBehaviour": "repro.core.node",
-    "NodeBehaviour": "repro.core.node",
-    "WatchmenNode": "repro.core.node",
-    "SessionReport": "repro.core.protocol",
     "WatchmenSession": "repro.core.protocol",
-    "ProxyAssignment": "repro.core.proxy",
-    "ProxySchedule": "repro.core.proxy",
-    "BetaReputation": "repro.core.reputation",
-    "InteractionTag": "repro.core.reputation",
     "ReputationBoard": "repro.core.reputation",
     "ThresholdReputation": "repro.core.reputation",
-    "PlannedSubscriptions": "repro.core.subscriptions",
-    "SubscriberTable": "repro.core.subscriptions",
-    "SubscriptionPlanner": "repro.core.subscriptions",
-    "CheatRating": "repro.core.verification",
-    "CheckKind": "repro.core.verification",
-    "Confidence": "repro.core.verification",
-    "DeviationCalibration": "repro.core.verification",
-    "GuidanceVerifier": "repro.core.verification",
-    "KillVerifier": "repro.core.verification",
-    "PositionVerifier": "repro.core.verification",
-    "RateVerifier": "repro.core.verification",
-    "SubscriptionVerifier": "repro.core.verification",
 }
-
-_SUBMODULES = frozenset(
-    {
-        "action_repetition",
-        "admission",
-        "config",
-        "disclosure",
-        "membership",
-        "messages",
-        "node",
-        "protocol",
-        "proxy",
-        "reputation",
-        "subscriptions",
-        "verification",
-        "wire",
-    }
-)
 
 __all__ = sorted(_EXPORTS)
 
@@ -110,10 +34,5 @@ def __getattr__(name: str) -> Any:
         value = getattr(import_module(target), name)
         globals()[name] = value  # cache: subsequent lookups skip __getattr__
         return value
-    if name in _SUBMODULES:
-        return import_module(f"repro.core.{name}")
     raise AttributeError(f"module 'repro.core' has no attribute {name!r}")
 
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS) | _SUBMODULES)

@@ -22,50 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Final, Mapping
+from typing import TYPE_CHECKING, Final
 
 if TYPE_CHECKING:
     from repro.game.interest import InterestConfig
-
-__all__ = [
-    "FRAME_SECONDS",
-    "FRAMES_PER_SECOND",
-    "FREQUENT_INTERVAL_FRAMES",
-    "PROXY_PERIOD_FRAMES",
-    "HANDOFF_DEPTH",
-    "INTEREST_SET_SIZE",
-    "VISION_HALF_ANGLE",
-    "VISION_SLACK",
-    "SIGNATURE_BITS",
-    "STATE_UPDATE_BITS",
-    "DELTA_BASE_BITS",
-    "DELTA_FIELD_BITS",
-    "POSITION_UPDATE_BITS",
-    "GUIDANCE_BITS",
-    "SUBSCRIPTION_BITS",
-    "HANDOFF_BITS_PER_ENTRY",
-    "HEADER_BITS",
-    "GUIDANCE_CHECK_FRAMES",
-    "MAX_USEFUL_AGE_FRAMES",
-    "PROXY_SILENCE_THRESHOLD_FRAMES",
-    "MAX_FAILOVER_ATTEMPTS",
-    "ACK_RETRY_BASE_FRAMES",
-    "ACK_RETRY_MAX_BACKOFF_FRAMES",
-    "ACK_RETRY_MAX_ATTEMPTS",
-    "MEMBERSHIP_SILENCE_FRAMES",
-    "DEFENSE_INTERVAL_FRAMES",
-    "STALE_VIEW_AGE_FRAMES",
-    "BYZANTINE_RATE_MSGS_PER_FRAME",
-    "BYZANTINE_RATE_BURST",
-    "BYZANTINE_QUARANTINE_STRIKES",
-    "BYZANTINE_QUARANTINE_FRAMES",
-    "BYZANTINE_STARVATION_FRAMES",
-    "GE_P_GOOD_TO_BAD",
-    "GE_P_BAD_TO_GOOD",
-    "GE_LOSS_GOOD",
-    "GE_LOSS_BAD",
-    "WatchmenConfig",
-]
 
 #: 50 ms frame — the Quake III event-loop period (Section II).
 FRAME_SECONDS: Final[float] = 0.05
@@ -98,27 +58,11 @@ SIGNATURE_BITS: Final[int] = 100
 #: ~700-bit average full (non-delta) state update (Section IV).
 STATE_UPDATE_BITS: Final[int] = 700
 
-#: Delta coding ("updates show high temporal similarities and can be
-#: delta-coded, only including the differences"): a delta update pays a
-#: small base plus a per-changed-field cost (32 bits for unlisted fields).
-DELTA_BASE_BITS: Final[int] = 64
-DELTA_FIELD_BITS: Final[Mapping[str, int]] = {
-    "position": 96,
-    "velocity": 96,
-    "yaw": 32,
-    "health": 16,
-    "armor": 16,
-    "weapon": 24,
-    "ammo": 16,
-    "alive": 8,
-}
-
 #: Nominal payload sizes of the remaining message classes, and the
 #: UDP/IP + game header every datagram pays.
 POSITION_UPDATE_BITS: Final[int] = 220
 GUIDANCE_BITS: Final[int] = 420
 SUBSCRIPTION_BITS: Final[int] = 160
-HANDOFF_BITS_PER_ENTRY: Final[int] = 500
 HEADER_BITS: Final[int] = 224
 
 #: Frames of observed movement a guidance prediction is checked against.
@@ -212,6 +156,18 @@ GE_LOSS_GOOD: Final[float] = 0.0
 GE_LOSS_BAD: Final[float] = 0.3
 
 
+#: The robustness ladder, lowest rung first (docs/ROBUSTNESS.md).
+#: ``"paper"``: the protocol as published.  ``"resilient"`` adds graceful
+#: degradation under crashes and loss: failover to the next verifiable
+#: candidate proxy, and ack/retry for the critical low-rate messages (state
+#: updates stay fire-and-forget).  ``"hardened"`` adds the Byzantine tier:
+#: equivocation cross-check and signed evidence, tamper attribution to the
+#: relaying hop, per-hop rate limiting with bounded quarantine, starvation
+#: and ack-withholding suspicion.  A mechanism is on from its rung upward,
+#: so ``PROFILES.index(config.profile)`` compares.
+PROFILES: Final[tuple[str, ...]] = ("paper", "resilient", "hardened")
+
+
 def _default_interest() -> "InterestConfig":
     # Imported lazily so this module stays an import leaf (game.interest
     # itself imports the vision-cone constants from here).
@@ -243,26 +199,16 @@ class WatchmenConfig:
     #: Enable the high-cost action-repetition replay check at proxies
     #: (Section V-A's "more accuracy but higher costs" option).
     action_repetition: bool = False
-    # -- robustness (repro.faults; default OFF so fault-free runs stay ------
-    # -- bit-identical to the ungated protocol) ------------------------------
-    #: Graceful degradation under crashes and loss, as one gate: fail over
-    #: to the next verifiable candidate proxy when the scheduled one stops
-    #: heartbeating, and ack/retry (capped exponential backoff) the
-    #: critical low-rate messages; state updates stay fire-and-forget per
-    #: the paper.
-    resilient: bool = False
+    # -- robustness ladder (repro.faults; docs/ROBUSTNESS.md) ----------------
+    #: One of :data:`PROFILES`.  The default rung is the paper's protocol,
+    #: so fault-free runs stay bit-identical to it; each later rung keeps
+    #: everything the one before it switched on.
+    profile: str = "paper"
     #: The model checker shrinks the two silence thresholds (together with
     #: ``proxy_period_frames``) so failover and eviction rounds fit inside
     #: a bounded-exploration horizon.
     proxy_silence_threshold_frames: int = PROXY_SILENCE_THRESHOLD_FRAMES
     membership_silence_frames: int = MEMBERSHIP_SILENCE_FRAMES
-    # -- Byzantine hardening (repro.faults.byzantine; default OFF so -------
-    # -- benign runs stay bit-identical to the ungated protocol) -----------
-    #: Equivocation cross-check, signed misbehavior evidence, tamper
-    #: attribution to the relaying hop, per-link token-bucket rate
-    #: limiting with bounded quarantine, and selective-forwarding /
-    #: ack-withholding suspicion ratings.
-    byzantine_hardening: bool = False
 
     def __post_init__(self) -> None:
         if self.frame_seconds <= 0:
@@ -271,6 +217,8 @@ class WatchmenConfig:
             raise ValueError("proxy_period_frames must be positive")
         if self.signature_bits <= 0:
             raise ValueError("signature_bits must be positive")
+        if self.profile not in PROFILES:
+            raise ValueError(f"profile must be one of {PROFILES}")
         if self.proxy_silence_threshold_frames <= 0:
             raise ValueError("proxy_silence_threshold_frames must be positive")
         if self.membership_silence_frames <= self.proxy_silence_threshold_frames:

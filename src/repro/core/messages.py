@@ -1,13 +1,10 @@
-"""The Watchmen wire-message taxonomy and its size model.
+"""The Watchmen wire-message taxonomy.
 
 Figure 3's message flows, as Python types.  All player-originated messages
 are signed (``signature`` field) and carry a per-sender sequence number, so
 proxies cannot tamper, replay or spoof ("lightweight digital signatures
-... also prevents replaying and spoofing").
-
-Sizes are modelled in bits, following the paper's numbers (700-bit average
-state updates, 100-bit signatures); :func:`message_size_bits` is the single
-size oracle used by the bandwidth accounting.
+... also prevents replaying and spoofing").  What a message costs on the
+wire is the length of its frame (:mod:`repro.core.wire`).
 """
 
 from __future__ import annotations
@@ -15,17 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from repro.core.config import (
-    DELTA_BASE_BITS,
-    DELTA_FIELD_BITS,
-    GUIDANCE_BITS,
-    HANDOFF_BITS_PER_ENTRY,
-    HEADER_BITS,
-    POSITION_UPDATE_BITS,
-    STATE_UPDATE_BITS,
-    SUBSCRIPTION_BITS,
-    WatchmenConfig,
-)
 from repro.core.membership import RemovalProposal
 from repro.crypto.signatures import Signature
 from repro.game.avatar import AvatarSnapshot
@@ -46,8 +32,6 @@ __all__ = [
     "MisbehaviorEvidence",
     "GameMessage",
     "ACKABLE_TYPES",
-    "signable_bytes",
-    "message_size_bits",
     "SUB_VISION",
     "SUB_INTEREST",
 ]
@@ -61,9 +45,8 @@ class StateUpdate:
     """Frequent full state update (every frame, to IS subscribers).
 
     ``delta_fields`` names the snapshot fields that changed since the
-    publisher's previous update; when non-empty the wire-size model charges
-    only the delta ("updates ... can be delta-coded").  An empty tuple
-    means a full (keyframe) encoding.
+    publisher's previous update ("updates ... can be delta-coded"); an
+    empty tuple marks a full (keyframe) encoding.
     """
 
     sender_id: int
@@ -186,7 +169,7 @@ class HandoffMessage:
 class AckMessage:
     """Hop-by-hop receipt for a critical low-rate message.
 
-    The reliable-delivery layer (``WatchmenConfig.resilient``)
+    The reliable-delivery layer (the ``resilient`` rung and up)
     retransmits an ackable message with capped exponential backoff until
     the receiving hop acks ``(acked_sender_id, acked_sequence)``.  State
     updates stay fire-and-forget per the paper; only the messages in
@@ -248,72 +231,3 @@ ACKABLE_TYPES: tuple[type, ...] = (
     HandoffMessage,
     MisbehaviorEvidence,
 )
-
-
-def signable_bytes(message: GameMessage) -> bytes:
-    """A canonical byte encoding of a message (without its signature).
-
-    Used both to sign and to verify; any field change (a tampering proxy)
-    changes these bytes and invalidates the signature.  The encoding is
-    the binary wire frame minus the top-level signature field — the bytes
-    a node signs are literally the bytes it transmits, so there is one
-    canonical form per message and nothing to re-serialize on verify.
-    Nested signatures (the signed updates inside MisbehaviorEvidence)
-    stay covered: the evidence's meaning is exactly "these two signed
-    messages exist", so the proofs are part of the signed bytes.
-    """
-    # Deferred import: repro.core.wire imports this module for the
-    # registry, so a top-level import would be circular.
-    global _encode_signable
-    if _encode_signable is None:
-        from repro.core.wire import encode_signable as _encode_signable
-    return _encode_signable(message)
-
-
-_encode_signable = None
-
-
-def message_size_bits(message: GameMessage, config: WatchmenConfig) -> int:
-    """Nominal wire size of a message, per the paper's size model."""
-    if isinstance(message, StateUpdate):
-        if message.delta_fields:
-            body = DELTA_BASE_BITS + sum(
-                DELTA_FIELD_BITS.get(name, 32) for name in message.delta_fields
-            )
-            body = min(body, STATE_UPDATE_BITS)
-        else:
-            body = STATE_UPDATE_BITS
-    elif isinstance(message, PositionUpdate):
-        body = POSITION_UPDATE_BITS
-    elif isinstance(message, GuidanceMessage):
-        body = GUIDANCE_BITS
-    elif isinstance(message, SubscriptionRequest):
-        body = SUBSCRIPTION_BITS
-    elif isinstance(message, KillClaim):
-        body = SUBSCRIPTION_BITS  # comparable small claim record
-    elif isinstance(message, RemovalProposal):
-        body = SUBSCRIPTION_BITS  # tiny signed vote
-    elif isinstance(message, AckMessage):
-        body = SUBSCRIPTION_BITS  # tiny signed receipt
-    elif isinstance(message, ProjectileSpawn):
-        body = POSITION_UPDATE_BITS  # origin + velocity + weapon
-    elif isinstance(message, MisbehaviorEvidence):
-        # Two full signed updates plus a small claim record around them.
-        body = 2 * (STATE_UPDATE_BITS + config.signature_bits) + SUBSCRIPTION_BITS
-    elif isinstance(message, HandoffMessage):
-        entries = (
-            1
-            + len(message.interest_subscribers)
-            + len(message.vision_subscribers)
-            + len(message.summaries)
-        )
-        body = HANDOFF_BITS_PER_ENTRY * entries
-    else:
-        raise TypeError(f"unknown message type {type(message).__name__}")
-    signed = config.signature_bits if message.signature is not None else 0
-    return HEADER_BITS + body + signed
-
-
-def message_size_bytes(message: GameMessage, config: WatchmenConfig) -> int:
-    """Size in whole bytes (what the transport charges)."""
-    return (message_size_bits(message, config) + 7) // 8

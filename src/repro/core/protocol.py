@@ -270,8 +270,8 @@ class WatchmenSession:
             # dropped_by_cause stay one coherent account.
             node.protocol_drop = self.network.count_protocol_drop
             if not node.is_server:
-                node.audience_oracle = self._audience_oracle_for(node_id)
-                node.own_future = self._future_oracle_for(node_id)
+                node.publisher.audience_oracle = self._audience_oracle
+                node.publisher.own_future = self._future_oracle_for(node_id)
             self.nodes[node_id] = node
             self.network.register(
                 node_id,
@@ -299,33 +299,24 @@ class WatchmenSession:
 
         return future
 
-    def _audience_oracle_for(
-        self, player_id: int
-    ) -> Callable[[int, GameMessage], list[int]]:
+    def _audience_oracle(self, publisher_id: int, message: GameMessage) -> list[int]:
         """Relaxed-first-hop audience: read the live subscriber lists.
 
         Stands in for the proxy piggybacking the subscriber list back to
         the publisher, which the paper allows "if bandwidth allows it ...
         at the cost of lower security".
         """
-
-        def audience(publisher_id: int, message: GameMessage) -> list[int]:
-            frame = self.nodes[publisher_id].current_frame
-            epoch = self.config.epoch_of_frame(frame)
-            proxy_id = self.schedule.proxy_of(publisher_id, epoch)
-            proxy_node = self.nodes.get(proxy_id)
-            if proxy_node is None:
-                return []
-            state = proxy_node._clients.get(publisher_id)
-            if state is None:
-                return []
-            if isinstance(message, StateUpdate):
-                return sorted(state.table.interest_subscribers(frame))
-            if isinstance(message, GuidanceMessage):
-                return sorted(state.table.vision_subscribers(frame))
+        frame = self.nodes[publisher_id].current_frame
+        epoch = self.config.epoch_of_frame(frame)
+        proxy_node = self.nodes.get(self.schedule.proxy_of(publisher_id, epoch))
+        if proxy_node is None:
             return []
-
-        return audience
+        interest, vision = proxy_node.clients.subscribers_of(publisher_id, frame)
+        if isinstance(message, StateUpdate):
+            return sorted(interest)
+        if isinstance(message, GuidanceMessage):
+            return sorted(vision)
+        return []
 
     # ------------------------------------------------------------------
 
@@ -414,9 +405,7 @@ class WatchmenSession:
                 estimate = node.estimate_of(subject_id, frame)
                 if estimate is None:
                     continue
-                self.view_errors.append(
-                    estimate.position.distance_to(truth.position)
-                )
+                self.view_errors.append(estimate.position.distance_to(truth.position))
 
     def _announce_projectile_if_any(self, frame: int, shot: ShotEvent) -> None:
         """Projectile shots create short-lived objects the shooter announces."""
@@ -472,10 +461,10 @@ class WatchmenSession:
         )
         report.rejected_by_protocol = self.network.rejected_by_protocol
         report.equivocations_detected = sum(
-            len(node.equivocation_events) for node in self.nodes.values()
+            len(node.evidence.equivocation_events) for node in self.nodes.values()
         )
         report.quarantines = sum(
-            len(node.quarantine_events) for node in self.nodes.values()
+            len(node.evidence.quarantine_events) for node in self.nodes.values()
         )
         report.evidence_convictions = sum(
             len(node.membership.convicted) for node in self.nodes.values()
@@ -483,7 +472,7 @@ class WatchmenSession:
         report.dropped_by_cause = dict(self.network.dropped_by_cause)
         report.crashed = dict(self.crashed)
         report.proxy_failovers = sum(
-            len(node.failover_events) for node in self.nodes.values()
+            len(node.first_hops.failover_events) for node in self.nodes.values()
         )
         report.banned = self.reputation.banned()
         report.view_errors = list(self.view_errors)

@@ -29,7 +29,7 @@ The attacks:
   acks them, silently starving the sender's bounded retry ladder.
 
 The config-gated defenses live in ``core/node.py`` / ``core/membership.py``
-(``WatchmenConfig(byzantine_hardening=True)``); docs/ROBUSTNESS.md maps
+(``WatchmenConfig(profile="hardened")``); docs/ROBUSTNESS.md maps
 each attack to its detection, response and SLO.
 """
 

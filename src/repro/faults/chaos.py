@@ -80,13 +80,11 @@ class ChaosScenario:
     burst_loss: bool = False
     duplication_rate: float = 0.0
     latency_spike_ms: float = 0.0
-    #: Run with ``WatchmenConfig.resilient`` (failover + ack/retry).
-    resilient: bool = True
+    #: The ``WatchmenConfig.profile`` rung the scenario runs on.
+    profile: str = "resilient"
     #: Adversarial (Byzantine) fault kind, or "" for pure-fault scenarios:
     #: equivocation | tamper | flood | selective_forward | ack_withhold.
     byzantine: str = ""
-    #: Run with ``WatchmenConfig.byzantine_hardening`` enabled.
-    hardening: bool = False
 
 
 def default_scenarios() -> tuple[ChaosScenario, ...]:
@@ -122,7 +120,7 @@ def default_scenarios() -> tuple[ChaosScenario, ...]:
             "proxy_kill_no_failover",
             "contrast: the same proxy kill with failover disabled",
             proxy_kill=True,
-            resilient=False,
+            profile="paper",
         ),
     )
 
@@ -141,31 +139,30 @@ def byzantine_scenarios() -> tuple[ChaosScenario, ...]:
             "byz_equivocation",
             "one player sends conflicting signed updates per sequence",
             byzantine="equivocation",
-            hardening=True,
+            profile="hardened",
         ),
         ChaosScenario(
             "byz_equivocation_blind",
             "contrast: the same equivocation with hardening disabled",
             byzantine="equivocation",
-            hardening=False,
         ),
         ChaosScenario(
             "byz_tamper_relay",
             "a relaying hop mutates the signed updates it forwards",
             byzantine="tamper",
-            hardening=True,
+            profile="hardened",
         ),
         ChaosScenario(
             "byz_flood",
             "one player floods three victims with well-formed updates",
             byzantine="flood",
-            hardening=True,
+            profile="hardened",
         ),
         ChaosScenario(
             "byz_starve",
             "a proxy selectively drops everything bound for one victim",
             byzantine="selective_forward",
-            hardening=True,
+            profile="hardened",
         ),
     )
 
@@ -349,11 +346,10 @@ def _run_once(
     trace: GameTrace,
     schedule: FaultSchedule | None,
     *,
-    resilient: bool,
+    profile: str,
     burst_loss: bool,
-    hardening: bool = False,
 ) -> tuple[SessionReport, WatchmenSession, list[tuple[int, float]]]:
-    config = WatchmenConfig(resilient=resilient, byzantine_hardening=hardening)
+    config = WatchmenConfig(profile=profile)
     if burst_loss:
         network_config = NetworkConfig(
             seed=trace.seed, loss_model="gilbert-elliott"
@@ -399,7 +395,7 @@ def recovery_metrics(
         events = sorted(
             event_frame
             for node in session.nodes.values()
-            for (event_frame, _, _) in node.failover_events
+            for (event_frame, _, _) in node.first_hops.failover_events
             if event_frame >= fault_frame
         )
         if events:
@@ -442,13 +438,13 @@ def _first_detection_frame(
     frames: list[int] = []
     for node in session.nodes.values():
         if kind == "equivocation":
-            frames.extend(frame for frame, _ in node.equivocation_events)
+            frames.extend(frame for frame, _ in node.evidence.equivocation_events)
         elif kind == "flood":
-            frames.extend(frame for frame, _ in node.quarantine_events)
+            frames.extend(frame for frame, _ in node.evidence.quarantine_events)
         elif kind == "tamper":
             frames.extend(
                 frame
-                for frame, _, label in node.suspicion_events
+                for frame, _, label in node.evidence.suspicion_events
                 if label == "tamper_hop"
             )
         elif kind in ("selective_forward", "ack_withhold"):
@@ -457,7 +453,7 @@ def _first_detection_frame(
             )
             frames.extend(
                 frame
-                for frame, _, label in node.suspicion_events
+                for frame, _, label in node.evidence.suspicion_events
                 if label == wanted
             )
     return min(frames, default=None)
@@ -475,7 +471,7 @@ def byzantine_metrics(outcome: ChaosOutcome) -> dict[str, float]:
     honest_quarantines = sum(
         1
         for node in session.nodes.values()
-        for _, src in node.quarantine_events
+        for _, src in node.evidence.quarantine_events
         if src not in session.byzantine_ids
     )
     gone = set(report.crashed) | set(session.departures)
@@ -506,7 +502,7 @@ def run_chaos(
     matrix = scenarios if scenarios is not None else default_scenarios()
     trace = generate_trace(num_players=players, num_frames=frames, seed=seed)
     baseline_report, _, _ = _run_once(
-        trace, None, resilient=True, burst_loss=False
+        trace, None, profile="resilient", burst_loss=False
     )
     baseline_p95 = baseline_report.view_error_stats().get("p95", 0.0)
 
@@ -518,9 +514,8 @@ def run_chaos(
         report, session, staleness = _run_once(
             trace,
             schedule,
-            resilient=scenario.resilient,
+            profile=scenario.profile,
             burst_loss=scenario.burst_loss,
-            hardening=scenario.hardening,
         )
         outcome = ChaosOutcome(
             scenario=scenario,
@@ -540,9 +535,9 @@ def run_chaos(
                     "players": players,
                     "frames": frames,
                     "seed": seed,
-                    "resilient": scenario.resilient,
+                    "resilient": scenario.profile != "paper",
                     "byzantine": scenario.byzantine,
-                    "hardening": scenario.hardening,
+                    "hardening": scenario.profile == "hardened",
                 },
                 "metrics": metrics,
             }

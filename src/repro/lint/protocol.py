@@ -1,11 +1,10 @@
 """P-family rules: the GameMessage union cross-referenced against its world.
 
-A message type is only *done* when four artifacts agree:
+A message type is only *done* when three artifacts agree:
 
 1. its dataclass is ``frozen=True, slots=True``            (P201)
 2. ``WatchmenNode._dispatch_message`` has a branch for it  (P202)
 3. ``core/wire.py`` registers it in ``MESSAGE_TYPES``      (P203)
-4. ``message_size_bits`` sizes it                          (P204)
 
 P205 additionally cross-checks the reliable-delivery registry: every
 name in ``ACKABLE_TYPES`` must be a union member, and ``AckMessage``
@@ -138,7 +137,7 @@ def _dataclass_flags(classdef: ast.ClassDef) -> tuple[bool, bool, bool]:
     return False, False, False
 
 
-def _isinstance_targets(func: ast.FunctionDef, subject: str | None = None) -> set[str]:
+def _isinstance_targets(func: ast.FunctionDef, subject: str) -> set[str]:
     """Class names X appearing as isinstance(<subject>, X) inside ``func``."""
     names: set[str] = set()
     for node in ast.walk(func):
@@ -149,10 +148,9 @@ def _isinstance_targets(func: ast.FunctionDef, subject: str | None = None) -> se
             and len(node.args) == 2
         ):
             continue
-        if subject is not None:
-            arg0 = node.args[0]
-            if not (isinstance(arg0, ast.Name) and arg0.id == subject):
-                continue
+        arg0 = node.args[0]
+        if not (isinstance(arg0, ast.Name) and arg0.id == subject):
+            continue
         arg1 = node.args[1]
         elements = arg1.elts if isinstance(arg1, ast.Tuple) else [arg1]
         names.update(e.id for e in elements if isinstance(e, ast.Name))
@@ -428,35 +426,6 @@ def run_protocol_rules(sources: ProtocolSources, src_root: Path) -> list[Violati
                             f"and `{name}`; decode would be ambiguous"
                         ),
                         context=name,
-                    )
-                )
-
-    # P204 — a size-model branch per member.
-    sizer = _find_function(messages_tree, "message_size_bits")
-    if sizer is None:
-        violations.append(
-            Violation(
-                rule="P204",
-                path=rel_messages,
-                line=1,
-                message="messages module has no message_size_bits function",
-                context="message_size_bits",
-            )
-        )
-    else:
-        sized = _isinstance_targets(sizer)
-        for member in members:
-            if member not in sized:
-                violations.append(
-                    Violation(
-                        rule="P204",
-                        path=rel_messages,
-                        line=sizer.lineno,
-                        message=(
-                            f"message `{member}` is not sized by message_size_bits; "
-                            "first send would raise TypeError"
-                        ),
-                        context=member,
                     )
                 )
 

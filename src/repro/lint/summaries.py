@@ -397,6 +397,12 @@ class _Interpreter:
             return tags
         if isinstance(expr, ast.Await):
             return self._eval(expr.value)
+        if isinstance(expr, (ast.Yield, ast.YieldFrom)):
+            # what a generator yields is what its caller's loop receives
+            tags = self._eval(expr.value)
+            if self.reporting:
+                self.result.return_tags.update(tags)
+            return _EMPTY
         if isinstance(
             expr, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
         ):

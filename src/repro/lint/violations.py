@@ -8,7 +8,7 @@ in three families:
   only verifiable when every honest node computes the identical result;
   wall-clock reads and module-state randomness silently break that.
 * **P (protocol conformance)** — every wire-message dataclass must be
-  immutable, dispatchable, wire-codable and size-modelled; a gap means a
+  immutable, dispatchable and wire-codable; a gap means a
   message type that crashes (or worse, is silently dropped) at runtime.
 * **T (typing)** — full annotations are the substrate the staged
   ``mypy --strict`` gate builds on.
@@ -206,21 +206,6 @@ _CATALOG_ENTRIES = (
         scope="core/messages.py x core/wire.py",
         examples=(
             "flags:  GameMessage member `PingProbe` missing from wire.MESSAGE_TYPES",
-        ),
-    ),
-    RuleInfo(
-        rule="P204",
-        summary="message type without a message_size_bits size model",
-        rationale=(
-            "Bandwidth is a headline result of the paper; message_size_bits "
-            "is the single size oracle the transport charges.  A union "
-            "member missing from its isinstance chain raises TypeError on "
-            "the first send — at runtime, in whatever experiment first "
-            "emits it.  The static check moves that failure to CI."
-        ),
-        scope="core/messages.py (message_size_bits)",
-        examples=(
-            "flags:  GameMessage member `PingProbe` not sized in message_size_bits",
         ),
     ),
     RuleInfo(

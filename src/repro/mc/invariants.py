@@ -108,12 +108,10 @@ def no_orphaned_subscription(session: WatchmenSession) -> str | None:
                 continue
             registered = False
             for holder in live.values():
-                state = holder._clients.get(target_id)
-                if state is None:
-                    continue
-                if subscriber_id in state.table.interest_subscribers(
-                    holder.current_frame
-                ):
+                interest, _ = holder.clients.subscribers_of(
+                    target_id, holder.current_frame
+                )
+                if subscriber_id in interest:
                     registered = True
                     break
             if not registered:

@@ -230,7 +230,7 @@ _EVIDENCE = McScenario(
         "membership_agreement",
         "equivocator_convicted",
     ),
-    config={"proxy_period_frames": 24, "byzantine_hardening": True},
+    config={"proxy_period_frames": 24, "profile": "hardened"},
     faults=FaultSchedule(
         byzantine=(
             EquivocationFault(node_id=3, start_frame=20, end_frame=32),

@@ -27,7 +27,7 @@ from repro.cheats.state import (
     SpeedHack,
     TeleportCheat,
 )
-from repro.core.config import WatchmenConfig
+from repro.core.config import PROFILES, WatchmenConfig
 from repro.core.protocol import WatchmenSession
 from repro.faults.chaos import (
     ChaosScenario,
@@ -119,12 +119,13 @@ class TapeScenario:
     #: the *materialised* schedule embedded in the tape is authoritative at
     #: verify time), or None for a fault-free run
     chaos: str | None = None
-    #: serialized as two fields (the tape format is frozen) but one gate:
-    #: both map to ``WatchmenConfig.resilient`` and must agree
+    #: the ``WatchmenConfig.profile`` rung, serialized as three flags (the
+    #: tape format is frozen): ``failover`` and ``reliable`` are one gate
+    #: and must agree — on, the ``resilient`` rung; ``hardening`` (adopted
+    #: from the named chaos scenario by :meth:`with_chaos_flags`) is the
+    #: ``hardened`` rung, which stands on that one
     failover: bool = True
     reliable: bool = True
-    #: run with ``WatchmenConfig.byzantine_hardening`` enabled (adopted
-    #: from the named chaos scenario by :meth:`with_chaos_flags`)
     hardening: bool = False
     cheats: tuple[CheatSpec, ...] = ()
     #: model-checker envelope (``repro mc`` counterexample tapes only):
@@ -222,11 +223,12 @@ class TapeScenario:
         if self.chaos is None:
             return self
         entry = self._chaos_entry()
+        rung = PROFILES.index(entry.profile)
         return replace(
             self,
-            failover=entry.resilient,
-            reliable=entry.resilient,
-            hardening=entry.hardening,
+            failover=rung >= 1,
+            reliable=rung >= 1,
+            hardening=rung >= 2,
             loss_model="gilbert-elliott" if entry.burst_loss else self.loss_model,
         )
 
@@ -240,12 +242,16 @@ class TapeScenario:
     def make_config(self) -> WatchmenConfig:
         if self.failover != self.reliable:
             raise ValueError(
-                "failover and reliable are one gate (WatchmenConfig.resilient); "
+                "failover and reliable are one gate (the resilient rung); "
                 "a scenario must set them alike"
             )
+        if self.hardening and not self.failover:
+            raise ValueError(
+                "hardening stands on failover + reliable delivery: the "
+                "hardened rung includes the resilient one"
+            )
         settings: dict[str, Any] = {
-            "resilient": self.failover,
-            "byzantine_hardening": self.hardening,
+            "profile": PROFILES[int(self.failover) + int(self.hardening)]
         }
         if self.mc is not None:
             settings.update(self.mc.get("config", {}))

@@ -4,14 +4,14 @@ Covers the PR 9 robustness tier (see ``docs/ROBUSTNESS.md``):
 
 - sequence-watermark eviction keeps late retransmits *silent* — a
   garbage-collected tombstone must never turn into cheat evidence or a
-  reprocessed message, with the robustness gates on or off;
+  reprocessed message, on the paper rung as on the hardened one;
 - ``_verify_envelope`` under attack: forged signatures, spoofed senders,
   tamper-hop attribution, duplicate-vs-replay-vs-equivocation
   classification, plus a property check that honest retransmits never
   accuse anyone no matter the interleaving;
 - the equivocation pipeline end to end: archive cross-check, signed
   self-certifying evidence, quorum-free conviction, and every forgery
-  path ``_evidence_is_valid`` must reject;
+  path ``EvidenceLog.weigh`` must reject;
 - the token-bucket flood defense with its *bounded* quarantine;
 - conviction semantics on the membership view (idempotence, no rescind
   by liveness, interaction with the silence quorum);
@@ -43,10 +43,10 @@ from repro.core.messages import (
     MisbehaviorEvidence,
     PositionUpdate,
     StateUpdate,
-    signable_bytes,
 )
 from repro.core.node import WatchmenNode
 from repro.core.proxy import ProxySchedule
+from repro.core.wire import encode_signable
 from repro.crypto.signatures import HmacSigner
 from repro.faults import FaultSchedule
 from repro.faults.byzantine import (
@@ -113,13 +113,13 @@ class Harness:
     def signed_state(self, sender, sequence, frame=0, x=0.0):
         message = StateUpdate(sender, frame, sequence, snap(sender, frame, x=x))
         return replace(
-            message, signature=self.signer.sign(sender, signable_bytes(message))
+            message, signature=self.signer.sign(sender, encode_signable(message))
         )
 
     def signed_position(self, sender, sequence, frame=0):
         message = PositionUpdate(sender, frame, sequence, snap(sender, frame))
         return replace(
-            message, signature=self.signer.sign(sender, signable_bytes(message))
+            message, signature=self.signer.sign(sender, encode_signable(message))
         )
 
     def signed_evidence(self, witness, accused, first, second, *, frame=0,
@@ -133,12 +133,14 @@ class Harness:
             second=second,
         )
         return replace(
-            evidence, signature=self.signer.sign(witness, signable_bytes(evidence))
+            evidence, signature=self.signer.sign(witness, encode_signable(evidence))
         )
 
 
 def hardened():
-    return WatchmenConfig(byzantine_hardening=True)
+    """The top rung: failover + acks/silent duplicate screening + the
+    Byzantine tier, which is how hardening deploys."""
+    return WatchmenConfig(profile="hardened")
 
 
 def ratings_with(node, fragment):
@@ -185,7 +187,7 @@ class TestWatermarkEviction:
         screen them silently even with every robustness gate off, where
         a tracked replay would normally earn a cheat rating.
         """
-        harness = Harness()  # failover/reliable/hardening all default off
+        harness = Harness()  # the paper rung: nothing retransmits
         harness.tick(0)
         node = self._flood_sequences(harness, 1, 0, 4200)
         before_replays = node.metrics.replayed_messages
@@ -233,7 +235,7 @@ class TestEnvelopeAdversarial:
         message = harness.signed_state(0, 500)
         tampered = replace(message, snapshot=snap(0, x=9999.0))
         deliver(node, 3, tampered)  # relayed by 3, signed by 0
-        assert (0, 3, "tamper_hop") in node.suspicion_events
+        assert (0, 3, "tamper_hop") in node.evidence.suspicion_events
         assert drops == ["tamper"]
         assert [r.subject_id for r in ratings_with(node, "tampering hop")] == [3]
         # The named sender is *not* blamed: its signing path never
@@ -248,7 +250,7 @@ class TestEnvelopeAdversarial:
         node = harness.nodes[1]
         message = StateUpdate(0, 0, 501, snap(0))  # unsigned
         deliver(node, 0, message)  # src == sender: nothing was relayed
-        assert node.suspicion_events == []
+        assert node.evidence.suspicion_events == []
         assert [
             r.subject_id for r in ratings_with(node, "invalid or missing")
         ] == [0]
@@ -260,12 +262,12 @@ class TestEnvelopeAdversarial:
         node = harness.nodes[1]
         message = StateUpdate(0, 0, 502, snap(0))
         spoofed = replace(
-            message, signature=harness.signer.sign(2, signable_bytes(message))
+            message, signature=harness.signer.sign(2, encode_signable(message))
         )
         deliver(node, 2, spoofed)
         # The verify keys off the claimed sender (0), so the signature
         # fails; hardening pins the blame on the delivering hop (2).
-        assert (0, 2, "tamper_hop") in node.suspicion_events
+        assert (0, 2, "tamper_hop") in node.evidence.suspicion_events
         assert [r.subject_id for r in ratings_with(node, "tampering hop")] == [2]
 
     def test_hardening_off_keeps_legacy_attribution(self):
@@ -274,7 +276,7 @@ class TestEnvelopeAdversarial:
         node = harness.nodes[1]
         message = harness.signed_state(0, 503)
         deliver(node, 3, replace(message, snapshot=snap(0, x=123.0)))
-        assert node.suspicion_events == []
+        assert node.evidence.suspicion_events == []
         assert [
             r.subject_id for r in ratings_with(node, "invalid or missing")
         ] == [0]
@@ -289,11 +291,11 @@ class TestEnvelopeAdversarial:
         before = node.metrics.replayed_messages
         deliver(node, 0, message)
         assert node.metrics.replayed_messages == before + 1
-        assert node.equivocation_events == []
+        assert node.evidence.equivocation_events == []
         assert ratings_with(node, "equivocation") == []
 
     def test_reliable_mode_screens_duplicates_silently(self):
-        config = WatchmenConfig(resilient=True)
+        config = WatchmenConfig(profile="resilient")
         harness = Harness(config=config)
         harness.tick(0)
         node = harness.nodes[1]
@@ -316,13 +318,10 @@ class TestEnvelopeAdversarial:
         settings = hypothesis.settings
         st = hypothesis.strategies
 
-        # The full robustness stack: retransmits are only an *expected*
-        # artefact when the layers that generate them (retry ladder,
-        # dual-send failover) are on — which is how hardening deploys.
-        config = WatchmenConfig(
-            byzantine_hardening=True,
-            resilient=True,
-        )
+        # Retransmits are an *expected* artefact here: the hardened rung
+        # stands on the layers that generate them (retry ladder, dual-send
+        # failover).
+        config = hardened()
 
         @given(data=st.data())
         @settings(max_examples=20, deadline=None)
@@ -338,8 +337,8 @@ class TestEnvelopeAdversarial:
             batch = data.draw(st.permutations(originals + extras))
             for message in batch:
                 deliver(node, 0, message)
-            assert node.equivocation_events == []
-            assert node.quarantine_events == []
+            assert node.evidence.equivocation_events == []
+            assert node.evidence.quarantine_events == []
             assert not any(
                 r.rating >= 10.0 and r.subject_id == 0
                 for r in node.metrics.ratings
@@ -365,7 +364,7 @@ class TestEquivocation:
         first, second = self._conflict(harness)
         deliver(witness, 0, first)
         deliver(witness, 0, second)
-        assert [(f, who) for f, who in witness.equivocation_events] == [(0, 0)]
+        assert [(f, who) for f, who in witness.evidence.equivocation_events] == [(0, 0)]
         assert len(ratings_with(witness, "equivocation: conflicting")) == 1
         evidence = [
             m for _, _, m in harness.sent if isinstance(m, MisbehaviorEvidence)
@@ -468,7 +467,7 @@ class TestRateLimitQuarantine:
         strikes = BYZANTINE_QUARANTINE_STRIKES
         for i in range(burst + strikes + 5):
             deliver(node, 2, harness.signed_position(2, 800 + i))
-        assert [src for _, src in node.quarantine_events] == [2]
+        assert [src for _, src in node.evidence.quarantine_events] == [2]
         assert drops.count("quarantine") >= 5
         assert len(ratings_with(node, "message flood")) == 1
         # Bounded: quarantine expires, the link speaks again, strikes
@@ -480,7 +479,7 @@ class TestRateLimitQuarantine:
         deliver(node, 2, harness.signed_position(2, 900))
         assert len(drops) == before
         assert node._hops.quarantined_until == {}
-        assert len(node.quarantine_events) == 1
+        assert len(node.evidence.quarantine_events) == 1
 
     def test_honest_pacing_never_strikes(self):
         harness = Harness(config=hardened())
@@ -493,7 +492,7 @@ class TestRateLimitQuarantine:
             for _ in range(rate - 1):
                 deliver(node, 2, harness.signed_position(2, sequence, frame))
                 sequence += 1
-        assert node.quarantine_events == []
+        assert node.evidence.quarantine_events == []
         assert node._hops.strikes.get(2, 0) == 0
 
     def test_own_loopback_traffic_exempt(self):
@@ -502,7 +501,7 @@ class TestRateLimitQuarantine:
         node = harness.nodes[1]
         for i in range(200):
             deliver(node, 1, harness.signed_position(1, 1200 + i))
-        assert node.quarantine_events == []
+        assert node.evidence.quarantine_events == []
 
 
 # ---- tentpole: conviction semantics --------------------------------------

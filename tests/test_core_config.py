@@ -28,6 +28,7 @@ class TestValidation:
             ("signature_bits", 0),
             ("proxy_silence_threshold_frames", 0),
             ("membership_silence_frames", 30),  # not above the proxy threshold
+            ("profile", "hardened-without-failover"),  # not a rung
         ],
     )
     def test_invalid_values_rejected(self, field, value):
@@ -89,13 +90,24 @@ class TestPaperConstants:
 
 
 class TestScenarioMapping:
-    """TapeScenario keeps two serialized flags for the one ``resilient`` gate."""
+    """TapeScenario keeps three serialized flags for the one ``profile`` rung."""
 
     @pytest.mark.parametrize("gate", [True, False])
     def test_flags_map_to_the_one_gate(self, gate):
         scenario = TapeScenario(players=4, frames=40, seed=1, failover=gate,
                                 reliable=gate)
-        assert scenario.make_config().resilient is gate
+        assert scenario.make_config().profile == ("resilient" if gate else "paper")
+
+    def test_hardening_is_the_top_rung(self):
+        scenario = TapeScenario(players=4, frames=40, seed=1, hardening=True)
+        assert scenario.make_config().profile == "hardened"
+
+    def test_hardening_without_failover_rejected(self):
+        # the rung that disappeared: no tape, chaos row or workload ran it
+        scenario = TapeScenario(players=4, frames=40, seed=1, failover=False,
+                                reliable=False, hardening=True)
+        with pytest.raises(ValueError, match="hardened rung includes"):
+            scenario.make_config()
 
     @pytest.mark.parametrize("failover,reliable", [(True, False), (False, True)])
     def test_split_flags_rejected(self, failover, reliable):
@@ -108,11 +120,11 @@ class TestScenarioMapping:
         # used to raise TypeError: multiple values for 'proxy_failover'
         scenario = TapeScenario(
             players=4, frames=40, seed=1, hardening=False,
-            mc={"config": {"resilient": False, "byzantine_hardening": True}},
+            mc={"config": {"profile": "paper", "proxy_period_frames": 16}},
         )
         config = scenario.make_config()
-        assert config.resilient is False
-        assert config.byzantine_hardening is True
+        assert config.profile == "paper"
+        assert config.proxy_period_frames == 16
 
     def test_chaos_flags_adopt_the_bursty_loss_model(self):
         # a taped burst_loss_5pct used to run i.i.d. loss while `repro chaos`

@@ -193,20 +193,34 @@ class TestEveryKnobHasACaller:
         )
 
     def test_field_budget(self):
-        assert len(dataclasses.fields(WatchmenConfig)) <= 14
+        assert len(dataclasses.fields(WatchmenConfig)) <= 12
         assert len(dataclasses.fields(NetworkConfig)) <= 4
 
 
 # -- mode-gate guard ------------------------------------------------------------
 
-#: ``resilient`` / ``byzantine_hardening`` switch *mechanisms* on in
-#: ``WatchmenNode.__init__`` (failover depth, ack ledger, sequence archive,
-#: hop limiter — each built inert otherwise).  What may still read the flags
-#: afterwards is policy: the proxy-liveness drive, the starvation scan,
-#: tamper-hop blame, silent duplicate screening, evidence acceptance and the
-#: ack-withhold rating.  The bound only ratchets down.
-MODE_GATE_READ_BUDGET = 6
-MODE_GATES = {"resilient", "byzantine_hardening"}
+#: ``profile`` is read where things are *built*: ``WatchmenNode.__init__``
+#: resolves the rung once and hands each mechanism (``core/delivery.py``) and
+#: each role (the modules below) its already-resolved values, so below its
+#: rung a collaborator is inert and no call site forks on the mode.
+MODE_GATE_READ_BUDGET = 0
+MODE_GATES = {"profile"}
+
+#: The role collaborators behind ``WatchmenNode`` (docs/PROTOCOL.md §10).
+ROLE_MODULES = ("liveness", "clients", "evidence", "publisher")
+
+#: What only the node may do: touch the wire and feed the rating sink.
+NODE_ONLY = {"_transmit", "_transmit_unfiltered", "_send_raw", "_emit_rating",
+             "_rate_violation"}
+
+#: State the roles own; none of it may reappear on the node.
+ROLE_STATE = {
+    "_failover_depth", "_dead_suspects", "_active_proxy", "failover_events",
+    "_clients",
+    "_evidence_emitted", "_starvation_rated", "quarantine_events",
+    "equivocation_events", "suspicion_events",
+    "_last_published", "_pending_kills", "_pending_projectiles", "own_future",
+}
 
 
 def _gate_reads(tree: ast.AST) -> list[ast.Attribute]:
@@ -219,41 +233,94 @@ def _gate_reads(tree: ast.AST) -> list[ast.Attribute]:
     ]
 
 
-class TestModeGatesAreResolvedAtConstruction:
-    def _node_class(self) -> ast.ClassDef:
-        tree = ast.parse((SRC / "core" / "node.py").read_text())
-        return next(
-            node
-            for node in tree.body
-            if isinstance(node, ast.ClassDef) and node.name == "WatchmenNode"
-        )
+def _core_tree(name: str) -> ast.Module:
+    return ast.parse((SRC / "core" / f"{name}.py").read_text())
 
+
+def _node_init() -> ast.FunctionDef:
+    node_class = next(
+        node
+        for node in _core_tree("node").body
+        if isinstance(node, ast.ClassDef) and node.name == "WatchmenNode"
+    )
+    return next(
+        method
+        for method in node_class.body
+        if isinstance(method, ast.FunctionDef) and method.name == "__init__"
+    )
+
+
+def _self_attributes_assigned(function: ast.FunctionDef) -> list[str]:
+    return [
+        target.attr
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute)
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "self"
+    ]
+
+
+class TestModeGatesAreResolvedAtConstruction:
     def test_gate_reads_outside_init_stay_within_budget(self):
         reads = [
-            (method.name, read.lineno)
-            for method in self._node_class().body
-            if isinstance(method, ast.FunctionDef) and method.name != "__init__"
-            for read in _gate_reads(method)
+            (module, function.name, read.lineno)
+            for module in ("node", "delivery", *ROLE_MODULES)
+            for function in ast.walk(_core_tree(module))
+            if isinstance(function, ast.FunctionDef) and function.name != "__init__"
+            for read in _gate_reads(function)
         ]
         assert len(reads) <= MODE_GATE_READ_BUDGET, (
-            f"{len(reads)} reads of config.resilient/byzantine_hardening outside "
-            f"WatchmenNode.__init__ (budget {MODE_GATE_READ_BUDGET}): {reads} — "
-            "build the mechanism inert in __init__ instead of forking at the call site"
+            f"{len(reads)} reads of config.profile outside a constructor: {reads} "
+            "— build the mechanism inert in __init__ instead of forking at the "
+            "call site"
         )
 
     def test_init_does_not_park_a_gate_on_an_attribute(self):
-        # ``self._hardened = config.byzantine_hardening`` branched on at the
-        # old call site is the same fork with one more name
-        init = next(
-            method
-            for method in self._node_class().body
-            if isinstance(method, ast.FunctionDef) and method.name == "__init__"
-        )
+        # ``self._profile = config.profile`` branched on at the old call
+        # site is the same fork with one more name
         parked = [
             ast.unparse(node)
-            for node in ast.walk(init)
+            for node in ast.walk(_node_init())
             if isinstance(node, (ast.Assign, ast.AnnAssign))
             and isinstance(node.value, ast.Attribute)
             and node.value.attr in MODE_GATES
         ]
         assert parked == []
+
+
+class TestRolesOwnStateAndTheNodeActs:
+    @pytest.mark.parametrize("module", ROLE_MODULES)
+    def test_a_role_neither_holds_the_node_nor_sends_nor_rates(self, module):
+        tree = _core_tree(module)
+        imported = {
+            node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+        } | {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+        }
+        assert "repro.core.node" not in imported
+        named = {
+            node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Name))
+        }
+        assert not named & NODE_ONLY
+
+    def test_the_node_assigns_no_role_state(self):
+        assigned = _self_attributes_assigned(_node_init())
+        assert not set(assigned) & ROLE_STATE
+        assert len(assigned) <= 35, f"WatchmenNode.__init__ assigns {len(assigned)}"
+
+    def test_no_module_outgrows_its_role(self):
+        lines = {
+            name: len((SRC / "core" / f"{name}.py").read_text().splitlines())
+            for name in ("node", *ROLE_MODULES)
+        }
+        assert lines.pop("node") <= 1300
+        assert all(count <= 350 for count in lines.values()), lines

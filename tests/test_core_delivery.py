@@ -1,7 +1,7 @@
 """Unit tests for the three delivery mechanisms (``repro.core.delivery``).
 
-``WatchmenNode`` builds each one inert in the paper profile and live
-under ``resilient`` / ``byzantine_hardening``; these tests drive the
+``WatchmenNode`` builds each one inert on the ``paper`` rung and live
+from the ``resilient`` / ``hardened`` rung up; these tests drive the
 classes directly, both ways.
 """
 
@@ -23,6 +23,7 @@ from repro.core.delivery import (
     EVICTED,
     FRESH,
     QUARANTINED,
+    REPLAY,
     WINDOW_CAPACITY,
     AckLedger,
     HopLimiter,
@@ -62,11 +63,16 @@ def track(ledger, message, destination, frame):
 
 class TestSequenceWindow:
     def test_first_sighting_is_fresh_and_repeats_are_duplicates(self):
-        window = SequenceWindow()
+        window = SequenceWindow(retransmits=True)
         assert screen(window, position(0, 5)) == FRESH
         assert screen(window, position(0, 5)) == DUPLICATE
         # the window is per sender: another sender's 5 is new
         assert screen(window, position(1, 5)) == FRESH
+
+    def test_a_repeat_is_a_replay_where_nothing_retransmits(self):
+        window = SequenceWindow()  # as built on the paper rung
+        assert screen(window, position(0, 5)) == FRESH
+        assert screen(window, position(0, 5)) == REPLAY
 
     def test_eviction_installs_a_watermark_that_screens_forever(self):
         window = SequenceWindow()
@@ -79,8 +85,8 @@ class TestSequenceWindow:
         # below the watermark: evicted, and never re-admitted as seen
         assert screen(window, position(0, 3)) == EVICTED
         assert 3 not in window.seen[0]
-        # above it and still tracked: an ordinary duplicate
-        assert screen(window, position(0, half + 1)) == DUPLICATE
+        # above it and still tracked: an ordinary repeat
+        assert screen(window, position(0, half + 1)) == REPLAY
 
     def test_inert_window_archives_nothing(self):
         window = SequenceWindow()
@@ -90,7 +96,7 @@ class TestSequenceWindow:
         assert window.first_seen(update) is None
 
     def test_archive_keeps_first_sighting_of_archived_types_only(self):
-        window = SequenceWindow(archived=(StateUpdate,))
+        window = SequenceWindow(archived=(StateUpdate,), retransmits=True)
         original, conflicting = state(0, 7, x=1.0), state(0, 7, x=2.0)
         screen(window, original)
         screen(window, position(0, 8))

@@ -7,10 +7,10 @@ from repro.core.messages import (
     SUB_INTEREST,
     StateUpdate,
     SubscriptionRequest,
-    signable_bytes,
 )
 from repro.core.node import WatchmenNode
 from repro.core.proxy import ProxySchedule
+from repro.core.wire import encode_signable
 from repro.crypto.signatures import HmacSigner
 from repro.game.avatar import AvatarSnapshot
 from repro.game.gamemap import make_arena
@@ -181,7 +181,7 @@ class TestEnvelopeSecurity:
         message = StateUpdate(0, 0, 998, snap(0))
         forged = StateUpdate(
             0, 0, 998, snap(0),
-            signature=harness.signer.sign(2, signable_bytes(message)),
+            signature=harness.signer.sign(2, encode_signable(message)),
         )
         before = node.metrics.signature_failures
         deliver(node, 2, forged)
@@ -194,7 +194,7 @@ class TestEnvelopeSecurity:
         message = StateUpdate(0, 0, 997, snap(0))
         signed = StateUpdate(
             0, 0, 997, snap(0),
-            signature=harness.signer.sign(0, signable_bytes(message)),
+            signature=harness.signer.sign(0, encode_signable(message)),
         )
         deliver(node, 0, signed)
         before = node.metrics.replayed_messages
@@ -210,7 +210,7 @@ class TestEnvelopeSecurity:
         node = harness.nodes[1]
         message = StateUpdate(0, 0, 996, snap(0))
         signed = replace(
-            message, signature=harness.signer.sign(0, signable_bytes(message))
+            message, signature=harness.signer.sign(0, encode_signable(message))
         )
         tampered = replace(signed, snapshot=snap(0, x=9999.0))
         before = node.metrics.signature_failures
@@ -230,7 +230,7 @@ class TestEnvelopeSecurity:
         from dataclasses import replace
 
         signed = replace(
-            message, signature=harness.signer.sign(0, signable_bytes(message))
+            message, signature=harness.signer.sign(0, encode_signable(message))
         )
         before = receiver.metrics.direct_update_violations
         deliver(receiver, 0, signed)
@@ -290,7 +290,7 @@ class TestHandoff:
         )
         signed = replace(
             message,
-            signature=harness.signer.sign(imposter, signable_bytes(message)),
+            signature=harness.signer.sign(imposter, encode_signable(message)),
         )
         before = len(node.metrics.ratings)
         deliver(node, imposter, signed)

@@ -4,15 +4,11 @@ import pytest
 
 from repro.core import WatchmenConfig, WatchmenSession
 from repro.core.config import FRAMES_PER_SECOND, HANDOFF_DEPTH
-from repro.core.messages import (
-    HandoffMessage,
-    StateUpdate,
-    message_size_bits,
-)
+from repro.core.messages import HandoffMessage, StateUpdate
 from repro.game.avatar import AvatarSnapshot
 from repro.game.vector import Vec3
 from repro.net.latency import uniform_lan
-from tests.wirekit import as_message
+from tests.wirekit import as_frame, as_message
 
 
 def collect_messages(session, predicate):
@@ -72,20 +68,6 @@ class TestDeltaCoding:
             # +2 slack: frame/sequence varints may cross a 7-bit size
             # class between the keyframe and a later delta.
             assert size <= max(keyframe_sizes) + len(message.delta_fields) + 2
-
-    def test_delta_smaller_than_keyframe_in_nominal_model(self, updates):
-        """The paper-arithmetic size model still prices deltas below full
-        updates (what the crypto_overhead bench cross-checks)."""
-        messages, config = updates
-        delta_bits = [
-            message_size_bits(m, config) for m, _ in messages if m.delta_fields
-        ]
-        keyframe_bits = [
-            message_size_bits(m, config)
-            for m, _ in messages
-            if not m.delta_fields
-        ]
-        assert max(delta_bits) <= min(keyframe_bits)
 
     def test_delta_fields_reflect_changes(self, updates):
         messages, _ = updates
@@ -229,7 +211,7 @@ class TestHandoffContents:
 
     def test_handoff_size_scales_with_contents(self, handoffs):
         session, messages = handoffs
-        sizes = [message_size_bits(m, session.config) for m in messages]
+        sizes = [len(as_frame(m)) for m in messages]
         assert min(sizes) > 0
         if len(set(sizes)) > 1:
             assert max(sizes) > min(sizes)

@@ -25,9 +25,9 @@ from repro.core.messages import (
     AckMessage,
     HandoffMessage,
     RemovalProposal,
-    signable_bytes,
 )
 from repro.core.verification import CheckKind, Confidence
+from repro.core.wire import encode_signable
 from tests.test_byzantine import Harness, hardened, snap
 from tests.wirekit import as_frame, deliver
 
@@ -139,7 +139,7 @@ def handoff_from_a_non_proxy():
         summaries=(),
     )
     signed = replace(
-        handoff, signature=harness.signer.sign(impostor, signable_bytes(handoff))
+        handoff, signature=harness.signer.sign(impostor, encode_signable(handoff))
     )
     deliver(node, impostor, signed)
     return (node, impostor, 10.0, Confidence.PROXY, 1.0,
@@ -174,7 +174,7 @@ def starving_proxy():
 def ack_withholding():
     # a loopback that loses every receipt: destinations look ack-withholding
     harness = Harness(
-        config=WatchmenConfig(resilient=True, byzantine_hardening=True),
+        config=WatchmenConfig(profile="hardened"),
         lose=lambda message: isinstance(message, AckMessage),
     )
     harness.tick(0)
@@ -183,7 +183,7 @@ def ack_withholding():
     for frame in range(1, 200):
         node.membership.heard_from(2, frame)  # 2 keeps heartbeating
         node.on_frame(frame, snap(1, frame=frame, x=100.0))
-        if any(kind == "ack_withhold" for _, _, kind in node.suspicion_events):
+        if any(kind == "ack_withhold" for _, _, kind in node.evidence.suspicion_events):
             break
     return (node, 2, 6.0, Confidence.OTHER, float(ACK_RETRY_MAX_ATTEMPTS),
             "retry ladder exhausted against a live destination (ack withholding?)")

@@ -179,7 +179,7 @@ class TestVerbatimForwarding:
 
     def test_an_ack_retry_resends_the_first_attempts_buffer(self):
         harness = Harness(
-            config=WatchmenConfig(resilient=True),
+            config=WatchmenConfig(profile="resilient"),
             lose=lambda message: isinstance(message, AckMessage),
         )
         harness.tick(0)
@@ -241,7 +241,7 @@ class TestTamperedBytes:
                 assert rating.detail == "invalid or missing signature"
         assert node.known == known_before
         if hardening:
-            assert {kind for _, _, kind in node.suspicion_events} == {"tamper_hop"}
+            assert {kind for _, _, kind in node.evidence.suspicion_events} == {"tamper_hop"}
 
 
 MALFORMED = {

@@ -45,8 +45,7 @@ class TestFaultFreeBitIdentity:
 
     def test_gates_default_off(self):
         config = WatchmenConfig()
-        assert config.resilient is False
-        assert config.byzantine_hardening is False
+        assert config.profile == "paper"
 
 
 class TestScheduleBuilding:

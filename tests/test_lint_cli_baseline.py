@@ -143,7 +143,7 @@ class TestBaselineWorkflow:
 
 class TestExplainAndListing:
     @pytest.mark.parametrize(
-        "rule", ["D101", "D102", "D103", "P201", "P202", "P203", "P204", "T301"]
+        "rule", ["D101", "D102", "D103", "P201", "P202", "P203", "P205", "T301"]
     )
     def test_every_rule_explains(self, rule, capsys):
         assert lint_main(["--explain", rule]) == 0

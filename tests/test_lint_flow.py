@@ -161,7 +161,7 @@ class TestF402:
         assert violations == []
 
     def test_passes_via_transitive_helper(self):
-        # _predict -> predict_linear, mirroring WatchmenNode._guidance_prediction
+        # _predict -> predict_linear, mirroring Publisher._guidance_prediction
         violations = flow_violations(
             (
                 "repro.game.deadreckoning",
@@ -217,8 +217,8 @@ class TestF402:
         assert violations == []
 
 
-def real_tree(mutate_node=None):
-    """(call graph, sources) of src/repro, core/node.py optionally rewritten."""
+def real_tree(mutate=None, mutated="src/repro/core/node.py"):
+    """(call graph, sources) of src/repro, one file optionally rewritten."""
     import pathlib
 
     from repro.lint.callgraph import module_name_for
@@ -232,8 +232,8 @@ def real_tree(mutate_node=None):
         if name is None:
             continue
         text = file.read_text()
-        if mutate_node is not None and rel == "src/repro/core/node.py":
-            text = mutate_node(text)
+        if mutate is not None and rel == mutated:
+            text = mutate(text)
         parsed.append(ParsedModule(module=name, path=rel, tree=ast.parse(text)))
         sources[rel] = text.splitlines()
     return build_call_graph(parsed), sources
@@ -262,7 +262,7 @@ class TestF402IsNotSubsumedByS703:
             assert self.GUIDANCE in text
             return text.replace(self.GUIDANCE, replacement)
 
-        graph, sources = real_tree(mutate)
+        graph, sources = real_tree(mutate, "src/repro/core/publisher.py")
         f402 = [v.rule for v in run_flow_rules(graph, sources) if v.rule == "F402"]
         s703 = [
             v.rule for v in run_taint_rules(graph, sources)[0] if v.rule == "S703"

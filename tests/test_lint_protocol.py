@@ -31,16 +31,6 @@ class Pong:
 
 
 GameMessage = Union[Ping, Pong, Farewell]
-
-
-def message_size_bits(message: GameMessage, config: object) -> int:
-    if isinstance(message, Ping):
-        return 8
-    elif isinstance(message, {sized_second}):
-        return 16
-    elif isinstance(message, Farewell):
-        return 4
-    raise TypeError(type(message).__name__)
 '''
 
 EXTRA_MODULE = '''\
@@ -86,13 +76,12 @@ def make_tree(
     ping_flags: str = "frozen=True, slots=True",
     dispatched_second: str = "Pong",
     registered_second: str = "Pong",
-    sized_second: str = "Pong",
 ) -> ProtocolSources:
     """A minimal src/repro tree with controllable conformance defects."""
     core = root / "src" / "repro" / "core"
     core.mkdir(parents=True, exist_ok=True)
     (core / "messages.py").write_text(
-        MESSAGES_TEMPLATE.format(ping_flags=ping_flags, sized_second=sized_second)
+        MESSAGES_TEMPLATE.format(ping_flags=ping_flags)
     )
     (core / "extra.py").write_text(EXTRA_MODULE)
     (core / "node.py").write_text(
@@ -151,10 +140,6 @@ class TestSyntheticTrees:
         sources = make_tree(tmp_path, registered_second="Other")
         assert _rules(sources, tmp_path) == ["P203"]
 
-    def test_missing_size_model_is_p204(self, tmp_path):
-        sources = make_tree(tmp_path, sized_second="Other")
-        assert _rules(sources, tmp_path) == ["P204"]
-
     def test_union_member_defined_in_imported_module_is_resolved(self, tmp_path):
         # Farewell lives in extra.py (like RemovalProposal in membership.py);
         # breaking ITS dataclass flags must still be caught.
@@ -172,9 +157,8 @@ class TestSyntheticTrees:
             ping_flags="frozen=True",
             dispatched_second="Other",
             registered_second="Other",
-            sized_second="Other",
         )
-        assert _rules(sources, tmp_path) == ["P201", "P202", "P203", "P204"]
+        assert _rules(sources, tmp_path) == ["P201", "P202", "P203"]
 
 
 ACKABLE_SUFFIX = '''\
@@ -432,17 +416,6 @@ class TestRealRepoMutations:
         )
         assert [v.rule for v in violations] == ["P206"]
         assert "ambiguous" in violations[0].message
-
-    def test_removing_ack_size_branch_is_p204(self, tmp_path):
-        violations = self._mutated(
-            tmp_path,
-            "messages.py",
-            "    elif isinstance(message, AckMessage):\n"
-            "        body = SUBSCRIPTION_BITS  # tiny signed receipt\n",
-            "",
-        )
-        assert [v.rule for v in violations] == ["P204"]
-        assert "AckMessage" in violations[0].message
 
     def test_adding_ack_to_ackable_types_is_p205(self, tmp_path):
         violations = self._mutated(

@@ -72,7 +72,7 @@ class TestLivePlayerNeverEvicted:
     @settings(max_examples=6, deadline=None, derandomize=True)
     def test_no_false_eviction_under_loss(self, seed, loss_rate, gates):
         trace = generate_trace(num_players=8, num_frames=200, seed=seed)
-        config = WatchmenConfig(resilient=gates)
+        config = WatchmenConfig(profile="resilient" if gates else "paper")
         session = WatchmenSession(
             trace,
             config=config,
@@ -101,7 +101,7 @@ class TestProxyCrashStrandsNobody:
                 CrashProxyFault(player_id=target, frame=fault_frame),
             )
         )
-        config = WatchmenConfig(resilient=True)
+        config = WatchmenConfig(profile="resilient")
         session = WatchmenSession(trace, config=config, faults=schedule)
         report = session.run()
         (victim,) = report.crashed
@@ -115,7 +115,7 @@ class TestProxyCrashStrandsNobody:
         events = [
             frame
             for node in session.nodes.values()
-            for frame, scheduled, _ in node.failover_events
+            for frame, scheduled, _ in node.first_hops.failover_events
             if scheduled == victim
             and fault_frame < frame <= fault_frame + PROXY_PERIOD_FRAMES
         ]

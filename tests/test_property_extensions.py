@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from repro.core import WatchmenConfig, feasibility_test
 from repro.core.membership import MembershipView
-from repro.core.messages import StateUpdate, message_size_bits
+from repro.core.messages import StateUpdate
 from repro.core.reputation import InteractionTag
 from repro.core.reputation_gossip import GossipNode
 from repro.game.avatar import AvatarSnapshot, snapshot_delta_fields
 from repro.game.vector import Vec3
+from tests.wirekit import as_frame
 
 
 def snap(player_id=1, frame=0, x=0.0, health=100):
@@ -128,16 +129,15 @@ class TestDeltaCodingProperties:
         st.integers(min_value=0, max_value=100),
     )
     @settings(max_examples=60)
-    def test_delta_never_larger_than_keyframe(self, x, health):
-        config = WatchmenConfig()
+    def test_delta_costs_at_most_its_field_codes(self, x, health):
+        # every update ships the whole snapshot (a standalone-verifiable
+        # heartbeat); the delta annotation adds one table code per field
         old = snap(frame=0)
         new = snap(frame=1, x=x, health=health)
-        fields = tuple(snapshot_delta_fields(old, new))
+        fields = tuple(snapshot_delta_fields(old, new)) or ("yaw",)
         keyframe = StateUpdate(1, 1, 1, new)
-        delta = StateUpdate(1, 1, 1, new, delta_fields=fields or ("yaw",))
-        assert message_size_bits(delta, config) <= message_size_bits(
-            keyframe, config
-        )
+        delta = StateUpdate(1, 1, 1, new, delta_fields=fields)
+        assert len(as_frame(delta)) <= len(as_frame(keyframe)) + len(fields) + 1
 
     @given(st.floats(min_value=-1e5, max_value=1e5, allow_nan=False))
     @settings(max_examples=40)
