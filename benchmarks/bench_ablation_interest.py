@@ -19,7 +19,7 @@ from conftest import SESSION_TRACE_PARAMS, publish
 IS_SIZES = [2, 5, 10]
 
 
-def test_ablation_interest_size(benchmark, yard, session_trace, results_dir):
+def test_ablation_interest_size(yard, session_trace, results_dir):
     def sweep():
         outcomes = {}
         for size in IS_SIZES:
@@ -46,7 +46,7 @@ def test_ablation_interest_size(benchmark, yard, session_trace, results_dir):
             outcomes[size] = (report, matrix["watchmen"][4])
         return outcomes
 
-    outcomes = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    outcomes = sweep()
 
     rows = []
     for size, (report, exposure_counts) in outcomes.items():

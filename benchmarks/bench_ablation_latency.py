@@ -39,15 +39,14 @@ def run_variant(trace, yard, overrides):
     return report, mean_age
 
 
-def test_ablation_latency_optimizations(benchmark, yard, session_trace,
-                                        results_dir):
+def test_ablation_latency_optimizations(yard, session_trace, results_dir):
     def sweep():
         return {
             name: run_variant(session_trace, yard, overrides)
             for name, overrides in VARIANTS.items()
         }
 
-    outcomes = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    outcomes = sweep()
 
     rows = []
     for name, (report, mean_age) in outcomes.items():

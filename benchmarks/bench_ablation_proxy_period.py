@@ -16,7 +16,7 @@ from conftest import SESSION_TRACE_PARAMS, publish
 PERIODS = [10, 20, 40, 80, 160]
 
 
-def test_ablation_proxy_period(benchmark, yard, session_trace, results_dir):
+def test_ablation_proxy_period(yard, session_trace, results_dir):
     def sweep():
         outcomes = {}
         for period in PERIODS:
@@ -37,7 +37,7 @@ def test_ablation_proxy_period(benchmark, yard, session_trace, results_dir):
             outcomes[period] = report
         return outcomes
 
-    outcomes = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    outcomes = sweep()
 
     rows = []
     for period, report in outcomes.items():

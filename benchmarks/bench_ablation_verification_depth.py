@@ -59,15 +59,14 @@ def run_depth(trace, yard, action_repetition: bool):
     }
 
 
-def test_ablation_verification_depth(benchmark, yard, session_trace,
-                                     results_dir):
+def test_ablation_verification_depth(yard, session_trace, results_dir):
     def sweep():
         return {
             "sanity checks": run_depth(session_trace, yard, False),
             "action repetition": run_depth(session_trace, yard, True),
         }
 
-    outcomes = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    outcomes = sweep()
 
     rows = [
         [

@@ -34,10 +34,8 @@ CHAOS_PARAMS = {"players": 12, "frames": 240, "seed": 7}
 BYZ_SWEEP_SEEDS = (7, 11, 23)
 
 
-def test_chaos_matrix(benchmark, results_dir):
-    results = benchmark.pedantic(
-        lambda: run_chaos(**CHAOS_PARAMS), rounds=1, iterations=1
-    )
+def test_chaos_matrix(results_dir):
+    results = run_chaos(**CHAOS_PARAMS)
 
     body = render_table(
         ["scenario", "evict", "reproxy", "stale.dur", "stale.peak",
@@ -89,7 +87,7 @@ def test_chaos_matrix(benchmark, results_dir):
     )
 
 
-def test_chaos_byzantine_matrix(benchmark, results_dir):
+def test_chaos_byzantine_matrix(results_dir):
     def sweep():
         return {
             seed: run_chaos(
@@ -101,7 +99,7 @@ def test_chaos_byzantine_matrix(benchmark, results_dir):
             for seed in BYZ_SWEEP_SEEDS
         }
 
-    by_seed = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    by_seed = sweep()
 
     results = by_seed[CHAOS_PARAMS["seed"]]
     body = render_table(

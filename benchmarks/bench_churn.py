@@ -8,12 +8,13 @@ its latency budget.
 
 from repro.core import WatchmenSession
 from repro.analysis.report import render_table
+from repro.faults import CrashFault, FaultSchedule
 from repro.net.latency import king_like
 
 from conftest import SESSION_TRACE_PARAMS, publish
 
 
-def test_churn_agreement(benchmark, yard, session_trace, results_dir):
+def test_churn_agreement(yard, session_trace, results_dir):
     players = session_trace.player_ids()
     departing = players[5]
     depart_frame = 60
@@ -23,12 +24,14 @@ def test_churn_agreement(benchmark, yard, session_trace, results_dir):
             session_trace,
             game_map=yard,
             latency=king_like(len(players), seed=9),
-            departures={departing: depart_frame},
+            faults=FaultSchedule(
+                crashes=(CrashFault(node_id=departing, frame=depart_frame),)
+            ),
         )
         report = session.run()
         return session, report
 
-    session, report = benchmark.pedantic(run, rounds=1, iterations=1)
+    session, report = run()
 
     honest_nodes = [n for p, n in session.nodes.items() if p != departing]
     agreed = sum(1 for n in honest_nodes if departing in n.membership.removed)

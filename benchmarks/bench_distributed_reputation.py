@@ -19,8 +19,7 @@ from conftest import SESSION_TRACE_PARAMS, publish
 CHEATER = 0
 
 
-def test_distributed_reputation_convergence(benchmark, yard, session_trace,
-                                            results_dir):
+def test_distributed_reputation_convergence(yard, session_trace, results_dir):
     players = session_trace.player_ids()
 
     def run():
@@ -53,7 +52,7 @@ def test_distributed_reputation_convergence(benchmark, yard, session_trace,
         rounds = network.run_until_quiet(fanout=2, digest_size=4096)
         return network, rounds
 
-    network, rounds = benchmark.pedantic(run, rounds=1, iterations=1)
+    network, rounds = run()
 
     agreement = network.ban_agreement()
     spread = network.reputation_spread(CHEATER)

@@ -13,7 +13,7 @@ from repro.net.latency import king_like
 from conftest import SESSION_TRACE_PARAMS, publish
 
 
-def test_fairness_admission(benchmark, yard, session_trace, results_dir):
+def test_fairness_admission(yard, session_trace, results_dir):
     players = session_trace.player_ids()
     # A third of the players on weak DSL uplinks, a third mid, a third fat.
     capacities = {}
@@ -31,7 +31,7 @@ def test_fairness_admission(benchmark, yard, session_trace, results_dir):
         )
         return decision, session, session.run()
 
-    decision, session, report = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    decision, session, report = sweep()
 
     weak = [p for p in players if capacities[p] == 120.0]
     rows = []

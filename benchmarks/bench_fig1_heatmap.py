@@ -11,7 +11,7 @@ from repro.game import generate_trace
 from conftest import BENCH_TRACE_PARAMS, publish
 
 
-def test_fig1_heatmaps(benchmark, yard, bench_trace, results_dir):
+def test_fig1_heatmaps(yard, bench_trace, results_dir):
     npc_trace = generate_trace(
         num_players=24, num_frames=400, seed=2013, npc_fraction=1.0,
         game_map=yard,
@@ -22,7 +22,7 @@ def test_fig1_heatmaps(benchmark, yard, bench_trace, results_dir):
         npc = presence_heatmap(npc_trace, yard, grid=24)
         return human, npc
 
-    human, npc = benchmark(build)
+    human, npc = build()
 
     human_conc = hotspot_concentration(human, 0.10)
     npc_conc = hotspot_concentration(npc, 0.10)

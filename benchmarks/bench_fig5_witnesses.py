@@ -12,13 +12,9 @@ from conftest import BENCH_TRACE_PARAMS, publish
 COALITION_SIZES = [1, 2, 4, 8, 12]
 
 
-def test_fig5_witnesses(benchmark, yard, bench_trace, results_dir):
-    results = benchmark.pedantic(
-        witness_experiment,
-        args=(bench_trace, yard, COALITION_SIZES),
-        kwargs={"coalitions_per_size": 6, "frame_stride": 40},
-        rounds=1,
-        iterations=1,
+def test_fig5_witnesses(yard, bench_trace, results_dir):
+    results = witness_experiment(
+        bench_trace, yard, COALITION_SIZES, coalitions_per_size=6, frame_stride=40
     )
     body = render_witnesses(results)
     n = len(bench_trace.player_ids())

@@ -10,13 +10,8 @@ from repro.analysis.report import render_detection
 from conftest import SESSION_TRACE_PARAMS, publish
 
 
-def test_fig6_detection(benchmark, yard, session_trace, results_dir):
-    outcomes = benchmark.pedantic(
-        figure6_experiment,
-        args=(session_trace, yard),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig6_detection(yard, session_trace, results_dir):
+    outcomes = figure6_experiment(session_trace, yard)
     body = render_detection(outcomes)
     body += (
         "\n\n(paper: all five verifications detect the injected cheats "

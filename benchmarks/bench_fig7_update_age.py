@@ -11,13 +11,8 @@ from repro.analysis.report import render_update_age
 from conftest import SESSION_TRACE_PARAMS, publish
 
 
-def test_fig7_update_age(benchmark, yard, session_trace, results_dir):
-    results = benchmark.pedantic(
-        figure7_experiment,
-        args=(session_trace, yard),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig7_update_age(yard, session_trace, results_dir):
+    results = figure7_experiment(session_trace, yard)
     body = render_update_age(results)
     body += (
         "\n(paper: with ~62/68 ms mean RTT and 1% loss, almost all updates "

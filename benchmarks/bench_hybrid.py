@@ -13,7 +13,7 @@ from repro.net.latency import king_like
 from conftest import SESSION_TRACE_PARAMS, publish
 
 
-def test_hybrid_vs_pure_p2p(benchmark, yard, session_trace, results_dir):
+def test_hybrid_vs_pure_p2p(yard, session_trace, results_dir):
     size = len(session_trace.player_ids())
 
     def sweep():
@@ -38,7 +38,7 @@ def test_hybrid_vs_pure_p2p(benchmark, yard, session_trace, results_dir):
         ).run()
         return pure, hybrid, weighted
 
-    pure, hybrid, weighted = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    pure, hybrid, weighted = sweep()
 
     def row(name, report):
         server_up = (

@@ -26,7 +26,7 @@ def mean_set_sizes(trace, game_map):
     return interest_total / samples, vision_total / samples
 
 
-def test_map_sensitivity(benchmark, yard, bench_trace, results_dir):
+def test_map_sensitivity(yard, bench_trace, results_dir):
     corridors = make_corridors()
 
     def sweep():
@@ -44,7 +44,7 @@ def test_map_sensitivity(benchmark, yard, bench_trace, results_dir):
             ),
         }
 
-    outcomes = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    outcomes = sweep()
 
     rows = []
     for name, (stats, (mean_is, mean_vs)) in outcomes.items():

@@ -13,7 +13,7 @@ from repro.net.latency import king_like, uniform_lan
 from conftest import SESSION_TRACE_PARAMS, publish
 
 
-def test_qoe_view_error(benchmark, yard, session_trace, results_dir):
+def test_qoe_view_error(yard, session_trace, results_dir):
     size = len(session_trace.player_ids())
 
     def sweep():
@@ -32,7 +32,7 @@ def test_qoe_view_error(benchmark, yard, session_trace, results_dir):
             outcomes[name] = report
         return outcomes
 
-    outcomes = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    outcomes = sweep()
 
     rows = []
     for name, report in outcomes.items():

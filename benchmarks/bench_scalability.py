@@ -5,8 +5,6 @@ background numbers (centralized Quake III ≈ 120·n kbps; naive P2P grows
 linearly per node / quadratically in total).
 """
 
-import time
-
 from repro.analysis import scalability_experiment
 from repro.analysis.report import render_scalability
 
@@ -17,24 +15,16 @@ NUM_FRAMES = 60 if SMOKE else 120
 SEED = 5
 
 
-def test_scalability_bandwidth(benchmark, yard, results_dir):
-    start = time.perf_counter()
-    points = benchmark.pedantic(
-        scalability_experiment,
-        args=(PLAYER_COUNTS,),
-        kwargs={"num_frames": NUM_FRAMES, "game_map": yard, "seed": SEED},
-        rounds=1,
-        iterations=1,
+def test_scalability_bandwidth(yard, results_dir):
+    points = scalability_experiment(
+        PLAYER_COUNTS, num_frames=NUM_FRAMES, game_map=yard, seed=SEED
     )
-    wall = time.perf_counter() - start
     body = render_scalability(points)
     body += (
         "\n(centralized server column is the 120·n kbps literature figure; "
         "Watchmen keeps per-node upload in broadband range as n grows)\n"
     )
-    # wall_seconds doubles as a gated cost metric: the bench-diff gate
-    # flags runs whose end-to-end sweep slows down by more than 25 %.
-    metrics = {"wall_seconds": wall}
+    metrics: dict[str, float] = {}
     for point in points:
         metrics[f"watchmen_mean_kbps.n{point.num_players}"] = point.watchmen_mean_kbps
         metrics[f"watchmen_max_kbps.n{point.num_players}"] = point.watchmen_max_kbps
@@ -50,7 +40,6 @@ def test_scalability_bandwidth(benchmark, yard, results_dir):
             "smoke": SMOKE,
         },
         metrics=metrics,
-        wall_seconds=wall,
     )
 
     small, large = points[0], points[-1]

@@ -6,13 +6,8 @@ from repro.analysis.report import render_cheat_matrix
 from conftest import SESSION_TRACE_PARAMS, publish
 
 
-def test_table1_cheat_matrix(benchmark, yard, session_trace, results_dir):
-    outcomes = benchmark.pedantic(
-        cheat_matrix_experiment,
-        args=(session_trace, yard),
-        rounds=1,
-        iterations=1,
-    )
+def test_table1_cheat_matrix(yard, session_trace, results_dir):
+    outcomes = cheat_matrix_experiment(session_trace, yard)
     body = render_cheat_matrix(outcomes)
     publish(results_dir, "table1_cheats",
             "Table I — cheat taxonomy, measured countermeasures", body,

@@ -7,13 +7,8 @@ from repro.analysis.report import render_churn
 from conftest import BENCH_TRACE_PARAMS, publish
 
 
-def test_text_churn_statistics(benchmark, yard, bench_trace, results_dir):
-    stats = benchmark.pedantic(
-        churn_statistics,
-        args=(bench_trace, yard),
-        rounds=1,
-        iterations=1,
-    )
+def test_text_churn_statistics(yard, bench_trace, results_dir):
+    stats = churn_statistics(bench_trace, yard)
     body = render_churn(stats)
     body += (
         "\n(our bot players churn faster than the paper's human traces; "

@@ -1,12 +1,17 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-reproduction harness.
 
 Every bench regenerates one of the paper's tables/figures, prints the
-rows/series, and archives them under ``benchmarks/results/`` — a
-human-readable ``.txt`` block *and* a structured ``.json`` artifact
+rows/series, and writes them under the git-ignored ``benchmarks/results/``
+— a human-readable ``.txt`` block *and* a structured ``.json`` artifact
 (schema ``repro.bench.v1``, see ``docs/OBSERVABILITY.md``).  At the end
-of a run every published row is also aggregated into the top-level
-``BENCH_core.json``, the machine-readable perf trajectory that
-``repro bench-diff`` gates CI on.
+of a run every published row is also aggregated into the tracked
+top-level ``BENCH_core.json`` that ``repro bench-diff`` gates CI on.
+
+Nothing here is timed: the system's clock is ``perfbench/``
+(docs/PERFORMANCE.md).  A published metric is a pure function of the
+seed and rows carry the pinned epoch, so two runs on one tree emit
+identical bytes and a dirty ``BENCH_core.json`` means a reproduced
+number moved.
 
 Traces are session-scoped: the expensive inputs are built once.  Set
 ``REPRO_BENCH_SMOKE=1`` for the reduced-size smoke subset CI runs.
@@ -15,13 +20,12 @@ Traces are session-scoped: the expensive inputs are built once.  Set
 from __future__ import annotations
 
 import os
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.game import generate_trace, make_longest_yard
-from repro.obs import bench_row, write_bench_json
+from repro.obs import PINNED_EPOCH, bench_row, write_bench_json
 
 RESULTS_DIR = Path(__file__).parent / "results"
 BENCH_CORE_PATH = Path(__file__).resolve().parent.parent / "BENCH_core.json"
@@ -92,31 +96,27 @@ def publish(
     body: str,
     params: dict | None = None,
     metrics: dict[str, float] | None = None,
-    wall_seconds: float | None = None,
 ) -> None:
-    """Print a result block and archive it for EXPERIMENTS.md.
+    """Print a result block and write it under ``results_dir``.
 
     ``params`` should name the run's inputs (seed, player count, frame
-    count); each block and JSON artifact is stamped with them so archived
-    results stay attributable across overwrites.  ``metrics`` (flat name
-    -> number) additionally lands in ``results/<name>.json`` and in the
-    aggregated ``BENCH_core.json`` for the bench-diff CI gate.
+    count); each block and JSON artifact is stamped with them so results
+    stay attributable to their inputs.  ``metrics`` (flat name -> number,
+    each a function of those inputs alone) additionally lands in
+    ``results/<name>.json`` and in the aggregated ``BENCH_core.json`` for
+    the bench-diff CI gate.
     """
     params = dict(params or {})
     stamp = " ".join(f"{key}={value}" for key, value in sorted(params.items()))
-    generated = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    header = f"== {title} ==\n-- run: {stamp or 'unparameterised'} at {generated} --\n"
+    header = f"== {title} ==\n-- run: {stamp or 'unparameterised'} --\n"
     block = f"{header}{body}\n"
     print("\n" + block)
     (results_dir / f"{name}.txt").write_text(block, encoding="utf-8")
 
     row = bench_row(
-        bench=name,
-        params=params,
-        metrics=metrics,
-        wall_seconds=wall_seconds,
+        bench=name, params=params, metrics=metrics, timestamp=PINNED_EPOCH
     )
-    write_bench_json(results_dir / f"{name}.json", row)
+    write_bench_json(results_dir / f"{name}.json", row, generated=PINNED_EPOCH)
     _PUBLISHED_ROWS.append(row)
 
 
@@ -124,4 +124,6 @@ def pytest_sessionfinish(session, exitstatus):
     """Aggregate every published row into the top-level BENCH_core.json."""
     del session, exitstatus
     if _PUBLISHED_ROWS:
-        write_bench_json(BENCH_CORE_PATH, list(_PUBLISHED_ROWS))
+        write_bench_json(
+            BENCH_CORE_PATH, list(_PUBLISHED_ROWS), generated=PINNED_EPOCH
+        )

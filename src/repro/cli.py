@@ -64,6 +64,7 @@ from repro.game import GameTrace, generate_trace, make_corridors, make_longest_y
 from repro.net.latency import LatencyMatrix, king_like, peerwise_like, uniform_lan
 from repro.net.transport import NetworkConfig
 from repro.obs import (
+    PINNED_EPOCH,
     MetricsRegistry,
     bench_row,
     diff_rows,
@@ -416,11 +417,6 @@ def cmd_bench_diff(args: argparse.Namespace) -> int:
     return 1 if regressions else 0
 
 
-#: Pinned stamp for chaos artifacts: the run is deterministic, so the
-#: artifact must be too (two identical runs emit identical bytes).
-_CHAOS_EPOCH = "1970-01-01T00:00:00+00:00"
-
-
 def chaos_gate_failures(results: list[dict]) -> list[str]:
     """Recovery-SLO violations across a chaos matrix (empty = pass).
 
@@ -507,16 +503,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             params=result["params"],
             metrics=result["metrics"],
             wall_seconds=0.0,  # pinned: artifact bytes must be reproducible
-            timestamp=_CHAOS_EPOCH,
+            timestamp=PINNED_EPOCH,
         )
         for result in results
     ]
     if args.out == "-":
-        payload = {"schema": "repro.bench.v1", "generated": _CHAOS_EPOCH,
+        payload = {"schema": "repro.bench.v1", "generated": PINNED_EPOCH,
                    "rows": rows}
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.out:
-        write_bench_json(args.out, rows, generated=_CHAOS_EPOCH)
+        write_bench_json(args.out, rows, generated=PINNED_EPOCH)
         print(f"chaos artifact -> {args.out}")
 
     if args.out != "-":

@@ -124,6 +124,3 @@ class ActionRepetitionVerifier:
                 if best <= 0.5:  # early exit: clearly reachable
                     return best
         return best
-
-    def forget(self, player_id: int) -> None:
-        self._last_seen.pop(player_id, None)

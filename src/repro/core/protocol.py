@@ -124,7 +124,6 @@ class WatchmenSession:
         behaviours: dict[int, NodeBehaviour] | None = None,
         reputation: ReputationBoard | None = None,
         signer: HmacSigner | None = None,
-        departures: dict[int, int] | None = None,
         faults: FaultSchedule | None = None,
         view_error_stride: int | None = None,
         servers: int = 0,
@@ -143,8 +142,6 @@ class WatchmenSession:
         #: which is disabled unless a caller swapped an enabled one in.
         self.obs = registry if registry is not None else get_registry()
         self._hist_frame = self.obs.histogram("session.frame_seconds")
-        #: player id -> frame at which he abruptly leaves (churn injection)
-        self.departures = dict(departures or {})
         #: sample the rendered-view error every k frames (None = off)
         self.view_error_stride = view_error_stride
         self.view_errors: list[float] = []
@@ -343,14 +340,9 @@ class WatchmenSession:
         # New frame: reset the shared LOS memo before any planner runs.
         self.los_cache.begin_frame(frame)
 
-        # Abrupt departures: the machine is gone — no more sends, no more
-        # receives.  The remaining nodes must detect and agree on it.
-        for player_id, depart_frame in self.departures.items():
-            if frame == depart_frame:
-                self.network.unregister(player_id)
-
-        # Scheduled crash-stops (fault injection) behave identically to
-        # departures from the survivors' point of view.
+        # Scheduled crash-stops (churn, fault injection): the machine is
+        # gone — no more sends, no more receives.  The remaining nodes
+        # must detect and agree on it.
         if self.fault_injector is not None:
             for node_id in self.fault_injector.begin_frame(frame):
                 self.crashed[node_id] = frame
@@ -370,9 +362,6 @@ class WatchmenSession:
 
         snapshots = self.trace.frames[frame]
         for player_id in self.trace.player_ids():
-            depart_frame = self.departures.get(player_id)
-            if depart_frame is not None and frame >= depart_frame:
-                continue
             if player_id in self.crashed:
                 continue
             self.nodes[player_id].on_frame(frame, snapshots[player_id])
@@ -392,8 +381,6 @@ class WatchmenSession:
     ) -> None:
         """Lag sample: rendered estimate vs true position, all pairs."""
         for observer_id in self.trace.player_ids():
-            if observer_id in self.departures and frame >= self.departures[observer_id]:
-                continue
             if observer_id in self.crashed:
                 continue
             node = self.nodes[observer_id]

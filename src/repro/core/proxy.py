@@ -77,11 +77,11 @@ class ProxySchedule:
             self.pool.extend([node] * max(1, int(weights.get(node, 1))))
         self._prngs: dict[int, VerifiablePrng] = {}
         self._roster_set = set(self.roster)
-        # The schedule is a pure function of (seed, roster, epoch), so
-        # assignments are memoised; the counters split real PRNG draws
-        # from cache hits.
-        self._assignments: dict[tuple[int, int], int] = {}
-        self._candidates: dict[tuple[int, int, int], int] = {}
+        # The schedule is a pure function of (seed, roster, epoch), so each
+        # (player, epoch) ring — the scheduled proxy, then the failover
+        # candidates in order — is memoised; the counters split real PRNG
+        # draws from cache hits.
+        self._rings: dict[tuple[int, int], tuple[int, ...]] = {}
         obs = registry if registry is not None else get_registry()
         self._registry = obs
         self._ctr_lookups = obs.counter("proxy.schedule.lookups")
@@ -97,9 +97,17 @@ class ProxySchedule:
     def proxy_of(self, player_id: int, epoch: int) -> int:
         """The proxy serving ``player_id`` during ``epoch`` (verifiable)."""
         self._ctr_lookups.inc()
-        cached = self._assignments.get((player_id, epoch))
-        if cached is not None:
-            return cached
+        ring = self._rings.get((player_id, epoch))
+        if ring is None:
+            ring = self._draw_ring(player_id, epoch)
+        return ring[0]
+
+    def _draw_ring(self, player_id: int, epoch: int) -> tuple[int, ...]:
+        """The one PRNG draw of ``(player_id, epoch)``, memoised.
+
+        The *distinct* nodes reached by walking forward (cyclically) from
+        the drawn index over the eligible pool, in that order.
+        """
         if player_id not in self._roster_set:
             raise KeyError(f"unknown player {player_id}")
         if epoch < 0:
@@ -113,9 +121,9 @@ class ProxySchedule:
             self._prngs[player_id] = prng
         self._ctr_draws.inc()
         index = prng.below_at(epoch, len(eligible))
-        proxy = eligible[index]
-        self._assignments[(player_id, epoch)] = proxy
-        return proxy
+        ring = tuple(dict.fromkeys(eligible[index:] + eligible[:index]))
+        self._rings[(player_id, epoch)] = ring
+        return ring
 
     def proxy_at_frame(self, player_id: int, frame: int) -> int:
         return self.proxy_of(player_id, self.epoch_of_frame(frame))
@@ -124,8 +132,7 @@ class ProxySchedule:
         """The ``attempt``-th failover candidate for a player's epoch.
 
         Attempt 0 is the scheduled proxy itself; attempt k is the k-th
-        *distinct* node reached by walking forward (cyclically) from the
-        PRNG-drawn index over the same eligible pool.  Like the primary
+        entry of the same ring (wrapping around it).  Like the primary
         assignment this is a pure function of (seed, roster, epoch,
         attempt), so when a node fails over after its proxy crashes,
         every other node can verify the replacement route with zero
@@ -136,28 +143,8 @@ class ProxySchedule:
             raise ValueError("attempt must be non-negative")
         if attempt == 0:
             return self.proxy_of(player_id, epoch)
-        cached = self._candidates.get((player_id, epoch, attempt))
-        if cached is not None:
-            return cached
-        if player_id not in self._roster_set:
-            raise KeyError(f"unknown player {player_id}")
-        if epoch < 0:
-            raise ValueError("epoch must be non-negative")
-        eligible = [node for node in self.pool if node != player_id]
-        if not eligible:
-            raise ValueError("no eligible proxy for player")
-        prng = self._prngs.get(player_id)
-        if prng is None:
-            prng = VerifiablePrng(self.common_seed, player_id)
-            self._prngs[player_id] = prng
-        index = prng.below_at(epoch, len(eligible))
-        distinct: list[int] = []
-        for node in eligible[index:] + eligible[:index]:
-            if node not in distinct:
-                distinct.append(node)
-        candidate = distinct[attempt % len(distinct)]
-        self._candidates[(player_id, epoch, attempt)] = candidate
-        return candidate
+        ring = self._rings.get((player_id, epoch)) or self._draw_ring(player_id, epoch)
+        return ring[attempt % len(ring)]
 
     def first_hops(self, player_id: int, epoch: int, depth: int) -> Iterator[int]:
         """The scheduled proxy, then the first ``depth`` failover candidates.
@@ -223,6 +210,7 @@ class ProxySchedule:
             common_seed=self.common_seed,
             proxy_period_frames=self.proxy_period_frames,
             proxy_pool=remaining_pool or None,
+            pool_weights={p: self.pool.count(p) for p in remaining_pool},
             infrastructure=self.infrastructure or None,
             registry=self._registry,
         )

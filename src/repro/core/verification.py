@@ -219,9 +219,6 @@ class PositionVerifier:
             detail=f"envelope excess {excess:.0f}u over {frames} frame(s)",
         )
 
-    def forget(self, player_id: int) -> None:
-        self._last_seen.pop(player_id, None)
-
 
 class AimVerifier:
     """Angular-speed statistical check — the aimbot detector of Table I.
@@ -275,9 +272,6 @@ class AimVerifier:
             deviation=delta,
             detail=f"turned {delta:.2f} rad in {frames} frame(s)",
         )
-
-    def forget(self, player_id: int) -> None:
-        self._last_seen.pop(player_id, None)
 
 
 class GuidanceVerifier:
@@ -1002,8 +996,3 @@ class RateVerifier:
             deviation=float(gap),
             detail=f"no update for {gap} frames (escaping?)",
         )
-
-    def forget(self, subject_id: int) -> None:
-        self._arrivals.pop(subject_id, None)
-        self._arrival_wallclock.pop(subject_id, None)
-        self._first_arrival.pop(subject_id, None)

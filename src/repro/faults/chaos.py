@@ -311,10 +311,6 @@ class _StalenessProbe:
             player
             for player in session.trace.player_ids()
             if player not in session.crashed
-            and not (
-                player in session.departures
-                and frame >= session.departures[player]
-            )
         ]
         total = 0
         stale = 0
@@ -382,9 +378,7 @@ def recovery_metrics(
     fault_frame = outcome.fault_frame
     # A Byzantine attacker's eviction is the protocol *working*, never a
     # false eviction — the detector's job is to remove exactly that node.
-    legitimately_gone = (
-        set(report.crashed) | set(session.departures) | session.byzantine_ids
-    )
+    legitimately_gone = set(report.crashed) | session.byzantine_ids
     falsely_evicted: set[int] = set()
     for node_id, node in session.nodes.items():
         if node_id in legitimately_gone:
@@ -474,7 +468,7 @@ def byzantine_metrics(outcome: ChaosOutcome) -> dict[str, float]:
         for _, src in node.evidence.quarantine_events
         if src not in session.byzantine_ids
     )
-    gone = set(report.crashed) | set(session.departures)
+    gone = set(report.crashed)
     honest_live = [
         node
         for node_id, node in session.nodes.items()

@@ -32,7 +32,6 @@ from repro.game.interest import (
     SetKind,
     compute_all_sets,
     compute_sets,
-    compute_sets_reference,
 )
 from repro.game.spatial import SpatialGrid
 from repro.game.physics import MoveIntent, Physics, PhysicsConfig
@@ -66,7 +65,6 @@ __all__ = [
     "Vec3",
     "compute_all_sets",
     "compute_sets",
-    "compute_sets_reference",
     "generate_trace",
     "make_arena",
     "make_corridors",

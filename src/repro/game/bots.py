@@ -91,12 +91,12 @@ class BotController:
     ) -> list[AvatarSnapshot]:
         """Alive enemies in engage range with line of sight, nearest first.
 
-        Flat hot-loop version of :meth:`_visible_enemies_reference`: the
-        range check inlines ``distance_to`` with hoisted observer
-        coordinates, and the sort reuses each distance instead of
-        recomputing it per comparison.  Distances are bit-identical and the
-        sort is stable, so the returned order matches the reference exactly
-        (property tests enforce it).
+        Flat hot-loop version of ``_visible_enemies_reference``
+        (``tests/reference/game.py``): the range check inlines
+        ``distance_to`` with hoisted observer coordinates, and the sort
+        reuses each distance instead of recomputing it per comparison.
+        Distances are bit-identical and the sort is stable, so the returned
+        order matches the reference exactly (property tests enforce it).
         """
         enemies: list[AvatarSnapshot] = []
         my_eye = eye_position(me.position)
@@ -120,22 +120,6 @@ class BotController:
                 enemies.append(snap)
                 distances[other_id] = distance
         enemies.sort(key=lambda s: distances[s.player_id])
-        return enemies
-
-    def _visible_enemies_reference(
-        self, me: AvatarSnapshot, everyone: dict[int, AvatarSnapshot]
-    ) -> list[AvatarSnapshot]:
-        """The retained naive implementation — the fast path's exactness gate."""
-        enemies = []
-        my_eye = eye_position(me.position)
-        for other_id, snap in everyone.items():
-            if other_id == self.player_id or not snap.alive:
-                continue
-            if snap.position.distance_to(me.position) > ENGAGE_RANGE:
-                continue
-            if self.los.line_of_sight(my_eye, eye_position(snap.position)):
-                enemies.append(snap)
-        enemies.sort(key=lambda s: s.position.distance_to(me.position))
         return enemies
 
     def _steer_towards(

@@ -25,9 +25,7 @@ __all__ = [
     "GuidancePrediction",
     "predict_linear",
     "simulate_guidance",
-    "simulate_guidance_reference",
     "trajectory_deviation_area",
-    "trajectory_deviation_area_reference",
 ]
 
 
@@ -79,7 +77,8 @@ def simulate_guidance(
     hoisted once and each sample is built with one ``Vec3`` instead of the
     per-frame ``position_at`` dispatch (which allocates two).  Arithmetic
     mirrors :meth:`GuidancePrediction.position_at` operation-for-operation;
-    bit-identical to :func:`simulate_guidance_reference` (tests enforce it).
+    bit-identical to ``simulate_guidance_reference`` in
+    ``tests/reference/game.py`` (tests enforce it).
     """
     if end_frame < start_frame:
         raise ValueError("end_frame before start_frame")
@@ -102,21 +101,6 @@ def simulate_guidance(
     return track
 
 
-def simulate_guidance_reference(
-    prediction: GuidancePrediction,
-    start_frame: int,
-    end_frame: int,
-    frame_seconds: float = FRAME_SECONDS,
-) -> list[Vec3]:
-    """The retained naive implementation — the kernel's exactness gate."""
-    if end_frame < start_frame:
-        raise ValueError("end_frame before start_frame")
-    return [
-        prediction.position_at(frame, frame_seconds)
-        for frame in range(start_frame, end_frame + 1)
-    ]
-
-
 def trajectory_deviation_area(
     predicted: list[Vec3], actual: list[Vec3], frame_seconds: float = FRAME_SECONDS
 ) -> float:
@@ -129,7 +113,8 @@ def trajectory_deviation_area(
     Flat-array kernel: gaps are computed with inlined component arithmetic
     (no intermediate ``Vec3`` per pair) and the trapezoid accumulation
     keeps the reference's exact left-to-right expression, so the result is
-    bit-identical to :func:`trajectory_deviation_area_reference`.
+    bit-identical to ``trajectory_deviation_area_reference``
+    (``tests/reference/game.py``).
     """
     if len(predicted) != len(actual):
         raise ValueError("trajectories must cover the same frames")
@@ -149,19 +134,4 @@ def trajectory_deviation_area(
         right = gaps[index]
         area += 0.5 * (left + right) * frame_seconds
         left = right
-    return area
-
-
-def trajectory_deviation_area_reference(
-    predicted: list[Vec3], actual: list[Vec3], frame_seconds: float = FRAME_SECONDS
-) -> float:
-    """The retained naive implementation — the kernel's exactness gate."""
-    if len(predicted) != len(actual):
-        raise ValueError("trajectories must cover the same frames")
-    if len(predicted) < 2:
-        return 0.0
-    gaps = [p.distance_to(a) for p, a in zip(predicted, actual)]
-    area = 0.0
-    for left, right in zip(gaps, gaps[1:]):
-        area += 0.5 * (left + right) * frame_seconds
     return area

@@ -157,7 +157,8 @@ class GameMap:
         self._index: SpatialGrid | None = None
         self._index_source: list[Box] | None = None
         # Perf accounting for the LOS fast path (plain ints: no observable
-        # behaviour, negligible overhead, read by bench_interest).
+        # behaviour, negligible overhead, read by tests/test_game_spatial.py
+        # and perfbench).
         self.los_queries: int = 0
         self.los_boxes_tested: int = 0
 
@@ -202,21 +203,14 @@ class GameMap:
         """Top of the highest solid under ``point``'s XY, or None (void).
 
         Fast path: only boxes registered in the point's grid cell are
-        tested.  Bit-identical to :meth:`floor_height_naive` (the grid is
-        conservative and the per-box test is unchanged).
+        tested.  Bit-identical to the linear scan ``floor_height_naive``
+        in ``tests/reference/game.py`` (the grid is conservative and the
+        per-box test is unchanged).
         """
         best: float | None = None
         boxes = self.solids
         for index in self.spatial_index.point_candidates(point.x, point.y):
             box = boxes[index]
-            if box.contains_xy(point) and (best is None or box.top > best):
-                best = box.top
-        return best
-
-    def floor_height_naive(self, point: Vec3) -> float | None:
-        """Reference linear scan over all solids (exactness-gate baseline)."""
-        best: float | None = None
-        for box in self.solids:
             if box.contains_xy(point) and (best is None or box.top > best):
                 best = box.top
         return best
@@ -254,8 +248,8 @@ class GameMap:
         Fast path: endpoints are put in canonical order (which makes the
         result exactly symmetric, so per-frame caches can share LOS(a,b)
         with LOS(b,a)), then only the boxes whose grid cells the segment
-        touches are slab-tested.  Bit-identical to
-        :meth:`line_of_sight_naive`.
+        touches are slab-tested.  Bit-identical to the linear scan
+        ``line_of_sight_naive`` in ``tests/reference/game.py``.
         """
         ex, ey, ez = eye.x, eye.y, eye.z
         tx, ty, tz = target.x, target.y, target.z
@@ -337,23 +331,6 @@ class GameMap:
                     continue
             # Require a real interior crossing, not a surface graze.
             if (t_exit - t_enter) > 1e-9:
-                return False
-        return True
-
-    def line_of_sight_naive(self, eye: Vec3, target: Vec3) -> bool:
-        """Reference linear scan over all solids (exactness-gate baseline).
-
-        Uses the same canonical endpoint order as the fast path so that
-        both are symmetric and comparable bit-for-bit.
-        """
-        if (eye.x, eye.y, eye.z) > (target.x, target.y, target.z):
-            eye, target = target, eye
-        self.los_queries += 1
-        self.los_boxes_tested += len(self.solids)
-        for box in self.solids:
-            if box.contains(eye) or box.contains(target):
-                continue
-            if box.intersects_segment(eye, target):
                 return False
         return True
 

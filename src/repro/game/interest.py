@@ -27,10 +27,10 @@ runs every 50 ms frame for every player, so the hot path is organised as
 - top-k selection by :func:`heapq.nlargest`, which the stdlib guarantees
   equivalent to ``sorted(..., reverse=True)[:k]`` (stable ties included).
 
-Every fast path is **exactness-gated**: :func:`compute_sets_reference`
-retains the naive per-pair implementation verbatim, and property tests
-assert bit-identical :class:`InterestSets` across random maps, yaws and
-player counts.
+Every fast path is **exactness-gated**: ``tests/reference/game.py``
+retains the naive per-pair implementation verbatim
+(``compute_sets_reference``), and property tests assert bit-identical
+:class:`InterestSets` across random maps, yaws and player counts.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "in_vision_cone",
     "compute_sets",
     "compute_all_sets",
-    "compute_sets_reference",
     "InteractionRecency",
 ]
 
@@ -617,91 +616,3 @@ def compute_all_sets(
     obs.counter("interest.los_cache_hits").inc(los.hits - hits_before)
     obs.counter("interest.los_cache_misses").inc(los.misses - misses_before)
     return result
-
-
-def compute_sets_reference(
-    observer: AvatarSnapshot,
-    everyone: dict[int, AvatarSnapshot],
-    game_map: GameMap,
-    frame: int,
-    config: InterestConfig | None = None,
-    recency: InteractionRecency | None = None,
-) -> InterestSets:
-    """The retained naive implementation — the fast path's exactness gate.
-
-    Per-pair eye/aim recomputation, full sort, linear LOS scan
-    (:meth:`GameMap.line_of_sight_naive`).  Kept verbatim so property tests
-    can assert the optimised paths produce bit-identical results.
-    """
-    config = config or InterestConfig()
-    visible: list[int] = []
-    others: set[int] = set()
-    observer_eye = eye_position(observer.position)
-    for other_id, snap in everyone.items():
-        if other_id == observer.player_id:
-            continue
-        if not snap.alive:
-            others.add(other_id)
-            continue
-        if _in_vision_cone_reference(
-            observer, snap, config
-        ) and game_map.line_of_sight_naive(
-            observer_eye, eye_position(snap.position)
-        ):
-            visible.append(other_id)
-        else:
-            others.add(other_id)
-
-    scored = sorted(
-        visible,
-        key=lambda oid: _attention_score_reference(
-            observer, everyone[oid], frame, config, recency
-        ),
-        reverse=True,
-    )
-    interest = frozenset(scored[: config.interest_size])
-    vision = frozenset(oid for oid in visible if oid not in interest)
-    return InterestSets(
-        player_id=observer.player_id,
-        frame=frame,
-        interest=interest,
-        vision=vision,
-        others=frozenset(others),
-    )
-
-
-def _in_vision_cone_reference(
-    observer: AvatarSnapshot,
-    target: AvatarSnapshot,
-    config: InterestConfig,
-    slack: bool = True,
-) -> bool:
-    """Original per-pair cone test (reference semantics, kept verbatim)."""
-    to_target = eye_position(target.position) - eye_position(observer.position)
-    distance = to_target.length()
-    if distance > config.vision_radius or distance == 0.0:
-        return False
-    aim = Vec3.from_yaw(observer.yaw)
-    half_angle = config.effective_half_angle if slack else config.vision_half_angle
-    return aim.angle_to(to_target) <= half_angle
-
-
-def _attention_score_reference(
-    observer: AvatarSnapshot,
-    target: AvatarSnapshot,
-    frame: int,
-    config: InterestConfig,
-    recency: InteractionRecency | None = None,
-) -> float:
-    """Original per-pair attention metric (reference semantics, verbatim)."""
-    offset = target.position - observer.position
-    distance = offset.length()
-    proximity = 1.0 / (1.0 + distance / config.proximity_scale)
-    aim_error = Vec3.from_yaw(observer.yaw).angle_to(offset.with_z(0.0))
-    aim = max(0.0, 1.0 - aim_error / math.pi)
-    recent = 0.0
-    if recency is not None:
-        recent = recency.score(
-            observer.player_id, target.player_id, frame, config.recency_halflife_frames
-        )
-    return proximity + aim + recent

@@ -68,7 +68,6 @@ def live_nodes(session: WatchmenSession) -> dict[int, WatchmenNode]:
         node_id: node
         for node_id, node in session.nodes.items()
         if node_id not in session.crashed
-        and node_id not in session.departures
         and node_id not in session.byzantine_ids
     }
 

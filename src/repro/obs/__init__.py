@@ -13,6 +13,7 @@ how CI consumes them.  Quick taste::
 
 from repro.obs.emit import (
     BENCH_SCHEMA,
+    PINNED_EPOCH,
     MetricDelta,
     bench_row,
     diff_rows,
@@ -39,6 +40,7 @@ __all__ = [
     "Histogram",
     "MetricDelta",
     "MetricsRegistry",
+    "PINNED_EPOCH",
     "bench_row",
     "diff_rows",
     "exponential_buckets",

@@ -3,18 +3,20 @@
 Every benchmark run yields rows of one schema::
 
     {"bench": str, "params": {...}, "metrics": {name: number},
-     "wall_seconds": float, "timestamp": "ISO-8601"}
+     "wall_seconds": float | None, "timestamp": "ISO-8601"}
 
-Rows are archived two ways: one ``benchmarks/results/<name>.json`` per
-bench (next to the human-readable ``.txt`` block) and an aggregated
-top-level ``BENCH_core.json`` capturing the whole run — the perf
-trajectory the ROADMAP asks for.  ``repro bench-diff old.json new.json``
+The ``benchmarks/`` suite writes rows two ways: one git-ignored
+``benchmarks/results/<name>.json`` per bench (next to the human-readable
+``.txt`` block) and an aggregated, tracked top-level ``BENCH_core.json``
+for the whole run; ``repro chaos``, ``repro lint``, ``repro mc`` and
+perfbench emit the same schema.  ``repro bench-diff old.json new.json``
 compares two such files and exits nonzero when any metric regresses
 beyond the threshold.
 
 Convention: **metrics are costs** — bytes, kbps, seconds, counts — so
 "higher" means "worse".  ``wall_seconds`` is machine-dependent and is
-excluded from the diff unless explicitly requested.
+excluded from the diff unless explicitly requested; deterministic
+harnesses leave it unset (or pinned) and stamp :data:`PINNED_EPOCH`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from pathlib import Path
 
 __all__ = [
     "BENCH_SCHEMA",
+    "PINNED_EPOCH",
     "MetricDelta",
     "bench_row",
     "diff_rows",
@@ -38,6 +41,11 @@ BENCH_SCHEMA = "repro.bench.v1"
 
 #: Default regression gate: a metric >25 % above its baseline fails CI.
 DEFAULT_THRESHOLD = 0.25
+
+#: Stamp for artifacts of deterministic harnesses (``repro chaos``, the
+#: ``benchmarks/`` suite): the run is a function of its seed, so the
+#: artifact must be too — two identical runs emit identical bytes.
+PINNED_EPOCH = "1970-01-01T00:00:00+00:00"
 
 
 def _now_iso() -> str:
@@ -69,7 +77,7 @@ def write_bench_json(
     """Write rows (or a single row) as a schema-stamped artifact.
 
     ``generated`` overrides the wall-clock stamp — deterministic harnesses
-    (``repro chaos``) pin it so two identical runs emit identical bytes.
+    pass :data:`PINNED_EPOCH` so two identical runs emit identical bytes.
     """
     if isinstance(rows, dict):
         rows = [rows]

@@ -1,0 +1,222 @@
+"""The game substrate's retained naive implementations, kept verbatim.
+
+Each function is the body the matching fast path in ``repro.game``
+replaced, moved here unchanged once the exactness gates became its only
+callers; it shares no arithmetic with the kernel it gates.  The two
+``GameMap`` scans and the bot perception scan were methods: they keep
+``self`` as their first parameter, so ``monkeypatch.setattr(GameMap,
+"line_of_sight", line_of_sight_naive)`` swaps the grid out of a whole
+session.  The only edit is the call that follows from that:
+``compute_sets_reference`` reaches ``line_of_sight_naive(game_map, ...)``
+as a function, not as a method of the map.
+
+==========================================  ====================================
+reference                                   gates
+==========================================  ====================================
+``compute_sets_reference``                  ``compute_sets`` / ``compute_all_sets``
+``_in_vision_cone_reference``               ``ObserverFrame.in_vision_cone`` / ``cone_contains``
+``_attention_score_reference``              ``ObserverFrame.attention_scores`` / ``attention_rank``
+``simulate_guidance_reference``             ``simulate_guidance``
+``trajectory_deviation_area_reference``     ``trajectory_deviation_area``
+``_visible_enemies_reference``              ``BotController._visible_enemies``
+``floor_height_naive``                      ``GameMap.floor_height`` / ``floor_height_xy``
+``line_of_sight_naive``                     ``GameMap.line_of_sight``
+==========================================  ====================================
+"""
+
+from __future__ import annotations
+
+import math
+
+from repro.core.config import FRAME_SECONDS
+from repro.game.avatar import AvatarSnapshot
+from repro.game.bots import ENGAGE_RANGE, BotController
+from repro.game.deadreckoning import GuidancePrediction
+from repro.game.gamemap import GameMap, eye_position
+from repro.game.interest import InteractionRecency, InterestConfig, InterestSets
+from repro.game.vector import Vec3
+
+__all__ = [
+    "compute_sets_reference",
+    "_in_vision_cone_reference",
+    "_attention_score_reference",
+    "simulate_guidance_reference",
+    "trajectory_deviation_area_reference",
+    "_visible_enemies_reference",
+    "floor_height_naive",
+    "line_of_sight_naive",
+]
+
+
+# ---- game/interest.py --------------------------------------------------------
+
+
+def compute_sets_reference(
+    observer: AvatarSnapshot,
+    everyone: dict[int, AvatarSnapshot],
+    game_map: GameMap,
+    frame: int,
+    config: InterestConfig | None = None,
+    recency: InteractionRecency | None = None,
+) -> InterestSets:
+    """The retained naive implementation — the fast path's exactness gate.
+
+    Per-pair eye/aim recomputation, full sort, linear LOS scan
+    (:func:`line_of_sight_naive`).  Kept verbatim so property tests
+    can assert the optimised paths produce bit-identical results.
+    """
+    config = config or InterestConfig()
+    visible: list[int] = []
+    others: set[int] = set()
+    observer_eye = eye_position(observer.position)
+    for other_id, snap in everyone.items():
+        if other_id == observer.player_id:
+            continue
+        if not snap.alive:
+            others.add(other_id)
+            continue
+        if _in_vision_cone_reference(
+            observer, snap, config
+        ) and line_of_sight_naive(
+            game_map, observer_eye, eye_position(snap.position)
+        ):
+            visible.append(other_id)
+        else:
+            others.add(other_id)
+
+    scored = sorted(
+        visible,
+        key=lambda oid: _attention_score_reference(
+            observer, everyone[oid], frame, config, recency
+        ),
+        reverse=True,
+    )
+    interest = frozenset(scored[: config.interest_size])
+    vision = frozenset(oid for oid in visible if oid not in interest)
+    return InterestSets(
+        player_id=observer.player_id,
+        frame=frame,
+        interest=interest,
+        vision=vision,
+        others=frozenset(others),
+    )
+
+
+def _in_vision_cone_reference(
+    observer: AvatarSnapshot,
+    target: AvatarSnapshot,
+    config: InterestConfig,
+    slack: bool = True,
+) -> bool:
+    """Original per-pair cone test (reference semantics, kept verbatim)."""
+    to_target = eye_position(target.position) - eye_position(observer.position)
+    distance = to_target.length()
+    if distance > config.vision_radius or distance == 0.0:
+        return False
+    aim = Vec3.from_yaw(observer.yaw)
+    half_angle = config.effective_half_angle if slack else config.vision_half_angle
+    return aim.angle_to(to_target) <= half_angle
+
+
+def _attention_score_reference(
+    observer: AvatarSnapshot,
+    target: AvatarSnapshot,
+    frame: int,
+    config: InterestConfig,
+    recency: InteractionRecency | None = None,
+) -> float:
+    """Original per-pair attention metric (reference semantics, verbatim)."""
+    offset = target.position - observer.position
+    distance = offset.length()
+    proximity = 1.0 / (1.0 + distance / config.proximity_scale)
+    aim_error = Vec3.from_yaw(observer.yaw).angle_to(offset.with_z(0.0))
+    aim = max(0.0, 1.0 - aim_error / math.pi)
+    recent = 0.0
+    if recency is not None:
+        recent = recency.score(
+            observer.player_id, target.player_id, frame, config.recency_halflife_frames
+        )
+    return proximity + aim + recent
+
+
+# ---- game/deadreckoning.py ---------------------------------------------------
+
+
+def simulate_guidance_reference(
+    prediction: GuidancePrediction,
+    start_frame: int,
+    end_frame: int,
+    frame_seconds: float = FRAME_SECONDS,
+) -> list[Vec3]:
+    """The retained naive implementation — the kernel's exactness gate."""
+    if end_frame < start_frame:
+        raise ValueError("end_frame before start_frame")
+    return [
+        prediction.position_at(frame, frame_seconds)
+        for frame in range(start_frame, end_frame + 1)
+    ]
+
+
+def trajectory_deviation_area_reference(
+    predicted: list[Vec3], actual: list[Vec3], frame_seconds: float = FRAME_SECONDS
+) -> float:
+    """The retained naive implementation — the kernel's exactness gate."""
+    if len(predicted) != len(actual):
+        raise ValueError("trajectories must cover the same frames")
+    if len(predicted) < 2:
+        return 0.0
+    gaps = [p.distance_to(a) for p, a in zip(predicted, actual)]
+    area = 0.0
+    for left, right in zip(gaps, gaps[1:]):
+        area += 0.5 * (left + right) * frame_seconds
+    return area
+
+
+# ---- game/bots.py ------------------------------------------------------------
+
+
+def _visible_enemies_reference(
+    self: BotController, me: AvatarSnapshot, everyone: dict[int, AvatarSnapshot]
+) -> list[AvatarSnapshot]:
+    """The retained naive implementation — the fast path's exactness gate."""
+    enemies = []
+    my_eye = eye_position(me.position)
+    for other_id, snap in everyone.items():
+        if other_id == self.player_id or not snap.alive:
+            continue
+        if snap.position.distance_to(me.position) > ENGAGE_RANGE:
+            continue
+        if self.los.line_of_sight(my_eye, eye_position(snap.position)):
+            enemies.append(snap)
+    enemies.sort(key=lambda s: s.position.distance_to(me.position))
+    return enemies
+
+
+# ---- game/gamemap.py ---------------------------------------------------------
+
+
+def floor_height_naive(self: GameMap, point: Vec3) -> float | None:
+    """Reference linear scan over all solids (exactness-gate baseline)."""
+    best: float | None = None
+    for box in self.solids:
+        if box.contains_xy(point) and (best is None or box.top > best):
+            best = box.top
+    return best
+
+
+def line_of_sight_naive(self: GameMap, eye: Vec3, target: Vec3) -> bool:
+    """Reference linear scan over all solids (exactness-gate baseline).
+
+    Uses the same canonical endpoint order as the fast path so that
+    both are symmetric and comparable bit-for-bit.
+    """
+    if (eye.x, eye.y, eye.z) > (target.x, target.y, target.z):
+        eye, target = target, eye
+    self.los_queries += 1
+    self.los_boxes_tested += len(self.solids)
+    for box in self.solids:
+        if box.contains(eye) or box.contains(target):
+            continue
+        if box.intersects_segment(eye, target):
+            return False
+    return True

@@ -28,12 +28,13 @@ from repro.core.verification import (
 )
 from repro.game.avatar import AvatarSnapshot
 from repro.game.gamemap import GameMap, eye_position
-from repro.game.interest import (
-    InterestConfig,
+from repro.game.interest import InterestConfig
+from repro.game.vector import Vec3
+
+from tests.reference.game import (
     _attention_score_reference as attention_score,
     _in_vision_cone_reference as in_vision_cone,
 )
-from repro.game.vector import Vec3
 
 __all__ = ["ReferenceSubscriptionVerifier"]
 

@@ -101,11 +101,6 @@ class TestActionRepetitionVerifier:
         verifier.observe(0, snap(frame=1, position=Vec3(10, -500, 0)), 1.0)
         assert verifier.replays_run > 10  # visibly costlier than sanity checks
 
-    def test_forget(self, verifier):
-        verifier.observe(0, snap(frame=0), 1.0)
-        verifier.forget(1)
-        assert verifier.observe(0, snap(frame=1), 1.0) is None
-
 
 class TestActionRepetitionIntegration:
     def test_catches_sub_envelope_cheat_in_session(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import WatchmenSession
 from repro.core.membership import MembershipView, RemovalProposal
+from repro.faults import CrashFault, FaultSchedule
 from repro.net.latency import uniform_lan
 
 
@@ -133,7 +134,7 @@ class TestChurnIntegration:
             small_trace,
             game_map=longest_yard,
             latency=uniform_lan(8),
-            departures={5: 40},
+            faults=FaultSchedule(crashes=(CrashFault(node_id=5, frame=40),)),
         )
         report = session.run()
         return session, report

@@ -133,6 +133,19 @@ class TestHeterogeneity:
         others_mean = sum(counts[p] for p in range(2, 6)) / 4
         assert counts[0] > 2 * others_mean
 
+    def test_failover_ring_walks_distinct_nodes_from_the_proxy(self):
+        """One ring per (player, epoch): attempt 0 is the proxy, each later
+        attempt a node not yet tried, wrapping after the last — weighted
+        duplicates in the pool never repeat a candidate."""
+        schedule = ProxySchedule(list(range(6)), pool_weights={0: 5})
+        for epoch in range(40):
+            ring = [schedule.candidate_of(1, epoch, k) for k in range(5)]
+            assert ring[0] == schedule.proxy_of(1, epoch)
+            assert sorted(ring) == [0, 2, 3, 4, 5]
+            assert schedule.candidate_of(1, epoch, 5) == ring[0]
+        with pytest.raises(ValueError):
+            schedule.candidate_of(1, 0, -1)
+
 
 class TestChurn:
     def test_without_players_removes_them(self, schedule):
@@ -145,6 +158,19 @@ class TestChurn:
     def test_without_players_keeps_seed(self, schedule):
         slim = schedule.without_players({3})
         assert slim.common_seed == schedule.common_seed
+
+    def test_without_players_keeps_pool_weights(self):
+        """A weighted hybrid pool stays weighted after an eviction."""
+        server = 8
+        schedule = ProxySchedule(
+            list(range(8)),
+            proxy_pool=list(range(8)) + [server],
+            pool_weights={server: 4},
+            infrastructure=[server],
+        )
+        slim = schedule.without_players({3})
+        assert slim.pool.count(server) == schedule.pool.count(server) == 4
+        assert 3 not in slim.pool
 
 
 class TestCollusionStatistics:

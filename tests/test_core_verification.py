@@ -131,11 +131,6 @@ class TestPositionVerifier:
         verifier.observe(0, snap(frame=0), 1.0)
         assert verifier.observe(0, snap(frame=100, x=3000), 1.0) is None
 
-    def test_forget_clears_history(self, verifier):
-        verifier.observe(0, snap(frame=0), 1.0)
-        verifier.forget(1)
-        assert verifier.observe(0, snap(frame=1, x=500), 1.0) is None
-
     def test_multi_frame_gap_scales_allowance(self, verifier):
         verifier.observe(0, snap(frame=0), 1.0)
         # 10 frames at max speed is legal.
@@ -403,9 +398,3 @@ class TestRateVerifier:
         verifier = RateVerifier(silence_allowance_frames=8)
         verifier.observe(0, 1, 0, 0, 1.0)
         assert verifier.check_silence(0, 1, 40, 1.0, not_before_frame=10) is None
-
-    def test_forget(self):
-        verifier = RateVerifier()
-        verifier.observe(0, 1, 0, 0, 1.0)
-        verifier.forget(1)
-        assert verifier.check_silence(0, 1, 100, 1.0) is None

@@ -14,7 +14,9 @@ replaced, which is retained verbatim in
   (in-cone, occluded, rewind-rescued, outside, IS rank), so the property
   is not vacuously green;
 - one full paper-profile session pins the sha256 of its complete rating
-  stream to the value recorded before the verifier was hoisted;
+  stream to the value recorded before the verifier was hoisted, and holds
+  planner and verifier together to one ``ObserverFrame`` per
+  classification;
 - a counter test holds the hoisting itself: one ``ObserverFrame`` per
   verified subscription.
 """
@@ -187,13 +189,21 @@ def test_paper_profile_session_rating_stream_is_pinned():
     """24 players x 40 frames, paper profile, seed 7: every rating of the
     run — subscription checks and all the others — hashes to the value
     recorded at the parent of PR 15.  A fast path that drops, reorders or
-    perturbs one rating by one ulp changes it."""
+    perturbs one rating by one ulp changes it.  The same run counts the
+    hoisting end to end: planner and proxy-side verifier together build at
+    most one ``ObserverFrame`` per plan / verified subscription, and a
+    caller that goes back to per-candidate helpers pushes that to ~n."""
     scenario = TapeScenario(
         players=24, frames=40, seed=7,
         failover=False, reliable=False, hardening=False,
     )
     game_map = scenario.make_map()
     trace = scenario.make_trace(game_map)
-    report = scenario.make_session(trace, None, game_map).run()
+    registry = MetricsRegistry(enabled=True)
+    with use_registry(registry):
+        report = scenario.make_session(trace, None, game_map).run()
     assert len(report.ratings) == PINNED_SESSION_RATINGS
     assert rating_stream_sha256(report.ratings) == PINNED_SESSION_SHA256
+    counters = registry.snapshot()["counters"]
+    assert counters["interest.classifications"] > 0
+    assert counters["interest.observer_frames"] <= counters["interest.classifications"]

@@ -2,8 +2,8 @@
 
 The optimised pipeline (spatial grid LOS, per-frame symmetric LOS cache,
 hoisted :class:`ObserverFrame` state, ``heapq.nlargest`` top-k) must be
-**bit-identical** to :func:`compute_sets_reference`, the retained naive
-implementation.  These tests enforce that contract:
+**bit-identical** to ``compute_sets_reference``, the retained naive
+implementation in ``tests/reference/game.py``.  These tests enforce that contract:
 
 - a hypothesis property compares ``compute_all_sets`` against the reference
   across random maps, positions, yaws and player counts;
@@ -30,16 +30,21 @@ from repro.game.interest import (
     InterestConfig,
     LosCache,
     ObserverFrame,
-    _attention_score_reference,
-    _in_vision_cone_reference,
     attention_score,
     compute_all_sets,
     compute_sets,
-    compute_sets_reference,
     in_vision_cone,
 )
 from repro.game.simulator import generate_trace
 from repro.game.vector import Vec3
+
+from tests.reference.game import (
+    _attention_score_reference,
+    _in_vision_cone_reference,
+    compute_sets_reference,
+    floor_height_naive,
+    line_of_sight_naive,
+)
 
 
 def _snapshot(pid: int, pos: Vec3, yaw: float, alive: bool = True) -> AvatarSnapshot:
@@ -286,8 +291,8 @@ class TestSimulatorByteIdentity:
         fast_path = tmp_path / "fast.jsonl"
         fast.save_jsonl(fast_path)
 
-        monkeypatch.setattr(GameMap, "line_of_sight", GameMap.line_of_sight_naive)
-        monkeypatch.setattr(GameMap, "floor_height", GameMap.floor_height_naive)
+        monkeypatch.setattr(GameMap, "line_of_sight", line_of_sight_naive)
+        monkeypatch.setattr(GameMap, "floor_height", floor_height_naive)
         naive = generate_trace(num_players=8, num_frames=80, seed=42,
                                npc_fraction=0.25)
         naive_path = tmp_path / "naive.jsonl"
@@ -304,7 +309,7 @@ class TestSimulatorByteIdentity:
         the geometry fast paths are active or not."""
         scenarios = (default_scenarios()[0],)
         fast = run_chaos(players=6, frames=120, seed=3, scenarios=scenarios)
-        monkeypatch.setattr(GameMap, "line_of_sight", GameMap.line_of_sight_naive)
-        monkeypatch.setattr(GameMap, "floor_height", GameMap.floor_height_naive)
+        monkeypatch.setattr(GameMap, "line_of_sight", line_of_sight_naive)
+        monkeypatch.setattr(GameMap, "floor_height", floor_height_naive)
         naive = run_chaos(players=6, frames=120, seed=3, scenarios=scenarios)
         assert fast == naive

@@ -2,7 +2,8 @@
 
 Every fast path introduced for paper-scale throughput — the physics batch
 step, the flat dead-reckoning kernels, batched attention scoring, and the
-bot perception loop — retains its naive implementation verbatim, and the
+bot perception loop — retains its naive implementation verbatim
+(``tests/reference/game.py``), and the
 properties here assert the two produce *bit-identical* results (floats
 compared by their IEEE-754 bit patterns, not tolerances).  This is the
 same playbook the interest-management fast path uses
@@ -27,21 +28,25 @@ from repro.game.bots import BotController
 from repro.game.deadreckoning import (
     GuidancePrediction,
     simulate_guidance,
-    simulate_guidance_reference,
     trajectory_deviation_area,
-    trajectory_deviation_area_reference,
 )
 from repro.game.gamemap import make_arena, make_corridors, make_longest_yard
 from repro.game.interest import (
     InteractionRecency,
     InterestConfig,
     ObserverFrame,
-    _attention_score_reference,
-    _in_vision_cone_reference,
 )
 from repro.game.physics import MoveIntent, Physics
 from repro.game.simulator import generate_trace
 from repro.game.vector import Vec3
+
+from tests.reference.game import (
+    _attention_score_reference,
+    _in_vision_cone_reference,
+    _visible_enemies_reference,
+    simulate_guidance_reference,
+    trajectory_deviation_area_reference,
+)
 
 MAPS = {
     "longest-yard": make_longest_yard(),
@@ -292,7 +297,7 @@ class TestBotPerception:
         roster = _roster(seed, count)
         controller = BotController(0, game_map, Random(seed))
         fast = controller._visible_enemies(roster[0], roster)
-        reference = controller._visible_enemies_reference(roster[0], roster)
+        reference = _visible_enemies_reference(controller, roster[0], roster)
         assert [s.player_id for s in fast] == [s.player_id for s in reference]
         assert fast == reference
 

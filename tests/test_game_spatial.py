@@ -7,7 +7,8 @@ the two load-bearing properties:
 1. **conservative candidates** — any box that intersects a segment (or
    contains a point's XY) appears in the grid's candidate list;
 2. **bit-identical results** — ``line_of_sight`` / ``floor_height`` agree
-   exactly with their retained ``*_naive`` references on built-in maps and
+   exactly with their retained ``*_naive`` references
+   (``tests/reference/game.py``) on built-in maps and
    randomized geometry.
 """
 
@@ -26,6 +27,8 @@ from repro.game.gamemap import (
 )
 from repro.game.spatial import SpatialGrid
 from repro.game.vector import Vec3
+
+from tests.reference.game import floor_height_naive, line_of_sight_naive
 
 finite = st.floats(
     min_value=-3000.0, max_value=3000.0, allow_nan=False, allow_infinity=False
@@ -135,8 +138,8 @@ class TestFastPathEquality:
                          rng.uniform(lo.z, hi.z))
                 b = Vec3(rng.uniform(lo.x, hi.x), rng.uniform(lo.y, hi.y),
                          rng.uniform(lo.z, hi.z))
-                assert game_map.line_of_sight(a, b) == game_map.line_of_sight_naive(a, b)
-                assert game_map.floor_height(a) == game_map.floor_height_naive(a)
+                assert game_map.line_of_sight(a, b) == line_of_sight_naive(game_map, a, b)
+                assert game_map.floor_height(a) == floor_height_naive(game_map, a)
 
     def test_random_maps_los_matches_naive(self):
         rng = Random(17)
@@ -147,8 +150,8 @@ class TestFastPathEquality:
                          rng.uniform(-900, 900))
                 b = Vec3(rng.uniform(-3000, 3000), rng.uniform(-3000, 3000),
                          rng.uniform(-900, 900))
-                assert game_map.line_of_sight(a, b) == game_map.line_of_sight_naive(a, b)
-                assert game_map.floor_height(a) == game_map.floor_height_naive(a)
+                assert game_map.line_of_sight(a, b) == line_of_sight_naive(game_map, a, b)
+                assert game_map.floor_height(a) == floor_height_naive(game_map, a)
 
     @given(
         st.integers(min_value=0, max_value=6),
@@ -161,7 +164,7 @@ class TestFastPathEquality:
         game_map = _random_map(rng, num_boxes)
         a = Vec3(ax, ay, rng.uniform(-500, 500))
         b = Vec3(bx, by, rng.uniform(-500, 500))
-        assert game_map.line_of_sight(a, b) == game_map.line_of_sight_naive(a, b)
+        assert game_map.line_of_sight(a, b) == line_of_sight_naive(game_map, a, b)
 
     def test_los_is_symmetric(self):
         game_map = make_longest_yard()
@@ -172,7 +175,7 @@ class TestFastPathEquality:
             b = Vec3(rng.uniform(-2200, 2200), rng.uniform(-2200, 2200),
                      rng.uniform(-500, 760))
             assert game_map.line_of_sight(a, b) == game_map.line_of_sight(b, a)
-            assert game_map.line_of_sight_naive(a, b) == game_map.line_of_sight_naive(b, a)
+            assert line_of_sight_naive(game_map, a, b) == line_of_sight_naive(game_map, b, a)
 
 
 class TestIndexInvalidation:
@@ -211,7 +214,7 @@ class TestIndexInvalidation:
                      rng.uniform(-400, 700))
             b = Vec3(rng.uniform(-2200, 2200), rng.uniform(-2200, 2200),
                      rng.uniform(-400, 700))
-            assert game_map.line_of_sight(a, b) == game_map.line_of_sight_naive(a, b)
+            assert game_map.line_of_sight(a, b) == line_of_sight_naive(game_map, a, b)
 
 
 class TestPerfCounters:
@@ -223,7 +226,7 @@ class TestPerfCounters:
         game_map.line_of_sight(a, b)
         assert game_map.los_queries == 1
         fast_tested = game_map.los_boxes_tested
-        game_map.line_of_sight_naive(a, b)
+        line_of_sight_naive(game_map, a, b)
         assert game_map.los_queries == 2
         naive_tested = game_map.los_boxes_tested - fast_tested
         assert naive_tested == len(game_map.solids)

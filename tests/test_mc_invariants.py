@@ -25,11 +25,10 @@ def node(roster=(), ratings=(), removed=()):
     )
 
 
-def session(nodes, crashed=(), departures=(), byzantine=()):
+def session(nodes, crashed=(), byzantine=()):
     return SimpleNamespace(
         nodes=nodes,
         crashed=set(crashed),
-        departures=set(departures),
         byzantine_ids=set(byzantine),
     )
 
@@ -42,7 +41,8 @@ def rating(subject_id, frame, detail, check=CheckKind.KILL):
 
 class TestLiveNodes:
     def test_excludes_crashed_and_departed(self):
-        s = session({0: node(), 1: node(), 2: node()}, crashed={1}, departures={2})
+        # A departure is a crash-stop: one ``CrashFault``, one ``crashed`` book.
+        s = session({0: node(), 1: node(), 2: node()}, crashed={1, 2})
         assert set(live_nodes(s)) == {0}
 
     def test_excludes_byzantine_attackers(self):

@@ -1,0 +1,96 @@
+"""One clock: the system is timed in ``perfbench/`` and nowhere else.
+
+``benchmarks/`` is the paper's reproduction (figures, tables, ablations,
+bit and byte arithmetic, chaos SLOs) and publishes only metrics that are a
+pure function of the seed; a retained reference lives beside the test that
+compares against it, in ``tests/reference/``.  These guards hold the rule
+mechanically (docs/PERFORMANCE.md, "One clock").
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from repro.obs import PINNED_EPOCH, load_bench_rows
+
+pytestmark = pytest.mark.lint
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = REPO_ROOT / "benchmarks"
+
+#: The one bench that reads a clock: its seconds column is the paper's cost
+#: trade-off for action repetition, printed as text, never a metric.
+MAY_IMPORT_TIME = {"bench_ablation_verification_depth.py"}
+
+
+def _functions(root: Path) -> list[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
+    return [
+        (str(path.relative_to(REPO_ROOT)), node)
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def test_src_ships_no_reference_implementation():
+    """Nothing under ``src/`` exists only for tests to compare against."""
+    retained = [
+        f"{path}:{function.lineno} {function.name}"
+        for path, function in _functions(REPO_ROOT / "src")
+        if function.name.endswith(("_reference", "_naive"))
+    ]
+    assert retained == [], "move to tests/reference/"
+
+
+def test_no_bench_takes_the_timing_fixture():
+    takers = [
+        f"{path}:{function.lineno} {function.name}"
+        for path, function in _functions(BENCHMARKS)
+        for arg in (
+            *function.args.posonlyargs, *function.args.args, *function.args.kwonlyargs
+        )
+        if arg.arg == "benchmark"
+    ]
+    assert takers == [], "call the function directly; time with perfbench"
+
+
+def test_only_the_verification_depth_ablation_reads_a_clock():
+    importers = {
+        path.name
+        for path in BENCHMARKS.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (
+            isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "time" for alias in node.names)
+        )
+        or (isinstance(node, ast.ImportFrom) and node.module == "time")
+    }
+    assert importers == MAY_IMPORT_TIME
+
+
+def test_a_published_row_is_a_function_of_its_inputs(tmp_path, capsys):
+    """Pinned stamp, no wall field: publishing twice emits identical bytes,
+    so a dirty ``BENCH_core.json`` means a reproduced number moved."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_conftest", BENCHMARKS / "conftest.py"
+    )
+    conftest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(conftest)
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        conftest.publish(
+            tmp_path / run, "row", "A row", "body",
+            params={"seed": 7, "players": 4}, metrics={"kbps": 12.5},
+        )
+    capsys.readouterr()  # the printed block is for humans
+    for artifact in ("row.json", "row.txt"):
+        first = (tmp_path / "first" / artifact).read_bytes()
+        assert first == (tmp_path / "second" / artifact).read_bytes()
+    row = load_bench_rows(tmp_path / "first" / "row.json")["row"]
+    assert row["timestamp"] == PINNED_EPOCH
+    assert row["wall_seconds"] is None
+    assert row["metrics"] == {"kbps": 12.5}
