@@ -7,8 +7,6 @@ higher costs".  This bench quantifies both halves of that sentence on a
 tolerance forgives).
 """
 
-import time
-
 from repro.analysis.detection import wire_cheat
 from repro.analysis.report import render_table
 from repro.cheats import SpeedHack
@@ -29,9 +27,7 @@ def run_depth(trace, yard, action_repetition: bool):
         behaviours={0: cheat},
         latency=uniform_lan(len(trace.player_ids())),
     )
-    started = time.perf_counter()
     report = session.run()
-    elapsed = time.perf_counter() - started
     # Honest movement rates exactly 1.0 under both checks, so any rating
     # above ~2 is a real signal; the sub-envelope cheat produces small but
     # systematic reachability gaps (≈3u for a 1.2x multiplier).
@@ -54,7 +50,6 @@ def run_depth(trace, yard, action_repetition: bool):
         "hits": len(hits),
         "false_hits": len(false_hits),
         "cheat_events": len(cheat.log.cheat_frames),
-        "seconds": elapsed,
         "replays": replays,
     }
 
@@ -74,19 +69,17 @@ def test_ablation_verification_depth(yard, session_trace, results_dir):
             str(o["hits"]),
             str(o["cheat_events"]),
             str(o["false_hits"]),
-            f"{o['seconds']:.1f}s",
             str(o["replays"]),
         ]
         for name, o in outcomes.items()
     ]
     body = render_table(
-        ["depth", "detections", "cheat events", "honest FPs",
-         "wall time", "physics replays"],
+        ["depth", "detections", "cheat events", "honest FPs", "physics replays"],
         rows,
     )
     body += (
         "\n(a 1.2x speed hack hides inside the sanity check's tolerance; "
-        "the replay check exposes it — at a measurable compute premium)\n"
+        "the replay check exposes it — at the price of the physics replays)\n"
     )
     publish(results_dir, "ablation_verification_depth",
             "Ablation — verification depth", body,

@@ -43,9 +43,6 @@ class ExposureResult:
     def counts(self) -> dict[str, float]:
         return dict(self.histogram.counts)
 
-    def proportions(self) -> dict[str, float]:
-        return self.histogram.normalized()
-
 
 def default_models(
     trace: GameTrace,

@@ -32,13 +32,6 @@ class Heatmap:
     raw_counts: tuple[tuple[int, ...], ...]
     cell_size: float
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.cells), len(self.cells[0]) if self.cells else 0)
-
-    def total_samples(self) -> int:
-        return sum(sum(row) for row in self.raw_counts)
-
 
 def presence_heatmap(
     trace: GameTrace,

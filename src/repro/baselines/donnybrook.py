@@ -66,9 +66,6 @@ class DonnybrookModel:
             )
             self._interest[observer_id] = frozenset(top)
 
-    def interest_set(self, observer_id: int) -> frozenset[int]:
-        return self._interest.get(observer_id, frozenset())
-
     def info_level(self, observer_id: int, subject_id: int) -> str:
         if observer_id == subject_id:
             raise ValueError("observer and subject must differ")

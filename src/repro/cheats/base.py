@@ -43,11 +43,6 @@ class CheatLog:
     def record_honest(self) -> None:
         self.honest_actions += 1
 
-    @property
-    def cheat_fraction(self) -> float:
-        total = self.cheat_actions + self.honest_actions
-        return self.cheat_actions / total if total else 0.0
-
 
 class CheatBehaviour:
     """Base cheat: honest by default, cheating on a seeded coin flip.

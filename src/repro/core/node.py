@@ -22,7 +22,7 @@ is encoded afresh, so what crosses the wire is what the cheat made.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, replace as dataclass_replace
+from dataclasses import dataclass, field, replace as dataclass_replace
 from typing import Callable, Iterable, Protocol
 
 from repro.core.clients import ClientBook, ClientState
@@ -84,7 +84,7 @@ from repro.game.interest import InteractionRecency, LosCache
 from repro.game.vector import Vec3
 from repro.game.weapons import WEAPONS
 from repro.game.physics import Physics
-from repro.obs.registry import Counter, MetricsRegistry, get_registry
+from repro.obs.registry import Counter, get_registry
 
 __all__ = ["NodeBehaviour", "HonestBehaviour", "WatchmenNode", "NodeMetrics"]
 
@@ -129,8 +129,8 @@ AGE_BUCKETS = (0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 
 class _HandledCounters(dict[type, Counter]):
     """``node.handled.<type name>`` counters, registered on first delivery."""
 
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._registry = registry
+    def __init__(self) -> None:
+        self._registry = get_registry()
 
     def __missing__(self, kind: type) -> Counter:
         counter = self[kind] = self._registry.counter(f"node.handled.{kind.__name__}")
@@ -142,13 +142,12 @@ class NodeMetrics:
     """Everything a node measures locally.
 
     The plain fields are the per-node read API; every observation is also
-    mirrored into the shared :class:`MetricsRegistry` the node was built
-    with, so session totals (counters, the update-age histogram) come for
+    mirrored into the :class:`MetricsRegistry` current when the node was
+    built, so session totals (counters, the update-age histogram) come for
     free — and cost nothing when that registry is the disabled default.
     Observations nobody reads per node are registry instruments only.
     """
 
-    registry: InitVar[MetricsRegistry]
     update_ages: list[tuple[str, int]] = field(default_factory=list)  # (kind, frames)
     ratings: list[CheatRating] = field(default_factory=list)
     signature_failures: int = 0
@@ -156,7 +155,8 @@ class NodeMetrics:
     direct_update_violations: int = 0
     forwarded_messages: int = 0
 
-    def __post_init__(self, registry: MetricsRegistry) -> None:
+    def __post_init__(self) -> None:
+        registry = get_registry()
         self._ctr_signature = registry.counter("node.signature_failures")
         self._ctr_replayed = registry.counter("node.replayed_messages")
         self._ctr_direct = registry.counter("node.direct_update_violations")
@@ -164,8 +164,6 @@ class NodeMetrics:
         self._ctr_ratings = registry.counter("node.ratings_emitted")
         self._ctr_suspicious = registry.counter("node.ratings_suspicious")
         self._hist_age = registry.histogram("node.update_age_frames", AGE_BUCKETS)
-        self.verify_seconds = registry.histogram("node.verify_seconds")
-        self.handle_seconds = registry.histogram("node.on_message_seconds")
         self.frames_signed = registry.counter("node.frames_signed")
         self.failovers = registry.counter("node.proxy_failovers")
         self.acks_sent = registry.counter("node.acks_sent")
@@ -175,7 +173,7 @@ class NodeMetrics:
         self.equivocations = registry.counter("node.equivocations_detected")
         self.quarantines = registry.counter("node.quarantines")
         self.convictions = registry.counter("node.evidence_convictions")
-        self.handled = _HandledCounters(registry)
+        self.handled = _HandledCounters()
 
     # ---- recording (each mirrors into the registry) ----------------------
 
@@ -221,7 +219,6 @@ class WatchmenNode:
         behaviour: NodeBehaviour | None = None,
         rating_sink: Callable[[CheatRating], None] | None = None,
         is_server: bool = False,
-        registry: MetricsRegistry | None = None,
         los_cache: LosCache | None = None,
         frames: FrameMemo | None = None,
     ) -> None:
@@ -239,11 +236,10 @@ class WatchmenNode:
         #: sink into the transport's unified drop accounting (the session
         #: points it at ``DatagramNetwork.count_protocol_drop``)
         self.protocol_drop: Callable[[str], None] = lambda cause: None
-        obs = registry if registry is not None else get_registry()
-        self.metrics = NodeMetrics(obs)
+        self.metrics = NodeMetrics()
         #: what received buffers decode to (a session shares one memo
         #: between its nodes, the way it shares ``los_cache``)
-        self._frames = frames if frames is not None else FrameMemo(obs)
+        self._frames = frames if frames is not None else FrameMemo()
 
         # -- the subscriber/witness: a view of the others, and its verifiers --
         physics = Physics(game_map)
@@ -611,18 +607,17 @@ class WatchmenNode:
 
     def on_message(self, src: int, buffer: bytes) -> None:
         """Entry point for every delivered datagram: open it, dispatch it."""
-        with self.metrics.handle_seconds.time():
-            try:
-                message, signed_end = self._frames.open_frame(buffer)
-            except WireError:
-                # Fails closed where it enters.  An honest hop only relays
-                # what it could open itself, so whoever handed me this
-                # either made it or forwarded blind.
-                self.protocol_drop("malformed")
-                self._rate_violation(src, 10.0, "malformed frame")
-                return
-            self.metrics.handled[type(message)].inc()
-            self._dispatch_message(src, message, buffer, signed_end)
+        try:
+            message, signed_end = self._frames.open_frame(buffer)
+        except WireError:
+            # Fails closed where it enters.  An honest hop only relays
+            # what it could open itself, so whoever handed me this
+            # either made it or forwarded blind.
+            self.protocol_drop("malformed")
+            self._rate_violation(src, 10.0, "malformed frame")
+            return
+        self.metrics.handled[type(message)].inc()
+        self._dispatch_message(src, message, buffer, signed_end)
 
     def _dispatch_message(
         self, src: int, message: GameMessage, buffer: bytes, signed_end: int
@@ -650,9 +645,7 @@ class WatchmenNode:
                 return
         self.behaviour.observe_incoming(self.current_frame, src, message)
         signed = buffer[:signed_end]
-        with self.metrics.verify_seconds.time():
-            accepted = self._verify_envelope(src, message, signed)
-        if not accepted:
+        if not self._verify_envelope(src, message, signed):
             return
         verdict = self._window.screen(message, buffer)
         if src != self.player_id and isinstance(message, self._acks.ackable):

@@ -37,7 +37,7 @@ from repro.game.trace import GameTrace, ShotEvent
 from repro.net.events import EventQueue
 from repro.net.latency import LatencyMatrix, king_like
 from repro.net.transport import DatagramNetwork, NetworkConfig
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 from repro.obs.stats import nearest_rank
 
 __all__ = ["SessionReport", "WatchmenSession"]
@@ -54,9 +54,10 @@ class SessionReport:
     mean_upload_kbps: float = 0.0
     max_upload_kbps: float = 0.0
     messages_sent: int = 0
-    #: Every datagram that died anywhere: in flight, over budget, or NAT.
+    #: Every datagram that died anywhere: in flight (loss, a fault) or
+    #: refused by the receiving protocol layer.
     messages_lost: int = 0
-    #: The same deaths, broken down (loss | budget | nat | partition | crashed
+    #: The same deaths, broken down (loss | partition | crashed | schedule
     #: | malformed | tamper | quarantine).
     dropped_by_cause: dict[str, int] = field(default_factory=dict)
     ratings: list[CheatRating] = field(default_factory=list)
@@ -107,9 +108,6 @@ class SessionReport:
         )
         return stale / total
 
-    def ratings_about(self, subject_id: int) -> list[CheatRating]:
-        return [r for r in self.ratings if r.subject_id == subject_id]
-
 
 class WatchmenSession:
     """Wire a trace, a latency model and (optionally) cheats; then run."""
@@ -123,7 +121,6 @@ class WatchmenSession:
         network_config: NetworkConfig | None = None,
         behaviours: dict[int, NodeBehaviour] | None = None,
         reputation: ReputationBoard | None = None,
-        signer: HmacSigner | None = None,
         faults: FaultSchedule | None = None,
         view_error_stride: int | None = None,
         servers: int = 0,
@@ -131,17 +128,15 @@ class WatchmenSession:
         server_weight: int = 4,
         proxy_pool: list[int] | None = None,
         pool_weights: dict[int, int] | None = None,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         self.trace = trace
         self.game_map = game_map or make_longest_yard()
         self.config = config or WatchmenConfig()
         self.reputation = reputation or ReputationBoard()
-        #: Observability: one registry for the whole session (nodes,
-        #: schedule, transport).  Defaults to the process-wide registry,
-        #: which is disabled unless a caller swapped an enabled one in.
-        self.obs = registry if registry is not None else get_registry()
-        self._hist_frame = self.obs.histogram("session.frame_seconds")
+        #: Observability: the process-wide registry current at build time
+        #: (disabled unless a caller wrapped build + run in
+        #: ``use_registry``); nodes, schedule and transport bind the same.
+        self.obs = get_registry()
         #: sample the rendered-view error every k frames (None = off)
         self.view_error_stride = view_error_stride
         self.view_errors: list[float] = []
@@ -161,7 +156,6 @@ class WatchmenSession:
             self.queue,
             latency or king_like(total_endpoints, seed=trace.seed),
             network_config or NetworkConfig(seed=trace.seed),
-            registry=self.obs,
             kinds=TAG_NAMES,
         )
         if self.network.latency.size < total_endpoints:
@@ -180,7 +174,6 @@ class WatchmenSession:
                 proxy_pool=pool,
                 pool_weights=weights,
                 infrastructure=self.server_ids,
-                registry=self.obs,
             )
         else:
             self.schedule = ProxySchedule(
@@ -189,7 +182,6 @@ class WatchmenSession:
                 proxy_period_frames=self.config.proxy_period_frames,
                 proxy_pool=proxy_pool,
                 pool_weights=pool_weights,
-                registry=self.obs,
             )
         # Fault injection (robustness experiments): built after the proxy
         # schedule so declarative proxy-kill faults can be resolved to
@@ -209,7 +201,7 @@ class WatchmenSession:
         self.on_frame_begin: Callable[[int], None] | None = None
         self.on_frame_end: Callable[[int], None] | None = None
 
-        self.signer = signer or HmacSigner(signature_bits=self.config.signature_bits)
+        self.signer = HmacSigner(signature_bits=self.config.signature_bits)
         for player_id in roster + self.server_ids:
             self.signer.register(player_id)
 
@@ -221,7 +213,7 @@ class WatchmenSession:
         #: One frame memo for every node: a buffer that reaches many of
         #: them is decoded (with full validation) by the first and looked
         #: up by the rest; each still verifies the signature for itself.
-        self.frames = FrameMemo(self.obs)
+        self.frames = FrameMemo()
 
         behaviours = dict(behaviours or {})
         #: Players running under a Byzantine fault entry this run (the
@@ -253,7 +245,6 @@ class WatchmenSession:
                 behaviour=behaviour,
                 rating_sink=self.reputation.submit_rating,
                 is_server=node_id in self.server_ids,
-                registry=self.obs,
                 los_cache=self.los_cache,
                 frames=self.frames,
             )
@@ -330,10 +321,6 @@ class WatchmenSession:
         return self._report(num_frames)
 
     def _tick(self, frame: int) -> None:
-        with self._hist_frame.time():
-            self._tick_inner(frame)
-
-    def _tick_inner(self, frame: int) -> None:
         if self.on_frame_begin is not None:
             self.on_frame_begin(frame)
 
@@ -438,14 +425,9 @@ class WatchmenSession:
             for server in self.server_ids
         }
         report.messages_sent = self.network.sent
-        # Unified accounting: a message refused locally (budget, NAT) is
-        # as lost to the protocol as one dropped in flight.
-        report.messages_lost = (
-            self.network.lost
-            + self.network.dropped_over_budget
-            + self.network.blocked_by_nat
-            + self.network.rejected_by_protocol
-        )
+        # Unified accounting: a datagram the receiving protocol layer
+        # refused is as lost as one dropped in flight.
+        report.messages_lost = self.network.lost + self.network.rejected_by_protocol
         report.rejected_by_protocol = self.network.rejected_by_protocol
         report.equivocations_detected = sum(
             len(node.evidence.equivocation_events) for node in self.nodes.values()

@@ -22,7 +22,7 @@ from typing import Iterator
 
 from repro.core.config import PROXY_PERIOD_FRAMES
 from repro.crypto.prng import VerifiablePrng
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 
 __all__ = ["ProxySchedule", "ProxyAssignment"]
 
@@ -47,7 +47,6 @@ class ProxySchedule:
         proxy_pool: list[int] | None = None,
         pool_weights: dict[int, int] | None = None,
         infrastructure: list[int] | None = None,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         if len(roster) < 2:
             raise ValueError("need at least two players for proxying")
@@ -82,8 +81,7 @@ class ProxySchedule:
         # candidates in order — is memoised; the counters split real PRNG
         # draws from cache hits.
         self._rings: dict[tuple[int, int], tuple[int, ...]] = {}
-        obs = registry if registry is not None else get_registry()
-        self._registry = obs
+        obs = get_registry()
         self._ctr_lookups = obs.counter("proxy.schedule.lookups")
         self._ctr_draws = obs.counter("proxy.schedule.draws")
 
@@ -205,15 +203,18 @@ class ProxySchedule:
         """
         remaining = [p for p in self.roster if p not in departed]
         remaining_pool = sorted({p for p in self.pool if p not in departed})
-        return ProxySchedule(
+        derived = ProxySchedule(
             roster=remaining,
             common_seed=self.common_seed,
             proxy_period_frames=self.proxy_period_frames,
             proxy_pool=remaining_pool or None,
             pool_weights={p: self.pool.count(p) for p in remaining_pool},
             infrastructure=self.infrastructure or None,
-            registry=self._registry,
         )
+        # one set of books per session, whichever registry is current now
+        derived._ctr_lookups = self._ctr_lookups
+        derived._ctr_draws = self._ctr_draws
+        return derived
 
     # ---- collusion statistics (Figure 5 / in-text 94 %) -----------------------
 

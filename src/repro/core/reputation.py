@@ -5,8 +5,8 @@ of cheating does not result in banning of players.  Instead, each player
 tags the interactions he has with other players as successful ... or as
 failed, and this information is fed to a reputation system."
 
-Watchmen treats the reputation backend as pluggable; this module provides
-the interface plus two reference implementations:
+Watchmen treats the reputation backend as pluggable (anything with
+``report`` / ``reputation_of`` / ``banned``); this module provides two:
 
 - :class:`ThresholdReputation` — "in its simplest form, a reputation
   system decides to ban a node if the proportion of acceptable
@@ -20,13 +20,11 @@ the interface plus two reference implementations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 from repro.core.verification import CheatRating
 
 __all__ = [
     "InteractionTag",
-    "ReputationSystem",
     "ThresholdReputation",
     "BetaReputation",
     "ReputationBoard",
@@ -59,16 +57,6 @@ class InteractionTag:
             confidence=rating.confidence,
             check=rating.check,
         )
-
-
-class ReputationSystem(Protocol):
-    """The pluggable interface the Watchmen detection layer feeds."""
-
-    def report(self, tag: InteractionTag) -> None: ...
-
-    def reputation_of(self, subject_id: int) -> float: ...
-
-    def banned(self) -> set[int]: ...
 
 
 class ThresholdReputation:
@@ -180,10 +168,6 @@ class ReputationBoard:
 
     def submit_rating(self, rating: CheatRating) -> None:
         self.system.report(InteractionTag.from_rating(rating))
-        self.tags_seen += 1
-
-    def submit_tag(self, tag: InteractionTag) -> None:
-        self.system.report(tag)
         self.tags_seen += 1
 
     def reputation_of(self, subject_id: int) -> float:

@@ -76,10 +76,6 @@ class GossipNode:
     def banned(self) -> set[int]:
         return self.system.banned()
 
-    @property
-    def tags_known(self) -> int:
-        return len(self._log)
-
 
 class GossipReputationNetwork:
     """Drives gossip rounds among a set of nodes."""
@@ -134,14 +130,6 @@ class GossipReputationNetwork:
                 votes[subject] = votes.get(subject, 0) + 1
         return {
             subject: count / len(self.nodes) for subject, count in votes.items()
-        }
-
-    def agreed_bans(self, threshold: float = 0.5) -> set[int]:
-        """Subjects banned by at least ``threshold`` of the nodes."""
-        return {
-            subject
-            for subject, fraction in self.ban_agreement().items()
-            if fraction >= threshold
         }
 
     def reputation_spread(self, subject_id: int) -> float:

@@ -133,9 +133,6 @@ class SubscriptionPlanner:
     def active_interest(self) -> frozenset[int]:
         return frozenset(self._active_interest)
 
-    def active_vision(self) -> frozenset[int]:
-        return frozenset(self._active_vision)
-
 
 @dataclass
 class SubscriberTable:

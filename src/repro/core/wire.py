@@ -62,7 +62,7 @@ from repro.crypto.signatures import Signature
 from repro.game.avatar import AvatarSnapshot
 from repro.game.deadreckoning import GuidancePrediction
 from repro.game.vector import Vec3
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 
 __all__ = [
     "MESSAGE_TYPES",
@@ -586,13 +586,13 @@ class FrameMemo:
     (the frame re-decodes, the message re-encodes, to equal values).
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+    def __init__(self) -> None:
         #: frame -> (message, end of the signed prefix), oldest first
         self._opened: dict[bytes, tuple[GameMessage, int]] = {}
         #: id(message) -> frame, for exactly the messages ``_opened`` holds
         #: (and thereby keeps alive, so an id is never a recycled one)
         self._arrived_as: dict[int, bytes] = {}
-        obs = registry if registry is not None else get_registry()
+        obs = get_registry()
         self._ctr_decoded = obs.counter("wire.frames.decoded")
         self._ctr_reused = obs.counter("wire.frames.reused")
         self._ctr_reencoded = obs.counter("wire.frames.reencoded")

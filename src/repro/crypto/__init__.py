@@ -4,8 +4,6 @@ from repro.crypto.prng import VerifiablePrng, draw_uint
 from repro.crypto.signatures import (
     HmacKeyRegistry,
     HmacSigner,
-    SchnorrKeyPair,
-    SchnorrSigner,
     Signature,
     SigningError,
 )
@@ -13,8 +11,6 @@ from repro.crypto.signatures import (
 __all__ = [
     "HmacKeyRegistry",
     "HmacSigner",
-    "SchnorrKeyPair",
-    "SchnorrSigner",
     "Signature",
     "SigningError",
     "VerifiablePrng",

@@ -49,10 +49,6 @@ class VerifiablePrng:
         self.counter += 1
         return value
 
-    def uint_at(self, counter: int) -> int:
-        """Stateless access to draw ``counter`` (verification path)."""
-        return draw_uint(self.common_seed, self.player_id, counter)
-
     def next_below(self, bound: int) -> int:
         """An unbiased draw in [0, bound) via rejection sampling."""
         if bound <= 0:

@@ -62,6 +62,7 @@ __all__ = [
     "build_schedule",
     "byzantine_metrics",
     "run_chaos",
+    "chaos_gate_failures",
 ]
 
 #: Stride (frames) between view-error samples in chaos runs.
@@ -537,3 +538,71 @@ def run_chaos(
             }
         )
     return results
+
+
+def chaos_gate_failures(results: list[dict]) -> list[str]:
+    """Recovery-SLO violations across a chaos matrix (empty = pass).
+
+    Hard gates (see ``docs/ROBUSTNESS.md``): no scenario may falsely
+    evict a live player, and any failover-enabled scenario that crashed
+    nodes must have re-proxied within one proxy period.
+    """
+    failures: list[str] = []
+    for result in results:
+        name = result["scenario"]
+        metrics = result["metrics"]
+        params = result["params"]
+        if metrics["false_evictions"] > 0:
+            failures.append(
+                f"{name}: {metrics['false_evictions']:.0f} live players "
+                "falsely evicted (SLO: 0)"
+            )
+        reproxy = metrics["frames_to_reproxy"]
+        if params["resilient"] and reproxy > PROXY_PERIOD_FRAMES:
+            failures.append(
+                f"{name}: frames_to_reproxy {reproxy:.0f} exceeds one "
+                f"proxy period ({PROXY_PERIOD_FRAMES})"
+            )
+        # Byzantine gates (rows carrying byz metrics only).  Honest senders
+        # must never be quarantined, hardened runs must detect the attack
+        # within the bound, and the blind contrast must show the attack
+        # *landing*: no detection, the attacker keeps his seat.
+        if "honest_quarantines" in metrics and metrics["honest_quarantines"] > 0:
+            failures.append(
+                f"{name}: {metrics['honest_quarantines']:.0f} honest "
+                "senders quarantined (SLO: 0)"
+            )
+        if "byz_detection_frames" in metrics:
+            kind = params.get("byzantine", "")
+            # Starvation needs a full silence threshold (2 s = one proxy
+            # period) before the 1 Hz scan may even fire; direct
+            # cryptographic/volume signals must land within one period.
+            bound = (
+                2 * PROXY_PERIOD_FRAMES
+                if kind in ("selective_forward", "ack_withhold")
+                else PROXY_PERIOD_FRAMES
+            )
+            if params.get("hardening"):
+                if metrics["byz_detection_frames"] > bound:
+                    failures.append(
+                        f"{name}: byz_detection_frames "
+                        f"{metrics['byz_detection_frames']:.0f} exceeds "
+                        f"the detection bound ({bound})"
+                    )
+                if kind == "equivocation" and (
+                    metrics["equivocations_detected"] == 0
+                    or not metrics["attacker_evicted"]
+                ):
+                    failures.append(
+                        f"{name}: equivocator not detected and evicted "
+                        "under hardening"
+                    )
+            elif kind == "equivocation" and (
+                metrics["equivocations_detected"] != 0
+                or metrics["attacker_evicted"]
+            ):
+                failures.append(
+                    f"{name}: blind contrast should let the attack land "
+                    "(no detection, no eviction)"
+                )
+    return failures

@@ -156,16 +156,6 @@ class FaultSchedule:
         if len(crashed) != len(set(crashed)):
             raise ValueError("a node may crash at most once")
 
-    def is_empty(self) -> bool:
-        return not (
-            self.crashes
-            or self.proxy_crashes
-            or self.partitions
-            or self.latency_spikes
-            or self.duplications
-            or self.byzantine
-        )
-
     def byzantine_for(self, node_id: int) -> tuple[ByzantineFault, ...]:
         """The adversarial entries assigned to one node."""
         return tuple(f for f in self.byzantine if f.node_id == node_id)

@@ -19,7 +19,6 @@ from repro.game.gamemap import (
     GameMap,
     ItemKind,
     ItemSpec,
-    make_arena,
     make_corridors,
     make_longest_yard,
 )
@@ -29,14 +28,13 @@ from repro.game.interest import (
     InterestSets,
     LosCache,
     ObserverFrame,
-    SetKind,
     compute_all_sets,
     compute_sets,
 )
 from repro.game.spatial import SpatialGrid
 from repro.game.physics import MoveIntent, Physics, PhysicsConfig
 from repro.game.simulator import DeathmatchSimulator, SimulationConfig, generate_trace
-from repro.game.trace import GameTrace, KillEvent, ShotEvent, TraceCursor
+from repro.game.trace import GameTrace, KillEvent, ShotEvent
 from repro.game.vector import Vec3
 
 __all__ = [
@@ -57,16 +55,13 @@ __all__ = [
     "ObserverFrame",
     "Physics",
     "PhysicsConfig",
-    "SetKind",
     "ShotEvent",
     "SimulationConfig",
     "SpatialGrid",
-    "TraceCursor",
     "Vec3",
     "compute_all_sets",
     "compute_sets",
     "generate_trace",
-    "make_arena",
     "make_corridors",
     "make_longest_yard",
 ]

@@ -28,7 +28,6 @@ __all__ = [
     "ItemKind",
     "GameMap",
     "make_longest_yard",
-    "make_arena",
     "make_corridors",
 ]
 
@@ -75,45 +74,6 @@ class Box:
             self.min_corner.x - margin <= point.x <= self.max_corner.x + margin
             and self.min_corner.y - margin <= point.y <= self.max_corner.y + margin
         )
-
-    def contains(self, point: Vec3) -> bool:
-        return (
-            self.min_corner.x <= point.x <= self.max_corner.x
-            and self.min_corner.y <= point.y <= self.max_corner.y
-            and self.min_corner.z <= point.z <= self.max_corner.z
-        )
-
-    def intersects_segment(self, start: Vec3, end: Vec3) -> bool:
-        """Slab test: does the segment [start, end] pass through the box?
-
-        Used for occlusion: a sight line is blocked if it crosses any solid
-        box.  Endpoints that merely touch the surface do not count as a
-        crossing (an avatar standing *on* a platform can still be seen).
-        """
-        direction = end - start
-        t_enter, t_exit = 0.0, 1.0
-        surface_epsilon = 1e-6  # rays sliding exactly on a face don't block
-        for axis in range(3):
-            d = (direction.x, direction.y, direction.z)[axis]
-            s = (start.x, start.y, start.z)[axis]
-            lo = (self.min_corner.x, self.min_corner.y, self.min_corner.z)[axis]
-            hi = (self.max_corner.x, self.max_corner.y, self.max_corner.z)[axis]
-            lo += surface_epsilon
-            hi -= surface_epsilon
-            if abs(d) < 1e-12:
-                if s < lo or s > hi:
-                    return False
-                continue
-            t1 = (lo - s) / d
-            t2 = (hi - s) / d
-            if t1 > t2:
-                t1, t2 = t2, t1
-            t_enter = max(t_enter, t1)
-            t_exit = min(t_exit, t2)
-            if t_enter > t_exit:
-                return False
-        # Require a real interior crossing, not a surface graze.
-        return (t_exit - t_enter) > 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,8 +222,9 @@ class GameMap:
         if not candidates:
             return True
         # Inlined containment + slab test over the grid's flat float bounds.
-        # Arithmetic mirrors Box.contains / Box.intersects_segment
-        # operation-for-operation (tests enforce bit-identical results);
+        # Arithmetic mirrors ``box_contains`` / ``box_intersects_segment``
+        # in tests/reference/game.py operation-for-operation (tests enforce
+        # bit-identical results);
         # inlining avoids per-box tuple construction and Vec3 attribute
         # chains on a path run O(players²) times per frame.
         dx = tx - ex
@@ -278,7 +239,7 @@ class GameMap:
                 continue  # box contains the target
             t_enter = 0.0
             t_exit = 1.0
-            # -- x slab (surface_epsilon = 1e-6, as in intersects_segment)
+            # -- x slab (surface_epsilon = 1e-6, as in the reference)
             lo = min_x + 1e-6
             hi = max_x - 1e-6
             if abs(dx) < 1e-12:
@@ -424,49 +385,6 @@ def make_longest_yard(seed_layout: int = 0) -> GameMap:
         name="longest-yard",
         bounds_min=Vec3(-2200.0, -2200.0, -512.0),
         bounds_max=Vec3(2200.0, 2200.0, 768.0),
-        solids=solids,
-        items=items,
-        respawn_points=respawns,
-    )
-
-
-def make_arena(side: float = 2000.0, pillars: int = 4) -> GameMap:
-    """A simple flat arena with occluding pillars — a fast unit-test map."""
-    if side <= 200.0:
-        raise ValueError("arena side too small")
-    half = side / 2.0
-    solids = [
-        Box(Vec3(-half, -half, -64.0), Vec3(half, half, 0.0), name="floor"),
-    ]
-    items: list[ItemSpec] = []
-    respawns: list[Vec3] = []
-    for index in range(max(0, pillars)):
-        angle = 2.0 * math.pi * index / max(1, pillars)
-        cx, cy = half * 0.45 * math.cos(angle), half * 0.45 * math.sin(angle)
-        solids.append(
-            Box(
-                Vec3(cx - 60.0, cy - 60.0, 0.0),
-                Vec3(cx + 60.0, cy + 60.0, 200.0),
-                name=f"pillar-{index}",
-            )
-        )
-        items.append(
-            ItemSpec(
-                ItemKind.HEALTH if index % 2 == 0 else ItemKind.AMMO,
-                Vec3(cx + 120.0, cy, 0.0),
-                300,
-                25,
-                f"item-{index}",
-            )
-        )
-    for corner_x in (-0.8, 0.8):
-        for corner_y in (-0.8, 0.8):
-            respawns.append(Vec3(half * corner_x, half * corner_y, 0.0))
-    items.append(ItemSpec(ItemKind.WEAPON, Vec3(0.0, 0.0, 0.0), 250, 1, "center-gun"))
-    return GameMap(
-        name="arena",
-        bounds_min=Vec3(-half, -half, -128.0),
-        bounds_max=Vec3(half, half, 512.0),
         solids=solids,
         items=items,
         respawn_points=respawns,

@@ -47,7 +47,6 @@ from repro.obs.registry import get_registry
 
 __all__ = [
     "InterestConfig",
-    "SetKind",
     "InterestSets",
     "ObserverFrame",
     "LosCache",
@@ -57,16 +56,6 @@ __all__ = [
     "compute_all_sets",
     "InteractionRecency",
 ]
-
-
-class SetKind:
-    """The three subscription classes of the Watchmen model."""
-
-    INTEREST = "IS"
-    VISION = "VS"
-    OTHER = "OTHER"
-
-    ALL = (INTEREST, VISION, OTHER)
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,16 +89,6 @@ class InterestSets:
     interest: frozenset[int]
     vision: frozenset[int]
     others: frozenset[int]
-
-    def kind_of(self, other_id: int) -> str:
-        if other_id in self.interest:
-            return SetKind.INTEREST
-        if other_id in self.vision:
-            return SetKind.VISION
-        return SetKind.OTHER
-
-    def all_ids(self) -> frozenset[int]:
-        return self.interest | self.vision | self.others
 
 
 class InteractionRecency:
@@ -597,20 +576,19 @@ def compute_all_sets(
     (observers defaults to every player in ``everyone``, in dict order).
     """
     config = config or InterestConfig()
+    if los is None:
+        los = LosCache(game_map)
+        los.begin_frame(frame)
+    hits_before, misses_before = los.hits, los.misses
+    eyes = {pid: eye_position(snap.position) for pid, snap in everyone.items()}
+    ids = observers if observers is not None else list(everyone)
+    result: dict[int, InterestSets] = {}
+    for observer_id in ids:
+        oframe = ObserverFrame(everyone[observer_id], config)
+        result[observer_id] = _classify(
+            oframe, everyone, los, frame, config, recency, eyes
+        )
     obs = get_registry()
-    with obs.histogram("interest.compute_all_seconds").time():
-        if los is None:
-            los = LosCache(game_map)
-            los.begin_frame(frame)
-        hits_before, misses_before = los.hits, los.misses
-        eyes = {pid: eye_position(snap.position) for pid, snap in everyone.items()}
-        ids = observers if observers is not None else list(everyone)
-        result: dict[int, InterestSets] = {}
-        for observer_id in ids:
-            oframe = ObserverFrame(everyone[observer_id], config)
-            result[observer_id] = _classify(
-                oframe, everyone, los, frame, config, recency, eyes
-            )
     obs.counter("interest.classifications").inc(len(ids))
     obs.counter("interest.pairs").inc(len(ids) * max(0, len(everyone) - 1))
     obs.counter("interest.los_cache_hits").inc(los.hits - hits_before)

@@ -331,12 +331,6 @@ class Physics:
         dt = self.config.frame_seconds
         return (self.config.jump_velocity * dt + self.config.step_height) * frames
 
-    def max_travel(self, frames: int) -> float:
-        """Maximum legal total displacement across ``frames`` frames."""
-        horizontal = self.max_horizontal_travel(frames)
-        vertical = max(self.max_descent(frames), self.max_ascent(frames))
-        return (horizontal * horizontal + vertical * vertical) ** 0.5
-
     def displacement_excess(self, start: Vec3, end: Vec3, frames: int) -> float:
         """How far beyond the physics envelope a displacement is (in units).
 
@@ -355,19 +349,6 @@ class Physics:
         else:
             vertical_excess = max(0.0, -offset.z - self.max_descent(frames))
         return max(horizontal_excess, vertical_excess)
-
-    def displacement_is_legal(
-        self, start: Vec3, end: Vec3, frames: int, tolerance: float = 1.05
-    ) -> bool:
-        """Could an honest avatar have moved ``start``→``end`` in ``frames``?
-
-        ``tolerance`` absorbs wire quantization and frame phase (honest
-        updates must never be flagged; this is the FP≤5 % side of Fig. 6).
-        """
-        if frames <= 0:
-            return start.distance_to(end) < 1.0
-        allowance = self.max_horizontal_travel(frames) * (tolerance - 1.0)
-        return self.displacement_excess(start, end, frames) <= allowance
 
     def speed_of(self, start: Vec3, end: Vec3, frames: int) -> float:
         """Implied average speed (u/s) for the displacement."""

@@ -26,7 +26,7 @@ from repro.game.physics import Physics, PhysicsConfig
 from repro.game.trace import GameTrace, KillEvent, ShotEvent, TraceEvent
 from repro.game.vector import Vec3
 from repro.game.weapons import WEAPONS, resolve_shot
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 
 __all__ = ["SimulationConfig", "DeathmatchSimulator", "generate_trace"]
 
@@ -59,12 +59,10 @@ class DeathmatchSimulator:
         self,
         config: SimulationConfig | None = None,
         game_map: GameMap | None = None,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         self.config = config or SimulationConfig()
         self.game_map = game_map or make_longest_yard()
-        obs = registry if registry is not None else get_registry()
-        self._hist_frame = obs.histogram("sim.frame_seconds")
+        obs = get_registry()
         self._ctr_shots = obs.counter("sim.shots")
         self._ctr_kills = obs.counter("sim.kills")
         self.rng = Random(self.config.seed)
@@ -116,8 +114,7 @@ class DeathmatchSimulator:
             seed=self.config.seed,
         )
         for frame in range(self.config.num_frames):
-            with self._hist_frame.time():
-                self._step_frame(frame, trace)
+            self._step_frame(frame, trace)
         return trace
 
     def _step_frame(self, frame: int, trace: GameTrace) -> None:
@@ -272,7 +269,6 @@ def generate_trace(
     seed: int = 7,
     npc_fraction: float = 0.0,
     game_map: GameMap | None = None,
-    registry: MetricsRegistry | None = None,
 ) -> GameTrace:
     """Convenience wrapper: run one deathmatch and return its trace."""
     config = SimulationConfig(
@@ -281,4 +277,4 @@ def generate_trace(
         seed=seed,
         npc_fraction=npc_fraction,
     )
-    return DeathmatchSimulator(config, game_map=game_map, registry=registry).run()
+    return DeathmatchSimulator(config, game_map=game_map).run()

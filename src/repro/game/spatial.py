@@ -41,7 +41,7 @@ __all__ = ["SpatialGrid"]
 _MAX_CELLS_PER_AXIS = 64
 
 #: Treat a segment with |dx| below this as vertical in XY (mirrors the slab
-#: test's own degenerate-axis threshold in :meth:`Box.intersects_segment`).
+#: test's own degenerate-axis threshold in ``GameMap.line_of_sight``).
 _VERTICAL_EPS = 1e-12
 
 
@@ -239,11 +239,3 @@ class SpatialGrid:
                         out_append(index)
         return out
 
-    # ---- introspection -----------------------------------------------------
-
-    def cell_histogram(self) -> dict[int, int]:
-        """Occupancy histogram (boxes-per-cell -> cell count), for tests."""
-        histogram: dict[int, int] = {}
-        for cell in self._cells:
-            histogram[len(cell)] = histogram.get(len(cell), 0) + 1
-        return histogram

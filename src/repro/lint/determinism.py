@@ -23,7 +23,10 @@ __all__ = [
 ]
 
 #: Sub-packages of repro whose code must replay bit-identically.
-DETERMINISTIC_PACKAGES = ("core", "game", "crypto", "net", "cheats", "replay")
+DETERMINISTIC_PACKAGES = (
+    "core", "game", "crypto", "net", "cheats", "replay",
+    "faults", "analysis", "baselines",
+)
 
 #: Files allowed to touch the filesystem despite living in deterministic
 #: scope: the explicit persistence boundaries.  Everything else in scope

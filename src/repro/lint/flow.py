@@ -42,7 +42,7 @@ REDUCED_MESSAGES = {"PositionUpdate": "snapshot", "GuidanceMessage": "prediction
 
 #: Helpers that lower resolution before data leaves the IS tier.
 REDUCTION_HELPERS = frozenset(
-    {"position_only", "predict_linear", "simulate_guidance", "quantize", "quantized"}
+    {"position_only", "predict_linear", "quantize", "quantized"}
 )
 
 #: Modules whose functions count as subscription/interest gates.

@@ -91,7 +91,6 @@ STORE_OF_CALL = {
     "add_vision": "table",
     "import_sets": "table",
     "submit_rating": "reputation",
-    "submit_tag": "reputation",
 }
 
 #: Generic mutator names resolved through their receiver attribute:

@@ -69,12 +69,10 @@ SANITIZER_QNAMES = frozenset(
     {
         "repro.core.node.WatchmenNode._verify_envelope",
         "repro.crypto.signatures.HmacSigner.verify",
-        "repro.crypto.signatures.SchnorrSigner.verify",
         "repro.core.proxy.ProxySchedule.verify_route",
         "repro.core.proxy.ProxySchedule.verify_proxy",
         "repro.crypto.prng.draw_uint",
         "repro.crypto.prng.VerifiablePrng.next_uint",
-        "repro.crypto.prng.VerifiablePrng.uint_at",
         "repro.crypto.prng.VerifiablePrng.next_below",
         "repro.crypto.prng.VerifiablePrng.below_at",
     }
@@ -109,7 +107,6 @@ _AUTH_CALLS = frozenset(
         "add_vision",
         "import_sets",
         "submit_rating",
-        "submit_tag",
         "report",
         "record_frame",
     }

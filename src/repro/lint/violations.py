@@ -299,7 +299,7 @@ _CATALOG_ENTRIES = (
             "hold exact position/velocity of players outside their IS.  A "
             "PositionUpdate.snapshot or GuidanceMessage.prediction built "
             "from a raw snapshot (instead of position_only()/"
-            "predict_linear()/simulate_guidance() or a helper that "
+            "predict_linear() or a helper that "
             "transitively applies one) leaks exact state to the very tier "
             "the reduction exists to protect against."
         ),
@@ -412,7 +412,7 @@ _CATALOG_ENTRIES = (
             "through locals, tuples and exact call edges, and flagged if "
             "it lands in PositionUpdate.snapshot or "
             "GuidanceMessage.prediction unreduced.  Resolution reducers "
-            "(position_only, predict_linear, simulate_guidance, quantize) "
+            "(position_only, predict_linear, quantize) "
             "clean their result, as does any component read "
             "(snapshot.position) — extracting a field IS the reduction.  "
             "This catches the helper-indirection case F402 cannot: "

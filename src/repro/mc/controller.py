@@ -305,21 +305,6 @@ class McController(ScheduleController):
 
     # ---- serialisation ---------------------------------------------------
 
-    def params_json(self) -> dict[str, Any]:
-        """The controller's envelope, without config overrides."""
-        return {
-            "controlled": sorted(self.controlled),
-            "window": [self.window[0], self.window[1]],
-            "drop_budget": self.drop_budget,
-            "dup_budget": self.dup_budget,
-            "defer_limit": self.defer_limit,
-            "defer_budget": self.defer_budget,
-            "controlled_src": (
-                None if self.controlled_src is None else sorted(self.controlled_src)
-            ),
-            "schedule": [list(a) for a in self.schedule],
-        }
-
     @staticmethod
     def from_json(data: Mapping[str, Any]) -> "McController":
         """Rebuild from a tape scenario's ``mc`` mapping.

@@ -6,15 +6,13 @@ Public surface:
 - :func:`~repro.net.latency.king_like` / :func:`~repro.net.latency.peerwise_like`
   — synthetic stand-ins for the King and PeerWise latency datasets;
 - :class:`~repro.net.transport.DatagramNetwork` — UDP-like unreliable
-  delivery with loss, jitter, bandwidth metering, budgets and NAT;
-- :class:`~repro.net.bandwidth.BandwidthMeter` — kbps accounting;
-- :class:`~repro.net.nat.Reachability` — UPnP/STUN traversal model.
+  delivery with loss, jitter and bandwidth metering;
+- :class:`~repro.net.bandwidth.BandwidthMeter` — kbps accounting.
 """
 
-from repro.net.bandwidth import BandwidthMeter, NodeUsage, UploadBudget
+from repro.net.bandwidth import BandwidthMeter, NodeUsage
 from repro.net.events import EventQueue, SimulationError
 from repro.net.latency import LatencyMatrix, king_like, peerwise_like, uniform_lan
-from repro.net.nat import NatProfile, NatType, Reachability, sample_profiles
 from repro.net.transport import Datagram, DatagramNetwork, NetworkConfig
 
 __all__ = [
@@ -23,15 +21,10 @@ __all__ = [
     "DatagramNetwork",
     "EventQueue",
     "LatencyMatrix",
-    "NatProfile",
-    "NatType",
     "NetworkConfig",
     "NodeUsage",
-    "Reachability",
     "SimulationError",
-    "UploadBudget",
     "king_like",
     "peerwise_like",
-    "sample_profiles",
     "uniform_lan",
 ]

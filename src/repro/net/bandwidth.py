@@ -4,16 +4,14 @@
 the limitation" — the scalability experiment (Section II gives centralized
 Quake III ≈ 120·n kbps; naive P2P grows quadratically) is entirely about
 counting bytes sent per node per second.  :class:`BandwidthMeter` records
-every send/receive and reports kbps aggregates; :class:`UploadBudget`
-optionally enforces a cap (messages over budget are dropped, which is how
-a saturated uplink behaves for UDP).
+every send/receive and reports kbps aggregates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["BandwidthMeter", "UploadBudget", "NodeUsage"]
+__all__ = ["BandwidthMeter", "NodeUsage"]
 
 
 @dataclass
@@ -24,7 +22,6 @@ class NodeUsage:
     received_bytes: int = 0
     sent_messages: int = 0
     received_messages: int = 0
-    dropped_over_budget: int = 0
 
 
 class BandwidthMeter:
@@ -60,9 +57,6 @@ class BandwidthMeter:
     def upload_kbps(self, node_id: int) -> float:
         return self.usage(node_id).sent_bytes * 8.0 / 1000.0 / self.duration
 
-    def download_kbps(self, node_id: int) -> float:
-        return self.usage(node_id).received_bytes * 8.0 / 1000.0 / self.duration
-
     def mean_upload_kbps(self) -> float:
         if not self._usage:
             return 0.0
@@ -73,30 +67,6 @@ class BandwidthMeter:
             return 0.0
         return max(self.upload_kbps(n) for n in self._usage)
 
-    def total_kbps(self) -> float:
-        return sum(self.upload_kbps(n) for n in self._usage)
-
     def node_ids(self) -> list[int]:
         return sorted(self._usage)
 
-
-@dataclass
-class UploadBudget:
-    """A per-node upload cap over sliding one-second windows."""
-
-    bytes_per_second: float
-    _windows: dict[int, list[tuple[float, int]]] = field(default_factory=dict)
-
-    def try_send(self, node_id: int, size_bytes: int, time: float) -> bool:
-        """Charge ``size_bytes`` at ``time``; False when the cap is exceeded."""
-        if self.bytes_per_second <= 0:
-            return True
-        window = self._windows.setdefault(node_id, [])
-        cutoff = time - 1.0
-        while window and window[0][0] < cutoff:
-            window.pop(0)
-        used = sum(size for _, size in window)
-        if used + size_bytes > self.bytes_per_second:
-            return False
-        window.append((time, size_bytes))
-        return True

@@ -14,53 +14,35 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
-__all__ = ["Event", "EventQueue", "SimulationError"]
+__all__ = ["EventQueue", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
     """Raised on causality violations or a corrupted schedule."""
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """A scheduled callback."""
-
-    time: float
-    sequence: int
-    action: Callable[[], None] = field(compare=False)
-
-    def sort_key(self) -> tuple[float, int]:
-        return (self.time, self.sequence)
-
-
 class EventQueue:
-    """Monotone event heap with cancellation support."""
+    """Monotone event heap of ``(time, sequence, action)``.
+
+    The sequence is unique, so the heap never compares two actions.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[tuple[float, int], Event]] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._sequence = itertools.count()
-        self._cancelled: set[int] = set()
         self.now = 0.0
         self.processed = 0
 
-    def schedule(self, delay: float, action: Callable[[], None]) -> int:
-        """Schedule ``action`` after ``delay`` seconds; returns an event id."""
+    def schedule(self, delay: float, action: Callable[[], None]) -> None:
+        """Schedule ``action`` after ``delay`` seconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        sequence = next(self._sequence)
-        event = Event(self.now + delay, sequence, action)
-        heapq.heappush(self._heap, (event.sort_key(), event))
-        return sequence
+        heapq.heappush(self._heap, (self.now + delay, next(self._sequence), action))
 
-    def schedule_at(self, time: float, action: Callable[[], None]) -> int:
-        return self.schedule(time - self.now, action)
-
-    def cancel(self, event_id: int) -> None:
-        """Cancel a pending event (no-op if it already fired)."""
-        self._cancelled.add(event_id)
+    def schedule_at(self, time: float, action: Callable[[], None]) -> None:
+        self.schedule(time - self.now, action)
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -71,25 +53,21 @@ class EventQueue:
 
     def step(self) -> bool:
         """Run the next event; returns False when the queue is empty."""
-        while self._heap:
-            _, event = heapq.heappop(self._heap)
-            if event.sequence in self._cancelled:
-                self._cancelled.discard(event.sequence)
-                continue
-            if event.time < self.now - 1e-12:
-                raise SimulationError("event heap went backwards in time")
-            self.now = max(self.now, event.time)
-            event.action()
-            self.processed += 1
-            return True
-        return False
+        if not self._heap:
+            return False
+        time, _, action = heapq.heappop(self._heap)
+        if time < self.now - 1e-12:
+            raise SimulationError("event heap went backwards in time")
+        self.now = max(self.now, time)
+        action()
+        self.processed += 1
+        return True
 
     def run_until(self, end_time: float, max_events: int | None = None) -> int:
         """Drain events with time ≤ end_time; returns the number processed."""
         count = 0
         while self._heap:
-            key, event = self._heap[0]
-            if key[0] > end_time:
+            if self._heap[0][0] > end_time:
                 break
             if max_events is not None and count >= max_events:
                 raise SimulationError(

@@ -52,15 +52,6 @@ class LatencyMatrix:
     def rtt(self, src: int, dst: int) -> float:
         return 2.0 * self.one_way(src, dst)
 
-    def mean_one_way(self) -> float:
-        total, count = 0.0, 0
-        for i in range(self.size):
-            for j in range(self.size):
-                if i != j:
-                    total += self.delays[i][j]
-                    count += 1
-        return total / count if count else 0.0
-
     def percentile_one_way(self, q: float) -> float:
         """The q-th percentile (0..100) of off-diagonal one-way delays."""
         values = sorted(

@@ -3,9 +3,10 @@
 Games "rely on UDP for faster communication"; the paper's responsiveness
 experiment applies per-pair latencies from King/PeerWise plus 1 % message
 loss.  :class:`DatagramNetwork` models exactly that: each send is delayed
-by the latency matrix plus jitter, dropped i.i.d. with the loss rate,
-metered for bandwidth, optionally clipped by an upload budget, and blocked
-when NAT traversal between the pair failed.
+by the latency matrix plus jitter, dropped i.i.d. with the loss rate, and
+metered for bandwidth.  Anything else that can go wrong with a link — an
+unreachable pair, a partition, a latency spike, duplication — is a
+:mod:`repro.faults` entry, screened through the one :attr:`faults` hook.
 
 A datagram is a ``bytes`` buffer and is charged ``len(frame)``.  The
 network never opens one: the only thing it reads is the leading kind
@@ -25,11 +26,10 @@ from repro.core.config import (
     GE_P_BAD_TO_GOOD,
     GE_P_GOOD_TO_BAD,
 )
-from repro.net.bandwidth import BandwidthMeter, UploadBudget
+from repro.net.bandwidth import BandwidthMeter
 from repro.net.events import EventQueue
 from repro.net.latency import LatencyMatrix
-from repro.net.nat import Reachability
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
@@ -41,7 +41,7 @@ class ScheduleController:
     """Makes delivery order a decision point (see :mod:`repro.mc`).
 
     A controller attached via :meth:`DatagramNetwork.attach_controller` is
-    offered every datagram that survived NAT/budget/fault screening.  When
+    offered every datagram the network was handed.  When
     :meth:`intercept` returns True the network relinquishes the datagram:
     no loss draw, no jitter draw, no event is scheduled — the controller
     owns delivery and later hands the message back through
@@ -94,37 +94,31 @@ class NetworkConfig:
 
 
 class DatagramNetwork:
-    """Connects node handlers through latency, jitter, loss and budgets."""
+    """Connects node handlers through latency, jitter and loss."""
 
     def __init__(
         self,
         queue: EventQueue,
         latency: LatencyMatrix,
         config: NetworkConfig | None = None,
-        budget: UploadBudget | None = None,
-        reachability: Reachability | None = None,
-        registry: MetricsRegistry | None = None,
         kinds: Mapping[int, str] | None = None,
     ) -> None:
         self.queue = queue
         self.latency = latency
         self.config = config or NetworkConfig()
-        self.budget = budget
-        self.reachability = reachability
         self.meter = BandwidthMeter()
         self.rng = Random(self.config.seed)
         self._handlers: dict[int, Callable[[Datagram], None]] = {}
         self.sent = 0
         self.delivered = 0
         self.lost = 0
-        self.blocked_by_nat = 0
-        self.dropped_over_budget = 0
         self.duplicated = 0
         #: Datagrams delivered but refused by the receiving protocol layer
         #: (tamper rejection, quarantine) — see :meth:`count_protocol_drop`.
         self.rejected_by_protocol = 0
         #: Unified drop accounting: every way a datagram dies, by cause
-        #: (loss | budget | nat | partition | crashed | tamper | quarantine).
+        #: (loss | partition | crashed | schedule | malformed | tamper |
+        #: quarantine).
         self.dropped_by_cause: dict[str, int] = {}
         #: Optional fault injector (see :mod:`repro.faults`); attaching one
         #: with an empty schedule leaves all behaviour bit-identical.
@@ -140,7 +134,7 @@ class DatagramNetwork:
         # Observability: per-message-type send counters/bytes plus a
         # delivery-latency histogram.  Handles are bound once here, so a
         # disabled registry costs one no-op call per event.
-        obs = registry if registry is not None else get_registry()
+        obs = get_registry()
         self._obs = obs
         #: leading frame byte -> the name its sends are booked under
         #: (``net.sent.<name>.*``); a byte the table lacks books as
@@ -155,7 +149,7 @@ class DatagramNetwork:
         self._hist_delivery = obs.histogram("net.delivery_seconds")
         self._ctr_dropped = {
             cause: obs.counter(f"net.dropped.{cause}")
-            for cause in ("loss", "budget", "nat", "partition", "crashed")
+            for cause in ("loss", "partition", "crashed")
         }
 
     def attach_faults(self, injector: FaultInjector) -> None:
@@ -221,32 +215,20 @@ class DatagramNetwork:
         self._handlers.pop(node_id, None)
 
     def send(self, src: int, dst: int, frame: bytes) -> bool:
-        """Send one datagram; returns False when it was locally refused.
-
-        Loss in flight still returns True — the sender cannot observe it,
-        exactly like UDP.
-        """
-        accepted = self._send(src, dst, frame)
+        """Send one datagram.  Always True: loss, faults and capture are
+        invisible to the sender, exactly like UDP (the flag survives as the
+        taps' — and so the tape's — ``accepted`` column)."""
+        self._send(src, dst, frame)
         for tap in self.send_taps:
-            tap(src, dst, frame, accepted)
-        return accepted
+            tap(src, dst, frame, True)
+        return True
 
-    def _send(self, src: int, dst: int, frame: bytes) -> bool:
+    def _send(self, src: int, dst: int, frame: bytes) -> None:
         """The actual send path (:meth:`send` minus the observation taps)."""
         size_bytes = len(frame)
         if size_bytes == 0:
             raise ValueError("a datagram must not be empty")
         now = self.queue.now
-        if self.reachability is not None and not self.reachability.can_reach(src, dst):
-            self.blocked_by_nat += 1
-            self._count_drop("nat")
-            return False
-        if self.budget is not None and not self.budget.try_send(src, size_bytes, now):
-            self.dropped_over_budget += 1
-            self.meter.usage(src).dropped_over_budget += 1
-            self._count_drop("budget")
-            return False
-
         self.meter.record_send(src, size_bytes, now)
         self.sent += 1
         self._ctr_sent.inc()
@@ -268,9 +250,8 @@ class DatagramNetwork:
             # Captured: the controller owns delivery from here — including
             # loss, which it models as explicit budgeted drop decisions, so
             # ambient faults and in-flight loss must not race it (checked
-            # first).  The send still counts as accepted — like loss,
-            # capture is invisible to the sender.
-            return True
+            # first).
+            return
         if self.faults is not None:
             # Like in-flight loss, a partition is invisible to the sender.
             cause = self.faults.drop_cause(src, dst)
@@ -278,12 +259,12 @@ class DatagramNetwork:
                 self.lost += 1
                 self._ctr_lost.inc()
                 self._count_drop(cause)
-                return True
+                return
         if src != dst and self._lost_in_flight(src, dst):
             self.lost += 1
             self._ctr_lost.inc()
             self._count_drop("loss")
-            return True
+            return
 
         delay = self.latency.one_way(src, dst)
         delay += self.rng.uniform(0.0, self.config.jitter_ms / 1000.0)
@@ -310,7 +291,6 @@ class DatagramNetwork:
                 self.duplicated += 1
                 self._ctr_duplicated.inc()
                 self.queue.schedule(delay + offset, lambda: self._deliver(copy))
-        return True
 
     def _lost_in_flight(self, src: int, dst: int) -> bool:
         """One loss decision, under the configured loss model."""
@@ -342,8 +322,3 @@ class DatagramNetwork:
             datagram.dst, datagram.size_bytes, datagram.delivered_at
         )
         handler(datagram)
-
-    @property
-    def loss_observed(self) -> float:
-        """Fraction of sent datagrams dropped in flight."""
-        return self.lost / self.sent if self.sent else 0.0

@@ -1,14 +1,15 @@
-"""Unified observability: metrics registry, phase timers, bench artifacts.
+"""Unified observability: metrics registry, bench artifacts.
 
 See ``docs/OBSERVABILITY.md`` for the registry API, the JSON schemas and
 how CI consumes them.  Quick taste::
 
-    from repro.obs import MetricsRegistry
+    from repro.obs import MetricsRegistry, use_registry
     from repro.core import WatchmenSession
 
     registry = MetricsRegistry()
-    report = WatchmenSession(trace, registry=registry).run()
-    print(registry.snapshot()["histograms"]["session.frame_seconds"])
+    with use_registry(registry):  # objects bind their handles when built
+        report = WatchmenSession(trace).run()
+    print(registry.snapshot()["counters"]["net.datagrams.sent"])
 """
 
 from repro.obs.emit import (

@@ -3,21 +3,25 @@
 The paper is an engineering-budget argument (50 ms frames, ≤150 ms
 end-to-end, per-node kbps vs the 120·n kbps client-server figure), so the
 codebase needs first-class measurements, not printf.  This module provides
-the three classic instrument kinds plus wall-clock phase timers:
+the three classic instrument kinds:
 
 - :class:`Counter` — monotonically increasing event/byte counts;
 - :class:`Gauge` — last-written values (bandwidth, roster sizes);
 - :class:`Histogram` — fixed-bucket distributions with p50/p95/p99/max
-  (frame times, verification latencies, delivery delays, update ages).
+  of *simulated* quantities (delivery delays, update ages).
+
+Nothing here reads a host clock: how long the system takes is measured by
+``perfbench/`` and nowhere else (docs/PERFORMANCE.md, "One clock").
 
 Design constraints, in order:
 
 1. **Near-zero overhead when disabled.**  A disabled registry hands out
-   shared null singletons whose methods are no-ops and whose timers never
-   call :func:`time.perf_counter`; instrumented code binds its metric
-   handles once at construction, so the steady-state cost of disabled
+   shared null singletons whose methods are no-ops; instrumented code
+   binds its metric handles once at construction from
+   :func:`get_registry`, so the steady-state cost of disabled
    instrumentation is one no-op method call per event and zero
-   allocations.
+   allocations.  :class:`use_registry` around build + run is the one way
+   to collect.
 2. **No dependencies.**  Pure stdlib, single-threaded by design (the
    whole simulation is a discrete-event loop).
 3. **Machine-readable.**  :meth:`MetricsRegistry.snapshot` returns plain
@@ -28,7 +32,6 @@ Design constraints, in order:
 from __future__ import annotations
 
 import json
-import time
 from bisect import bisect_left
 
 __all__ = [
@@ -39,7 +42,6 @@ __all__ = [
     "NULL_COUNTER",
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
-    "NULL_TIMER",
     "exponential_buckets",
     "get_registry",
     "set_registry",
@@ -58,7 +60,7 @@ def exponential_buckets(start: float, factor: float, count: int) -> tuple[float,
     return tuple(start * factor**i for i in range(count))
 
 
-#: Default buckets for second-valued timers: 2 µs .. ~17 s, ×2 steps.
+#: Default buckets for second-valued histograms: 2 µs .. ~17 s, ×2 steps.
 TIME_BUCKETS = exponential_buckets(2e-6, 2.0, 24)
 
 
@@ -91,23 +93,6 @@ class Gauge:
         self.value += delta
 
 
-class _Timer:
-    """Context manager recording elapsed wall seconds into a histogram."""
-
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self._histogram = histogram
-        self._start = 0.0
-
-    def __enter__(self) -> _Timer:
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._histogram.record(time.perf_counter() - self._start)
-
-
 class Histogram:
     """Fixed-bucket histogram with exact count/sum/min/max.
 
@@ -118,7 +103,7 @@ class Histogram:
     one bucket width.
     """
 
-    __slots__ = ("name", "bounds", "buckets", "count", "total", "min", "max", "_timer")
+    __slots__ = ("name", "bounds", "buckets", "count", "total", "min", "max")
 
     def __init__(self, name: str, bounds: tuple[float, ...] | None = None) -> None:
         self.name = name
@@ -130,7 +115,6 @@ class Histogram:
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self._timer = _Timer(self)
 
     def record(self, value: float) -> None:
         self.buckets[bisect_left(self.bounds, value)] += 1
@@ -140,15 +124,6 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-
-    def time(self) -> _Timer:
-        """Context manager feeding this histogram in seconds.
-
-        The timer instance is shared to keep the hot path allocation-free;
-        nesting the *same* histogram's timer is not supported (use
-        ``_Timer(histogram)`` directly for that).
-        """
-        return self._timer
 
     @property
     def mean(self) -> float:
@@ -193,18 +168,6 @@ class Histogram:
         }
 
 
-class _NullTimer:
-    """Shared no-op timer: no clock reads, no allocation per use."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> _NullTimer:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
 class _NullCounter:
     __slots__ = ()
     name = "<null>"
@@ -235,9 +198,6 @@ class _NullHistogram:
     def record(self, value: float) -> None:
         return None
 
-    def time(self) -> _NullTimer:
-        return NULL_TIMER
-
     def percentile(self, q: float) -> float:
         return 0.0
 
@@ -245,7 +205,6 @@ class _NullHistogram:
         return {"count": 0}
 
 
-NULL_TIMER = _NullTimer()
 NULL_COUNTER = _NullCounter()
 NULL_GAUGE = _NullGauge()
 NULL_HISTOGRAM = _NullHistogram()
@@ -293,17 +252,6 @@ class MetricsRegistry:
             histogram = self._histograms[name] = Histogram(name, bounds)
         return histogram
 
-    # ---- phase timing ------------------------------------------------------
-
-    def phase_timer(self, name: str) -> _Timer | _NullTimer:
-        """``with registry.phase_timer("x"):`` → seconds into histogram x."""
-        if not self.enabled:
-            return NULL_TIMER
-        return self.histogram(name).time()
-
-    #: Alias: a span is a phase timer.
-    span = phase_timer
-
     # ---- lifecycle ---------------------------------------------------------
 
     def reset(self) -> None:
@@ -332,24 +280,6 @@ class MetricsRegistry:
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    def flat_metrics(self) -> dict[str, float]:
-        """Flatten the snapshot into one scalar map (bench-diff rows).
-
-        Counters and gauges keep their names; each histogram contributes
-        ``<name>.p50/.p95/.p99/.max/.mean/.count``.
-        """
-        flat: dict[str, float] = {}
-        for name, counter in self._counters.items():
-            flat[name] = counter.value
-        for name, gauge in self._gauges.items():
-            flat[name] = gauge.value
-        for name, histogram in self._histograms.items():
-            summary = histogram.summary()
-            for stat in ("p50", "p95", "p99", "max", "mean", "count"):
-                if stat in summary:
-                    flat[f"{name}.{stat}"] = summary[stat]
-        return dict(sorted(flat.items()))
 
 
 #: The process-wide default registry: disabled, so uninstrumented runs

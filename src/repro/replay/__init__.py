@@ -4,9 +4,8 @@ Records a full Watchmen session — scenario config, every RNG lane's
 seed, the materialised fault schedule, per-frame player inputs, and the
 complete wire-encoded message stream — into a versioned, fingerprinted
 ``.tape`` file.  Verify mode re-simulates from the recorded inputs and
-reports the first divergent frame; replay mode drives consumers straight
-from the recorded stream.  See ``docs/REPLAY.md`` for the format spec
-and the CI replay gate built on top.
+reports the first divergent frame.  See ``docs/REPLAY.md`` for the format
+spec and the CI replay gate built on top.
 """
 
 from repro.replay.player import (
@@ -14,7 +13,6 @@ from repro.replay.player import (
     VerifyResult,
     compare_tapes,
     diff_tapes,
-    iter_messages,
     verify_tape,
 )
 from repro.replay.recorder import TapeRecorder, record_session
@@ -35,7 +33,6 @@ from repro.replay.tape import (
     TapeFrame,
     TapeIntegrityError,
     config_hash,
-    read_header,
     read_tape,
     write_tape,
 )
@@ -50,7 +47,6 @@ __all__ = [
     "TapeFormatError",
     "TapeIntegrityError",
     "config_hash",
-    "read_header",
     "read_tape",
     "write_tape",
     "TapeRecorder",
@@ -65,5 +61,4 @@ __all__ = [
     "verify_tape",
     "compare_tapes",
     "diff_tapes",
-    "iter_messages",
 ]

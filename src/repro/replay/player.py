@@ -1,4 +1,4 @@
-"""The tape player: verify and replay modes.
+"""The tape player.
 
 **Verify** re-runs the protocol from the tape's own inputs — the embedded
 trace, the materialised fault schedule, and the scenario's seeds — through
@@ -6,19 +6,14 @@ the exact construction path the recording used, records the fresh run,
 and compares the two streams frame by frame.  The first divergent frame
 is reported with a structured message-level diff, so a protocol change
 that breaks determinism (or byte compatibility) is localised immediately.
-
-**Replay** does no simulation at all: :func:`iter_messages` walks the
-recorded stream in order so consumers (analysis, dashboards, decoders)
-can be driven from a tape alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.core.wire import WireError, decode_bytes, encode_message
-from repro.obs.registry import MetricsRegistry
 from repro.replay.recorder import TapeRecorder
 from repro.replay.tape import Tape, TapedMessage
 
@@ -28,7 +23,6 @@ __all__ = [
     "verify_tape",
     "compare_tapes",
     "diff_tapes",
-    "iter_messages",
 ]
 
 
@@ -180,14 +174,10 @@ def compare_tapes(expected: Tape, actual: Tape) -> VerifyResult:
     )
 
 
-def verify_tape(
-    tape: Tape, registry: MetricsRegistry | None = None
-) -> VerifyResult:
+def verify_tape(tape: Tape) -> VerifyResult:
     """Re-simulate from the tape's inputs and diff against its stream."""
     session = tape.scenario.make_session(tape.trace, faults=tape.faults)
-    recorder = TapeRecorder(
-        session, tape.scenario, faults=tape.faults, registry=registry
-    )
+    recorder = TapeRecorder(session, tape.scenario, faults=tape.faults)
     recorder.attach()
     session.run()
     fresh = recorder.finalize()
@@ -197,10 +187,3 @@ def verify_tape(
 def diff_tapes(a: Tape, b: Tape) -> VerifyResult:
     """Structural diff of two already-recorded tapes (no simulation)."""
     return compare_tapes(a, b)
-
-
-def iter_messages(tape: Tape) -> Iterator[tuple[int, TapedMessage]]:
-    """Replay mode: the recorded stream in order, no simulation."""
-    for tape_frame in tape.frames:
-        for message in tape_frame.messages:
-            yield tape_frame.frame, message

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 from repro.replay.scenario import TapeScenario
 from repro.replay.tape import Tape, TapedMessage, TapeFrame
 
@@ -38,7 +38,6 @@ class TapeRecorder:
         session: "WatchmenSession",
         scenario: TapeScenario,
         faults: "FaultSchedule | None" = None,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         self.session = session
         self.scenario = scenario
@@ -47,11 +46,10 @@ class TapeRecorder:
         self._current: list[tuple[int, int, bytes, bool]] = []
         self._attached = False
         self._finalized = False
-        obs = registry if registry is not None else get_registry()
+        obs = get_registry()
         self._ctr_messages = obs.counter("tape.messages")
         self._ctr_bytes = obs.counter("tape.bytes")
         self._gauge_frames = obs.gauge("tape.frames")
-        self._hist_finalize = obs.histogram("tape.finalize_seconds")
 
     # ---- hooks -------------------------------------------------------------
 
@@ -98,21 +96,20 @@ class TapeRecorder:
         frames: list[TapeFrame] = []
         total_messages = 0
         total_bytes = 0
-        with self._hist_finalize.time():
-            for frame_index, raw in self._frames:
-                messages = [
-                    TapedMessage(
-                        src=src,
-                        dst=dst,
-                        size_bytes=len(frame),
-                        accepted=accepted,
-                        payload=frame,
-                    )
-                    for src, dst, frame, accepted in raw
-                ]
-                frames.append(TapeFrame(frame=frame_index, messages=messages))
-                total_messages += len(messages)
-                total_bytes += sum(m.size_bytes for m in messages)
+        for frame_index, raw in self._frames:
+            messages = [
+                TapedMessage(
+                    src=src,
+                    dst=dst,
+                    size_bytes=len(frame),
+                    accepted=accepted,
+                    payload=frame,
+                )
+                for src, dst, frame, accepted in raw
+            ]
+            frames.append(TapeFrame(frame=frame_index, messages=messages))
+            total_messages += len(messages)
+            total_bytes += sum(m.size_bytes for m in messages)
         tape = Tape(
             scenario=self.scenario,
             trace=self.session.trace,
@@ -126,16 +123,13 @@ class TapeRecorder:
         return tape
 
 
-def record_session(
-    scenario: TapeScenario,
-    registry: MetricsRegistry | None = None,
-) -> Tape:
+def record_session(scenario: TapeScenario) -> Tape:
     """Simulate, run, and record one scenario end to end."""
     game_map = scenario.make_map()
     trace = scenario.make_trace(game_map)
     faults = scenario.make_faults(trace.player_ids())
     session = scenario.make_session(trace, faults=faults, game_map=game_map)
-    recorder = TapeRecorder(session, scenario, faults=faults, registry=registry)
+    recorder = TapeRecorder(session, scenario, faults=faults)
     recorder.attach()
     session.run()
     return recorder.finalize()

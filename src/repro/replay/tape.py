@@ -65,7 +65,6 @@ __all__ = [
     "config_hash",
     "write_tape",
     "read_tape",
-    "read_header",
 ]
 
 TAPE_FORMAT = "repro.tape.v1"
@@ -292,17 +291,8 @@ def _check_header(path: Path, row: dict[str, Any]) -> None:
         )
 
 
-def read_header(path: str | Path) -> dict[str, Any]:
-    """Parse and validate only the header row (cheap inspection)."""
-    path = Path(path)
-    for row in _iter_rows(path):
-        _check_header(path, row)
-        return row
-    raise TapeFormatError(f"{path}: empty tape")
-
-
-def read_tape(path: str | Path, verify_integrity: bool = True) -> Tape:
-    """Load a tape; with ``verify_integrity`` recompute every fingerprint.
+def read_tape(path: str | Path) -> Tape:
+    """Load a tape, recomputing every fingerprint.
 
     Raises :class:`TapeFormatError` for version/format problems and
     :class:`TapeIntegrityError` (carrying the first bad frame) when the
@@ -381,32 +371,30 @@ def read_tape(path: str | Path, verify_integrity: bool = True) -> Tape:
     )
     tape.fingerprint()
 
-    if verify_integrity:
-        expected_hash = header.get("config_hash")
-        if expected_hash != tape.config_hash():
+    expected_hash = header.get("config_hash")
+    if expected_hash != tape.config_hash():
+        raise TapeIntegrityError(
+            f"{path}: config_hash mismatch — header says "
+            f"{str(expected_hash)[:12]}…, content hashes to "
+            f"{tape.config_hash()[:12]}…"
+        )
+    for tape_frame, stored in zip(frames, stored_digests):
+        if tape_frame.digest != stored:
             raise TapeIntegrityError(
-                f"{path}: config_hash mismatch — header says "
-                f"{str(expected_hash)[:12]}…, content hashes to "
-                f"{tape.config_hash()[:12]}…"
+                f"{path}: frame {tape_frame.frame} digest mismatch "
+                f"(stored {stored[:12]}…, recomputed "
+                f"{tape_frame.digest[:12]}…)",
+                frame=tape_frame.frame,
             )
-        for index, (tape_frame, stored) in enumerate(zip(frames, stored_digests)):
-            if tape_frame.digest != stored:
-                raise TapeIntegrityError(
-                    f"{path}: frame {tape_frame.frame} digest mismatch "
-                    f"(stored {stored[:12]}…, recomputed "
-                    f"{tape_frame.digest[:12]}…)",
-                    frame=tape_frame.frame,
-                )
-            del index
-        if footer.get("sha256") != tape.sha256:
-            raise TapeIntegrityError(
-                f"{path}: footer fingerprint mismatch (stored "
-                f"{str(footer.get('sha256'))[:12]}…, recomputed "
-                f"{tape.sha256[:12]}…)"
-            )
-        if footer.get("frames") != tape.num_frames:
-            raise TapeIntegrityError(
-                f"{path}: footer says {footer.get('frames')} frames, "
-                f"tape carries {tape.num_frames}"
-            )
+    if footer.get("sha256") != tape.sha256:
+        raise TapeIntegrityError(
+            f"{path}: footer fingerprint mismatch (stored "
+            f"{str(footer.get('sha256'))[:12]}…, recomputed "
+            f"{tape.sha256[:12]}…)"
+        )
+    if footer.get("frames") != tape.num_frames:
+        raise TapeIntegrityError(
+            f"{path}: footer says {footer.get('frames')} frames, "
+            f"tape carries {tape.num_frames}"
+        )
     return tape

@@ -9,7 +9,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ReputationBoard, WatchmenConfig, WatchmenSession
-from repro.game import GameTrace, generate_trace, make_arena, make_longest_yard
+from repro.game import GameTrace, generate_trace, make_longest_yard
+
+from tests.arena import make_arena
 
 
 @pytest.fixture(scope="session")

@@ -3,12 +3,14 @@
 Each function is the body the matching fast path in ``repro.game``
 replaced, moved here unchanged once the exactness gates became its only
 callers; it shares no arithmetic with the kernel it gates.  The two
-``GameMap`` scans and the bot perception scan were methods: they keep
-``self`` as their first parameter, so ``monkeypatch.setattr(GameMap,
+``GameMap`` scans, the two ``Box`` tests they are built from and the bot
+perception scan were methods: they keep ``self`` as their first parameter,
+so ``monkeypatch.setattr(GameMap,
 "line_of_sight", line_of_sight_naive)`` swaps the grid out of a whole
 session.  The only edit is the call that follows from that:
 ``compute_sets_reference`` reaches ``line_of_sight_naive(game_map, ...)``
-as a function, not as a method of the map.
+as a function, not as a method of the map (and ``line_of_sight_naive``
+reaches ``box_contains`` / ``box_intersects_segment`` the same way).
 
 ==========================================  ====================================
 reference                                   gates
@@ -21,6 +23,8 @@ reference                                   gates
 ``_visible_enemies_reference``              ``BotController._visible_enemies``
 ``floor_height_naive``                      ``GameMap.floor_height`` / ``floor_height_xy``
 ``line_of_sight_naive``                     ``GameMap.line_of_sight``
+``box_contains`` / ``box_intersects_segment``  the slab arithmetic inlined in ``GameMap.line_of_sight``
+``displacement_is_legal``                   what ``physics.step`` / the simulator may produce (``PositionVerifier``'s allowance)
 ==========================================  ====================================
 """
 
@@ -32,8 +36,9 @@ from repro.core.config import FRAME_SECONDS
 from repro.game.avatar import AvatarSnapshot
 from repro.game.bots import ENGAGE_RANGE, BotController
 from repro.game.deadreckoning import GuidancePrediction
-from repro.game.gamemap import GameMap, eye_position
+from repro.game.gamemap import Box, GameMap, eye_position
 from repro.game.interest import InteractionRecency, InterestConfig, InterestSets
+from repro.game.physics import Physics
 from repro.game.vector import Vec3
 
 __all__ = [
@@ -45,6 +50,9 @@ __all__ = [
     "_visible_enemies_reference",
     "floor_height_naive",
     "line_of_sight_naive",
+    "box_contains",
+    "box_intersects_segment",
+    "displacement_is_legal",
 ]
 
 
@@ -215,8 +223,66 @@ def line_of_sight_naive(self: GameMap, eye: Vec3, target: Vec3) -> bool:
     self.los_queries += 1
     self.los_boxes_tested += len(self.solids)
     for box in self.solids:
-        if box.contains(eye) or box.contains(target):
+        if box_contains(box, eye) or box_contains(box, target):
             continue
-        if box.intersects_segment(eye, target):
+        if box_intersects_segment(box, eye, target):
             return False
     return True
+
+
+def box_contains(self: Box, point: Vec3) -> bool:
+    return (
+        self.min_corner.x <= point.x <= self.max_corner.x
+        and self.min_corner.y <= point.y <= self.max_corner.y
+        and self.min_corner.z <= point.z <= self.max_corner.z
+    )
+
+
+def box_intersects_segment(self: Box, start: Vec3, end: Vec3) -> bool:
+    """Slab test: does the segment [start, end] pass through the box?
+
+    Used for occlusion: a sight line is blocked if it crosses any solid
+    box.  Endpoints that merely touch the surface do not count as a
+    crossing (an avatar standing *on* a platform can still be seen).
+    """
+    direction = end - start
+    t_enter, t_exit = 0.0, 1.0
+    surface_epsilon = 1e-6  # rays sliding exactly on a face don't block
+    for axis in range(3):
+        d = (direction.x, direction.y, direction.z)[axis]
+        s = (start.x, start.y, start.z)[axis]
+        lo = (self.min_corner.x, self.min_corner.y, self.min_corner.z)[axis]
+        hi = (self.max_corner.x, self.max_corner.y, self.max_corner.z)[axis]
+        lo += surface_epsilon
+        hi -= surface_epsilon
+        if abs(d) < 1e-12:
+            if s < lo or s > hi:
+                return False
+            continue
+        t1 = (lo - s) / d
+        t2 = (hi - s) / d
+        if t1 > t2:
+            t1, t2 = t2, t1
+        t_enter = max(t_enter, t1)
+        t_exit = min(t_exit, t2)
+        if t_enter > t_exit:
+            return False
+    # Require a real interior crossing, not a surface graze.
+    return (t_exit - t_enter) > 1e-9
+
+
+# ---- game/physics.py ---------------------------------------------------------
+
+
+def displacement_is_legal(
+    self: Physics, start: Vec3, end: Vec3, frames: int, tolerance: float = 1.05
+) -> bool:
+    """Could an honest avatar have moved ``start``→``end`` in ``frames``?
+
+    ``tolerance`` absorbs wire quantization and frame phase (honest
+    updates must never be flagged; this is the FP≤5 % side of Fig. 6).
+    """
+    if frames <= 0:
+        return start.distance_to(end) < 1.0
+    allowance = self.max_horizontal_travel(frames) * (tolerance - 1.0)
+    return self.displacement_excess(start, end, frames) <= allowance

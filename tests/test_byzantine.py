@@ -58,9 +58,9 @@ from repro.faults.byzantine import (
 )
 from repro.game import generate_trace
 from repro.game.avatar import AvatarSnapshot
-from repro.game.gamemap import make_arena
 from repro.game.vector import Vec3
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, use_registry
+from tests.arena import make_arena
 from tests.wirekit import LoopbackWire, deliver
 
 
@@ -543,13 +543,9 @@ class TestDropAccounting:
             byzantine=(TamperFault(node_id=1, start_frame=20, end_frame=80),),
             seed=3,
         )
-        session = WatchmenSession(
-            trace,
-            config=hardened(),
-            faults=schedule,
-            registry=registry,
-        )
-        report = session.run()
+        with use_registry(registry):
+            session = WatchmenSession(trace, config=hardened(), faults=schedule)
+            report = session.run()
         tampered = report.dropped_by_cause.get("tamper", 0)
         assert tampered > 0
         counters = registry.snapshot()["counters"]
@@ -574,9 +570,10 @@ class TestDropAccounting:
             ),
             seed=4,
         )
-        report = WatchmenSession(
-            trace, config=hardened(), faults=schedule, registry=registry
-        ).run()
+        with use_registry(registry):
+            report = WatchmenSession(
+                trace, config=hardened(), faults=schedule
+            ).run()
         quarantined = report.dropped_by_cause.get("quarantine", 0)
         assert quarantined > 0
         assert registry.snapshot()["counters"]["net.dropped.quarantine"] == (
@@ -641,7 +638,7 @@ class TestScheduleRoundTrip:
         assert [f.node_id for f in schedule.byzantine_for(3)] == [3]
 
     def test_empty_byzantine_tuple_keeps_schedule_empty(self):
-        assert FaultSchedule(byzantine=()).is_empty()
-        assert not FaultSchedule(
+        assert FaultSchedule(byzantine=()) == FaultSchedule()
+        assert FaultSchedule(
             byzantine=(AckWithholdFault(node_id=0, start_frame=0, end_frame=1),)
-        ).is_empty()
+        ) != FaultSchedule()

@@ -67,7 +67,8 @@ class TestBase:
         cheat = CheatBehaviour(cheat_rate=0.0, seed=1)
         for _ in range(10):
             cheat._roll()
-        assert cheat.log.cheat_fraction == 0.0
+        assert cheat.log.cheat_actions == 0
+        assert cheat.log.honest_actions == 10
 
 
 class TestSpeedHack:

@@ -103,7 +103,7 @@ class TestMetrics:
             "metrics", "--players", "6", "--frames", "40", "--seed", "3",
         ]) == 0
         out = capsys.readouterr().out
-        assert "frame time" in out
+        assert "6 players x 40 frames" in out
         assert "bandwidth" in out
         assert "observer_frames_per_classification 1.000" in out
 
@@ -112,7 +112,9 @@ class TestMetrics:
             "metrics", "--players", "6", "--frames", "40", "--json", "-",
         ]) == 0
         snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["histograms"]["session.frame_seconds"]["count"] == 40
+        assert snapshot["gauges"]["session.frames"] == 40
+        assert not any(name.endswith("_seconds") and name != "net.delivery_seconds"
+                       for name in snapshot["histograms"])
         assert snapshot["counters"]["net.sent.StateUpdate.count"] > 0
         assert snapshot["gauges"]["net.upload_kbps.mean"] > 0
 

@@ -5,7 +5,6 @@ import pytest
 from repro.core import WatchmenConfig, WatchmenSession
 from repro.core.action_repetition import ActionRepetitionVerifier
 from repro.game.avatar import AvatarSnapshot
-from repro.game.gamemap import make_arena
 from repro.game.physics import MoveIntent, Physics
 from repro.game.vector import Vec3
 from repro.net.latency import uniform_lan

@@ -13,8 +13,8 @@ from repro.core.proxy import ProxySchedule
 from repro.core.wire import encode_signable
 from repro.crypto.signatures import HmacSigner
 from repro.game.avatar import AvatarSnapshot
-from repro.game.gamemap import make_arena
 from repro.game.vector import Vec3
+from tests.arena import make_arena
 from tests.wirekit import LoopbackWire, deliver
 
 

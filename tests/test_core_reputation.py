@@ -160,5 +160,5 @@ class TestReputationBoard:
         """"The Watchmen detection algorithm can be plugged into any
         reputation system"."""
         board = ReputationBoard(system=BetaReputation())
-        board.submit_tag(tag(1, success=True))
+        board.submit_rating(rating(1, 1.0))  # a clean check: a successful tag
         assert board.reputation_of(1) > 0.5

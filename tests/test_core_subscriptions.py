@@ -5,7 +5,6 @@ import pytest
 from repro.core.config import WatchmenConfig
 from repro.core.subscriptions import SubscriberTable, SubscriptionPlanner
 from repro.game.avatar import AvatarSnapshot
-from repro.game.gamemap import make_arena
 from repro.game.vector import Vec3
 
 
@@ -76,7 +75,8 @@ class TestPlanner:
     def test_active_sets_exposed(self, planner):
         known = {0: snap(0, y=-800.0), 1: snap(1, x=300, y=-800.0)}
         planner.plan(0, known[0], known)
-        assert 1 in planner.active_interest() | planner.active_vision()
+        # close, dead ahead and alone: player 1 takes an interest slot
+        assert planner.active_interest() == frozenset({1})
 
 
 class TestSubscriberTable:

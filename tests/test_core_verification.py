@@ -18,10 +18,12 @@ from repro.core.verification import (
 )
 from repro.game.avatar import AvatarSnapshot
 from repro.game.deadreckoning import GuidancePrediction
-from repro.game.gamemap import make_arena, make_longest_yard
+from repro.game.gamemap import make_longest_yard
 from repro.game.interest import InterestConfig
 from repro.game.physics import Physics
 from repro.game.vector import Vec3
+
+from tests.arena import make_arena
 
 
 def snap(player_id=1, x=0.0, y=0.0, z=0.0, yaw=0.0, frame=0, alive=True,

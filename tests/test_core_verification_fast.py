@@ -22,7 +22,9 @@ replaced, which is retained verbatim in
 """
 
 import hashlib
+import json
 import math
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -46,6 +48,9 @@ PINNED_SESSION_RATINGS = 28269
 PINNED_SESSION_SHA256 = (
     "090b46d16741a596e3d39234e457425117bfb8a42d35423267850fa3e6b56292"
 )
+#: the same session's registry snapshot (counters, simulated-time histograms),
+#: recorded at the commit before PR 19
+PINNED_SESSION_REGISTRY = Path(__file__).with_name("pinned_session_registry.json")
 
 
 def rating_stream_sha256(ratings: list[CheatRating]) -> str:
@@ -207,3 +212,11 @@ def test_paper_profile_session_rating_stream_is_pinned():
     counters = registry.snapshot()["counters"]
     assert counters["interest.classifications"] > 0
     assert counters["interest.observer_frames"] <= counters["interest.classifications"]
+    # One route to the registry: ``use_registry`` around build + run reaches
+    # every layer's books.  Names and values are the parent of PR 19's (which
+    # needed ``registry=`` *and* ``use_registry`` to fill them), minus its two
+    # always-zero ``net.dropped.budget`` / ``.nat`` rows; the histograms that
+    # are left are the two in simulated time — no ``*_seconds`` host timer.
+    pinned = json.loads(PINNED_SESSION_REGISTRY.read_text())
+    assert counters == pinned["counters"]
+    assert registry.snapshot()["histograms"] == pinned["histograms"]

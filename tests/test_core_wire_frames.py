@@ -42,7 +42,7 @@ from repro.core.wire import (
     encode_signable,
     seal,
 )
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, use_registry
 from tests.test_byzantine import Harness, hardened, snap
 from tests.test_core_wire_roundtrip import (
     MESSAGE_CLASSES,
@@ -86,7 +86,8 @@ class TestFrameLayout:
 class TestFrameMemo:
     def test_opens_each_distinct_buffer_once_and_hands_it_back(self):
         registry = MetricsRegistry(enabled=True)
-        memo = FrameMemo(registry)
+        with use_registry(registry):
+            memo = FrameMemo()
         frame = as_frame(build_message(StateUpdate))
         first = memo.open_frame(frame)
         again = memo.open_frame(bytes(bytearray(frame)))  # equal, not identical
@@ -99,7 +100,8 @@ class TestFrameMemo:
 
     def test_a_different_object_is_encoded_afresh(self):
         registry = MetricsRegistry(enabled=True)
-        memo = FrameMemo(registry)
+        with use_registry(registry):
+            memo = FrameMemo()
         frame = as_frame(build_message(StateUpdate))
         opened, _ = memo.open_frame(frame)
         # value-equal copy: same bytes by canonicality, but not *the* buffer
@@ -171,7 +173,8 @@ class TestVerbatimForwarding:
         # count one node's work in isolation: give the proxy of player 0
         # its own memo on an enabled registry
         proxy = harness.nodes[harness.schedule.proxy_of(0, 0)]
-        proxy._frames = FrameMemo(registry)
+        with use_registry(registry):
+            proxy._frames = FrameMemo()
         for frame in range(4):
             harness.tick(frame)
         assert proxy.metrics.forwarded_messages > 0
@@ -280,9 +283,8 @@ class TestMalformedInput:
         self, small_trace, longest_yard
     ):
         registry = MetricsRegistry(enabled=True)
-        session = WatchmenSession(
-            small_trace, game_map=longest_yard, registry=registry
-        )
+        with use_registry(registry):
+            session = WatchmenSession(small_trace, game_map=longest_yard)
         good = as_frame(PositionUpdate(0, 0, 1, snap(0)))
         injected = [make(good) for _, make in sorted(MALFORMED.items())]
 

@@ -9,6 +9,7 @@ from repro.core.config import PROXY_PERIOD_FRAMES, WatchmenConfig
 from repro.faults import FaultSchedule
 from repro.faults.chaos import (
     build_schedule,
+    chaos_gate_failures,
     default_scenarios,
     fault_frame_for,
     run_chaos,
@@ -115,13 +116,9 @@ class TestChaosMatrix:
         )
 
     def test_cli_gate_passes_on_a_clean_matrix(self, results):
-        from repro.cli import chaos_gate_failures
-
         assert chaos_gate_failures(results) == []
 
     def test_cli_gate_flags_violations(self):
-        from repro.cli import chaos_gate_failures
-
         bad = [
             {
                 "scenario": "synthetic",

@@ -17,12 +17,14 @@ from repro.faults import (
 
 class TestScheduleValidation:
     def test_empty_schedule(self):
-        schedule = FaultSchedule()
-        assert schedule.is_empty()
+        rows = FaultSchedule().to_json()
+        assert rows.pop("seed") == 0
+        assert rows and not any(rows.values())  # every fault list, all empty
 
     def test_any_fault_makes_it_non_empty(self):
         schedule = FaultSchedule(crashes=(CrashFault(node_id=1, frame=10),))
-        assert not schedule.is_empty()
+        assert schedule != FaultSchedule()
+        assert schedule.to_json()["crashes"] == [{"node_id": 1, "frame": 10}]
 
     def test_double_crash_of_one_node_rejected(self):
         with pytest.raises(ValueError):

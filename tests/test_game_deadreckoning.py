@@ -3,13 +3,10 @@
 import pytest
 
 from repro.game.avatar import AvatarSnapshot
-from repro.game.deadreckoning import (
-    GuidancePrediction,
-    predict_linear,
-    simulate_guidance,
-    trajectory_deviation_area,
-)
+from repro.game.deadreckoning import GuidancePrediction, predict_linear
 from repro.game.vector import Vec3
+
+from tests.retired.deadreckoning import simulate_guidance, trajectory_deviation_area
 
 
 def snap(x=0.0, vx=0.0, frame=0):

@@ -8,10 +8,25 @@ from repro.game.gamemap import (
     ItemKind,
     ItemSpec,
     eye_position,
-    make_arena,
     make_longest_yard,
 )
 from repro.game.vector import Vec3
+
+from tests.arena import make_arena
+from tests.reference.game import box_contains, box_intersects_segment
+
+
+def occludes(box, start, end):
+    """Does ``box`` alone block the sight line?  Asked of the live path (a
+    one-box map's ``line_of_sight``) and of the reference slab test it
+    inlines; the two must agree."""
+    lone = GameMap(
+        "one-box", Vec3(-100, -100, -100), Vec3(100, 100, 100),
+        solids=[box], respawn_points=[Vec3(50, 50, 50)],
+    )
+    blocked = not lone.line_of_sight(start, end)
+    assert blocked == box_intersects_segment(box, start, end)
+    return blocked
 
 
 class TestBox:
@@ -32,29 +47,29 @@ class TestBox:
 
     def test_contains_3d(self):
         box = Box(Vec3(0, 0, 0), Vec3(10, 10, 10))
-        assert box.contains(Vec3(5, 5, 5))
-        assert not box.contains(Vec3(5, 5, 11))
+        assert box_contains(box, Vec3(5, 5, 5))
+        assert not box_contains(box, Vec3(5, 5, 11))
 
     def test_segment_through_box_intersects(self):
         box = Box(Vec3(-1, -1, -1), Vec3(1, 1, 1))
-        assert box.intersects_segment(Vec3(-5, 0, 0), Vec3(5, 0, 0))
+        assert occludes(box, Vec3(-5, 0, 0), Vec3(5, 0, 0))
 
     def test_segment_missing_box(self):
         box = Box(Vec3(-1, -1, -1), Vec3(1, 1, 1))
-        assert not box.intersects_segment(Vec3(-5, 5, 0), Vec3(5, 5, 0))
+        assert not occludes(box, Vec3(-5, 5, 0), Vec3(5, 5, 0))
 
     def test_segment_stopping_short(self):
         box = Box(Vec3(10, -1, -1), Vec3(12, 1, 1))
-        assert not box.intersects_segment(Vec3(0, 0, 0), Vec3(9, 0, 0))
+        assert not occludes(box, Vec3(0, 0, 0), Vec3(9, 0, 0))
 
     def test_segment_grazing_surface_does_not_block(self):
         # Sight lines along a platform's top surface must not be occluded.
         box = Box(Vec3(-10, -10, -5), Vec3(10, 10, 0))
-        assert not box.intersects_segment(Vec3(-20, 0, 0), Vec3(20, 0, 0))
+        assert not occludes(box, Vec3(-20, 0, 0), Vec3(20, 0, 0))
 
     def test_diagonal_segment(self):
         box = Box(Vec3(4, 4, 4), Vec3(6, 6, 6))
-        assert box.intersects_segment(Vec3(0, 0, 0), Vec3(10, 10, 10))
+        assert occludes(box, Vec3(0, 0, 0), Vec3(10, 10, 10))
 
 
 class TestItemSpec:

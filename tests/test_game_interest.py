@@ -5,16 +5,17 @@ import math
 import pytest
 
 from repro.game.avatar import AvatarSnapshot
-from repro.game.gamemap import make_arena, make_longest_yard
+from repro.game.gamemap import make_longest_yard
 from repro.game.interest import (
     InteractionRecency,
     InterestConfig,
-    SetKind,
     attention_score,
     compute_sets,
     in_vision_cone,
 )
 from repro.game.vector import Vec3
+
+from tests.arena import make_arena
 
 
 def snap(player_id, x=0.0, y=0.0, z=0.0, yaw=0.0, alive=True, frame=0):
@@ -155,7 +156,7 @@ class TestComputeSets:
     def test_player_behind_is_other(self):
         everyone = {0: snap(0, yaw=0.0), 1: snap(1, x=-500)}
         sets = compute_sets(everyone[0], everyone, self.arena, 0, self.config)
-        assert sets.kind_of(1) == SetKind.OTHER
+        assert 1 in sets.others
 
     def test_dead_player_is_other(self):
         everyone = {0: snap(0), 1: snap(1, x=300, alive=False)}
@@ -167,7 +168,7 @@ class TestComputeSets:
         # Player 1 hidden behind the east pillar.
         everyone = {0: snap(0, x=100, yaw=0.0), 1: snap(1, x=400)}
         sets = compute_sets(everyone[0], everyone, yard, 0, InterestConfig())
-        assert sets.kind_of(1) == SetKind.OTHER
+        assert 1 in sets.others
 
     def test_is_members_removed_from_vision(self):
         # More visible players than the IS can hold: the spill-over stays
@@ -188,10 +189,10 @@ class TestComputeSets:
             4: snap(4, x=-500, y=-800.0),
         }
         sets = compute_sets(everyone[0], everyone, self.arena, 0, self.config)
-        kinds = {sets.kind_of(i) for i in (1, 2, 3, 4)}
-        assert kinds == {SetKind.INTEREST, SetKind.VISION, SetKind.OTHER}
+        assert sets.interest and sets.vision and sets.others
+        assert sets.interest | sets.vision | sets.others == {1, 2, 3, 4}
 
     def test_all_ids_covers_roster(self):
         everyone = {i: snap(i, x=i * 120.0) for i in range(6)}
         sets = compute_sets(everyone[0], everyone, self.arena, 0, self.config)
-        assert sets.all_ids() == frozenset(range(1, 6))
+        assert sets.interest | sets.vision | sets.others == frozenset(range(1, 6))

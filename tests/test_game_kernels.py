@@ -25,12 +25,8 @@ from hypothesis import strategies as st
 
 from repro.game.avatar import AvatarSnapshot
 from repro.game.bots import BotController
-from repro.game.deadreckoning import (
-    GuidancePrediction,
-    simulate_guidance,
-    trajectory_deviation_area,
-)
-from repro.game.gamemap import make_arena, make_corridors, make_longest_yard
+from repro.game.deadreckoning import GuidancePrediction
+from repro.game.gamemap import make_corridors, make_longest_yard
 from repro.game.interest import (
     InteractionRecency,
     InterestConfig,
@@ -40,6 +36,8 @@ from repro.game.physics import MoveIntent, Physics
 from repro.game.simulator import generate_trace
 from repro.game.vector import Vec3
 
+from tests.arena import make_arena
+from tests.retired.deadreckoning import simulate_guidance, trajectory_deviation_area
 from tests.reference.game import (
     _attention_score_reference,
     _in_vision_cone_reference,

@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from repro.game.gamemap import make_arena
 from repro.game.physics import MoveIntent, Physics, PhysicsConfig
 from repro.game.vector import Vec3
+
+from tests.reference.game import displacement_is_legal
 
 
 @pytest.fixture()
@@ -138,33 +139,40 @@ class TestStep:
         assert arena.in_bounds(position)
 
 
+def envelopes(physics):
+    """The three per-axis travel bounds ``displacement_excess`` checks against."""
+    return physics.max_horizontal_travel, physics.max_ascent, physics.max_descent
+
+
 class TestEnvelope:
     def test_max_travel_monotone(self, physics):
-        assert physics.max_travel(1) < physics.max_travel(2) < physics.max_travel(10)
+        for envelope in envelopes(physics):
+            assert envelope(1) < envelope(2) < envelope(10)
 
     def test_max_travel_rejects_negative(self, physics):
-        with pytest.raises(ValueError):
-            physics.max_travel(-1)
+        for envelope in envelopes(physics):
+            with pytest.raises(ValueError):
+                envelope(-1)
 
     def test_legal_ground_run(self, physics):
         start = Vec3(0, 0, 0)
         end = Vec3(320 * 0.05 * 10, 0, 0)  # exactly max speed for 10 frames
-        assert physics.displacement_is_legal(start, end, 10)
+        assert displacement_is_legal(physics, start, end, 10)
 
     def test_illegal_double_speed(self, physics):
         start = Vec3(0, 0, 0)
         end = Vec3(2 * 320 * 0.05 * 10, 0, 0)
-        assert not physics.displacement_is_legal(start, end, 10)
+        assert not displacement_is_legal(physics, start, end, 10)
 
     def test_terminal_fall_is_legal(self, physics):
         start = Vec3(0, 0, 1000.0)
         drop = physics.config.max_fall_speed * 0.05 * 10
-        assert physics.displacement_is_legal(start, start.with_z(1000 - drop), 10)
+        assert displacement_is_legal(physics, start, start.with_z(1000 - drop), 10)
 
     def test_super_fall_is_illegal(self, physics):
         start = Vec3(0, 0, 5000.0)
         drop = physics.config.max_fall_speed * 0.05 * 10 * 3
-        assert not physics.displacement_is_legal(start, start.with_z(5000 - drop), 10)
+        assert not displacement_is_legal(physics, start, start.with_z(5000 - drop), 10)
 
     def test_vertical_cheat_cannot_hide_in_horizontal_allowance(self, physics):
         # Rising faster than repeated jumps allow is illegal even when the
@@ -175,8 +183,8 @@ class TestEnvelope:
         )
 
     def test_zero_frames_displacement(self, physics):
-        assert physics.displacement_is_legal(Vec3(0, 0, 0), Vec3(0.5, 0, 0), 0)
-        assert not physics.displacement_is_legal(Vec3(0, 0, 0), Vec3(50, 0, 0), 0)
+        assert displacement_is_legal(physics, Vec3(0, 0, 0), Vec3(0.5, 0, 0), 0)
+        assert not displacement_is_legal(physics, Vec3(0, 0, 0), Vec3(50, 0, 0), 0)
 
     def test_speed_of(self, physics):
         speed = physics.speed_of(Vec3(0, 0, 0), Vec3(32, 0, 0), 2)
@@ -196,6 +204,6 @@ class TestEnvelope:
             track.append(position)
         for gap in (1, 3, 10):
             for index in range(0, len(track) - gap, gap):
-                assert physics.displacement_is_legal(
-                    track[index], track[index + gap], gap, tolerance=1.10
+                assert displacement_is_legal(
+                    physics, track[index], track[index + gap], gap, tolerance=1.10
                 )

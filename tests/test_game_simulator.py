@@ -96,6 +96,7 @@ class TestTraceContents:
 
     def test_physics_respected_frame_to_frame(self, small_trace, longest_yard):
         from repro.game.physics import Physics
+        from tests.reference.game import displacement_is_legal
 
         physics = Physics(longest_yard)
         for pid in small_trace.player_ids()[:4]:
@@ -104,8 +105,8 @@ class TestTraceContents:
                 cur = small_trace.snapshot(frame, pid)
                 if not prev.alive or not cur.alive:
                     continue
-                assert physics.displacement_is_legal(
-                    prev.position, cur.position, 1, tolerance=1.10
+                assert displacement_is_legal(
+                    physics, prev.position, cur.position, 1, tolerance=1.10
                 ), f"player {pid} frame {frame}"
 
 

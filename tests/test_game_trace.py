@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.game.trace import GameTrace, ShotEvent, TraceCursor
+from repro.game.trace import GameTrace, ShotEvent
+
+from tests.retired.trace import TraceCursor
 
 
 class TestRecording:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.game.gamemap import make_arena, make_longest_yard
+from repro.game.gamemap import make_longest_yard
 from repro.game.weapons import (
     AVATAR_HIT_RADIUS,
     WEAPONS,
@@ -13,6 +13,8 @@ from repro.game.weapons import (
     resolve_shot,
 )
 from repro.game.vector import Vec3
+
+from tests.arena import make_arena
 
 
 class TestWeaponTable:

@@ -314,7 +314,7 @@ def real_tree_violations(mutate=None):
     return violations
 
 
-VERIFY_CALL = "accepted = self._verify_envelope(src, message, signed)"
+VERIFY_CALL = "if not self._verify_envelope(src, message, signed):"
 PUBLISH_ANCHOR = "    def _route_publication("
 
 RAW_INGEST_METHOD = (
@@ -341,7 +341,7 @@ class TestRealTree:
     def test_deleting_envelope_verification_raises_s701(self):
         def drop_verification(text: str) -> str:
             assert VERIFY_CALL in text
-            return text.replace(VERIFY_CALL, "accepted = True")
+            return text.replace(VERIFY_CALL, "if False:")
 
         violations = real_tree_violations(drop_verification)
         s701 = [v for v in violations if v.rule == "S701"]

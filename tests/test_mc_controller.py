@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.wire import MESSAGE_TAGS
 from repro.mc.controller import McController
+from repro.mc.scenarios import McScenario
+from repro.replay import TapeScenario
 
 #: The controller reads nothing of a frame but its leading kind byte, so
 #: one-byte frames of two real kinds stand in for whole messages.
@@ -214,8 +216,13 @@ class TestFaultBudgets:
 
 
 class TestSerialisation:
+    """``from_json`` reads the ``mc`` envelope ``McScenario.mc_json`` writes
+    into a tape scenario."""
+
     def test_params_round_trip(self):
-        ctl = McController(
+        scenario = McScenario(
+            name="t", description="", base=TapeScenario(players=4, frames=20, seed=1),
+            invariants=(),
             controlled=("Ping", "Pong"),
             window=(1, 5),
             drop_budget=1,
@@ -223,17 +230,18 @@ class TestSerialisation:
             defer_limit=3,
             defer_budget=4,
             controlled_src=(2, 0),
-            schedule=(("deliver", 1), ("defer", 0)),
         )
-        rebuilt = McController.from_json(ctl.params_json())
-        assert rebuilt.params_json() == ctl.params_json()
+        row = scenario.mc_json(schedule=(("deliver", 1), ("defer", 0)))
+        rebuilt = McController.from_json(row)
+        assert rebuilt.controlled == frozenset({"Ping", "Pong"})
+        assert rebuilt.window == (1, 5)
+        assert (rebuilt.drop_budget, rebuilt.dup_budget, rebuilt.defer_limit) == (1, 2, 3)
         assert rebuilt.controlled_src == frozenset({0, 2})
         assert rebuilt.defer_budget == 4
         assert rebuilt.schedule == (("deliver", 1), ("defer", 0))
 
     def test_defaults_round_trip(self):
-        ctl = McController(controlled=("Ping",), window=(0, 10))
-        rebuilt = McController.from_json(ctl.params_json())
+        rebuilt = McController.from_json({"controlled": ["Ping"], "window": [0, 10]})
         assert rebuilt.controlled_src is None
         assert rebuilt.defer_budget is None
         assert rebuilt.schedule == ()

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.net.bandwidth import BandwidthMeter, UploadBudget
+from repro.net.bandwidth import BandwidthMeter
+
+from tests.retired.bandwidth import UploadBudget
 
 
 class TestMeter:
@@ -14,7 +16,8 @@ class TestMeter:
     def test_download_kbps(self):
         meter = BandwidthMeter()
         meter.record_receive(1, 25_000, time=2.0)
-        assert meter.download_kbps(1) == pytest.approx(100.0)
+        received_kbit = meter.usage(1).received_bytes * 8.0 / 1000.0
+        assert received_kbit / meter.duration == pytest.approx(100.0)
 
     def test_mean_and_max(self):
         meter = BandwidthMeter()
@@ -27,7 +30,8 @@ class TestMeter:
         meter = BandwidthMeter()
         meter.record_send(0, 1000, 1.0)
         meter.record_send(1, 1000, 1.0)
-        assert meter.total_kbps() == pytest.approx(16.0)
+        total = sum(meter.upload_kbps(node) for node in meter.node_ids())
+        assert total == pytest.approx(16.0)
 
     def test_empty_meter(self):
         meter = BandwidthMeter()
@@ -69,6 +73,8 @@ class TestMeter:
 
 
 class TestBudget:
+    """The parked upload cap (``tests/retired/bandwidth.py``)."""
+
     def test_allows_within_budget(self):
         budget = UploadBudget(1000)
         assert budget.try_send(0, 500, 0.0)

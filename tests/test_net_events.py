@@ -70,34 +70,6 @@ class TestScheduling:
         assert errors
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_run(self):
-        queue = EventQueue()
-        seen = []
-        event_id = queue.schedule(0.1, lambda: seen.append("x"))
-        queue.cancel(event_id)
-        queue.run()
-        assert seen == []
-
-    def test_cancel_after_fire_is_noop(self):
-        queue = EventQueue()
-        seen = []
-        event_id = queue.schedule(0.1, lambda: seen.append("x"))
-        queue.run()
-        queue.cancel(event_id)
-        assert seen == ["x"]
-
-    def test_cancel_one_of_many(self):
-        queue = EventQueue()
-        seen = []
-        queue.schedule(0.1, lambda: seen.append("a"))
-        victim = queue.schedule(0.2, lambda: seen.append("b"))
-        queue.schedule(0.3, lambda: seen.append("c"))
-        queue.cancel(victim)
-        queue.run()
-        assert seen == ["a", "c"]
-
-
 class TestRunUntil:
     def test_run_until_stops_at_boundary(self):
         queue = EventQueue()

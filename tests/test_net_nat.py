@@ -1,8 +1,8 @@
-"""Unit tests for the NAT traversal model."""
+"""Unit tests for the parked NAT traversal model (``tests/retired/nat.py``)."""
 
 import pytest
 
-from repro.net.nat import NatProfile, NatType, Reachability, sample_profiles
+from tests.retired.nat import NatProfile, NatType, Reachability, sample_profiles
 
 
 def profiles(*types):

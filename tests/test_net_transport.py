@@ -2,21 +2,19 @@
 
 import pytest
 
-from repro.net.bandwidth import UploadBudget
+from repro.faults import FaultInjector, FaultSchedule, PartitionFault
 from repro.net.events import EventQueue
 from repro.net.latency import uniform_lan
-from repro.net.nat import NatProfile, NatType, Reachability
 from repro.net.transport import DatagramNetwork, NetworkConfig
+from repro.obs import MetricsRegistry, use_registry
 
 
-def make_network(size=4, loss=0.0, jitter=0.0, budget=None, reachability=None):
+def make_network(size=4, loss=0.0, jitter=0.0):
     queue = EventQueue()
     network = DatagramNetwork(
         queue,
         uniform_lan(size, one_way_ms=10.0),
         NetworkConfig(loss_rate=loss, jitter_ms=jitter, seed=1),
-        budget=budget,
-        reachability=reachability,
     )
     return queue, network
 
@@ -81,7 +79,7 @@ class TestLoss:
         for _ in range(3000):
             network.send(0, 1, datagram_of(10))
         queue.run()
-        assert network.loss_observed == pytest.approx(0.2, abs=0.03)
+        assert network.lost / network.sent == pytest.approx(0.2, abs=0.03)
         assert network.delivered == network.sent - network.lost
 
     def test_zero_loss(self):
@@ -113,41 +111,35 @@ class TestJitter:
         assert all(t >= 0.010 for t in times)
 
 
-class TestBudget:
-    def test_over_budget_messages_dropped(self):
-        budget = UploadBudget(bytes_per_second=100)
-        queue, network = make_network(budget=budget)
-        network.register(1, lambda d: None)
-        results = [network.send(0, 1, datagram_of(60)) for _ in range(3)]
-        assert results == [True, False, False]
-        assert network.dropped_over_budget == 2
-
-    def test_budget_tracks_per_node(self):
-        budget = UploadBudget(bytes_per_second=100)
-        queue, network = make_network(budget=budget)
-        network.register(2, lambda d: None)
-        assert network.send(0, 2, datagram_of(80))
-        assert network.send(1, 2, datagram_of(80))  # different sender, own budget
-
-
 class TestNatIntegration:
+    """An unreachable pair is a :class:`PartitionFault`: the one way a link
+    is cut, screened through the network's one fault hook."""
+
+    @staticmethod
+    def cut_between_0_and_1(size):
+        queue, network = make_network(size=size)
+        network.attach_faults(FaultInjector(FaultSchedule(partitions=(
+            PartitionFault(frozenset({0}), frozenset({1}), 0, 10),
+        ))))
+        return queue, network
+
     def test_unreachable_pair_blocked(self):
-        profiles = [
-            NatProfile(0, NatType.SYMMETRIC),
-            NatProfile(1, NatType.SYMMETRIC),
-        ]
-        reach = Reachability(profiles, seed=1)
-        queue, network = make_network(size=2, reachability=reach)
-        network.register(1, lambda d: None)
-        assert not network.send(0, 1, datagram_of(10))
-        assert network.blocked_by_nat == 1
+        queue, network = self.cut_between_0_and_1(size=2)
+        arrived = []
+        network.register(1, arrived.append)
+        # like loss, the cut is invisible to the sender
+        assert network.send(0, 1, datagram_of(10))
+        queue.run()
+        assert arrived == []
+        assert network.dropped_by_cause == {"partition": 1}
 
     def test_open_pair_allowed(self):
-        profiles = [NatProfile(0, NatType.PUBLIC), NatProfile(1, NatType.SYMMETRIC)]
-        reach = Reachability(profiles, seed=1)
-        queue, network = make_network(size=2, reachability=reach)
-        network.register(1, lambda d: None)
-        assert network.send(0, 1, datagram_of(10))
+        queue, network = self.cut_between_0_and_1(size=3)
+        arrived = []
+        network.register(2, arrived.append)
+        assert network.send(0, 2, datagram_of(10))
+        queue.run()
+        assert len(arrived) == 1 and network.dropped_by_cause == {}
 
 
 class TestMetering:
@@ -162,16 +154,14 @@ class TestMetering:
 
 class TestPerKindBooks:
     def test_sends_are_booked_under_the_kind_table_by_leading_byte(self):
-        from repro.obs import MetricsRegistry
-
         registry = MetricsRegistry(enabled=True)
-        network = DatagramNetwork(
-            EventQueue(),
-            uniform_lan(4, one_way_ms=10.0),
-            NetworkConfig(loss_rate=0.0, seed=1),
-            registry=registry,
-            kinds={1: "StateUpdate"},
-        )
+        with use_registry(registry):
+            network = DatagramNetwork(
+                EventQueue(),
+                uniform_lan(4, one_way_ms=10.0),
+                NetworkConfig(loss_rate=0.0, seed=1),
+                kinds={1: "StateUpdate"},
+            )
         network.send(0, 1, b"\x01" + bytes(9))
         network.send(0, 1, b"\x01" + bytes(19))
         network.send(0, 1, b"\x7f")  # a kind the table does not know

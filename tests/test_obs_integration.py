@@ -1,17 +1,17 @@
 """Integration tests: a short protocol replay populates the registry.
 
-These verify the tentpole wiring end-to-end — an enabled
-``MetricsRegistry`` handed to :class:`WatchmenSession` (and through it
-to the network, proxy schedule, and every node) comes back populated
-with frame-time histograms, per-message-type counters, and bandwidth
-gauges, while a disabled registry records nothing and changes nothing.
+These verify the wiring end-to-end — a :class:`WatchmenSession` built and
+run under ``use_registry(enabled registry)`` (the network, proxy schedule
+and every node bind it where they are built) leaves it populated with
+per-message-type counters, simulated-time histograms and bandwidth gauges,
+while a disabled registry records nothing and changes nothing.
 """
 
 import pytest
 
 from repro.core import WatchmenSession
 from repro.game import generate_trace, make_longest_yard
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, use_registry
 
 PLAYERS = 8
 FRAMES = 60
@@ -24,19 +24,12 @@ def instrumented_run():
         num_players=PLAYERS, num_frames=FRAMES, seed=42, game_map=game_map
     )
     registry = MetricsRegistry(enabled=True)
-    session = WatchmenSession(trace, game_map=game_map, registry=registry)
-    report = session.run()
+    with use_registry(registry):
+        report = WatchmenSession(trace, game_map=game_map).run()
     return registry, report
 
 
 class TestReplayPopulatesRegistry:
-    def test_frame_time_histogram(self, instrumented_run):
-        registry, _ = instrumented_run
-        frame = registry.histogram("session.frame_seconds")
-        assert frame.count == FRAMES
-        assert frame.percentile(0.5) > 0.0
-        assert frame.percentile(0.99) >= frame.percentile(0.5)
-
     def test_per_message_type_counters(self, instrumented_run):
         registry, report = instrumented_run
         counters = registry.snapshot()["counters"]
@@ -52,11 +45,17 @@ class TestReplayPopulatesRegistry:
     def test_delivery_and_verification_latencies(self, instrumented_run):
         registry, _ = instrumented_run
         delivery = registry.histogram("net.delivery_seconds")
-        verify = registry.histogram("node.verify_seconds")
         assert delivery.count > 0
-        assert verify.count > 0
-        # One-way LAN latency is configured in milliseconds, not seconds.
+        # Simulated seconds: one-way latency is tens of milliseconds.
         assert 0.0 < delivery.percentile(0.5) < 1.0
+        # every delivery had its signature checked, and all held
+        counters = registry.snapshot()["counters"]
+        assert delivery.count == counters["net.datagrams.delivered"]
+        assert counters.get("node.signature_failures", 0) == 0
+        # nothing in the snapshot is host time
+        assert set(registry.snapshot()["histograms"]) == {
+            "net.delivery_seconds", "node.update_age_frames",
+        }
 
     def test_bandwidth_gauges_match_report(self, instrumented_run):
         registry, report = instrumented_run
@@ -91,8 +90,8 @@ class TestDisabledRegistryIsInert:
             num_players=PLAYERS, num_frames=20, seed=42, game_map=game_map
         )
         registry = MetricsRegistry(enabled=False)
-        session = WatchmenSession(trace, game_map=game_map, registry=registry)
-        report = session.run()
+        with use_registry(registry):
+            report = WatchmenSession(trace, game_map=game_map).run()
         assert report.messages_sent > 0
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {}
@@ -104,9 +103,8 @@ class TestDisabledRegistryIsInert:
             num_players=PLAYERS, num_frames=40, seed=42, game_map=game_map
         )
         plain = WatchmenSession(trace, game_map=game_map).run()
-        instrumented = WatchmenSession(
-            trace, game_map=game_map, registry=MetricsRegistry(enabled=True)
-        ).run()
+        with use_registry(MetricsRegistry(enabled=True)):
+            instrumented = WatchmenSession(trace, game_map=game_map).run()
         assert plain.messages_sent == instrumented.messages_sent
         assert plain.age_histogram == instrumented.age_histogram
         assert plain.mean_upload_kbps == pytest.approx(

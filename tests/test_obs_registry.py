@@ -19,7 +19,6 @@ from repro.obs.registry import (
     NULL_COUNTER,
     NULL_GAUGE,
     NULL_HISTOGRAM,
-    NULL_TIMER,
 )
 
 
@@ -103,13 +102,6 @@ class TestHistogram:
             "count", "sum", "mean", "min", "max", "p50", "p95", "p99",
         }
 
-    def test_timer_records_elapsed_seconds(self):
-        histogram = MetricsRegistry().histogram("h", bounds=(0.5, 1.0))
-        with histogram.time():
-            pass
-        assert histogram.count == 1
-        assert 0.0 <= histogram.max < 0.5
-
     def test_rejects_bad_quantile(self):
         with pytest.raises(ValueError):
             MetricsRegistry().histogram("h").percentile(1.5)
@@ -129,7 +121,7 @@ class TestExponentialBuckets:
 
 
 class TestDisabledRegistry:
-    """The zero-allocation path: shared null singletons, no clock reads."""
+    """The zero-allocation path: shared null singletons."""
 
     def test_factories_return_shared_singletons(self):
         registry = MetricsRegistry(enabled=False)
@@ -137,16 +129,12 @@ class TestDisabledRegistry:
         assert registry.counter("b") is NULL_COUNTER
         assert registry.gauge("g") is NULL_GAUGE
         assert registry.histogram("h") is NULL_HISTOGRAM
-        assert registry.phase_timer("p") is NULL_TIMER
-        assert NULL_HISTOGRAM.time() is NULL_TIMER
 
     def test_null_instruments_swallow_writes(self):
         registry = MetricsRegistry(enabled=False)
         registry.counter("a").inc(10)
         registry.gauge("g").set(3.0)
         registry.histogram("h").record(1.0)
-        with registry.phase_timer("p"):
-            pass
         assert registry.snapshot()["counters"] == {}
         assert registry.snapshot()["gauges"] == {}
         assert registry.snapshot()["histograms"] == {}
@@ -154,9 +142,9 @@ class TestDisabledRegistry:
     def test_null_path_allocates_nothing_per_call(self):
         registry = MetricsRegistry(enabled=False)
         handles = {registry.counter(f"c{i}") for i in range(100)}
-        timers = {registry.phase_timer(f"t{i}") for i in range(100)}
+        histograms = {registry.histogram(f"h{i}") for i in range(100)}
         assert handles == {NULL_COUNTER}
-        assert timers == {NULL_TIMER}
+        assert histograms == {NULL_HISTOGRAM}
 
 
 class TestSnapshot:
@@ -169,15 +157,6 @@ class TestSnapshot:
         assert snapshot["counters"]["events"] == 3
         assert snapshot["gauges"]["kbps"] == 57.5
         assert snapshot["histograms"]["lat"]["count"] == 1
-
-    def test_flat_metrics_flattens_histograms(self):
-        registry = MetricsRegistry()
-        registry.counter("events").inc(3)
-        registry.histogram("lat", bounds=(1.0, 2.0)).record(1.5)
-        flat = registry.flat_metrics()
-        assert flat["events"] == 3
-        assert flat["lat.count"] == 1
-        assert "lat.p99" in flat
 
     def test_reset_clears_everything(self):
         registry = MetricsRegistry()

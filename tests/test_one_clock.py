@@ -2,9 +2,11 @@
 
 ``benchmarks/`` is the paper's reproduction (figures, tables, ablations,
 bit and byte arithmetic, chaos SLOs) and publishes only metrics that are a
-pure function of the seed; a retained reference lives beside the test that
-compares against it, in ``tests/reference/``.  These guards hold the rule
-mechanically (docs/PERFORMANCE.md, "One clock").
+pure function of the seed; ``src/repro`` reads no host clock outside the two
+tools that time themselves, and reaches the metrics registry one way; a
+retained reference lives beside the test that compares against it, in
+``tests/reference/``.  These guards hold the rule mechanically
+(docs/PERFORMANCE.md, "One clock").
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ pytestmark = pytest.mark.lint
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS = REPO_ROOT / "benchmarks"
+SRC = REPO_ROOT / "src" / "repro"
 
-#: The one bench that reads a clock: its seconds column is the paper's cost
-#: trade-off for action repetition, printed as text, never a metric.
-MAY_IMPORT_TIME = {"bench_ablation_verification_depth.py"}
+#: Under ``src/repro``: the analyzers' CLIs time *themselves* (``lint_wall``,
+#: ``mc``), and ``emit`` stamps a row a caller did not pin.  No bench may.
+MAY_IMPORT_A_CLOCK = {"lint/cli.py", "mc/cli.py", "obs/emit.py"}
+CLOCKS = ("time", "datetime")
 
 
 def _functions(root: Path) -> list[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
@@ -58,18 +62,40 @@ def test_no_bench_takes_the_timing_fixture():
     assert takers == [], "call the function directly; time with perfbench"
 
 
-def test_only_the_verification_depth_ablation_reads_a_clock():
-    importers = {
-        path.name
-        for path in BENCHMARKS.glob("*.py")
+def _clock_importers(root: Path) -> set[str]:
+    """Files under ``root`` that import ``time`` or ``datetime``."""
+    return {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
         for node in ast.walk(ast.parse(path.read_text()))
         if (
             isinstance(node, ast.Import)
-            and any(alias.name.split(".")[0] == "time" for alias in node.names)
+            and any(alias.name.split(".")[0] in CLOCKS for alias in node.names)
         )
-        or (isinstance(node, ast.ImportFrom) and node.module == "time")
+        or (isinstance(node, ast.ImportFrom) and node.module in CLOCKS)
     }
-    assert importers == MAY_IMPORT_TIME
+
+
+def test_no_bench_and_no_product_module_reads_a_clock():
+    assert _clock_importers(BENCHMARKS) == set()
+    assert _clock_importers(SRC) == MAY_IMPORT_A_CLOCK
+
+
+def test_the_registry_is_reached_one_way():
+    """Objects bind ``get_registry()`` where they are built and
+    ``use_registry`` around build + run collects: nothing outside ``obs/``
+    takes a ``MetricsRegistry`` as a parameter."""
+    takers = [
+        f"{path}:{function.lineno} {function.name}({arg.arg})"
+        for path, function in _functions(SRC)
+        if not path.startswith("src/repro/obs/")
+        for arg in (
+            *function.args.posonlyargs, *function.args.args, *function.args.kwonlyargs
+        )
+        if arg.annotation is not None
+        and "MetricsRegistry" in ast.unparse(arg.annotation)
+    ]
+    assert takers == [], "bind get_registry() at construction instead"
 
 
 def test_a_published_row_is_a_function_of_its_inputs(tmp_path, capsys):

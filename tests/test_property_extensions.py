@@ -120,7 +120,7 @@ class TestGossipProperties:
         first = sink.receive_digest(source.make_digest(limit=100))
         second = sink.receive_digest(source.make_digest(limit=100))
         assert second == 0
-        assert first == sink.tags_known
+        assert first == len(sink.make_digest(limit=100))
 
 
 class TestDeltaCodingProperties:

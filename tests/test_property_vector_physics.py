@@ -5,9 +5,11 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.game.gamemap import make_arena
 from repro.game.physics import MoveIntent, Physics
 from repro.game.vector import Vec3, clamp
+
+from tests.arena import make_arena
+from tests.reference.game import displacement_is_legal
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -99,15 +101,18 @@ class TestPhysicsProperties:
         intent = MoveIntent(Vec3(dx, dy, 0), speed, jump, yaw)
         start = Vec3(100.0, -300.0, 0.0)
         result = self.physics.step(start, Vec3(), 0.0, intent)
-        assert self.physics.displacement_is_legal(
-            start, result.position, 1, tolerance=1.10
+        assert displacement_is_legal(
+            self.physics, start, result.position, 1, tolerance=1.10
         )
 
     @given(st.integers(min_value=0, max_value=100))
     def test_max_travel_monotone(self, frames):
-        assert self.physics.max_travel(frames) <= self.physics.max_travel(
-            frames + 1
-        )
+        for envelope in (
+            self.physics.max_horizontal_travel,
+            self.physics.max_ascent,
+            self.physics.max_descent,
+        ):
+            assert envelope(frames) <= envelope(frames + 1)
 
     @given(small_vectors, small_vectors, st.integers(min_value=1, max_value=50))
     @settings(max_examples=50)

@@ -15,10 +15,11 @@ import pytest
 from repro.replay import (
     GOLDEN_PRESETS,
     config_hash,
-    read_header,
     read_tape,
     verify_tape,
 )
+
+from tests.test_replay_tape import header_row
 
 TAPES_DIR = Path(__file__).parent / "tapes"
 PRESETS = sorted(GOLDEN_PRESETS)
@@ -41,7 +42,7 @@ def test_tape_integrity(preset):
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_header_matches_preset(preset):
-    header = read_header(TAPES_DIR / f"{preset}.tape")
+    header = header_row(TAPES_DIR / f"{preset}.tape")
     tape = read_tape(TAPES_DIR / f"{preset}.tape")
     assert header["config_hash"] == config_hash(
         GOLDEN_PRESETS[preset], tape.faults
@@ -50,7 +51,7 @@ def test_header_matches_preset(preset):
 
 def test_chaos_tape_embeds_fault_schedule():
     tape = read_tape(TAPES_DIR / "chaos.tape")
-    assert tape.faults is not None and not tape.faults.is_empty()
+    assert tape.faults is not None and tape.faults.proxy_crashes
     assert read_tape(TAPES_DIR / "normal.tape").faults is None
 
 
