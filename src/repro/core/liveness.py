@@ -9,7 +9,7 @@ it is inert: the scheduled proxy is the only first hop, nothing fails over.
 
 from __future__ import annotations
 
-from typing import Container
+from typing import Container, Iterable
 
 from repro.core.config import DEFENSE_INTERVAL_FRAMES
 from repro.core.membership import MembershipView
@@ -35,7 +35,6 @@ class FirstHops:
         silence_frames: int,
     ) -> None:
         self.player_id = player_id
-        #: re-pointed by the node when a roster removal reduces the schedule
         self.schedule = schedule
         self._membership = membership
         #: how far down a player's candidate walk a first hop may sit: the
@@ -49,9 +48,21 @@ class FirstHops:
         self._dead_suspects: frozenset[int] = frozenset()
         #: every failover performed: (frame, scheduled_proxy, replacement)
         self.failover_events: list[tuple[int, int, int]] = []
+        #: (epoch, the players the schedule hands me in it): answers
+        #: :meth:`is_proxy_of` once per consumed update without a lookup
+        self._epoch_clients: tuple[int, frozenset[int]] = (-1, frozenset())
         #: self-defense: last frame of the challenge window, and of a burst
         self._defense_until = -1
         self._last_defense = -(10**9)
+
+    def reschedule(self, schedule: ProxySchedule) -> None:
+        """A roster removal reduced the schedule: re-point, forget my clients."""
+        self.schedule = schedule
+        self._epoch_clients = (-1, frozenset())
+
+    def open_epoch(self, epoch: int, clients: Iterable[int]) -> None:
+        """``clients`` is ``schedule.clients_of(me, epoch)``, drawn once."""
+        self._epoch_clients = (epoch, frozenset(clients))
 
     # ---- liveness and failover --------------------------------------------
 
@@ -193,6 +204,9 @@ class FirstHops:
         return self.schedule.verify_route(player_id, epoch, self.player_id, self.depth)
 
     def is_proxy_of(self, player_id: int, epoch: int) -> bool:
+        clients_epoch, clients = self._epoch_clients
+        if epoch == clients_epoch:
+            return player_id in clients
         return self.schedule.verify_proxy(player_id, epoch, self.player_id)
 
     def accepts_first_hop_from(self, player_id: int, epoch: int) -> bool:

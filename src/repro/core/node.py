@@ -22,8 +22,9 @@ is encoded afresh, so what crosses the wire is what the cheat made.
 
 from __future__ import annotations
 
+from collections import Counter as Tally
 from dataclasses import dataclass, field, replace as dataclass_replace
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Protocol, Sequence
 
 from repro.core.clients import ClientBook, ClientState
 from repro.core.config import (
@@ -148,7 +149,8 @@ class NodeMetrics:
     Observations nobody reads per node are registry instruments only.
     """
 
-    update_ages: list[tuple[str, int]] = field(default_factory=list)  # (kind, frames)
+    #: received updates per (kind, age in frames)
+    update_ages: Tally[tuple[str, int]] = field(default_factory=Tally)
     ratings: list[CheatRating] = field(default_factory=list)
     signature_failures: int = 0
     replayed_messages: int = 0
@@ -161,9 +163,9 @@ class NodeMetrics:
         self._ctr_replayed = registry.counter("node.replayed_messages")
         self._ctr_direct = registry.counter("node.direct_update_violations")
         self._ctr_forwarded = registry.counter("node.forwarded_messages")
-        self._ctr_ratings = registry.counter("node.ratings_emitted")
-        self._ctr_suspicious = registry.counter("node.ratings_suspicious")
         self._hist_age = registry.histogram("node.update_age_frames", AGE_BUCKETS)
+        self.ratings_emitted = registry.counter("node.ratings_emitted")
+        self.ratings_suspicious = registry.counter("node.ratings_suspicious")
         self.frames_signed = registry.counter("node.frames_signed")
         self.failovers = registry.counter("node.proxy_failovers")
         self.acks_sent = registry.counter("node.acks_sent")
@@ -189,19 +191,13 @@ class NodeMetrics:
         self.direct_update_violations += 1
         self._ctr_direct.inc()
 
-    def count_forwarded_message(self) -> None:
-        self.forwarded_messages += 1
-        self._ctr_forwarded.inc()
+    def count_forwarded_messages(self, count: int) -> None:
+        self.forwarded_messages += count
+        self._ctr_forwarded.inc(count)
 
     def record_age(self, kind: str, age: int) -> None:
-        self.update_ages.append((kind, age))
+        self.update_ages[kind, age] += 1
         self._hist_age.record(float(age))
-
-    def record_rating(self, rating: CheatRating) -> None:
-        self.ratings.append(rating)
-        self._ctr_ratings.inc()
-        if rating.suspicious:
-            self._ctr_suspicious.inc()
 
 
 class WatchmenNode:
@@ -215,7 +211,7 @@ class WatchmenNode:
         config: WatchmenConfig,
         schedule: ProxySchedule,
         signer: HmacSigner,
-        send: Callable[[int, int, bytes], bool],
+        send_many: Callable[[int, Sequence[int], bytes], None],
         behaviour: NodeBehaviour | None = None,
         rating_sink: Callable[[CheatRating], None] | None = None,
         is_server: bool = False,
@@ -230,7 +226,7 @@ class WatchmenNode:
         self.config = config
         self.schedule = schedule
         self.signer = signer
-        self._send_raw = send
+        self._send_many = send_many
         self.behaviour: NodeBehaviour = behaviour or HonestBehaviour()
         self._rating_sink = rating_sink
         #: sink into the transport's unified drop accounting (the session
@@ -334,8 +330,10 @@ class WatchmenNode:
                 for new_proxy, handoff in self.clients.export_handoffs(
                     frame, epoch, self.first_hops
                 ):
-                    self._transmit(self._sequenced(handoff), new_proxy)
-            self.clients.open_epoch(self.schedule.clients_of(self.player_id, epoch))
+                    self._transmit(self._sequenced(handoff), (new_proxy,))
+            assigned = self.schedule.clients_of(self.player_id, epoch)
+            self.first_hops.open_epoch(epoch, assigned)
+            self.clients.open_epoch(assigned)
 
         # -- proxy liveness / failover (Section VI extended; inert at depth 0) --
         if not self.is_server:
@@ -402,7 +400,7 @@ class WatchmenNode:
         # Extras bypass filter_outgoing: they are already the behaviour's
         # final word (a delay cheat would otherwise re-capture them).
         for message, destination in self.behaviour.extra_messages(frame):
-            self._transmit_unfiltered(message, destination)
+            self._transmit_unfiltered(message, (destination,))
 
     def estimate_of(self, other_id: int, frame: int) -> AvatarSnapshot | None:
         """What this node would *render* for another avatar at ``frame``.
@@ -482,7 +480,7 @@ class WatchmenNode:
             # so the send sees it tracked and keeps the attempt count.
             self._acks.refile(pending, destination, frame)
             self.metrics.ack_retries.inc()
-            self._transmit_unfiltered(pending.message, destination, pending.buffer)
+            self._transmit_unfiltered(pending.message, (destination,), pending.buffer)
 
     def _send_ack(self, src: int, message: GameMessage) -> None:
         """Receipt for an ackable message, back to the sending hop."""
@@ -494,7 +492,7 @@ class WatchmenNode:
             acked_sequence=message.sequence,
         )
         self.metrics.acks_sent.inc()
-        self._transmit(ack, src)
+        self._transmit(ack, (src,))
 
     def _on_ack(self, src: int, ack: AckMessage) -> None:
         self._acks.settle(src, ack)
@@ -512,10 +510,7 @@ class WatchmenNode:
         by the live candidate (receivers dedup by sequence).
         """
         message = self._sequenced(message)
-        for destination in self.publisher.direct_audience(message):
-            self._transmit(message, destination)
-        for proxy in proxies:
-            self._transmit(message, proxy)
+        self._transmit(message, [*self.publisher.direct_audience(message), *proxies])
 
     def _send_subscriptions(
         self,
@@ -534,9 +529,8 @@ class WatchmenNode:
     def _apply_roster_removals(self, removed: set[int]) -> None:
         """Swap to the reduced schedule every honest node derives alike."""
         self.roster = [p for p in self.roster if p not in removed]
-        self.schedule = self.first_hops.schedule = self.schedule.without_players(
-            removed
-        )
+        self.first_hops.reschedule(self.schedule.without_players(removed))
+        self.schedule = self.first_hops.schedule
         self.clients.drop(removed)
         for player in removed:
             self.known.pop(player, None)
@@ -862,27 +856,23 @@ class WatchmenNode:
         needs the unbroken first-hop stream) runs when configured.
         Position-only snapshots carry no orientation, so ``aim`` is off.
         """
-        verdicts = [self.position_verifier.observe(self.player_id, snapshot, confidence)]
+        me = self.player_id
+        rating = self.position_verifier.observe(me, snapshot, confidence)
+        if rating is not None:
+            self._emit_rating(rating, client)
         if aim:
-            verdicts.append(
-                self.aim_verifier.observe(self.player_id, snapshot, confidence)
-            )
-        if client is not None and self.action_repetition_verifier is not None:
-            replay = self.action_repetition_verifier.observe(
-                self.player_id, snapshot, confidence
-            )
-            if replay is not None and replay.suspicious:
-                verdicts.append(replay)
-        for rating in verdicts:
+            rating = self.aim_verifier.observe(me, snapshot, confidence)
             if rating is not None:
-                self._emit_rating(rating)
-                if client is not None and rating.suspicious:
-                    client.suspicion_flags += 1
-        guidance_rating = self.guidance_verifier.observe_position(
-            self.player_id, snapshot, confidence, calibrate=True
+                self._emit_rating(rating, client)
+        if client is not None and self.action_repetition_verifier is not None:
+            rating = self.action_repetition_verifier.observe(me, snapshot, confidence)
+            if rating is not None and rating.suspicious:
+                self._emit_rating(rating, client)
+        rating = self.guidance_verifier.observe_position(
+            me, snapshot, confidence, calibrate=True
         )
-        if guidance_rating is not None:
-            self._emit_rating(guidance_rating)
+        if rating is not None:
+            self._emit_rating(rating)
 
     def _refresh_view(
         self, kind: str, sender: int, frame: int, snapshot: AvatarSnapshot
@@ -902,16 +892,15 @@ class WatchmenNode:
     def _relay(self, message: GameMessage, audience: Iterable[int]) -> None:
         """Proxy fan-out: forward a client's message to ``audience``, minus
         the client himself and me."""
-        for destination in audience:
-            if destination != message.sender_id and destination != self.player_id:
-                self._transmit(message, destination)
-                self.metrics.count_forwarded_message()
+        sender, me = message.sender_id, self.player_id
+        destinations = [d for d in audience if d != sender and d != me]
+        self._transmit(message, destinations)
+        self.metrics.count_forwarded_messages(len(destinations))
 
     def _broadcast(self, message: GameMessage, skip: Iterable[int] = ()) -> None:
         """Send directly to every current roster member but me (and ``skip``)."""
-        for destination in self.membership.current_roster():
-            if destination != self.player_id and destination not in skip:
-                self._transmit(message, destination)
+        me, roster = self.player_id, self.membership.current_roster()
+        self._transmit(message, [d for d in roster if d != me and d not in skip])
 
     # -- guidance ------------------------------------------------------------
 
@@ -993,8 +982,8 @@ class WatchmenNode:
         if target_proxy == self.player_id:
             self.clients.register(request, self.current_frame)
         else:
-            self._transmit(request, target_proxy)
-            self.metrics.count_forwarded_message()
+            self._transmit(request, (target_proxy,))
+            self.metrics.count_forwarded_messages(1)
 
     def _verify_subscription(self, request: SubscriptionRequest) -> None:
         # Judge against the subscriber's pose at (or just after) the frame
@@ -1134,32 +1123,55 @@ class WatchmenNode:
         """A role's unsequenced message, stamped as it is about to leave."""
         return dataclass_replace(message, sequence=self._next_sequence())
 
-    def _transmit(self, message: GameMessage, destination: int) -> None:
-        """Sign and send through the behaviour hooks and the transport."""
-        for out_message, out_destination in self.behaviour.filter_outgoing(
-            self.current_frame, message, destination
-        ):
-            self._transmit_unfiltered(out_message, out_destination)
+    def _transmit(self, message: GameMessage, destinations: Iterable[int]) -> None:
+        """Sign and send through the behaviour hooks and the transport.
+
+        The behaviour filters destination by destination; consecutive
+        outputs that are the same message object leave as one send.
+        """
+        filter_outgoing, frame = self.behaviour.filter_outgoing, self.current_frame
+        batch_message = message
+        batch: list[int] = []
+        for destination in destinations:
+            for out_message, out_destination in filter_outgoing(
+                frame, message, destination
+            ):
+                if out_message is not batch_message:
+                    self._transmit_unfiltered(batch_message, batch)
+                    batch_message, batch = out_message, []
+                batch.append(out_destination)
+        self._transmit_unfiltered(batch_message, batch)
 
     def _transmit_unfiltered(
-        self, message: GameMessage, destination: int, buffer: bytes | None = None
+        self,
+        message: GameMessage,
+        destinations: Sequence[int],
+        buffer: bytes | None = None,
     ) -> None:
-        """Sign and send without re-applying the behaviour's filter.
+        """Sign once and send to every destination, in order, without
+        re-applying the behaviour's filter.
 
         ``buffer`` is the frame of an earlier send of ``message`` (a
         retransmission goes out as the bytes the first attempt did).
         """
+        if not destinations:
+            return
         if buffer is None:
             buffer = self._signed(message)
-        if destination == self.player_id:
+        if self.player_id in destinations:
             # Loopback.  One caller gets here: ``_drive_retries`` re-aiming
             # a stage-2 subscription relay or a handoff at the live
             # stand-in for a dead proxy, when that stand-in is me.  The
             # signed buffer takes the ordinary receive path.
+            at = destinations.index(self.player_id)
+            self._transmit_unfiltered(message, destinations[:at], buffer)
             self.on_message(self.player_id, buffer)
+            self._transmit_unfiltered(message, destinations[at + 1 :], buffer)
             return
-        self._acks.track(message, buffer, destination, self.current_frame)
-        self._send_raw(self.player_id, destination, buffer)
+        if isinstance(message, self._acks.ackable):
+            for destination in destinations:
+                self._acks.track(message, buffer, destination, self.current_frame)
+        self._send_many(self.player_id, destinations, buffer)
 
     def _signed(self, message: GameMessage) -> bytes:
         """The frame ``message`` crosses the wire as.
@@ -1180,8 +1192,18 @@ class WatchmenNode:
         self.metrics.frames_signed.inc()
         return seal(signable, self.signer.sign(self.player_id, signable))
 
-    def _emit_rating(self, rating: CheatRating) -> None:
-        self.metrics.record_rating(rating)
+    def _emit_rating(
+        self, rating: CheatRating, client: ClientState | None = None
+    ) -> None:
+        """File a verdict; a suspicious one about a ``client`` I proxy also
+        counts toward his handoff summary."""
+        metrics = self.metrics
+        metrics.ratings.append(rating)
+        metrics.ratings_emitted.inc()
+        if rating.suspicious:
+            metrics.ratings_suspicious.inc()
+            if client is not None:
+                client.suspicion_flags += 1
         if self._rating_sink is not None:
             self._rating_sink(rating)
 

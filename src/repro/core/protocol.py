@@ -241,7 +241,7 @@ class WatchmenSession:
                 config=self.config,
                 schedule=self.schedule,
                 signer=self.signer,
-                send=self.network.send,
+                send_many=self.network.send_many,
                 behaviour=behaviour,
                 rating_sink=self.reputation.submit_rating,
                 is_server=node_id in self.server_ids,
@@ -261,10 +261,7 @@ class WatchmenSession:
                 node.publisher.audience_oracle = self._audience_oracle
                 node.publisher.own_future = self._future_oracle_for(node_id)
             self.nodes[node_id] = node
-            self.network.register(
-                node_id,
-                lambda datagram, n=node: n.on_message(datagram.src, datagram.payload),
-            )
+            self.network.register(node_id, node.on_message)
 
         self._kills_by_frame: dict[int, list] = {}
         for kill in trace.kills:
@@ -408,9 +405,9 @@ class WatchmenSession:
         total_ages: Counter[int] = Counter()
         by_kind: dict[str, Counter[int]] = {}
         for node in self.nodes.values():
-            for kind, age in node.metrics.update_ages:
-                total_ages[age] += 1
-                by_kind.setdefault(kind, Counter())[age] += 1
+            for (kind, age), count in node.metrics.update_ages.items():
+                total_ages[age] += count
+                by_kind.setdefault(kind, Counter())[age] += count
             report.ratings.extend(node.metrics.ratings)
         report.age_histogram = dict(total_ages)
         report.age_histogram_by_kind = {

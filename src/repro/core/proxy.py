@@ -17,23 +17,13 @@ The pool can exclude low-resource nodes and weight powerful ones
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from repro.core.config import PROXY_PERIOD_FRAMES
 from repro.crypto.prng import VerifiablePrng
 from repro.obs.registry import get_registry
 
-__all__ = ["ProxySchedule", "ProxyAssignment"]
-
-
-@dataclass(frozen=True, slots=True)
-class ProxyAssignment:
-    """One player's proxy for one epoch."""
-
-    player_id: int
-    proxy_id: int
-    epoch: int
+__all__ = ["ProxySchedule"]
 
 
 class ProxySchedule:
@@ -160,12 +150,6 @@ class ProxySchedule:
             player
             for player in self.roster
             if self.proxy_of(player, epoch) == proxy_id
-        ]
-
-    def assignment_table(self, epoch: int) -> list[ProxyAssignment]:
-        return [
-            ProxyAssignment(player, self.proxy_of(player, epoch), epoch)
-            for player in self.roster
         ]
 
     # ---- verification --------------------------------------------------------

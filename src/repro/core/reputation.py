@@ -20,6 +20,7 @@ Watchmen treats the reputation backend as pluggable (anything with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.verification import CheatRating
 
@@ -36,8 +37,7 @@ SUSPICION_RATING_THRESHOLD = 6.0
 MIN_REPORT_CONFIDENCE = 0.25
 
 
-@dataclass(frozen=True, slots=True)
-class InteractionTag:
+class InteractionTag(NamedTuple):
     """One success/failure report about a subject from a reporter."""
 
     reporter_id: int
@@ -49,13 +49,9 @@ class InteractionTag:
 
     @staticmethod
     def from_rating(rating: CheatRating) -> "InteractionTag":
-        return InteractionTag(
-            reporter_id=rating.verifier_id,
-            subject_id=rating.subject_id,
-            frame=rating.frame,
-            success=rating.rating < SUSPICION_RATING_THRESHOLD,
-            confidence=rating.confidence,
-            check=rating.check,
+        return InteractionTag(  # positionally: built once per rating
+            rating.verifier_id, rating.subject_id, rating.frame,
+            rating.rating < SUSPICION_RATING_THRESHOLD, rating.confidence, rating.check,
         )
 
 

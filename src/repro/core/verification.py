@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.config import FRAME_SECONDS
 from repro.game.avatar import AvatarSnapshot
@@ -84,8 +85,7 @@ class CheckKind:
     ALL = (POSITION, GUIDANCE, KILL, IS_SUBSCRIPTION, VS_SUBSCRIPTION, RATE, AIM)
 
 
-@dataclass(frozen=True, slots=True)
-class CheatRating:
+class CheatRating(NamedTuple):
     """One verifier's verdict on one observed action."""
 
     verifier_id: int
@@ -184,8 +184,9 @@ class PositionVerifier:
         confidence: float,
     ) -> CheatRating | None:
         """Feed one received update; returns a rating once history exists."""
-        previous = self._last_seen.get(snapshot.player_id)
-        self._last_seen[snapshot.player_id] = snapshot
+        subject = snapshot.player_id
+        previous = self._last_seen.get(subject)
+        self._last_seen[subject] = snapshot
         if previous is None or snapshot.frame <= previous.frame:
             return None
         frames = snapshot.frame - previous.frame
@@ -196,27 +197,16 @@ class PositionVerifier:
         # from a teleport hack; abstain rather than guess (low-staleness
         # evidence would get near-zero confidence anyway).
         if frames > self.max_gap_frames:
-            self._last_seen[snapshot.player_id] = snapshot
             return None
-        excess = self.physics.displacement_excess(
-            previous.position, snapshot.position, frames
-        )
+        physics = self.physics
+        excess = physics.displacement_excess(previous.position, snapshot.position, frames)
         # Slack absorbs frame-phase and quantization noise so honest
         # movement never rates above 1 (the FP ≤ 5 % operating point).
-        allowed = max(
-            2.0,
-            self.physics.max_horizontal_travel(frames) * (self.tolerance - 1.0),
-        )
-        rating = rating_from_deviation(excess, allowed)
-        return CheatRating(
-            verifier_id=verifier_id,
-            subject_id=snapshot.player_id,
-            frame=snapshot.frame,
-            check=CheckKind.POSITION,
-            rating=rating,
-            confidence=confidence,
-            deviation=excess,
-            detail=f"envelope excess {excess:.0f}u over {frames} frame(s)",
+        allowed = max(2.0, physics.max_horizontal_travel(frames) * (self.tolerance - 1.0))
+        return CheatRating(  # positionally: built once per delivered update
+            verifier_id, subject, snapshot.frame, CheckKind.POSITION,
+            rating_from_deviation(excess, allowed), confidence, excess,
+            f"envelope excess {excess:.0f}u over {frames} frame(s)",
         )
 
 
@@ -248,8 +238,9 @@ class AimVerifier:
         snapshot: AvatarSnapshot,
         confidence: float,
     ) -> CheatRating | None:
-        previous = self._last_seen.get(snapshot.player_id)
-        self._last_seen[snapshot.player_id] = snapshot
+        subject = snapshot.player_id
+        previous = self._last_seen.get(subject)
+        self._last_seen[subject] = snapshot
         if previous is None or snapshot.frame <= previous.frame:
             return None
         frames = snapshot.frame - previous.frame
@@ -261,16 +252,10 @@ class AimVerifier:
             (snapshot.yaw - previous.yaw + math.pi) % (2.0 * math.pi) - math.pi
         )
         allowed = self.max_turn_rate * self.frame_seconds * frames * self.tolerance
-        rating = rating_from_deviation(delta, allowed)
-        return CheatRating(
-            verifier_id=verifier_id,
-            subject_id=snapshot.player_id,
-            frame=snapshot.frame,
-            check=CheckKind.AIM,
-            rating=rating,
-            confidence=confidence,
-            deviation=delta,
-            detail=f"turned {delta:.2f} rad in {frames} frame(s)",
+        return CheatRating(  # positionally: built once per delivered update
+            verifier_id, subject, snapshot.frame, CheckKind.AIM,
+            rating_from_deviation(delta, allowed), confidence, delta,
+            f"turned {delta:.2f} rad in {frames} frame(s)",
         )
 
 

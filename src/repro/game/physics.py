@@ -340,14 +340,17 @@ class Physics:
         """
         if frames <= 0:
             return start.distance_to(end)
-        offset = end - start
+        # ``end - start`` on plain floats (``hypot`` as ``horizontal_length`` takes it)
+        dz = end.z - start.z
         horizontal_excess = max(
-            0.0, offset.horizontal_length() - self.max_horizontal_travel(frames)
+            0.0,
+            math.hypot(end.x - start.x, end.y - start.y)
+            - self.max_horizontal_travel(frames),
         )
-        if offset.z >= 0:
-            vertical_excess = max(0.0, offset.z - self.max_ascent(frames))
+        if dz >= 0:
+            vertical_excess = max(0.0, dz - self.max_ascent(frames))
         else:
-            vertical_excess = max(0.0, -offset.z - self.max_descent(frames))
+            vertical_excess = max(0.0, -dz - self.max_descent(frames))
         return max(horizontal_excess, vertical_excess)
 
     def speed_of(self, start: Vec3, end: Vec3, frames: int) -> float:

@@ -27,7 +27,8 @@ Call resolution is deliberately conservative, in three tiers:
 
 Known blind spots (see docs/STATIC_ANALYSIS.md): dynamic dispatch through
 ``getattr``/dicts of callables, monkeypatching at runtime, and callables
-passed as values (``send=self.network.send``) are invisible to the graph.
+passed as values (``send_many=self.network.send_many``) are invisible to
+the graph.
 """
 
 from __future__ import annotations

@@ -34,7 +34,10 @@ FULL_STATE_TYPES = frozenset({"StateUpdate", "FullUpdate"})
 #: plus the node's fan-out wrappers over them (message first, like
 #: ``_transmit``): a relay or broadcast *is* a send to the F/S/M rules.
 TRANSMIT_NAMES = frozenset(
-    {"_transmit", "_transmit_unfiltered", "_send_raw", "send", "_relay", "_broadcast"}
+    {
+        "_transmit", "_transmit_unfiltered", "_send_many", "send_many", "send",
+        "_relay", "_broadcast",
+    }
 )
 
 #: Reduced-resolution message type -> the payload field that must be reduced.
@@ -100,9 +103,9 @@ def _gate_qnames(graph: CallGraph) -> frozenset[str]:
     )
 
 
-#: Raw primitives (``src, destination, frame``) carry the payload in
+#: Raw primitives (``src, destinations, frame``) carry the payload in
 #: the third slot; the filtered ``_transmit`` wrappers lead with it.
-_RAW_PRIMITIVES = frozenset({"_send_raw", "send"})
+_RAW_PRIMITIVES = frozenset({"_send_many", "send_many", "send"})
 
 
 def _message_argument(call: ast.Call, callee: str) -> ast.expr | None:

@@ -7,9 +7,9 @@ payload straight to the transport bypasses signing-side verification and
 re-opens network-level cheats (suppression, timestamp games) that the
 proxy exists to catch.
 
-* **R501** — a direct transport-sink call (``Transport.send``-shaped:
-  attribute named ``send``/``_send_raw`` taking the 3-argument
-  ``(src, dst, frame)`` shape) from ``core/node.py`` or
+* **R501** — a direct transport-sink call (``Transport.send_many``-shaped:
+  attribute named ``send_many``/``_send_many``/``send`` taking the
+  3-argument ``(src, dsts, frame)`` shape) from ``core/node.py`` or
   ``game/*`` outside the one sanctioned egress point
   (``WatchmenNode._transmit_unfiltered``) and with no call edge into the
   proxy layer (``core/proxy.py``).
@@ -31,9 +31,9 @@ from repro.lint.violations import Violation
 __all__ = ["run_routing_rules", "SANCTIONED_EGRESS"]
 
 #: Attribute names that look like the raw transport sink.
-_SINK_ATTRS = frozenset({"send", "_send_raw"})
+_SINK_ATTRS = frozenset({"send_many", "_send_many", "send"})
 
-#: The (src, dst, frame) transport signature arity.
+#: The (src, dsts, frame) transport signature arity.
 _SINK_ARITY = 3
 
 #: The one function allowed to touch the raw transport: every message
@@ -97,7 +97,7 @@ def _check_r501(
         if not isinstance(func, ast.Attribute) or func.attr not in _SINK_ATTRS:
             continue
         if len(node.args) + len(node.keywords) != _SINK_ARITY:
-            continue  # not the (src, dst, frame) transport shape
+            continue  # not the (src, dsts, frame) transport shape
         if routes_via_proxy:
             continue
         violations.append(
@@ -125,13 +125,18 @@ def _payload_params(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
     return names
 
 
-def _destination_argument(call: ast.Call) -> ast.expr | None:
+def _destination_arguments(call: ast.Call) -> list[ast.expr]:
+    """The destination expressions of a (list-valued) transmit call: the
+    elements of a literal list/tuple, or the lone expression."""
+    destinations: ast.expr | None = None
     for keyword in call.keywords:
-        if keyword.arg in ("destination", "dst"):
-            return keyword.value
-    if len(call.args) >= 2:
-        return call.args[1]
-    return None
+        if keyword.arg in ("destinations", "destination", "dst"):
+            destinations = keyword.value
+    if destinations is None and len(call.args) >= 2:
+        destinations = call.args[1]
+    if isinstance(destinations, (ast.List, ast.Tuple)):
+        return list(destinations.elts)
+    return [] if destinations is None else [destinations]
 
 
 def _check_r502(
@@ -151,13 +156,14 @@ def _check_r502(
         )
         if name not in TRANSMIT_NAMES:
             continue
-        destination = _destination_argument(node)
-        if (
-            isinstance(destination, ast.Attribute)
-            and destination.attr == "sender_id"
-            and isinstance(destination.value, ast.Name)
-            and destination.value.id in params
-        ):
+        for destination in _destination_arguments(node):
+            if not (
+                isinstance(destination, ast.Attribute)
+                and destination.attr == "sender_id"
+                and isinstance(destination.value, ast.Name)
+                and destination.value.id in params
+            ):
+                continue
             violations.append(
                 Violation(
                     rule="R502",

@@ -286,8 +286,8 @@ _CATALOG_ENTRIES = (
         ),
         scope="src/repro/{core,game} (whole-program, via callgraph.py)",
         examples=(
-            "flags:  self._send_raw(me, peer, StateUpdate(...), size)  # no gate",
-            "ok:     for s in table.interest_subscribers(frame): self._transmit(update, s)",
+            "flags:  self._send_many(me, peers, StateUpdate(...))  # no gate",
+            "ok:     self._transmit(update, table.interest_subscribers(frame))",
         ),
     ),
     RuleInfo(
@@ -317,7 +317,7 @@ _CATALOG_ENTRIES = (
             "Section III-B: all of a player's traffic flows through its "
             "proxies — that is what hides network identities and gives "
             "verification its vantage point.  The rule flags any "
-            "3-argument (src, dst, frame) send-shaped call from "
+            "3-argument (src, dsts, frame) send-shaped call from "
             "core/node.py or game/* unless it is the sanctioned egress "
             "point (WatchmenNode._transmit_unfiltered) or the enclosing "
             "function has a call edge into core/proxy.py.  Everything "
@@ -327,8 +327,8 @@ _CATALOG_ENTRIES = (
         ),
         scope="core/node.py + src/repro/game (whole-program)",
         examples=(
-            "flags:  self._send_raw(self.player_id, peer, frame)  # in a handler",
-            "ok:     self._transmit(message, destination)",
+            "flags:  self._send_many(self.player_id, [peer], frame)  # in a handler",
+            "ok:     self._transmit(message, destinations)",
         ),
     ),
     RuleInfo(
@@ -346,8 +346,8 @@ _CATALOG_ENTRIES = (
         ),
         scope="dispatch handlers (_on_*/_handle_*/_dispatch_message/on_message)",
         examples=(
-            "flags:  self._transmit(reply, message.sender_id)",
-            "ok:     self._transmit(reply, src)",
+            "flags:  self._transmit(reply, (message.sender_id,))",
+            "ok:     self._transmit(reply, (src,))",
         ),
     ),
     RuleInfo(

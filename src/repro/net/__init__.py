@@ -13,11 +13,10 @@ Public surface:
 from repro.net.bandwidth import BandwidthMeter, NodeUsage
 from repro.net.events import EventQueue, SimulationError
 from repro.net.latency import LatencyMatrix, king_like, peerwise_like, uniform_lan
-from repro.net.transport import Datagram, DatagramNetwork, NetworkConfig
+from repro.net.transport import DatagramNetwork, NetworkConfig
 
 __all__ = [
     "BandwidthMeter",
-    "Datagram",
     "DatagramNetwork",
     "EventQueue",
     "LatencyMatrix",

@@ -38,10 +38,13 @@ class BandwidthMeter:
             entry = self._usage[node_id] = NodeUsage()
         return entry
 
-    def record_send(self, node_id: int, size_bytes: int, time: float) -> None:
+    def record_send(
+        self, node_id: int, size_bytes: int, time: float, copies: int = 1
+    ) -> None:
+        """Book ``copies`` sends of ``size_bytes`` each, all at ``time``."""
         entry = self.usage(node_id)
-        entry.sent_bytes += size_bytes
-        entry.sent_messages += 1
+        entry.sent_bytes += size_bytes * copies
+        entry.sent_messages += copies
         self._end_time = max(self._end_time, time)
 
     def record_receive(self, node_id: int, size_bytes: int, time: float) -> None:

@@ -16,9 +16,10 @@ table its owner hands it.
 
 from __future__ import annotations
 
-from random import Random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping
+from functools import partial
+from random import Random
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.core.config import (
     GE_LOSS_BAD,
@@ -34,7 +35,7 @@ from repro.obs.registry import get_registry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
 
-__all__ = ["Datagram", "NetworkConfig", "DatagramNetwork", "ScheduleController"]
+__all__ = ["NetworkConfig", "DatagramNetwork", "ScheduleController"]
 
 
 class ScheduleController:
@@ -52,21 +53,6 @@ class ScheduleController:
 
     def intercept(self, src: int, dst: int, frame: bytes) -> bool:
         raise NotImplementedError
-
-
-@dataclass(frozen=True, slots=True)
-class Datagram:
-    """One delivered message."""
-
-    src: int
-    dst: int
-    payload: bytes
-    sent_at: float
-    delivered_at: float
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self.payload)
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,7 +94,7 @@ class DatagramNetwork:
         self.config = config or NetworkConfig()
         self.meter = BandwidthMeter()
         self.rng = Random(self.config.seed)
-        self._handlers: dict[int, Callable[[Datagram], None]] = {}
+        self._handlers: dict[int, Callable[[int, bytes], None]] = {}
         self.sent = 0
         self.delivered = 0
         self.lost = 0
@@ -169,21 +155,11 @@ class DatagramNetwork:
         datagram re-enters the normal delivery path (counters, bandwidth
         accounting, crashed-destination screening).
         """
-        self._deliver(
-            Datagram(
-                src=src,
-                dst=dst,
-                payload=frame,
-                sent_at=sent_at,
-                delivered_at=self.queue.now,
-            )
-        )
+        self._deliver(src, dst, frame, sent_at)
 
     def drop_captured(self) -> None:
         """Account a controller-decided drop (cause ``schedule``)."""
-        self.lost += 1
-        self._ctr_lost.inc()
-        self._count_drop("schedule")
+        self._lose("schedule")
 
     def count_protocol_drop(self, cause: str) -> None:
         """Account a datagram the *receiving node* refused after delivery.
@@ -197,6 +173,12 @@ class DatagramNetwork:
         self.rejected_by_protocol += 1
         self._count_drop(cause)
 
+    def _lose(self, cause: str) -> None:
+        """One datagram died before delivery (invisible to its sender)."""
+        self.lost += 1
+        self._ctr_lost.inc()
+        self._count_drop(cause)
+
     def _count_drop(self, cause: str) -> None:
         self.dropped_by_cause[cause] = self.dropped_by_cause.get(cause, 0) + 1
         counter = self._ctr_dropped.get(cause)
@@ -205,8 +187,8 @@ class DatagramNetwork:
             self._ctr_dropped[cause] = counter
         counter.inc()
 
-    def register(self, node_id: int, handler: Callable[[Datagram], None]) -> None:
-        """Attach the receive handler for ``node_id``."""
+    def register(self, node_id: int, handler: Callable[[int, bytes], None]) -> None:
+        """Attach ``handler(src, frame)``, the receive handler for ``node_id``."""
         if not 0 <= node_id < self.latency.size:
             raise ValueError(f"node {node_id} outside latency matrix")
         self._handlers[node_id] = handler
@@ -218,21 +200,29 @@ class DatagramNetwork:
         """Send one datagram.  Always True: loss, faults and capture are
         invisible to the sender, exactly like UDP (the flag survives as the
         taps' — and so the tape's — ``accepted`` column)."""
-        self._send(src, dst, frame)
-        for tap in self.send_taps:
-            tap(src, dst, frame, True)
+        self.send_many(src, (dst,), frame)
         return True
 
-    def _send(self, src: int, dst: int, frame: bytes) -> None:
-        """The actual send path (:meth:`send` minus the observation taps)."""
+    def send_many(self, src: int, dsts: Sequence[int], frame: bytes) -> None:
+        """Send ``frame`` to every destination in ``dsts``, in order.
+
+        What depends on the frame alone — size, meter, counters, kind — is
+        booked once for all the copies; what depends on the link runs per
+        destination in the order a loop of single sends would run it
+        (capture, fault, loss draw, jitter draw, event, duplicate, taps),
+        so the RNG stream and the event heap are that loop's.
+        """
+        copies = len(dsts)
+        if not copies:
+            return
         size_bytes = len(frame)
         if size_bytes == 0:
             raise ValueError("a datagram must not be empty")
         now = self.queue.now
-        self.meter.record_send(src, size_bytes, now)
-        self.sent += 1
-        self._ctr_sent.inc()
-        self._ctr_bytes.inc(size_bytes)
+        self.meter.record_send(src, size_bytes, now, copies)
+        self.sent += copies
+        self._ctr_sent.inc(copies)
+        self._ctr_bytes.inc(size_bytes * copies)
         tag = frame[0]
         per_type = self._sent_by_kind.get(tag)
         if per_type is None:
@@ -242,63 +232,44 @@ class DatagramNetwork:
                 self._obs.counter(f"net.sent.{kind}.bytes"),
             )
             self._sent_by_kind[tag] = per_type
-        per_type[0].inc()
-        per_type[1].inc(size_bytes)
-        if self.controller is not None and self.controller.intercept(
-            src, dst, frame
-        ):
-            # Captured: the controller owns delivery from here — including
-            # loss, which it models as explicit budgeted drop decisions, so
-            # ambient faults and in-flight loss must not race it (checked
-            # first).
-            return
-        if self.faults is not None:
-            # Like in-flight loss, a partition is invisible to the sender.
-            cause = self.faults.drop_cause(src, dst)
-            if cause is not None:
-                self.lost += 1
-                self._ctr_lost.inc()
-                self._count_drop(cause)
-                return
-        if src != dst and self._lost_in_flight(src, dst):
-            self.lost += 1
-            self._ctr_lost.inc()
-            self._count_drop("loss")
-            return
+        per_type[0].inc(copies)
+        per_type[1].inc(size_bytes * copies)
 
-        delay = self.latency.one_way(src, dst)
-        delay += self.rng.uniform(0.0, self.config.jitter_ms / 1000.0)
-        if self.faults is not None:
-            delay += self.faults.extra_delay_seconds(src, dst)
-        datagram = Datagram(
-            src=src,
-            dst=dst,
-            payload=frame,
-            sent_at=now,
-            delivered_at=now + delay,
-        )
-        self.queue.schedule(delay, lambda: self._deliver(datagram))
-        if self.faults is not None and src != dst:
-            offset = self.faults.duplicate_offset_seconds()
-            if offset is not None:
-                copy = Datagram(
-                    src=src,
-                    dst=dst,
-                    payload=frame,
-                    sent_at=now,
-                    delivered_at=now + delay + offset,
-                )
-                self.duplicated += 1
-                self._ctr_duplicated.inc()
-                self.queue.schedule(delay + offset, lambda: self._deliver(copy))
+        controller, faults, taps = self.controller, self.faults, self.send_taps
+        config, random, uniform = self.config, self.rng.random, self.rng.uniform
+        iid, loss_rate = config.loss_model == "iid", config.loss_rate
+        jitter = config.jitter_ms / 1000.0
+        one_way, schedule, deliver = self.latency.one_way, self.queue.schedule, self._deliver
+        for dst in dsts:
+            if controller is not None and controller.intercept(src, dst, frame):
+                # Captured: the controller owns delivery from here — including
+                # loss, which it models as explicit budgeted drop decisions, so
+                # ambient faults and in-flight loss must not race it (checked
+                # first).
+                pass
+            elif faults is not None and (cause := faults.drop_cause(src, dst)) is not None:
+                self._lose(cause)  # a partition: like loss, invisible to the sender
+            elif src != dst and (random() < loss_rate if iid else self._bursty_loss(src, dst)):
+                self._lose("loss")
+            else:
+                delay = one_way(src, dst) + uniform(0.0, jitter)
+                if faults is not None:
+                    delay += faults.extra_delay_seconds(src, dst)
+                arrival = partial(deliver, src, dst, frame, now)
+                schedule(delay, arrival)
+                if faults is not None and src != dst:
+                    offset = faults.duplicate_offset_seconds()
+                    if offset is not None:
+                        self.duplicated += 1
+                        self._ctr_duplicated.inc()
+                        schedule(delay + offset, arrival)
+            for tap in taps:
+                tap(src, dst, frame, True)
 
-    def _lost_in_flight(self, src: int, dst: int) -> bool:
-        """One loss decision, under the configured loss model."""
-        cfg = self.config
-        if cfg.loss_model == "iid":
-            return self.rng.random() < cfg.loss_rate
-        # Gilbert–Elliott: evolve the link's state, then sample loss at
-        # the new state's rate — losses cluster while the link is bad.
+    def _bursty_loss(self, src: int, dst: int) -> bool:
+        """One loss decision of the Gilbert–Elliott chain: evolve the link's
+        state, then sample loss at the new state's rate — losses cluster
+        while the link is bad."""
         key = (src, dst)
         bad = self._ge_state.get(key, False)
         flip = GE_P_BAD_TO_GOOD if bad else GE_P_GOOD_TO_BAD
@@ -308,17 +279,17 @@ class DatagramNetwork:
         rate = GE_LOSS_BAD if bad else GE_LOSS_GOOD
         return rate > 0.0 and self.rng.random() < rate
 
-    def _deliver(self, datagram: Datagram) -> None:
-        handler = self._handlers.get(datagram.dst)
+    def _deliver(self, src: int, dst: int, frame: bytes, sent_at: float) -> None:
+        """The event a send scheduled, firing: it is now the delivery time."""
+        handler = self._handlers.get(dst)
         if handler is None:
             # Node left (or crashed out of) the game; the in-flight
             # datagram evaporates at its door.
             self._count_drop("crashed")
             return
+        now = self.queue.now
         self.delivered += 1
         self._ctr_delivered.inc()
-        self._hist_delivery.record(datagram.delivered_at - datagram.sent_at)
-        self.meter.record_receive(
-            datagram.dst, datagram.size_bytes, datagram.delivered_at
-        )
-        handler(datagram)
+        self._hist_delivery.record(now - sent_at)
+        self.meter.record_receive(dst, len(frame), now)
+        handler(src, frame)

@@ -25,6 +25,7 @@ reference                                   gates
 ``line_of_sight_naive``                     ``GameMap.line_of_sight``
 ``box_contains`` / ``box_intersects_segment``  the slab arithmetic inlined in ``GameMap.line_of_sight``
 ``displacement_is_legal``                   what ``physics.step`` / the simulator may produce (``PositionVerifier``'s allowance)
+``displacement_excess_reference``           ``Physics.displacement_excess`` (the ``Vec3`` offset it stopped building)
 ==========================================  ====================================
 """
 
@@ -286,3 +287,20 @@ def displacement_is_legal(
         return start.distance_to(end) < 1.0
     allowance = self.max_horizontal_travel(frames) * (tolerance - 1.0)
     return self.displacement_excess(start, end, frames) <= allowance
+
+
+def displacement_excess_reference(
+    self: Physics, start: Vec3, end: Vec3, frames: int
+) -> float:
+    """How far beyond the physics envelope a displacement is (in units)."""
+    if frames <= 0:
+        return start.distance_to(end)
+    offset = end - start
+    horizontal_excess = max(
+        0.0, offset.horizontal_length() - self.max_horizontal_travel(frames)
+    )
+    if offset.z >= 0:
+        vertical_excess = max(0.0, offset.z - self.max_ascent(frames))
+    else:
+        vertical_excess = max(0.0, -offset.z - self.max_descent(frames))
+    return max(horizontal_excess, vertical_excess)

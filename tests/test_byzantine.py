@@ -103,7 +103,7 @@ class Harness:
                 config=self.config,
                 schedule=self.schedule,
                 signer=self.signer,
-                send=wire.send,
+                send_many=wire.send_many,
             )
 
     def tick(self, frame):

@@ -210,13 +210,13 @@ MODE_GATES = {"profile"}
 ROLE_MODULES = ("liveness", "clients", "evidence", "publisher")
 
 #: What only the node may do: touch the wire and feed the rating sink.
-NODE_ONLY = {"_transmit", "_transmit_unfiltered", "_send_raw", "_emit_rating",
+NODE_ONLY = {"_transmit", "_transmit_unfiltered", "_send_many", "_emit_rating",
              "_rate_violation"}
 
 #: State the roles own; none of it may reappear on the node.
 ROLE_STATE = {
     "_failover_depth", "_dead_suspects", "_active_proxy", "failover_events",
-    "_clients",
+    "_clients", "_epoch_clients",
     "_evidence_emitted", "_starvation_rated", "quarantine_events",
     "equivocation_events", "suspicion_events",
     "_last_published", "_pending_kills", "_pending_projectiles", "own_future",

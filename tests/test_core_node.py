@@ -57,7 +57,7 @@ class LoopbackHarness:
                 config=self.config,
                 schedule=self.schedule,
                 signer=self.signer,
-                send=wire.send,
+                send_many=wire.send_many,
                 behaviour=behaviours.get(player_id),
             )
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core import WatchmenConfig, WatchmenSession
 from repro.core.config import FRAMES_PER_SECOND, HANDOFF_DEPTH
 from repro.core.messages import HandoffMessage, StateUpdate
+from repro.core.node import NodeMetrics
 from repro.game.avatar import AvatarSnapshot
 from repro.game.vector import Vec3
 from repro.net.latency import uniform_lan
@@ -14,16 +15,16 @@ from tests.wirekit import as_frame, as_message
 def collect_messages(session, predicate):
     """Re-run helper: intercept messages matching ``predicate``."""
     collected = []
-    original_send = session.network.send
+    original_send_many = session.network.send_many
 
-    def spy(src, dst, frame):
+    def spy(src, dsts, frame):
         message = as_message(frame)
         if predicate(message):
-            collected.append((src, dst, message, len(frame)))
-        return original_send(src, dst, frame)
+            collected.extend((src, dst, message, len(frame)) for dst in dsts)
+        original_send_many(src, dsts, frame)
 
     for node in session.nodes.values():
-        node._send_raw = spy
+        node._send_many = spy
     return collected
 
 
@@ -119,6 +120,28 @@ class TestEstimateOf:
         at_horizon = node.estimate_of(1, snapshot.frame + horizon)
         way_past = node.estimate_of(1, snapshot.frame + horizon + 100)
         assert at_horizon.position == way_past.position
+
+
+class TestUpdateAges:
+    def test_ages_are_tallied_in_first_seen_order_and_fold_into_the_report(
+        self, small_trace, longest_yard
+    ):
+        metrics = NodeMetrics()
+        for kind, age in [("state", 1), ("position", 0), ("state", 1), ("state", 0)]:
+            metrics.record_age(kind, age)
+        assert list(metrics.update_ages.items()) == [
+            (("state", 1), 2), (("position", 0), 1), (("state", 0), 1),
+        ]
+        session = WatchmenSession(small_trace, game_map=longest_yard)
+        report = session.run(max_frames=60)
+        tallies = [node.metrics.update_ages for node in session.nodes.values()]
+        assert sum(report.age_histogram.values()) == sum(
+            sum(tally.values()) for tally in tallies
+        )
+        for kind, histogram in report.age_histogram_by_kind.items():
+            assert histogram == {
+                age: sum(t[kind, age] for t in tallies) for age in histogram
+            }
 
 
 class TestServerNodeBehaviour:

@@ -179,7 +179,7 @@ def ack_withholding():
     )
     harness.tick(0)
     node = harness.nodes[1]
-    node._transmit(RemovalProposal(sender_id=1, subject_id=3, frame=0, sequence=990), 2)
+    node._transmit(RemovalProposal(sender_id=1, subject_id=3, frame=0, sequence=990), [2])
     for frame in range(1, 200):
         node.membership.heard_from(2, frame)  # 2 keeps heartbeating
         node.on_frame(frame, snap(1, frame=frame, x=100.0))

@@ -46,6 +46,17 @@ class TestInteractionTag:
         t = InteractionTag.from_rating(rating(1, 9.0, confidence=0.55))
         assert t.confidence == 0.55
 
+    def test_verdicts_are_immutable_and_built_by_keyword(self):
+        # a tuple since fan-out went flat: still frozen, same defaults
+        verdict, report = rating(1, 9.0), tag(1, success=False)
+        assert (verdict.detail, report.check) == ("", "")
+        assert InteractionTag.from_rating(verdict) == report._replace(check="position")
+        for record, field in ((verdict, "rating"), (report, "success")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 1.0)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+
 
 class TestThresholdReputation:
     def test_bad_threshold_rejected(self):

@@ -45,6 +45,7 @@ from repro.core.subscriptions import PlannedSubscriptions
 from repro.core.verification import CheckKind, Confidence
 from repro.core.wire import encode_signable
 from repro.crypto.signatures import HmacSigner
+from repro.obs import MetricsRegistry, use_registry
 from repro.game.vector import Vec3
 from tests.test_byzantine import snap
 
@@ -239,8 +240,34 @@ class TestFirstHopAcceptance:
             }
             assert hops.acceptors(epoch) == expected
         gone, _, _ = hops_for()
-        gone.schedule = schedule.without_players({ME})
+        gone.reschedule(schedule.without_players({ME}))
         assert gone.acceptors(1) == set()  # nobody forwards for the evicted
+
+    def test_the_epochs_client_set_answers_as_the_schedule_does(self):
+        """``is_proxy_of`` from the set the node opens each epoch: the same
+        answers as ``verify_proxy`` (a stranger is nobody's client), without
+        a lookup, and dropped with the schedule it was drawn from."""
+        registry = MetricsRegistry(enabled=True)
+        lookups = registry.counter("proxy.schedule.lookups")
+        everyone = (*ROSTER, 99)
+        for me in ROSTER:
+            with use_registry(registry):
+                hops, schedule, _ = hops_for(me=me)
+            for epoch in (0, 3):
+                hops.open_epoch(epoch, schedule.clients_of(me, epoch))
+                expected = [schedule.verify_proxy(p, epoch, me) for p in everyone]
+                before = lookups.value
+                assert [hops.is_proxy_of(p, epoch) for p in everyone] == expected
+                assert lookups.value == before
+                # another epoch still goes to the schedule
+                assert hops.is_proxy_of(3, epoch + 1) == schedule.verify_proxy(
+                    3, epoch + 1, me
+                )
+        hops, schedule, _ = hops_for(me=ProxySchedule(ROSTER).proxy_of(3, 0))
+        hops.open_epoch(0, schedule.clients_of(hops.player_id, 0))
+        assert hops.is_proxy_of(3, 0)
+        hops.reschedule(schedule.without_players({3}))
+        assert not hops.is_proxy_of(3, 0)  # evicted: no stale set says yes
 
     def test_defense_bursts_are_windowed_and_rate_limited(self):
         hops, _, _ = hops_for()

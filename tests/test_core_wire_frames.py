@@ -30,6 +30,7 @@ from repro.core.messages import (
     StateUpdate,
     SubscriptionRequest,
 )
+from repro.core.node import HonestBehaviour
 from repro.core.subscriptions import SubscriberTable
 from repro.core.verification import CheckKind
 from repro.core.wire import (
@@ -42,7 +43,9 @@ from repro.core.wire import (
     encode_signable,
     seal,
 )
+from repro.faults import CrashFault, FaultSchedule
 from repro.obs import MetricsRegistry, use_registry
+from tests.reference.egress import transmit_reference
 from tests.test_byzantine import Harness, hardened, snap
 from tests.test_core_wire_roundtrip import (
     MESSAGE_CLASSES,
@@ -188,7 +191,7 @@ class TestVerbatimForwarding:
         harness.tick(0)
         node = harness.nodes[1]
         request = SubscriptionRequest(1, 2, SUB_INTEREST, 0, 7000)
-        node._transmit(request, 3)
+        node._transmit(request, [3])
         for frame in range(1, 12):
             node.on_frame(frame, snap(1, frame=frame, x=100.0))
         attempts = _frames_of(
@@ -210,8 +213,99 @@ class TestVerbatimForwarding:
         message, _ = node._frames.open_frame(frame)
         seen = []
         node.on_message = lambda src, buffer: seen.append((src, buffer))
-        node._transmit_unfiltered(message, node.player_id)
+        node._transmit_unfiltered(message, [node.player_id])
         assert seen == [(1, frame)] and seen[0][1] is frame
+
+
+class Rerouting(HonestBehaviour):
+    """One hook exercising every way a behaviour can reshape a fan-out: 2 is
+    dropped, 3 gets a rewritten message, 4 gets the original twice, 5's copy
+    is redirected to 6 and 7's to the sender himself."""
+
+    def filter_outgoing(self, frame, message, destination):
+        if destination == 2:
+            return []
+        if destination == 3:
+            return [(dataclasses.replace(message, frame=message.frame + 1), 3)]
+        if destination == 4:
+            return [(message, 4), (message, 4)]
+        if destination == 5:
+            return [(message, 6)]
+        if destination == 7:
+            return [(message, message.sender_id)]
+        return [(message, destination)]
+
+
+class TestListValuedEgress:
+    """``_transmit(message, destinations)`` puts on the wire what the
+    per-destination loop it replaced did (``tests/reference/egress.py``)."""
+
+    @staticmethod
+    def node(behaviour):
+        harness = Harness(
+            num_players=10, config=WatchmenConfig(profile="resilient")
+        )
+        node = harness.nodes[1]
+        node.behaviour = behaviour
+        rows = []
+        node._send_many = lambda src, dsts, frame: rows.extend(
+            (src, dst, frame) for dst in dsts
+        )
+        node.on_message = lambda src, frame: rows.append((src, "loopback", frame))
+        return node, rows
+
+    @pytest.mark.parametrize("behaviour", [HonestBehaviour, Rerouting])
+    @pytest.mark.parametrize("signed", [False, True], ids=["mine", "relayed"])
+    def test_same_datagrams_in_the_same_order(self, behaviour, signed):
+        destinations = [0, 2, 3, 4, 5, 7, 8, 9, 8]
+        outcomes = []
+        for batched in (True, False):
+            node, rows = self.node(behaviour())
+            message = SubscriptionRequest(1, 2, SUB_INTEREST, 0, 7000)  # ackable
+            if signed:
+                message, _ = node._frames.open_frame(node._signed(message))
+            if batched:
+                node._transmit(message, destinations)
+            else:
+                for destination in destinations:
+                    transmit_reference(node, message, destination)
+            outcomes.append((rows, sorted(node._acks._pending)))
+        assert outcomes[0] == outcomes[1]
+        assert len(outcomes[0][0]) >= 8
+
+    def test_an_unsigned_message_is_signed_once_for_the_whole_audience(self):
+        registry = MetricsRegistry(enabled=True)
+        with use_registry(registry):
+            harness = Harness(num_players=6)
+        node = harness.nodes[1]
+        node._transmit(PositionUpdate(1, 0, 7001, snap(1).position_only()), [0, 2, 3, 4])
+        assert registry.snapshot()["counters"]["node.frames_signed"] == 1
+        assert len({id(frame) for frame in harness.frames[-4:]}) == 1
+
+    def test_one_message_one_signature(self, small_trace, longest_yard):
+        """Dual-send failover and roster broadcasts included, a node signs as
+        many frames as it originates: every distinct buffer whose sending hop
+        is the sender it names was signed exactly once."""
+        registry = MetricsRegistry(enabled=True)
+        with use_registry(registry):
+            session = WatchmenSession(
+                small_trace,
+                game_map=longest_yard,
+                config=WatchmenConfig(profile="resilient"),
+                faults=FaultSchedule(crashes=(CrashFault(node_id=3, frame=30),)),
+            )
+        originated = set()
+
+        def tap(src, dst, frame, accepted):
+            if decode_bytes(frame).sender_id == src:
+                originated.add(frame)
+
+        session.network.send_taps.append(tap)
+        report = session.run()
+        counters = registry.snapshot()["counters"]
+        assert report.proxy_failovers > 0, "no dual-send in this session"
+        assert counters["net.sent.RemovalProposal.count"] > 0, "no broadcast"
+        assert counters["node.frames_signed"] == len(originated)
 
 
 class TestTamperedBytes:

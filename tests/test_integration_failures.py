@@ -122,16 +122,16 @@ class TestChurnDeparture:
         )
         # Player 5's own sends keep happening (his machine is gone; model
         # by dropping his outbound too).
-        original_send = session.network.send
+        original_send_many = session.network.send_many
 
-        def send_unless_departed(src, dst, frame):
+        def send_unless_departed(src, dsts, frame):
             now_frame = int(session.queue.now / session.config.frame_seconds)
             if src == 5 and now_frame >= depart_frame:
-                return False
-            return original_send(src, dst, frame)
+                return
+            original_send_many(src, dsts, frame)
 
         for node in session.nodes.values():
-            node._send_raw = send_unless_departed
+            node._send_many = send_unless_departed
         report = session.run()
         silence_flags = [
             r

@@ -59,7 +59,7 @@ class TestF401:
                 "from repro.core.messages import StateUpdate\n"
                 "class Node:\n"
                 "    def leak(self, peer):\n"
-                "        self._send_raw(0, peer, StateUpdate(), 1)\n",
+                "        self._send_many(0, [peer], StateUpdate())\n",
             ),
         )
         assert [v.rule for v in violations] == ["F401"]

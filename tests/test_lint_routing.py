@@ -52,7 +52,7 @@ class TestR501:
                 "repro.game.weapons",
                 "class Weapon:\n"
                 "    def fire(self, frame):\n"
-                "        self.node._send_raw(1, 2, frame)\n",
+                "        self.node._send_many(1, [2], frame)\n",
             ),
         )
         assert [v.rule for v in violations] == ["R501"]
@@ -62,8 +62,8 @@ class TestR501:
             (
                 "repro.core.node",
                 "class WatchmenNode:\n"
-                "    def _transmit_unfiltered(self, destination, frame):\n"
-                "        self._send_raw(self.player_id, destination, frame)\n",
+                "    def _transmit_unfiltered(self, destinations, frame):\n"
+                "        self._send_many(self.player_id, destinations, frame)\n",
             ),
         )
         assert violations == []
@@ -139,11 +139,22 @@ class TestR502:
                 "repro.core.node",
                 "class Node:\n"
                 "    def _on_guidance(self, src, message):\n"
-                "        self._transmit(self.ack, message.sender_id)\n",
+                "        self._transmit(self.ack, (message.sender_id,))\n",
             ),
         )
         assert [v.rule for v in violations] == ["R502"]
         assert "sender_id" in violations[0].message
+
+    def test_flags_a_lone_destination_expression_too(self):
+        violations = routing_violations(
+            (
+                "repro.core.node",
+                "class Node:\n"
+                "    def _on_guidance(self, src, message):\n"
+                "        self._transmit(self.ack, message.sender_id)\n",
+            ),
+        )
+        assert [v.rule for v in violations] == ["R502"]
 
     def test_flags_destination_keyword(self):
         violations = routing_violations(
@@ -151,7 +162,7 @@ class TestR502:
                 "repro.core.node",
                 "class Node:\n"
                 "    def _handle_update(self, src, update):\n"
-                "        self._transmit(self.ack, destination=update.sender_id)\n",
+                "        self._transmit(self.ack, destinations=[update.sender_id])\n",
             ),
         )
         assert [v.rule for v in violations] == ["R502"]
@@ -162,7 +173,7 @@ class TestR502:
                 "repro.core.node",
                 "class Node:\n"
                 "    def _on_guidance(self, src, message):\n"
-                "        self._transmit(self.ack, src)\n",
+                "        self._transmit(self.ack, (src,))\n",
             ),
         )
         assert violations == []
@@ -214,8 +225,8 @@ class TestAcceptanceProxyBypass:
         assert marker in source
         patched = source.replace(
             marker,
-            "    def _shortcut(self, frame):\n"
-            "        self._send_raw(self.player_id, 0, frame)\n"
+            "    def _on_shortcut(self, frame):\n"
+            "        self._send_many(self.player_id, [0], frame)\n"
             "\n" + marker,
             1,
         )

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for vector algebra and physics."""
 
 import math
+import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from repro.game.physics import MoveIntent, Physics
 from repro.game.vector import Vec3, clamp
 
 from tests.arena import make_arena
-from tests.reference.game import displacement_is_legal
+from tests.reference.game import displacement_excess_reference, displacement_is_legal
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -113,6 +114,12 @@ class TestPhysicsProperties:
             self.physics.max_descent,
         ):
             assert envelope(frames) <= envelope(frames + 1)
+
+    @given(small_vectors, small_vectors, st.integers(min_value=-1, max_value=50))
+    def test_excess_matches_reference_bitwise(self, a, b, frames):
+        assert struct.pack(">d", self.physics.displacement_excess(a, b, frames)) == (
+            struct.pack(">d", displacement_excess_reference(self.physics, a, b, frames))
+        )
 
     @given(small_vectors, small_vectors, st.integers(min_value=1, max_value=50))
     @settings(max_examples=50)

@@ -21,7 +21,7 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 #: Unreached on purpose: the reason says what keeps each.
 KEPT = {
-    "assignment_table": "ROADMAP item 2 spends it (one table per epoch for lookups_per_draw)",
+    "send": "perfbench/tracer.py BOUNDARIES resolves DatagramNetwork.send by name; a single send is send_many of one",
     "encoded_size": "perfbench/tracer.py BOUNDARIES resolves it by name (benchmark-labelled PR)",
     "pending_removals": "test_core_membership / test_property_extensions watch the quorum through it",
     "run_until": "the engine's bounded drain; test_net_events::TestRunUntil, test_property_core",

@@ -8,7 +8,7 @@ sent as the message that frame decodes to.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.core.messages import GameMessage
 from repro.core.wire import decode_bytes, encode_bytes
@@ -33,8 +33,8 @@ def deliver(node, src: int, message: GameMessage) -> None:
 class LoopbackWire:
     """An instant, lossless, synchronous transport for node harnesses.
 
-    ``send`` is what a :class:`~repro.core.node.WatchmenNode` is built
-    with; ``nodes`` is filled by the harness; ``sent`` lists every
+    ``send_many`` is what a :class:`~repro.core.node.WatchmenNode` is
+    built with; ``nodes`` is filled by the harness; ``sent`` lists every
     datagram as ``(src, dst, decoded message)`` and ``frames`` the raw
     buffers, index for index.  ``lose`` picks messages that vanish in
     flight (accepted, never recorded or delivered).
@@ -46,13 +46,13 @@ class LoopbackWire:
         self.frames: list[bytes] = []
         self.lose = lose
 
-    def send(self, src: int, dst: int, frame: bytes) -> bool:
+    def send_many(self, src: int, dsts: Sequence[int], frame: bytes) -> None:
         message = as_message(frame)
         if self.lose is not None and self.lose(message):
-            return True
-        self.sent.append((src, dst, message))
-        self.frames.append(frame)
-        node = self.nodes.get(dst)
-        if node is not None:
-            node.on_message(src, frame)
-        return True
+            return
+        for dst in dsts:
+            self.sent.append((src, dst, message))
+            self.frames.append(frame)
+            node = self.nodes.get(dst)
+            if node is not None:
+                node.on_message(src, frame)
