@@ -40,6 +40,9 @@ from repro.analysis.detection import wire_cheat
 
 __all__ = ["CheatOutcome", "cheat_matrix_experiment", "TABLE1_ROWS"]
 
+#: RNG seed of every injected cheat (the published Table I row).
+CHEAT_SEED = 17
+
 #: Table I rows: (cheat name, category, paper's stated countermeasure).
 TABLE1_ROWS: list[tuple[str, str, str]] = [
     ("escaping", "flow", "Detected by proxy and others"),
@@ -102,18 +105,11 @@ def _run_with_cheat(
     return session, report
 
 
-def cheat_matrix_experiment(
-    trace: GameTrace,
-    game_map: GameMap,
-    config: WatchmenConfig | None = None,
-    cheater_id: int | None = None,
-    seed: int = 17,
-) -> list[CheatOutcome]:
+def cheat_matrix_experiment(trace: GameTrace, game_map: GameMap) -> list[CheatOutcome]:
     """Inject every Table I cheat and report the measured countermeasure."""
-    config = config or WatchmenConfig()
+    config = WatchmenConfig()
     players = trace.player_ids()
-    if cheater_id is None:
-        cheater_id = players[0]
+    cheater_id = players[0]
     victims = [p for p in players if p != cheater_id]
     half = trace.num_frames // 2
 
@@ -133,21 +129,21 @@ def cheat_matrix_experiment(
         )
 
     # ---- flow cheats ---------------------------------------------------------
-    cheat = EscapingCheat(escape_frame=half, seed=seed)
+    cheat = EscapingCheat(escape_frame=half, seed=CHEAT_SEED)
     _, report = _run_with_cheat(trace, game_map, config, cheater_id, cheat)
     count, evidence = _detection_evidence(report, cheater_id, (CheckKind.RATE,))
     add("escaping", "flow", TABLE1_ROWS[0][2],
         "detected" if count else "undetected", evidence, count,
         len(cheat.log.cheat_frames))
 
-    cheat = TimeCheat(delay_frames=15, seed=seed)
+    cheat = TimeCheat(delay_frames=15, seed=CHEAT_SEED)
     _, report = _run_with_cheat(trace, game_map, config, cheater_id, cheat)
     count, evidence = _detection_evidence(report, cheater_id, (CheckKind.RATE,))
     add("time-cheat", "flow", TABLE1_ROWS[1][2],
         "detected" if count else "undetected", evidence, count,
         len(cheat.log.cheat_frames))
 
-    cheat = NetworkFloodCheat(victim_id=victims[0], amplification=6, seed=seed)
+    cheat = NetworkFloodCheat(victim_id=victims[0], amplification=6, seed=CHEAT_SEED)
     session, report = _run_with_cheat(trace, game_map, config, cheater_id, cheat)
     victim_node = session.nodes[victims[0]]
     count, evidence = _detection_evidence(report, cheater_id, (CheckKind.RATE,))
@@ -157,14 +153,14 @@ def cheat_matrix_experiment(
         f"{evidence}; {blast} direct-bypass flags at the victim",
         count, len(cheat.log.cheat_frames))
 
-    cheat = FastRateCheat(multiplier=3, cheat_rate=0.5, seed=seed)
+    cheat = FastRateCheat(multiplier=3, cheat_rate=0.5, seed=CHEAT_SEED)
     _, report = _run_with_cheat(trace, game_map, config, cheater_id, cheat)
     count, evidence = _detection_evidence(report, cheater_id, (CheckKind.RATE,))
     add("fast-rate", "flow", TABLE1_ROWS[3][2],
         "detected" if count else "undetected", evidence, count,
         len(cheat.log.cheat_frames))
 
-    cheat = SuppressCorrectCheat(burst_length=10, cheat_rate=0.05, seed=seed)
+    cheat = SuppressCorrectCheat(burst_length=10, cheat_rate=0.05, seed=CHEAT_SEED)
     _, report = _run_with_cheat(trace, game_map, config, cheater_id, cheat)
     count, evidence = _detection_evidence(
         report, cheater_id, (CheckKind.RATE, CheckKind.POSITION)
@@ -173,7 +169,7 @@ def cheat_matrix_experiment(
         "detected" if count else "undetected", evidence, count,
         len(cheat.log.cheat_frames))
 
-    cheat = ReplayCheat(cheat_rate=0.05, seed=seed)
+    cheat = ReplayCheat(cheat_rate=0.05, seed=CHEAT_SEED)
     session, report = _run_with_cheat(trace, game_map, config, cheater_id, cheat)
     replays = sum(n.metrics.replayed_messages for n in session.nodes.values())
     add("replay", "flow", TABLE1_ROWS[5][2],
@@ -181,7 +177,7 @@ def cheat_matrix_experiment(
         f"{replays} replayed messages rejected by sequence screen",
         replays, len(cheat.log.cheat_frames))
 
-    cheat = BlindOpponentCheat(cheat_rate=0.6, seed=seed)
+    cheat = BlindOpponentCheat(cheat_rate=0.6, seed=CHEAT_SEED)
     _, report = _run_with_cheat(trace, game_map, config, cheater_id, cheat)
     count, evidence = _detection_evidence(report, cheater_id, (CheckKind.RATE,))
     add("blind-opponent", "flow", TABLE1_ROWS[6][2],
@@ -189,7 +185,7 @@ def cheat_matrix_experiment(
         len(cheat.log.cheat_frames))
 
     # ---- invalid updates -------------------------------------------------------
-    cheat = SpeedHack(factor=2.0, cheat_rate=0.10, seed=seed)
+    cheat = SpeedHack(factor=2.0, cheat_rate=0.10, seed=CHEAT_SEED)
     _, report = _run_with_cheat(trace, game_map, config, cheater_id, cheat)
     count, evidence = _detection_evidence(report, cheater_id, (CheckKind.POSITION,))
     add("code-tampering", "invalid", TABLE1_ROWS[7][2],
@@ -197,7 +193,7 @@ def cheat_matrix_experiment(
         f"sanity checks on tampered movement: {evidence}",
         count, len(cheat.log.cheat_frames))
 
-    cheat = AimbotCheat(cheat_rate=0.25, seed=seed)
+    cheat = AimbotCheat(cheat_rate=0.25, seed=CHEAT_SEED)
 
     def best_snap_target(frame: int) -> AvatarSnapshot | None:
         """The enemy whose direction differs most from the current aim —
@@ -228,7 +224,7 @@ def cheat_matrix_experiment(
         "detected" if count else "undetected", evidence, count,
         len(cheat.log.cheat_frames))
 
-    cheat = SpoofCheat(victim_id=victims[0], cheat_rate=0.05, seed=seed)
+    cheat = SpoofCheat(victim_id=victims[0], cheat_rate=0.05, seed=CHEAT_SEED)
     cheat.snapshot_source = lambda frame: trace.frames[
         min(frame, trace.num_frames - 1)
     ][victims[0]]
@@ -239,7 +235,7 @@ def cheat_matrix_experiment(
         f"{failures} signature verifications failed at receivers",
         failures, len(cheat.log.cheat_frames))
 
-    cheat = ConsistencyCheat(direct_victims=victims[:4], cheat_rate=0.2, seed=seed)
+    cheat = ConsistencyCheat(direct_victims=victims[:4], cheat_rate=0.2, seed=CHEAT_SEED)
     session, report = _run_with_cheat(trace, game_map, config, cheater_id, cheat)
     violations = sum(
         n.metrics.direct_update_violations for n in session.nodes.values()

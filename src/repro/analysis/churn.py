@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.config import PROXY_PERIOD_FRAMES
 from repro.game.gamemap import GameMap
 from repro.game.interest import (
     InteractionRecency,
@@ -27,6 +28,9 @@ from repro.game.trace import GameTrace
 
 __all__ = ["ChurnStats", "churn_statistics", "interest_sets_over_trace"]
 
+#: "less than 10 % last more than 300 frames" (§VI).
+LONG_SPELL_FRAMES = 300
+
 
 @dataclass(frozen=True)
 class ChurnStats:
@@ -35,7 +39,7 @@ class ChurnStats:
     turnover_after_period: float  # fraction of IS changed after `period`
     spells_longer_than_cap: float  # fraction of spells > `long_cap` frames
     frame_stability: float  # mean fraction of IS already in previous IS
-    slow_attention_centre: float  # fraction taking ≥ min_lag frames to top-1
+    slow_attention_centre: float  # fraction not top-1 on the frame they enter
     period: int
     long_cap: int
     mean_spell_frames: float
@@ -44,19 +48,13 @@ class ChurnStats:
 def interest_sets_over_trace(
     trace: GameTrace,
     game_map: GameMap,
-    config: InterestConfig | None = None,
-    recency: InteractionRecency | None = None,
-    stride: int = 1,
+    config: InterestConfig,
+    recency: InteractionRecency,
 ) -> dict[int, list[frozenset[int]]]:
-    """Per-player IS membership per sampled frame (ground-truth views)."""
-    config = config or InterestConfig()
-    if recency is None:
-        recency = InteractionRecency()
-        for shot in trace.shots:
-            recency.record(shot.shooter_id, shot.target_id, shot.frame)
+    """Per-player IS membership per frame (ground-truth views)."""
     player_ids = trace.player_ids()
     result: dict[int, list[frozenset[int]]] = {pid: [] for pid in player_ids}
-    for frame in range(0, trace.num_frames, stride):
+    for frame in range(trace.num_frames):
         snapshots = trace.frames[frame]
         # Batched: per-frame LOS cache + hoisted per-observer state, with
         # output identical to per-observer compute_sets calls.
@@ -68,16 +66,10 @@ def interest_sets_over_trace(
     return result
 
 
-def churn_statistics(
-    trace: GameTrace,
-    game_map: GameMap,
-    config: InterestConfig | None = None,
-    period: int = 40,
-    long_cap: int = 300,
-    attention_lag_min: int = 1,
-) -> ChurnStats:
+def churn_statistics(trace: GameTrace, game_map: GameMap) -> ChurnStats:
     """Recompute the three in-text IS-churn statistics from a trace."""
-    config = config or InterestConfig()
+    config = InterestConfig()
+    period, long_cap = PROXY_PERIOD_FRAMES, LONG_SPELL_FRAMES
     recency = InteractionRecency()
     for shot in trace.shots:
         recency.record(shot.shooter_id, shot.target_id, shot.frame)
@@ -126,9 +118,7 @@ def churn_statistics(
     )
 
     # -- lag from IS entry to becoming the attention centre -------------------
-    slow, entries = _attention_centre_lags(
-        trace, game_map, config, recency, per_player, attention_lag_min
-    )
+    slow, entries = _attention_centre_lags(trace, config, recency, per_player)
     slow_fraction = slow / entries if entries else 0.0
 
     return ChurnStats(
@@ -144,13 +134,11 @@ def churn_statistics(
 
 def _attention_centre_lags(
     trace: GameTrace,
-    game_map: GameMap,
     config: InterestConfig,
     recency: InteractionRecency,
     per_player: dict[int, list[frozenset[int]]],
-    min_lag: int,
 ) -> tuple[int, int]:
-    """Count IS entries that took ≥ ``min_lag`` frames to reach top-1."""
+    """Count IS entries that were not top-1 on the frame they entered."""
     slow = 0
     entries = 0
     for player_id, sets in per_player.items():
@@ -158,23 +146,12 @@ def _attention_centre_lags(
             newcomers = sets[index] - sets[index - 1]
             for member in newcomers:
                 entries += 1
-                became_top_immediately = False
-                frame = index
-                if frame < trace.num_frames:
-                    snapshots = trace.frames[frame]
-                    observer = snapshots[player_id]
-                    scores = {
-                        oid: attention_score(
-                            observer, snapshots[oid], frame, config, recency
-                        )
-                        for oid in sets[index]
-                    }
-                    top = max(scores, key=scores.get) if scores else None
-                    became_top_immediately = top == member
-                if not became_top_immediately:
+                snapshots = trace.frames[index]  # one set per frame: index is the frame
+                observer = snapshots[player_id]
+                scores = {
+                    oid: attention_score(observer, snapshots[oid], index, config, recency)
+                    for oid in sets[index]
+                }
+                if max(scores, key=scores.get) != member:  # member is in sets[index]
                     slow += 1
-                del frame
-        del player_id
-    # ``min_lag`` kept for interface clarity: entry at lag 0 == immediate.
-    del min_lag
     return slow, entries

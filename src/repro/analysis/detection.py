@@ -37,7 +37,6 @@ from repro.core.verification import CheckKind
 from repro.game.gamemap import GameMap, eye_position
 from repro.game.interest import in_vision_cone
 from repro.game.trace import GameTrace
-from repro.net.latency import LatencyMatrix
 
 __all__ = [
     "DetectionOutcome",
@@ -47,6 +46,15 @@ __all__ = [
     "figure6_experiment",
     "FIGURE6_CHEATS",
 ]
+
+#: "a cheater sends up to 10 % invalid cheat messages" (Section V, Figure 6).
+CHEAT_RATE = 0.10
+#: A detection counts when it lands within this many frames of the cheat.
+DETECTION_WINDOW_FRAMES = 30
+#: RNG seed of the injected cheat (the published Figure 6 row).
+CHEAT_SEED = 11
+#: Calibrated thresholds are clamped to this band of the 1..10 score scale.
+THRESHOLD_FLOOR, THRESHOLD_CEILING = 3.0, 9.5
 
 #: Verification families of Figure 6 and the cheat that exercises each.
 FIGURE6_CHEATS: dict[str, str] = {
@@ -77,10 +85,7 @@ class DetectionOutcome:
 
 
 def calibrate_thresholds(
-    honest_report: SessionReport,
-    fp_budget: float = 0.05,
-    floor: float = 3.0,
-    ceiling: float = 9.5,
+    honest_report: SessionReport, fp_budget: float = 0.05
 ) -> dict[str, float]:
     """Per-check thresholds keeping the honest flag rate ≤ ``fp_budget``."""
     if not 0.0 < fp_budget < 1.0:
@@ -92,12 +97,12 @@ def calibrate_thresholds(
     for check in CheckKind.ALL:
         values = sorted(by_check.get(check, []))
         if not values:
-            thresholds[check] = floor
+            thresholds[check] = THRESHOLD_FLOOR
             continue
         # Smallest threshold with ≤ fp_budget of honest ratings at/above it.
         budget_index = max(0, int(len(values) * (1.0 - fp_budget)) - 1)
         candidate = values[budget_index] + 0.25
-        thresholds[check] = min(ceiling, max(floor, candidate))
+        thresholds[check] = min(THRESHOLD_CEILING, max(THRESHOLD_FLOOR, candidate))
     return thresholds
 
 
@@ -164,25 +169,23 @@ def wire_cheat(
     return cheat
 
 
-def make_figure6_cheat(
-    check: str, cheater_id: int, players: list[int], cheat_rate: float, seed: int
-) -> CheatBehaviour:
+def make_figure6_cheat(check: str, cheater_id: int, players: list[int]) -> CheatBehaviour:
     """The cheat behaviour exercising one verification family."""
     victims = [p for p in players if p != cheater_id]
     if check == CheckKind.POSITION:
-        return SpeedHack(factor=2.0, cheat_rate=cheat_rate, seed=seed)
+        return SpeedHack(factor=2.0, cheat_rate=CHEAT_RATE, seed=CHEAT_SEED)
     if check == CheckKind.KILL:
-        return FakeKillCheat(victims, cheat_rate=cheat_rate, seed=seed)
+        return FakeKillCheat(victims, cheat_rate=CHEAT_RATE, seed=CHEAT_SEED)
     if check == CheckKind.GUIDANCE:
         # Guidance flows at 1 Hz — one per 20 updates — so lying on every
         # guidance message still keeps invalid traffic ~5 % of the stream,
         # within the paper's "up to 10 %" budget (and gives the experiment
         # enough events to measure).
-        return GuidanceLieCheat(cheat_rate=1.0, seed=seed)
+        return GuidanceLieCheat(cheat_rate=1.0, seed=CHEAT_SEED)
     if check == CheckKind.IS_SUBSCRIPTION:
-        return BogusSubscriptionCheat(SUB_INTEREST, cheat_rate=cheat_rate, seed=seed)
+        return BogusSubscriptionCheat(SUB_INTEREST, cheat_rate=CHEAT_RATE, seed=CHEAT_SEED)
     if check == CheckKind.VS_SUBSCRIPTION:
-        return BogusSubscriptionCheat(SUB_VISION, cheat_rate=cheat_rate, seed=seed)
+        return BogusSubscriptionCheat(SUB_VISION, cheat_rate=CHEAT_RATE, seed=CHEAT_SEED)
     raise ValueError(f"no figure-6 cheat for check {check!r}")
 
 
@@ -192,24 +195,13 @@ def detection_experiment(
     check: str,
     cheater_id: int,
     thresholds: dict[str, float],
-    config: WatchmenConfig | None = None,
-    latency: LatencyMatrix | None = None,
-    cheat_rate: float = 0.10,
-    detection_window_frames: int = 30,
-    seed: int = 11,
 ) -> DetectionOutcome:
     """Run one verification family's cheater and score detections."""
-    config = config or WatchmenConfig()
-    cheat = make_figure6_cheat(
-        check, cheater_id, trace.player_ids(), cheat_rate, seed
-    )
+    config = WatchmenConfig()
+    cheat = make_figure6_cheat(check, cheater_id, trace.player_ids())
     wire_cheat(cheat, cheater_id, trace, game_map, config)
     session = WatchmenSession(
-        trace,
-        game_map=game_map,
-        config=config,
-        latency=latency,
-        behaviours={cheater_id: cheat},
+        trace, game_map=game_map, config=config, behaviours={cheater_id: cheat}
     )
     report = session.run()
 
@@ -225,7 +217,7 @@ def detection_experiment(
     cheat_frames = sorted(cheat.log.cheat_frames)
     detected = 0
     for frame in cheat_frames:
-        window_end = frame + detection_window_frames
+        window_end = frame + DETECTION_WINDOW_FRAMES
         if any(frame <= d <= window_end for d in detections):
             detected += 1
     return DetectionOutcome(
@@ -238,22 +230,10 @@ def detection_experiment(
     )
 
 
-def figure6_experiment(
-    trace: GameTrace,
-    game_map: GameMap,
-    config: WatchmenConfig | None = None,
-    latency: LatencyMatrix | None = None,
-    cheater_id: int | None = None,
-    cheat_rate: float = 0.10,
-    seed: int = 11,
-) -> list[DetectionOutcome]:
+def figure6_experiment(trace: GameTrace, game_map: GameMap) -> list[DetectionOutcome]:
     """The full Figure 6 sweep: calibrate, then run all five families."""
-    config = config or WatchmenConfig()
-    if cheater_id is None:
-        cheater_id = trace.player_ids()[0]
-    honest = WatchmenSession(
-        trace, game_map=game_map, config=config, latency=latency
-    ).run()
+    cheater_id = trace.player_ids()[0]
+    honest = WatchmenSession(trace, game_map=game_map).run()
     # Calibrate below the 5 % budget: the operating flag rate is measured
     # on a *different* (cheat-bearing) run, so leave margin for variance.
     thresholds = calibrate_thresholds(honest, fp_budget=0.03)
@@ -266,16 +246,6 @@ def figure6_experiment(
         CheckKind.VS_SUBSCRIPTION,
     ):
         outcomes.append(
-            detection_experiment(
-                trace,
-                game_map,
-                check,
-                cheater_id,
-                thresholds,
-                config=config,
-                latency=latency,
-                cheat_rate=cheat_rate,
-                seed=seed,
-            )
+            detection_experiment(trace, game_map, check, cheater_id, thresholds)
         )
     return outcomes

@@ -31,6 +31,9 @@ from repro.game.trace import GameTrace
 
 __all__ = ["ExposureResult", "exposure_experiment", "default_models"]
 
+#: Coalitions of size k are sampled on RNG seed ``COALITION_SEED + k``.
+COALITION_SEED = 1
+
 
 @dataclass(frozen=True)
 class ExposureResult:
@@ -48,19 +51,13 @@ def default_models(
     trace: GameTrace,
     game_map: GameMap,
     interest: InterestConfig | None = None,
-    proxy_period_frames: int = 40,
-    common_seed: bytes = b"watchmen-session",
 ) -> list[DisseminationModel]:
     """The three Figure 4 architectures over one trace."""
     interest = interest or InterestConfig()
     recency = InteractionRecency()
     for shot in trace.shots:
         recency.record(shot.shooter_id, shot.target_id, shot.frame)
-    schedule = ProxySchedule(
-        trace.player_ids(),
-        common_seed=common_seed,
-        proxy_period_frames=proxy_period_frames,
-    )
+    schedule = ProxySchedule(trace.player_ids())
     return [
         ClientServerModel(game_map, pvs_radius=interest.vision_radius),
         DonnybrookModel(interest, recency),
@@ -75,7 +72,6 @@ def exposure_experiment(
     models: list[DisseminationModel] | None = None,
     coalitions_per_size: int = 8,
     frame_stride: int = 20,
-    seed: int = 1,
 ) -> list[ExposureResult]:
     """Run the full Figure 4 sweep; returns one result per (model, size)."""
     if not coalition_sizes:
@@ -83,7 +79,7 @@ def exposure_experiment(
     models = models or default_models(trace, game_map)
     players = trace.player_ids()
     coalitions: dict[int, list[Coalition]] = {
-        size: sample_coalitions(players, size, coalitions_per_size, seed + size)
+        size: sample_coalitions(players, size, coalitions_per_size, COALITION_SEED + size)
         for size in coalition_sizes
     }
     sums: dict[tuple[str, int], ExposureHistogram] = {

@@ -82,8 +82,9 @@ def render_detection(outcomes: list[DetectionOutcome]) -> str:
     return render_table(headers, rows)
 
 
-def render_update_age(results: list[UpdateAgeResult], max_age: int = 6) -> str:
+def render_update_age(results: list[UpdateAgeResult]) -> str:
     """Figure 7 as text: the age PDF per latency set."""
+    max_age = 6  # columns: the bulk of the PDF and the start of the stale tail
     headers = ["latency set"] + [f"age {a}" for a in range(max_age + 1)] + [
         "stale (≥3)",
         "mean up kbps",

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import (
+    FRAME_SECONDS,
     FREQUENT_INTERVAL_FRAMES,
     HEADER_BITS,
     STATE_UPDATE_BITS,
-    WatchmenConfig,
 )
 from repro.core.protocol import WatchmenSession
 from repro.game.gamemap import GameMap, make_longest_yard
@@ -44,12 +44,9 @@ def client_server_kbps(num_players: int) -> float:
     return CENTRALIZED_KBPS_PER_PLAYER * num_players
 
 
-def naive_p2p_node_kbps(
-    num_players: int, config: WatchmenConfig | None = None
-) -> float:
+def naive_p2p_node_kbps(num_players: int) -> float:
     """Per-node upload if every player streamed state to everyone."""
-    config = config or WatchmenConfig()
-    updates_per_second = 1.0 / (config.frame_seconds * FREQUENT_INTERVAL_FRAMES)
+    updates_per_second = 1.0 / (FRAME_SECONDS * FREQUENT_INTERVAL_FRAMES)
     bits_per_update = STATE_UPDATE_BITS + HEADER_BITS
     return (num_players - 1) * updates_per_second * bits_per_update / 1000.0
 
@@ -70,13 +67,11 @@ def scalability_experiment(
     num_frames: int = 200,
     seed: int = 5,
     game_map: GameMap | None = None,
-    config: WatchmenConfig | None = None,
 ) -> list[ScalabilityPoint]:
     """Measure Watchmen per-node upload across player counts."""
     if not player_counts:
         raise ValueError("need at least one player count")
     game_map = game_map or make_longest_yard()
-    config = config or WatchmenConfig()
     points = []
     for count in player_counts:
         trace = generate_trace(
@@ -86,10 +81,7 @@ def scalability_experiment(
             game_map=game_map,
         )
         session = WatchmenSession(
-            trace,
-            game_map=game_map,
-            config=config,
-            latency=king_like(count, seed=seed),
+            trace, game_map=game_map, latency=king_like(count, seed=seed)
         )
         report = session.run()
         points.append(
@@ -97,7 +89,7 @@ def scalability_experiment(
                 num_players=count,
                 watchmen_mean_kbps=report.mean_upload_kbps,
                 watchmen_max_kbps=report.max_upload_kbps,
-                naive_p2p_node_kbps=naive_p2p_node_kbps(count, config),
+                naive_p2p_node_kbps=naive_p2p_node_kbps(count),
                 client_server_kbps=client_server_kbps(count),
             )
         )

@@ -41,17 +41,14 @@ def update_age_experiment(
     game_map: GameMap,
     latency: LatencyMatrix,
     config: WatchmenConfig | None = None,
-    loss_rate: float = 0.01,
-    seed: int = 0,
 ) -> UpdateAgeResult:
     """Run one Watchmen session and extract the Figure 7 series."""
-    config = config or WatchmenConfig()
     session = WatchmenSession(
         trace,
         game_map=game_map,
         config=config,
         latency=latency,
-        network_config=NetworkConfig(loss_rate=loss_rate, seed=seed),
+        network_config=NetworkConfig(),  # the paper's 1 % loss, fixed network seed
     )
     report = session.run()
     by_kind = {}
@@ -72,20 +69,10 @@ def update_age_experiment(
     )
 
 
-def figure7_experiment(
-    trace: GameTrace,
-    game_map: GameMap,
-    config: WatchmenConfig | None = None,
-    loss_rate: float = 0.01,
-    seed: int = 0,
-) -> list[UpdateAgeResult]:
+def figure7_experiment(trace: GameTrace, game_map: GameMap) -> list[UpdateAgeResult]:
     """Both latency sets of Figure 7 (King-like and PeerWise-like)."""
     size = len(trace.player_ids())
     return [
-        update_age_experiment(
-            trace, game_map, king_like(size, seed=seed), config, loss_rate, seed
-        ),
-        update_age_experiment(
-            trace, game_map, peerwise_like(size, seed=seed), config, loss_rate, seed
-        ),
+        update_age_experiment(trace, game_map, king_like(size)),
+        update_age_experiment(trace, game_map, peerwise_like(size)),
     ]

@@ -21,6 +21,9 @@ from repro.game.trace import GameTrace
 
 __all__ = ["WitnessResult", "witness_experiment", "honest_proxy_probability"]
 
+#: Coalitions of size k are sampled on RNG seed ``COALITION_SEED + k``.
+COALITION_SEED = 2
+
 
 @dataclass(frozen=True)
 class WitnessResult:
@@ -53,26 +56,23 @@ def witness_experiment(
     trace: GameTrace,
     game_map: GameMap,
     coalition_sizes: list[int],
-    interest: InterestConfig | None = None,
     coalitions_per_size: int = 8,
     frame_stride: int = 20,
-    proxy_period_frames: int = 40,
-    seed: int = 2,
 ) -> list[WitnessResult]:
     """Measure witness availability per coalition size over a trace."""
-    interest = interest or InterestConfig()
+    interest = InterestConfig()
     players = trace.player_ids()
     recency = InteractionRecency()
     for shot in trace.shots:
         recency.record(shot.shooter_id, shot.target_id, shot.frame)
-    schedule = ProxySchedule(
-        players, proxy_period_frames=proxy_period_frames
-    )
+    schedule = ProxySchedule(players)
     model = WatchmenModel(game_map, schedule, interest, recency)
 
     results = []
     for size in coalition_sizes:
-        coalitions = sample_coalitions(players, size, coalitions_per_size, seed + size)
+        coalitions = sample_coalitions(
+            players, size, coalitions_per_size, COALITION_SEED + size
+        )
         proxy_sum = 0.0
         interest_sum = 0.0
         vision_sum = 0.0

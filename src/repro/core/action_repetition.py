@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 
+from repro.core.config import REPLAY_DIRECTIONS, REPLAY_TOLERANCE
 from repro.core.verification import CheatRating, CheckKind, rating_from_deviation
 from repro.game.avatar import AvatarSnapshot
 from repro.game.physics import MoveIntent, Physics
@@ -36,18 +37,10 @@ __all__ = ["ActionRepetitionVerifier"]
 class ActionRepetitionVerifier:
     """Replays one-frame transitions through the real physics stepper."""
 
-    def __init__(
-        self,
-        physics: Physics,
-        directions: int = 12,
-        tolerance: float = 2.5,
-    ) -> None:
-        if directions < 4:
-            raise ValueError("need at least 4 candidate directions")
+    def __init__(self, physics: Physics) -> None:
         self.physics = physics
-        self.tolerance = tolerance
         self._angles = [
-            2.0 * math.pi * index / directions for index in range(directions)
+            2.0 * math.pi * index / REPLAY_DIRECTIONS for index in range(REPLAY_DIRECTIONS)
         ]
         self._last_seen: dict[int, AvatarSnapshot] = {}
         self.replays_run = 0
@@ -66,7 +59,7 @@ class ActionRepetitionVerifier:
         if not previous.alive or not snapshot.alive:
             return None
         deviation = self.reachability_gap(previous, snapshot)
-        rating = rating_from_deviation(deviation, self.tolerance)
+        rating = rating_from_deviation(deviation, REPLAY_TOLERANCE)
         return CheatRating(
             verifier_id=verifier_id,
             subject_id=snapshot.player_id,

@@ -36,6 +36,13 @@ __all__ = [
     "feasibility_test",
 ]
 
+#: Safety margin the lobby demands over the estimated loads.
+HEADROOM = 1.25
+#: A proxy serves at most this many tenures at once, however fast its
+#: uplink — "this will increase proxies' access to information and should
+#: be avoided unless necessary" (§VI).
+MAX_POOL_WEIGHT = 4
+
 
 def estimate_publisher_kbps(config: WatchmenConfig) -> float:
     """Upload a player needs just to publish his own avatar."""
@@ -88,12 +95,7 @@ class AdmissionDecision:
     proxy_kbps: float = 0.0
 
 
-def feasibility_test(
-    capacities: dict[int, float],
-    config: WatchmenConfig | None = None,
-    headroom: float = 1.25,
-    max_weight: int = 4,
-) -> AdmissionDecision:
+def feasibility_test(capacities: dict[int, float]) -> AdmissionDecision:
     """Admit players and build the heterogeneous proxy pool.
 
     - capacity < publisher load × headroom → **rejected** (cannot even
@@ -101,17 +103,14 @@ def feasibility_test(
     - capacity < publisher + one proxy tenure → admitted but **removed
       from the proxy pool** (forwarded-for, never forwarding);
     - otherwise pooled with weight ∝ how many tenures fit (capped at
-      ``max_weight`` — "this will increase proxies' access to information
-      and should be avoided unless necessary").
+      ``MAX_POOL_WEIGHT``).
     """
     if not capacities:
         raise ValueError("no players to admit")
-    if headroom < 1.0:
-        raise ValueError("headroom must be at least 1.0")
-    config = config or WatchmenConfig()
+    config = WatchmenConfig()
     num_players = len(capacities)
-    publisher = estimate_publisher_kbps(config) * headroom
-    proxy = estimate_proxy_kbps(config, num_players) * headroom
+    publisher = estimate_publisher_kbps(config) * HEADROOM
+    proxy = estimate_proxy_kbps(config, num_players) * HEADROOM
 
     admitted: list[int] = []
     rejected: list[int] = []
@@ -123,10 +122,10 @@ def feasibility_test(
             continue
         admitted.append(player)
         spare = capacity - publisher
-        tenures = int(spare // proxy) if proxy > 0 else max_weight
+        tenures = int(spare // proxy) if proxy > 0 else MAX_POOL_WEIGHT
         if tenures >= 1:
             pool.append(player)
-            weights[player] = min(max_weight, tenures)
+            weights[player] = min(MAX_POOL_WEIGHT, tenures)
     if len(admitted) >= 2 and not pool:
         # Degenerate but playable: everyone forwards a little.
         pool = list(admitted)
@@ -136,6 +135,6 @@ def feasibility_test(
         rejected=rejected,
         proxy_pool=pool,
         pool_weights=weights,
-        publisher_kbps=publisher / headroom,
-        proxy_kbps=proxy / headroom,
+        publisher_kbps=publisher / HEADROOM,
+        proxy_kbps=proxy / HEADROOM,
     )

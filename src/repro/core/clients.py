@@ -12,7 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.core.config import FREQUENT_INTERVAL_FRAMES, HANDOFF_DEPTH
+from repro.core.config import (
+    DEAD_AIR_BASE_RATING,
+    DEAD_AIR_RATING_PER_FRAME,
+    HANDOFF_DEPTH,
+    MAX_RATING,
+    POSE_HISTORY_FRAMES,
+    POSE_MATCH_WINDOW_FRAMES,
+    SILENCE_GRACE_FRAMES,
+)
 from repro.core.liveness import FirstHops
 from repro.core.messages import (
     SUB_INTEREST,
@@ -23,10 +31,6 @@ from repro.core.messages import (
 from repro.core.subscriptions import SubscriberTable
 from repro.core.verification import CheatRating, CheckKind, Confidence, RateVerifier
 from repro.game.avatar import AvatarSnapshot
-
-#: Dead air tolerated at the start of a tenure before it reads as escaping:
-#: handoff + first-hop latency.
-SILENCE_GRACE_FRAMES = 16
 
 
 @dataclass
@@ -43,16 +47,16 @@ class ClientState:
     #: the client's pose *when he planned them*, not his freshest one.
     history: dict[int, AvatarSnapshot] = field(default_factory=dict)
 
-    def remember(self, snapshot: AvatarSnapshot, keep: int = 32) -> None:
+    def remember(self, snapshot: AvatarSnapshot) -> None:
         self.history[snapshot.frame] = snapshot
-        if len(self.history) > keep:
-            for frame in sorted(self.history)[: len(self.history) - keep]:
+        if len(self.history) > POSE_HISTORY_FRAMES:
+            for frame in sorted(self.history)[: len(self.history) - POSE_HISTORY_FRAMES]:
                 del self.history[frame]
 
-    def snapshot_near(self, frame: int, window: int = 4) -> AvatarSnapshot | None:
-        """The stored snapshot closest to ``frame`` within ``window``."""
+    def snapshot_near(self, frame: int) -> AvatarSnapshot | None:
+        """The stored snapshot closest to ``frame`` within the match window."""
         best = None
-        best_gap = window + 1
+        best_gap = POSE_MATCH_WINDOW_FRAMES + 1
         for stored_frame, snapshot in self.history.items():
             gap = abs(stored_frame - frame)
             if gap < best_gap:
@@ -76,7 +80,7 @@ class ClientBook:
                 table=SubscriberTable(
                     client_id=client_id, retention_frames=self._retention_frames
                 ),
-                rate=RateVerifier(expected_interval_frames=FREQUENT_INTERVAL_FRAMES),
+                rate=RateVerifier(),
             )
         return state
 
@@ -218,12 +222,13 @@ class ClientBook:
             ):
                 # Dead air since we took over: a client that sent nothing
                 # at all this tenure is escaping (or unreachable).
+                climb = DEAD_AIR_RATING_PER_FRAME * (silent_for - SILENCE_GRACE_FRAMES)
                 rating = CheatRating(
                     verifier_id=self.player_id,
                     subject_id=client_id,
                     frame=frame,
                     check=CheckKind.RATE,
-                    rating=min(10.0, 5.0 + 0.2 * (silent_for - SILENCE_GRACE_FRAMES)),
+                    rating=min(MAX_RATING, DEAD_AIR_BASE_RATING + climb),
                     confidence=Confidence.PROXY,
                     deviation=float(silent_for),
                     detail=f"no traffic at all for {silent_for} frames (escaping?)",

@@ -8,7 +8,10 @@ All paper-given constants live here with their provenance:
 - handoff follow-up two predecessors deep;
 - IS of size 5, ±60° vision cone (slack-enlarged);
 - ~100-bit signatures, ~700-bit average state updates;
-- 150 ms tolerable latency ⇒ updates older than 3 frames count as loss.
+- 150 ms tolerable latency ⇒ updates older than 3 frames count as loss;
+- the detector's operating point — every allowance, threshold, confidence
+  factor and fixed rating a verdict depends on — in the "detection
+  calibration" section (tabulated in docs/PROTOCOL.md §5).
 
 The module-level ``Final`` names below are the single source of truth for
 these numbers; other modules must import them rather than re-state the
@@ -29,6 +32,14 @@ if TYPE_CHECKING:
 
 #: 50 ms frame — the Quake III event-loop period (Section II).
 FRAME_SECONDS: Final[float] = 0.05
+
+#: Quake III ground run speed, units/s — the default of the engine's
+#: ``PhysicsConfig.max_ground_speed``.
+MAX_GROUND_SPEED: Final[float] = 320.0
+
+#: Quake III view turn rate, rad/s (human mouse flicks are fast) — the
+#: default of the engine's ``PhysicsConfig.max_turn_rate``.
+MAX_TURN_RATE: Final[float] = 12.0
 
 #: Frames per wall-clock second; the 1 Hz dissemination tiers (guidance,
 #: position-only) fire once per this many frames (Section III-A).
@@ -64,9 +75,6 @@ POSITION_UPDATE_BITS: Final[int] = 220
 GUIDANCE_BITS: Final[int] = 420
 SUBSCRIPTION_BITS: Final[int] = 160
 HEADER_BITS: Final[int] = 224
-
-#: Frames of observed movement a guidance prediction is checked against.
-GUIDANCE_CHECK_FRAMES: Final[int] = 8
 
 #: 150 ms tolerable latency ⇒ updates older than 3 frames count as loss.
 MAX_USEFUL_AGE_FRAMES: Final[int] = 3
@@ -143,6 +151,150 @@ BYZANTINE_QUARANTINE_FRAMES: Final[int] = PROXY_PERIOD_FRAMES
 #: the network works).  Two 1 Hz heartbeat periods, matching the
 #: staleness definition.
 BYZANTINE_STARVATION_FRAMES: Final[int] = 2 * FRAMES_PER_SECOND
+
+# -- detection calibration (Section V; tabulated in docs/PROTOCOL.md §5) ------
+#
+# The detector's operating point: every number a verdict depends on, read by
+# name where it is used — no constructor takes one, no class stores a copy —
+# so re-calibrating is a diff here plus one corpus refresh.  "calibrated"
+# = tuned on honest runs to the paper's ≤ 5 % false-positive operating point.
+
+#: §V-A: "from 1 to 10 with regards to cheating probability", 1 most likely normal.
+MIN_RATING: Final[float] = 1.0
+#: §V-A: 10 most likely cheating; also what a self-proving violation rates.
+MAX_RATING: Final[float] = 10.0
+#: Relative excess over the allowance at which a rating saturates (~3×); calibrated.
+RATING_SATURATION_EXCESS: Final[float] = 2.0
+
+#: §V-A, c_P > c_IS > c_VS > c_O: the proxy sees every update of its client.
+CONFIDENCE_PROXY: Final[float] = 1.0
+#: §V-A: an IS subscriber gets frequent updates, every frame.
+CONFIDENCE_INTEREST: Final[float] = 0.75
+#: §V-A: a VS subscriber gets 1 Hz guidance plus dead reckoning.
+CONFIDENCE_VISION: Final[float] = 0.55
+#: §V-A: everyone else gets 1 Hz position updates only.
+CONFIDENCE_OTHER: Final[float] = 0.30
+#: §V-A "very old ... very low confidence": halved per proxy period of staleness.
+STALENESS_HALFLIFE_FRAMES: Final[int] = 40
+
+#: An honest avatar's run per frame (320 u/s × 50 ms = 16 u): every motion slack.
+RUN_UNITS_PER_FRAME: Final[float] = MAX_GROUND_SPEED * FRAME_SECONDS
+#: Position: travel tolerated, as a factor of the physics envelope; calibrated.
+POSITION_TOLERANCE: Final[float] = 1.10
+#: Position: slack never below this (frame-phase, quantization), units; calibrated.
+POSITION_SLACK_FLOOR: Final[float] = 2.0
+#: Position: abstain past one proxy period between updates (a respawn hides there).
+POSITION_MAX_GAP_FRAMES: Final[int] = 40
+#: Aim: yaw change tolerated, as a factor of the engine turn rate; calibrated.
+AIM_TOLERANCE: Final[float] = 1.3
+#: Aim: only short gaps are judged; yaw wraps make longer ones ambiguous.
+AIM_MAX_GAP_FRAMES: Final[int] = 5
+#: Action repetition (§V-A "more accuracy but higher costs"): headings replayed.
+REPLAY_DIRECTIONS: Final[int] = 12
+#: Action repetition: distance to the closest legal end tolerated, units; calibrated.
+REPLAY_TOLERANCE: Final[float] = 2.5
+
+#: Guidance: frames of observed movement a prediction is checked against; calibrated.
+GUIDANCE_CHECK_FRAMES: Final[int] = 8
+#: Guidance (§V-A ā + σ_a): σ_a multiples of honest deviation accepted; calibrated.
+GUIDANCE_SIGMAS: Final[float] = 2.0
+#: Guidance: honest samples needed before ā + kσ_a is trusted; calibrated.
+GUIDANCE_MIN_SAMPLES: Final[int] = 8
+#: Guidance: the permissive allowance used until then, units; calibrated.
+GUIDANCE_FALLBACK_ALLOWANCE: Final[float] = 60.0
+#: Guidance: the envelope never drops below one frame of running.
+GUIDANCE_ALLOWANCE_FLOOR: Final[float] = RUN_UNITS_PER_FRAME
+#: Guidance (§V-A "accuracy is obviously reduced"): sparser trackers abstain.
+GUIDANCE_BRACKET_GAP_FRAMES: Final[int] = 4
+
+#: Kill (§V-A "a rocket was effectively fired"): spawns kept two proxy periods.
+PROJECTILE_MAX_AGE_FRAMES: Final[int] = 80
+#: Kill: announced projectile speed may miss the weapon's by this fraction; calibrated.
+PROJECTILE_SPEED_ERROR: Final[float] = 0.1
+#: Kill: a projectile spawns within this radius of its shooter, units; calibrated.
+SPAWN_ORIGIN_RADIUS: Final[float] = 64.0
+#: Kill: frames of running granted on top of the shooter view's age; calibrated.
+SPAWN_SLACK_FRAMES: Final[int] = 2
+#: Kill (§V-A rocket-to-target distance): the splash radius, units.
+PROJECTILE_HIT_RADIUS: Final[float] = 160.0
+#: Kill: distance tolerated, as a factor of the weapon's effective range; calibrated.
+KILL_RANGE_TOLERANCE: Final[float] = 1.15
+#: Kill: deviations are rated against this fraction of the range; calibrated.
+KILL_DEVIATION_FRACTION: Final[float] = 0.05
+#: Kill: line of sight is judged only on views this fresh; calibrated.
+LOS_FRESHNESS_FRAMES: Final[int] = 8
+#: Kill: a projectile claim waits this long for its spawn (two hops + a frame).
+CLAIM_DEFERRAL_FRAMES: Final[int] = 4
+
+#: Subscription: frames of target movement outside the cone forgiven; calibrated.
+SUBSCRIPTION_SLACK_FRAMES: Final[int] = 8
+#: Subscription: ... plus this fraction of the vision radius; calibrated.
+CONE_SLACK_FRACTION: Final[float] = 0.15
+#: Subscription: the target is rewound this far (the 1 Hz tiers: ½ s and 1 s).
+TARGET_REWIND_FRAMES: Final[tuple[int, ...]] = (10, 20)
+#: Subscription: occlusion (the maphack signature) needs views this fresh; calibrated.
+OCCLUSION_FRESHNESS_FRAMES: Final[int] = 4
+#: Subscription: lateral offset of the occlusion probe's outer rays, units; calibrated.
+OCCLUSION_PROBE_OFFSET: Final[float] = 40.0
+#: Subscription: an occluded target deviates by this fraction of its distance; calibrated.
+OCCLUSION_DEVIATION_FRACTION: Final[float] = 0.3
+#: IS subscription (§V-A "sufficient accuracy"): rank allowed, in IS sizes.
+IS_RANK_ALLOWANCE_FACTOR: Final[int] = 2
+#: Subscription (Table I "repetitions"): repeats inside this window escalate ...
+SUBSCRIPTION_REPEAT_WINDOW_FRAMES: Final[int] = 200
+#: Subscription: ... by this much per repeat past the first two; calibrated.
+SUBSCRIPTION_REPEAT_STEP: Final[float] = 1.5
+#: Subscription: ... and only ratings above this count as repeats; calibrated.
+ESCALATION_RATING_FLOOR: Final[float] = 2.0
+#: Subscription: client poses a proxy keeps to judge a request where it was planned.
+POSE_HISTORY_FRAMES: Final[int] = 32
+#: Subscription: how far from the request's frame the nearest pose may be; calibrated.
+POSE_MATCH_WINDOW_FRAMES: Final[int] = 4
+
+#: Rate (Table I fast-rate): arrivals are counted over one proxy period.
+RATE_WINDOW_FRAMES: Final[int] = 40
+#: Rate: extra arrivals per window tolerated (jitter); calibrated.
+RATE_BURST_SLACK: Final[int] = 2
+#: Rate: missing updates tolerated per half window, as a fraction (loss); calibrated.
+RATE_DEFICIT_SLACK_FRACTION: Final[float] = 0.2
+#: Rate: ... and never fewer than this many; calibrated.
+RATE_DEFICIT_SLACK_FLOOR: Final[float] = 2.0
+#: Rate (Table I suppress-correct; twice it, escaping): stamp gap tolerated; calibrated.
+RATE_SILENCE_ALLOWANCE_FRAMES: Final[int] = 8
+#: Rate (Table I time cheat): twice the 150 ms (3-frame) tolerable latency.
+RATE_SKEW_ALLOWANCE_FRAMES: Final[int] = 6
+#: Rate: dead air tolerated at the start of a tenure (handoff + first hop).
+SILENCE_GRACE_FRAMES: Final[int] = 16
+#: Rate: a tenure silent past the grace rates this (under suspicion) ...; calibrated.
+DEAD_AIR_BASE_RATING: Final[float] = 5.0
+#: Rate: ... and this much more per further frame (suspicious after 5); calibrated.
+DEAD_AIR_RATING_PER_FRAME: Final[float] = 0.2
+
+#: Violation: circumstantial (starvation, exhausted retries) — the suspicion threshold.
+CIRCUMSTANTIAL_RATING: Final[float] = 6.0
+#: Violation: channel abuse — a struck-out token bucket, forged evidence.
+ABUSE_RATING: Final[float] = 8.0
+#: Violation (Table I consistency cheat): a state update sent around the proxy.
+BYPASS_RATING: Final[float] = 9.0
+
+#: Reputation (§V-B): a rating at or above this tags the interaction as failed.
+SUSPICION_RATING_THRESHOLD: Final[float] = 6.0
+#: Reputation: reports under this confidence are ignored (below CONFIDENCE_OTHER).
+MIN_REPORT_CONFIDENCE: Final[float] = 0.25
+#: Reputation (§V-B "set based on the success and false positive rates"); calibrated.
+BAN_THRESHOLD: Final[float] = 0.85
+#: Reputation (§V-B "a single detection ... does not result in banning").
+BAN_MIN_REPORTS: Final[int] = 20
+#: Reputation: BetaReputation bans below this expected reputation; calibrated.
+BETA_BAN_THRESHOLD: Final[float] = 0.80
+#: Reputation: ... once this much confidence-weighted evidence is in; calibrated.
+BETA_MIN_EVIDENCE: Final[float] = 10.0
+#: Reputation: Beta prior pseudo-count of successes (players start trusted).
+BETA_PRIOR: Final[float] = 2.0
+#: Reputation: ... and of failures, as a fraction of it (prior reputation 0.8).
+BETA_PRIOR_FAILURE_FRACTION: Final[float] = 0.25
+#: Membership (§VI "removed in the next round"): epochs from quorum to removal.
+REMOVAL_DELAY_EPOCHS: Final[int] = 1
 
 # -- bursty-loss network model (NetworkConfig.loss_model) -------------------
 

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from repro.core.config import BYZANTINE_STARVATION_FRAMES, FRAMES_PER_SECOND
+from repro.core.config import (
+    BYZANTINE_STARVATION_FRAMES,
+    FRAMES_PER_SECOND,
+    REMOVAL_DELAY_EPOCHS,
+)
 from repro.core.membership import MembershipView
 from repro.core.messages import MisbehaviorEvidence
 from repro.core.proxy import ProxySchedule
@@ -121,14 +125,14 @@ class EvidenceLog:
                 return FORGED
         return VALID
 
-    def due_epoch(self, evidence: MisbehaviorEvidence, delay_epochs: int) -> int:
+    def due_epoch(self, evidence: MisbehaviorEvidence) -> int:
         """When a conviction on ``evidence`` takes effect.
 
         A pure function of the *evidence* frame, so every node that
         accepts the same evidence schedules the same removal epoch and
         membership views stay in agreement at quiescence.
         """
-        return self._epoch_of_frame(evidence.frame) + delay_epochs
+        return self._epoch_of_frame(evidence.frame) + REMOVAL_DELAY_EPOCHS
 
     # ---- selective forwarding ---------------------------------------------
 
@@ -152,7 +156,7 @@ class EvidenceLog:
         if not self._hardened or frame == 0 or frame % FRAMES_PER_SECOND != 0:
             return
         for subject in membership.current_roster():
-            if subject == self.player_id or subject in membership.exempt:
+            if subject == self.player_id:
                 continue
             last = membership.last_heard_frame(subject)
             if last is None or frame - last <= BYZANTINE_STARVATION_FRAMES:

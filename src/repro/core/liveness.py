@@ -77,8 +77,6 @@ class FirstHops:
             return False
         if node_id in self._membership.removed:
             return True
-        if node_id in self._membership.exempt:
-            return False
         last = self._membership.last_heard_frame(node_id)
         return last is not None and frame - last > self._silence_frames
 

@@ -15,7 +15,7 @@ This module implements that round:
    :class:`RemovalProposal`.
 3. **Quorum** — when a node has seen proposals about X from a majority of
    the (remaining) roster, the removal is *agreed*; it becomes effective
-   at a deterministic future epoch boundary (``effective_delay_epochs``
+   at a deterministic future epoch boundary (``REMOVAL_DELAY_EPOCHS``
    after the quorum epoch), giving stragglers time to reach the same
    quorum — proposals propagate within a frame or two, so one epoch of
    delay suffices — and every honest node swaps to the same reduced
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.config import MEMBERSHIP_SILENCE_FRAMES, REMOVAL_DELAY_EPOCHS
 from repro.crypto.signatures import Signature
 
 __all__ = ["RemovalProposal", "MembershipView"]
@@ -53,11 +54,7 @@ class MembershipView:
     """One node's view of who is (still) in the game."""
 
     roster: list[int]
-    silence_threshold_frames: int = 60  # 3 s without any update
-    effective_delay_epochs: int = 1
-    #: Infrastructure (hybrid servers) never publishes avatar updates and
-    #: is exempt from heartbeat-based removal.
-    exempt: frozenset = frozenset()
+    silence_threshold_frames: int = MEMBERSHIP_SILENCE_FRAMES  # 3 s without any update
     _last_heard: dict[int, int] = field(default_factory=dict)
     _proposals: dict[int, set[int]] = field(default_factory=dict)  # subject -> proposers
     _own_proposals: set[int] = field(default_factory=set)
@@ -111,7 +108,6 @@ class MembershipView:
             for player, last in self._last_heard.items()
             if player not in (self_id,)
             and player not in self.removed
-            and player not in self.exempt
             and frame - last > self.silence_threshold_frames
         ]
 
@@ -153,9 +149,7 @@ class MembershipView:
             > self.silence_threshold_frames
         )
         if len(voters) >= self.quorum_size() and locally_silent:
-            self._scheduled_removals[subject_id] = (
-                epoch + self.effective_delay_epochs
-            )
+            self._scheduled_removals[subject_id] = epoch + REMOVAL_DELAY_EPOCHS
             return True
         return False
 

@@ -28,9 +28,13 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 from repro.core.clients import ClientBook, ClientState
 from repro.core.config import (
+    ABUSE_RATING,
+    BYPASS_RATING,
     BYZANTINE_QUARANTINE_STRIKES,
-    GUIDANCE_CHECK_FRAMES,
+    CIRCUMSTANTIAL_RATING,
+    CLAIM_DEFERRAL_FRAMES,
     MAX_FAILOVER_ATTEMPTS,
+    MAX_RATING,
     PROFILES,
     WatchmenConfig,
 )
@@ -250,16 +254,10 @@ class WatchmenNode:
             player_id, game_map, config, self.recency, los=los_cache
         )
         self.position_verifier = PositionVerifier(physics)
-        self.aim_verifier = AimVerifier(
-            max_turn_rate=physics.config.max_turn_rate,
-            frame_seconds=config.frame_seconds,
-        )
-        self.guidance_verifier = GuidanceVerifier(
-            config.frame_seconds,
-            check_horizon_frames=GUIDANCE_CHECK_FRAMES,
-        )
+        self.aim_verifier = AimVerifier()
+        self.guidance_verifier = GuidanceVerifier()
         self.projectiles = ProjectileTracker()
-        self.kill_verifier = KillVerifier(game_map, projectiles=self.projectiles)
+        self.kill_verifier = KillVerifier(game_map, self.projectiles)
         self.subscription_verifier = SubscriptionVerifier(game_map, config.interest)
         self.membership = MembershipView(
             list(self.roster),
@@ -379,7 +377,7 @@ class WatchmenNode:
         ):
             self._rate_violation(
                 proxy,
-                6.0,
+                CIRCUMSTANTIAL_RATING,
                 f"player {subject} dark while its proxy stays live "
                 "(selective forwarding?)",
                 confidence=Confidence.OTHER,
@@ -466,7 +464,7 @@ class WatchmenNode:
                 ):
                     self._rate_violation(
                         pending.destination,
-                        6.0,
+                        CIRCUMSTANTIAL_RATING,
                         "retry ladder exhausted against a live "
                         "destination (ack withholding?)",
                         confidence=Confidence.OTHER,
@@ -608,7 +606,7 @@ class WatchmenNode:
             # what it could open itself, so whoever handed me this
             # either made it or forwarded blind.
             self.protocol_drop("malformed")
-            self._rate_violation(src, 10.0, "malformed frame")
+            self._rate_violation(src, MAX_RATING, "malformed frame")
             return
         self.metrics.handled[type(message)].inc()
         self._dispatch_message(src, message, buffer, signed_end)
@@ -698,7 +696,7 @@ class WatchmenNode:
         )
         if blamed != message.sender_id:  # a relaying hop: tampered in flight
             self.protocol_drop("tamper")
-        self._rate_violation(blamed, 10.0, why)
+        self._rate_violation(blamed, MAX_RATING, why)
         return False
 
     def _screen_duplicate(
@@ -730,7 +728,7 @@ class WatchmenNode:
         self.metrics.count_replayed_message()
         if verdict is REPLAY:
             self._rate_violation(
-                message.sender_id, 10.0, f"replayed sequence {message.sequence}"
+                message.sender_id, MAX_RATING, f"replayed sequence {message.sequence}"
             )
 
     # -- the Byzantine tier (policies and record: ``self.evidence``) ----------
@@ -741,7 +739,7 @@ class WatchmenNode:
         self.metrics.quarantines.inc()
         self._rate_violation(
             src,
-            8.0,
+            ABUSE_RATING,
             "message flood: token bucket exhausted repeatedly",
             deviation=float(BYZANTINE_QUARANTINE_STRIKES),
         )
@@ -759,7 +757,7 @@ class WatchmenNode:
         first_proof = self.evidence.equivocated(self.current_frame, accused)
         self._rate_violation(
             accused,
-            10.0,
+            MAX_RATING,
             "equivocation: conflicting signed payloads for "
             f"sequence {conflict.sequence}",
         )
@@ -784,19 +782,17 @@ class WatchmenNode:
         elif verdict is FORGED:
             # rate the reporter, not the accused
             self._rate_violation(
-                evidence.sender_id, 8.0, "misbehavior evidence fails verification"
+                evidence.sender_id, ABUSE_RATING, "misbehavior evidence fails verification"
             )
 
     def _convict_on_evidence(self, evidence: MisbehaviorEvidence) -> None:
         """Schedule a quorum-free removal backed by verified evidence."""
-        due_epoch = self.evidence.due_epoch(
-            evidence, self.membership.effective_delay_epochs
-        )
+        due_epoch = self.evidence.due_epoch(evidence)
         if self.membership.convict(evidence.accused_id, due_epoch):
             self.metrics.convictions.inc()
             self._rate_violation(
                 evidence.accused_id,
-                10.0,
+                MAX_RATING,
                 "verified misbehavior evidence (signed equivocation)",
             )
 
@@ -812,7 +808,7 @@ class WatchmenNode:
         elif src == sender and not self.config.relax_first_hop:
             # Direct send around the proxy: consistency-cheat attempt.
             self.metrics.count_direct_update_violation()
-            self._rate_violation(sender, 9.0, "direct state update bypassing proxy")
+            self._rate_violation(sender, BYPASS_RATING, "direct state update bypassing proxy")
         else:
             self._consume_state_update(update)
 
@@ -1056,7 +1052,8 @@ class WatchmenNode:
     def _judge_kill_claim(self, claim: KillClaim, confidence: float) -> None:
         spec = WEAPONS.get(claim.weapon)
         if spec is not None and spec.projectile_speed is not None:
-            self._deferred_claims.append((self.current_frame + 4, claim, confidence))
+            due = self.current_frame + CLAIM_DEFERRAL_FRAMES
+            self._deferred_claims.append((due, claim, confidence))
             return
         self._judge_kill_claim_now(claim, confidence)
 
@@ -1090,7 +1087,7 @@ class WatchmenNode:
         # is a sender any node can verify against the schedule.
         if not self.first_hops.may_route(client_id, message.epoch, message.sender_id):
             self._rate_violation(
-                message.sender_id, 10.0, "handoff from a node that was not the proxy"
+                message.sender_id, MAX_RATING, "handoff from a node that was not the proxy"
             )
             return
         if not self.first_hops.serves(client_id, self.current_epoch):

@@ -22,6 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from repro.core.config import (
+    BAN_MIN_REPORTS,
+    BAN_THRESHOLD,
+    BETA_BAN_THRESHOLD,
+    BETA_MIN_EVIDENCE,
+    BETA_PRIOR,
+    BETA_PRIOR_FAILURE_FRACTION,
+    MIN_REPORT_CONFIDENCE,
+    SUSPICION_RATING_THRESHOLD,
+)
 from repro.core.verification import CheatRating
 
 __all__ = [
@@ -30,11 +40,6 @@ __all__ = [
     "BetaReputation",
     "ReputationBoard",
 ]
-
-#: A rating at or above this is treated as a failed (suspicious) interaction.
-SUSPICION_RATING_THRESHOLD = 6.0
-#: Low-confidence reports are ignored entirely.
-MIN_REPORT_CONFIDENCE = 0.25
 
 
 class InteractionTag(NamedTuple):
@@ -63,7 +68,9 @@ class ThresholdReputation:
     positive rates of the detection system".
     """
 
-    def __init__(self, ban_threshold: float = 0.85, min_reports: int = 20) -> None:
+    def __init__(
+        self, ban_threshold: float = BAN_THRESHOLD, min_reports: int = BAN_MIN_REPORTS
+    ) -> None:
         if not 0.0 < ban_threshold <= 1.0:
             raise ValueError("ban_threshold must be in (0, 1]")
         self.ban_threshold = ban_threshold
@@ -107,17 +114,10 @@ class BetaReputation:
     robustness").
     """
 
-    def __init__(
-        self,
-        ban_threshold: float = 0.80,
-        min_evidence: float = 10.0,
-        prior: float = 2.0,
-    ) -> None:
+    def __init__(self, ban_threshold: float = BETA_BAN_THRESHOLD) -> None:
         if not 0.0 < ban_threshold <= 1.0:
             raise ValueError("ban_threshold must be in (0, 1]")
         self.ban_threshold = ban_threshold
-        self.min_evidence = min_evidence
-        self.prior = prior
         self._alpha: dict[int, float] = {}
         self._beta: dict[int, float] = {}
 
@@ -132,8 +132,8 @@ class BetaReputation:
             self._beta[tag.subject_id] = self._beta.get(tag.subject_id, 0.0) + weight
 
     def reputation_of(self, subject_id: int) -> float:
-        alpha = self._alpha.get(subject_id, 0.0) + self.prior
-        beta = self._beta.get(subject_id, 0.0) + self.prior * 0.25
+        alpha = self._alpha.get(subject_id, 0.0) + BETA_PRIOR
+        beta = self._beta.get(subject_id, 0.0) + BETA_PRIOR * BETA_PRIOR_FAILURE_FRACTION
         return alpha / (alpha + beta)
 
     def evidence_of(self, subject_id: int) -> float:
@@ -143,7 +143,7 @@ class BetaReputation:
         return {
             subject
             for subject in set(self._alpha) | set(self._beta)
-            if self.evidence_of(subject) >= self.min_evidence
+            if self.evidence_of(subject) >= BETA_MIN_EVIDENCE
             and self.reputation_of(subject) < self.ban_threshold
         }
 

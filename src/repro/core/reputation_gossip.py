@@ -28,6 +28,9 @@ from repro.core.reputation import BetaReputation, InteractionTag
 
 __all__ = ["GossipNode", "GossipReputationNetwork"]
 
+#: Rounds after which an epidemic that has not gone quiet is cut off.
+MAX_GOSSIP_ROUNDS = 64
+
 
 def _tag_key(tag: InteractionTag) -> tuple:
     """Identity of an observation (for exactly-once accounting)."""
@@ -112,13 +115,13 @@ class GossipReputationNetwork:
         self.rounds_run += 1
         return new_total
 
-    def run_until_quiet(self, max_rounds: int = 64, fanout: int = 2,
-                        digest_size: int = 128) -> int:
-        """Gossip until a round spreads nothing new; returns rounds used."""
-        for round_index in range(max_rounds):
+    def run_until_quiet(self, fanout: int = 2, digest_size: int = 128) -> int:
+        """Gossip until a round spreads nothing new; returns rounds used
+        (at most ``MAX_GOSSIP_ROUNDS``)."""
+        for round_index in range(MAX_GOSSIP_ROUNDS):
             if self.run_round(fanout=fanout, digest_size=digest_size) == 0:
                 return round_index + 1
-        return max_rounds
+        return MAX_GOSSIP_ROUNDS
 
     # ---- convergence queries ------------------------------------------------
 

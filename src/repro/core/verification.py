@@ -21,7 +21,55 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.core.config import FRAME_SECONDS
+from repro.core.config import (
+    AIM_MAX_GAP_FRAMES,
+    AIM_TOLERANCE,
+    CONE_SLACK_FRACTION,
+    CONFIDENCE_INTEREST,
+    CONFIDENCE_OTHER,
+    CONFIDENCE_PROXY,
+    CONFIDENCE_VISION,
+    ESCALATION_RATING_FLOOR,
+    FRAME_SECONDS,
+    FREQUENT_INTERVAL_FRAMES,
+    GUIDANCE_ALLOWANCE_FLOOR,
+    GUIDANCE_BRACKET_GAP_FRAMES,
+    GUIDANCE_CHECK_FRAMES,
+    GUIDANCE_FALLBACK_ALLOWANCE,
+    GUIDANCE_MIN_SAMPLES,
+    GUIDANCE_SIGMAS,
+    IS_RANK_ALLOWANCE_FACTOR,
+    KILL_DEVIATION_FRACTION,
+    KILL_RANGE_TOLERANCE,
+    LOS_FRESHNESS_FRAMES,
+    MAX_RATING,
+    MAX_TURN_RATE,
+    MIN_RATING,
+    OCCLUSION_DEVIATION_FRACTION,
+    OCCLUSION_FRESHNESS_FRAMES,
+    OCCLUSION_PROBE_OFFSET,
+    POSITION_MAX_GAP_FRAMES,
+    POSITION_SLACK_FLOOR,
+    POSITION_TOLERANCE,
+    PROJECTILE_HIT_RADIUS,
+    PROJECTILE_MAX_AGE_FRAMES,
+    PROJECTILE_SPEED_ERROR,
+    RATE_BURST_SLACK,
+    RATE_DEFICIT_SLACK_FLOOR,
+    RATE_DEFICIT_SLACK_FRACTION,
+    RATE_SILENCE_ALLOWANCE_FRAMES,
+    RATE_SKEW_ALLOWANCE_FRAMES,
+    RATE_WINDOW_FRAMES,
+    RATING_SATURATION_EXCESS,
+    RUN_UNITS_PER_FRAME,
+    SPAWN_ORIGIN_RADIUS,
+    SPAWN_SLACK_FRAMES,
+    STALENESS_HALFLIFE_FRAMES,
+    SUBSCRIPTION_REPEAT_STEP,
+    SUBSCRIPTION_REPEAT_WINDOW_FRAMES,
+    SUBSCRIPTION_SLACK_FRAMES,
+    TARGET_REWIND_FRAMES,
+)
 from repro.game.avatar import AvatarSnapshot
 from repro.game.deadreckoning import (
     GuidancePrediction,
@@ -48,19 +96,13 @@ __all__ = [
     "rating_from_deviation",
 ]
 
-MIN_RATING = 1.0
-MAX_RATING = 10.0
-
-
 class Confidence:
     """Confidence factors by vantage point: c_P > c_IS > c_VS > c_O."""
 
-    PROXY = 1.0
-    INTEREST = 0.75
-    VISION = 0.55
-    OTHER = 0.30
-
-    STALENESS_HALFLIFE_FRAMES = 40
+    PROXY = CONFIDENCE_PROXY
+    INTEREST = CONFIDENCE_INTEREST
+    VISION = CONFIDENCE_VISION
+    OTHER = CONFIDENCE_OTHER
 
     @staticmethod
     def staleness_discount(staleness_frames: int) -> float:
@@ -68,7 +110,7 @@ class Confidence:
         with a very old guidance message is assigned a very low confidence")."""
         if staleness_frames <= 0:
             return 1.0
-        return 0.5 ** (staleness_frames / Confidence.STALENESS_HALFLIFE_FRAMES)
+        return 0.5 ** (staleness_frames / STALENESS_HALFLIFE_FRAMES)
 
 
 class CheckKind:
@@ -119,7 +161,8 @@ def rating_from_deviation(deviation: float, allowed: float) -> float:
     if deviation <= allowed:
         return MIN_RATING
     excess = (deviation - allowed) / allowed
-    return min(MAX_RATING, MIN_RATING + 9.0 * min(1.0, excess / 2.0))
+    climb = (MAX_RATING - MIN_RATING) * min(1.0, excess / RATING_SATURATION_EXCESS)
+    return min(MAX_RATING, MIN_RATING + climb)
 
 
 @dataclass
@@ -133,7 +176,6 @@ class DeviationCalibration:
     count: int = 0
     mean: float = 0.0
     _m2: float = 0.0
-    fallback: float = 1.0
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -147,10 +189,10 @@ class DeviationCalibration:
             return 0.0
         return math.sqrt(self._m2 / (self.count - 1))
 
-    def allowance(self, sigmas: float = 1.0) -> float:
-        if self.count < 8:  # not enough honest data yet; be permissive
-            return self.fallback
-        return self.mean + sigmas * self.std
+    def allowance(self) -> float:
+        if self.count < GUIDANCE_MIN_SAMPLES:  # too little honest data: be permissive
+            return GUIDANCE_FALLBACK_ALLOWANCE
+        return self.mean + GUIDANCE_SIGMAS * self.std
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +208,8 @@ class PositionVerifier:
     angular speed, permitted position)".
     """
 
-    def __init__(
-        self,
-        physics: Physics,
-        tolerance: float = 1.10,
-        max_gap_frames: int = 40,
-    ) -> None:
+    def __init__(self, physics: Physics) -> None:
         self.physics = physics
-        self.tolerance = tolerance
-        self.max_gap_frames = max_gap_frames
         self._last_seen: dict[int, AvatarSnapshot] = {}
 
     def observe(
@@ -196,13 +231,14 @@ class PositionVerifier:
         # Very old history cannot distinguish a hidden death/respawn pair
         # from a teleport hack; abstain rather than guess (low-staleness
         # evidence would get near-zero confidence anyway).
-        if frames > self.max_gap_frames:
+        if frames > POSITION_MAX_GAP_FRAMES:
             return None
         physics = self.physics
         excess = physics.displacement_excess(previous.position, snapshot.position, frames)
         # Slack absorbs frame-phase and quantization noise so honest
         # movement never rates above 1 (the FP ≤ 5 % operating point).
-        allowed = max(2.0, physics.max_horizontal_travel(frames) * (self.tolerance - 1.0))
+        slack = physics.max_horizontal_travel(frames) * (POSITION_TOLERANCE - 1.0)
+        allowed = max(POSITION_SLACK_FLOOR, slack)
         return CheatRating(  # positionally: built once per delivered update
             verifier_id, subject, snapshot.frame, CheckKind.POSITION,
             rating_from_deviation(excess, allowed), confidence, excess,
@@ -219,17 +255,7 @@ class AimVerifier:
     gaps ambiguous).
     """
 
-    def __init__(
-        self,
-        max_turn_rate: float = 12.0,
-        frame_seconds: float = FRAME_SECONDS,
-        tolerance: float = 1.3,
-        max_gap_frames: int = 5,
-    ) -> None:
-        self.max_turn_rate = max_turn_rate
-        self.frame_seconds = frame_seconds
-        self.tolerance = tolerance
-        self.max_gap_frames = max_gap_frames
+    def __init__(self) -> None:
         self._last_seen: dict[int, AvatarSnapshot] = {}
 
     def observe(
@@ -244,14 +270,14 @@ class AimVerifier:
         if previous is None or snapshot.frame <= previous.frame:
             return None
         frames = snapshot.frame - previous.frame
-        if frames > self.max_gap_frames:
+        if frames > AIM_MAX_GAP_FRAMES:
             return None
         if not previous.alive or not snapshot.alive:
             return None
         delta = abs(
             (snapshot.yaw - previous.yaw + math.pi) % (2.0 * math.pi) - math.pi
         )
-        allowed = self.max_turn_rate * self.frame_seconds * frames * self.tolerance
+        allowed = MAX_TURN_RATE * FRAME_SECONDS * frames * AIM_TOLERANCE
         return CheatRating(  # positionally: built once per delivered update
             verifier_id, subject, snapshot.frame, CheckKind.AIM,
             rating_from_deviation(delta, allowed), confidence, delta,
@@ -267,20 +293,8 @@ class GuidanceVerifier:
     from honest observations.
     """
 
-    def __init__(
-        self,
-        frame_seconds: float = FRAME_SECONDS,
-        calibration: DeviationCalibration | None = None,
-        sigmas: float = 2.0,
-        check_horizon_frames: int = 8,
-    ) -> None:
-        self.frame_seconds = frame_seconds
-        self.calibration = calibration or DeviationCalibration(fallback=60.0)
-        self.sigmas = sigmas
-        # Judge only the first frames after a prediction: honest constant-
-        # velocity predictions are accurate there, while a fabricated
-        # velocity diverges immediately — that is where the lie shows.
-        self.check_horizon_frames = check_horizon_frames
+    def __init__(self) -> None:
+        self.calibration = DeviationCalibration()
         self._predictions: dict[int, GuidancePrediction] = {}
         self._observed: dict[int, list[tuple[int, Vec3]]] = {}
 
@@ -308,8 +322,11 @@ class GuidanceVerifier:
             return None
         track = self._observed.setdefault(snapshot.player_id, [])
         track.append((snapshot.frame, snapshot.position))
+        # Judge only the first frames after a prediction: honest constant-
+        # velocity predictions are accurate there, while a fabricated
+        # velocity diverges immediately — that is where the lie shows.
         horizon_end = prediction.frame + min(
-            prediction.horizon_frames, self.check_horizon_frames
+            prediction.horizon_frames, GUIDANCE_CHECK_FRAMES
         )
         if snapshot.frame < horizon_end:
             return None
@@ -322,14 +339,14 @@ class GuidanceVerifier:
         # "the accuracy is obviously reduced" for players outside IS/VS.
         before = [f for f in frames if f <= horizon_end]
         after = [f for f in frames if f >= horizon_end]
-        if not before or not after or min(after) - max(before) > 4:
+        if not before or not after or min(after) - max(before) > GUIDANCE_BRACKET_GAP_FRAMES:
             del self._predictions[snapshot.player_id]
             del self._observed[snapshot.player_id]
             return None
         # Deviation: where the prediction says the avatar should be at the
         # end of the check window versus where it actually is.
         actual_end = self._interpolate(track, horizon_end)
-        predicted_end = prediction.position_at(horizon_end, self.frame_seconds)
+        predicted_end = prediction.position_at(horizon_end, FRAME_SECONDS)
         gap = predicted_end.distance_to(actual_end)
 
         del self._predictions[snapshot.player_id]
@@ -337,7 +354,7 @@ class GuidanceVerifier:
 
         if calibrate:
             self.calibration.observe(gap)
-        allowed = max(self.calibration.allowance(self.sigmas), 16.0)
+        allowed = max(self.calibration.allowance(), GUIDANCE_ALLOWANCE_FLOOR)
         rating = rating_from_deviation(gap, allowed)
         return CheatRating(
             verifier_id=verifier_id,
@@ -373,8 +390,7 @@ class ProjectileTracker:
     claims ("a rocket was effectively fired").
     """
 
-    def __init__(self, max_age_frames: int = 80) -> None:
-        self.max_age_frames = max_age_frames
+    def __init__(self) -> None:
         self._spawns: dict[int, list] = {}  # owner -> [(frame, weapon, origin, velocity)]
 
     def record(
@@ -382,7 +398,7 @@ class ProjectileTracker:
     ) -> None:
         spawns = self._spawns.setdefault(owner_id, [])
         spawns.append((frame, weapon, origin, velocity))
-        cutoff = frame - self.max_age_frames
+        cutoff = frame - PROJECTILE_MAX_AGE_FRAMES
         self._spawns[owner_id] = [s for s in spawns if s[0] >= cutoff]
 
     def verify_spawn(
@@ -413,20 +429,20 @@ class ProjectileTracker:
             )
         speed = velocity.length()
         speed_error = abs(speed - spec.projectile_speed)
-        if speed_error > spec.projectile_speed * 0.1:
+        if speed_error > spec.projectile_speed * PROJECTILE_SPEED_ERROR:
             deviation = max(deviation, speed_error)
             details.append(f"speed {speed:.0f} vs spec {spec.projectile_speed:.0f}")
         if owner_snapshot is not None:
             staleness = max(0, spawn_frame - owner_snapshot.frame)
-            slack = 320.0 * 0.05 * (staleness + 2)
+            slack = RUN_UNITS_PER_FRAME * (staleness + SPAWN_SLACK_FRAMES)
             origin_gap = origin.distance_to(owner_snapshot.position)
-            if origin_gap > 64.0 + slack:
+            if origin_gap > SPAWN_ORIGIN_RADIUS + slack:
                 deviation = max(deviation, origin_gap)
                 details.append(f"origin {origin_gap:.0f}u from the shooter")
         rating = (
             MIN_RATING
             if not details
-            else rating_from_deviation(deviation, 64.0)
+            else rating_from_deviation(deviation, SPAWN_ORIGIN_RADIUS)
         )
         return CheatRating(
             verifier_id=verifier_id,
@@ -445,7 +461,6 @@ class ProjectileTracker:
         weapon: str,
         claim_frame: int,
         target_position: Vec3,
-        frame_seconds: float = FRAME_SECONDS,
     ) -> tuple[float, int] | None:
         """(min distance, flight frames) of the best matching spawn.
 
@@ -457,7 +472,7 @@ class ProjectileTracker:
         spawns = [
             s
             for s in self._spawns.get(owner_id, [])
-            if s[1] == weapon and 0 <= claim_frame - s[0] <= self.max_age_frames
+            if s[1] == weapon and 0 <= claim_frame - s[0] <= PROJECTILE_MAX_AGE_FRAMES
         ]
         if not spawns:
             return None
@@ -472,9 +487,9 @@ class ProjectileTracker:
             max_range = (
                 spec.effective_range if spec is not None else speed
             )
-            steps = max(1, int(max_range / (speed * frame_seconds)))
+            steps = max(1, int(max_range / (speed * FRAME_SECONDS)))
             for step in range(steps + 1):
-                point = origin + velocity * (step * frame_seconds)
+                point = origin + velocity * (step * FRAME_SECONDS)
                 gap = point.distance_to(target_position)
                 if gap < best:
                     best = gap
@@ -490,14 +505,8 @@ class KillVerifier:
     and that of the target is used as a metric of the deviation."
     """
 
-    def __init__(
-        self,
-        game_map: GameMap,
-        range_tolerance: float = 1.15,
-        projectiles: "ProjectileTracker | None" = None,
-    ) -> None:
+    def __init__(self, game_map: GameMap, projectiles: ProjectileTracker) -> None:
         self.game_map = game_map
-        self.range_tolerance = range_tolerance
         self.projectiles = projectiles
         self._last_kill_frame: dict[int, int] = {}
 
@@ -537,16 +546,16 @@ class KillVerifier:
             )
             # Both parties may have moved since our snapshots; widen the
             # distance allowance accordingly (both could close the gap).
-            motion_slack = 2.0 * 320.0 * 0.05 * staleness
+            motion_slack = 2.0 * RUN_UNITS_PER_FRAME * staleness
             distance = killer_snapshot.position.distance_to(victim_snapshot.position)
-            max_range = spec.effective_range * self.range_tolerance + motion_slack
+            max_range = spec.effective_range * KILL_RANGE_TOLERANCE + motion_slack
             if distance > max_range:
                 suspicion.append(f"distance {distance:.0f}u > range {max_range:.0f}u")
                 deviation = max(deviation, distance - max_range)
             # Visibility flips with small movements; only judge it on
             # fresh views ("a very old guidance message is assigned a very
             # low confidence" — we abstain instead of guessing).
-            if staleness <= 8 and not self.game_map.line_of_sight(
+            if staleness <= LOS_FRESHNESS_FRAMES and not self.game_map.line_of_sight(
                 eye_position(killer_snapshot.position),
                 eye_position(victim_snapshot.position),
             ):
@@ -570,8 +579,7 @@ class KillVerifier:
         # every announcement; witnesses may miss spawns (subscriber churn),
         # so absence of evidence is evidence only with the full view.
         if (
-            self.projectiles is not None
-            and spec.projectile_speed is not None
+            spec.projectile_speed is not None
             and victim_snapshot is not None
             and has_full_object_view
         ):
@@ -585,7 +593,7 @@ class KillVerifier:
                 approach, flight_frames = match
                 # The victim runs while the rocket flies; the acceptance
                 # radius grows with the flight (and view staleness).
-                allowed = 160.0 + 320.0 * 0.05 * (flight_frames + staleness)
+                allowed = PROJECTILE_HIT_RADIUS + RUN_UNITS_PER_FRAME * (flight_frames + staleness)
                 if approach > allowed:
                     suspicion.append(
                         f"closest announced projectile passed "
@@ -597,7 +605,7 @@ class KillVerifier:
             rating = MIN_RATING
         else:
             rating = rating_from_deviation(
-                deviation, spec.effective_range * 0.05
+                deviation, spec.effective_range * KILL_DEVIATION_FRACTION
             )
         return CheatRating(
             verifier_id=verifier_id,
@@ -620,21 +628,9 @@ class SubscriptionVerifier:
     with sufficient accuracy based on the attention metric."
     """
 
-    def __init__(
-        self,
-        game_map: GameMap,
-        interest: InterestConfig,
-        repeat_window_frames: int = 200,
-        repeat_step: float = 1.5,
-    ) -> None:
+    def __init__(self, game_map: GameMap, interest: InterestConfig) -> None:
         self.game_map = game_map
         self.interest = interest
-        # Honest "ghost" subscriptions (planned on stale target info) are
-        # sporadic and self-correcting; a maphack consumer re-subscribes to
-        # invisible targets *persistently*.  Repetition escalates the
-        # rating — "repetitions" are their own cheat signature (Table I).
-        self.repeat_window_frames = repeat_window_frames
-        self.repeat_step = repeat_step
         self._suspicious_frames: dict[int, list[int]] = {}
 
     def verify_vision_subscription(
@@ -644,14 +640,11 @@ class SubscriptionVerifier:
         subscriber: AvatarSnapshot,
         target: AvatarSnapshot,
         confidence: float,
-        slack_frames: int = 8,
     ) -> CheatRating:
-        """Rate a VS subscription; slack_frames forgives subscription latency."""
+        """Rate a VS subscription against the subscriber's vision cone."""
         get_registry().counter("interest.classifications").inc()
         oframe = ObserverFrame(subscriber, self.interest)
-        rating, deviation, detail = self._rate_vision(
-            oframe, frame, target, slack_frames
-        )
+        rating, deviation, detail = self._rate_vision(oframe, frame, target)
         return CheatRating(
             verifier_id=verifier_id,
             subject_id=subscriber.player_id,
@@ -668,10 +661,10 @@ class SubscriptionVerifier:
         oframe: ObserverFrame,
         frame: int,
         target: AvatarSnapshot,
-        slack_frames: int = 8,
     ) -> tuple[float, float, str]:
         """(rating, deviation, detail) of the cone check both kinds share."""
         subscriber = oframe.snapshot
+        run_slack = RUN_UNITS_PER_FRAME * SUBSCRIPTION_SLACK_FRAMES
         if oframe.in_vision_cone(target):
             rating, deviation, detail = MIN_RATING, 0.0, "target inside cone"
             # Maphack signature: inside the cone but behind a wall — "the
@@ -681,12 +674,11 @@ class SubscriptionVerifier:
             staleness = max(
                 0, frame - subscriber.frame, frame - target.frame
             )
-            if staleness <= 4 and self._solidly_occluded(oframe, target):
-                deviation = 0.3 * subscriber.position.distance_to(
-                    target.position
-                )
-                allowed = 320.0 * 0.05 * slack_frames
-                rating = rating_from_deviation(deviation, allowed)
+            fresh = staleness <= OCCLUSION_FRESHNESS_FRAMES
+            if fresh and self._solidly_occluded(oframe, target):
+                gap = subscriber.position.distance_to(target.position)
+                deviation = OCCLUSION_DEVIATION_FRACTION * gap
+                rating = rating_from_deviation(deviation, run_slack)
                 rating = self._escalate(subscriber.player_id, frame, rating)
                 detail = "target inside cone but occluded"
         else:
@@ -696,9 +688,9 @@ class SubscriptionVerifier:
             # subscription matches some recent target position, a bogus one
             # (never-visible target) matches none.
             deviation = self._cone_deviation(oframe, target.position)
-            for rewind_frames in (10, 20):
+            for rewind_frames in TARGET_REWIND_FRAMES:
                 rewound = target.position - target.velocity * (
-                    0.05 * rewind_frames
+                    FRAME_SECONDS * rewind_frames
                 )
                 if oframe.cone_contains(
                     rewound.x, rewound.y, rewound.z + EYE_HEIGHT
@@ -710,7 +702,7 @@ class SubscriptionVerifier:
                 deviation = min(deviation, self._cone_deviation(oframe, rewound))
             # Allow the target to be a few frames of movement outside the
             # cone: subscriptions are predicted/retained, not instantaneous.
-            allowed = 320.0 * 0.05 * slack_frames + 0.15 * self.interest.vision_radius
+            allowed = run_slack + CONE_SLACK_FRACTION * self.interest.vision_radius
             rating = rating_from_deviation(deviation, allowed)
             rating = self._escalate(subscriber.player_id, frame, rating)
             detail = f"target {deviation:.0f}u outside cone"
@@ -743,7 +735,7 @@ class SubscriptionVerifier:
                 detail="IS target outside vision cone",
             )
         rank = oframe.attention_rank(target, known)
-        allowed_rank = self.interest.interest_size * 2  # generous: local views differ
+        allowed_rank = self.interest.interest_size * IS_RANK_ALLOWANCE_FACTOR
         rating = rating_from_deviation(float(rank), float(allowed_rank))
         rating = self._escalate(subscriber.player_id, frame, rating)
         return CheatRating(
@@ -758,17 +750,23 @@ class SubscriptionVerifier:
         )
 
     def _escalate(self, subscriber_id: int, frame: int, rating: float) -> float:
-        """Raise the rating with each recent suspicious subscription."""
-        if rating <= 2.0:
+        """Raise the rating with each recent suspicious subscription.
+
+        Honest "ghost" subscriptions (planned on stale target info) are
+        sporadic and self-correcting; a maphack consumer re-subscribes to
+        invisible targets *persistently* — "repetitions" are their own
+        cheat signature (Table I).
+        """
+        if rating <= ESCALATION_RATING_FLOOR:
             return rating
         history = self._suspicious_frames.setdefault(subscriber_id, [])
-        cutoff = frame - self.repeat_window_frames
+        cutoff = frame - SUBSCRIPTION_REPEAT_WINDOW_FRAMES
         history[:] = [f for f in history if f >= cutoff]
         repeats = len(history)
         history.append(frame)
         # The first couple of suspicious subscriptions are within honest
         # ghosting rates; escalation starts from the third in the window.
-        return min(MAX_RATING, rating + self.repeat_step * max(0, repeats - 1))
+        return min(MAX_RATING, rating + SUBSCRIPTION_REPEAT_STEP * max(0, repeats - 1))
 
     def _solidly_occluded(
         self, oframe: ObserverFrame, target: AvatarSnapshot
@@ -783,7 +781,7 @@ class SubscriptionVerifier:
         eye_a = oframe.eye
         eye_b = eye_position(target.position)
         direction = (eye_b - eye_a).with_z(0.0).normalized()
-        perp = Vec3(-direction.y, direction.x, 0.0) * 40.0
+        perp = Vec3(-direction.y, direction.x, 0.0) * OCCLUSION_PROBE_OFFSET
         samples = (
             (eye_a, eye_b),
             (eye_a + perp, eye_b + perp),
@@ -805,6 +803,22 @@ class SubscriptionVerifier:
         return radial_excess + angle_excess * min(distance, oframe.vision_radius)
 
 
+def _rate_rating(
+    verifier_id: int,
+    subject_id: int,
+    frame: int,
+    confidence: float,
+    deviation: float,
+    allowed: float,
+    detail: str,
+) -> CheatRating:
+    """A rate-family verdict: ``deviation`` rated against what is ``allowed``."""
+    return CheatRating(
+        verifier_id, subject_id, frame, CheckKind.RATE,
+        rating_from_deviation(deviation, allowed), confidence, deviation, detail,
+    )
+
+
 class RateVerifier:
     """Proxy-side dissemination-rate monitoring.
 
@@ -814,17 +828,7 @@ class RateVerifier:
     lag or lead the wall-clock frame beyond plausible network delay).
     """
 
-    def __init__(
-        self,
-        expected_interval_frames: int = 1,
-        window_frames: int = 40,
-        silence_allowance_frames: int = 8,
-        skew_allowance_frames: int = 6,
-    ) -> None:
-        self.expected_interval = expected_interval_frames
-        self.window = window_frames
-        self.silence_allowance = silence_allowance_frames
-        self.skew_allowance = skew_allowance_frames
+    def __init__(self) -> None:
         self._arrivals: dict[int, list[int]] = {}  # subject -> stamped frames
         self._arrival_wallclock: dict[int, list[int]] = {}
         self._first_arrival: dict[int, int] = {}
@@ -844,102 +848,57 @@ class RateVerifier:
         # accounting must restart with it, or a re-elected proxy flags the
         # warm-up of a perfectly healthy stream.  The interruption itself
         # is the silence check's job.
-        if not walls or wallclock_frame - walls[-1] > self.silence_allowance * 2:
+        if not walls or wallclock_frame - walls[-1] > RATE_SILENCE_ALLOWANCE_FRAMES * 2:
             self._first_arrival[subject_id] = wallclock_frame
         else:
             self._first_arrival.setdefault(subject_id, wallclock_frame)
         stamps.append(stamped_frame)
         walls.append(wallclock_frame)
-        cutoff = wallclock_frame - self.window
+        cutoff = wallclock_frame - RATE_WINDOW_FRAMES
         while walls and walls[0] < cutoff:
             walls.pop(0)
             stamps.pop(0)
 
         ratings: list[CheatRating] = []
+        about = (verifier_id, subject_id, wallclock_frame, confidence)
 
         # Deficit: too FEW updates over a half-window — a blind-opponent
         # cheat thins the stream without ever leaving a long single gap.
-        deficit_window = max(2, self.window // 2)
+        deficit_window = max(2, RATE_WINDOW_FRAMES // 2)
         first = self._first_arrival[subject_id]
         if wallclock_frame - first >= deficit_window:
             recent = sum(
                 1 for w in walls if w > wallclock_frame - deficit_window
             )
-            expected = deficit_window // self.expected_interval
-            allowed_deficit = max(2.0, expected * 0.2)  # loss/jitter slack
+            expected = deficit_window // FREQUENT_INTERVAL_FRAMES
+            allowed_deficit = max(RATE_DEFICIT_SLACK_FLOOR, expected * RATE_DEFICIT_SLACK_FRACTION)
             deficit = float(expected - recent)
             if deficit > allowed_deficit:
-                ratings.append(
-                    CheatRating(
-                        verifier_id=verifier_id,
-                        subject_id=subject_id,
-                        frame=wallclock_frame,
-                        check=CheckKind.RATE,
-                        rating=rating_from_deviation(deficit, allowed_deficit),
-                        confidence=confidence,
-                        deviation=deficit,
-                        detail=(
-                            f"only {recent} of ~{expected} expected updates in "
-                            f"{deficit_window} frames"
-                        ),
-                    )
-                )
+                detail = f"only {recent} of ~{expected} expected updates in {deficit_window} frames"
+                ratings.append(_rate_rating(*about, deficit, allowed_deficit, detail))
 
         # Fast-rate: more arrivals in the window than frames allow.
-        expected_max = self.window // self.expected_interval + 2
+        expected_max = RATE_WINDOW_FRAMES // FREQUENT_INTERVAL_FRAMES + RATE_BURST_SLACK
         if len(walls) > expected_max:
-            rating = rating_from_deviation(float(len(walls)), float(expected_max))
-            ratings.append(
-                CheatRating(
-                    verifier_id=verifier_id,
-                    subject_id=subject_id,
-                    frame=wallclock_frame,
-                    check=CheckKind.RATE,
-                    rating=rating,
-                    confidence=confidence,
-                    deviation=float(len(walls)),
-                    detail=f"{len(walls)} updates in {self.window} frames",
-                )
-            )
+            detail = f"{len(walls)} updates in {RATE_WINDOW_FRAMES} frames"
+            ratings.append(_rate_rating(*about, float(len(walls)), float(expected_max), detail))
 
         # Time skew: stamped frame far from arrival frame (look-ahead delays
         # or future-stamped updates).
         skew = abs(wallclock_frame - stamped_frame)
-        if skew > self.skew_allowance:
-            ratings.append(
-                CheatRating(
-                    verifier_id=verifier_id,
-                    subject_id=subject_id,
-                    frame=wallclock_frame,
-                    check=CheckKind.RATE,
-                    rating=rating_from_deviation(
-                        float(skew), float(self.skew_allowance)
-                    ),
-                    confidence=confidence,
-                    deviation=float(skew),
-                    detail=f"update stamped {stamped_frame} arrived at {wallclock_frame}",
-                )
-            )
+        if skew > RATE_SKEW_ALLOWANCE_FRAMES:
+            detail = f"update stamped {stamped_frame} arrived at {wallclock_frame}"
+            allowed = float(RATE_SKEW_ALLOWANCE_FRAMES)
+            ratings.append(_rate_rating(*about, float(skew), allowed, detail))
 
         # Silence: a gap between consecutive stamps beyond the allowance —
         # suppress-correct, blind-opponent or escaping behaviour.
         if len(stamps) >= 2:
             gap = stamps[-1] - stamps[-2]
-            if gap > self.silence_allowance:
-                ratings.append(
-                    CheatRating(
-                        verifier_id=verifier_id,
-                        subject_id=subject_id,
-                        frame=wallclock_frame,
-                        check=CheckKind.RATE,
-                        rating=rating_from_deviation(
-                            float(gap), float(self.silence_allowance)
-                        ),
-                        confidence=confidence,
-                        deviation=float(gap),
-                        detail=f"silent for {gap} frames then resumed",
-                    )
-                )
+            if gap > RATE_SILENCE_ALLOWANCE_FRAMES:
+                allowed = float(RATE_SILENCE_ALLOWANCE_FRAMES)
+                detail = f"silent for {gap} frames then resumed"
+                ratings.append(_rate_rating(*about, float(gap), allowed, detail))
         return ratings
 
     def last_arrival_wallclock(self, subject_id: int) -> int | None:
@@ -967,17 +926,10 @@ class RateVerifier:
         if walls and walls[-1] < not_before_frame:
             return None
         gap = wallclock_frame - stamps[-1]
-        if gap <= self.silence_allowance * 2:
+        if gap <= RATE_SILENCE_ALLOWANCE_FRAMES * 2:
             return None
-        return CheatRating(
-            verifier_id=verifier_id,
-            subject_id=subject_id,
-            frame=wallclock_frame,
-            check=CheckKind.RATE,
-            rating=rating_from_deviation(
-                float(gap), float(self.silence_allowance)
-            ),
-            confidence=confidence,
-            deviation=float(gap),
-            detail=f"no update for {gap} frames (escaping?)",
+        return _rate_rating(
+            verifier_id, subject_id, wallclock_frame, confidence,
+            float(gap), float(RATE_SILENCE_ALLOWANCE_FRAMES),
+            f"no update for {gap} frames (escaping?)",
         )

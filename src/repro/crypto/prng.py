@@ -37,12 +37,12 @@ def draw_uint(common_seed: bytes, player_id: int, counter: int) -> int:  # repro
 class VerifiablePrng:
     """A stateful view over :func:`draw_uint` for one player id."""
 
-    def __init__(self, common_seed: bytes, player_id: int, counter: int = 0) -> None:
+    def __init__(self, common_seed: bytes, player_id: int) -> None:
         if not common_seed:
             raise ValueError("common_seed must be non-empty")
         self.common_seed = common_seed
         self.player_id = player_id
-        self.counter = counter
+        self.counter = 0
 
     def next_uint(self) -> int:
         value = draw_uint(self.common_seed, self.player_id, self.counter)

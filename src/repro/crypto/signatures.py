@@ -7,7 +7,7 @@ digital signature of the messages it receives.  This also prevents
 replaying and spoofing."
 
 :class:`HmacSigner` is a keyed MAC truncated to ``signature_bits`` (default
-100, the paper's figure) against a trusted :class:`HmacKeyRegistry`, which
+``SIGNATURE_BITS``, the paper's figure) against a trusted :class:`HmacKeyRegistry`, which
 stands in for the PKI the game lobby would provide.  It rejects tampered
 payloads, wrong-sender spoofing, and (together with the sequence numbers
 carried by the protocol layer) replays.
@@ -18,6 +18,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+
+from repro.core.config import SIGNATURE_BITS
 
 __all__ = [
     "Signature",
@@ -43,10 +45,9 @@ class Signature:
 class HmacKeyRegistry:
     """Derives and stores per-player MAC keys (the simulated lobby PKI)."""
 
-    def __init__(self, master_seed: bytes = b"watchmen-registry") -> None:
-        if not master_seed:
-            raise SigningError("master_seed must be non-empty")
-        self.master_seed = master_seed
+    master_seed = b"watchmen-registry"
+
+    def __init__(self) -> None:
         self._keys: dict[int, bytes] = {}
 
     def key_for(self, player_id: int) -> bytes:
@@ -64,20 +65,15 @@ class HmacSigner:
 
     scheme = "hmac-sha256"
 
-    def __init__(
-        self,
-        registry: HmacKeyRegistry | None = None,
-        signature_bits: int = 100,
-    ) -> None:
+    def __init__(self, signature_bits: int = SIGNATURE_BITS) -> None:
         if signature_bits < 32 or signature_bits > 256:
             raise SigningError("signature_bits must be within [32, 256]")
-        self.registry = registry or HmacKeyRegistry()
+        self.registry = HmacKeyRegistry()
         self.signature_bits = signature_bits
         self._size_bytes = (signature_bits + 7) // 8
 
-    def register(self, player_id: int, seed: bytes | None = None) -> None:
+    def register(self, player_id: int) -> None:
         """Derive the player's key now (it is derived on demand otherwise)."""
-        del seed
         self.registry.key_for(player_id)
 
     def _mac(self, player_id: int, message: bytes) -> bytes:

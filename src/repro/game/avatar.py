@@ -8,7 +8,7 @@ delta-coded in Quake III and in our size model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.game.vector import Vec3
 
@@ -93,9 +93,6 @@ class AvatarSnapshot:
     weapon: str
     ammo: int
     alive: bool
-
-    def at_frame(self, frame: int) -> "AvatarSnapshot":
-        return replace(self, frame=frame)
 
     def position_only(self) -> "AvatarSnapshot":
         """Strip everything but identity/position — the 'Others' update."""

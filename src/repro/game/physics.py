@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.config import FRAME_SECONDS
+from repro.core.config import FRAME_SECONDS, MAX_GROUND_SPEED, MAX_TURN_RATE
 from repro.game.gamemap import GameMap
 from repro.game.vector import Vec3, clamp
 
@@ -28,11 +28,11 @@ class PhysicsConfig:
     """Tunable movement envelope (defaults match Quake III)."""
 
     frame_seconds: float = FRAME_SECONDS
-    max_ground_speed: float = 320.0
+    max_ground_speed: float = MAX_GROUND_SPEED
     max_air_speed: float = 360.0
     gravity: float = 800.0
     jump_velocity: float = 270.0
-    max_turn_rate: float = 12.0  # rad/s — human mouse flicks are fast
+    max_turn_rate: float = MAX_TURN_RATE  # rad/s — human mouse flicks are fast
     max_fall_speed: float = 900.0  # terminal velocity (air drag clamp)
     step_height: float = 18.0
     fall_damage_speed: float = 580.0  # vertical impact speed causing damage

@@ -93,10 +93,6 @@ class GameTrace:
     def snapshot(self, frame: int, player_id: int) -> AvatarSnapshot:
         return self.frames[frame][player_id]
 
-    def positions_of(self, player_id: int) -> list[Vec3]:
-        """The full position track of one player (for heatmaps/verification)."""
-        return [frame[player_id].position for frame in self.frames]
-
     def shots_in_frame(self, frame: int) -> list[ShotEvent]:
         return [s for s in self.shots if s.frame == frame]
 

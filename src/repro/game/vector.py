@@ -80,9 +80,6 @@ class Vec3:
     def length(self) -> float:
         return math.sqrt(self.dot(self))
 
-    def length_squared(self) -> float:
-        return self.dot(self)
-
     def horizontal_length(self) -> float:
         """Length of the XY projection (ground speed)."""
         return math.hypot(self.x, self.y)

@@ -49,10 +49,16 @@ CONSTANT_ALIASES: dict[str, str] = {
     "vision_slack": "VISION_SLACK",
     "signature_bits": "SIGNATURE_BITS",
     "max_useful_age": "MAX_USEFUL_AGE_FRAMES",
+    "silence_threshold_frames": "MEMBERSHIP_SILENCE_FRAMES",
 }
 
 #: Packages C601 sweeps (repo-relative path prefixes under the root).
-_SCOPE_PREFIXES = ("src/repro/core/", "src/repro/game/", "src/repro/net/")
+_SCOPE_PREFIXES = (
+    "src/repro/core/",
+    "src/repro/crypto/",
+    "src/repro/game/",
+    "src/repro/net/",
+)
 
 
 @dataclass(frozen=True, slots=True)

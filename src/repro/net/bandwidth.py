@@ -4,7 +4,7 @@
 the limitation" — the scalability experiment (Section II gives centralized
 Quake III ≈ 120·n kbps; naive P2P grows quadratically) is entirely about
 counting bytes sent per node per second.  :class:`BandwidthMeter` records
-every send/receive and reports kbps aggregates.
+every send/receive and reports each node's kbps.
 """
 
 from __future__ import annotations
@@ -59,17 +59,4 @@ class BandwidthMeter:
 
     def upload_kbps(self, node_id: int) -> float:
         return self.usage(node_id).sent_bytes * 8.0 / 1000.0 / self.duration
-
-    def mean_upload_kbps(self) -> float:
-        if not self._usage:
-            return 0.0
-        return sum(self.upload_kbps(n) for n in self._usage) / len(self._usage)
-
-    def max_upload_kbps(self) -> float:
-        if not self._usage:
-            return 0.0
-        return max(self.upload_kbps(n) for n in self._usage)
-
-    def node_ids(self) -> list[int]:
-        return sorted(self._usage)
 

@@ -31,6 +31,9 @@ __all__ = ["LatencyMatrix", "king_like", "peerwise_like", "uniform_lan"]
 
 SPEED_OF_LIGHT_FIBER_KM_S = 200_000.0  # ~2/3 c
 ROUTE_INFLATION = 1.8  # paths are not great circles
+KING_MEAN_ONE_WAY_MS = 31.0  # King mean RTT ≈ 62 ms, US-filtered
+PEERWISE_MEAN_ONE_WAY_MS = 34.0  # PeerWise mean RTT ≈ 68 ms, US-filtered
+PEERWISE_SIGMA = 0.55  # lognormal shape: PeerWise's reported spread
 
 
 @dataclass(frozen=True)
@@ -48,9 +51,6 @@ class LatencyMatrix:
         if src == dst:
             return 0.0
         return self.delays[src][dst]
-
-    def rtt(self, src: int, dst: int) -> float:
-        return 2.0 * self.one_way(src, dst)
 
     def percentile_one_way(self, q: float) -> float:
         """The q-th percentile (0..100) of off-diagonal one-way delays."""
@@ -93,9 +93,7 @@ def _rescale_to_mean(matrix: list[list[float]], target_mean: float) -> None:
             matrix[i][j] *= scale
 
 
-def king_like(
-    size: int, seed: int = 0, mean_one_way_ms: float = 31.0
-) -> LatencyMatrix:
+def king_like(size: int, seed: int = 0) -> LatencyMatrix:
     """Geographic US-scale latency matrix (King mean RTT ≈ 62 ms ⇒ 31 ms/way)."""
     if size < 1:
         raise ValueError("size must be positive")
@@ -119,18 +117,17 @@ def king_like(
             km = math.hypot(dx, dy) * ROUTE_INFLATION
             propagation = km / SPEED_OF_LIGHT_FIBER_KM_S
             matrix[i][j] = propagation + access[i] + access[j]
-    _rescale_to_mean(matrix, mean_one_way_ms / 1000.0)
+    _rescale_to_mean(matrix, KING_MEAN_ONE_WAY_MS / 1000.0)
     return _symmetric(matrix, f"king-like(n={size},seed={seed})")
 
 
-def peerwise_like(
-    size: int, seed: int = 0, mean_one_way_ms: float = 34.0, sigma: float = 0.55
-) -> LatencyMatrix:
+def peerwise_like(size: int, seed: int = 0) -> LatencyMatrix:
     """Lognormal latency matrix (PeerWise mean RTT ≈ 68 ms ⇒ 34 ms/way)."""
     if size < 1:
         raise ValueError("size must be positive")
     rng = Random(seed)
-    mean = mean_one_way_ms / 1000.0
+    mean = PEERWISE_MEAN_ONE_WAY_MS / 1000.0
+    sigma = PEERWISE_SIGMA
     # Lognormal with E[X] = mean: mu = ln(mean) - sigma^2/2.
     mu = math.log(mean) - sigma * sigma / 2.0
     matrix = [[0.0] * size for _ in range(size)]

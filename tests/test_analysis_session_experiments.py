@@ -38,10 +38,14 @@ class TestUpdateAge:
         from repro.game.interest import InterestConfig
 
         config = WatchmenConfig(interest=InterestConfig(interest_size=2))
-        return figure7_experiment(small_trace, longest_yard, config=config)
+        size = len(small_trace.player_ids())
+        return [
+            update_age_experiment(small_trace, longest_yard, latency, config=config)
+            for latency in (king_like(size), peerwise_like(size))
+        ]
 
-    def test_both_latency_sets(self, results):
-        names = [r.latency_name for r in results]
+    def test_both_latency_sets(self, small_trace, longest_yard):
+        names = [r.latency_name for r in figure7_experiment(small_trace, longest_yard)]
         assert any("king" in n for n in names)
         assert any("peerwise" in n for n in names)
 

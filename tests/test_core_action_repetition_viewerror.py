@@ -1,9 +1,12 @@
 """Tests for action-repetition replay verification and the view-error metric."""
 
+import math
+
 import pytest
 
 from repro.core import WatchmenConfig, WatchmenSession
 from repro.core.action_repetition import ActionRepetitionVerifier
+from repro.core.config import REPLAY_DIRECTIONS
 from repro.game.avatar import AvatarSnapshot
 from repro.game.physics import MoveIntent, Physics
 from repro.game.vector import Vec3
@@ -39,9 +42,12 @@ class TestActionRepetitionVerifier:
     def verifier(self, physics):
         return ActionRepetitionVerifier(physics)
 
-    def test_needs_enough_directions(self, physics):
-        with pytest.raises(ValueError):
-            ActionRepetitionVerifier(physics, directions=2)
+    def test_needs_enough_directions(self, verifier):
+        # Fewer than four headings cannot bracket an arbitrary move.
+        assert len(verifier._angles) == REPLAY_DIRECTIONS >= 4
+        assert verifier._angles[1] - verifier._angles[0] == pytest.approx(
+            2.0 * math.pi / REPLAY_DIRECTIONS
+        )
 
     def test_real_move_is_reachable(self, physics, verifier):
         start = snap(frame=0)

@@ -26,12 +26,6 @@ class TestMembershipView:
         view = self.make(silence_threshold_frames=10)
         assert 0 not in view.silent_players(100, self_id=0)
 
-    def test_exempt_infrastructure_never_silent(self):
-        view = MembershipView(
-            list(range(4)), silence_threshold_frames=10, exempt=frozenset({3})
-        )
-        assert 3 not in view.silent_players(100, self_id=0)
-
     def test_unknown_player_heartbeat_ignored(self):
         view = self.make()
         view.heard_from(99, 5)  # no crash, no tracking

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import WatchmenConfig, WatchmenSession
+from repro.core.config import PROJECTILE_MAX_AGE_FRAMES
 from repro.core.verification import ProjectileTracker
 from repro.game.avatar import AvatarSnapshot
 from repro.game.vector import Vec3
@@ -103,15 +104,14 @@ class TestProjectileTracker:
         assert match[0] > 1000.0
 
     def test_old_spawns_expire(self):
-        tracker = ProjectileTracker(max_age_frames=20)
+        late = PROJECTILE_MAX_AGE_FRAMES + 20
+        tracker = ProjectileTracker()
         tracker.record(1, 0, "rocket-launcher", Vec3(), Vec3(ROCKET_SPEED, 0, 0))
-        tracker.record(1, 100, "rocket-launcher", Vec3(), Vec3(ROCKET_SPEED, 0, 0))
-        assert tracker.closest_approach(1, "rocket-launcher", 105, Vec3()) is not None
-        # The frame-0 spawn is gone; a claim placed right after it finds none.
-        assert (
-            tracker.closest_approach(1, "rocket-launcher", 30, Vec3()) is None
-            or True  # frame-100 spawn is out of the 0..max window for 30
-        )
+        tracker.record(1, late, "rocket-launcher", Vec3(), Vec3(ROCKET_SPEED, 0, 0))
+        assert tracker.closest_approach(1, "rocket-launcher", late + 5, Vec3()) is not None
+        # The frame-0 spawn is gone, and a claim before the later spawn cannot
+        # match it: a claim placed right after frame 0 finds none.
+        assert tracker.closest_approach(1, "rocket-launcher", 30, Vec3()) is None
 
     def test_weapon_mismatch_not_matched(self, tracker):
         tracker.record(1, 10, "rocket-launcher", Vec3(), Vec3(ROCKET_SPEED, 0, 0))

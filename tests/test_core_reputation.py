@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import BETA_MIN_EVIDENCE
 from repro.core.reputation import (
     BetaReputation,
     InteractionTag,
@@ -123,10 +124,14 @@ class TestBetaReputation:
         assert system.reputation_of(1) < before
 
     def test_cheater_banned_with_enough_evidence(self):
-        system = BetaReputation(min_evidence=5.0)
-        for _ in range(30):
+        system = BetaReputation()
+        reports = 0
+        while system.evidence_of(2) < BETA_MIN_EVIDENCE:
+            assert 2 not in system.banned()  # never on too little evidence
             system.report(tag(2, success=False))
+            reports += 1
         assert 2 in system.banned()
+        assert reports < 30
 
     def test_badmouthing_blunted_by_credibility(self):
         """Reports from an identified cheater barely count."""

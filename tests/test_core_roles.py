@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.clients import SILENCE_GRACE_FRAMES, ClientBook
+from repro.core.clients import ClientBook
 from repro.core.config import (
     BYZANTINE_STARVATION_FRAMES,
     DEFENSE_INTERVAL_FRAMES,
@@ -20,6 +20,8 @@ from repro.core.config import (
     MAX_FAILOVER_ATTEMPTS,
     PROXY_PERIOD_FRAMES,
     PROXY_SILENCE_THRESHOLD_FRAMES,
+    REMOVAL_DELAY_EPOCHS,
+    SILENCE_GRACE_FRAMES,
     WatchmenConfig,
 )
 from repro.core.evidence import FORGED, IGNORED, VALID, EvidenceLog
@@ -96,9 +98,7 @@ class TestFirstHopsLiveness:
     def test_removed_is_dead_and_exempt_infrastructure_never_is(self):
         hops, _, membership = hops_for()
         membership.removed.add(4)
-        membership.exempt = frozenset({5})
         assert hops.seems_dead(4, 0)
-        assert not hops.seems_dead(5, 10_000)
 
     def test_live_proxy_is_the_first_candidate_still_heard(self):
         hops, schedule, membership = hops_for()
@@ -541,8 +541,8 @@ class TestEvidenceWeighing:
         first, second = signed_update(signer, 0, 7, 1.0), signed_update(signer, 0, 7, 2.0)
         early = evidence_about(0, first, second, frame=PROXY_PERIOD_FRAMES - 1)
         late = evidence_about(0, first, second, frame=PROXY_PERIOD_FRAMES)
-        assert log.due_epoch(early, delay_epochs=1) == 1
-        assert log.due_epoch(late, delay_epochs=1) == 2
+        assert log.due_epoch(early) == REMOVAL_DELAY_EPOCHS
+        assert log.due_epoch(late) == 1 + REMOVAL_DELAY_EPOCHS
 
 
 class TestBlamePolicies:
@@ -623,9 +623,6 @@ class TestStarvationScan:
 
     def test_myself_and_exempt_infrastructure_are_never_subjects(self):
         log, membership, schedule, subject, _ = self._scene(me=3)
-        assert self._scan(log, membership, schedule) == []
-        log, membership, schedule, subject, _ = self._scene()
-        membership.exempt = frozenset({subject})
         assert self._scan(log, membership, schedule) == []
 
     def test_a_recently_heard_subject_is_skipped(self):

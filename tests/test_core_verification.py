@@ -4,6 +4,12 @@ import math
 
 import pytest
 
+from repro.core.config import (
+    GUIDANCE_FALLBACK_ALLOWANCE,
+    GUIDANCE_MIN_SAMPLES,
+    GUIDANCE_SIGMAS,
+    RATE_WINDOW_FRAMES,
+)
 from repro.core.verification import (
     AimVerifier,
     CheckKind,
@@ -12,6 +18,7 @@ from repro.core.verification import (
     GuidanceVerifier,
     KillVerifier,
     PositionVerifier,
+    ProjectileTracker,
     RateVerifier,
     SubscriptionVerifier,
     rating_from_deviation,
@@ -84,15 +91,17 @@ class TestCalibration:
         assert cal.std == pytest.approx(1.5811, rel=1e-3)
 
     def test_fallback_before_enough_data(self):
-        cal = DeviationCalibration(fallback=42.0)
-        cal.observe(1.0)
-        assert cal.allowance() == 42.0
+        cal = DeviationCalibration()
+        for _ in range(GUIDANCE_MIN_SAMPLES - 1):
+            cal.observe(1.0)
+        assert cal.allowance() == GUIDANCE_FALLBACK_ALLOWANCE
 
     def test_allowance_mean_plus_sigma(self):
         cal = DeviationCalibration()
-        for value in [2.0] * 10:
+        for value in [1.0, 3.0] * 5:
             cal.observe(value)
-        assert cal.allowance(1.0) == pytest.approx(2.0)
+        assert cal.allowance() == pytest.approx(2.0 + GUIDANCE_SIGMAS * cal.std)
+        assert cal.std > 1.0
 
     def test_std_of_single_sample(self):
         cal = DeviationCalibration()
@@ -242,7 +251,7 @@ class TestGuidanceVerifier:
 class TestKillVerifier:
     @pytest.fixture()
     def verifier(self):
-        return KillVerifier(make_arena())
+        return KillVerifier(make_arena(), ProjectileTracker())
 
     def test_plausible_kill_normal(self, verifier):
         rating = verifier.verify(
@@ -265,7 +274,7 @@ class TestKillVerifier:
 
     def test_occluded_kill_flagged(self):
         yard = make_longest_yard()
-        verifier = KillVerifier(yard)
+        verifier = KillVerifier(yard, ProjectileTracker())
         rating = verifier.verify(
             0, 10, 1, "railgun",
             snap(1, x=100, y=0, weapon="railgun", frame=10),
@@ -366,9 +375,9 @@ class TestRateVerifier:
         assert [r for r in ratings if r.rating > 3.0] == []
 
     def test_fast_rate_flagged(self):
-        verifier = RateVerifier(window_frames=20)
+        verifier = RateVerifier()
         ratings = []
-        for frame in range(20):
+        for frame in range(RATE_WINDOW_FRAMES):
             for _ in range(3):  # 3× the legal rate
                 ratings.extend(verifier.observe(0, 1, frame, frame, 1.0))
         assert any(r.rating > 3.0 for r in ratings)
@@ -380,7 +389,7 @@ class TestRateVerifier:
         assert any(r.rating > 3.0 for r in ratings)
 
     def test_silence_burst_flagged(self):
-        verifier = RateVerifier(silence_allowance_frames=8)
+        verifier = RateVerifier()
         verifier.observe(0, 1, 0, 0, 1.0)
         ratings = verifier.observe(0, 1, 30, 30, 1.0)
         assert any("silent" in r.detail for r in ratings)
@@ -390,13 +399,13 @@ class TestRateVerifier:
         assert verifier.check_silence(0, 1, 100, 1.0) is None
 
     def test_check_silence_fires_on_gap(self):
-        verifier = RateVerifier(silence_allowance_frames=8)
+        verifier = RateVerifier()
         verifier.observe(0, 1, 0, 0, 1.0)
         rating = verifier.check_silence(0, 1, 40, 1.0)
         assert rating is not None
         assert rating.rating > 3.0
 
     def test_check_silence_not_before_frame(self):
-        verifier = RateVerifier(silence_allowance_frames=8)
+        verifier = RateVerifier()
         verifier.observe(0, 1, 0, 0, 1.0)
         assert verifier.check_silence(0, 1, 40, 1.0, not_before_frame=10) is None

@@ -128,14 +128,10 @@ class TestHmac:
         registry = HmacKeyRegistry()
         assert registry.key_for(1) == registry.key_for(1)
 
-    def test_registry_master_seed_separates_sessions(self):
-        a = HmacKeyRegistry(b"session-a")
-        b = HmacKeyRegistry(b"session-b")
-        assert a.key_for(1) != b.key_for(1)
-
-    def test_empty_master_seed_rejected(self):
-        with pytest.raises(SigningError):
-            HmacKeyRegistry(b"")
+    def test_registry_master_seed_separates_sessions(self, monkeypatch):
+        ours = HmacKeyRegistry().key_for(1)
+        monkeypatch.setattr(HmacKeyRegistry, "master_seed", b"session-b")
+        assert HmacKeyRegistry().key_for(1) != ours
 
     def test_signing_without_register_works_lazily(self):
         signer = HmacSigner()

@@ -83,10 +83,6 @@ class TestSnapshot:
         with pytest.raises(AttributeError):
             snap.health = 0  # type: ignore[misc]
 
-    def test_at_frame(self, avatar):
-        snap = avatar.snapshot(0).at_frame(9)
-        assert snap.frame == 9
-
     def test_position_only_strips_sensitive_fields(self, avatar):
         avatar.armor = 55
         snap = avatar.snapshot(0).position_only()

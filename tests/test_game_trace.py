@@ -21,10 +21,6 @@ class TestRecording:
         trace = GameTrace(map_name="x", num_players=3)
         assert trace.player_ids() == []
 
-    def test_positions_of_length(self, small_trace):
-        track = small_trace.positions_of(0)
-        assert len(track) == small_trace.num_frames
-
     def test_shots_in_frame(self, small_trace):
         if not small_trace.shots:
             pytest.skip("no shots")

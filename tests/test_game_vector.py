@@ -64,9 +64,6 @@ class TestGeometry:
     def test_length(self):
         assert Vec3(3, 4, 0).length() == pytest.approx(5.0)
 
-    def test_length_squared(self):
-        assert Vec3(3, 4, 0).length_squared() == pytest.approx(25.0)
-
     def test_horizontal_length_ignores_z(self):
         assert Vec3(3, 4, 100).horizontal_length() == pytest.approx(5.0)
 

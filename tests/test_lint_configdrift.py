@@ -79,6 +79,32 @@ class TestC601Detection:
         )
         assert [v.rule for v in violations] == ["C601"]
 
+    def test_flags_the_crypto_package(self):
+        # the signer's own default, as it stood while crypto/ was unswept
+        violations = drift_violations(
+            {
+                "src/repro/crypto/signatures.py": (
+                    "class HmacSigner:\n"
+                    "    def __init__(self, signature_bits: int = 100) -> None:\n"
+                    "        self.signature_bits = signature_bits\n"
+                )
+            }
+        )
+        assert [v.rule for v in violations] == ["C601"]
+        assert "SIGNATURE_BITS" in violations[0].message
+
+    def test_flags_the_membership_silence_alias(self):
+        violations = drift_violations(
+            {
+                "src/repro/core/membership.py": (
+                    "class MembershipView:\n"
+                    "    silence_threshold_frames: int = 60\n"
+                )
+            }
+        )
+        assert [v.rule for v in violations] == ["C601"]
+        assert "MEMBERSHIP_SILENCE_FRAMES" in violations[0].message
+
     def test_unmapped_name_is_not_flagged(self):
         # Same numeric value as FRAME_SECONDS, but the name has no alias
         # mapping: a documented precision limit, not drift.

@@ -23,20 +23,21 @@ class TestMeter:
         meter = BandwidthMeter()
         meter.record_send(0, 1000, 1.0)
         meter.record_send(1, 3000, 1.0)
-        assert meter.max_upload_kbps() == pytest.approx(24.0)
-        assert meter.mean_upload_kbps() == pytest.approx(16.0)
+        rates = [meter.upload_kbps(node) for node in (0, 1)]
+        assert max(rates) == pytest.approx(24.0)
+        assert sum(rates) / len(rates) == pytest.approx(16.0)
 
     def test_total(self):
         meter = BandwidthMeter()
         meter.record_send(0, 1000, 1.0)
         meter.record_send(1, 1000, 1.0)
-        total = sum(meter.upload_kbps(node) for node in meter.node_ids())
+        total = sum(meter.upload_kbps(node) for node in (0, 1))
         assert total == pytest.approx(16.0)
 
     def test_empty_meter(self):
         meter = BandwidthMeter()
-        assert meter.mean_upload_kbps() == 0.0
-        assert meter.max_upload_kbps() == 0.0
+        assert meter.upload_kbps(0) == 0.0
+        assert meter.usage(0).sent_messages == 0
 
     def test_message_counters(self):
         meter = BandwidthMeter()
@@ -69,7 +70,8 @@ class TestMeter:
         meter = BandwidthMeter()
         meter.record_send(5, 10, 0.1)
         meter.record_send(2, 10, 0.1)
-        assert meter.node_ids() == [2, 5]
+        sent = {node: meter.usage(node).sent_bytes for node in (2, 3, 5)}
+        assert sent == {2: 10, 3: 0, 5: 10}  # booked per node, whatever the order
 
 
 class TestBudget:
