@@ -48,7 +48,7 @@ def test_ablation_proxy_period(yard, session_trace, results_dir):
                 f"{window_seconds:.1f}s",
                 f"{report.mean_upload_kbps:.0f}",
                 f"{report.stale_fraction(3):.2%}",
-                str(len([r for r in report.ratings if r.rating >= 6])),
+                str(sum(r.rating >= 6 for r in report.ratings)),
             ]
         )
     body = render_table(

@@ -31,24 +31,19 @@ def run_depth(trace, yard, action_repetition: bool):
     # Honest movement rates exactly 1.0 under both checks, so any rating
     # above ~2 is a real signal; the sub-envelope cheat produces small but
     # systematic reachability gaps (≈3u for a 1.2x multiplier).
-    hits = [
-        r
-        for r in report.ratings
-        if r.subject_id == 0 and r.check == "position" and r.rating >= 2.0
-    ]
-    false_hits = [
-        r
-        for r in report.ratings
-        if r.subject_id != 0 and r.check == "position" and r.rating >= 2.0
-    ]
+    hits = false_hits = 0
+    for r in report.ratings:
+        if r.check == "position" and r.rating >= 2.0:
+            hits += r.subject_id == 0
+            false_hits += r.subject_id != 0
     replays = sum(
         node.action_repetition_verifier.replays_run
         for node in session.nodes.values()
         if node.action_repetition_verifier is not None
     )
     return {
-        "hits": len(hits),
-        "false_hits": len(false_hits),
+        "hits": hits,
+        "false_hits": false_hits,
         "cheat_events": len(cheat.log.cheat_frames),
         "replays": replays,
     }

@@ -44,10 +44,8 @@ def test_distributed_reputation_convergence(yard, session_trace, results_dir):
             system_factory=lambda: BetaReputation(ban_threshold=0.95),
         )
         for player in players:
-            node = session.nodes[player]
-            for rating in node.metrics.ratings:
-                if rating.verifier_id != player:
-                    continue  # only first-hand observations enter gossip
+            # a node's log is its first-hand observations: what enters gossip
+            for rating in session.nodes[player].metrics.ratings:
                 network.node(player).observe(InteractionTag.from_rating(rating))
         rounds = network.run_until_quiet(fanout=2, digest_size=4096)
         return network, rounds

@@ -39,10 +39,10 @@ def main() -> None:
         print(f"    {age:>2}: {probability:6.1%} {bar}")
     print(f"  stale (≥3 frames = ≥150 ms): {report.stale_fraction(3):.2%}")
 
-    suspicious = [r for r in report.ratings if r.rating >= 6.0]
+    suspicious = sum(r.rating >= 6.0 for r in report.ratings)
     print(f"\n  verifications run  : {len(report.ratings)}")
-    print(f"  high ratings       : {len(suspicious)} "
-          f"({len(suspicious) / max(1, len(report.ratings)):.2%} — honest play)")
+    print(f"  high ratings       : {suspicious} "
+          f"({suspicious / max(1, len(report.ratings)):.2%} — honest play)")
     print(f"  banned players     : {sorted(report.banned) or 'none'}")
 
 

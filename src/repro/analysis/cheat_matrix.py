@@ -78,16 +78,15 @@ class CheatOutcome:
 def _detection_evidence(
     report: SessionReport, cheater_id: int, checks: tuple[str, ...], threshold: float = 5.0
 ) -> tuple[int, str]:
-    hits = [
-        r
+    hit_by = [
+        r.verifier_id
         for r in report.ratings
         if r.subject_id == cheater_id
         and r.check in checks
         and r.rating >= threshold
         and r.verifier_id != cheater_id
     ]
-    verifiers = sorted({r.verifier_id for r in hits})
-    return len(hits), f"{len(hits)} high ratings from verifiers {verifiers[:6]}"
+    return len(hit_by), f"{len(hit_by)} high ratings from verifiers {sorted(set(hit_by))[:6]}"
 
 
 def _run_with_cheat(

@@ -110,15 +110,12 @@ def honest_flag_rate(
     report: SessionReport, check: str, threshold: float, exclude: set[int]
 ) -> float:
     """Fraction of ratings about honest subjects at/above the threshold."""
-    relevant = [
-        r
-        for r in report.ratings
-        if r.check == check and r.subject_id not in exclude
-    ]
-    if not relevant:
-        return 0.0
-    flagged = sum(1 for r in relevant if r.score >= threshold)
-    return flagged / len(relevant)
+    relevant = flagged = 0
+    for r in report.ratings:
+        if r.check == check and r.subject_id not in exclude:
+            relevant += 1
+            flagged += r.score >= threshold
+    return flagged / relevant if relevant else 0.0
 
 
 def wire_cheat(

@@ -79,6 +79,7 @@ from repro.core.verification import (
     KillVerifier,
     PositionVerifier,
     ProjectileTracker,
+    RatingLog,
     SubscriptionVerifier,
 )
 from repro.crypto.signatures import HmacSigner
@@ -151,11 +152,13 @@ class NodeMetrics:
     built, so session totals (counters, the update-age histogram) come for
     free — and cost nothing when that registry is the disabled default.
     Observations nobody reads per node are registry instruments only.
+    A verdict lives in ``ratings`` for the rest of the match: ≈ 58 B and no
+    object apiece, read in place by the session report (it holds no copy).
     """
 
     #: received updates per (kind, age in frames)
     update_ages: Tally[tuple[str, int]] = field(default_factory=Tally)
-    ratings: list[CheatRating] = field(default_factory=list)
+    ratings: RatingLog = field(default_factory=RatingLog)
     signature_failures: int = 0
     replayed_messages: int = 0
     direct_update_violations: int = 0

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import chain
+from typing import Callable, Collection, Iterator
 
 from repro.core.config import MAX_USEFUL_AGE_FRAMES, WatchmenConfig
 from repro.core.messages import GameMessage, GuidanceMessage, StateUpdate
 from repro.core.node import HonestBehaviour, NodeBehaviour, WatchmenNode
 from repro.core.proxy import ProxySchedule
 from repro.core.reputation import ReputationBoard
-from repro.core.verification import CheatRating
+from repro.core.verification import CheatRating, RatingLog
 from repro.core.wire import TAG_NAMES, FrameMemo
 from repro.crypto.signatures import HmacSigner
 from repro.faults.byzantine import ByzantineBehaviour
@@ -41,6 +42,22 @@ from repro.obs.registry import get_registry
 from repro.obs.stats import nearest_rank
 
 __all__ = ["SessionReport", "WatchmenSession"]
+
+
+class _Concatenation(Collection[CheatRating]):
+    """The nodes' rating logs read one after another, in place."""
+
+    def __init__(self, logs: list[RatingLog]) -> None:
+        self._logs = logs
+
+    def __len__(self) -> int:
+        return sum(map(len, self._logs))
+
+    def __iter__(self) -> Iterator[CheatRating]:
+        return chain.from_iterable(self._logs)
+
+    def __contains__(self, rating: object) -> bool:
+        return any(rating in log for log in self._logs)
 
 
 @dataclass
@@ -60,7 +77,9 @@ class SessionReport:
     #: The same deaths, broken down (loss | partition | crashed | schedule
     #: | malformed | tamper | quarantine).
     dropped_by_cause: dict[str, int] = field(default_factory=dict)
-    ratings: list[CheatRating] = field(default_factory=list)
+    #: Every verdict, node by node in filing order: a read-only view of the nodes'
+    #: logs.  Iterate it; ``list(...)`` if you must index a session's worth.
+    ratings: Collection[CheatRating] = ()
     banned: set[int] = field(default_factory=set)
     server_upload_kbps: dict[int, float] = field(default_factory=dict)
     view_errors: list[float] = field(default_factory=list)
@@ -401,6 +420,7 @@ class WatchmenSession:
         report = SessionReport(
             num_players=len(self.nodes) - len(self.server_ids),
             num_frames=num_frames,
+            ratings=_Concatenation([node.metrics.ratings for node in self.nodes.values()]),
         )
         total_ages: Counter[int] = Counter()
         by_kind: dict[str, Counter[int]] = {}
@@ -408,7 +428,6 @@ class WatchmenSession:
             for (kind, age), count in node.metrics.update_ages.items():
                 total_ages[age] += count
                 by_kind.setdefault(kind, Counter())[age] += count
-            report.ratings.extend(node.metrics.ratings)
         report.age_histogram = dict(total_ages)
         report.age_histogram_by_kind = {
             kind: dict(counter) for kind, counter in by_kind.items()

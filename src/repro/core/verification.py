@@ -18,8 +18,10 @@ keeps the false-positive rate at the paper's ≤5 % operating point.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import repeat
+from typing import Iterator, NamedTuple, Sequence
 
 from repro.core.config import (
     AIM_MAX_GAP_FRAMES,
@@ -85,6 +87,7 @@ __all__ = [
     "Confidence",
     "CheckKind",
     "CheatRating",
+    "RatingLog",
     "DeviationCalibration",
     "PositionVerifier",
     "AimVerifier",
@@ -147,6 +150,52 @@ class CheatRating(NamedTuple):
     @property
     def suspicious(self) -> bool:
         return self.rating > MIN_RATING + 1e-9
+
+
+class RatingLog(Sequence[CheatRating]):
+    """Every verdict one verifier filed, in filing order, as typed columns.
+
+    A 48-player session keeps ~39 000 verdicts per simulated second.  As a
+    tuple each costs 232 B and is one more object for the collector to
+    walk; here it is a row across five ``array`` columns (ints as wide as
+    the wire's) and two lists of shared strings: ≈ 58 B, nothing tracked
+    per row.  Reading rebuilds an equal ``CheatRating``.
+    """
+
+    def __init__(self) -> None:
+        #: Whose log this is: the first verdict says, a foreign one is refused.
+        self.verifier_id: int | None = None
+        #: One column per ``CheatRating`` field after ``verifier_id``, in order.
+        self._columns = (array("q"), array("q"), [], array("d"), array("d"), array("d"), [])
+        #: One object per distinct ``detail`` (≤ 176 a node at 48 players).
+        self._details: dict[str, str] = {}
+
+    def append(self, rating: CheatRating) -> None:
+        verifier, subject, frame, check, value, confidence, deviation, detail = rating
+        if verifier != self.verifier_id:
+            if self.verifier_id is not None:
+                raise ValueError(f"verifier {verifier} filing in {self.verifier_id}'s log")
+            self.verifier_id = verifier
+        subjects, frames, checks, values, confidences, deviations, details = self._columns
+        subjects.append(subject)  # an int beyond the column raises, never wraps
+        frames.append(frame)
+        checks.append(check)
+        values.append(value)
+        confidences.append(confidence)
+        deviations.append(deviation)
+        details.append(self._details.setdefault(detail, detail))
+
+    def __len__(self) -> int:
+        return len(self._columns[-1])
+
+    def __iter__(self) -> Iterator[CheatRating]:
+        return map(CheatRating, repeat(self.verifier_id), *self._columns)
+
+    def __getitem__(self, index: int | slice) -> CheatRating | list[CheatRating]:
+        cells = (column[index] for column in self._columns)
+        if isinstance(index, slice):
+            return [CheatRating(self.verifier_id, *row) for row in zip(*cells)]
+        return CheatRating(self.verifier_id, *cells)
 
 
 def rating_from_deviation(deviation: float, allowed: float) -> float:

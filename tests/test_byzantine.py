@@ -450,7 +450,7 @@ class TestEquivocation:
         evidence = harness.signed_evidence(1, 0, first, second)
         deliver(node, 1, evidence)
         assert node.membership.convicted == set()
-        assert node.metrics.ratings == []
+        assert len(node.metrics.ratings) == 0
 
 
 # ---- tentpole: flood defense ---------------------------------------------

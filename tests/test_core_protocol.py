@@ -1,10 +1,15 @@
 """Integration tests for WatchmenSession (full protocol over the WAN sim)."""
 
+import gc
+import sys
+
 import pytest
 
 from repro.core import WatchmenConfig, WatchmenSession
+from repro.core.verification import CheatRating
 from repro.net.latency import uniform_lan
 from repro.net.transport import NetworkConfig
+from repro.obs import MetricsRegistry, use_registry
 
 
 class TestHonestRun:
@@ -87,6 +92,49 @@ class TestHonestRun:
         assert report.messages_lost / report.messages_sent == pytest.approx(
             0.01, abs=0.01
         )
+
+
+class TestWhereVerdictsLive:
+    """A verdict is kept as a row of its verifier's ``RatingLog``, not as an
+    object: the report reads the node logs in place (docs/OBSERVABILITY.md)."""
+
+    def test_the_report_reads_the_node_logs_in_node_order(self, honest_session_report):
+        session, report = honest_session_report
+        filed = [r for node in session.nodes.values() for r in node.metrics.ratings]
+        assert len(report.ratings) == len(filed) > 0
+        assert list(report.ratings) == filed
+        assert filed[0] in report.ratings
+        assert all(
+            r.verifier_id == player
+            for player, node in session.nodes.items()
+            for r in node.metrics.ratings
+        )
+
+    def test_no_verdict_object_outlives_the_run(self, small_trace, longest_yard):
+        """Every verdict is filed, none is retained as a tuple — at the parent
+        of PR 24 the same count was one ``CheatRating`` per verdict."""
+
+        def verdict_objects():
+            gc.collect()
+            return sum(type(o) is CheatRating for o in gc.get_objects())
+
+        held_elsewhere = verdict_objects()  # other tests' fixtures, if any
+        registry = MetricsRegistry(enabled=True)
+        with use_registry(registry):
+            session = WatchmenSession(small_trace, game_map=longest_yard)
+            report = session.run()
+        assert session.config.profile == "paper"
+        emitted = registry.snapshot()["counters"]["node.ratings_emitted"]
+        assert len(report.ratings) == emitted > 5000
+        assert verdict_objects() - held_elsewhere == 0
+
+    def test_a_verdict_costs_at_most_64_bytes(self, honest_session_report):
+        session, _ = honest_session_report
+        for node in session.nodes.values():
+            log = node.metrics.ratings
+            held = sum(map(sys.getsizeof, log._columns)) + sys.getsizeof(log._details)
+            assert held / len(log) <= 64
+            assert len(log._details) <= 256
 
 
 class TestSessionConstruction:

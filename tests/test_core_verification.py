@@ -1,8 +1,11 @@
 """Unit tests for the verification engine (ratings, confidence, checks)."""
 
 import math
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import (
     GUIDANCE_FALLBACK_ALLOWANCE,
@@ -12,6 +15,7 @@ from repro.core.config import (
 )
 from repro.core.verification import (
     AimVerifier,
+    CheatRating,
     CheckKind,
     Confidence,
     DeviationCalibration,
@@ -20,6 +24,7 @@ from repro.core.verification import (
     PositionVerifier,
     ProjectileTracker,
     RateVerifier,
+    RatingLog,
     SubscriptionVerifier,
     rating_from_deviation,
 )
@@ -409,3 +414,73 @@ class TestRateVerifier:
         verifier = RateVerifier()
         verifier.observe(0, 1, 0, 0, 1.0)
         assert verifier.check_silence(0, 1, 40, 1.0, not_before_frame=10) is None
+
+
+def exact(rating):
+    """A verdict as it must read back: field types, and floats by bit
+    pattern (``nan`` payloads and ``-0.0`` included) — stricter than repr."""
+    return (
+        tuple(map(type, rating)), rating[:4], struct.pack("<3d", *rating[4:7]), rating[7],
+    )
+
+
+wire_ints = st.integers(0, 2**31 - 1)
+any_float = st.floats()  # every float: nan, the infinities, -0.0, subnormals
+#: built afresh per draw (like the verifiers' f-strings), from few values
+few_details = st.text(alphabet="ab", max_size=2).map(lambda text: f"turned {text} rad")
+rows = st.tuples(
+    wire_ints, wire_ints, st.sampled_from(CheckKind.ALL), any_float, any_float, any_float,
+    few_details,
+)
+
+VERDICT = CheatRating(3, 5, 120, CheckKind.AIM, 1.0, 0.9, 0.25, "turned 0.25 rad in 1 frame(s)")
+
+
+class TestRatingLog:
+    @settings(max_examples=150, deadline=None)
+    @given(verifier=wire_ints, filed=st.lists(rows, max_size=40), data=st.data())
+    def test_reads_back_what_was_filed(self, verifier, filed, data):
+        """Any well-typed verdicts, in order, by iteration, index and slice."""
+        filed = [CheatRating(verifier, *row) for row in filed]
+        log = RatingLog()
+        for rating in filed:
+            log.append(rating)
+        want = [exact(r) for r in filed]
+        assert len(log) == len(filed)
+        assert [exact(r) for r in log] == want
+        assert all(type(r) is CheatRating for r in log)
+        assert [exact(log[i]) for i in range(len(filed))] == want
+        assert [exact(log[i]) for i in range(-len(filed), 0)] == want
+        cut = data.draw(st.slices(len(filed)))
+        assert [exact(r) for r in log[cut]] == want[cut]
+        # equal details are one object, however many verdicts carry them
+        assert len({id(r.detail) for r in log}) == len({r.detail for r in filed})
+
+    def test_an_empty_log(self):
+        log = RatingLog()
+        assert len(log) == 0 and list(log) == [] and log[:] == [] and log[3:] == []
+        with pytest.raises(IndexError):
+            log[0]
+
+    def test_the_wire_s_whole_int_range_fits(self):
+        log = RatingLog()
+        extremes = VERDICT._replace(subject_id=-(2**63), frame=2**63 - 1)
+        log.append(extremes)
+        assert exact(log[0]) == exact(extremes)
+
+    def test_a_foreign_verifier_is_refused(self):
+        log = RatingLog()
+        log.append(VERDICT)
+        with pytest.raises(ValueError, match="verifier 4 filing in 3's log"):
+            log.append(VERDICT._replace(verifier_id=4))
+        assert list(log) == [VERDICT]
+
+    @pytest.mark.parametrize("field", ["subject_id", "frame"])
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1], ids=["above", "below"])
+    def test_an_out_of_range_int_raises_rather_than_wraps(self, field, value):
+        with pytest.raises(OverflowError):
+            RatingLog().append(VERDICT._replace(**{field: value}))
+
+    def test_a_float_is_not_silently_truncated_to_an_id(self):
+        with pytest.raises(TypeError):
+            RatingLog().append(VERDICT._replace(subject_id=5.5))

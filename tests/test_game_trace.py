@@ -1,10 +1,8 @@
-"""Tests for trace recording, persistence and replay cursors."""
+"""Tests for trace recording and persistence."""
 
 import pytest
 
 from repro.game.trace import GameTrace, ShotEvent
-
-from tests.retired.trace import TraceCursor
 
 
 class TestRecording:
@@ -80,36 +78,3 @@ class TestPersistence:
         )
         with pytest.raises(ValueError, match="version"):
             GameTrace.load_jsonl(path)
-
-
-class TestCursor:
-    def test_iterates_all_frames(self, small_trace):
-        frames = list(TraceCursor(small_trace))
-        assert len(frames) == small_trace.num_frames
-        assert frames[0][0] == 0
-        assert frames[-1][0] == small_trace.num_frames - 1
-
-    def test_start_frame(self, small_trace):
-        cursor = TraceCursor(small_trace, start_frame=100)
-        frame, _ = next(cursor)
-        assert frame == 100
-
-    def test_out_of_range_start_rejected(self, small_trace):
-        with pytest.raises(ValueError):
-            TraceCursor(small_trace, start_frame=10_000)
-
-    def test_peek_does_not_advance(self, small_trace):
-        cursor = TraceCursor(small_trace)
-        peeked = cursor.peek()
-        frame, snapshots = next(cursor)
-        assert frame == 0
-        assert peeked is snapshots
-
-    def test_peek_past_end_returns_none(self, small_trace):
-        cursor = TraceCursor(small_trace, start_frame=small_trace.num_frames)
-        assert cursor.peek() is None
-
-    def test_exhausted_cursor_stops(self, small_trace):
-        cursor = TraceCursor(small_trace, start_frame=small_trace.num_frames)
-        with pytest.raises(StopIteration):
-            next(cursor)

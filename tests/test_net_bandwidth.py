@@ -4,8 +4,6 @@ import pytest
 
 from repro.net.bandwidth import BandwidthMeter
 
-from tests.retired.bandwidth import UploadBudget
-
 
 class TestMeter:
     def test_upload_kbps(self):
@@ -72,32 +70,3 @@ class TestMeter:
         meter.record_send(2, 10, 0.1)
         sent = {node: meter.usage(node).sent_bytes for node in (2, 3, 5)}
         assert sent == {2: 10, 3: 0, 5: 10}  # booked per node, whatever the order
-
-
-class TestBudget:
-    """The parked upload cap (``tests/retired/bandwidth.py``)."""
-
-    def test_allows_within_budget(self):
-        budget = UploadBudget(1000)
-        assert budget.try_send(0, 500, 0.0)
-        assert budget.try_send(0, 400, 0.1)
-
-    def test_blocks_over_budget(self):
-        budget = UploadBudget(1000)
-        assert budget.try_send(0, 800, 0.0)
-        assert not budget.try_send(0, 300, 0.1)
-
-    def test_window_slides(self):
-        budget = UploadBudget(1000)
-        assert budget.try_send(0, 900, 0.0)
-        assert not budget.try_send(0, 900, 0.5)
-        assert budget.try_send(0, 900, 1.5)  # old charge expired
-
-    def test_zero_budget_means_unlimited(self):
-        budget = UploadBudget(0)
-        assert budget.try_send(0, 10**9, 0.0)
-
-    def test_independent_nodes(self):
-        budget = UploadBudget(100)
-        assert budget.try_send(0, 100, 0.0)
-        assert budget.try_send(1, 100, 0.0)

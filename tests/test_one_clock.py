@@ -62,23 +62,30 @@ def test_no_bench_takes_the_timing_fixture():
     assert takers == [], "call the function directly; time with perfbench"
 
 
-def _clock_importers(root: Path) -> set[str]:
-    """Files under ``root`` that import ``time`` or ``datetime``."""
+def _importers(root: Path, modules: tuple[str, ...]) -> set[str]:
+    """Files under ``root`` that import one of ``modules``."""
     return {
         path.relative_to(root).as_posix()
         for path in root.rglob("*.py")
         for node in ast.walk(ast.parse(path.read_text()))
         if (
             isinstance(node, ast.Import)
-            and any(alias.name.split(".")[0] in CLOCKS for alias in node.names)
+            and any(alias.name.split(".")[0] in modules for alias in node.names)
         )
-        or (isinstance(node, ast.ImportFrom) and node.module in CLOCKS)
+        or (isinstance(node, ast.ImportFrom) and node.module in modules)
     }
 
 
 def test_no_bench_and_no_product_module_reads_a_clock():
-    assert _clock_importers(BENCHMARKS) == set()
-    assert _clock_importers(SRC) == MAY_IMPORT_A_CLOCK
+    assert _importers(BENCHMARKS, CLOCKS) == set()
+    assert _importers(SRC, CLOCKS) == MAY_IMPORT_A_CLOCK
+
+
+def test_no_product_module_touches_the_collector():
+    """The collector goes quiet because there is less to walk (verdicts are
+    rows of a ``RatingLog``, docs/PERFORMANCE.md "PR 24"), never because it
+    was told to: allocate less, not collect less."""
+    assert _importers(SRC, ("gc",)) == set()
 
 
 def test_the_registry_is_reached_one_way():
