@@ -2,30 +2,5 @@
 
 The analyzer behind ``repro lint`` / ``python -m repro.lint``.  Pure
 stdlib (``ast``); see ``docs/STATIC_ANALYSIS.md`` for the rule catalog
-and the suppression workflow.
+and the inline-ignore convention.
 """
-
-from __future__ import annotations
-
-from repro.lint.baseline import (
-    BASELINE_SCHEMA,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.engine import LintConfig, LintReport, run_lint
-from repro.lint.violations import RULE_CATALOG, RuleInfo, Violation, family_of
-
-__all__ = [
-    "BASELINE_SCHEMA",
-    "LintConfig",
-    "LintReport",
-    "RULE_CATALOG",
-    "RuleInfo",
-    "Violation",
-    "apply_baseline",
-    "family_of",
-    "load_baseline",
-    "run_lint",
-    "write_baseline",
-]

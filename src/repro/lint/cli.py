@@ -1,7 +1,7 @@
 """``repro lint`` / ``python -m repro.lint`` — the analyzer's front end.
 
-Exit codes mirror ``repro bench-diff``: 0 clean, 1 new violations,
-2 usage errors (unknown rule, missing path, malformed baseline).
+Exit codes mirror ``repro bench-diff``: 0 clean, 1 violations,
+2 usage errors (unknown rule, missing path).
 
 ``--changed-only`` keeps the pre-commit loop fast as whole-program passes
 accumulate: the per-file families (D/T) scan only files that differ from
@@ -23,13 +23,10 @@ import sys
 import time
 from pathlib import Path
 
-from repro.lint.baseline import write_baseline
 from repro.lint.engine import LintConfig, LintReport, run_lint
 from repro.lint.violations import RULE_CATALOG, family_of
 
 __all__ = ["add_lint_arguments", "build_parser", "cmd_lint", "main"]
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -42,23 +39,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--root",
         default=".",
-        help="repository root (baseline + protocol files resolve under it)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help=f"baseline suppression file (default: <root>/{DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every violation, ignoring the baseline",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="regenerate the baseline from current findings and exit 0",
+        help="repository root (src/repro and the protocol files resolve "
+        "under it)",
     )
     parser.add_argument(
         "--explain",
@@ -239,12 +221,7 @@ def _github_annotations(report: LintReport) -> str:
             report.violations, key=lambda v: (v.path, v.line, v.rule)
         )
     ]
-    summary = (
-        f"repro lint: {report.files_scanned} files, "
-        f"{len(report.violations)} new violation(s), "
-        f"{report.suppressed} baseline-suppressed"
-    )
-    return "\n".join([*lines, summary])
+    return "\n".join([*lines, report.summary()])
 
 
 def _write_json_artifact(
@@ -256,7 +233,6 @@ def _write_json_artifact(
 
     metrics: dict[str, float] = {
         "violations.total": float(len(report.violations)),
-        "violations.suppressed": float(report.suppressed),
         "files.scanned": float(report.files_scanned),
     }
     families = {family_of(rule) for rule in RULE_CATALOG}
@@ -307,17 +283,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 2
     if getattr(args, "fix", False):
         return _cmd_fix(root)
-    baseline_path: Path | None
-    if args.no_baseline:
-        baseline_path = None
-    elif args.baseline is not None:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.is_file():
-            print(f"repro lint: baseline not found: {baseline_path}", file=sys.stderr)
-            return 2
-    else:
-        default = root / DEFAULT_BASELINE
-        baseline_path = default if default.is_file() else None
 
     paths = tuple(Path(p) for p in args.paths)
     if getattr(args, "changed_only", False):
@@ -346,27 +311,13 @@ def cmd_lint(args: argparse.Namespace) -> int:
         else:
             paths = tuple(changed)
 
-    config = LintConfig(
-        root=root,
-        paths=paths,
-        baseline_path=baseline_path,
-    )
     started = time.perf_counter()
     try:
-        report = run_lint(config)
+        report = run_lint(LintConfig(root=root, paths=paths))
     except (FileNotFoundError, ValueError) as error:
         print(f"repro lint: {error}", file=sys.stderr)
         return 2
     wall_seconds = time.perf_counter() - started
-
-    if args.write_baseline:
-        target = Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE
-        write_baseline(target, report.all_violations)
-        print(
-            f"baseline: {len(report.all_violations)} violation(s) recorded "
-            f"-> {target}"
-        )
-        return 0
 
     if getattr(args, "footprints", None):
         import json

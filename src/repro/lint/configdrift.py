@@ -204,27 +204,22 @@ def run_configdrift_rules(
     sources: dict[str, list[str]],
     config_path: Path,
 ) -> list[Violation]:
+    """C601 over every parsed file; ``sources`` completes the
+    whole-program rule signature (the rule reads only the trees)."""
     constants = extract_constants(config_path)
-    violations: list[Violation] = []
-    for site in find_drift_sites(files, constants):
-        lines = sources.get(site.path, [])
-        context = (
-            lines[site.line - 1].strip() if 1 <= site.line <= len(lines) else ""
+    return [
+        Violation(
+            rule="C601",
+            path=site.path,
+            line=site.line,
+            message=(
+                f"literal {site.literal} duplicates {site.constant} "
+                f"(core/config.py) for '{site.alias}'; import the "
+                "constant instead (repro lint --fix rewrites it)"
+            ),
         )
-        violations.append(
-            Violation(
-                rule="C601",
-                path=site.path,
-                line=site.line,
-                message=(
-                    f"literal {site.literal} duplicates {site.constant} "
-                    f"(core/config.py) for '{site.alias}'; import the "
-                    "constant instead (repro lint --fix rewrites it)"
-                ),
-                context=context,
-            )
-        )
-    return violations
+        for site in find_drift_sites(files, constants)
+    ]
 
 
 # -- the --fix rewriter ------------------------------------------------------

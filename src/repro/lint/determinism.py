@@ -1,7 +1,7 @@
 """D-family rules: nondeterminism that breaks replay verification.
 
 All rules are per-file AST scans over the deterministic packages
-(``src/repro/{core,game,crypto,net,cheats,replay}``); the observability
+(``DETERMINISTIC_PACKAGES`` in ``lint/violations.py``); the observability
 layer and the CLI are deliberately out of scope (they read wall clocks on
 purpose and never feed protocol state).
 """
@@ -13,7 +13,6 @@ import ast
 from repro.lint.violations import Violation
 
 __all__ = [
-    "DETERMINISTIC_PACKAGES",
     "FILE_IO_ALLOWLIST",
     "check_wall_clock",
     "check_module_random",
@@ -21,12 +20,6 @@ __all__ = [
     "check_file_io",
     "run_determinism_rules",
 ]
-
-#: Sub-packages of repro whose code must replay bit-identically.
-DETERMINISTIC_PACKAGES = (
-    "core", "game", "crypto", "net", "cheats", "replay",
-    "faults", "analysis", "baselines",
-)
 
 #: Files allowed to touch the filesystem despite living in deterministic
 #: scope: the explicit persistence boundaries.  Everything else in scope
@@ -84,12 +77,6 @@ def _dotted(node: ast.expr) -> str | None:
     return None
 
 
-def _line(source_lines: list[str], lineno: int) -> str:
-    if 1 <= lineno <= len(source_lines):
-        return source_lines[lineno - 1].strip()
-    return ""
-
-
 def check_wall_clock(path: str, tree: ast.AST, source_lines: list[str]) -> list[Violation]:
     """D101: time.time()/datetime.now() style host-clock reads."""
     violations: list[Violation] = []
@@ -112,7 +99,6 @@ def check_wall_clock(path: str, tree: ast.AST, source_lines: list[str]) -> list[
                         f"wall-clock read `{dotted}()` in deterministic code; "
                         "derive time from the frame counter or event queue"
                     ),
-                    context=_line(source_lines, node.lineno),
                 )
             )
     return violations
@@ -135,7 +121,6 @@ def check_module_random(path: str, tree: ast.AST, source_lines: list[str]) -> li
                                 "global state; use `from random import Random` "
                                 "and inject a seeded instance"
                             ),
-                            context=_line(source_lines, node.lineno),
                         )
                     )
         elif isinstance(node, ast.ImportFrom):
@@ -153,7 +138,6 @@ def check_module_random(path: str, tree: ast.AST, source_lines: list[str]) -> li
                                 "module-global state; import Random and seed "
                                 "an instance instead"
                             ),
-                            context=_line(source_lines, node.lineno),
                         )
                     )
     return violations
@@ -190,7 +174,6 @@ def check_float_equality(path: str, tree: ast.AST, source_lines: list[str]) -> l
                             "rounding noise; compare with an epsilon or "
                             "math.isclose (== 0.0 guards are exempt)"
                         ),
-                        context=_line(source_lines, node.lineno),
                     )
                 )
     return violations
@@ -227,7 +210,6 @@ def check_file_io(path: str, tree: ast.AST, source_lines: list[str]) -> list[Vio
                     "belongs in an allowlisted boundary module (see "
                     "repro.lint.determinism.FILE_IO_ALLOWLIST)"
                 ),
-                context=_line(source_lines, node.lineno),
             )
         )
     return violations

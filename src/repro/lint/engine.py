@@ -1,4 +1,4 @@
-"""The lint driver: collect files, run rule families, subtract the baseline.
+"""The lint engine: collect files, run rule families, drop inline ignores.
 
 Dependency-free by design (stdlib ``ast`` only): the analyzer must run in
 CI before anything is installed, and must never disagree with itself
@@ -8,8 +8,8 @@ Rule scoping:
 
 * **T rules** run on every ``src/repro`` file scanned.
 * **D rules** run only inside the deterministic packages
-  (``src/repro/{core,game,crypto,net,cheats}``); ``repro.obs`` and the
-  CLI legitimately read wall clocks.
+  (``DETERMINISTIC_PACKAGES`` in ``lint/violations.py``); ``repro.obs``
+  and the CLI legitimately read wall clocks.
 * **P rules** run once per invocation over the messages/node/wire triple
   (paths configurable so tests can lint synthetic fixture trees).
 * **F/R/C/S/M rules** are whole-program: regardless of which paths were
@@ -19,10 +19,12 @@ Rule scoping:
   parsed exactly once — the scan pass and the whole-program pass share a
   cache keyed by resolved path.
 
-Inline escape hatch: a source line containing ``repro-lint: ignore`` (or
-``repro-lint: ignore[D102]`` to scope it) is exempt — use sparingly, with
-a justifying comment; prefer fixing or baselining.  It applies to every
-family, including whole-program findings.
+The one suppression: a finding whose reported line contains
+``repro-lint: ignore`` (or ``repro-lint: ignore[D102]`` to scope it) is
+dropped — use sparingly, with a justifying comment; prefer fixing.  It is
+applied once, at the end of :func:`run_lint`, to every family alike.
+D104 is the exception: new file I/O is a reviewed ``FILE_IO_ALLOWLIST``
+entry, never a comment, so an ignore does not silence it.
 """
 
 from __future__ import annotations
@@ -30,20 +32,19 @@ from __future__ import annotations
 import ast
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from repro.lint.baseline import apply_baseline, load_baseline
 from repro.lint.callgraph import ParsedModule, build_call_graph, module_name_for
 from repro.lint.configdrift import run_configdrift_rules
-from repro.lint.determinism import DETERMINISTIC_PACKAGES, run_determinism_rules
+from repro.lint.determinism import run_determinism_rules
 from repro.lint.flow import run_flow_rules
 from repro.lint.footprint import FootprintTable, run_footprint_rules
 from repro.lint.protocol import ProtocolSources, run_protocol_rules
 from repro.lint.routing import run_routing_rules
 from repro.lint.taint import TaintStats, run_taint_rules
 from repro.lint.typing_rules import run_typing_rules
-from repro.lint.violations import Violation, family_of
+from repro.lint.violations import DETERMINISTIC_PACKAGES, Violation, family_of
 
 __all__ = ["LintConfig", "LintReport", "run_lint"]
 
@@ -54,11 +55,10 @@ _IGNORE_PATTERN = re.compile(
 
 @dataclass(frozen=True, slots=True)
 class LintConfig:
-    """One lint invocation: where to look and what to compare against."""
+    """One lint invocation: where to look."""
 
     root: Path
     paths: tuple[Path, ...] = ()
-    baseline_path: Path | None = None
 
     def scan_paths(self) -> tuple[Path, ...]:
         if self.paths:
@@ -80,11 +80,9 @@ class LintConfig:
 
 @dataclass(slots=True)
 class LintReport:
-    """What one run found, after baseline subtraction."""
+    """What one run found, inline-ignored findings dropped."""
 
     violations: list[Violation] = field(default_factory=list)
-    all_violations: list[Violation] = field(default_factory=list)
-    suppressed: int = 0
     files_scanned: int = 0
     #: effort counters from the interprocedural taint pass (S rules),
     #: surfaced as the `lint_wall` bench row so CI can gate lint cost
@@ -100,21 +98,22 @@ class LintReport:
     def counts_by_family(self) -> dict[str, int]:
         return dict(Counter(family_of(v.rule) for v in self.violations))
 
+    def summary(self) -> str:
+        return (
+            f"repro lint: {self.files_scanned} files, "
+            f"{len(self.violations)} violation(s)"
+        )
+
     def render(self) -> str:
         lines = [v.render() for v in sorted(
             self.violations, key=lambda v: (v.path, v.line, v.rule)
         )]
-        summary = (
-            f"repro lint: {self.files_scanned} files, "
-            f"{len(self.violations)} new violation(s), "
-            f"{self.suppressed} baseline-suppressed"
-        )
         if lines:
             by_rule = ", ".join(
                 f"{rule}:{count}" for rule, count in sorted(self.counts_by_rule().items())
             )
-            return "\n".join([*lines, summary + f" ({by_rule})"])
-        return summary
+            return "\n".join([*lines, self.summary() + f" ({by_rule})"])
+        return self.summary()
 
 
 def _collect_files(paths: tuple[Path, ...]) -> list[Path]:
@@ -158,7 +157,7 @@ def _in_deterministic_scope(rel: str) -> bool:
 
 
 def _inline_ignored(violation: Violation, source_lines: list[str]) -> bool:
-    if not 1 <= violation.line <= len(source_lines):
+    if violation.rule == "D104" or not 1 <= violation.line <= len(source_lines):
         return False
     match = _IGNORE_PATTERN.search(source_lines[violation.line - 1])
     if match is None:
@@ -202,26 +201,8 @@ class _ParseCache:
         return None
 
 
-def _dedupe(violations: list[Violation]) -> list[Violation]:
-    """Drop exact duplicates (same rule/path/line/message), keeping order.
-
-    Guards against the same file being analyzed twice — e.g. passed both
-    via a directory scan and as an explicit path under a different
-    spelling or symlink — which would otherwise double-count against the
-    baseline's multiplicity budget.
-    """
-    seen: set[tuple[str, str, int, str]] = set()
-    unique: list[Violation] = []
-    for violation in violations:
-        key = (violation.rule, violation.path, violation.line, violation.message)
-        if key not in seen:
-            seen.add(key)
-            unique.append(violation)
-    return unique
-
-
 def run_lint(config: LintConfig) -> LintReport:
-    """Scan, cross-reference, subtract the baseline; never writes files."""
+    """Scan, cross-reference, drop inline ignores; never writes files."""
     report = LintReport()
     found: list[Violation] = []
     cache = _ParseCache(config.root)
@@ -243,46 +224,26 @@ def run_lint(config: LintConfig) -> LintReport:
                     message=(
                         f"file does not parse: {error.msg if error else 'unknown'}"
                     ),
-                    context="",
                 )
             )
             continue
 
-        file_violations: list[Violation] = []
-        file_violations.extend(run_typing_rules(rel, tree, source_lines))
+        found.extend(run_typing_rules(rel, tree, source_lines))
         if _in_deterministic_scope(rel):
-            file_violations.extend(run_determinism_rules(rel, tree, source_lines))
-        found.extend(
-            v for v in file_violations if not _inline_ignored(v, source_lines)
-        )
+            found.extend(run_determinism_rules(rel, tree, source_lines))
 
     sources = config.protocol_sources()
     if sources.exists():
-        protocol_violations = run_protocol_rules(
-            sources, src_root=config.root / "src"
-        )
         found.extend(
-            Violation(
-                rule=v.rule,
-                path=_relpath(Path(v.path), config.root),
-                line=v.line,
-                message=v.message,
-                context=v.context,
-            )
-            for v in protocol_violations
+            replace(v, path=_relpath(Path(v.path), config.root))
+            for v in run_protocol_rules(sources, src_root=config.root / "src")
         )
 
     found.extend(_run_whole_program(config, cache, lines_by_rel, report))
 
-    report.all_violations = _dedupe(found)
-    baseline = (
-        load_baseline(config.baseline_path)
-        if config.baseline_path is not None
-        else Counter()
-    )
-    report.violations, report.suppressed = apply_baseline(
-        report.all_violations, baseline
-    )
+    report.violations = [
+        v for v in found if not _inline_ignored(v, lines_by_rel.get(v.path, []))
+    ]
     return report
 
 
@@ -325,8 +286,4 @@ def _run_whole_program(
             program_root / "core" / "config.py",
         )
     )
-    return [
-        v
-        for v in found
-        if not _inline_ignored(v, lines_by_rel.get(v.path, []))
-    ]
+    return found

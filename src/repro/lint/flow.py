@@ -118,19 +118,13 @@ def _message_argument(call: ast.Call, callee: str) -> ast.expr | None:
     return None
 
 
-def _source_context(info: FunctionInfo, lines: list[str], lineno: int) -> str:
-    if 1 <= lineno <= len(lines):
-        return lines[lineno - 1].strip()
-    return ""
-
-
 def run_flow_rules(
     graph: CallGraph, sources: dict[str, list[str]]
 ) -> list[Violation]:
     """Run F401/F402 over every in-scope function.
 
-    ``sources`` maps repo-relative path -> source lines (for fingerprint
-    context).
+    ``sources`` (repo-relative path -> source lines) completes the
+    whole-program rule signature; the F rules read only the graph.
     """
     violations: list[Violation] = []
     gates = _gate_qnames(graph)
@@ -151,13 +145,8 @@ def run_flow_rules(
     for qname, info in sorted(graph.functions.items()):
         if not _in_scope(info):
             continue
-        lines = sources.get(info.path, [])
-        violations.extend(
-            _check_function_f401(graph, info, gated, exposed, lines)
-        )
-        violations.extend(
-            _check_function_f402(graph, info, reduction_qnames, lines)
-        )
+        violations.extend(_check_function_f401(graph, info, gated, exposed))
+        violations.extend(_check_function_f402(graph, info, reduction_qnames))
     return violations
 
 
@@ -166,7 +155,6 @@ def _check_function_f401(
     info: FunctionInfo,
     gated: frozenset[str],
     exposed: frozenset[str],
-    lines: list[str],
 ) -> list[Violation]:
     full_state_vars = _full_state_params(info.node)
     violations: list[Violation] = []
@@ -209,7 +197,6 @@ def _check_function_f401(
                     "subscription/interest-set check on the path "
                     "(core/subscriptions.py or game/interest.py)"
                 ),
-                context=_source_context(info, lines, node.lineno),
             )
         )
     return violations
@@ -243,7 +230,6 @@ def _check_function_f402(
     graph: CallGraph,
     info: FunctionInfo,
     reduction_qnames: frozenset[str],
-    lines: list[str],
 ) -> list[Violation]:
     violations: list[Violation] = []
     reduced_vars: set[str] = set()
@@ -281,7 +267,6 @@ def _check_function_f402(
                     f"({', '.join(sorted(REDUCTION_HELPERS))}) — exact state "
                     "would leak to a reduced-resolution tier"
                 ),
-                context=_source_context(info, lines, node.lineno),
             )
         )
     return violations

@@ -486,10 +486,6 @@ def run_footprint_rules(
     message_types, ackable, registry_path, registry_line = _registries(trees_by_rel)
     reachable = _reachable_handlers(graph)
 
-    def context_of(path: str, line: int) -> str:
-        lines = sources.get(path, [])
-        return lines[line - 1].strip() if 1 <= line <= len(lines) else ""
-
     # M801: a registered type no reachable handler consumes.
     handled: set[str] = set()
     for qname, fp in table.handlers.items():
@@ -507,7 +503,6 @@ def run_footprint_rules(
                         "but no reachable _on_*/_handle_* handler consumes it "
                         "— the dispatch layer silently drops it"
                     ),
-                    context=name,
                 )
             )
 
@@ -533,7 +528,6 @@ def run_footprint_rules(
                             "in ACKABLE_TYPES — one lost datagram stalls the "
                             "protocol with no retry"
                         ),
-                        context=context_of(fp.path, fp.line),
                     )
                 )
 
@@ -569,7 +563,6 @@ def run_footprint_rules(
                             f"`# {COMMUTES_MARKER}[{store}]` after review or "
                             "cover the interleaving with an repro.mc scenario"
                         ),
-                        context=context_of(first.path, first.line),
                     )
                 )
     return violations, table

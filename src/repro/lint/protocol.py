@@ -263,7 +263,6 @@ def run_protocol_rules(sources: ProtocolSources, src_root: Path) -> list[Violati
                 path=rel_messages,
                 line=1,
                 message="no GameMessage union found in messages module",
-                context="GameMessage",
             )
         )
         return violations
@@ -287,7 +286,6 @@ def run_protocol_rules(sources: ProtocolSources, src_root: Path) -> list[Violati
                     path=rel_messages,
                     line=1,
                     message=f"cannot locate class definition of union member `{member}`",
-                    context=member,
                 )
             )
             continue
@@ -309,7 +307,6 @@ def run_protocol_rules(sources: ProtocolSources, src_root: Path) -> list[Violati
                     path=defined_in.as_posix(),
                     line=classdef.lineno,
                     message=f"message `{member}` {missing}; wire messages must be immutable",
-                    context=member,
                 )
             )
 
@@ -322,7 +319,6 @@ def run_protocol_rules(sources: ProtocolSources, src_root: Path) -> list[Violati
                 path=sources.node_path.as_posix(),
                 line=1,
                 message="node module has no _dispatch_message function",
-                context="_dispatch_message",
             )
         )
     else:
@@ -338,7 +334,6 @@ def run_protocol_rules(sources: ProtocolSources, src_root: Path) -> list[Violati
                             f"message `{member}` has no isinstance branch in "
                             "_dispatch_message; it would be silently dropped"
                         ),
-                        context=member,
                     )
                 )
 
@@ -355,7 +350,6 @@ def run_protocol_rules(sources: ProtocolSources, src_root: Path) -> list[Violati
                         f"message `{member}` is not registered in wire.MESSAGE_TYPES; "
                         "encode/decode round-trip is impossible"
                     ),
-                    context=member,
                 )
             )
 
@@ -378,7 +372,6 @@ def run_protocol_rules(sources: ProtocolSources, src_root: Path) -> list[Violati
                         f"registered message `{name}` has no entry in "
                         "MESSAGE_TAGS; the binary codec cannot frame it"
                     ),
-                    context=name,
                 )
             )
         for name in sorted(set(tagged) - registered):
@@ -391,7 +384,6 @@ def run_protocol_rules(sources: ProtocolSources, src_root: Path) -> list[Violati
                         f"MESSAGE_TAGS entry `{name}` is not registered in "
                         "MESSAGE_TYPES; a dead tag invites accidental reuse"
                     ),
-                    context=name,
                 )
             )
         seen_tags: dict[int, str] = {}
@@ -410,7 +402,6 @@ def run_protocol_rules(sources: ProtocolSources, src_root: Path) -> list[Violati
                             f"tag for `{name}` must be an integer literal in "
                             "0..255; the codec emits it as a single byte"
                         ),
-                        context=name,
                     )
                 )
                 continue
@@ -425,7 +416,6 @@ def run_protocol_rules(sources: ProtocolSources, src_root: Path) -> list[Violati
                             f"tag {val.value} is assigned to both `{holder}` "
                             f"and `{name}`; decode would be ambiguous"
                         ),
-                        context=name,
                     )
                 )
 
@@ -444,7 +434,6 @@ def run_protocol_rules(sources: ProtocolSources, src_root: Path) -> list[Violati
                             "AckMessage must not be in ACKABLE_TYPES: "
                             "acking an ack would loop forever"
                         ),
-                        context="AckMessage",
                     )
                 )
             elif name not in members:
@@ -458,7 +447,6 @@ def run_protocol_rules(sources: ProtocolSources, src_root: Path) -> list[Violati
                             "GameMessage union member; it can never be "
                             "dispatched, let alone acked"
                         ),
-                        context=name,
                     )
                 )
         if "AckMessage" not in members:
@@ -472,7 +460,6 @@ def run_protocol_rules(sources: ProtocolSources, src_root: Path) -> list[Violati
                         "not in the GameMessage union; the reliability "
                         "layer's own control message would be undeliverable"
                     ),
-                    context="AckMessage",
                 )
             )
 

@@ -59,28 +59,24 @@ def _is_handler(info: FunctionInfo) -> bool:
     return info.name in _HANDLER_EXACT or info.name.startswith(_HANDLER_PREFIXES)
 
 
-def _context(sources: dict[str, list[str]], path: str, lineno: int) -> str:
-    lines = sources.get(path, [])
-    if 1 <= lineno <= len(lines):
-        return lines[lineno - 1].strip()
-    return ""
-
-
 def run_routing_rules(
     graph: CallGraph, sources: dict[str, list[str]]
 ) -> list[Violation]:
+    """Run R501/R502 over every function.
+
+    ``sources`` completes the whole-program rule signature; the R rules
+    read only the graph.
+    """
     violations: list[Violation] = []
     for qname, info in sorted(graph.functions.items()):
         if _in_r501_scope(info):
-            violations.extend(_check_r501(graph, info, sources))
+            violations.extend(_check_r501(graph, info))
         if _is_handler(info):
-            violations.extend(_check_r502(info, sources))
+            violations.extend(_check_r502(info))
     return violations
 
 
-def _check_r501(
-    graph: CallGraph, info: FunctionInfo, sources: dict[str, list[str]]
-) -> list[Violation]:
+def _check_r501(graph: CallGraph, info: FunctionInfo) -> list[Violation]:
     if info.qname in SANCTIONED_EGRESS:
         return []
     # Only exact edges count as evidence: a by-name guess to a same-named
@@ -110,7 +106,6 @@ def _check_r501(
                     "proxy layer — all outgoing traffic must flow through "
                     "core/proxy.py (route via WatchmenNode._transmit)"
                 ),
-                context=_context(sources, info.path, node.lineno),
             )
         )
     return violations
@@ -139,9 +134,7 @@ def _destination_arguments(call: ast.Call) -> list[ast.expr]:
     return [] if destinations is None else [destinations]
 
 
-def _check_r502(
-    info: FunctionInfo, sources: dict[str, list[str]]
-) -> list[Violation]:
+def _check_r502(info: FunctionInfo) -> list[Violation]:
     params = _payload_params(info.node)
     violations: list[Violation] = []
     for node in ast.walk(info.node):
@@ -176,7 +169,6 @@ def _check_r502(
                         "dispatcher's src parameter) — payload sender ids "
                         "are attacker-controlled"
                     ),
-                    context=_context(sources, info.path, node.lineno),
                 )
             )
     return violations

@@ -284,7 +284,6 @@ def _witness(hit: SinkHit, info: FunctionInfo) -> str:
 def _render(
     graph: CallGraph,
     sinks_by_function: dict[str, list[SinkHit]],
-    sources: dict[str, list[str]],
     model: TaintModel,
 ) -> list[Violation]:
     best: dict[tuple[str, str, int], tuple[tuple[int, str, int], SinkHit, FunctionInfo]] = {}
@@ -300,20 +299,15 @@ def _render(
             current = best.get(key)
             if current is None or rank < current[0]:
                 best[key] = (rank, hit, info)
-    violations: list[Violation] = []
-    for (rule, path, line), (_, hit, info) in sorted(best.items()):
-        lines = sources.get(path, [])
-        context = lines[line - 1].strip() if 1 <= line <= len(lines) else ""
-        violations.append(
-            Violation(
-                rule=rule,
-                path=path,
-                line=line,
-                message=f"{_RULE_BLURBS[rule]}; taint path: {_witness(hit, info)}",
-                context=context,
-            )
+    return [
+        Violation(
+            rule=rule,
+            path=path,
+            line=line,
+            message=f"{_RULE_BLURBS[rule]}; taint path: {_witness(hit, info)}",
         )
-    return violations
+        for (rule, path, line), (_, hit, info) in sorted(best.items())
+    ]
 
 
 def run_taint_rules(
@@ -321,8 +315,8 @@ def run_taint_rules(
 ) -> tuple[list[Violation], TaintStats]:
     """Run S701/S702/S703 to fixpoint over the whole program.
 
-    ``sources`` maps repo-relative path -> source lines (marker scan and
-    fingerprint context, as for the other whole-program families).
+    ``sources`` maps repo-relative path -> source lines (the sanitizer
+    marker scan).
     """
     model = build_model(graph, sources)
     entries = _seed_entries(graph, model)
@@ -376,7 +370,7 @@ def run_taint_rules(
                     pending.append(caller)
                     queued.add(caller)
 
-    violations = _render(graph, sinks_by_function, sources, model)
+    violations = _render(graph, sinks_by_function, model)
     return violations, TaintStats(
         functions_analyzed=len(analyzed), fixpoint_iterations=iterations
     )

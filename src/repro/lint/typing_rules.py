@@ -19,12 +19,6 @@ __all__ = ["run_typing_rules", "check_annotations"]
 _IMPLICIT_FIRST = {"self", "cls"}
 
 
-def _line(source_lines: list[str], lineno: int) -> str:
-    if 1 <= lineno <= len(source_lines):
-        return source_lines[lineno - 1].strip()
-    return ""
-
-
 def _missing_parts(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
     args = func.args
     ordered = args.posonlyargs + args.args
@@ -61,7 +55,6 @@ def check_annotations(path: str, tree: ast.AST, source_lines: list[str]) -> list
                 message=(
                     f"`{node.name}` missing annotations: " + ", ".join(missing)
                 ),
-                context=f"def {node.name}",
             )
         )
     return violations

@@ -2,7 +2,7 @@
 
 Every rule has a stable identifier (``D101`` …), a one-line summary, and
 a longer rationale printed by ``repro lint --explain RULE``.  Rules come
-in three families:
+in eight families:
 
 * **D (determinism)** — the proxy schedule and frame-by-frame replay are
   only verifiable when every honest node computes the identical result;
@@ -36,7 +36,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Violation", "RuleInfo", "RULE_CATALOG", "family_of"]
+__all__ = [
+    "DETERMINISTIC_PACKAGES", "Violation", "RuleInfo", "RULE_CATALOG", "family_of",
+]
+
+#: Sub-packages of repro whose code must replay bit-identically: the D
+#: rules run here and nowhere else.
+DETERMINISTIC_PACKAGES = (
+    "core", "game", "crypto", "net", "cheats", "replay",
+    "faults", "analysis", "baselines",
+)
+
+_D_SCOPE = "src/repro/{" + ",".join(DETERMINISTIC_PACKAGES) + "}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,12 +58,6 @@ class Violation:
     path: str  # repo-relative, forward slashes
     line: int
     message: str
-    #: the stripped source line, used for line-drift-stable fingerprints
-    context: str = ""
-
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Identity that survives unrelated line-number drift."""
-        return (self.rule, self.path, self.context)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
@@ -88,7 +93,7 @@ _CATALOG_ENTRIES = (
             "clock.  Wall-clock reads are allowed only in the observability "
             "layer (repro.obs) and the CLI, which never feed protocol state."
         ),
-        scope="src/repro/{core,game,crypto,net,cheats,replay}",
+        scope=_D_SCOPE,
         examples=(
             "flags:  stamp = time.time()",
             "flags:  now = datetime.now()",
@@ -110,7 +115,7 @@ _CATALOG_ENTRIES = (
             "(`from random import Random`), so no module-state call can "
             "creep in."
         ),
-        scope="src/repro/{core,game,crypto,net,cheats,replay}",
+        scope=_D_SCOPE,
         examples=(
             "flags:  import random",
             "flags:  from random import choice",
@@ -129,7 +134,7 @@ _CATALOG_ENTRIES = (
             "against literal 0.0 are exempt: exact-zero guards (division, "
             "zero-length vectors) are deterministic and idiomatic."
         ),
-        scope="src/repro/{core,game,crypto,net,cheats,replay}",
+        scope=_D_SCOPE,
         examples=(
             "flags:  if distance == 1.5:",
             "ok:     if denom == 0.0:",
@@ -149,7 +154,7 @@ _CATALOG_ENTRIES = (
             "reviewed decision, and inline ignores are deliberately not "
             "honoured for new I/O sites."
         ),
-        scope="src/repro/{core,game,crypto,net,cheats,replay}",
+        scope=_D_SCOPE,
         examples=(
             "flags:  with open(path) as handle:",
             "flags:  Path(out).write_text(report)",

@@ -204,7 +204,7 @@ class TestM801:
         )
         violations, _ = footprint_run(("repro.core.node", source))
         assert [v.rule for v in violations] == ["M801"]
-        assert violations[0].context == "Ghost"
+        assert "`Ghost`" in violations[0].message
         assert "Ghost" in violations[0].message
 
     def test_unreachable_handler_does_not_count(self):
@@ -213,7 +213,7 @@ class TestM801:
         source = CLEAN.replace("        self._on_pong(src, message)\n", "")
         violations, _ = footprint_run(("repro.core.node", source))
         assert [v.rule for v in violations] == ["M801"]
-        assert violations[0].context == "Pong"
+        assert "`Pong`" in violations[0].message
 
     def test_without_receive_entry_every_handler_is_reachable(self):
         source = (
