@@ -55,7 +55,7 @@ def test_ablation_latency_optimizations(yard, session_trace, results_dir):
             [
                 name,
                 f"{mean_age:.2f}",
-                f"{report.stale_fraction(3):.2%}",
+                f"{report.stale_fraction():.2%}",
                 f"{report.mean_upload_kbps:.0f}",
                 str(report.messages_sent),
                 str(received),
@@ -90,4 +90,4 @@ def test_ablation_latency_optimizations(yard, session_trace, results_dir):
         full_report.age_histogram.values()
     )
     # Every variant still meets the FPS bound in this configuration.
-    assert full_report.stale_fraction(3) == pytest.approx(0.0, abs=0.05)
+    assert full_report.stale_fraction() == pytest.approx(0.0, abs=0.05)

@@ -47,7 +47,7 @@ def test_ablation_proxy_period(yard, session_trace, results_dir):
                 str(period),
                 f"{window_seconds:.1f}s",
                 f"{report.mean_upload_kbps:.0f}",
-                f"{report.stale_fraction(3):.2%}",
+                f"{report.stale_fraction():.2%}",
                 str(sum(r.rating >= 6 for r in report.ratings)),
             ]
         )
@@ -76,4 +76,4 @@ def test_ablation_proxy_period(yard, session_trace, results_dir):
     )
     # Responsiveness unaffected by the proxy period.
     for report in outcomes.values():
-        assert report.stale_fraction(3) < 0.05
+        assert report.stale_fraction() < 0.05

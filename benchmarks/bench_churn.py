@@ -57,7 +57,7 @@ def test_churn_agreement(yard, session_trace, results_dir):
             ["honest nodes agreeing on removal",
              f"{agreed}/{len(honest_nodes)}"],
             ["distinct post-removal rosters", str(len(removal_frames))],
-            ["stale ≥3 after churn", f"{report.stale_fraction(3):.2%}"],
+            ["stale ≥3 after churn", f"{report.stale_fraction():.2%}"],
             ["honest players banned", str(len(report.banned - {departing}))],
         ],
     )

@@ -52,7 +52,7 @@ def test_fairness_admission(yard, session_trace, results_dir):
     body += (
         f"\npublisher floor {decision.publisher_kbps:.0f} kbps, one proxy "
         f"tenure {decision.proxy_kbps:.0f} kbps; stale ≥3: "
-        f"{report.stale_fraction(3):.2%}\n"
+        f"{report.stale_fraction():.2%}\n"
     )
     publish(results_dir, "fairness_admission",
             "Fairness — feasibility test and weighted proxy pool", body,
@@ -66,7 +66,7 @@ def test_fairness_admission(yard, session_trace, results_dir):
             for subject in players:
                 assert session.schedule.proxy_of(subject, epoch) != player
     # The game still meets the FPS budget.
-    assert report.stale_fraction(3) < 0.05
+    assert report.stale_fraction() < 0.05
     # Weak players upload measurably less than the pool members.
     weak_up = sum(session.network.meter.upload_kbps(p) for p in weak) / len(weak)
     pool_up = sum(

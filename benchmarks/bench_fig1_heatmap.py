@@ -24,8 +24,8 @@ def test_fig1_heatmaps(yard, bench_trace, results_dir):
 
     human, npc = build()
 
-    human_conc = hotspot_concentration(human, 0.10)
-    npc_conc = hotspot_concentration(npc, 0.10)
+    human_conc = hotspot_concentration(human)
+    npc_conc = hotspot_concentration(npc)
     body = "\n".join(
         [
             "(a) Human movements (log-normalised presence):",

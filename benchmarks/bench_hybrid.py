@@ -51,7 +51,7 @@ def test_hybrid_vs_pure_p2p(yard, session_trace, results_dir):
             f"{report.mean_upload_kbps:.0f}",
             f"{report.max_upload_kbps:.0f}",
             server_up,
-            f"{report.stale_fraction(3):.2%}",
+            f"{report.stale_fraction():.2%}",
         ]
 
     body = render_table(
@@ -76,5 +76,5 @@ def test_hybrid_vs_pure_p2p(yard, session_trace, results_dir):
     assert hybrid.mean_upload_kbps < pure.mean_upload_kbps
     assert max(hybrid.server_upload_kbps.values()) > pure.max_upload_kbps
     # Responsiveness unchanged.
-    assert hybrid.stale_fraction(3) < 0.05
-    assert weighted.stale_fraction(3) < 0.05
+    assert hybrid.stale_fraction() < 0.05
+    assert weighted.stale_fraction() < 0.05

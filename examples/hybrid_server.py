@@ -21,7 +21,7 @@ def describe(name: str, report, server_ids) -> None:
           f"max {report.max_upload_kbps:.0f} kbps")
     for server, kbps in report.server_upload_kbps.items():
         print(f"  server {server} upload : {kbps:.0f} kbps")
-    print(f"  stale updates  : {report.stale_fraction(3):.2%} (≥150 ms)")
+    print(f"  stale updates  : {report.stale_fraction():.2%} (≥150 ms)")
     del server_ids
 
 

@@ -37,7 +37,7 @@ def main() -> None:
     for age, probability in sorted(report.age_pdf().items()):
         bar = "#" * int(probability * 50)
         print(f"    {age:>2}: {probability:6.1%} {bar}")
-    print(f"  stale (≥3 frames = ≥150 ms): {report.stale_fraction(3):.2%}")
+    print(f"  stale (≥3 frames = ≥150 ms): {report.stale_fraction():.2%}")
 
     suspicious = sum(r.rating >= 6.0 for r in report.ratings)
     print(f"\n  verifications run  : {len(report.ratings)}")

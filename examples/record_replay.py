@@ -56,7 +56,7 @@ def main() -> None:
         fresh = pdf.get(0, 0.0) + pdf.get(1, 0.0)
         print(
             f"   {name:<22} fresh (≤1 frame): {fresh:6.1%}   "
-            f"stale (≥3): {report.stale_fraction(3):5.2%}   "
+            f"stale (≥3): {report.stale_fraction():5.2%}   "
             f"upload {report.mean_upload_kbps:4.0f} kbps"
         )
 

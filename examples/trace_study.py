@@ -38,8 +38,8 @@ def main() -> None:
 
     print(
         f"\npresence held by the top 10% of cells — humans: "
-        f"{hotspot_concentration(human_map, 0.10):.0%}, NPCs: "
-        f"{hotspot_concentration(npc_map, 0.10):.0%} (uniform: 10%)"
+        f"{hotspot_concentration(human_map):.0%}, NPCs: "
+        f"{hotspot_concentration(npc_map):.0%} (uniform: 10%)"
     )
     print(
         "A fixed-radius AOI centred on a hotspot would contain a large "

@@ -75,22 +75,25 @@ def presence_heatmap(
     )
 
 
-def hotspot_concentration(heatmap: Heatmap, top_fraction: float = 0.10) -> float:
-    """Fraction of all presence held by the top ``top_fraction`` of cells.
+#: The share of cells whose presence :func:`hotspot_concentration` sums.
+HOTSPOT_TOP_FRACTION = 0.10
 
-    A uniform distribution gives ≈ ``top_fraction``; the paper's maps give
-    several times that ("players show an exponential presence in some
-    areas of the game ... rendering AOI filtering unusable").
+
+def hotspot_concentration(heatmap: Heatmap) -> float:
+    """Fraction of all presence held by the top ``HOTSPOT_TOP_FRACTION`` of
+    cells.
+
+    A uniform distribution gives ≈ 10 %; the paper's maps give several
+    times that ("players show an exponential presence in some areas of the
+    game ... rendering AOI filtering unusable").
     """
-    if not 0.0 < top_fraction <= 1.0:
-        raise ValueError("top_fraction must be in (0, 1]")
     flat = sorted(
         (c for row in heatmap.raw_counts for c in row), reverse=True
     )
     total = sum(flat)
     if total == 0:
         return 0.0
-    top_cells = max(1, int(len(flat) * top_fraction))
+    top_cells = max(1, int(len(flat) * HOTSPOT_TOP_FRACTION))
     return sum(flat[:top_cells]) / total
 
 

@@ -261,7 +261,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"server {server} upload    : {kbps:.0f} kbps")
     print("update ages        : "
           + ", ".join(f"{a}f:{p:.1%}" for a, p in sorted(report.age_pdf().items())))
-    print(f"stale (>=3 frames) : {report.stale_fraction(3):.2%}")
+    print(f"stale (>=3 frames) : {report.stale_fraction():.2%}")
     print(f"banned             : {sorted(report.banned) or 'none'}")
     return 0
 
@@ -282,7 +282,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             print(render_ascii(heatmap))
             print(
                 f"top-10%-cell presence: "
-                f"{hotspot_concentration(heatmap, 0.10):.0%}"
+                f"{hotspot_concentration(heatmap):.0%}"
             )
         elif name == "fig4":
             sizes = [1, 2, 4, max(2, args.players // 4)]

@@ -222,8 +222,8 @@ GameMessage = Union[
 #: The critical low-rate messages covered by the ack/retry layer: losing
 #: one silently degrades the protocol (a missed subscription black-holes a
 #: view; a missed handoff strands a client; a missed removal vote stalls
-#: the quorum).  Lint rule P205 cross-checks this registry against the
-#: GameMessage union.
+#: the quorum).  Every entry is a GameMessage member, and ``AckMessage`` is
+#: never one: an ackable ack would be acked in turn, forever.
 ACKABLE_TYPES: tuple[type, ...] = (
     SubscriptionRequest,
     KillClaim,

@@ -867,9 +867,7 @@ class WatchmenNode:
             rating = self.action_repetition_verifier.observe(me, snapshot, confidence)
             if rating is not None and rating.suspicious:
                 self._emit_rating(rating, client)
-        rating = self.guidance_verifier.observe_position(
-            me, snapshot, confidence, calibrate=True
-        )
+        rating = self.guidance_verifier.observe_position(me, snapshot, confidence)
         if rating is not None:
             self._emit_rating(rating)
 

@@ -117,13 +117,14 @@ class SessionReport:
             age: count / total for age, count in sorted(self.age_histogram.items())
         }
 
-    def stale_fraction(self, max_useful_age: int = MAX_USEFUL_AGE_FRAMES) -> float:
-        """Fraction of received updates older than the Quake bound (loss)."""
+    def stale_fraction(self) -> float:
+        """Fraction of received updates at least ``MAX_USEFUL_AGE_FRAMES``
+        old — the Quake bound past which an update counts as lost."""
         total = sum(self.age_histogram.values())
         if total == 0:
             return 0.0
         stale = sum(
-            count for age, count in self.age_histogram.items() if age >= max_useful_age
+            count for age, count in self.age_histogram.items() if age >= MAX_USEFUL_AGE_FRAMES
         )
         return stale / total
 

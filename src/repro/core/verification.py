@@ -358,9 +358,10 @@ class GuidanceVerifier:
         verifier_id: int,
         snapshot: AvatarSnapshot,
         confidence: float,
-        calibrate: bool = False,
     ) -> CheatRating | None:
-        """Feed an observed position; rate once the horizon is covered."""
+        """Feed an observed position; rate once the horizon is covered.
+
+        Every judged gap also updates the calibration before it is rated."""
         prediction = self._predictions.get(snapshot.player_id)
         if prediction is None or snapshot.frame < prediction.frame:
             return None
@@ -401,8 +402,7 @@ class GuidanceVerifier:
         del self._predictions[snapshot.player_id]
         del self._observed[snapshot.player_id]
 
-        if calibrate:
-            self.calibration.observe(gap)
+        self.calibration.observe(gap)
         allowed = max(self.calibration.allowance(), GUIDANCE_ALLOWANCE_FLOOR)
         rating = rating_from_deviation(gap, allowed)
         return CheatRating(

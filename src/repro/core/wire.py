@@ -2,11 +2,10 @@
 
 A message in flight is its frame: the transport carries ``bytes``, a
 receiver opens them through :class:`FrameMemo`, and a forwarder sends the
-buffer it received.  ``MESSAGE_TYPES`` is the registry the ``P203`` lint
-rule cross-references against the ``GameMessage`` union: adding a
-message type without registering it here fails ``repro lint``.
-``MESSAGE_TAGS`` assigns each registered type its one-byte wire tag; the
-``P206`` rule keeps the two tables in lockstep.
+buffer it received.  ``MESSAGE_TYPES`` registers every member of the
+``GameMessage`` union, and ``MESSAGE_TAGS`` assigns each registered type
+its one-byte wire tag; ``tests/test_core_wire_roundtrip.py::TestRegistry``
+holds both tables against the union.
 
 Encoding is structural — driven by the dataclass field types — so a new
 field on an existing message round-trips without codec edits; only *new
@@ -84,8 +83,8 @@ class WireError(ValueError):
     """Raised for unknown message types or malformed wire payloads."""
 
 
-#: Registry of every message type that crosses the wire.  The P203 lint
-#: rule fails when a GameMessage union member is missing here.
+#: Registry of every message type that crosses the wire: exactly the
+#: GameMessage union.
 MESSAGE_TYPES: dict[str, type] = {
     "StateUpdate": StateUpdate,
     "PositionUpdate": PositionUpdate,
@@ -101,8 +100,8 @@ MESSAGE_TYPES: dict[str, type] = {
 
 #: One-byte wire tag per registered message type.  Tags are append-only
 #: protocol surface: recorded tapes store them, so renumbering an
-#: existing entry orphans every committed tape.  The P206 lint rule
-#: fails when this table and MESSAGE_TYPES drift apart.
+#: existing entry orphans every committed tape.  It names exactly the
+#: types MESSAGE_TYPES registers, one unique byte each.
 MESSAGE_TAGS: dict[str, int] = {
     "StateUpdate": 1,
     "PositionUpdate": 2,

@@ -6,8 +6,8 @@ Exit codes mirror ``repro bench-diff``: 0 clean, 1 violations,
 ``--changed-only`` keeps the pre-commit loop fast as whole-program passes
 accumulate: the per-file families (D/T) scan only files that differ from
 ``git merge-base HEAD origin/main`` (plus untracked files) — the fork
-point, so upstream churn never widens the scan — while the cross-file and
-whole-program families (P, F/R/C/S) still analyze the full tree — a call
+point, so upstream churn never widens the scan — while the
+whole-program families (F/R/C/S/M) still analyze the full tree — a call
 graph over a subset would miss edges and lie.  When nothing under
 ``src/repro`` changed at all, the run short-circuits clean.  Fallback
 semantics: outside a git work tree, or when ``origin/main`` is unknown
@@ -39,8 +39,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--root",
         default=".",
-        help="repository root (src/repro and the protocol files resolve "
-        "under it)",
+        help="repository root (src/repro resolves under it)",
     )
     parser.add_argument(
         "--explain",

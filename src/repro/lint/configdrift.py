@@ -48,7 +48,6 @@ CONSTANT_ALIASES: dict[str, str] = {
     "vision_half_angle": "VISION_HALF_ANGLE",
     "vision_slack": "VISION_SLACK",
     "signature_bits": "SIGNATURE_BITS",
-    "max_useful_age": "MAX_USEFUL_AGE_FRAMES",
     "silence_threshold_frames": "MEMBERSHIP_SILENCE_FRAMES",
 }
 

@@ -10,8 +10,6 @@ Rule scoping:
 * **D rules** run only inside the deterministic packages
   (``DETERMINISTIC_PACKAGES`` in ``lint/violations.py``); ``repro.obs``
   and the CLI legitimately read wall clocks.
-* **P rules** run once per invocation over the messages/node/wire triple
-  (paths configurable so tests can lint synthetic fixture trees).
 * **F/R/C/S/M rules** are whole-program: regardless of which paths were
   requested, they analyze everything under ``<root>/src/repro`` (a call
   graph over a file subset would miss edges and lie; the S-family taint
@@ -32,7 +30,7 @@ from __future__ import annotations
 import ast
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.lint.callgraph import ParsedModule, build_call_graph, module_name_for
@@ -40,7 +38,6 @@ from repro.lint.configdrift import run_configdrift_rules
 from repro.lint.determinism import run_determinism_rules
 from repro.lint.flow import run_flow_rules
 from repro.lint.footprint import FootprintTable, run_footprint_rules
-from repro.lint.protocol import ProtocolSources, run_protocol_rules
 from repro.lint.routing import run_routing_rules
 from repro.lint.taint import TaintStats, run_taint_rules
 from repro.lint.typing_rules import run_typing_rules
@@ -66,16 +63,8 @@ class LintConfig:
         return (self.root / "src" / "repro",)
 
     def program_root(self) -> Path:
-        """Where the whole-program families (F/R/C) look."""
+        """Where the whole-program families (F/R/C/S/M) look."""
         return self.root / "src" / "repro"
-
-    def protocol_sources(self) -> ProtocolSources:
-        core = self.root / "src" / "repro" / "core"
-        return ProtocolSources(
-            messages_path=core / "messages.py",
-            node_path=core / "node.py",
-            wire_path=core / "wire.py",
-        )
 
 
 @dataclass(slots=True)
@@ -202,7 +191,7 @@ class _ParseCache:
 
 
 def run_lint(config: LintConfig) -> LintReport:
-    """Scan, cross-reference, drop inline ignores; never writes files."""
+    """Scan, analyze the whole program, drop inline ignores; never writes files."""
     report = LintReport()
     found: list[Violation] = []
     cache = _ParseCache(config.root)
@@ -231,13 +220,6 @@ def run_lint(config: LintConfig) -> LintReport:
         found.extend(run_typing_rules(rel, tree, source_lines))
         if _in_deterministic_scope(rel):
             found.extend(run_determinism_rules(rel, tree, source_lines))
-
-    sources = config.protocol_sources()
-    if sources.exists():
-        found.extend(
-            replace(v, path=_relpath(Path(v.path), config.root))
-            for v in run_protocol_rules(sources, src_root=config.root / "src")
-        )
 
     found.extend(_run_whole_program(config, cache, lines_by_rel, report))
 

@@ -2,14 +2,11 @@
 
 Every rule has a stable identifier (``D101`` …), a one-line summary, and
 a longer rationale printed by ``repro lint --explain RULE``.  Rules come
-in eight families:
+in seven families:
 
 * **D (determinism)** — the proxy schedule and frame-by-frame replay are
   only verifiable when every honest node computes the identical result;
   wall-clock reads and module-state randomness silently break that.
-* **P (protocol conformance)** — every wire-message dataclass must be
-  immutable, dispatchable and wire-codable; a gap means a
-  message type that crashes (or worse, is silently dropped) at runtime.
 * **T (typing)** — full annotations are the substrate the staged
   ``mypy --strict`` gate builds on.
 * **F (information flow)** — whole-program checks (over the call graph)
@@ -30,6 +27,12 @@ in eight families:
   handler pairs racing on one store need a reviewed commutativity
   annotation; the table seeds the ``repro.mc`` model checker's
   partial-order reduction.
+
+The message registry's own invariants (every ``GameMessage`` member
+frozen and slotted, one codec entry and one tag each, the ack set inside
+the union and without ``AckMessage``) are not source rules: they are
+checked on the imported tables by
+``tests/test_core_wire_roundtrip.py::TestRegistry``.
 """
 
 from __future__ import annotations
@@ -159,100 +162,6 @@ _CATALOG_ENTRIES = (
             "flags:  with open(path) as handle:",
             "flags:  Path(out).write_text(report)",
             "ok:     rows = trace.to_json_rows()  # pure; caller persists",
-        ),
-    ),
-    RuleInfo(
-        rule="P201",
-        summary="message dataclass not frozen=True, slots=True",
-        rationale=(
-            "Wire messages are signed at send time and verified at every "
-            "hop; a mutable message lets code (or a cheat module) alter a "
-            "field after signing, silently invalidating the signature model. "
-            "frozen=True makes the dataclass hashable and tamper-evident in "
-            "process; slots=True rejects stray attribute injection and keeps "
-            "the per-message memory footprint flat at scale.  Every member "
-            "of the GameMessage union must declare both."
-        ),
-        scope="core/messages.py (+ imported message definitions)",
-        examples=(
-            "flags:  @dataclass\\nclass KillClaim: ...",
-            "ok:     @dataclass(frozen=True, slots=True)\\nclass KillClaim: ...",
-        ),
-    ),
-    RuleInfo(
-        rule="P202",
-        summary="message type without a _dispatch_message handler branch",
-        rationale=(
-            "WatchmenNode._dispatch_message is the single demultiplexer for "
-            "every delivered payload.  A GameMessage union member with no "
-            "isinstance branch there is accepted by the type checker, "
-            "signed, transmitted, metered — and then silently dropped on "
-            "receipt, which reads exactly like the packet-suppression cheats "
-            "the protocol exists to catch.  Add an explicit branch (and "
-            "handler) for every member."
-        ),
-        scope="core/messages.py x core/node.py",
-        examples=(
-            "flags:  GameMessage member `PingProbe` with no isinstance(message, PingProbe)",
-        ),
-    ),
-    RuleInfo(
-        rule="P203",
-        summary="message type without a wire codec registration",
-        rationale=(
-            "core/wire.py's MESSAGE_TYPES registry is the serialization "
-            "boundary: encode_bytes/decode_bytes only round-trip types "
-            "registered there.  An unregistered member works in-process (the "
-            "simulated network passes Python objects) but would fail the "
-            "moment traffic crosses a real socket or a trace is persisted, "
-            "so the gap must be closed when the type is introduced, not "
-            "when deployment finds it."
-        ),
-        scope="core/messages.py x core/wire.py",
-        examples=(
-            "flags:  GameMessage member `PingProbe` missing from wire.MESSAGE_TYPES",
-        ),
-    ),
-    RuleInfo(
-        rule="P205",
-        summary="ACKABLE_TYPES registry inconsistent with the message union",
-        rationale=(
-            "Reliable delivery acks exactly the message kinds listed in "
-            "messages.ACKABLE_TYPES.  A name there that is not a "
-            "GameMessage union member is either a typo or a type the "
-            "dispatcher will never see; AckMessage itself inside the "
-            "registry would make every ack generate another ack, an "
-            "infinite loop; and a repo that declares the registry without "
-            "putting AckMessage in the union has a reliability layer whose "
-            "control message cannot be dispatched, encoded, or sized.  The "
-            "registry is only meaningful when all three agree."
-        ),
-        scope="core/messages.py (ACKABLE_TYPES x GameMessage)",
-        examples=(
-            "flags:  ACKABLE_TYPES = (KillClaim, AckMessage)",
-            "flags:  ACKABLE_TYPES naming a class outside the GameMessage union",
-            "ok:     ACKABLE_TYPES = (SubscriptionRequest, KillClaim, ...)",
-        ),
-    ),
-    RuleInfo(
-        rule="P206",
-        summary="MESSAGE_TAGS out of lockstep with MESSAGE_TYPES",
-        rationale=(
-            "The binary codec frames every message with the one-byte tag "
-            "MESSAGE_TAGS assigns to its type name.  The table is "
-            "append-only protocol surface: recorded tapes store raw tag "
-            "bytes, so a registered type with no tag cannot be framed, a "
-            "tag for an unregistered name is dead surface that will be "
-            "reused by accident, a duplicate tag makes decode ambiguous, "
-            "and a tag outside 0..255 cannot be emitted as a single byte "
-            "at all.  The table and MESSAGE_TYPES must list exactly the "
-            "same names, with unique single-byte integer tags."
-        ),
-        scope="core/wire.py (MESSAGE_TAGS x MESSAGE_TYPES)",
-        examples=(
-            "flags:  MESSAGE_TYPES entry `PingProbe` missing from MESSAGE_TAGS",
-            "flags:  two names sharing tag 7",
-            "ok:     one unique 0..255 tag per registered type name",
         ),
     ),
     RuleInfo(
@@ -440,8 +349,9 @@ _CATALOG_ENTRIES = (
             "reachable (along exact call edges) from a receive entry point "
             "(on_message/receive/deliver/handle_datagram).  A type without "
             "one decodes fine and then falls through the dispatch chain's "
-            "isinstance ladder — a silently dropped protocol message, the "
-            "runtime twin of P202's missing-dispatch check.  Handlers are "
+            "isinstance ladder — a silently dropped protocol message, which "
+            "reads exactly like the packet-suppression cheats the protocol "
+            "exists to catch.  Handlers are "
             "matched by their message-typed parameter annotation, so "
             "renaming a handler without updating the dispatch keeps "
             "flagging."

@@ -49,7 +49,7 @@ class TestHeatmap:
     def test_figure1_hotspots(self, small_trace, longest_yard):
         """The paper's claim: presence is strongly concentrated."""
         heatmap = presence_heatmap(small_trace, longest_yard, grid=16)
-        concentration = hotspot_concentration(heatmap, top_fraction=0.10)
+        concentration = hotspot_concentration(heatmap)
         assert concentration > 0.4  # uniform would give 0.10
 
     def test_npc_more_concentrated_than_humans(self, longest_yard):
@@ -57,13 +57,9 @@ class TestHeatmap:
 
         humans = generate_trace(8, 120, seed=5, npc_fraction=0.0)
         npcs = generate_trace(8, 120, seed=5, npc_fraction=1.0)
-        h_conc = hotspot_concentration(
-            presence_heatmap(humans, longest_yard, grid=16), 0.05
-        )
-        n_conc = hotspot_concentration(
-            presence_heatmap(npcs, longest_yard, grid=16), 0.05
-        )
-        # Both populations concentrate far beyond uniform (5 %): humans on
+        h_conc = hotspot_concentration(presence_heatmap(humans, longest_yard, grid=16))
+        n_conc = hotspot_concentration(presence_heatmap(npcs, longest_yard, grid=16))
+        # Both populations concentrate far beyond uniform (10 %): humans on
         # item hotspots, NPCs on their predetermined patrol trails.
         assert h_conc > 0.3
         assert n_conc > 0.3
@@ -72,11 +68,6 @@ class TestHeatmap:
         heatmap = presence_heatmap(small_trace, longest_yard, grid=8)
         art = render_ascii(heatmap)
         assert len(art.splitlines()) == 8
-
-    def test_top_fraction_validated(self, small_trace, longest_yard):
-        heatmap = presence_heatmap(small_trace, longest_yard, grid=8)
-        with pytest.raises(ValueError):
-            hotspot_concentration(heatmap, 0.0)
 
 
 class TestExposure:

@@ -1,7 +1,7 @@
 """Paper constants live in core/config.py and are imported, never re-stated.
 
 Satellite of the C601 drift rule: these tests pin the convention the rule
-enforces — ``protocol.py``, ``proxy.py``, and ``interest.py`` reference the
+enforces — ``proxy.py`` and ``interest.py`` reference the
 shared constants by name (an AST ``Name`` node in the default position, not
 a duplicated numeric literal), and the constants agree with the
 ``WatchmenConfig`` defaults they parameterize.
@@ -82,7 +82,6 @@ class TestConstantsAreImportedNotRestated:
     @pytest.mark.parametrize(
         ("rel", "param", "constant"),
         [
-            ("core/protocol.py", "max_useful_age", "MAX_USEFUL_AGE_FRAMES"),
             ("core/proxy.py", "proxy_period_frames", "PROXY_PERIOD_FRAMES"),
             ("game/interest.py", "vision_half_angle", "VISION_HALF_ANGLE"),
             ("game/interest.py", "vision_slack", "VISION_SLACK"),

@@ -50,7 +50,7 @@ class TestHybridSession:
     def test_updates_still_flow(self, hybrid):
         _, report = hybrid
         assert sum(report.age_histogram.values()) > 0
-        assert report.stale_fraction(3) < 0.05
+        assert report.stale_fraction() < 0.05
 
     def test_server_carries_the_forwarding_load(self, hybrid):
         session, report = hybrid
@@ -188,4 +188,4 @@ class TestAdmission:
             for player in small_trace.player_ids():
                 assert session.schedule.proxy_of(player, epoch) != 0
         report = session.run(max_frames=60)
-        assert report.stale_fraction(3) < 0.05
+        assert report.stale_fraction() < 0.05

@@ -27,7 +27,7 @@ class TestHonestRun:
     def test_most_updates_fresh(self, honest_session_report):
         """Figure 7's core claim: ≥95 % of updates under 3 frames of age."""
         _, report = honest_session_report
-        assert report.stale_fraction(3) < 0.05
+        assert report.stale_fraction() < 0.05
 
     def test_all_update_kinds_flow(self, honest_session_report):
         _, report = honest_session_report

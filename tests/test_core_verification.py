@@ -196,14 +196,13 @@ class TestGuidanceVerifier:
             horizon_frames=20,
         )
 
-    def feed_track(self, verifier, vx, frames=10, player=1, calibrate=False):
+    def feed_track(self, verifier, vx, frames=10, player=1):
         rating = None
         for frame in range(frames):
             rating = verifier.observe_position(
                 0,
                 snap(player_id=player, frame=frame, x=vx * 0.05 * frame),
                 1.0,
-                calibrate=calibrate,
             ) or rating
         return rating
 
@@ -249,7 +248,7 @@ class TestGuidanceVerifier:
         verifier = GuidanceVerifier()
         for _ in range(10):
             verifier.observe_guidance(1, self.make_prediction(vx=100.0))
-            self.feed_track(verifier, vx=100.0, calibrate=True)
+            self.feed_track(verifier, vx=100.0)
         assert verifier.calibration.count >= 8
 
 

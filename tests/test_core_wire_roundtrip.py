@@ -2,8 +2,11 @@
 
 The union members are enumerated via :func:`typing.get_args`, and instances
 are built generically from each dataclass's resolved type hints — so a
-message type added to ``core/messages.py`` is covered here automatically
-(and a missing codec registration fails both this test and lint rule P203).
+message type added to ``core/messages.py`` is covered here automatically.
+``TestRegistry`` is where the message registry's invariants are stated,
+on the imported tables: the union, the codec registry and the tag table
+agree, every member is an immutable value, and the ack set sits inside
+the union without ``AckMessage``.
 """
 
 from __future__ import annotations
@@ -154,14 +157,27 @@ class TestRoundTrip:
         assert decode_bytes(encode_bytes(message)) == message
 
 
+@pytest.mark.lint
 class TestRegistry:
     def test_registry_covers_union_exactly(self):
         assert set(MESSAGE_TYPES.values()) == set(MESSAGE_CLASSES)
         assert set(MESSAGE_TYPES) == {c.__name__ for c in MESSAGE_CLASSES}
 
+    @pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda c: c.__name__)
+    def test_every_member_is_an_immutable_value(self, cls):
+        # A message is signed once and forwarded by identity: a field
+        # patched after signing would outlive its signature, and a stray
+        # attribute would ride along unsigned.
+        assert cls.__dataclass_params__.frozen, f"{cls.__name__} needs frozen=True"
+        assert "__slots__" in vars(cls), f"{cls.__name__} needs slots=True"
+
+    def test_ackable_types_sit_inside_the_union(self):
+        # An ackable ack would be acked in turn, forever.
+        assert set(msgs.ACKABLE_TYPES) <= set(MESSAGE_CLASSES)
+        assert msgs.AckMessage in MESSAGE_CLASSES
+        assert msgs.AckMessage not in msgs.ACKABLE_TYPES
+
     def test_tag_table_matches_registry(self):
-        # The P206 lint rule enforces this statically; this is the
-        # runtime half of the same invariant.
         assert set(MESSAGE_TAGS) == set(MESSAGE_TYPES)
         tags = list(MESSAGE_TAGS.values())
         assert len(tags) == len(set(tags)), "tags must be unique"

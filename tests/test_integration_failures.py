@@ -160,4 +160,4 @@ class TestExtremeLatency:
         report = WatchmenSession(
             small_trace, game_map=longest_yard, latency=slow
         ).run(max_frames=80)
-        assert report.stale_fraction(3) > 0.5
+        assert report.stale_fraction() > 0.5

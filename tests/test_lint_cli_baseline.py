@@ -117,9 +117,9 @@ class TestBaselineWorkflow:
         ]
 
     def test_protocol_findings_honour_a_rule_scoped_ignore(self, tmp_path):
-        # The real protocol triple with AckMessage's dispatch branch gone:
-        # P202 and M801 report it, and an ignore on each reported line
-        # silences both, like any other family's finding.
+        # The real messages/node/wire modules with AckMessage's dispatch
+        # branch gone: M801 reports it, and an ignore on the reported line
+        # silences it, like any other family's finding.
         core = tmp_path / "src" / "repro" / "core"
         core.mkdir(parents=True)
         for name in ("messages.py", "node.py", "wire.py"):
@@ -133,22 +133,21 @@ class TestBaselineWorkflow:
             for v in run_lint(LintConfig(root=tmp_path)).violations
             if "`AckMessage`" in v.message
         ]
-        assert sorted(v.rule for v in dropped) == ["M801", "P202"]
-        for violation in dropped:
-            path = tmp_path / violation.path
-            lines = path.read_text().splitlines(keepends=True)
-            lines[violation.line - 1] = (
-                lines[violation.line - 1].rstrip("\n")
-                + "  # repro-lint: ignore[P202,M801]\n"
-            )
-            path.write_text("".join(lines))
+        assert [v.rule for v in dropped] == ["M801"]
+        (violation,) = dropped
+        path = tmp_path / violation.path
+        lines = path.read_text().splitlines(keepends=True)
+        lines[violation.line - 1] = (
+            lines[violation.line - 1].rstrip("\n") + "  # repro-lint: ignore[M801]\n"
+        )
+        path.write_text("".join(lines))
         rules = {v.rule for v in run_lint(LintConfig(root=tmp_path)).violations}
-        assert not rules & {"P202", "M801"}
+        assert "M801" not in rules
 
 
 class TestExplainAndListing:
     @pytest.mark.parametrize(
-        "rule", ["D101", "D102", "D103", "P201", "P202", "P203", "P205", "T301"]
+        "rule", ["D101", "D102", "D103", "F401", "R501", "S701", "M801", "T301"]
     )
     def test_every_rule_explains(self, rule, capsys):
         assert lint_main(["--explain", rule]) == 0
@@ -168,7 +167,7 @@ class TestExplainAndListing:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("D101", "P203", "T301"):
+        for rule in ("D101", "M801", "T301"):
             assert rule in out
 
 
@@ -182,9 +181,7 @@ class TestJsonArtifact:
         rows = {row["bench"]: row for row in data["rows"]}
         assert set(rows) == {"lint", "lint_wall"}
         metrics = rows["lint"]["metrics"]
-        assert metrics["violations.total"] == metrics["violations.D"] + metrics[
-            "violations.P"
-        ] + metrics["violations.T"]
+        assert metrics["violations.total"] == metrics["violations.D"] + metrics["violations.T"]
         assert metrics["violations.D102"] == 1.0
         assert metrics["files.scanned"] >= 1.0
         # Whole-program families report even when zero, plus wall time.
@@ -256,5 +253,5 @@ class TestRealRepo:
         assert repro_main(["lint", "--root", str(REPO_ROOT)]) == 0
 
     def test_repro_cli_lint_explain(self, capsys):
-        assert repro_main(["lint", "--explain", "P202"]) == 0
-        assert "demultiplexer" in capsys.readouterr().out
+        assert repro_main(["lint", "--explain", "M801"]) == 0
+        assert "silently dropped" in capsys.readouterr().out

@@ -4,9 +4,8 @@ One copy of ``src/repro`` is linted twice: as is (it must be clean), then
 with every mutation in ``PLANTS`` applied at once.  Each plant names the
 rule it must trip and the line the finding is reported on; the plants
 touch disjoint code, so none depends on another.  The rules whose
-real-tree trip lives in their family's test file (R501, S701, S702, F402,
-P202, P203, P205, P206) are tabulated beside these in
-docs/STATIC_ANALYSIS.md.
+real-tree trip lives in their family's test file (R501, S701, S702, F402)
+are tabulated beside these in docs/STATIC_ANALYSIS.md.
 """
 
 from __future__ import annotations
@@ -83,15 +82,6 @@ PLANTS = (
         "def _defend_liveness(self, frame):",
         reported="def _defend_liveness(self, frame):",
         mentions="frame, return",
-    ),
-    # a message made mutable so a field can be patched after signing
-    Plant(
-        "P201",
-        "core/messages.py",
-        "@dataclass(frozen=True, slots=True)\nclass KillClaim:",
-        "@dataclass(frozen=True)\nclass KillClaim:",
-        reported="class KillClaim:",
-        mentions="slots=True",
     ),
     # a resync entry point that pushes full state to every peer (the
     # natural mutation — dropping the gate from the proxy fan-out — escapes
@@ -170,9 +160,9 @@ PLANTS = (
 )
 
 
-#: Rules that fire beside a plant by design: a lost dispatch branch is
-#: P202's case as well as M801's, an exact heartbeat F402's as well as S703's.
-RIDERS = frozenset({"P202", "F402"})
+#: Rules that fire beside a plant by design: an exact heartbeat is F402's
+#: case as well as S703's.
+RIDERS = frozenset({"F402"})
 
 
 @pytest.fixture(scope="module")
