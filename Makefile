@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test fast lint lint-fix precheck bench bench-pairs chaos chaos-byz \
+.PHONY: test fast lint precheck bench bench-pairs chaos chaos-byz \
 	tapes replay-verify model-check
 
 test:
@@ -16,17 +16,12 @@ fast:
 lint:
 	$(PYTHON) -m repro lint --json -
 
-lint-fix:
-	$(PYTHON) -m repro lint --fix
-
-# The pre-push check: static analysis (per-file rules narrowed to files
-# that differ from origin/main, whole-program families always full-tree;
-# falls back to a full scan outside a git clone), the analyzer's own test
-# suite, the byte-identical tape gate (seconds; the safety net of every
+# The pre-push check: static analysis over the whole tree, the analyzer's
+# own test suite, the byte-identical tape gate (seconds; the safety net of every
 # refactor), then the chaos matrix at the CI job's parameters — the
 # recovery-SLO gate (docs/ROBUSTNESS.md).
 precheck:
-	$(PYTHON) -m repro lint --changed-only --json - \
+	$(PYTHON) -m repro lint --json - \
 		&& $(PYTHON) -m pytest -m lint -q \
 		&& $(MAKE) replay-verify \
 		&& $(PYTHON) -m repro chaos --players 12 --frames 240 --seed 7

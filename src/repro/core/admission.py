@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import (
+    FRAME_SECONDS,
     FRAMES_PER_SECOND,
     FREQUENT_INTERVAL_FRAMES,
     GUIDANCE_BITS,
@@ -46,7 +47,7 @@ MAX_POOL_WEIGHT = 4
 
 def estimate_publisher_kbps(config: WatchmenConfig) -> float:
     """Upload a player needs just to publish his own avatar."""
-    per_second = 1.0 / config.frame_seconds
+    per_second = 1.0 / FRAME_SECONDS
     overhead = HEADER_BITS + config.signature_bits
     state = (STATE_UPDATE_BITS + overhead) * per_second / FREQUENT_INTERVAL_FRAMES
     guidance = (GUIDANCE_BITS + overhead) * per_second / FRAMES_PER_SECOND
@@ -62,7 +63,7 @@ def estimate_publisher_kbps(config: WatchmenConfig) -> float:
 
 def estimate_proxy_kbps(config: WatchmenConfig, num_players: int) -> float:
     """Upload one proxy tenure costs (forwarding for a single client)."""
-    per_second = 1.0 / config.frame_seconds
+    per_second = 1.0 / FRAME_SECONDS
     overhead = HEADER_BITS + config.signature_bits
     # Frequent updates to up to IS-size subscribers, every frame.
     frequent = (

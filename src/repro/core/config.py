@@ -335,7 +335,6 @@ class WatchmenConfig:
     Everything else the protocol fixes is a module constant above.
     """
 
-    frame_seconds: float = FRAME_SECONDS
     # -- proxy architecture (Sections III-B, IV) -----------------------------
     proxy_period_frames: int = PROXY_PERIOD_FRAMES
     common_seed: bytes = b"watchmen-session"
@@ -363,8 +362,6 @@ class WatchmenConfig:
     membership_silence_frames: int = MEMBERSHIP_SILENCE_FRAMES
 
     def __post_init__(self) -> None:
-        if self.frame_seconds <= 0:
-            raise ValueError("frame_seconds must be positive")
         if self.proxy_period_frames <= 0:
             raise ValueError("proxy_period_frames must be positive")
         if self.signature_bits <= 0:

@@ -33,6 +33,7 @@ from repro.core.config import (
     BYZANTINE_QUARANTINE_STRIKES,
     CIRCUMSTANTIAL_RATING,
     CLAIM_DEFERRAL_FRAMES,
+    FRAME_SECONDS,
     MAX_FAILOVER_ATTEMPTS,
     MAX_RATING,
     PROFILES,
@@ -303,9 +304,7 @@ class WatchmenNode:
         self.evidence = EvidenceLog(
             player_id, signer, config.epoch_of_frame, hardened=hardened
         )
-        self.publisher = Publisher(
-            player_id, config.frame_seconds, config.relax_first_hop
-        )
+        self.publisher = Publisher(player_id, config.relax_first_hop)
 
     # ------------------------------------------------------------------
     # Frame driving (called by the session)
@@ -416,9 +415,7 @@ class WatchmenNode:
         snapshot = self.known.get(other_id)
         if snapshot is None or not snapshot.alive or frame <= snapshot.frame:
             return snapshot
-        extrapolated = predict_linear(snapshot).position_at(
-            frame, self.config.frame_seconds
-        )
+        extrapolated = predict_linear(snapshot).position_at(frame, FRAME_SECONDS)
         return dataclass_replace(snapshot, frame=frame, position=extrapolated)
 
     def announce_projectile(

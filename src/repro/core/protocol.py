@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Collection, Iterator
 
-from repro.core.config import MAX_USEFUL_AGE_FRAMES, WatchmenConfig
+from repro.core.config import FRAME_SECONDS, MAX_USEFUL_AGE_FRAMES, WatchmenConfig
 from repro.core.messages import GameMessage, GuidanceMessage, StateUpdate
 from repro.core.node import HonestBehaviour, NodeBehaviour, WatchmenNode
 from repro.core.proxy import ProxySchedule
@@ -330,7 +330,7 @@ class WatchmenSession:
         num_frames = self.trace.num_frames
         if max_frames is not None:
             num_frames = min(num_frames, max_frames)
-        dt = self.config.frame_seconds
+        dt = FRAME_SECONDS
 
         for frame in range(num_frames):
             self.queue.schedule_at(frame * dt, lambda f=frame: self._tick(f))

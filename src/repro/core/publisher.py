@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator
 
 from repro.core.config import (
+    FRAME_SECONDS,
     FRAMES_PER_SECOND,
     FREQUENT_INTERVAL_FRAMES,
     GUIDANCE_CHECK_FRAMES,
@@ -36,11 +37,8 @@ from repro.game.vector import Vec3
 class Publisher:
     """One player's outgoing publications, tier by tier."""
 
-    def __init__(
-        self, player_id: int, frame_seconds: float, relax_first_hop: bool
-    ) -> None:
+    def __init__(self, player_id: int, relax_first_hop: bool) -> None:
         self.player_id = player_id
-        self._frame_seconds = frame_seconds
         self._relax_first_hop = relax_first_hop
         #: Relaxed-first-hop audience lookup ``(publisher, message) ->
         #: destinations``; set by the session (see :meth:`direct_audience`).
@@ -109,7 +107,7 @@ class Publisher:
         if self.own_future is not None:
             ahead = self.own_future(frame + GUIDANCE_CHECK_FRAMES)
             if ahead is not None and ahead.alive and snapshot.alive:
-                dt = self._frame_seconds * GUIDANCE_CHECK_FRAMES
+                dt = FRAME_SECONDS * GUIDANCE_CHECK_FRAMES
                 return GuidancePrediction(
                     frame=frame,
                     origin=snapshot.position,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import WatchmenConfig
+from repro.core.config import FRAME_SECONDS, WatchmenConfig
 from repro.game.avatar import AvatarSnapshot
 from repro.game.gamemap import GameMap
 from repro.game.interest import InteractionRecency, LosCache, compute_sets
@@ -115,7 +115,7 @@ class SubscriptionPlanner:
         frame and send the subscriptions ahead of time ... using current
         angular and physical momentum."
         """
-        dt = self.config.frame_seconds
+        dt = FRAME_SECONDS
         predicted_position = me.position + me.velocity * dt
         return AvatarSnapshot(
             player_id=me.player_id,

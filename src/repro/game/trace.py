@@ -93,12 +93,6 @@ class GameTrace:
     def snapshot(self, frame: int, player_id: int) -> AvatarSnapshot:
         return self.frames[frame][player_id]
 
-    def shots_in_frame(self, frame: int) -> list[ShotEvent]:
-        return [s for s in self.shots if s.frame == frame]
-
-    def kills_in_frame(self, frame: int) -> list[KillEvent]:
-        return [k for k in self.kills if k.frame == frame]
-
     # ---- persistence ---------------------------------------------------------
 
     def to_json_rows(self) -> Iterator[dict]:

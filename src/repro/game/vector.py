@@ -70,13 +70,6 @@ class Vec3:
     def dot(self, other: "Vec3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
-    def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-
     def length(self) -> float:
         return math.sqrt(self.dot(self))
 
@@ -120,13 +113,3 @@ class Vec3:
     @staticmethod
     def from_tuple(values: tuple[float, float, float]) -> "Vec3":
         return Vec3(float(values[0]), float(values[1]), float(values[2]))
-
-    def quantized(self, grid: float = 0.125) -> "Vec3":
-        """Snap each component to ``grid`` (wire-format quantization)."""
-        if grid <= 0:
-            raise ValueError("grid must be positive")
-        return Vec3(
-            round(self.x / grid) * grid,
-            round(self.y / grid) * grid,
-            round(self.z / grid) * grid,
-        )

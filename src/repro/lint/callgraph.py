@@ -1,10 +1,9 @@
 """Module-qualified call graph over ``src/repro`` for whole-program rules.
 
 The F (information-flow) and R (routing) families need to answer questions
-no per-file pass can: *does the function containing this send ever consult
-the subscription tables?* / *can this function be reached without passing
-through the proxy layer?*  This module builds the supporting structure
-from already-parsed ASTs:
+no per-file pass can: *does this payload helper reach a resolution
+reducer?* / *does this send pass through the proxy layer?*  This module
+builds the supporting structure from already-parsed ASTs:
 
 * every module-level function and class method becomes a node, keyed by
   its qualified name (``repro.core.node.WatchmenNode._transmit``);
@@ -20,8 +19,8 @@ Call resolution is deliberately conservative, in three tiers:
 2. **By name** (CHA-lite) — an attribute call ``obj.frobnicate(...)``
    whose receiver type is unknown resolves to *every* known function named
    ``frobnicate``.  This over-approximates (extra edges, never missing
-   ones), which is the safe direction for "is there a gate on this path"
-   questions.
+   ones), which is the lenient direction for "is there a reducer on this
+   path" questions.
 3. **Unresolved** — calls into the stdlib or other unknowns produce no
    edge.
 
@@ -190,12 +189,6 @@ class CallGraph:
         """
         return self._call_sites.get(qname, ())
 
-    def roots(self) -> frozenset[str]:
-        """Functions nothing in the analyzed tree calls — the API surface."""
-        return frozenset(
-            qname for qname in self.functions if not self._callers.get(qname)
-        )
-
     def transitively_reaches(self, start: str, targets: frozenset[str]) -> bool:
         """Is any of ``targets`` reachable from ``start`` along call edges?"""
         seen = {start}
@@ -209,26 +202,6 @@ class CallGraph:
                     seen.add(callee)
                     queue.append(callee)
         return False
-
-    def reachable_avoiding(
-        self, roots: Iterable[str], blocked: frozenset[str]
-    ) -> frozenset[str]:
-        """Functions reachable from ``roots`` without entering ``blocked``.
-
-        The F401 dominance approximation: a function *not* in this set is
-        only ever reached through a blocked (gate-calling) function.
-        """
-        seen: set[str] = set()
-        queue = deque(root for root in roots if root not in blocked)
-        seen.update(queue)
-        while queue:
-            current = queue.popleft()
-            for callee in self._callees.get(current, ()):
-                if callee in blocked or callee in seen:
-                    continue
-                seen.add(callee)
-                queue.append(callee)
-        return frozenset(seen)
 
     # -- call-site resolution (shared with the rule modules) ---------------
 

@@ -1,9 +1,10 @@
 """D-family rules: nondeterminism that breaks replay verification.
 
 All rules are per-file AST scans over the deterministic packages
-(``DETERMINISTIC_PACKAGES`` in ``lint/violations.py``); the observability
-layer and the CLI are deliberately out of scope (they read wall clocks on
-purpose and never feed protocol state).
+(``DETERMINISTIC_PACKAGES`` in ``lint/violations.py``).  Host clocks are
+not a rule here: a clock read needs a ``time`` / ``datetime`` import, and
+``tests/test_one_clock.py`` fails on one anywhere under ``src/repro`` but
+the lint and mc CLIs (which time themselves) and ``obs/emit.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from repro.lint.violations import Violation
 
 __all__ = [
     "FILE_IO_ALLOWLIST",
-    "check_wall_clock",
     "check_module_random",
     "check_float_equality",
     "check_file_io",
@@ -46,62 +46,9 @@ _FILE_IO_ATTRS = {
     "rename",
 }
 
-#: Functions whose call reads the host clock.
-_WALL_CLOCK_CALLS = {
-    ("time", "time"),
-    ("time", "monotonic"),
-    ("time", "monotonic_ns"),
-    ("time", "perf_counter"),
-    ("time", "perf_counter_ns"),
-    ("time", "process_time"),
-    ("datetime", "now"),
-    ("datetime", "utcnow"),
-    ("datetime", "today"),
-    ("date", "today"),
-}
-
 #: random.Random / random.SystemRandom are explicit-state classes; every
 #: other public name on the module draws from the hidden global state.
 _RANDOM_CLASS_NAMES = {"Random", "SystemRandom"}
-
-
-def _dotted(node: ast.expr) -> str | None:
-    """``a.b.c`` attribute chains as a string, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def check_wall_clock(path: str, tree: ast.AST, source_lines: list[str]) -> list[Violation]:
-    """D101: time.time()/datetime.now() style host-clock reads."""
-    violations: list[Violation] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        dotted = _dotted(node.func)
-        if dotted is None:
-            continue
-        head = dotted.split(".")
-        # matches time.time(), datetime.now(), datetime.datetime.now() ...
-        tail = tuple(head[-2:]) if len(head) >= 2 else None
-        if tail in _WALL_CLOCK_CALLS:
-            violations.append(
-                Violation(
-                    rule="D101",
-                    path=path,
-                    line=node.lineno,
-                    message=(
-                        f"wall-clock read `{dotted}()` in deterministic code; "
-                        "derive time from the frame counter or event queue"
-                    ),
-                )
-            )
-    return violations
 
 
 def check_module_random(path: str, tree: ast.AST, source_lines: list[str]) -> list[Violation]:
@@ -220,7 +167,6 @@ def run_determinism_rules(
 ) -> list[Violation]:
     """All D-family checks for one already-parsed file."""
     violations: list[Violation] = []
-    violations.extend(check_wall_clock(path, tree, source_lines))
     violations.extend(check_module_random(path, tree, source_lines))
     violations.extend(check_float_equality(path, tree, source_lines))
     violations.extend(check_file_io(path, tree, source_lines))

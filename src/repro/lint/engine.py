@@ -9,7 +9,7 @@ Rule scoping:
 * **T rules** run on every ``src/repro`` file scanned.
 * **D rules** run only inside the deterministic packages
   (``DETERMINISTIC_PACKAGES`` in ``lint/violations.py``); ``repro.obs``
-  and the CLI legitimately read wall clocks.
+  and ``repro.mc`` write artifacts on purpose.
 * **F/R/C/S/M rules** are whole-program: regardless of which paths were
   requested, they analyze everything under ``<root>/src/repro`` (a call
   graph over a file subset would miss edges and lie; the S-family taint

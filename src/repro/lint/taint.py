@@ -3,7 +3,7 @@
 The Watchmen invariant the S family guards (paper §III): nothing a peer
 sent may influence authoritative state, membership, kill accounting or
 reputation until its envelope has been verified — and key material must
-never flow toward a send.  F401/F402 and R501/R502 check single functions
+never flow toward a send.  F402 and R501/R502 check single functions
 syntactically; the S rules track the *data* interprocedurally, so moving
 dispatch one function away from verification (the exact refactor the
 binary-codec and async-transport roadmap items will perform) no longer

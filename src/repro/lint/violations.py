@@ -1,16 +1,17 @@
 """Violation records and the rule catalog for ``repro lint``.
 
-Every rule has a stable identifier (``D101`` …), a one-line summary, and
+Every rule has a stable identifier (``D102`` …), a one-line summary, and
 a longer rationale printed by ``repro lint --explain RULE``.  Rules come
 in seven families:
 
 * **D (determinism)** — the proxy schedule and frame-by-frame replay are
   only verifiable when every honest node computes the identical result;
-  wall-clock reads and module-state randomness silently break that.
+  module-state randomness, float equality and file I/O silently break
+  that.  (Host clocks are held out of ``src/repro`` by
+  ``tests/test_one_clock.py``.)
 * **T (typing)** — full annotations are the substrate the staged
   ``mypy --strict`` gate builds on.
-* **F (information flow)** — whole-program checks (over the call graph)
-  that full-state data only flows to subscription-checked audiences and
+* **F (information flow)** — a whole-program check (over the call graph)
   that reduced-resolution tiers never receive exact state.
 * **R (routing)** — whole-program checks that all traffic leaves through
   the proxy layer and replies address the authenticated envelope source.
@@ -78,31 +79,11 @@ class RuleInfo:
 
 
 def family_of(rule: str) -> str:
-    """``D101`` -> ``D`` (determinism), etc."""
+    """``D102`` -> ``D`` (determinism), etc."""
     return rule[:1]
 
 
 _CATALOG_ENTRIES = (
-    RuleInfo(
-        rule="D101",
-        summary="wall-clock read inside deterministic code",
-        rationale=(
-            "Calls to time.time()/time.monotonic()/time.perf_counter()/"
-            "time.process_time() and datetime.now()/utcnow()/today() read the "
-            "host's clock, which differs across nodes and across replays.  "
-            "Watchmen verification replays a peer's state machine and must "
-            "reach bit-identical results, so all timing must come from the "
-            "frame counter (config.frame_seconds * frame) or the event-queue "
-            "clock.  Wall-clock reads are allowed only in the observability "
-            "layer (repro.obs) and the CLI, which never feed protocol state."
-        ),
-        scope=_D_SCOPE,
-        examples=(
-            "flags:  stamp = time.time()",
-            "flags:  now = datetime.now()",
-            "ok:     t = frame * config.frame_seconds",
-        ),
-    ),
     RuleInfo(
         rule="D102",
         summary="module-state random (import random / random.<fn>())",
@@ -179,29 +160,6 @@ _CATALOG_ENTRIES = (
         examples=(
             "flags:  def upload(self, size): ...",
             "ok:     def upload(self, size: int) -> float: ...",
-        ),
-    ),
-    RuleInfo(
-        rule="F401",
-        summary="full-state message sent without a subscription/interest gate",
-        rationale=(
-            "Watchmen's information asymmetry: IS-tier full-state updates "
-            "(StateUpdate) may only reach peers admitted by the vision-based "
-            "subscription check.  The rule finds every transmit-primitive "
-            "call whose message argument is full-state-typed and requires "
-            "the enclosing function to either consult a gate itself (any "
-            "function of core/subscriptions.py, game/interest.py, or the "
-            "ProxySchedule lookups) or be dominated by one — i.e. be "
-            "unreachable from the tree's API surface except through a "
-            "gate-calling function.  An ungated send is the maphack/ESP "
-            "information-exposure cheat in first-party form.  The call "
-            "graph cannot see dynamic dispatch or callables passed as "
-            "values; route sends through the named primitives."
-        ),
-        scope="src/repro/{core,game} (whole-program, via callgraph.py)",
-        examples=(
-            "flags:  self._send_many(me, peers, StateUpdate(...))  # no gate",
-            "ok:     self._transmit(update, table.interest_subscribers(frame))",
         ),
     ),
     RuleInfo(
@@ -326,7 +284,7 @@ _CATALOG_ENTRIES = (
             "through locals, tuples and exact call edges, and flagged if "
             "it lands in PositionUpdate.snapshot or "
             "GuidanceMessage.prediction unreduced.  Resolution reducers "
-            "(position_only, predict_linear, quantize) "
+            "(position_only, predict_linear) "
             "clean their result, as does any component read "
             "(snapshot.position) — extracting a field IS the reduction.  "
             "This catches the helper-indirection case F402 cannot: "
@@ -420,9 +378,8 @@ _CATALOG_ENTRIES = (
             "parameter default, dataclass field, or keyword argument whose "
             "name maps to a known constant and whose literal equals it), "
             "so same-value-different-meaning literals and deliberate "
-            "overrides are not flagged.  `repro lint --fix` rewrites "
-            "flagged literals to the imported constant and adds the "
-            "import."
+            "overrides are not flagged.  The fix is the constant's name in "
+            "place of the literal, imported from core/config.py."
         ),
         scope="src/repro/{core,game,net}",
         examples=(

@@ -16,14 +16,13 @@ from repro.replay import TapeScenario
 class TestValidation:
     def test_defaults_valid(self):
         config = WatchmenConfig()
-        assert config.frame_seconds == 0.05
+        assert FRAME_SECONDS == 0.05
         assert config.proxy_period_frames == 40
         assert config.interest.interest_size == 5
 
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("frame_seconds", 0.0),
             ("proxy_period_frames", 0),
             ("signature_bits", 0),
             ("proxy_silence_threshold_frames", 0),
@@ -61,18 +60,17 @@ class TestPaperConstants:
     """The paper-given numbers DESIGN.md promises."""
 
     def test_frame_is_50ms(self):
-        assert WatchmenConfig().frame_seconds == 0.05
+        assert FRAME_SECONDS == 0.05
 
     def test_guidance_once_per_second(self):
         # guidance and position-only updates share the 1 Hz tier
-        assert FRAMES_PER_SECOND * WatchmenConfig().frame_seconds == 1.0
+        assert FRAMES_PER_SECOND * FRAME_SECONDS == 1.0
 
     def test_position_updates_once_per_second(self):
         assert FRAMES_PER_SECOND * FRAME_SECONDS == 1.0
 
     def test_proxy_period_couple_of_seconds(self):
-        config = WatchmenConfig()
-        seconds = config.proxy_period_frames * config.frame_seconds
+        seconds = WatchmenConfig().proxy_period_frames * FRAME_SECONDS
         assert 1.0 <= seconds <= 4.0
 
     def test_signature_100_bits(self):
@@ -85,8 +83,7 @@ class TestPaperConstants:
         assert HANDOFF_DEPTH == 2
 
     def test_150ms_staleness_bound(self):
-        config = WatchmenConfig()
-        assert MAX_USEFUL_AGE_FRAMES * config.frame_seconds == pytest.approx(0.15)
+        assert MAX_USEFUL_AGE_FRAMES * FRAME_SECONDS == pytest.approx(0.15)
 
 
 class TestScenarioMapping:

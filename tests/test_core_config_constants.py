@@ -103,7 +103,6 @@ class TestConstantsAreImportedNotRestated:
 class TestConstantsMatchConfigDefaults:
     def test_watchmen_config_uses_the_constants(self):
         cfg = WatchmenConfig()
-        assert cfg.frame_seconds == FRAME_SECONDS
         assert cfg.proxy_period_frames == PROXY_PERIOD_FRAMES
         assert cfg.subscription_retention_frames == PROXY_PERIOD_FRAMES
         assert cfg.signature_bits == SIGNATURE_BITS
@@ -135,9 +134,9 @@ class TestConstantsMatchConfigDefaults:
 
 # -- knob-creep guard ---------------------------------------------------------
 
-#: Session-identity settings — tick length, the shared schedule seed, key
-#: width.  A deployment sets them; no experiment in the tree varies them.
-DEPLOYMENT_SETTINGS = {"frame_seconds", "common_seed", "signature_bits"}
+#: Session-identity settings — the shared schedule seed, key width.  A
+#: deployment sets them; no experiment in the tree varies them.
+DEPLOYMENT_SETTINGS = {"common_seed", "signature_bits"}
 
 #: Where a non-test caller can live (tests and examples do not count).
 CALLER_ROOTS = ("src", "benchmarks", "perfbench")
@@ -192,7 +191,7 @@ class TestEveryKnobHasACaller:
         )
 
     def test_field_budget(self):
-        assert len(dataclasses.fields(WatchmenConfig)) <= 12
+        assert len(dataclasses.fields(WatchmenConfig)) <= 11
         assert len(dataclasses.fields(NetworkConfig)) <= 4
 
 

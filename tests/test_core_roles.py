@@ -652,7 +652,7 @@ class TestStarvationScan:
 
 
 def publisher_for(me=ME, relax=False):
-    return Publisher(me, frame_seconds=0.05, relax_first_hop=relax)
+    return Publisher(me, relax_first_hop=relax)
 
 
 def moving(frame):

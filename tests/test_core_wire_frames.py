@@ -21,7 +21,7 @@ import dataclasses
 import pytest
 
 from repro.core import WatchmenSession
-from repro.core.config import WatchmenConfig
+from repro.core.config import FRAME_SECONDS, WatchmenConfig
 from repro.core.messages import (
     SUB_INTEREST,
     AckMessage,
@@ -388,7 +388,7 @@ class TestMalformedInput:
 
         for frame in (10, 30):
             session.queue.schedule_at(
-                frame * session.config.frame_seconds + 0.001, inject
+                frame * FRAME_SECONDS + 0.001, inject
             )
         report = session.run(max_frames=60)  # no exception out of the queue
 

@@ -19,18 +19,6 @@ class TestRecording:
         trace = GameTrace(map_name="x", num_players=3)
         assert trace.player_ids() == []
 
-    def test_shots_in_frame(self, small_trace):
-        if not small_trace.shots:
-            pytest.skip("no shots")
-        frame = small_trace.shots[0].frame
-        assert all(s.frame == frame for s in small_trace.shots_in_frame(frame))
-
-    def test_kills_in_frame(self, medium_trace):
-        if not medium_trace.kills:
-            pytest.skip("no kills")
-        frame = medium_trace.kills[0].frame
-        assert medium_trace.kills_in_frame(frame)
-
 
 class TestPersistence:
     def test_jsonl_roundtrip(self, small_trace, tmp_path):

@@ -52,15 +52,6 @@ class TestGeometry:
     def test_dot(self):
         assert Vec3(1, 2, 3).dot(Vec3(4, -5, 6)) == 4 - 10 + 18
 
-    def test_cross_is_orthogonal(self):
-        a, b = Vec3(1, 2, 3), Vec3(4, 5, 6)
-        c = a.cross(b)
-        assert abs(c.dot(a)) < 1e-12
-        assert abs(c.dot(b)) < 1e-12
-
-    def test_cross_right_handed(self):
-        assert Vec3(1, 0, 0).cross(Vec3(0, 1, 0)) == Vec3(0, 0, 1)
-
     def test_length(self):
         assert Vec3(3, 4, 0).length() == pytest.approx(5.0)
 
@@ -109,12 +100,3 @@ class TestSerialisation:
     def test_tuple_roundtrip(self):
         v = Vec3(1.5, -2.25, 3.0)
         assert Vec3.from_tuple(v.to_tuple()) == v
-
-    def test_quantized_snaps_to_grid(self):
-        v = Vec3(1.07, 2.11, -3.06).quantized(0.125)
-        for component in v:
-            assert abs(component / 0.125 - round(component / 0.125)) < 1e-9
-
-    def test_quantized_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            Vec3(1, 2, 3).quantized(0.0)

@@ -7,6 +7,7 @@ verifiers, not crashes or honest bans.
 import pytest
 
 from repro.core import ReputationBoard, WatchmenConfig, WatchmenSession
+from repro.core.config import FRAME_SECONDS
 from repro.faults import FaultSchedule, PartitionFault
 from repro.net.latency import king_like, uniform_lan
 from repro.net.transport import NetworkConfig
@@ -117,7 +118,7 @@ class TestChurnDeparture:
         # Unregister player 5 from the network halfway through.
         depart_frame = 80
         session.queue.schedule_at(
-            depart_frame * session.config.frame_seconds,
+            depart_frame * FRAME_SECONDS,
             lambda: session.network.unregister(5),
         )
         # Player 5's own sends keep happening (his machine is gone; model
@@ -125,7 +126,7 @@ class TestChurnDeparture:
         original_send_many = session.network.send_many
 
         def send_unless_departed(src, dsts, frame):
-            now_frame = int(session.queue.now / session.config.frame_seconds)
+            now_frame = int(session.queue.now / FRAME_SECONDS)
             if src == 5 and now_frame >= depart_frame:
                 return
             original_send_many(src, dsts, frame)

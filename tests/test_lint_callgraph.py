@@ -118,10 +118,6 @@ class TestTraversals:
         "def lonely():\n    pass\n"
     )
 
-    def test_roots_are_uncalled_functions(self):
-        graph = graph_of(("repro.demo", self.SOURCE))
-        assert graph.roots() == {"repro.demo.root", "repro.demo.lonely"}
-
     def test_transitive_reachability(self):
         graph = graph_of(("repro.demo", self.SOURCE))
         assert graph.transitively_reaches(
@@ -130,15 +126,6 @@ class TestTraversals:
         assert not graph.transitively_reaches(
             "repro.demo.lonely", frozenset({"repro.demo.leaf"})
         )
-
-    def test_reachable_avoiding_blocks_paths(self):
-        graph = graph_of(("repro.demo", self.SOURCE))
-        reachable = graph.reachable_avoiding(
-            graph.roots(), blocked=frozenset({"repro.demo.mid"})
-        )
-        # leaf is only reachable through mid -> dominated by the block
-        assert "repro.demo.leaf" not in reachable
-        assert "repro.demo.root" in reachable
 
 
 class TestRealTree:

@@ -97,7 +97,7 @@ class TestBaselineWorkflow:
         game = tmp_path / "src" / "repro" / "game"
         game.mkdir(parents=True)
         (game / "a.py").write_text(
-            "import random  # repro-lint: ignore[D101]\n"
+            "import random  # repro-lint: ignore[D103]\n"
         )
         assert lint_main(["--root", str(tmp_path)]) == 1
 
@@ -147,7 +147,7 @@ class TestBaselineWorkflow:
 
 class TestExplainAndListing:
     @pytest.mark.parametrize(
-        "rule", ["D101", "D102", "D103", "F401", "R501", "S701", "M801", "T301"]
+        "rule", ["D102", "D103", "D104", "F402", "R501", "S701", "M801", "T301"]
     )
     def test_every_rule_explains(self, rule, capsys):
         assert lint_main(["--explain", rule]) == 0
@@ -155,7 +155,7 @@ class TestExplainAndListing:
         assert rule in out
         assert "scope:" in out
 
-    @pytest.mark.parametrize("rule", ["D101", "D102", "D103", "D104"])
+    @pytest.mark.parametrize("rule", ["D102", "D103", "D104"])
     def test_d_scope_is_the_deterministic_packages(self, rule, capsys):
         assert lint_main(["--explain", rule]) == 0
         scope = capsys.readouterr().out.splitlines()[1]
@@ -167,7 +167,7 @@ class TestExplainAndListing:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("D101", "M801", "T301"):
+        for rule in ("D102", "M801", "T301"):
             assert rule in out
 
 

@@ -1,4 +1,4 @@
-"""C601: paper-constant drift detection and the ``--fix`` rewriter."""
+"""C601: paper-constant drift detection."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ import pytest
 
 from repro.lint.configdrift import (
     CONSTANT_ALIASES,
-    apply_fixes,
     extract_constants,
-    find_drift_sites,
     run_configdrift_rules,
 )
 
@@ -162,79 +160,3 @@ class TestC601Detection:
             files[rel] = ast.parse(text)
             sources[rel] = text.splitlines()
         assert run_configdrift_rules(files, sources, CONFIG_PATH) == []
-
-
-class TestFixer:
-    DIRTY = (
-        '"""Module docstring."""\n'
-        "\n"
-        "import math\n"
-        "\n"
-        "\n"
-        "def step(state, frame_seconds=0.05, horizon_frames=20):\n"
-        "    return state\n"
-    )
-
-    def _fix(self, source: str, rel: str = "src/repro/game/demo.py") -> str:
-        constants = extract_constants(CONFIG_PATH)
-        sites = find_drift_sites({rel: ast.parse(source)}, constants)
-        assert sites, "fixture should contain drift"
-        return apply_fixes(sites, {rel: source})[rel]
-
-    def test_fix_rewrites_literals_and_adds_import(self):
-        fixed = self._fix(self.DIRTY)
-        assert "frame_seconds=FRAME_SECONDS" in fixed
-        assert "horizon_frames=FRAMES_PER_SECOND" in fixed
-        assert "0.05" not in fixed
-        assert (
-            "from repro.core.config import FRAMES_PER_SECOND, FRAME_SECONDS"
-            in fixed
-            or "from repro.core.config import FRAME_SECONDS, FRAMES_PER_SECOND"
-            in fixed
-        )
-
-    def test_fixed_source_is_drift_free(self):
-        fixed = self._fix(self.DIRTY)
-        constants = extract_constants(CONFIG_PATH)
-        assert (
-            find_drift_sites(
-                {"src/repro/game/demo.py": ast.parse(fixed)}, constants
-            )
-            == []
-        )
-
-    def test_fix_merges_into_existing_config_import(self):
-        source = (
-            "from repro.core.config import HANDOFF_DEPTH\n"
-            "\n"
-            "def step(state, frame_seconds=0.05):\n"
-            "    return state\n"
-        )
-        fixed = self._fix(source)
-        assert fixed.count("from repro.core.config import") == 1
-        assert "FRAME_SECONDS" in fixed
-        assert "HANDOFF_DEPTH" in fixed
-
-    def test_cli_fix_roundtrip(self, tmp_path, capsys):
-        from repro.lint.cli import main as lint_main
-
-        import shutil
-
-        root = tmp_path / "repo"
-        (root / "src").mkdir(parents=True)
-        shutil.copytree(REPO_ROOT / "src" / "repro", root / "src" / "repro")
-        dirty = root / "src" / "repro" / "game" / "drifted.py"
-        dirty.write_text(
-            '"""Drift fixture."""\n'
-            "\n"
-            "\n"
-            "def step(state: int, frame_seconds: float = 0.05) -> int:\n"
-            "    return state\n"
-        )
-
-        assert lint_main(["--root", str(root)]) == 1  # drift detected
-        capsys.readouterr()
-        assert lint_main(["--root", str(root), "--fix"]) == 0
-        capsys.readouterr()
-        assert "FRAME_SECONDS" in dirty.read_text()
-        assert lint_main(["--root", str(root)]) == 0  # clean after fix

@@ -1,4 +1,4 @@
-"""F401/F402: information-flow rules, must-flag and must-pass fixtures."""
+"""F402: the information-flow rule, must-flag and must-pass fixtures."""
 
 from __future__ import annotations
 
@@ -31,112 +31,6 @@ def fixture_tree(*modules: tuple[str, str]):
 
 def flow_violations(*modules: tuple[str, str]):
     return run_flow_rules(*fixture_tree(*modules))
-
-
-GATES = (
-    "repro.core.subscriptions",
-    "class SubscriberTable:\n"
-    "    def interest_subscribers(self, frame):\n        return []\n",
-)
-
-
-class TestF401:
-    def test_flags_ungated_full_state_send(self):
-        violations = flow_violations(
-            GATES,
-            (
-                "repro.core.node",
-                "from repro.core.messages import StateUpdate\n"
-                "class Node:\n"
-                "    def leak(self, peer):\n"
-                "        update = StateUpdate()\n"
-                "        self._transmit(update, peer)\n",
-            ),
-        )
-        assert [v.rule for v in violations] == ["F401"]
-        assert "subscription" in violations[0].message
-
-    def test_flags_inline_constructor_send(self):
-        violations = flow_violations(
-            GATES,
-            (
-                "repro.core.node",
-                "from repro.core.messages import StateUpdate\n"
-                "class Node:\n"
-                "    def leak(self, peer):\n"
-                "        self._send_many(0, [peer], StateUpdate())\n",
-            ),
-        )
-        assert [v.rule for v in violations] == ["F401"]
-
-    def test_flags_annotated_parameter_send(self):
-        violations = flow_violations(
-            GATES,
-            (
-                "repro.core.node",
-                "class Node:\n"
-                "    def forward(self, update: StateUpdate, peer: int):\n"
-                "        self._transmit(update, peer)\n",
-            ),
-        )
-        assert [v.rule for v in violations] == ["F401"]
-
-    def test_passes_when_function_consults_a_gate(self):
-        violations = flow_violations(
-            GATES,
-            (
-                "repro.core.node",
-                "from repro.core.messages import StateUpdate\n"
-                "class Node:\n"
-                "    def fan_out(self, table, frame):\n"
-                "        update = StateUpdate()\n"
-                "        for s in table.interest_subscribers(frame):\n"
-                "            self._transmit(update, s)\n",
-            ),
-        )
-        assert violations == []
-
-    def test_passes_when_dominated_by_a_gated_caller(self):
-        # send() itself has no gate, but its only caller checks one first.
-        violations = flow_violations(
-            GATES,
-            (
-                "repro.core.node",
-                "from repro.core.messages import StateUpdate\n"
-                "class Node:\n"
-                "    def gated_entry(self, table, frame, update: StateUpdate):\n"
-                "        for s in table.interest_subscribers(frame):\n"
-                "            self.fan(update, s)\n"
-                "    def fan(self, update: StateUpdate, peer):\n"
-                "        self._transmit(update, peer)\n",
-            ),
-        )
-        assert violations == []
-
-    def test_non_full_state_messages_are_ignored(self):
-        violations = flow_violations(
-            GATES,
-            (
-                "repro.core.node",
-                "class Node:\n"
-                "    def ping(self, message, peer):\n"
-                "        self._transmit(message, peer)\n",
-            ),
-        )
-        assert violations == []
-
-    def test_cheats_package_is_out_of_scope(self):
-        violations = flow_violations(
-            GATES,
-            (
-                "repro.cheats.state",
-                "from repro.core.messages import StateUpdate\n"
-                "class Cheat:\n"
-                "    def leak(self, peer):\n"
-                "        self._transmit(StateUpdate(), peer)\n",
-            ),
-        )
-        assert violations == []
 
 
 class TestF402:
@@ -284,111 +178,3 @@ class TestF402IsNotSubsumedByS703:
             ["F402"],
             [],
         )
-
-
-class TestF401IsNotSubsumedByS701:
-    """S701 guards what a peer's payload may *write*; F401 guards who may
-    *read* full state — and S703 guards only the reduced tiers.
-
-    The audit docs/STATIC_ANALYSIS.md records: F401's seven fixtures and
-    the real-tree mutation that drops the interest gate from the proxy's
-    ``StateUpdate`` fan-out were run through S701 and S703 too.  Neither
-    fires on any of them, so F401 is not subsumed.  But F401 misses the
-    real-tree mutation as well: ``on_frame`` consults a gate, so every
-    node function below it counts as dominated by one, the fan-out
-    included.  F401 trips only on sends outside the frame loop
-    (``tests/test_lint_trips.py``), which makes it a removal candidate.
-    """
-
-    #: TestF401's fixtures: (module, source, whether F401 flags it)
-    FIXTURES = {
-        "ungated_assign": (
-            "repro.core.node",
-            "from repro.core.messages import StateUpdate\n"
-            "class Node:\n"
-            "    def leak(self, peer):\n"
-            "        update = StateUpdate()\n"
-            "        self._transmit(update, peer)\n",
-            True,
-        ),
-        "ungated_inline_constructor": (
-            "repro.core.node",
-            "from repro.core.messages import StateUpdate\n"
-            "class Node:\n"
-            "    def leak(self, peer):\n"
-            "        self._send_many(0, [peer], StateUpdate())\n",
-            True,
-        ),
-        "ungated_annotated_parameter": (
-            "repro.core.node",
-            "class Node:\n"
-            "    def forward(self, update: StateUpdate, peer: int):\n"
-            "        self._transmit(update, peer)\n",
-            True,
-        ),
-        "consults_a_gate": (
-            "repro.core.node",
-            "from repro.core.messages import StateUpdate\n"
-            "class Node:\n"
-            "    def fan_out(self, table, frame):\n"
-            "        update = StateUpdate()\n"
-            "        for s in table.interest_subscribers(frame):\n"
-            "            self._transmit(update, s)\n",
-            False,
-        ),
-        "dominated_by_a_gated_caller": (
-            "repro.core.node",
-            "from repro.core.messages import StateUpdate\n"
-            "class Node:\n"
-            "    def gated_entry(self, table, frame, update: StateUpdate):\n"
-            "        for s in table.interest_subscribers(frame):\n"
-            "            self.fan(update, s)\n"
-            "    def fan(self, update: StateUpdate, peer):\n"
-            "        self._transmit(update, peer)\n",
-            False,
-        ),
-        "not_full_state": (
-            "repro.core.node",
-            "class Node:\n"
-            "    def ping(self, message, peer):\n"
-            "        self._transmit(message, peer)\n",
-            False,
-        ),
-        "cheats_out_of_scope": (
-            "repro.cheats.state",
-            "from repro.core.messages import StateUpdate\n"
-            "class Cheat:\n"
-            "    def leak(self, peer):\n"
-            "        self._transmit(StateUpdate(), peer)\n",
-            False,
-        ),
-    }
-
-    GATED_FAN_OUT = (
-        "self._relay(update, state.table.interest_subscribers(self.current_frame))"
-    )
-
-    @staticmethod
-    def _rules_fired(graph, sources) -> tuple[list[str], list[str]]:
-        from repro.lint.taint import run_taint_rules
-
-        f401 = [v.rule for v in run_flow_rules(graph, sources) if v.rule == "F401"]
-        s7xx = [
-            v.rule
-            for v in run_taint_rules(graph, sources)[0]
-            if v.rule in ("S701", "S703")
-        ]
-        return f401, s7xx
-
-    @pytest.mark.parametrize("name", sorted(FIXTURES))
-    def test_fixture_trips_neither_s701_nor_s703(self, name):
-        module, source, flagged = self.FIXTURES[name]
-        fired = self._rules_fired(*fixture_tree(GATES, (module, source)))
-        assert fired == (["F401"] if flagged else [], [])
-
-    def test_dropping_the_fan_out_gate_escapes_all_three(self):
-        def mutate(text: str) -> str:
-            assert self.GATED_FAN_OUT in text
-            return text.replace(self.GATED_FAN_OUT, "self._relay(update, self.roster)")
-
-        assert self._rules_fired(*real_tree(mutate)) == ([], [])

@@ -39,14 +39,6 @@ class Plant:
 
 
 PLANTS = (
-    # the flood limiter refills its bucket by host time instead of frames
-    Plant(
-        "D101",
-        "core/delivery.py",
-        "tokens + (frame - last) * BYZANTINE_RATE_MSGS_PER_FRAME",
-        "tokens + (time.monotonic() - last) * BYZANTINE_RATE_MSGS_PER_FRAME",
-        reported="time.monotonic()",
-    ),
     # a bot picks goals with the module-state generator
     Plant(
         "D102",
@@ -82,22 +74,6 @@ PLANTS = (
         "def _defend_liveness(self, frame):",
         reported="def _defend_liveness(self, frame):",
         mentions="frame, return",
-    ),
-    # a resync entry point that pushes full state to every peer (the
-    # natural mutation — dropping the gate from the proxy fan-out — escapes
-    # F401: tests/test_lint_flow.py::TestF401IsNotSubsumedByS701)
-    Plant(
-        "F401",
-        "core/node.py",
-        "    def _send_subscriptions(\n",
-        "    def resync_peers(self, frame: int, snapshot: AvatarSnapshot) -> None:\n"
-        "        self._broadcast(StateUpdate(\n"
-        "            sender_id=self.player_id, frame=frame, sequence=0,\n"
-        "            snapshot=snapshot, delta_fields=(),\n"
-        "        ))\n"
-        "\n"
-        "    def _send_subscriptions(\n",
-        reported="self._broadcast(StateUpdate(",
     ),
     # the subscription relay addressed from the payload, not the schedule
     Plant(

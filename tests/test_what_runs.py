@@ -41,10 +41,6 @@ OWED = {
     "nearest_respawn": "test_game_gamemap::test_nearest_respawn",
     "invalidate_spatial_index": "test_game_spatial::test_explicit_invalidation_after_in_place_replacement",
     "speed_of": "test_game_physics::test_speed_of{,_zero_frames}",
-    "shots_in_frame": "test_game_trace::test_shots_in_frame",
-    "kills_in_frame": "test_game_trace::test_kills_in_frame",
-    "quantized": "test_game_vector::test_quantized_{snaps_to_grid,rejects_bad_grid}; lint/flow.py row",
-    "cross": "test_game_vector::test_cross_{is_orthogonal,right_handed}",
     "percentile_one_way": "test_net_latency::test_percentiles_ordered, TestPercentiles (2)",
     "reset": "test_obs_registry::test_reset_clears_everything",
 }
