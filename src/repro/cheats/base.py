@@ -1,8 +1,8 @@
 """Cheat-injection framework: behaviours that wrap a protocol node.
 
 Every Table I cheat is a :class:`CheatBehaviour` — a
-:class:`~repro.core.node.NodeBehaviour` with three hooks the node calls at
-its trust boundary:
+:class:`~repro.core.node.HonestBehaviour` that overrides some of the hooks
+the node calls at its trust boundary:
 
 - ``mutate_snapshot`` — lie about one's own avatar state (speed hacks,
   teleports, escaping-into-thin-air);
@@ -22,8 +22,7 @@ from __future__ import annotations
 from random import Random
 from dataclasses import dataclass, field
 
-from repro.core.messages import GameMessage
-from repro.game.avatar import AvatarSnapshot
+from repro.core.node import HonestBehaviour
 
 __all__ = ["CheatBehaviour", "CheatLog"]
 
@@ -44,7 +43,7 @@ class CheatLog:
         self.honest_actions += 1
 
 
-class CheatBehaviour:
+class CheatBehaviour(HonestBehaviour):
     """Base cheat: honest by default, cheating on a seeded coin flip.
 
     ``cheat_rate`` is the probability of cheating per opportunity — the
@@ -60,25 +59,6 @@ class CheatBehaviour:
         self.cheat_rate = cheat_rate
         self.rng = Random(seed)
         self.log = CheatLog()
-
-    # -- NodeBehaviour hooks (honest defaults) -------------------------------
-
-    def mutate_snapshot(self, frame: int, snapshot: AvatarSnapshot) -> AvatarSnapshot:
-        del frame
-        return snapshot
-
-    def filter_outgoing(
-        self, frame: int, message: GameMessage, destination: int
-    ) -> list[tuple[GameMessage, int]]:
-        del frame
-        return [(message, destination)]
-
-    def extra_messages(self, frame: int) -> list[tuple[GameMessage, int]]:
-        del frame
-        return []
-
-    def observe_incoming(self, frame: int, src: int, message: GameMessage) -> None:
-        del frame, src, message
 
     # -- helpers ---------------------------------------------------------------
 

@@ -313,10 +313,11 @@ GE_LOSS_BAD: Final[float] = 0.3
 #: degradation under crashes and loss: failover to the next verifiable
 #: candidate proxy, and ack/retry for the critical low-rate messages (state
 #: updates stay fire-and-forget).  ``"hardened"`` adds the Byzantine tier:
-#: equivocation cross-check and signed evidence, tamper attribution to the
-#: relaying hop, per-hop rate limiting with bounded quarantine, starvation
-#: and ack-withholding suspicion.  A mechanism is on from its rung upward,
-#: so ``PROFILES.index(config.profile)`` compares.
+#: equivocation cross-check and signed evidence, per-hop rate limiting with
+#: bounded quarantine, starvation and ack-withholding suspicion.  A mechanism
+#: is on from its rung upward, so ``PROFILES.index(config.profile)``
+#: compares.  Signature blame (the delivering hop) and silent repeat
+#: screening are no rung's: they hold on every one.
 PROFILES: Final[tuple[str, ...]] = ("paper", "resilient", "hardened")
 
 

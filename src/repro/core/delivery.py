@@ -4,10 +4,9 @@ Each owns its state behind a two- or three-call surface and is built
 *inert* in the paper profile (the way a failover depth of 0 is), so
 :class:`~repro.core.node.WatchmenNode` calls them unconditionally and
 carries no on/off fork of its own: :class:`SequenceWindow` archives
-nothing unless told which types to archive (and calls a repeat a replay
-unless told peers retransmit), :class:`AckLedger` tracks nothing unless
-given ackable types, :class:`HopLimiter` admits everything unless
-``limited``.  docs/PROTOCOL.md §9 places them in the pipeline.
+nothing unless told which types to archive, :class:`AckLedger` tracks
+nothing unless given ackable types, :class:`HopLimiter` admits everything
+unless ``limited``.  docs/PROTOCOL.md §9 places them in the pipeline.
 """
 
 from __future__ import annotations
@@ -27,11 +26,11 @@ from repro.core.config import (
 from repro.core.messages import AckMessage, GameMessage
 
 #: :meth:`SequenceWindow.screen` verdicts.  A tracked repeat is a
-#: ``DUPLICATE`` where retransmissions are expected — an artefact of
-#: dual-send failover, the retry ladder and network duplication, screened
-#: silently instead of convicting an honest sender — and a ``REPLAY``
-#: where nothing legitimately repeats.
-FRESH, DUPLICATE, REPLAY, EVICTED = "fresh", "duplicate", "replay", "evicted"
+#: ``DUPLICATE`` on every rung: dual-send failover, the retry ladder,
+#: network duplication and a third party's replayed capture all look
+#: alike, and none of them says anything against the sender it names —
+#: so a repeat is screened, never rated.
+FRESH, DUPLICATE, EVICTED = "fresh", "duplicate", "evicted"
 #: :meth:`HopLimiter.admit` verdicts; ``QUARANTINED`` is the one drop that
 #: *imposed* a quarantine (later drops under it are plain ``DROPPED``).
 ADMITTED, DROPPED, QUARANTINED = "admitted", "dropped", "quarantined"
@@ -53,11 +52,8 @@ class SequenceWindow:
     would pin its whole snapshot graph) and purged in lockstep.
     """
 
-    def __init__(
-        self, archived: tuple[type, ...] = (), retransmits: bool = False
-    ) -> None:
+    def __init__(self, archived: tuple[type, ...] = ()) -> None:
         self._archived = archived
-        self._repeat = DUPLICATE if retransmits else REPLAY
         self.seen: dict[int, set[int]] = {}
         #: per sender, the highest evicted sequence
         self.watermark: dict[int, int] = {}
@@ -78,7 +74,7 @@ class SequenceWindow:
         if sequence <= self.watermark.get(sender, -1):
             return EVICTED
         if sequence in seen:
-            return self._repeat
+            return DUPLICATE
         seen.add(sequence)
         if isinstance(message, self._archived):
             self.archive.setdefault(sender, {})[sequence] = buffer

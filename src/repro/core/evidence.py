@@ -4,7 +4,9 @@ The witness role beyond the game-state checks (docs/PROTOCOL.md §10): the
 detection record — equivocations, quarantines, circumstantial suspicions —
 and the blame policies; the node rates, convicts and broadcasts.  Below
 the ``hardened`` rung it is inert: scans yield nothing, evidence is
-ignored, blame falls on the named sender.
+ignored, an unanswered retry ladder suspects no one.  Signature blame is
+not a rung's policy: on every rung it falls on the hop that handed the
+frame over.
 """
 
 from __future__ import annotations
@@ -55,19 +57,19 @@ class EvidenceLog:
 
     # ---- blame policies ---------------------------------------------------
 
-    def blame_bad_signature(self, frame: int, src: int, sender: int) -> tuple[int, str]:
-        """``(whom to rate, why)`` for a message that fails its signature.
+    def blame_bad_signature(self, frame: int, src: int, sender: int) -> str:
+        """Why ``src`` is rated for a message that fails its signature.
 
-        A *relayed* message that fails its origin signature was mutated in
-        flight: the origin's signing path either produces valid bytes or
-        nothing.  The hardened tier blames the relaying hop, not the named
-        sender — that is exactly the tampering-proxy attack the signatures
-        exist to catch.
+        The blame is always the hop that handed it over: a frame that fails
+        its named sender's key is not that sender's doing (its signing path
+        produces valid bytes or nothing), so whoever delivered it made it
+        or mutated it in flight.  When that hop is not the named sender it
+        is also a tampering-hop suspicion.
         """
-        if self._hardened and src != sender:
+        if src != sender:
             self.suspicion_events.append((frame, src, "tamper_hop"))
-            return src, "relayed message fails its signature (tampering hop)"
-        return sender, "invalid or missing signature"
+            return "relayed message fails its signature (tampering hop)"
+        return "invalid or missing signature"
 
     def withholds_acks(self, frame: int, destination: int, alive: bool) -> bool:
         """Is an exhausted retry ladder worth a suspicion rating?

@@ -44,7 +44,6 @@ from repro.core.delivery import (
     EVICTED,
     FRESH,
     QUARANTINED,
-    REPLAY,
     AckLedger,
     HopLimiter,
     SequenceWindow,
@@ -282,13 +281,9 @@ class WatchmenNode:
         resilient, hardened = rung >= 1, rung >= 2
         #: ack/retry for the critical low-rate messages
         self._acks = AckLedger(ACKABLE_TYPES if resilient else ())
-        #: replay screening, always on: a tracked repeat is a replay unless
-        #: retransmissions are expected; the hardened tier also archives the
+        #: repeat screening, always on; the hardened tier also archives the
         #: first-seen StateUpdate buffers for the equivocation cross-check
-        self._window = SequenceWindow(
-            archived=(StateUpdate,) if hardened else (),
-            retransmits=bool(self._acks.ackable),
-        )
+        self._window = SequenceWindow(archived=(StateUpdate,) if hardened else ())
         #: per-hop flood defense
         self._hops = HopLimiter(limited=hardened)
         #: the roles (docs/PROTOCOL.md §10): each owns its state and returns
@@ -471,14 +466,24 @@ class WatchmenNode:
                         deviation=float(pending.attempt),
                     )
                 continue  # give up; the destination is gone or the path is cut
+            message = pending.message
             destination = self.first_hops.retry_destination(
-                pending.message, pending.destination, self.current_epoch, frame
+                message, pending.destination, self.current_epoch, frame
             )
+            if destination == self.player_id:
+                # The walk re-aimed a stage-2 subscription relay or a
+                # handoff at the live stand-in, and that is me: run its
+                # handler here, once — nobody is left to ack it.
+                if isinstance(message, HandoffMessage):
+                    self._on_handoff(message)
+                elif isinstance(message, SubscriptionRequest):
+                    self._on_subscription(self.player_id, message, first_hop=False)
+                continue
             # Re-file under the (possibly re-routed) key *before* sending,
             # so the send sees it tracked and keeps the attempt count.
             self._acks.refile(pending, destination, frame)
             self.metrics.ack_retries.inc()
-            self._transmit_unfiltered(pending.message, (destination,), pending.buffer)
+            self._transmit_unfiltered(message, (destination,), pending.buffer)
 
     def _send_ack(self, src: int, message: GameMessage) -> None:
         """Receipt for an ackable message, back to the sending hop."""
@@ -585,9 +590,9 @@ class WatchmenNode:
             return
         self.metrics.liveness_defenses.inc()
         # Skip destinations that treat my traffic as first-hop and re-forward
-        # it (my proxies/candidates): the forwarded copy would collide with
-        # the direct one and read as a replay.  They hear my first-hop
-        # publications — which refresh their heartbeat — already.
+        # it (my proxies/candidates): the forwarded copy would only repeat
+        # the direct one.  They hear my first-hop publications — which
+        # refresh their heartbeat — already.
         self._broadcast(
             self._sequenced(self.publisher.heartbeat(frame, snapshot)),
             skip=self.first_hops.acceptors(self.current_epoch),
@@ -622,25 +627,22 @@ class WatchmenNode:
         ``buffer`` decodes to; its signature has to cover
         ``buffer[:signed_end]``.
         """
-        # ``src == self.player_id`` is a retry looped back onto myself (see
-        # ``_transmit_unfiltered``): no hop to police, nobody to receipt.
-        if src != self.player_id:
-            admission = self._hops.admit(src, self.current_frame)
-            if admission is not ADMITTED:
-                # Flood defense: the sending hop is over its token budget
-                # (or already quarantined) — the message is dropped before
-                # any signature work, which is the point: verification is
-                # the cost a flooder would otherwise impose.
-                if admission is QUARANTINED:
-                    self._note_quarantine(src)
-                self.protocol_drop("quarantine")
-                return
+        admission = self._hops.admit(src, self.current_frame)
+        if admission is not ADMITTED:
+            # Flood defense: the sending hop is over its token budget (or
+            # already quarantined) — the message is dropped before any
+            # signature work, which is the point: verification is the
+            # cost a flooder would otherwise impose.
+            if admission is QUARANTINED:
+                self._note_quarantine(src)
+            self.protocol_drop("quarantine")
+            return
         self.behaviour.observe_incoming(self.current_frame, src, message)
         signed = buffer[:signed_end]
         if not self._verify_envelope(src, message, signed):
             return
         verdict = self._window.screen(message, buffer)
-        if src != self.player_id and isinstance(message, self._acks.ackable):
+        if isinstance(message, self._acks.ackable):
             # Fresh or repeat alike: the receipt for a duplicate is what
             # stops a retransmitting peer resending a delivered message.
             self._send_ack(src, message)
@@ -687,16 +689,17 @@ class WatchmenNode:
     # repro-taint: sanitizer
     def _verify_envelope(self, src: int, message: GameMessage, signed: bytes) -> bool:
         """Signature screening on every received message, over ``signed``:
-        the signed prefix of the buffer that was actually delivered."""
+        the signed prefix of the buffer that was actually delivered.  A
+        failure is charged to ``src``, the hop that handed it over."""
         if self._signature_holds(message, signed):
             return True
         self.metrics.count_signature_failure()
-        blamed, why = self.evidence.blame_bad_signature(
+        why = self.evidence.blame_bad_signature(
             self.current_frame, src, message.sender_id
         )
-        if blamed != message.sender_id:  # a relaying hop: tampered in flight
+        if src != message.sender_id:  # a relaying hop: tampered in flight
             self.protocol_drop("tamper")
-        self._rate_violation(blamed, MAX_RATING, why)
+        self._rate_violation(src, MAX_RATING, why)
         return False
 
     def _screen_duplicate(
@@ -704,12 +707,12 @@ class WatchmenNode:
     ) -> None:
         """Handle a message whose sequence was already seen (or evicted).
 
-        Tracked repeats are first cross-checked against the archived
-        original (signed ``StateUpdate``s on the hardened rung): same
-        sequence but *different* signed bytes is cryptographic
-        equivocation, the one duplicate that is proof of misbehavior
-        rather than an artefact.  An evicted sequence is *always* screened
-        silently — never reprocessed and never treated as cheat evidence.
+        A repeat is counted and never reprocessed; by itself it is no
+        evidence against anyone.  Tracked repeats are first cross-checked
+        against the archived original (signed ``StateUpdate``s on the
+        hardened rung): same sequence but *different* signed bytes is
+        cryptographic equivocation, the one duplicate that is proof of
+        misbehavior rather than an artefact.
         """
         if verdict is not EVICTED:
             # An honest repeat is the same buffer again; only a differing
@@ -726,10 +729,6 @@ class WatchmenNode:
                     self._on_equivocation(first, message)
                     return
         self.metrics.count_replayed_message()
-        if verdict is REPLAY:
-            self._rate_violation(
-                message.sender_id, MAX_RATING, f"replayed sequence {message.sequence}"
-            )
 
     # -- the Byzantine tier (policies and record: ``self.evidence``) ----------
 
@@ -1153,16 +1152,6 @@ class WatchmenNode:
             return
         if buffer is None:
             buffer = self._signed(message)
-        if self.player_id in destinations:
-            # Loopback.  One caller gets here: ``_drive_retries`` re-aiming
-            # a stage-2 subscription relay or a handoff at the live
-            # stand-in for a dead proxy, when that stand-in is me.  The
-            # signed buffer takes the ordinary receive path.
-            at = destinations.index(self.player_id)
-            self._transmit_unfiltered(message, destinations[:at], buffer)
-            self.on_message(self.player_id, buffer)
-            self._transmit_unfiltered(message, destinations[at + 1 :], buffer)
-            return
         if isinstance(message, self._acks.ackable):
             for destination in destinations:
                 self._acks.track(message, buffer, destination, self.current_frame)

@@ -113,9 +113,6 @@ class ProxySchedule:
         self._rings[(player_id, epoch)] = ring
         return ring
 
-    def proxy_at_frame(self, player_id: int, frame: int) -> int:
-        return self.proxy_of(player_id, self.epoch_of_frame(frame))
-
     def candidate_of(self, player_id: int, epoch: int, attempt: int) -> int:
         """The ``attempt``-th failover candidate for a player's epoch.
 

@@ -577,8 +577,8 @@ class FrameMemo:
     receiver, on every delivery, over the bytes it was handed.
 
     The reverse direction is by identity: the object :meth:`open_frame`
-    returned maps back to the very buffer it came from, so a relay,
-    retransmission or loopback sends that buffer untouched.  Any other
+    returned maps back to the very buffer it came from, so a relay or
+    retransmission sends that buffer untouched.  Any other
     object — a hand-built message, a copy a tampering hop altered — is
     encoded afresh.  The oldest entry is evicted at
     ``FRAME_MEMO_CAPACITY``; canonical framing makes that invisible

@@ -35,38 +35,20 @@ def draw_uint(common_seed: bytes, player_id: int, counter: int) -> int:  # repro
 
 
 class VerifiablePrng:
-    """A stateful view over :func:`draw_uint` for one player id."""
+    """Bounded draws over :func:`draw_uint` for one player id."""
 
     def __init__(self, common_seed: bytes, player_id: int) -> None:
         if not common_seed:
             raise ValueError("common_seed must be non-empty")
         self.common_seed = common_seed
         self.player_id = player_id
-        self.counter = 0
-
-    def next_uint(self) -> int:
-        value = draw_uint(self.common_seed, self.player_id, self.counter)
-        self.counter += 1
-        return value
-
-    def next_below(self, bound: int) -> int:
-        """An unbiased draw in [0, bound) via rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            value = self.next_uint()
-            if value < limit:
-                return value % bound
 
     def below_at(self, counter: int, bound: int) -> int:
-        """Stateless bounded draw: deterministic given (counter, bound).
+        """Unbiased bounded draw, deterministic given (counter, bound).
 
-        Uses the same rejection rule as :meth:`next_below` but walks
-        counters deterministically, so verifiers converge on the same value.
-        Note: a rejected counter consumes one draw, hence schedule code must
-        use *either* the stateful or the stateless API consistently; the
-        proxy schedule uses only this stateless form.
+        Rejection sampling that walks counters deterministically (a
+        rejected counter consumes one draw), so verifiers converge on the
+        same value.
         """
         if bound <= 0:
             raise ValueError("bound must be positive")

@@ -530,9 +530,8 @@ def run_chaos(
                     "players": players,
                     "frames": frames,
                     "seed": seed,
-                    "resilient": scenario.profile != "paper",
+                    "profile": scenario.profile,
                     "byzantine": scenario.byzantine,
-                    "hardening": scenario.profile == "hardened",
                 },
                 "metrics": metrics,
             }
@@ -558,7 +557,7 @@ def chaos_gate_failures(results: list[dict]) -> list[str]:
                 "falsely evicted (SLO: 0)"
             )
         reproxy = metrics["frames_to_reproxy"]
-        if params["resilient"] and reproxy > PROXY_PERIOD_FRAMES:
+        if params["profile"] != "paper" and reproxy > PROXY_PERIOD_FRAMES:
             failures.append(
                 f"{name}: frames_to_reproxy {reproxy:.0f} exceeds one "
                 f"proxy period ({PROXY_PERIOD_FRAMES})"
@@ -582,7 +581,7 @@ def chaos_gate_failures(results: list[dict]) -> list[str]:
                 if kind in ("selective_forward", "ack_withhold")
                 else PROXY_PERIOD_FRAMES
             )
-            if params.get("hardening"):
+            if params["profile"] == "hardened":
                 if metrics["byz_detection_frames"] > bound:
                     failures.append(
                         f"{name}: byz_detection_frames "

@@ -295,9 +295,6 @@ class GameMap:
                 return False
         return True
 
-    def nearest_respawn(self, point: Vec3) -> Vec3:
-        return min(self.respawn_points, key=lambda p: p.distance_to(point))
-
     def item_positions(self, kind: str | None = None) -> list[Vec3]:
         return [i.position for i in self.items if kind is None or i.kind == kind]
 

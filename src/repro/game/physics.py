@@ -352,9 +352,3 @@ class Physics:
         else:
             vertical_excess = max(0.0, -dz - self.max_descent(frames))
         return max(horizontal_excess, vertical_excess)
-
-    def speed_of(self, start: Vec3, end: Vec3, frames: int) -> float:
-        """Implied average speed (u/s) for the displacement."""
-        if frames <= 0:
-            return 0.0
-        return start.distance_to(end) / (frames * self.config.frame_seconds)

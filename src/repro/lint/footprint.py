@@ -286,13 +286,14 @@ def _marker_commutes(info: FunctionInfo, sources: dict[str, list[str]]) -> tuple
 def _dispatch_boundary(name: str) -> bool:
     """Functions the closure walk must not descend into.
 
-    A handler's footprint is *its own* synchronous work.  Receive entry
-    points and other handlers are reachable through local-loopback sends
-    (``_transmit`` to self delivers synchronously), but that re-entry
-    processes a *different* message — the emitted one, which the emits
-    set already records; folding the whole dispatch ladder into every
-    handler would make all footprints identical and the M803/POR
-    independence relation vacuous.
+    A handler's footprint is *its own* synchronous work.  A node never
+    sends itself anything, so a send ends at the transport and no handler
+    reaches a receive entry point or another handler on the current tree
+    (the retry ladder's in-place handler run starts from ``on_frame``,
+    not from a handler); the cut changes no footprint today.  It keeps a
+    future handler-to-handler call from folding the dispatch ladder into
+    every handler, which would make all footprints identical and the
+    M803/POR independence relation vacuous.
     """
     return name in RECEIVE_ENTRY_NAMES or name.startswith(HANDLER_PREFIXES)
 

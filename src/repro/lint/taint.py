@@ -72,8 +72,6 @@ SANITIZER_QNAMES = frozenset(
         "repro.core.proxy.ProxySchedule.verify_route",
         "repro.core.proxy.ProxySchedule.verify_proxy",
         "repro.crypto.prng.draw_uint",
-        "repro.crypto.prng.VerifiablePrng.next_uint",
-        "repro.crypto.prng.VerifiablePrng.next_below",
         "repro.crypto.prng.VerifiablePrng.below_at",
     }
 )

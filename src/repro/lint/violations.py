@@ -256,7 +256,7 @@ _CATALOG_ENTRIES = (
         rule="S702",
         summary="secret key material flows to a send/encode sink",
         rationale=(
-            "HMAC keys, the registry master seed and Schnorr secrets exist "
+            "HMAC keys and the registry master seed exist "
             "only to sign; any flow into a transmit primitive, the wire "
             "codec, or a message constructor field hands impersonation "
             "ability to every subscriber.  Taint enters at key_for() "

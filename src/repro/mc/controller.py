@@ -166,8 +166,6 @@ class McController(ScheduleController):
             return False
         if not self.window[0] <= self._frame < self.window[1]:
             return False
-        if src == dst:
-            return False  # local loopback is synchronous; never reordered
         if self.controlled_src is not None and src not in self.controlled_src:
             return False
         type_name = TAG_NAMES.get(frame[0])

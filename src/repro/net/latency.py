@@ -52,18 +52,6 @@ class LatencyMatrix:
             return 0.0
         return self.delays[src][dst]
 
-    def percentile_one_way(self, q: float) -> float:
-        """The q-th percentile (0..100) of off-diagonal one-way delays."""
-        values = sorted(
-            self.delays[i][j]
-            for i in range(self.size)
-            for j in range(self.size)
-            if i != j
-        )
-        if not values:
-            return 0.0
-        index = min(len(values) - 1, max(0, int(round(q / 100.0 * (len(values) - 1)))))
-        return values[index]
 
 
 def _symmetric(matrix: list[list[float]], name: str) -> LatencyMatrix:

@@ -249,7 +249,7 @@ class DatagramNetwork:
                 pass
             elif faults is not None and (cause := faults.drop_cause(src, dst)) is not None:
                 self._lose(cause)  # a partition: like loss, invisible to the sender
-            elif src != dst and (random() < loss_rate if iid else self._bursty_loss(src, dst)):
+            elif (random() < loss_rate) if iid else self._bursty_loss(src, dst):
                 self._lose("loss")
             else:
                 delay = one_way(src, dst) + uniform(0.0, jitter)
@@ -257,7 +257,7 @@ class DatagramNetwork:
                     delay += faults.extra_delay_seconds(src, dst)
                 arrival = partial(deliver, src, dst, frame, now)
                 schedule(delay, arrival)
-                if faults is not None and src != dst:
+                if faults is not None:
                     offset = faults.duplicate_offset_seconds()
                     if offset is not None:
                         self.duplicated += 1

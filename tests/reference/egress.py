@@ -1,8 +1,10 @@
 """The per-destination egress ``WatchmenNode`` had before fan-out became one
 operation: ``_transmit`` / ``_transmit_unfiltered`` as they stood, verbatim
 but for ``self`` → ``node`` and the transport callable, which is handed one
-destination at a time.  ``tests/test_core_wire_frames.py`` holds the
-list-valued egress to this loop, datagram for datagram.
+destination at a time, and for the loopback branch, gone from the node
+too: a destination that is the node itself is an ordinary one.
+``tests/test_core_wire_frames.py`` holds the list-valued egress to this
+loop, datagram for datagram.
 """
 
 from __future__ import annotations
@@ -30,8 +32,5 @@ def transmit_unfiltered_reference(
     """Sign and send without re-applying the behaviour's filter."""
     if buffer is None:
         buffer = node._signed(message)
-    if destination == node.player_id:
-        node.on_message(node.player_id, buffer)
-        return
     node._acks.track(message, buffer, destination, node.current_frame)
     node._send_many(node.player_id, (destination,), buffer)

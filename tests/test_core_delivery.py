@@ -23,7 +23,6 @@ from repro.core.delivery import (
     EVICTED,
     FRESH,
     QUARANTINED,
-    REPLAY,
     WINDOW_CAPACITY,
     AckLedger,
     HopLimiter,
@@ -63,16 +62,11 @@ def track(ledger, message, destination, frame):
 
 class TestSequenceWindow:
     def test_first_sighting_is_fresh_and_repeats_are_duplicates(self):
-        window = SequenceWindow(retransmits=True)
+        window = SequenceWindow()  # as built on every rung
         assert screen(window, position(0, 5)) == FRESH
         assert screen(window, position(0, 5)) == DUPLICATE
         # the window is per sender: another sender's 5 is new
         assert screen(window, position(1, 5)) == FRESH
-
-    def test_a_repeat_is_a_replay_where_nothing_retransmits(self):
-        window = SequenceWindow()  # as built on the paper rung
-        assert screen(window, position(0, 5)) == FRESH
-        assert screen(window, position(0, 5)) == REPLAY
 
     def test_eviction_installs_a_watermark_that_screens_forever(self):
         window = SequenceWindow()
@@ -86,7 +80,7 @@ class TestSequenceWindow:
         assert screen(window, position(0, 3)) == EVICTED
         assert 3 not in window.seen[0]
         # above it and still tracked: an ordinary repeat
-        assert screen(window, position(0, half + 1)) == REPLAY
+        assert screen(window, position(0, half + 1)) == DUPLICATE
 
     def test_inert_window_archives_nothing(self):
         window = SequenceWindow()
@@ -96,7 +90,7 @@ class TestSequenceWindow:
         assert window.first_seen(update) is None
 
     def test_archive_keeps_first_sighting_of_archived_types_only(self):
-        window = SequenceWindow(archived=(StateUpdate,), retransmits=True)
+        window = SequenceWindow(archived=(StateUpdate,))
         original, conflicting = state(0, 7, x=1.0), state(0, 7, x=2.0)
         screen(window, original)
         screen(window, position(0, 8))

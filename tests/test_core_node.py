@@ -139,6 +139,46 @@ class TestProxyForwarding:
             assert src == harness.schedule.proxy_of(message.sender_id, 0)
             assert dst == harness.schedule.proxy_of(message.target_id, 0)
 
+    def test_a_relay_retry_re_aimed_at_me_registers_the_subscriber_here(self):
+        """Stage 2 by retry: the target's proxy died after I relayed a
+        subscription to it, and the failover walk names me — the target's
+        proxy this epoch — as its live stand-in.  I register the subscriber
+        myself and send myself nothing."""
+        from dataclasses import replace
+
+        harness = LoopbackHarness(
+            num_players=8, config=WatchmenConfig(profile="resilient")
+        )
+        schedule = harness.schedule
+        subscriber, target = next(
+            (s, t)
+            for s in schedule.roster
+            for t in schedule.roster
+            if s != t
+            and schedule.proxy_of(t, 1) == schedule.proxy_of(s, 0)
+            and schedule.proxy_of(t, 0) not in (s, schedule.proxy_of(s, 0))
+        )
+        me, dead = schedule.proxy_of(subscriber, 0), schedule.proxy_of(target, 0)
+        harness.tick(0)
+        del harness.nodes[dead]  # its datagrams go nowhere, so nothing is acked
+        node = harness.nodes[me]
+        node.membership.heard_from(dead, 0)
+        request = SubscriptionRequest(subscriber, target, SUB_INTEREST, 0, 9000)
+        signed = replace(
+            request, signature=harness.signer.sign(subscriber, encode_signable(request))
+        )
+        deliver(node, subscriber, signed)  # stage 1: verified, relayed to ``dead``
+        assert harness.sent[-1][:2] == (me, dead)
+        # The retries at frames 4, 12 and 28 still go to ``dead``; by the
+        # one at 60 it is silent past the threshold and the walk re-aims.
+        for frame in range(1, 61):
+            for peer in harness.nodes:
+                node.membership.heard_from(peer, frame)
+            node.on_frame(frame, snap(me, frame=frame, x=100.0 * me))
+        interest, _ = node.clients.subscribers_of(target, node.current_frame)
+        assert subscriber in interest
+        assert all(src != dst for src, dst, _ in harness.sent)
+
     def test_target_never_learns_subscribers(self):
         """"the player itself does not know who is interested in him".
 

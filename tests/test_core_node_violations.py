@@ -1,4 +1,4 @@
-"""The thirteen protocol-violation ratings, pinned field for field.
+"""The twelve protocol-violation ratings, pinned field for field.
 
 These are the ratings ``WatchmenNode`` itself files (``CheckKind.RATE``)
 when the *message discipline* is breached, as opposed to the game-state
@@ -54,8 +54,8 @@ def malformed_frame():
     return node, 3, 10.0, Confidence.PROXY, 1.0, "malformed frame"
 
 
-def tampering_hop():
-    harness = Harness(config=hardened())
+def tampering_hop(profile="hardened"):
+    harness = Harness(config=WatchmenConfig(profile=profile))
     harness.tick(0)
     node = harness.nodes[1]
     tampered = replace(harness.signed_state(0, 500), snapshot=snap(0, x=9999.0))
@@ -64,14 +64,8 @@ def tampering_hop():
             "relayed message fails its signature (tampering hop)")
 
 
-def replayed_sequence():
-    harness = Harness()
-    harness.tick(0)
-    node = harness.nodes[1]
-    message = harness.signed_position(0, 640)
-    deliver(node, 0, message)
-    deliver(node, 0, message)
-    return node, 0, 10.0, Confidence.PROXY, 1.0, "replayed sequence 640"
+def tampering_hop_paper():
+    return tampering_hop("paper")
 
 
 def message_flood():
@@ -193,7 +187,7 @@ CASES = [
     malformed_frame,
     invalid_signature,
     tampering_hop,
-    replayed_sequence,
+    tampering_hop_paper,
     message_flood,
     equivocation,
     verified_evidence,

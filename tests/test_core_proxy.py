@@ -89,9 +89,6 @@ class TestQueries:
         assert schedule.epoch_of_frame(0) == 0
         assert schedule.epoch_of_frame(79) == 1
 
-    def test_proxy_at_frame_consistent_with_epoch(self, schedule):
-        assert schedule.proxy_at_frame(3, 45) == schedule.proxy_of(3, 1)
-
     def test_unknown_player_raises(self, schedule):
         with pytest.raises(KeyError):
             schedule.proxy_of(99, 0)

@@ -546,20 +546,17 @@ class TestEvidenceWeighing:
 
 
 class TestBlamePolicies:
-    def test_a_relayed_bad_signature_blames_the_hop_when_hardened(self):
-        log, _ = log_for()
-        assert log.blame_bad_signature(5, src=3, sender=0)[0] == 3
+    def test_a_bad_signature_blames_the_hop_that_handed_it_over(self):
+        log, _ = log_for(hardened=False)  # not a rung's policy
+        assert log.blame_bad_signature(5, src=3, sender=0) == (
+            "relayed message fails its signature (tampering hop)"
+        )
         assert log.suspicion_events == [(5, 3, "tamper_hop")]
         # first hop: nothing was relayed, the named sender made it
-        assert log.blame_bad_signature(6, src=0, sender=0)[0] == 0
-        assert len(log.suspicion_events) == 1
-
-    def test_blame_falls_on_the_named_sender_when_inert(self):
-        log, _ = log_for(hardened=False)
-        assert log.blame_bad_signature(5, src=3, sender=0) == (
-            0, "invalid or missing signature"
+        assert log.blame_bad_signature(6, src=0, sender=0) == (
+            "invalid or missing signature"
         )
-        assert log.suspicion_events == []
+        assert len(log.suspicion_events) == 1
 
     def test_ack_withholding_needs_a_live_destination_and_the_hardened_rung(self):
         log, _ = log_for()

@@ -1,27 +1,21 @@
-"""Unit tests for the session's signer (truncated HMAC) and, beside it, the
-parked Schnorr scheme (``tests/retired/schnorr.py``): both must provide the
-same security semantics behind ``sign`` / ``verify``."""
+"""Unit tests for the session's signer (truncated HMAC): the security
+semantics behind ``sign`` / ``verify``."""
 
 import pytest
 
 from repro.crypto.signatures import HmacKeyRegistry, HmacSigner, SigningError
 
-from tests.retired.schnorr import SchnorrKeyPair, SchnorrSigner
 
-
-@pytest.fixture(params=["schnorr", "hmac"])
-def signer(request):
-    if request.param == "schnorr":
-        signer = SchnorrSigner()
-    else:
-        signer = HmacSigner()
+@pytest.fixture(params=["hmac"])
+def signer():
+    signer = HmacSigner()
     signer.register(1)
     signer.register(2)
     return signer
 
 
 class TestCommonProperties:
-    """Both schemes must provide the same security semantics."""
+    """What any signature scheme behind ``sign`` / ``verify`` must provide."""
 
     def test_sign_verify_roundtrip(self, signer):
         message = b"state update frame 42"
@@ -51,55 +45,8 @@ class TestCommonProperties:
         clipped = replace(signature, data=signature.data[:-1])
         assert not signer.verify(1, b"msg", clipped)
 
-    def test_cross_scheme_rejected(self):
-        schnorr, hmac_signer = SchnorrSigner(), HmacSigner()
-        schnorr.register(1)
-        hmac_signer.register(1)
-        signature = hmac_signer.sign(1, b"msg")
-        assert not schnorr.verify(1, b"msg", signature)
-
     def test_deterministic_signatures(self, signer):
         assert signer.sign(1, b"msg").data == signer.sign(1, b"msg").data
-
-
-class TestSchnorr:
-    def test_keypair_from_seed_deterministic(self):
-        a = SchnorrKeyPair.generate(b"seed")
-        b = SchnorrKeyPair.generate(b"seed")
-        assert a.secret == b.secret
-        assert a.public == b.public
-
-    def test_empty_seed_rejected(self):
-        with pytest.raises(SigningError):
-            SchnorrKeyPair.generate(b"")
-
-    def test_unregistered_player_cannot_sign(self):
-        with pytest.raises(SigningError):
-            SchnorrSigner().sign(9, b"msg")
-
-    def test_unregistered_player_fails_verify(self):
-        signer = SchnorrSigner()
-        signer.register(1)
-        signature = signer.sign(1, b"msg")
-        assert not signer.verify(99, b"msg", signature)
-
-    def test_signature_size_65_bytes(self):
-        signer = SchnorrSigner()
-        signer.register(1)
-        assert len(signer.sign(1, b"msg").data) == 65
-
-    def test_different_messages_different_signatures(self):
-        signer = SchnorrSigner()
-        signer.register(1)
-        assert signer.sign(1, b"a").data != signer.sign(1, b"b").data
-
-    def test_malformed_signature_data(self):
-        from repro.crypto.signatures import Signature
-
-        signer = SchnorrSigner()
-        signer.register(1)
-        junk = Signature(scheme=signer.scheme, signer_id=1, data=b"\x00" * 65)
-        assert not signer.verify(1, b"msg", junk)
 
 
 class TestHmac:

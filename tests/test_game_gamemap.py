@@ -121,10 +121,6 @@ class TestGameMap:
         yard = make_longest_yard()
         assert yard.floor_height(Vec3(2100, 2100, 0)) is None
 
-    def test_nearest_respawn(self, arena):
-        point = arena.respawn_points[0]
-        assert arena.nearest_respawn(point + Vec3(1, 1, 0)) == point
-
     def test_item_positions_filter_by_kind(self):
         yard = make_longest_yard()
         weapons = yard.item_positions(ItemKind.WEAPON)

@@ -186,13 +186,6 @@ class TestEnvelope:
         assert displacement_is_legal(physics, Vec3(0, 0, 0), Vec3(0.5, 0, 0), 0)
         assert not displacement_is_legal(physics, Vec3(0, 0, 0), Vec3(50, 0, 0), 0)
 
-    def test_speed_of(self, physics):
-        speed = physics.speed_of(Vec3(0, 0, 0), Vec3(32, 0, 0), 2)
-        assert speed == pytest.approx(320.0)
-
-    def test_speed_of_zero_frames(self, physics):
-        assert physics.speed_of(Vec3(0, 0, 0), Vec3(32, 0, 0), 0) == 0.0
-
     def test_honest_simulation_is_physics_clean(self, physics, arena):
         """Whatever the stepper produces, the envelope checker accepts."""
         intent = MoveIntent(Vec3(1, 1, 0).normalized(), 320.0, jump=True, yaw=2.0)

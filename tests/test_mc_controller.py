@@ -65,11 +65,6 @@ class TestIntercept:
         ctl.begin_frame(0)
         assert not ctl.intercept(0, 1, PONG)
 
-    def test_local_loopback_is_never_captured(self):
-        ctl, _ = controller()
-        ctl.begin_frame(0)
-        assert not ctl.intercept(2, 2, PING)
-
     def test_controlled_src_filter(self):
         ctl, _ = controller(controlled_src=(0, 1))
         ctl.begin_frame(0)

@@ -48,14 +48,18 @@ class TestDelivery:
         queue.run()
         assert network.delivered == 0
 
-    def test_self_send_is_instant_and_lossless(self):
-        queue, network = make_network(loss=0.99)
+    def test_a_self_send_is_an_ordinary_destination(self):
+        """No link is exempt: a node addressing itself gets the matrix's
+        zero delay and the same loss draw as any other destination."""
+        queue, network = make_network(loss=0.5)
         inbox = []
-        network.register(0, lambda src, frame: inbox.append(frame))
+        network.register(0, lambda src, frame: inbox.append(queue.now))
         for _ in range(50):
             network.send(0, 0, b"self")
         queue.run()
-        assert len(inbox) == 50
+        assert 0 < len(inbox) < 50
+        assert network.lost == 50 - len(inbox)
+        assert set(inbox) == {0.0}
 
     def test_invalid_node_registration_rejected(self):
         _, network = make_network(size=3)

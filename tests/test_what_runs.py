@@ -36,12 +36,7 @@ KEPT = {
 #: Unreached and owed to the rule: each goes with the floor tests that check
 #: only it, a few per PR (ROADMAP item 5).  May only shrink.
 OWED = {
-    "proxy_at_frame": "test_core_proxy::test_proxy_at_frame_consistent_with_epoch",
-    "next_below": "test_crypto_prng::test_next_below_{in_range,bad_bound}",
-    "nearest_respawn": "test_game_gamemap::test_nearest_respawn",
     "invalidate_spatial_index": "test_game_spatial::test_explicit_invalidation_after_in_place_replacement",
-    "speed_of": "test_game_physics::test_speed_of{,_zero_frames}",
-    "percentile_one_way": "test_net_latency::test_percentiles_ordered, TestPercentiles (2)",
     "reset": "test_obs_registry::test_reset_clears_everything",
 }
 
