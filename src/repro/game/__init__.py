@@ -9,8 +9,8 @@ traces.  The public surface:
   :func:`~repro.game.simulator.generate_trace` — trace generation;
 - :class:`~repro.game.trace.GameTrace` — the recorded game;
 - :func:`~repro.game.interest.compute_sets` — IS/VS/Others classification;
-- :mod:`~repro.game.deadreckoning` — guidance prediction and the deviation
-  metric verifiers use.
+- :mod:`~repro.game.deadreckoning` — the guidance prediction verifiers
+  hold positions against.
 """
 
 from repro.game.avatar import AvatarSnapshot, AvatarState

@@ -112,8 +112,8 @@ class GameMap:
                 raise ValueError(f"respawn point {point} outside map bounds")
         # Lazy spatial index over `solids` (see docs/PERFORMANCE.md).  The
         # index is rebuilt automatically when the solids *list object* or
-        # its length changes; replacing an element in place requires an
-        # explicit `invalidate_spatial_index()` call.
+        # its length changes, so solids are swapped by replacing the list,
+        # never by assigning an element in place.
         self._index: SpatialGrid | None = None
         self._index_source: list[Box] | None = None
         # Perf accounting for the LOS fast path (plain ints: no observable
@@ -137,11 +137,6 @@ class GameMap:
             self._index = index
             self._index_source = self.solids
         return index
-
-    def invalidate_spatial_index(self) -> None:
-        """Drop the cached grid (call after mutating a Box in place)."""
-        self._index = None
-        self._index_source = None
 
     # ---- queries ----------------------------------------------------------
 

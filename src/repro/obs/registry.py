@@ -252,13 +252,6 @@ class MetricsRegistry:
             histogram = self._histograms[name] = Histogram(name, bounds)
         return histogram
 
-    # ---- lifecycle ---------------------------------------------------------
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-
     # ---- export ------------------------------------------------------------
 
     def snapshot(self) -> dict[str, object]:

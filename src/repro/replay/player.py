@@ -2,20 +2,22 @@
 
 **Verify** re-runs the protocol from the tape's own inputs — the embedded
 trace, the materialised fault schedule, and the scenario's seeds — through
-the exact construction path the recording used, records the fresh run,
-and compares the two streams frame by frame.  The first divergent frame
-is reported with a structured message-level diff, so a protocol change
-that breaks determinism (or byte compatibility) is localised immediately.
+the exact construction path the recording used, and holds each fresh
+frame against the tape's as soon as the next one begins; a frame that
+agrees is dropped, so verify holds one frame of the fresh stream, never a
+second tape.  The first divergent frame is reported with a structured
+message-level diff, so a protocol change that breaks determinism (or byte
+compatibility) is localised immediately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.wire import WireError, decode_bytes, encode_message
 from repro.replay.recorder import TapeRecorder
-from repro.replay.tape import Tape, TapedMessage
+from repro.replay.tape import DigestChain, Tape, TapedMessage, TapeFrame
 
 __all__ = [
     "Divergence",
@@ -102,86 +104,115 @@ def _message_row(message: TapedMessage) -> dict[str, Any]:
     }
 
 
-def compare_tapes(expected: Tape, actual: Tape) -> VerifyResult:
-    """Frame-by-frame comparison; stops at the first divergence.
+def _frame_divergence(expected: TapeFrame, actual: TapeFrame) -> Divergence | None:
+    """How two frames disagree, or None.  Digests are compared first
+    (cheap); only a mismatching frame pays for a message-level diff."""
+    if expected.digest == actual.digest:
+        return None
+    if len(expected.messages) != len(actual.messages):
+        return Divergence(
+            frame=expected.frame,
+            index=None,
+            kind="count",
+            expected={"messages": len(expected.messages)},
+            actual={"messages": len(actual.messages)},
+        )
+    for index, (msg_expected, msg_actual) in enumerate(
+        zip(expected.messages, actual.messages)
+    ):
+        if msg_expected != msg_actual:
+            return Divergence(
+                frame=expected.frame,
+                index=index,
+                kind="message",
+                expected=_message_row(msg_expected),
+                actual=_message_row(msg_actual),
+            )
+    # Digests differed but no row did: the digest chain itself was
+    # perturbed upstream (a prior frame) — report the frame head-on.
+    return Divergence(
+        frame=expected.frame,
+        index=None,
+        kind="message",
+        expected={"digest": expected.digest},
+        actual={"digest": actual.digest},
+    )
 
-    Digests are compared first (cheap); only the first mismatching frame
-    pays for a message-level diff.
-    """
-    if expected.num_frames != actual.num_frames:
-        return VerifyResult(
-            clean=False,
-            frames=actual.num_frames,
-            messages=actual.num_messages,
-            divergence=Divergence(
-                frame=min(expected.num_frames, actual.num_frames),
+
+class _Comparison:
+    """Sealed frames held against a tape's as they arrive: the one
+    per-frame comparison, fed a whole tape by :func:`compare_tapes` and one
+    fresh frame at a time by :func:`verify_tape`."""
+
+    def __init__(self, expected: Tape) -> None:
+        self._tape = expected
+        self._expected = iter(expected.frames)
+        self._first: Divergence | None = None
+        self.frames = 0
+        self.messages = 0
+
+    def take(self, actual: Iterable[TapeFrame]) -> None:
+        for tape_frame in actual:
+            self.frames += 1
+            self.messages += len(tape_frame.messages)
+            expected = next(self._expected, None)
+            if self._first is None and expected is not None:
+                self._first = _frame_divergence(expected, tape_frame)
+
+    def result(self, sha256: str) -> VerifyResult:
+        """The verdict on a stream whose final digest is ``sha256``: a
+        frame-count mismatch outranks the first divergent frame."""
+        expected, first = self._tape, self._first
+        if expected.num_frames != self.frames:
+            first = Divergence(
+                frame=min(expected.num_frames, self.frames),
                 index=None,
                 kind="frames",
                 expected={"frames": expected.num_frames},
-                actual={"frames": actual.num_frames},
-            ),
-        )
-    for frame_expected, frame_actual in zip(expected.frames, actual.frames):
-        if frame_expected.digest == frame_actual.digest:
-            continue
-        if len(frame_expected.messages) != len(frame_actual.messages):
-            return VerifyResult(
-                clean=False,
-                frames=actual.num_frames,
-                messages=actual.num_messages,
-                divergence=Divergence(
-                    frame=frame_expected.frame,
-                    index=None,
-                    kind="count",
-                    expected={"messages": len(frame_expected.messages)},
-                    actual={"messages": len(frame_actual.messages)},
-                ),
+                actual={"frames": self.frames},
             )
-        for index, (msg_expected, msg_actual) in enumerate(
-            zip(frame_expected.messages, frame_actual.messages)
-        ):
-            if msg_expected != msg_actual:
-                return VerifyResult(
-                    clean=False,
-                    frames=actual.num_frames,
-                    messages=actual.num_messages,
-                    divergence=Divergence(
-                        frame=frame_expected.frame,
-                        index=index,
-                        kind="message",
-                        expected=_message_row(msg_expected),
-                        actual=_message_row(msg_actual),
-                    ),
-                )
-        # Digests differed but no row did: the digest chain itself was
-        # perturbed upstream (a prior frame) — report the frame head-on.
         return VerifyResult(
-            clean=False,
-            frames=actual.num_frames,
-            messages=actual.num_messages,
-            divergence=Divergence(
-                frame=frame_expected.frame,
-                index=None,
-                kind="message",
-                expected={"digest": frame_expected.digest},
-                actual={"digest": frame_actual.digest},
-            ),
+            clean=first is None and expected.sha256 == sha256,
+            frames=self.frames,
+            messages=self.messages,
+            divergence=first,
         )
-    return VerifyResult(
-        clean=expected.sha256 == actual.sha256,
-        frames=actual.num_frames,
-        messages=actual.num_messages,
-    )
+
+
+def compare_tapes(expected: Tape, actual: Tape) -> VerifyResult:
+    """Frame-by-frame comparison; only the first divergence is diffed."""
+    comparison = _Comparison(expected)
+    comparison.take(actual.frames)
+    return comparison.result(actual.sha256)
 
 
 def verify_tape(tape: Tape) -> VerifyResult:
     """Re-simulate from the tape's inputs and diff against its stream."""
     session = tape.scenario.make_session(tape.trace, faults=tape.faults)
     recorder = TapeRecorder(session, tape.scenario, faults=tape.faults)
+    chain = DigestChain()
+    comparison = _Comparison(tape)
+
+    def take_completed() -> None:
+        for tape_frame in recorder.completed_frames():
+            chain.seal(tape_frame)
+            comparison.take((tape_frame,))
+
+    previous = session.on_frame_begin
+
+    def on_frame_begin(frame: int) -> None:
+        # runs once the recorder has opened ``frame``: every earlier frame
+        # is complete
+        take_completed()
+        if previous is not None:
+            previous(frame)
+
+    session.on_frame_begin = on_frame_begin
     recorder.attach()
     session.run()
-    fresh = recorder.finalize()
-    return compare_tapes(tape, fresh)
+    recorder.detach()
+    take_completed()
+    return comparison.result(chain.hexdigest())
 
 
 def diff_tapes(a: Tape, b: Tape) -> VerifyResult:

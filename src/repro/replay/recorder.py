@@ -10,14 +10,18 @@ lets verify mode compare streams byte for byte.
 Recording is two-phase.  During the run the tap only appends
 ``(src, dst, frame, accepted)`` tuples — the very ``bytes`` the transport
 was handed, so a tape row is what crossed the wire and costs one list
-append per datagram.  Digest chaining happens once in :meth:`finalize`,
-after the frame loop has finished; that is how record mode stays within
-its ≤10 % frame-loop overhead budget.
+append per datagram.  Conversion and digest chaining happen after the
+frame loop, in :meth:`TapeRecorder.finalize`; that is how record mode
+stays within its ≤10 % frame-loop overhead budget.  Either way the stream
+is held once: each frame's tuples are released as that frame is converted,
+and :meth:`TapeRecorder.completed_frames` hands frames over while the run
+is still going (verify mode checks each one and drops it).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from collections import deque
+from typing import TYPE_CHECKING, Iterator
 
 from repro.obs.registry import get_registry
 from repro.replay.scenario import TapeScenario
@@ -42,7 +46,7 @@ class TapeRecorder:
         self.session = session
         self.scenario = scenario
         self.faults = faults
-        self._frames: list[tuple[int, list[tuple[int, int, bytes, bool]]]] = []
+        self._frames: deque[tuple[int, list[tuple[int, int, bytes, bool]]]] = deque()
         self._current: list[tuple[int, int, bytes, bool]] = []
         self._attached = False
         self._finalized = False
@@ -85,41 +89,45 @@ class TapeRecorder:
         # so frame-level comparison stays deterministic.
         self._current.append((src, dst, frame, accepted))
 
-    # ---- finalisation ------------------------------------------------------
+    # ---- hand-over ---------------------------------------------------------
+
+    def completed_frames(self) -> Iterator[TapeFrame]:
+        """Every captured frame no send can still join — all but the newest
+        while attached — converted, in order, each frame's tuples released
+        as it is converted."""
+        frames = self._frames
+        for _ in range(len(frames) - (1 if self._attached else 0)):
+            frame_index, raw = frames.popleft()
+            yield TapeFrame(
+                frame=frame_index,
+                messages=[
+                    TapedMessage(
+                        src=src,
+                        dst=dst,
+                        size_bytes=len(frame),
+                        accepted=accepted,
+                        payload=frame,
+                    )
+                    for src, dst, frame, accepted in raw
+                ],
+            )
 
     def finalize(self) -> Tape:
-        """Fingerprint the captured stream."""
+        """Detach and fingerprint the captured stream."""
         if self._finalized:
             raise RuntimeError("recorder already finalized")
         self._finalized = True
         self.detach()
-        frames: list[TapeFrame] = []
-        total_messages = 0
-        total_bytes = 0
-        for frame_index, raw in self._frames:
-            messages = [
-                TapedMessage(
-                    src=src,
-                    dst=dst,
-                    size_bytes=len(frame),
-                    accepted=accepted,
-                    payload=frame,
-                )
-                for src, dst, frame, accepted in raw
-            ]
-            frames.append(TapeFrame(frame=frame_index, messages=messages))
-            total_messages += len(messages)
-            total_bytes += sum(m.size_bytes for m in messages)
         tape = Tape(
             scenario=self.scenario,
             trace=self.session.trace,
-            frames=frames,
+            frames=list(self.completed_frames()),
             faults=self.faults,
         )
         tape.fingerprint()
-        self._ctr_messages.inc(total_messages)
-        self._ctr_bytes.inc(total_bytes)
-        self._gauge_frames.set(len(frames))
+        self._ctr_messages.inc(tape.num_messages)
+        self._ctr_bytes.inc(tape.payload_bytes)
+        self._gauge_frames.set(tape.num_frames)
         return tape
 
 

@@ -31,6 +31,8 @@ message breaks the digest of that frame and every later one, so integrity
 checking reports the *first* corrupted frame.  All JSON is canonical
 (sorted keys, compact separators) and gzip is written with ``mtime=0`` so
 re-recording the same scenario on the same zlib yields identical bytes.
+Both directions stream: :func:`write_tape` and :func:`read_tape` hold one
+row beyond the tape itself (docs/REPLAY.md, "Memory").
 
 File I/O note: this module is the replay subsystem's persistence
 boundary and is explicitly allowlisted for the ``D104`` lint rule (see
@@ -41,12 +43,12 @@ from __future__ import annotations
 
 import base64
 import binascii
-import gzip
 import hashlib
 import json
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, BinaryIO, Iterator
 
 from repro.core.wire import TAG_NAMES
 from repro.faults.schedule import FaultSchedule
@@ -62,6 +64,7 @@ __all__ = [
     "TapedMessage",
     "TapeFrame",
     "Tape",
+    "DigestChain",
     "config_hash",
     "write_tape",
     "read_tape",
@@ -88,9 +91,14 @@ class TapeIntegrityError(TapeError):
         self.frame = frame
 
 
+#: what ``json.dumps(data, sort_keys=True, separators=(",", ":"))`` builds
+#: per call, built once: every message's digest passes through it
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canonical(data: Any) -> bytes:
     """Canonical JSON bytes: the only shape digests are computed over."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _CANONICAL.encode(data).encode("utf-8")
 
 
 def config_hash(scenario: TapeScenario, faults: FaultSchedule | None) -> str:
@@ -140,23 +148,39 @@ class TapeFrame:
     frame: int
     messages: list[TapedMessage] = field(default_factory=list)
     #: cumulative SHA-256 over all frame payloads up to and including
-    #: this one (hex) — filled by :func:`fingerprint_frames`
+    #: this one (hex) — filled by :meth:`DigestChain.seal`
     digest: str = ""
 
     def payload_bytes(self) -> int:
         return sum(m.size_bytes for m in self.messages)
 
 
-def fingerprint_frames(frames: list[TapeFrame]) -> str:
-    """Fill each frame's cumulative digest; returns the final digest."""
-    running = hashlib.sha256()
-    for tape_frame in frames:
+class DigestChain:
+    """The running SHA-256 over a stream of frames: the one statement of
+    the frame-digest rule.  Each message adds its
+    :meth:`TapedMessage.digest_bytes` and a newline, each frame closes with
+    ``frame:<n>``, and a frame's digest is the running state after it —
+    cumulative, so it fingerprints every frame up to and including this one.
+    """
+
+    __slots__ = ("_running",)
+
+    def __init__(self) -> None:
+        self._running = hashlib.sha256()
+
+    def seal(self, tape_frame: TapeFrame) -> str:
+        """Chain ``tape_frame`` in and stamp it with the running digest."""
+        running = self._running
         for message in tape_frame.messages:
             running.update(message.digest_bytes())
             running.update(b"\n")
         running.update(b"frame:%d\n" % tape_frame.frame)
         tape_frame.digest = running.hexdigest()
-    return running.hexdigest()
+        return tape_frame.digest
+
+    def hexdigest(self) -> str:
+        """The digest of everything chained so far (the tape's fingerprint)."""
+        return self._running.hexdigest()
 
 
 @dataclass(slots=True)
@@ -173,7 +197,10 @@ class Tape:
 
     def fingerprint(self) -> str:
         """(Re)compute all frame digests and the final fingerprint."""
-        self.sha256 = fingerprint_frames(self.frames)
+        chain = DigestChain()
+        for tape_frame in self.frames:
+            chain.seal(tape_frame)
+        self.sha256 = chain.hexdigest()
         return self.sha256
 
     @property
@@ -215,59 +242,123 @@ def _header_row(tape: Tape) -> dict[str, Any]:
     }
 
 
+def _armour(armoured: dict[bytes, str], payload: bytes) -> str:
+    """``payload`` in base64 for the JSONL container, encoded once per
+    distinct payload in ``armoured`` (a fan-out hands every destination the
+    same frame)."""
+    text = armoured.get(payload)
+    if text is None:
+        text = armoured[payload] = base64.b64encode(payload).decode("ascii")
+    return text
+
+
 def write_tape(tape: Tape, path: str | Path) -> Path:
-    """Serialize (recomputing fingerprints) to gzip JSONL at ``path``."""
-    tape.fingerprint()
-    lines: list[bytes] = [_canonical(_header_row(tape))]
-    lines.extend(_canonical({"kind": "trace", "row": row})
-                 for row in tape.trace.to_json_rows())
-    for tape_frame in tape.frames:
-        lines.append(_canonical({
-            "kind": "frame",
-            "frame": tape_frame.frame,
-            "digest": tape_frame.digest,
-            "messages": [
-                [
-                    m.src,
-                    m.dst,
-                    m.size_bytes,
-                    int(m.accepted),
-                    base64.b64encode(m.payload).decode("ascii"),
-                ]
-                for m in tape_frame.messages
-            ],
-        }))
-    lines.append(_canonical({
-        "kind": "end",
-        "frames": tape.num_frames,
-        "messages": tape.num_messages,
-        "payload_bytes": tape.payload_bytes,
-        "sha256": tape.sha256,
-    }))
-    body = b"\n".join(lines) + b"\n"
+    """Serialize to gzip JSONL at ``path`` row by row, recomputing the
+    fingerprints as the frames go by: one row is held at a time."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # mtime=0 keeps the gzip container deterministic across runs.
-    path.write_bytes(gzip.compress(body, compresslevel=9, mtime=0))
+    chain = DigestChain()
+    # wbits=31: zlib writes the gzip header (mtime 0) and trailer itself,
+    # and deflate's output does not depend on how its input is chunked, so
+    # re-recording the same scenario on the same zlib yields identical bytes.
+    deflate = zlib.compressobj(9, zlib.DEFLATED, 31)
+    with path.open("wb") as out:
+
+        def emit(row: dict[str, Any]) -> None:
+            out.write(deflate.compress(_canonical(row)))
+            out.write(deflate.compress(b"\n"))
+
+        emit(_header_row(tape))
+        for row in tape.trace.to_json_rows():
+            emit({"kind": "trace", "row": row})
+        for tape_frame in tape.frames:
+            armoured: dict[bytes, str] = {}
+            emit({
+                "kind": "frame",
+                "frame": tape_frame.frame,
+                "digest": chain.seal(tape_frame),
+                "messages": [
+                    [
+                        m.src,
+                        m.dst,
+                        m.size_bytes,
+                        int(m.accepted),
+                        _armour(armoured, m.payload),
+                    ]
+                    for m in tape_frame.messages
+                ],
+            })
+        tape.sha256 = chain.hexdigest()
+        emit({
+            "kind": "end",
+            "frames": tape.num_frames,
+            "messages": tape.num_messages,
+            "payload_bytes": tape.payload_bytes,
+            "sha256": tape.sha256,
+        })
+        out.write(deflate.flush())
     return path
 
 
-def _iter_rows(path: Path) -> Iterator[dict[str, Any]]:
-    try:
-        raw = path.read_bytes()
-    except OSError as error:
-        # Unreadable path: an invocation problem, not a corrupt recording.
-        raise TapeFormatError(f"{path}: cannot read tape: {error}") from error
-    try:
-        body = gzip.decompress(raw)
-    except (OSError, EOFError, gzip.BadGzipFile) as error:
-        raise TapeIntegrityError(f"{path}: not a readable tape: {error}") from error
-    for lineno, line in enumerate(body.splitlines(), start=1):
+#: compressed bytes read per inflate step
+_READ_CHUNK = 1 << 16
+
+
+class _Inflater:
+    """One gzip member, inflated chunk by chunk and split into lines.
+
+    zlib parses the header and checks the CRC-32 and the length itself
+    (``wbits=31``).  Every fault of the container — a bad header or deflate
+    block, a failed check, a stream that ends early, bytes after it — is a
+    :class:`TapeIntegrityError`.
+    """
+
+    def __init__(self, path: Path, handle: BinaryIO) -> None:
+        self._path = path
+        self._handle = handle
+        self._stream = zlib.decompressobj(wbits=31)
+
+    def _chunks(self) -> Iterator[bytes]:
+        stream = self._stream
+        while not stream.eof:
+            raw = self._handle.read(_READ_CHUNK)
+            if not raw:
+                raise TapeIntegrityError(
+                    f"{self._path}: truncated tape (the gzip stream ends early)"
+                )
+            try:
+                data = stream.decompress(raw)
+            except zlib.error as error:
+                raise TapeIntegrityError(
+                    f"{self._path}: not a readable tape: {error}"
+                ) from error
+            yield data
+        if stream.unused_data or self._handle.read(1):
+            raise TapeIntegrityError(
+                f"{self._path}: not a readable tape: bytes after the gzip stream"
+            )
+
+    def lines(self) -> Iterator[bytes]:
+        tail = b""
+        for chunk in self._chunks():
+            *complete, tail = (tail + chunk).split(b"\n")
+            yield from complete
+        if tail:
+            yield tail
+
+    def drain(self) -> None:
+        """Inflate whatever is left unread, checking the container."""
+        for _ in self._chunks():
+            pass
+
+
+def _iter_rows(path: Path, lines: Iterator[bytes]) -> Iterator[dict[str, Any]]:
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as error:
+        except ValueError as error:  # JSONDecodeError, or bytes that are not UTF-8
             raise TapeIntegrityError(
                 f"{path}: line {lineno} is not valid JSON: {error}"
             ) from error
@@ -291,101 +382,112 @@ def _check_header(path: Path, row: dict[str, Any]) -> None:
         )
 
 
-def read_tape(path: str | Path) -> Tape:
-    """Load a tape, recomputing every fingerprint.
+def _read_frame(path: Path, row: dict[str, Any], chain: DigestChain) -> TapeFrame:
+    """One frame row, chained and checked against its stored digest.
 
-    Raises :class:`TapeFormatError` for version/format problems and
-    :class:`TapeIntegrityError` (carrying the first bad frame) when the
-    stored digests do not match the content.
+    Messages that carry the same armoured payload share one ``bytes``.
     """
-    path = Path(path)
-    header: dict[str, Any] | None = None
-    trace_rows: list[dict[str, Any]] = []
-    frames: list[TapeFrame] = []
-    stored_digests: list[str] = []
-    footer: dict[str, Any] | None = None
-    for row in _iter_rows(path):
-        if header is None:
-            _check_header(path, row)
-            header = row
-            continue
-        kind = row["kind"]
-        if kind == "trace":
-            trace_rows.append(row["row"])
-        elif kind == "frame":
-            try:
-                messages = [
-                    TapedMessage(
-                        src=entry[0],
-                        dst=entry[1],
-                        size_bytes=entry[2],
-                        accepted=bool(entry[3]),
-                        payload=base64.b64decode(
-                            entry[4].encode("ascii"), validate=True
-                        ),
-                    )
-                    for entry in row["messages"]
-                ]
-                frames.append(TapeFrame(frame=row["frame"], messages=messages))
-                stored_digests.append(row["digest"])
-            except (
-                KeyError,
-                IndexError,
-                TypeError,
-                AttributeError,
-                UnicodeEncodeError,
-                binascii.Error,
-            ) as error:
-                raise TapeFormatError(
-                    f"{path}: malformed frame row: {error}"
-                ) from error
-        elif kind == "end":
-            footer = row
-        else:
-            raise TapeFormatError(f"{path}: unknown row kind {kind!r}")
+    payloads: dict[str, bytes] = {}
+    try:
+        messages = []
+        for entry in row["messages"]:
+            payload = payloads.get(entry[4])
+            if payload is None:
+                payload = payloads[entry[4]] = base64.b64decode(
+                    entry[4].encode("ascii"), validate=True
+                )
+            messages.append(TapedMessage(
+                src=entry[0],
+                dst=entry[1],
+                size_bytes=entry[2],
+                accepted=bool(entry[3]),
+                payload=payload,
+            ))
+        tape_frame = TapeFrame(frame=row["frame"], messages=messages)
+        stored = row["digest"]
+        digest = chain.seal(tape_frame)
+    except (
+        KeyError,
+        IndexError,
+        TypeError,
+        AttributeError,
+        UnicodeEncodeError,
+        binascii.Error,
+    ) as error:
+        raise TapeFormatError(f"{path}: malformed frame row: {error}") from error
+    if digest != stored:
+        raise TapeIntegrityError(
+            f"{path}: frame {tape_frame.frame} digest mismatch "
+            f"(stored {str(stored)[:12]}…, recomputed {digest[:12]}…)",
+            frame=tape_frame.frame,
+        )
+    return tape_frame
+
+
+def _read_rows(path: Path, rows: Iterator[dict[str, Any]]) -> Tape:
+    """The rows in the order the writer emits them: header, trace, frames,
+    footer.  Each row is checked as it arrives and only the frames are kept."""
+    header = next(rows, None)
     if header is None:
         raise TapeFormatError(f"{path}: empty tape")
-    if footer is None:
-        raise TapeIntegrityError(f"{path}: truncated tape (no footer)")
-
+    _check_header(path, header)
     try:
         scenario = TapeScenario.from_json(header["scenario"])
-    except (KeyError, TypeError, ValueError) as error:
+        faults = (
+            FaultSchedule.from_json(header["faults"])
+            if header.get("faults") is not None
+            else None
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as error:
         raise TapeFormatError(f"{path}: bad scenario in header: {error}") from error
-    faults = (
-        FaultSchedule.from_json(header["faults"])
-        if header.get("faults") is not None
-        else None
-    )
+    expected_hash = header.get("config_hash")
+    content_hash = config_hash(scenario, faults)
+    if expected_hash != content_hash:
+        raise TapeIntegrityError(
+            f"{path}: config_hash mismatch — header says "
+            f"{str(expected_hash)[:12]}…, content hashes to "
+            f"{content_hash[:12]}…"
+        )
+
+    row = next(rows, None)
+
+    def trace_rows() -> Iterator[dict[str, Any]]:
+        # hands the trace its rows as they are read; stops on the first
+        # row of another kind, which is left in ``row``
+        nonlocal row
+        while row is not None and row["kind"] == "trace":
+            yield row["row"]
+            row = next(rows, None)
+
     try:
-        trace = GameTrace.from_json_rows(trace_rows)
-    except (ValueError, KeyError, TypeError) as error:
+        trace = GameTrace.from_json_rows(trace_rows())
+    except TapeError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as error:
         raise TapeFormatError(f"{path}: bad embedded trace: {error!r}") from error
+
+    chain = DigestChain()
+    frames: list[TapeFrame] = []
+    while row is not None and row["kind"] == "frame":
+        frames.append(_read_frame(path, row, chain))
+        row = next(rows, None)
+    if row is None:
+        raise TapeIntegrityError(f"{path}: truncated tape (no footer)")
+    if row["kind"] != "end":
+        raise TapeFormatError(f"{path}: unknown or misplaced row kind {row['kind']!r}")
+    footer = row
+    # reading on past the footer is what runs the container's end checks
+    if next(rows, None) is not None:
+        raise TapeFormatError(f"{path}: rows after the footer")
 
     tape = Tape(
         scenario=scenario,
         trace=trace,
         frames=frames,
         faults=faults,
+        sha256=chain.hexdigest(),
         version=header["version"],
     )
-    tape.fingerprint()
-
-    expected_hash = header.get("config_hash")
-    if expected_hash != tape.config_hash():
-        raise TapeIntegrityError(
-            f"{path}: config_hash mismatch — header says "
-            f"{str(expected_hash)[:12]}…, content hashes to "
-            f"{tape.config_hash()[:12]}…"
-        )
-    for tape_frame, stored in zip(frames, stored_digests):
-        if tape_frame.digest != stored:
-            raise TapeIntegrityError(
-                f"{path}: frame {tape_frame.frame} digest mismatch "
-                f"(stored {stored[:12]}…, recomputed "
-                f"{tape_frame.digest[:12]}…)",
-                frame=tape_frame.frame,
-            )
     if footer.get("sha256") != tape.sha256:
         raise TapeIntegrityError(
             f"{path}: footer fingerprint mismatch (stored "
@@ -398,3 +500,27 @@ def read_tape(path: str | Path) -> Tape:
             f"tape carries {tape.num_frames}"
         )
     return tape
+
+
+def read_tape(path: str | Path) -> Tape:
+    """Load a tape row by row, recomputing every fingerprint as it goes.
+
+    Raises :class:`TapeFormatError` for version/format problems and
+    :class:`TapeIntegrityError` (carrying the first bad frame) when the
+    stored digests do not match the content or the gzip container is
+    damaged.  A damaged container outranks whatever it garbled: a row that
+    fails to parse is reported only once the rest has inflated cleanly.
+    """
+    path = Path(path)
+    try:
+        handle = path.open("rb")
+    except OSError as error:
+        # Unreadable path: an invocation problem, not a corrupt recording.
+        raise TapeFormatError(f"{path}: cannot read tape: {error}") from error
+    with handle:
+        inflater = _Inflater(path, handle)
+        try:
+            return _read_rows(path, _iter_rows(path, inflater.lines()))
+        except TapeFormatError:
+            inflater.drain()
+            raise

@@ -18,8 +18,6 @@ reference                                   gates
 ``compute_sets_reference``                  ``compute_sets`` / ``compute_all_sets``
 ``_in_vision_cone_reference``               ``ObserverFrame.in_vision_cone`` / ``cone_contains``
 ``_attention_score_reference``              ``ObserverFrame.attention_scores`` / ``attention_rank``
-``simulate_guidance_reference``             ``simulate_guidance``
-``trajectory_deviation_area_reference``     ``trajectory_deviation_area``
 ``_visible_enemies_reference``              ``BotController._visible_enemies``
 ``floor_height_naive``                      ``GameMap.floor_height`` / ``floor_height_xy``
 ``line_of_sight_naive``                     ``GameMap.line_of_sight``
@@ -33,10 +31,8 @@ from __future__ import annotations
 
 import math
 
-from repro.core.config import FRAME_SECONDS
 from repro.game.avatar import AvatarSnapshot
 from repro.game.bots import ENGAGE_RANGE, BotController
-from repro.game.deadreckoning import GuidancePrediction
 from repro.game.gamemap import Box, GameMap, eye_position
 from repro.game.interest import InteractionRecency, InterestConfig, InterestSets
 from repro.game.physics import Physics
@@ -46,8 +42,6 @@ __all__ = [
     "compute_sets_reference",
     "_in_vision_cone_reference",
     "_attention_score_reference",
-    "simulate_guidance_reference",
-    "trajectory_deviation_area_reference",
     "_visible_enemies_reference",
     "floor_height_naive",
     "line_of_sight_naive",
@@ -146,39 +140,6 @@ def _attention_score_reference(
             observer.player_id, target.player_id, frame, config.recency_halflife_frames
         )
     return proximity + aim + recent
-
-
-# ---- game/deadreckoning.py ---------------------------------------------------
-
-
-def simulate_guidance_reference(
-    prediction: GuidancePrediction,
-    start_frame: int,
-    end_frame: int,
-    frame_seconds: float = FRAME_SECONDS,
-) -> list[Vec3]:
-    """The retained naive implementation — the kernel's exactness gate."""
-    if end_frame < start_frame:
-        raise ValueError("end_frame before start_frame")
-    return [
-        prediction.position_at(frame, frame_seconds)
-        for frame in range(start_frame, end_frame + 1)
-    ]
-
-
-def trajectory_deviation_area_reference(
-    predicted: list[Vec3], actual: list[Vec3], frame_seconds: float = FRAME_SECONDS
-) -> float:
-    """The retained naive implementation — the kernel's exactness gate."""
-    if len(predicted) != len(actual):
-        raise ValueError("trajectories must cover the same frames")
-    if len(predicted) < 2:
-        return 0.0
-    gaps = [p.distance_to(a) for p, a in zip(predicted, actual)]
-    area = 0.0
-    for left, right in zip(gaps, gaps[1:]):
-        area += 0.5 * (left + right) * frame_seconds
-    return area
 
 
 # ---- game/bots.py ------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Exactness gates for the batched frame kernels.
 
 Every fast path introduced for paper-scale throughput — the physics batch
-step, the flat dead-reckoning kernels, batched attention scoring, and the
-bot perception loop — retains its naive implementation verbatim
+step, batched attention scoring, and the bot perception loop — retains its naive implementation verbatim
 (``tests/reference/game.py``), and the
 properties here assert the two produce *bit-identical* results (floats
 compared by their IEEE-754 bit patterns, not tolerances).  This is the
@@ -25,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.game.avatar import AvatarSnapshot
 from repro.game.bots import BotController
-from repro.game.deadreckoning import GuidancePrediction
 from repro.game.gamemap import make_corridors, make_longest_yard
 from repro.game.interest import (
     InteractionRecency,
@@ -37,13 +35,10 @@ from repro.game.simulator import generate_trace
 from repro.game.vector import Vec3
 
 from tests.arena import make_arena
-from tests.retired.deadreckoning import simulate_guidance, trajectory_deviation_area
 from tests.reference.game import (
     _attention_score_reference,
     _in_vision_cone_reference,
     _visible_enemies_reference,
-    simulate_guidance_reference,
-    trajectory_deviation_area_reference,
 )
 
 MAPS = {
@@ -148,58 +143,6 @@ class TestPhysicsBatch:
         assert game_map.floor_height_xy(x, y) == game_map.floor_height(
             Vec3(x, y, 0.0)
         )
-
-
-_predictions = st.builds(
-    GuidancePrediction,
-    frame=st.integers(0, 500),
-    origin=vec(coords),
-    velocity=vec(speeds),
-    yaw=yaws,
-    horizon_frames=st.integers(1, 40),
-)
-
-
-class TestDeadReckoningKernels:
-    @given(
-        prediction=_predictions,
-        start=st.integers(0, 600),
-        span=st.integers(0, 80),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_simulate_guidance_matches_reference_bitwise(
-        self, prediction, start, span
-    ):
-        fast = simulate_guidance(prediction, start, start + span)
-        reference = simulate_guidance_reference(prediction, start, start + span)
-        assert len(fast) == len(reference)
-        for a, b in zip(fast, reference):
-            assert bits(a.x) == bits(b.x)
-            assert bits(a.y) == bits(b.y)
-            assert bits(a.z) == bits(b.z)
-
-    def test_simulate_guidance_rejects_reversed_range(self):
-        prediction = GuidancePrediction(0, Vec3(), Vec3(), 0.0, 10)
-        with pytest.raises(ValueError):
-            simulate_guidance(prediction, 10, 5)
-
-    @given(
-        pairs=st.lists(st.tuples(vec(coords), vec(coords)), max_size=40),
-        frame_seconds=st.floats(0.01, 0.2),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_deviation_area_matches_reference_bitwise(self, pairs, frame_seconds):
-        predicted = [p for p, _ in pairs]
-        actual = [a for _, a in pairs]
-        assert bits(
-            trajectory_deviation_area(predicted, actual, frame_seconds)
-        ) == bits(
-            trajectory_deviation_area_reference(predicted, actual, frame_seconds)
-        )
-
-    def test_deviation_area_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            trajectory_deviation_area([Vec3()], [Vec3(), Vec3()])
 
 
 def _roster(seed: int, count: int) -> dict[int, AvatarSnapshot]:

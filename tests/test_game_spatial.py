@@ -198,26 +198,6 @@ class TestIndexInvalidation:
         assert rebuilt is not first
         assert rebuilt.num_boxes == len(game_map.solids)
 
-    def test_explicit_invalidation_after_in_place_replacement(self):
-        game_map = make_longest_yard()
-        stale = game_map.spatial_index
-        # Same list object, same length: the lazy check cannot see this.
-        game_map.solids[0] = Box(
-            Vec3(-50.0, -50.0, -50.0), Vec3(50.0, 50.0, 50.0), name="swapped"
-        )
-        assert game_map.spatial_index is stale
-        game_map.invalidate_spatial_index()
-        fresh = game_map.spatial_index
-        assert fresh is not stale
-        # After invalidation the fast path agrees with naive again.
-        rng = Random(29)
-        for _ in range(100):
-            a = Vec3(rng.uniform(-2200, 2200), rng.uniform(-2200, 2200),
-                     rng.uniform(-400, 700))
-            b = Vec3(rng.uniform(-2200, 2200), rng.uniform(-2200, 2200),
-                     rng.uniform(-400, 700))
-            assert game_map.line_of_sight(a, b) == line_of_sight_naive(game_map, a, b)
-
 
 class TestPerfCounters:
     def test_los_counters_track_queries_and_tests(self):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gzip
+import json
+import zlib
 
 import pytest
 
@@ -72,6 +74,29 @@ class TestVerify:
         assert report.is_file()
         text = report.read_text()
         assert '"clean": false' in text and '"clean": true' in text
+
+    def test_a_broken_deflate_stream_fails_and_the_rest_still_verify(
+        self, tape_path, tmp_path, capsys
+    ):
+        data = tape_path.read_bytes()
+        for position in range(10, len(data) - 8):  # first flip zlib rejects
+            broken = bytearray(data)
+            broken[position] ^= 0x80
+            try:
+                zlib.decompress(bytes(broken), wbits=31)
+            except zlib.error:
+                break
+        bad = tmp_path / "broken.tape"
+        bad.write_bytes(bytes(broken))
+        report = tmp_path / "divergence.json"
+        code = main([
+            "tape", "verify", str(bad), str(tape_path),
+            "--diff-out", str(report),
+        ])
+        assert code == 1
+        assert "not a readable tape" in capsys.readouterr().err
+        results = json.loads(report.read_text())["results"]
+        assert [r["clean"] for r in results] == [False, True]
 
     def test_missing_tape_exits_two(self, tmp_path):
         assert main(["tape", "verify", str(tmp_path / "missing.tape")]) == 2

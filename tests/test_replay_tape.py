@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import gzip
 import json
+import random
+import tracemalloc
+import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +25,7 @@ from repro.replay import (
     TapeFormatError,
     TapeFrame,
     TapeIntegrityError,
+    TapeRecorder,
     TapeScenario,
     compare_tapes,
     read_tape,
@@ -157,6 +163,77 @@ class TestRecordedTape:
         assert result.divergence is None
 
 
+# ---- streaming: one frame held beyond what is returned ---------------------
+
+def _write_peak(tape, path):
+    """Bytes ``write_tape`` allocates above what it was handed, at its peak."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_tape(tape, path)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _live_tape_frames():
+    return sum(isinstance(o, TapeFrame) for o in gc.get_objects())
+
+
+class TestStreaming:
+    def test_write_peak_is_flat_in_match_length(self, small_tape, tmp_path):
+        longer = record_session(TapeScenario(players=6, frames=200, seed=5))
+        assert longer.num_messages > 1.8 * small_tape.num_messages
+        short_peak = _write_peak(small_tape, tmp_path / "n.tape")
+        long_peak = _write_peak(longer, tmp_path / "2n.tape")
+        # holding every row until the end would double it
+        assert long_peak <= 1.25 * short_peak
+
+    def test_read_shares_one_payload_per_distinct_payload_per_frame(
+        self, small_tape_path
+    ):
+        loaded = read_tape(small_tape_path)
+        objects = 0
+        for tape_frame in loaded.frames:
+            shared: dict[bytes, bytes] = {}
+            for message in tape_frame.messages:
+                assert shared.setdefault(message.payload, message.payload) is (
+                    message.payload
+                )
+            objects += len(shared)
+        assert objects < loaded.num_messages / 2  # fan-outs do share
+
+    def test_a_clean_verify_builds_no_second_tape(self, small_tape, monkeypatch):
+        """Verify drops each fresh frame once held against the tape's: it
+        builds no ``Tape``, never finalizes its recorder, and at every frame
+        boundary no fresh ``TapeFrame`` is alive."""
+        built = []
+        init = Tape.__init__
+        monkeypatch.setattr(
+            Tape, "__init__",
+            lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs),
+        )
+        monkeypatch.setattr(
+            TapeRecorder, "finalize",
+            lambda self: pytest.fail("verify finalized a recording"),
+        )
+        hand_over = TapeRecorder.completed_frames
+        calls = []
+        alive = []
+
+        def counted(self):
+            calls.append(1)
+            if len(calls) % 25 == 0:
+                alive.append(_live_tape_frames())
+            return hand_over(self)
+
+        monkeypatch.setattr(TapeRecorder, "completed_frames", counted)
+        before = _live_tape_frames()
+        assert verify_tape(small_tape).clean
+        assert not built
+        assert len(alive) >= 3 and max(alive) <= before
+
+
 # ---- rejection paths -------------------------------------------------------
 
 def _rows(path):
@@ -229,6 +306,48 @@ class TestRejection:
             read_tape(path)
 
 
+class TestCorruptContainer:
+    """A damaged gzip container fails closed with ``TapeIntegrityError``,
+    even where the bytes it garbles would also fail to parse."""
+
+    NORMAL = Path(__file__).parent / "tapes" / "normal.tape"
+
+    def test_bit_flips_in_the_deflate_data_and_truncations(self, tmp_path):
+        data = self.NORMAL.read_bytes()
+        rng = random.Random(29)
+        cases = []
+        for _ in range(300):
+            flipped = bytearray(data)
+            flipped[rng.randrange(10, len(data) - 8)] ^= 1 << rng.randrange(8)
+            cases.append(bytes(flipped))
+        cases += [data[:cut] for cut in (0, 5, 10, len(data) // 2, len(data) - 1)]
+        path = tmp_path / "corrupt.tape"
+        for case in cases:
+            path.write_bytes(case)
+            with pytest.raises(TapeIntegrityError):
+                read_tape(path)
+
+    def test_bytes_after_the_gzip_stream_are_rejected(self, tmp_path):
+        path = tmp_path / "extended.tape"
+        path.write_bytes(self.NORMAL.read_bytes() + b"\0")
+        with pytest.raises(TapeIntegrityError, match="after the gzip stream"):
+            read_tape(path)
+
+    def test_a_parse_error_waits_for_the_container_check(self, tmp_path):
+        rows = gzip.decompress(self.NORMAL.read_bytes()).splitlines()
+        rows[1] = b'{"no":"kind"}'  # a format error on its own ...
+        body = b"\n".join(rows) + b"\n"
+        path = tmp_path / "bad.tape"
+        path.write_bytes(zlib.compress(body, 9, wbits=31))
+        with pytest.raises(TapeFormatError, match="no 'kind' tag"):
+            read_tape(path)
+        damaged = bytearray(path.read_bytes())
+        damaged[-5] ^= 0x01  # ... and the stored length now disagrees
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(TapeIntegrityError, match="not a readable tape"):
+            read_tape(path)
+
+
 # ---- divergence reporting --------------------------------------------------
 
 class TestDivergence:
@@ -251,6 +370,43 @@ class TestDivergence:
         assert not result.clean
         assert result.divergence is not None
         assert result.divergence.frame == kill_frames[0]
+
+    @pytest.mark.parametrize("mutation", ["frames", "count", "message", "digest"])
+    def test_streaming_verify_reports_what_a_full_comparison_does(
+        self, small_tape, mutation
+    ):
+        """Verify holds one fresh frame at a time; its verdict is the one a
+        complete re-recording compared after the run would give."""
+        tape = read_tape_copy(small_tape)
+        victim = next(f for f in tape.frames if f.frame > 30 and len(f.messages) >= 2)
+        if mutation == "frames":
+            tape.frames = tape.frames[:-5]
+        elif mutation == "count":
+            del victim.messages[0]
+        elif mutation == "message":
+            message = victim.messages[1]
+            victim.messages[1] = TapedMessage(
+                message.src, message.dst, message.size_bytes + 7,
+                message.accepted, message.payload,
+            )
+        if mutation == "digest":
+            victim.digest = "0" * 64
+        else:
+            tape.fingerprint()
+        result = verify_tape(tape)
+        assert not result.clean
+        assert result == compare_tapes(tape, small_tape)
+
+    def test_streaming_verify_of_a_changed_protocol(self, small_tape, monkeypatch):
+        original = WatchmenNode.claim_kill
+
+        def skewed(self, frame, victim_id, weapon, distance):
+            return original(self, frame, victim_id, weapon, distance + 1.0)
+
+        monkeypatch.setattr(WatchmenNode, "claim_kill", skewed)
+        result = verify_tape(small_tape)
+        assert result.divergence.kind == "message"
+        assert result == compare_tapes(small_tape, record_session(SMALL))
 
     def test_message_diff_is_structured(self, small_tape):
         mutated = read_tape_copy(small_tape)
@@ -285,12 +441,12 @@ class TestDivergence:
 
 
 def read_tape_copy(tape: Tape) -> Tape:
-    """A deep, independent copy via the serialisation path."""
+    """An independent copy of the frames and their digests."""
     return Tape(
         scenario=tape.scenario,
         trace=tape.trace,
         frames=[
-            TapeFrame(frame=f.frame, messages=list(f.messages))
+            TapeFrame(frame=f.frame, messages=list(f.messages), digest=f.digest)
             for f in tape.frames
         ],
         faults=tape.faults,
