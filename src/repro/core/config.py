@@ -309,16 +309,15 @@ GE_LOSS_BAD: Final[float] = 0.3
 
 
 #: The robustness ladder, lowest rung first (docs/ROBUSTNESS.md).
-#: ``"paper"``: the protocol as published.  ``"resilient"`` adds graceful
-#: degradation under crashes and loss: failover to the next verifiable
-#: candidate proxy, and ack/retry for the critical low-rate messages (state
-#: updates stay fire-and-forget).  ``"hardened"`` adds the Byzantine tier:
-#: equivocation cross-check and signed evidence, per-hop rate limiting with
-#: bounded quarantine, starvation and ack-withholding suspicion.  A mechanism
-#: is on from its rung upward, so ``PROFILES.index(config.profile)``
-#: compares.  Signature blame (the delivering hop) and silent repeat
-#: screening are no rung's: they hold on every one.
-PROFILES: Final[tuple[str, ...]] = ("paper", "resilient", "hardened")
+#: ``"paper"``: the protocol as published.  ``"hardened"`` adds graceful
+#: degradation under crashes and loss — failover to the next verifiable
+#: candidate proxy, ack/retry for the critical low-rate messages (state
+#: updates stay fire-and-forget) — and the Byzantine tier: equivocation
+#: cross-check and signed evidence, per-hop rate limiting with bounded
+#: quarantine, starvation and ack-withholding suspicion.  Signature blame
+#: (the delivering hop) and silent repeat screening are no rung's: they
+#: hold on both.
+PROFILES: Final[tuple[str, ...]] = ("paper", "hardened")
 
 
 def _default_interest() -> "InterestConfig":
@@ -353,8 +352,7 @@ class WatchmenConfig:
     action_repetition: bool = False
     # -- robustness ladder (repro.faults; docs/ROBUSTNESS.md) ----------------
     #: One of :data:`PROFILES`.  The default rung is the paper's protocol,
-    #: so fault-free runs stay bit-identical to it; each later rung keeps
-    #: everything the one before it switched on.
+    #: so fault-free runs stay bit-identical to it.
     profile: str = "paper"
     #: The model checker shrinks the two silence thresholds (together with
     #: ``proxy_period_frames``) so failover and eviction rounds fit inside

@@ -2,8 +2,8 @@
 
 The witness role beyond the game-state checks (docs/PROTOCOL.md §10): the
 detection record — equivocations, quarantines, circumstantial suspicions —
-and the blame policies; the node rates, convicts and broadcasts.  Below
-the ``hardened`` rung it is inert: scans yield nothing, evidence is
+and the blame policies; the node rates, convicts and broadcasts.  On
+the ``paper`` rung it is inert: scans yield nothing, evidence is
 ignored, an unanswered retry ladder suspects no one.  Signature blame is
 not a rung's policy: on every rung it falls on the hop that handed the
 frame over.

@@ -169,7 +169,7 @@ class HandoffMessage:
 class AckMessage:
     """Hop-by-hop receipt for a critical low-rate message.
 
-    The reliable-delivery layer (the ``resilient`` rung and up)
+    The reliable-delivery layer (the ``hardened`` rung)
     retransmits an ackable message with capped exponential backoff until
     the receiving hop acks ``(acked_sender_id, acked_sequence)``.  State
     updates stay fire-and-forget per the paper; only the messages in

@@ -36,7 +36,6 @@ from repro.core.config import (
     FRAME_SECONDS,
     MAX_FAILOVER_ATTEMPTS,
     MAX_RATING,
-    PROFILES,
     WatchmenConfig,
 )
 from repro.core.delivery import (
@@ -276,11 +275,10 @@ class WatchmenNode:
         self._deferred_claims: list[tuple[int, KillClaim, float]] = []
 
         # -- the profile rung, resolved here: every mechanism and role below
-        # -- is built inert beneath its rung, so no call site carries a fork --
-        rung = PROFILES.index(config.profile)
-        resilient, hardened = rung >= 1, rung >= 2
+        # -- is built inert on the paper rung, so no call site carries a fork --
+        hardened = config.profile == "hardened"
         #: ack/retry for the critical low-rate messages
-        self._acks = AckLedger(ACKABLE_TYPES if resilient else ())
+        self._acks = AckLedger(ACKABLE_TYPES if hardened else ())
         #: repeat screening, always on; the hardened tier also archives the
         #: first-seen StateUpdate buffers for the equivocation cross-check
         self._window = SequenceWindow(archived=(StateUpdate,) if hardened else ())
@@ -292,7 +290,7 @@ class WatchmenNode:
             player_id,
             schedule,
             self.membership,
-            depth=MAX_FAILOVER_ATTEMPTS if resilient else 0,
+            depth=MAX_FAILOVER_ATTEMPTS if hardened else 0,
             silence_frames=config.proxy_silence_threshold_frames,
         )
         self.clients = ClientBook(player_id, config.subscription_retention_frames)
@@ -775,7 +773,7 @@ class WatchmenNode:
 
     # repro-mc: commutes[membership] -- convictions are idempotent per subject
     def _on_misbehavior_evidence(self, evidence: MisbehaviorEvidence) -> None:
-        verdict = self.evidence.weigh(evidence)  # ignored below the hardened rung
+        verdict = self.evidence.weigh(evidence)  # ignored on the paper rung
         if verdict is VALID:
             self._convict_on_evidence(evidence)
         elif verdict is FORGED:

@@ -249,7 +249,6 @@ class WatchmenSession:
                 behaviours[player_id] = ByzantineBehaviour(
                     inner=behaviours.get(player_id) or HonestBehaviour(),
                     faults=faults.byzantine_for(player_id),
-                    seed=faults.seed + player_id,
                 )
         self.nodes: dict[int, WatchmenNode] = {}
         for node_id in roster + self.server_ids:

@@ -36,7 +36,6 @@ each attack to its detection, response and SLO.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dataclass_replace
-from random import Random
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
@@ -171,12 +170,7 @@ class ByzantineBehaviour:
 
     Wraps the node's intended behaviour (honest or a cheat) and applies
     each active fault to the traffic passing through the behaviour
-    hooks.  Randomness (victim rotation) draws from a private lane
-    derived from the schedule seed and the node id, so adding a
-    Byzantine entry never perturbs the network's or the injector's RNG
-    streams.
-
-    The session calls :meth:`bind` after constructing the node: floods
+    hooks.  The session calls :meth:`bind` after constructing the node: floods
     need the node's sequence counter (fresh monotonic sequences keep the
     burst *well-formed* — the attack is volume, not malformation) and
     the equivocation variants need the roster.
@@ -186,13 +180,9 @@ class ByzantineBehaviour:
         self,
         inner: "NodeBehaviour",
         faults: tuple[ByzantineFault, ...],
-        seed: int,
     ) -> None:
         self.inner = inner
         self.faults = faults
-        # Same node, same schedule ⇒ same draws; lane disjoint from the
-        # injector's (which seeds Random(schedule.seed) directly).
-        self.rng = Random(seed * 7919 + 101)
         self._node: "WatchmenNode | None" = None
 
     def bind(self, node: "WatchmenNode") -> None:

@@ -35,7 +35,6 @@ from repro.core.config import (
 )
 from repro.core.protocol import SessionReport, WatchmenSession
 from repro.faults.byzantine import (
-    AckWithholdFault,
     ByzantineFault,
     EquivocationFault,
     FloodFault,
@@ -82,9 +81,9 @@ class ChaosScenario:
     duplication_rate: float = 0.0
     latency_spike_ms: float = 0.0
     #: The ``WatchmenConfig.profile`` rung the scenario runs on.
-    profile: str = "resilient"
+    profile: str = "hardened"
     #: Adversarial (Byzantine) fault kind, or "" for pure-fault scenarios:
-    #: equivocation | tamper | flood | selective_forward | ack_withhold.
+    #: equivocation | tamper | flood | selective_forward.
     byzantine: str = ""
 
 
@@ -131,39 +130,36 @@ def byzantine_scenarios() -> tuple[ChaosScenario, ...]:
 
     Every hardened scenario must detect its attack (SLO: within the
     detection bound) without quarantining a single honest sender; the
-    ``_blind`` contrast runs the same equivocation with the hardening
-    gate off and must show the attack *landing* — no detection, no
-    conviction, the attacker keeps his seat.
+    ``_blind`` contrast runs the same equivocation on the ``paper`` rung
+    and must show the attack *landing* — no detection, no conviction,
+    the attacker keeps his seat.
     """
     return (
         ChaosScenario(
             "byz_equivocation",
             "one player sends conflicting signed updates per sequence",
             byzantine="equivocation",
-            profile="hardened",
         ),
         ChaosScenario(
             "byz_equivocation_blind",
             "contrast: the same equivocation with hardening disabled",
             byzantine="equivocation",
+            profile="paper",
         ),
         ChaosScenario(
             "byz_tamper_relay",
             "a relaying hop mutates the signed updates it forwards",
             byzantine="tamper",
-            profile="hardened",
         ),
         ChaosScenario(
             "byz_flood",
             "one player floods three victims with well-formed updates",
             byzantine="flood",
-            profile="hardened",
         ),
         ChaosScenario(
             "byz_starve",
             "a proxy selectively drops everything bound for one victim",
             byzantine="selective_forward",
-            profile="hardened",
         ),
     )
 
@@ -270,14 +266,6 @@ def build_schedule(
                 SelectiveForwardFault(
                     node_id=attacker,
                     victims=frozenset({ordered[0]}),
-                    start_frame=frame,
-                    end_frame=frame + 3 * PROXY_PERIOD_FRAMES,
-                )
-            ]
-        elif scenario.byzantine == "ack_withhold":
-            byzantine = [
-                AckWithholdFault(
-                    node_id=attacker,
                     start_frame=frame,
                     end_frame=frame + 3 * PROXY_PERIOD_FRAMES,
                 )
@@ -442,14 +430,11 @@ def _first_detection_frame(
                 for frame, _, label in node.evidence.suspicion_events
                 if label == "tamper_hop"
             )
-        elif kind in ("selective_forward", "ack_withhold"):
-            wanted = (
-                "starvation" if kind == "selective_forward" else "ack_withhold"
-            )
+        elif kind == "selective_forward":
             frames.extend(
                 frame
                 for frame, _, label in node.evidence.suspicion_events
-                if label == wanted
+                if label == "starvation"
             )
     return min(frames, default=None)
 
@@ -497,7 +482,7 @@ def run_chaos(
     matrix = scenarios if scenarios is not None else default_scenarios()
     trace = generate_trace(num_players=players, num_frames=frames, seed=seed)
     baseline_report, _, _ = _run_once(
-        trace, None, profile="resilient", burst_loss=False
+        trace, None, profile="hardened", burst_loss=False
     )
     baseline_p95 = baseline_report.view_error_stats().get("p95", 0.0)
 
@@ -543,21 +528,22 @@ def chaos_gate_failures(results: list[dict]) -> list[str]:
     """Recovery-SLO violations across a chaos matrix (empty = pass).
 
     Hard gates (see ``docs/ROBUSTNESS.md``): no scenario may falsely
-    evict a live player, and any failover-enabled scenario that crashed
-    nodes must have re-proxied within one proxy period.
+    evict a live player, and any hardened scenario that crashed nodes
+    must have re-proxied within one proxy period.
     """
     failures: list[str] = []
     for result in results:
         name = result["scenario"]
         metrics = result["metrics"]
         params = result["params"]
+        hardened = params["profile"] == "hardened"
         if metrics["false_evictions"] > 0:
             failures.append(
                 f"{name}: {metrics['false_evictions']:.0f} live players "
                 "falsely evicted (SLO: 0)"
             )
         reproxy = metrics["frames_to_reproxy"]
-        if params["profile"] != "paper" and reproxy > PROXY_PERIOD_FRAMES:
+        if hardened and reproxy > PROXY_PERIOD_FRAMES:
             failures.append(
                 f"{name}: frames_to_reproxy {reproxy:.0f} exceeds one "
                 f"proxy period ({PROXY_PERIOD_FRAMES})"
@@ -578,10 +564,10 @@ def chaos_gate_failures(results: list[dict]) -> list[str]:
             # cryptographic/volume signals must land within one period.
             bound = (
                 2 * PROXY_PERIOD_FRAMES
-                if kind in ("selective_forward", "ack_withhold")
+                if kind == "selective_forward"
                 else PROXY_PERIOD_FRAMES
             )
-            if params["profile"] == "hardened":
+            if hardened:
                 if metrics["byz_detection_frames"] > bound:
                     failures.append(
                         f"{name}: byz_detection_frames "

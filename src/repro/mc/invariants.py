@@ -22,11 +22,13 @@ about any one node's public API.
   quiescence (eventual agreement, checked after the settle tail).
 * ``no_orphaned_subscription`` — every interest subscription a live
   player believes is active is actually registered at *some* live node
-  (the target's proxy or a failover candidate).  Because the planner
-  never re-sends a subscription while the target stays in view, a
-  request lost beyond the ACK retry horizon orphans the subscriber
-  silently — this is the handoff/drop race the paper's proxy rotation
-  must survive.
+  (the target's proxy or a failover candidate).  Measured cause of the
+  violations it finds at full scale: ``SubscriptionPlanner.plan`` pushes
+  its own expiry forward every frame the target stays in the set and
+  re-sends only when that expiry lapses, so a continuously wanted target
+  is requested once, while the proxy's entry expires
+  ``subscription_retention_frames`` (40) after that one request — the
+  subscriber is orphaned with no message lost.
 * ``single_kill_credit`` — no node emitted more than one kill-check
   rating for the same (subject, frame): duplicated or replayed
   ``KillClaim`` deliveries must be screened by sequence dedup, never
@@ -47,6 +49,7 @@ from repro.core.node import WatchmenNode
 
 __all__ = [
     "INVARIANTS",
+    "equivocator_convicted",
     "live_nodes",
     "membership_agreement",
     "no_false_eviction",
@@ -117,13 +120,13 @@ def no_orphaned_subscription(session: WatchmenSession) -> str | None:
                 return (
                     f"player {subscriber_id} believes he is interest-"
                     f"subscribed to {target_id}, but no live node holds "
-                    f"the subscription (orphaned by a lost request)"
+                    f"the subscription (its entry lapsed or never arrived)"
                 )
     return None
 
 
 #: Detail vocabulary of ``KillVerifier.verify`` — the claim-judgement
-#: side of the KILL check family.  ``ProjectileVerifier.verify_spawn``
+#: side of the KILL check family.  ``ProjectileTracker.verify_spawn``
 #: shares ``CheckKind.KILL`` but speaks a disjoint vocabulary
 #: ("consistent projectile spawn", "speed … vs spec …", "origin … from
 #: the shooter"), and a spawn rating at the same (subject, frame) as a

@@ -185,6 +185,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     for tape_path in args.tapes:
         tape = _load(tape_path)
         scenario = tape.scenario
+        try:
+            profile = scenario.make_config().profile
+        except ValueError as error:
+            raise _Usage(f"{tape_path}: {error}") from error
         print(f"{tape_path}:")
         print(f"  format        repro.tape.v1 (version {tape.version})")
         print(f"  config_hash   {tape.config_hash()}")
@@ -196,7 +200,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         )
         print(
             f"  chaos         {scenario.chaos or '-'} "
-            f"(failover={scenario.failover}, reliable={scenario.reliable})"
+            f"(profile {profile})"
         )
         cheats = ", ".join(
             f"{spec.player_id}:{spec.kind}" for spec in scenario.cheats

@@ -27,7 +27,7 @@ from repro.cheats.state import (
     SpeedHack,
     TeleportCheat,
 )
-from repro.core.config import PROFILES, WatchmenConfig
+from repro.core.config import WatchmenConfig
 from repro.core.protocol import WatchmenSession
 from repro.faults.chaos import (
     ChaosScenario,
@@ -120,13 +120,12 @@ class TapeScenario:
     #: verify time), or None for a fault-free run
     chaos: str | None = None
     #: the ``WatchmenConfig.profile`` rung, serialized as three flags (the
-    #: tape format is frozen): ``failover`` and ``reliable`` are one gate
-    #: and must agree — on, the ``resilient`` rung; ``hardening`` (adopted
-    #: from the named chaos scenario by :meth:`with_chaos_flags`) is the
-    #: ``hardened`` rung, which stands on that one
+    #: tape format is frozen) that must agree: all off is ``paper``, all on
+    #: is ``hardened`` (:meth:`with_chaos_flags` adopts the named chaos
+    #: scenario's rung)
     failover: bool = True
     reliable: bool = True
-    hardening: bool = False
+    hardening: bool = True
     cheats: tuple[CheatSpec, ...] = ()
     #: model-checker envelope (``repro mc`` counterexample tapes only):
     #: config overrides, controlled message types, decision window, fault
@@ -218,17 +217,17 @@ class TapeScenario:
         return schedule
 
     def with_chaos_flags(self) -> "TapeScenario":
-        """Adopt the named chaos scenario's failover/reliability/hardening,
-        and its bursty (Gilbert–Elliott) loss model when it asks for one."""
+        """Adopt the named chaos scenario's rung as the three flags, and its
+        bursty (Gilbert–Elliott) loss model when it asks for one."""
         if self.chaos is None:
             return self
         entry = self._chaos_entry()
-        rung = PROFILES.index(entry.profile)
+        hardened = entry.profile == "hardened"
         return replace(
             self,
-            failover=rung >= 1,
-            reliable=rung >= 1,
-            hardening=rung >= 2,
+            failover=hardened,
+            reliable=hardened,
+            hardening=hardened,
             loss_model="gilbert-elliott" if entry.burst_loss else self.loss_model,
         )
 
@@ -240,18 +239,13 @@ class TapeScenario:
         return uniform_lan(size)
 
     def make_config(self) -> WatchmenConfig:
-        if self.failover != self.reliable:
+        if not self.failover == self.reliable == self.hardening:
             raise ValueError(
-                "failover and reliable are one gate (the resilient rung); "
-                "a scenario must set them alike"
-            )
-        if self.hardening and not self.failover:
-            raise ValueError(
-                "hardening stands on failover + reliable delivery: the "
-                "hardened rung includes the resilient one"
+                "failover, reliable and hardening are one rung and must "
+                "agree: all False is paper, all True is hardened"
             )
         settings: dict[str, Any] = {
-            "profile": PROFILES[int(self.failover) + int(self.hardening)]
+            "profile": "hardened" if self.hardening else "paper"
         }
         if self.mc is not None:
             settings.update(self.mc.get("config", {}))

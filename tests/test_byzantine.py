@@ -36,6 +36,7 @@ from repro.core.config import (
     BYZANTINE_QUARANTINE_STRIKES,
     BYZANTINE_RATE_BURST,
     BYZANTINE_RATE_MSGS_PER_FRAME,
+    PROFILES,
     WatchmenConfig,
 )
 from repro.core.membership import MembershipView
@@ -286,7 +287,7 @@ class TestEnvelopeAdversarial:
         assert ratings_with(node, "equivocation") == []
 
     def test_reliable_mode_screens_duplicates_silently(self):
-        for profile in ("paper", "resilient", "hardened"):
+        for profile in PROFILES:
             harness = Harness(config=WatchmenConfig(profile=profile))
             harness.tick(0)
             node = harness.nodes[1]

@@ -7,10 +7,11 @@ from repro.core.config import (
     FRAMES_PER_SECOND,
     HANDOFF_DEPTH,
     MAX_USEFUL_AGE_FRAMES,
+    PROFILES,
     STATE_UPDATE_BITS,
     WatchmenConfig,
 )
-from repro.replay import TapeScenario
+from repro.replay import GOLDEN_PRESETS, TapeScenario
 
 
 class TestValidation:
@@ -28,6 +29,7 @@ class TestValidation:
             ("proxy_silence_threshold_frames", 0),
             ("membership_silence_frames", 30),  # not above the proxy threshold
             ("profile", "hardened-without-failover"),  # not a rung
+            ("profile", "resilient"),  # the middle rung that went
         ],
     )
     def test_invalid_values_rejected(self, field, value):
@@ -87,36 +89,47 @@ class TestPaperConstants:
 
 
 class TestScenarioMapping:
-    """TapeScenario keeps three serialized flags for the one ``profile`` rung."""
+    """TapeScenario keeps three serialized flags for the one ``profile``
+    rung, and they must agree: all off is ``paper``, all on ``hardened``."""
+
+    @staticmethod
+    def scenario(failover, reliable, hardening):
+        return TapeScenario(players=4, frames=40, seed=1, failover=failover,
+                            reliable=reliable, hardening=hardening)
 
     @pytest.mark.parametrize("gate", [True, False])
     def test_flags_map_to_the_one_gate(self, gate):
-        scenario = TapeScenario(players=4, frames=40, seed=1, failover=gate,
-                                reliable=gate)
-        assert scenario.make_config().profile == ("resilient" if gate else "paper")
+        scenario = self.scenario(gate, gate, gate)
+        assert scenario.make_config().profile == ("hardened" if gate else "paper")
 
     def test_hardening_is_the_top_rung(self):
-        scenario = TapeScenario(players=4, frames=40, seed=1, hardening=True)
+        # and the default one: a scenario that names no rung is hardened
+        scenario = TapeScenario(players=4, frames=40, seed=1)
         assert scenario.make_config().profile == "hardened"
 
     def test_hardening_without_failover_rejected(self):
-        # the rung that disappeared: no tape, chaos row or workload ran it
-        scenario = TapeScenario(players=4, frames=40, seed=1, failover=False,
-                                reliable=False, hardening=True)
-        with pytest.raises(ValueError, match="hardened rung includes"):
-            scenario.make_config()
+        with pytest.raises(ValueError, match="must agree"):
+            self.scenario(False, False, True).make_config()
+
+    def test_failover_without_hardening_rejected(self):
+        # the middle rung that went: it built exactly what hardened builds
+        with pytest.raises(ValueError, match="must agree"):
+            self.scenario(True, True, False).make_config()
 
     @pytest.mark.parametrize("failover,reliable", [(True, False), (False, True)])
     def test_split_flags_rejected(self, failover, reliable):
-        scenario = TapeScenario(players=4, frames=40, seed=1, failover=failover,
-                                reliable=reliable)
-        with pytest.raises(ValueError, match="one gate"):
-            scenario.make_config()
+        for hardening in (False, True):
+            with pytest.raises(ValueError, match="must agree"):
+                self.scenario(failover, reliable, hardening).make_config()
+
+    def test_every_golden_preset_names_a_rung(self):
+        for name, scenario in GOLDEN_PRESETS.items():
+            assert scenario.make_config().profile in PROFILES, name
 
     def test_mc_override_wins_over_scenario_flags(self):
         # used to raise TypeError: multiple values for 'proxy_failover'
         scenario = TapeScenario(
-            players=4, frames=40, seed=1, hardening=False,
+            players=4, frames=40, seed=1,
             mc={"config": {"profile": "paper", "proxy_period_frames": 16}},
         )
         config = scenario.make_config()

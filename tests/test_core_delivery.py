@@ -1,8 +1,8 @@
 """Unit tests for the three delivery mechanisms (``repro.core.delivery``).
 
 ``WatchmenNode`` builds each one inert on the ``paper`` rung and live
-from the ``resilient`` / ``hardened`` rung up; these tests drive the
-classes directly, both ways.
+on the ``hardened`` one; these tests drive the classes directly, both
+ways.
 """
 
 from __future__ import annotations

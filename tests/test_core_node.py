@@ -147,7 +147,7 @@ class TestProxyForwarding:
         from dataclasses import replace
 
         harness = LoopbackHarness(
-            num_players=8, config=WatchmenConfig(profile="resilient")
+            num_players=8, config=WatchmenConfig(profile="hardened")
         )
         schedule = harness.schedule
         subscriber, target = next(

@@ -185,7 +185,7 @@ class TestVerbatimForwarding:
 
     def test_an_ack_retry_resends_the_first_attempts_buffer(self):
         harness = Harness(
-            config=WatchmenConfig(profile="resilient"),
+            config=WatchmenConfig(profile="hardened"),
             lose=lambda message: isinstance(message, AckMessage),
         )
         harness.tick(0)
@@ -230,7 +230,7 @@ class TestListValuedEgress:
     @staticmethod
     def node(behaviour):
         harness = Harness(
-            num_players=10, config=WatchmenConfig(profile="resilient")
+            num_players=10, config=WatchmenConfig(profile="hardened")
         )
         node = harness.nodes[1]
         node.behaviour = behaviour
@@ -277,7 +277,7 @@ class TestListValuedEgress:
             session = WatchmenSession(
                 small_trace,
                 game_map=longest_yard,
-                config=WatchmenConfig(profile="resilient"),
+                config=WatchmenConfig(profile="hardened"),
                 faults=FaultSchedule(crashes=(CrashFault(node_id=3, frame=30),)),
             )
         originated = set()

@@ -122,7 +122,7 @@ class TestChaosMatrix:
         bad = [
             {
                 "scenario": "synthetic",
-                "params": {"profile": "resilient"},
+                "params": {"profile": "hardened"},
                 "metrics": {
                     "false_evictions": 1.0,
                     "frames_to_reproxy": PROXY_PERIOD_FRAMES + 1.0,

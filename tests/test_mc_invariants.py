@@ -5,6 +5,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from repro.core.verification import CheckKind
+from repro.mc import invariants
 from repro.mc.invariants import (
     INVARIANTS,
     equivocator_convicted,
@@ -103,7 +104,7 @@ class TestSingleKillCredit:
         assert "frame 10" in message and "2 times" in message
 
     def test_spawn_ratings_do_not_collide_with_claims(self):
-        # ProjectileVerifier shares CheckKind.KILL but speaks a disjoint
+        # ProjectileTracker shares CheckKind.KILL but speaks a disjoint
         # detail vocabulary; a spawn and a claim at the same (subject,
         # frame) are legitimate.
         s = session(
@@ -166,3 +167,7 @@ def test_registry_names_every_invariant():
         "single_kill_credit",
         "equivocator_convicted",
     }
+
+
+def test_every_invariant_is_exported():
+    assert set(INVARIANTS) <= set(invariants.__all__)

@@ -137,7 +137,7 @@ class TestLivePlayerNeverEvicted:
     @settings(max_examples=6, deadline=None, derandomize=True)
     def test_no_false_eviction_under_loss(self, seed, loss_rate, gates):
         trace = generate_trace(num_players=8, num_frames=200, seed=seed)
-        config = WatchmenConfig(profile="resilient" if gates else "paper")
+        config = WatchmenConfig(profile="hardened" if gates else "paper")
         session = WatchmenSession(
             trace,
             config=config,
@@ -166,7 +166,7 @@ class TestProxyCrashStrandsNobody:
                 CrashProxyFault(player_id=target, frame=fault_frame),
             )
         )
-        config = WatchmenConfig(profile="resilient")
+        config = WatchmenConfig(profile="hardened")
         session = WatchmenSession(trace, config=config, faults=schedule)
         spy = SelfTraffic(session)
         report = session.run()
@@ -198,10 +198,10 @@ class TestProxyCrashStrandsNobody:
             assert node.membership.removed <= {victim}
 
     @pytest.mark.chaos
-    def test_no_node_of_a_resilient_chaos_row_sends_itself_anything(
+    def test_no_node_of_a_hardened_chaos_row_sends_itself_anything(
         self, monkeypatch
     ):
-        """The five ``resilient`` default chaos rows (and their fault-free
+        """The five ``hardened`` default chaos rows (and their fault-free
         baseline run) at 16 players x 400 frames, seed 7."""
         spies = []
 
@@ -212,7 +212,7 @@ class TestProxyCrashStrandsNobody:
 
         monkeypatch.setattr(chaos, "WatchmenSession", Watched)
         rows = tuple(
-            s for s in chaos.default_scenarios() if s.profile == "resilient"
+            s for s in chaos.default_scenarios() if s.profile == "hardened"
         )
         assert len(rows) == 5
         chaos.run_chaos(players=16, frames=400, seed=7, scenarios=rows)

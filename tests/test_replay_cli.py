@@ -5,10 +5,12 @@ from __future__ import annotations
 import gzip
 import json
 import zlib
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
+from repro.replay.tape import read_tape, write_tape
 
 #: Tiny enough for sub-second records inside the test run.
 RECORD_ARGS = ["--players", "4", "--frames", "60", "--seed", "3"]
@@ -108,6 +110,14 @@ class TestInspectAndDiff:
         out = capsys.readouterr().out
         assert "repro.tape.v1" in out
         assert "4 players" in out
+        assert "(profile hardened)" in out
+
+    def test_inspect_refuses_flags_that_name_no_rung(self, tape_path, tmp_path, capsys):
+        tape = read_tape(tape_path)
+        tape.scenario = replace(tape.scenario, hardening=False)
+        mixed = write_tape(tape, tmp_path / "mixed.tape")
+        assert main(["tape", "inspect", str(mixed)]) == 2
+        assert "must agree" in capsys.readouterr().err
 
     def test_diff_identical_exits_zero(self, tape_path, tmp_path):
         other = tmp_path / "copy.tape"
