@@ -11,7 +11,9 @@ unless ``limited``.  docs/PROTOCOL.md §9 places them in the pipeline.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 from repro.core.config import (
@@ -37,6 +39,25 @@ ADMITTED, DROPPED, QUARANTINED = "admitted", "dropped", "quarantined"
 
 #: Sequences tracked per sender before the older half is evicted.
 WINDOW_CAPACITY = 4096
+#: A tracked sequence is one bit in a chunk of ``1 << _CHUNK_SHIFT`` bits,
+#: the chunk keyed ``sequence >> _CHUNK_SHIFT``: no allocation grows with
+#: a sequence's value, and an 80-frame 48-player match fills one chunk a pair.
+_CHUNK_SHIFT = 10
+_CHUNK_BYTES = (1 << _CHUNK_SHIFT) // 8
+_new_chunk = partial(bytearray, _CHUNK_BYTES)
+
+
+class _Tracked:
+    """One sender's screen state: its watermark (``floor``, -1 until the
+    first eviction), a count of the sequences tracked above it, and their
+    sparse bitmap."""
+
+    __slots__ = ("floor", "count", "chunks")
+
+    def __init__(self) -> None:
+        self.floor = -1
+        self.count = 0
+        self.chunks: defaultdict[int, bytearray] = defaultdict(_new_chunk)
 
 
 class SequenceWindow:
@@ -45,17 +66,21 @@ class SequenceWindow:
     Bounded memory: past ``WINDOW_CAPACITY`` tracked sequences the older
     half is evicted behind a per-sender low watermark, and everything at
     or below the watermark is "seen" by fiat — eviction can never turn a
-    stale retransmit into fresh (reprocessed) traffic.  First sightings
-    of the ``archived`` types are kept as the buffer that arrived (what
-    the equivocation detector cross-checks later copies against; one
-    ``bytes`` object shared by every witness, where a decoded message
-    would pin its whole snapshot graph) and purged in lockstep.
+    stale retransmit into fresh (reprocessed) traffic.  A tracked sequence
+    costs one bit (:class:`_Tracked`), not an int in a set.  First
+    sightings of the ``archived`` types are kept as the buffer that
+    arrived (what the equivocation detector cross-checks later copies
+    against; one ``bytes`` object shared by every witness, where a
+    decoded message would pin its whole snapshot graph) and purged in
+    lockstep.
     """
 
     def __init__(self, archived: tuple[type, ...] = ()) -> None:
         self._archived = archived
-        self.seen: dict[int, set[int]] = {}
-        #: per sender, the highest evicted sequence
+        self._tracked: defaultdict[int, _Tracked] = defaultdict(_Tracked)
+        #: per sender, the highest evicted sequence: each evicted sender's
+        #: ``_Tracked.floor``, which the screen reads in the same lookup as
+        #: the bitmap
         self.watermark: dict[int, int] = {}
         #: per sender, sequence -> first-seen wire buffer of an archived type
         self.archive: dict[int, dict[int, bytes]] = {}
@@ -68,26 +93,50 @@ class SequenceWindow:
         indistinguishable from a replay.
         """
         sender, sequence = message.sender_id, message.sequence
-        seen = self.seen.get(sender)
-        if seen is None:
-            seen = self.seen[sender] = set()
-        if sequence <= self.watermark.get(sender, -1):
+        tracked = self._tracked[sender]
+        if sequence <= tracked.floor:
             return EVICTED
-        if sequence in seen:
+        chunk = tracked.chunks[sequence >> _CHUNK_SHIFT]
+        index = (sequence >> 3) & (_CHUNK_BYTES - 1)
+        bit = 1 << (sequence & 7)
+        if chunk[index] & bit:
             return DUPLICATE
-        seen.add(sequence)
-        if isinstance(message, self._archived):
+        chunk[index] |= bit
+        if self._archived and isinstance(message, self._archived):
             self.archive.setdefault(sender, {})[sequence] = buffer
-        if len(seen) > WINDOW_CAPACITY:  # old sequences cannot return
-            kept = sorted(seen)
-            watermark = kept[-(WINDOW_CAPACITY // 2) - 1]
-            self.watermark[sender] = watermark
-            self.seen[sender] = set(kept[-(WINDOW_CAPACITY // 2):])
-            archive = self.archive.get(sender)
-            if archive:
-                for stale in [s for s in archive if s <= watermark]:
-                    del archive[stale]
+        tracked.count += 1
+        if tracked.count > WINDOW_CAPACITY:  # old sequences cannot return
+            self._evict(sender, tracked)
         return FRESH
+
+    def _evict(self, sender: int, tracked: _Tracked) -> None:
+        """Keep the newest half: the watermark becomes the highest sequence
+        evicted, the (``WINDOW_CAPACITY // 2 + 1``)-th largest tracked."""
+        kept = WINDOW_CAPACITY // 2
+        chunks = tracked.chunks
+        above = 0  # tracked sequences in the chunks walked so far
+        for key in sorted(chunks, reverse=True):
+            bits = int.from_bytes(chunks[key], "little")
+            count = bits.bit_count()
+            if above + count > kept:
+                break
+            above += count
+        for _ in range(kept - above):  # this chunk's survivors, highest first
+            bits ^= 1 << (bits.bit_length() - 1)
+        low = bits.bit_length() - 1  # the watermark's bit in this chunk
+        watermark = tracked.floor = self.watermark[sender] = key << _CHUNK_SHIFT | low
+        tracked.count = kept
+        for stale in [k for k in chunks if k < key]:
+            del chunks[stale]
+        survivors = int.from_bytes(chunks[key], "little") >> (low + 1) << (low + 1)
+        if survivors:
+            chunks[key] = bytearray(survivors.to_bytes(_CHUNK_BYTES, "little"))
+        else:
+            del chunks[key]
+        archive = self.archive.get(sender)
+        if archive:
+            for stale in [s for s in archive if s <= watermark]:
+                del archive[stale]
 
     def first_seen(self, message: GameMessage) -> bytes | None:
         """The archived buffer a tracked duplicate repeats, if any."""

@@ -157,18 +157,23 @@ class RatingLog(Sequence[CheatRating]):
 
     A 48-player session keeps ~39 000 verdicts per simulated second.  As a
     tuple each costs 232 B and is one more object for the collector to
-    walk; here it is a row across five ``array`` columns (ints as wide as
-    the wire's) and two lists of shared strings: ≈ 58 B, nothing tracked
+    walk; here it is a row across six ``array`` columns: ints as wide as
+    the wire's, the three floats, and one ``kind`` index into this log's
+    table of distinct ``(check, detail)`` pairs — 44 B, nothing tracked
     per row.  Reading rebuilds an equal ``CheatRating``.
     """
 
     def __init__(self) -> None:
         #: Whose log this is: the first verdict says, a foreign one is refused.
         self.verifier_id: int | None = None
-        #: One column per ``CheatRating`` field after ``verifier_id``, in order.
-        self._columns = (array("q"), array("q"), [], array("d"), array("d"), array("d"), [])
+        #: subject, frame, kind, rating, confidence, deviation
+        self._columns = (array("q"), array("q"), array("I"), array("d"), array("d"), array("d"))
+        #: check -> detail -> kind: the index into the two lists below
+        self._kinds: dict[str, dict[str, int]] = {}
+        self._checks: list[str] = []
+        self._details: list[str] = []
         #: One object per distinct ``detail`` (≤ 176 a node at 48 players).
-        self._details: dict[str, str] = {}
+        self._interned: dict[str, str] = {}
 
     def append(self, rating: CheatRating) -> None:
         verifier, subject, frame, check, value, confidence, deviation, detail = rating
@@ -176,26 +181,44 @@ class RatingLog(Sequence[CheatRating]):
             if self.verifier_id is not None:
                 raise ValueError(f"verifier {verifier} filing in {self.verifier_id}'s log")
             self.verifier_id = verifier
-        subjects, frames, checks, values, confidences, deviations, details = self._columns
+        try:
+            kind = self._kinds[check][detail]
+        except KeyError:  # once per kind: a few hundred times a log
+            kind = self._kinds.setdefault(check, {})[detail] = len(self._checks)
+            self._checks.append(check)
+            self._details.append(self._interned.setdefault(detail, detail))
+        subjects, frames, kinds, values, confidences, deviations = self._columns
         subjects.append(subject)  # an int beyond the column raises, never wraps
         frames.append(frame)
-        checks.append(check)
+        kinds.append(kind)
         values.append(value)
         confidences.append(confidence)
         deviations.append(deviation)
-        details.append(self._details.setdefault(detail, detail))
 
     def __len__(self) -> int:
         return len(self._columns[-1])
 
     def __iter__(self) -> Iterator[CheatRating]:
-        return map(CheatRating, repeat(self.verifier_id), *self._columns)
+        return self._read(*self._columns)
 
     def __getitem__(self, index: int | slice) -> CheatRating | list[CheatRating]:
-        cells = (column[index] for column in self._columns)
+        cells = [column[index] for column in self._columns]
         if isinstance(index, slice):
-            return [CheatRating(self.verifier_id, *row) for row in zip(*cells)]
-        return CheatRating(self.verifier_id, *cells)
+            return list(self._read(*cells))
+        subject, frame, kind, value, confidence, deviation = cells
+        return CheatRating(
+            self.verifier_id, subject, frame, self._checks[kind],
+            value, confidence, deviation, self._details[kind],
+        )
+
+    def _read(
+        self, subjects: array, frames: array, kinds: array, *floats: array
+    ) -> Iterator[CheatRating]:
+        """Rows rebuilt from (slices of) the columns, each kind resolved."""
+        return map(
+            CheatRating, repeat(self.verifier_id), subjects, frames,
+            map(self._checks.__getitem__, kinds), *floats, map(self._details.__getitem__, kinds),
+        )
 
 
 def rating_from_deviation(deviation: float, allowed: float) -> float:

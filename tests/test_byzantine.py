@@ -25,6 +25,7 @@ Covers the PR 9 robustness tier (see ``docs/ROBUSTNESS.md``):
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -39,6 +40,7 @@ from repro.core.config import (
     PROFILES,
     WatchmenConfig,
 )
+from repro.core.delivery import DUPLICATE, EVICTED, FRESH
 from repro.core.membership import MembershipView
 from repro.core.messages import (
     MisbehaviorEvidence,
@@ -164,6 +166,19 @@ def _report_fingerprint(report) -> tuple:
 # ---- satellite 1: watermark eviction -------------------------------------
 
 
+def spy_on_screen(node):
+    """Every ``(sequence, verdict)`` ``node``'s duplicate screen returns, in order."""
+    verdicts = []
+    screen = node._window.screen
+
+    def spy(message, buffer):
+        verdicts.append((message.sequence, screen(message, buffer)))
+        return verdicts[-1][1]
+
+    node._window.screen = spy
+    return verdicts
+
+
 class TestWatermarkEviction:
     def _flood_sequences(self, harness, receiver, sender, count):
         node = harness.nodes[receiver]
@@ -176,9 +191,13 @@ class TestWatermarkEviction:
         harness.tick(0)
         node = self._flood_sequences(harness, 1, 0, 4200)
         assert node._window.watermark[0] == 2048
-        seen = node._window.seen[0]
-        assert min(seen) == 2049 and max(seen) == 4199
-        assert len(seen) <= 4096
+        verdicts = spy_on_screen(node)
+        for sequence in (2048, 2049, 4199, *range(4200, 6146)):
+            deliver(node, 0, harness.signed_position(0, sequence))
+        assert verdicts[:3] == [(2048, EVICTED), (2049, DUPLICATE), (4199, DUPLICATE)]
+        assert {verdict for _, verdict in verdicts[3:]} == {FRESH}
+        # 2049..6144 is the 4096 a window tracks; one more evicts half
+        assert node._window.watermark[0] == 4097
 
     def test_retransmit_straddling_eviction_is_silent_gates_off(self):
         """A retransmit below the watermark is screened, never judged.
@@ -191,12 +210,14 @@ class TestWatermarkEviction:
         harness.tick(0)
         node = self._flood_sequences(harness, 1, 0, 4200)
         before_replays = node.metrics.replayed_messages
+        verdicts = spy_on_screen(node)
         evicted = harness.signed_position(0, 100)  # below watermark 2048
         deliver(node, 0, evicted)
         assert node.metrics.replayed_messages == before_replays + 1
         assert list(node.metrics.ratings) == []
         # Not reprocessed either: the sequence stays evicted, not re-seen.
-        assert 100 not in node._window.seen[0]
+        deliver(node, 0, evicted)
+        assert verdicts == [(100, EVICTED), (100, EVICTED)]
 
     def test_tracked_repeat_rates_no_one_on_the_paper_rung(self):
         """A repeat proves nothing about its sender: counted, screened, silent."""
@@ -222,6 +243,30 @@ class TestWatermarkEviction:
         archive = node._window.archive[0]
         assert archive, "hardening must archive first-seen updates"
         assert min(archive) > node._window.watermark[0]
+
+
+
+class TestAdversarialSequence:
+    def test_a_sequence_at_the_top_of_int64_costs_no_more_than_one_at_zero(self):
+        """A validly signed sender picks any int64: the window's memory
+        must not grow with the value (a bitmap over the range would)."""
+        harness = Harness()
+        harness.tick(0)
+        node = harness.nodes[1]
+        top = harness.signed_position(0, 2**63 - 1)
+        zero = harness.signed_position(0, 0)
+        verdicts = spy_on_screen(node)
+        tracemalloc.start()
+        try:
+            for message in (top, zero, top):
+                deliver(node, 0, message)
+            retained = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, delivery_module.__file__)]
+            )
+        finally:
+            tracemalloc.stop()
+        assert verdicts == [(2**63 - 1, FRESH), (0, FRESH), (2**63 - 1, DUPLICATE)]
+        assert sum(stat.size for stat in retained.statistics("filename")) < 4096
 
 
 # ---- satellite 3: envelope adversarial edges ------------------------------

@@ -7,6 +7,9 @@ ways.
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.config import (
     ACK_RETRY_BASE_FRAMES,
     ACK_RETRY_MAX_ATTEMPTS,
@@ -35,6 +38,7 @@ from repro.core.messages import (
     StateUpdate,
     SubscriptionRequest,
 )
+from tests.reference.sequence_window import SequenceWindow as ReferenceWindow
 from tests.test_byzantine import snap
 from tests.wirekit import as_frame
 
@@ -56,6 +60,29 @@ def screen(window, message):
     return window.screen(message, as_frame(message))
 
 
+#: Anywhere a signed int64 reaches, near the bottom of a match, near the top.
+sequences = st.one_of(
+    st.integers(-(2**63), 2**63 - 1), st.integers(-2, 9000), st.integers(2**63 - 9000, 2**63 - 1)
+)
+#: ``(sender, first sequence, count, stride, archived type?, buffer)``: one
+#: delivery, or a run long enough to evict (twice, at the longest).
+runs = st.tuples(
+    st.integers(0, 2), sequences,
+    st.one_of(st.integers(1, 3), st.integers(1, 2 * WINDOW_CAPACITY + 2)),
+    st.integers(1, 3), st.booleans(), st.binary(max_size=2),
+)
+streams = st.lists(runs, max_size=12)
+SNAPSHOT = snap(0)
+
+
+def expand(stream):
+    """Each run as ``(message, buffer)`` deliveries, sequences kept in int64."""
+    for sender, first, count, stride, archived, buffer in stream:
+        kind = StateUpdate if archived else PositionUpdate
+        for sequence in range(first, min(first + count * stride, 2**63), stride):
+            yield kind(sender, 0, sequence, SNAPSHOT), buffer
+
+
 def track(ledger, message, destination, frame):
     ledger.track(message, as_frame(message), destination, frame)
 
@@ -74,13 +101,18 @@ class TestSequenceWindow:
             assert screen(window, position(0, sequence)) == FRESH
         half = WINDOW_CAPACITY // 2
         assert window.watermark[0] == half
-        assert min(window.seen[0]) == half + 1
-        assert len(window.seen[0]) == half
-        # below the watermark: evicted, and never re-admitted as seen
-        assert screen(window, position(0, 3)) == EVICTED
-        assert 3 not in window.seen[0]
-        # above it and still tracked: an ordinary repeat
-        assert screen(window, position(0, half + 1)) == DUPLICATE
+        # at or below the watermark: evicted, and never re-admitted as seen
+        for _ in range(2):
+            assert {screen(window, position(0, s)) for s in range(half + 1)} == {EVICTED}
+        # above it, each survivor is still tracked: an ordinary repeat
+        survivors = range(half + 1, WINDOW_CAPACITY + 1)
+        assert {screen(window, position(0, s)) for s in survivors} == {DUPLICATE}
+        # half are tracked: the window fills again half fresh sequences later
+        fill = range(WINDOW_CAPACITY + 1, WINDOW_CAPACITY + half + 1)
+        assert {screen(window, position(0, s)) for s in fill} == {FRESH}
+        assert window.watermark[0] == half
+        assert screen(window, position(0, WINDOW_CAPACITY + half + 1)) == FRESH
+        assert window.watermark[0] == WINDOW_CAPACITY + 1
 
     def test_inert_window_archives_nothing(self):
         window = SequenceWindow()
@@ -107,6 +139,18 @@ class TestSequenceWindow:
             screen(window, state(0, sequence))
         assert min(window.archive[0]) > window.watermark[0]
         assert window.first_seen(state(0, 3)) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=streams)
+    def test_screens_any_stream_as_the_set_based_window_did(self, stream):
+        """Verdicts, ``first_seen``, watermark and archive, step for step."""
+        window = SequenceWindow(archived=(StateUpdate,))
+        twin = ReferenceWindow(archived=(StateUpdate,))
+        for message, buffer in expand(stream):
+            assert window.screen(message, buffer) == twin.screen(message, buffer)
+            assert window.first_seen(message) == twin.first_seen(message)
+            assert window.watermark == twin.watermark
+        assert window.archive == twin.archive
 
 
 class TestAckLedger:

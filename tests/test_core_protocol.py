@@ -46,7 +46,7 @@ class TestHonestRun:
         strict=True,
         raises=AssertionError,
         reason="proxy rates frame-3/4 subscriptions against the subscriber's "
-        "frame-1 pose; see the docstring and ROADMAP 'Audit and explain' (2)",
+        "frame-1 pose; see the docstring and ROADMAP item 1(a)",
     )
     def test_no_honest_player_banned_at_96_players_seed_606(self):
         """A clean run (no cheaters, no faults) that bans honest player 36.
@@ -132,9 +132,10 @@ class TestWhereVerdictsLive:
         session, _ = honest_session_report
         for node in session.nodes.values():
             log = node.metrics.ratings
-            held = sum(map(sys.getsizeof, log._columns)) + sys.getsizeof(log._details)
+            table = (log._kinds, log._checks, log._details, log._interned)
+            held = sum(map(sys.getsizeof, (*log._columns, *table)))
             assert held / len(log) <= 64
-            assert len(log._details) <= 256
+            assert len(log._interned) <= 256
 
 
 class TestSessionConstruction:

@@ -437,10 +437,20 @@ VERDICT = CheatRating(3, 5, 120, CheckKind.AIM, 1.0, 0.9, 0.25, "turned 0.25 rad
 
 class TestRatingLog:
     @settings(max_examples=150, deadline=None)
-    @given(verifier=wire_ints, filed=st.lists(rows, max_size=40), data=st.data())
-    def test_reads_back_what_was_filed(self, verifier, filed, data):
-        """Any well-typed verdicts, in order, by iteration, index and slice."""
-        filed = [CheatRating(verifier, *row) for row in filed]
+    @given(
+        verifier=wire_ints, filed=st.lists(rows, max_size=40),
+        kinds=st.one_of(st.just(0), st.integers(257, 300)), data=st.data(),
+    )
+    def test_reads_back_what_was_filed(self, verifier, filed, kinds, data):
+        """Any well-typed verdicts, in order, by iteration, index and slice —
+        with, spliced in, more ``(check, detail)`` kinds than a byte indexes,
+        each detail filed under two checks."""
+        many = [
+            (1, 2, CheckKind.ALL[i % len(CheckKind.ALL)], 1.0, 0.5, float(i), f"turned {i // 2} rad")
+            for i in range(kinds)
+        ]
+        at = data.draw(st.integers(0, len(filed)))
+        filed = [CheatRating(verifier, *row) for row in filed[:at] + many + filed[at:]]
         log = RatingLog()
         for rating in filed:
             log.append(rating)
