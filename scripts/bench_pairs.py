@@ -19,6 +19,9 @@ pairs, win nine tenths of them *and* move the median by more than the
 base's IQR).  The simulated metrics depend on the seed alone, so it also says, per
 seed, whether they came out identical on both sides.
 
+Exits 1 when a simulated metric differs on any seed or any child failed its
+correctness check, on either side; 0 otherwise, whatever the timings say.
+
 Runs the benchmark as a subprocess exactly as the driver does; imports
 nothing from ``perfbench/`` and edits nothing there.
 """
@@ -180,9 +183,11 @@ def main(argv: list[str] | None = None) -> int:
         ))
     else:
         print("simulated metrics (" + ", ".join(SIMULATED) + "): identical on every seed")
+    any_failed = False
     for side, side_runs in by_side.items():
         failed = sum(run["failed"] for run in side_runs)
         attempted = sum(run["attempted"] for run in side_runs)
+        any_failed |= failed > 0 or not all(run["correct"] for run in side_runs)
         print(f"{side}: {failed} of {attempted} children failed their check")
 
     if args.json:
@@ -191,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
              "summary": summaries, "simulated_differ": differing},
             indent=2,
         ) + "\n")
-    return 0
+    return 1 if differing or any_failed else 0
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ Frame layout (see docs/PROTOCOL.md for the full field tables)::
     frame     := tag:u8 field*          # fields in dataclass order;
                                         # the signature field comes last
     int       := zigzag LEB128 varint   # minimal encoding required
-    float     := IEEE-754 binary64, big-endian (bit-exact)
+    float     := IEEE-754 binary64, big-endian (bit-exact); finite
     bool      := u8 (0|1)
     str       := 0x00 uvarint utf8* | table-code:u8 (1..N)
     bytes     := uvarint raw*
@@ -271,7 +271,12 @@ def _read_int(reader: _Reader) -> int:
 
 
 def _read_float(reader: _Reader) -> float:
-    return _PACK_F64.unpack(reader.take(8))[0]
+    value = _PACK_F64.unpack(reader.take(8))[0]
+    if value - value != 0.0:
+        # NaN or an infinity: no game quantity is one, and past the
+        # boundary it would reach geometry and verifiers as a coordinate.
+        raise WireError(f"non-finite float {value!r}")
+    return value
 
 
 def _read_str(reader: _Reader) -> str:

@@ -31,7 +31,6 @@ from repro.game.interest import (
     compute_all_sets,
     compute_sets,
 )
-from repro.game.spatial import SpatialGrid
 from repro.game.physics import MoveIntent, Physics, PhysicsConfig
 from repro.game.simulator import DeathmatchSimulator, SimulationConfig, generate_trace
 from repro.game.trace import GameTrace, KillEvent, ShotEvent
@@ -57,7 +56,6 @@ __all__ = [
     "PhysicsConfig",
     "ShotEvent",
     "SimulationConfig",
-    "SpatialGrid",
     "Vec3",
     "compute_all_sets",
     "compute_sets",

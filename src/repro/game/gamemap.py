@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.game.spatial import SpatialGrid
 from repro.game.vector import Vec3
 
 __all__ = [
@@ -51,14 +50,32 @@ class Box:
     min_corner: Vec3
     max_corner: Vec3
     name: str = ""
+    #: ``(min_x, min_y, min_z, max_x, max_y, max_z)`` as plain floats, so
+    #: the geometry scans in :class:`GameMap` read locals instead of
+    #: chasing ``Vec3`` attribute chains.
+    bounds: tuple[float, float, float, float, float, float] = field(
+        init=False, repr=False, compare=False
+    )
+    #: ``(lo_x, lo_y, lo_z, hi_x, hi_y, hi_z)``: per axis, the interval the
+    #: slab test in :meth:`GameMap.line_of_sight` can block within — the
+    #: box shrunk by its surface epsilon, or the two shrunk faces in order
+    #: when the box is thinner than twice that.
+    reach: tuple[float, float, float, float, float, float] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        if (
-            self.min_corner.x > self.max_corner.x
-            or self.min_corner.y > self.max_corner.y
-            or self.min_corner.z > self.max_corner.z
-        ):
+        low, high = self.min_corner, self.max_corner
+        # Written so a NaN corner fails it too.
+        if not (low.x <= high.x and low.y <= high.y and low.z <= high.z):
             raise ValueError(f"degenerate box {self.name!r}")
+        object.__setattr__(
+            self, "bounds", (low.x, low.y, low.z, high.x, high.y, high.z)
+        )
+        lo_x, hi_x = sorted((low.x + 1e-6, high.x - 1e-6))
+        lo_y, hi_y = sorted((low.y + 1e-6, high.y - 1e-6))
+        lo_z, hi_z = sorted((low.z + 1e-6, high.z - 1e-6))
+        object.__setattr__(self, "reach", (lo_x, lo_y, lo_z, hi_x, hi_y, hi_z))
 
     @property
     def top(self) -> float:
@@ -67,13 +84,6 @@ class Box:
     @property
     def center(self) -> Vec3:
         return (self.min_corner + self.max_corner) * 0.5
-
-    def contains_xy(self, point: Vec3, margin: float = 0.0) -> bool:
-        """Is the XY projection of ``point`` over this box (with margin)?"""
-        return (
-            self.min_corner.x - margin <= point.x <= self.max_corner.x + margin
-            and self.min_corner.y - margin <= point.y <= self.max_corner.y + margin
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,33 +120,10 @@ class GameMap:
         for point in self.respawn_points:
             if not self.in_bounds(point):
                 raise ValueError(f"respawn point {point} outside map bounds")
-        # Lazy spatial index over `solids` (see docs/PERFORMANCE.md).  The
-        # index is rebuilt automatically when the solids *list object* or
-        # its length changes, so solids are swapped by replacing the list,
-        # never by assigning an element in place.
-        self._index: SpatialGrid | None = None
-        self._index_source: list[Box] | None = None
-        # Perf accounting for the LOS fast path (plain ints: no observable
-        # behaviour, negligible overhead, read by tests/test_game_spatial.py
-        # and perfbench).
+        # Perf accounting for line of sight (plain ints: no observable
+        # behaviour, read by tests/test_game_spatial.py and perfbench).
         self.los_queries: int = 0
         self.los_boxes_tested: int = 0
-
-    # ---- spatial index -----------------------------------------------------
-
-    @property
-    def spatial_index(self) -> SpatialGrid:
-        """The (lazily built) uniform grid over ``solids``."""
-        index = self._index
-        if (
-            index is None
-            or self._index_source is not self.solids
-            or index.num_boxes != len(self.solids)
-        ):
-            index = SpatialGrid(self.solids)
-            self._index = index
-            self._index_source = self.solids
-        return index
 
     # ---- queries ----------------------------------------------------------
 
@@ -155,36 +142,20 @@ class GameMap:
         )
 
     def floor_height(self, point: Vec3) -> float | None:
-        """Top of the highest solid under ``point``'s XY, or None (void).
-
-        Fast path: only boxes registered in the point's grid cell are
-        tested.  Bit-identical to the linear scan ``floor_height_naive``
-        in ``tests/reference/game.py`` (the grid is conservative and the
-        per-box test is unchanged).
-        """
-        best: float | None = None
-        boxes = self.solids
-        for index in self.spatial_index.point_candidates(point.x, point.y):
-            box = boxes[index]
-            if box.contains_xy(point) and (best is None or box.top > best):
-                best = box.top
-        return best
+        """Top of the highest solid under ``point``'s XY, or None (void)."""
+        return self.floor_height_xy(point.x, point.y)
 
     def floor_height_xy(self, x: float, y: float) -> float | None:
         """:meth:`floor_height` for a bare XY coordinate.
 
         The batched physics kernel queries floors for whole rosters per
         frame; taking plain floats avoids a throwaway ``Vec3`` per query.
-        Reads the grid's flat ``box_bounds`` instead of chasing
-        ``Box.min_corner`` attribute chains; the containment predicate and
-        the top-face maximum mirror :meth:`floor_height` exactly, so the
-        two are bit-identical (tests enforce it).
+        Scans every box; bit-identical to ``floor_height_naive`` in
+        ``tests/reference/game.py`` (tests enforce it).
         """
         best: float | None = None
-        index = self.spatial_index
-        bounds = index.box_bounds
-        for candidate in index.point_candidates(x, y):
-            min_x, min_y, _, max_x, max_y, max_z = bounds[candidate]
+        for box in self.solids:
+            min_x, min_y, _, max_x, max_y, max_z = box.bounds
             if (
                 min_x <= x <= max_x
                 and min_y <= y <= max_y
@@ -200,34 +171,57 @@ class GameMap:
         player's vision range, but behind a wall do not appear in his
         vision set".
 
-        Fast path: endpoints are put in canonical order (which makes the
-        result exactly symmetric, so per-frame caches can share LOS(a,b)
-        with LOS(b,a)), then only the boxes whose grid cells the segment
-        touches are slab-tested.  Bit-identical to the linear scan
+        Endpoints are put in canonical order (which makes the result
+        exactly symmetric, so per-frame caches can share LOS(a,b) with
+        LOS(b,a)), then every box is scanned; one whose ``reach`` lies
+        wholly outside the segment's bounding box on some axis is skipped
+        before the slab test.  Bit-identical to the linear scan
         ``line_of_sight_naive`` in ``tests/reference/game.py``.
         """
         ex, ey, ez = eye.x, eye.y, eye.z
         tx, ty, tz = target.x, target.y, target.z
         if (ex, ey, ez) > (tx, ty, tz):
             ex, ey, ez, tx, ty, tz = tx, ty, tz, ex, ey, ez
-        index = self.spatial_index
-        candidates = index.segment_candidates(ex, ey, tx, ty)
         self.los_queries += 1
-        self.los_boxes_tested += len(candidates)
-        if not candidates:
-            return True
-        # Inlined containment + slab test over the grid's flat float bounds.
-        # Arithmetic mirrors ``box_contains`` / ``box_intersects_segment``
-        # in tests/reference/game.py operation-for-operation (tests enforce
-        # bit-identical results);
-        # inlining avoids per-box tuple construction and Vec3 attribute
-        # chains on a path run O(players²) times per frame.
         dx = tx - ex
         dy = ty - ey
         dz = tz - ez
-        bounds = index.box_bounds
-        for candidate in candidates:
-            min_x, min_y, min_z, max_x, max_y, max_z = bounds[candidate]
+        # The segment's extent per axis.  The skip is conservative: when a
+        # box's reach misses that extent on an axis, rounding cannot flip
+        # the sign of a difference, so the slab test below gets both of
+        # that axis's t values <= 0 (or both >= 1) and cannot block.  The
+        # argument needs a finite difference; an infinite or NaN one (an
+        # infinite or NaN coordinate, or an overflow) can make the slab
+        # test's t values NaN, which bound nothing, so that axis skips
+        # nothing.  ``Box`` refuses NaN corners, so ``reach`` has none.
+        if dx - dx == 0.0:
+            x_lo, x_hi = (ex, tx) if dx >= 0.0 else (tx, ex)
+        else:
+            x_lo, x_hi = -math.inf, math.inf
+        if dy - dy == 0.0:
+            y_lo, y_hi = (ey, ty) if dy >= 0.0 else (ty, ey)
+        else:
+            y_lo, y_hi = -math.inf, math.inf
+        if dz - dz == 0.0:
+            z_lo, z_hi = (ez, tz) if dz >= 0.0 else (tz, ez)
+        else:
+            z_lo, z_hi = -math.inf, math.inf
+        for box in self.solids:
+            lo_x, lo_y, lo_z, hi_x, hi_y, hi_z = box.reach
+            if (
+                hi_x < x_lo or lo_x > x_hi
+                or hi_y < y_lo or lo_y > y_hi
+                or hi_z < z_lo or lo_z > z_hi
+            ):
+                continue
+            self.los_boxes_tested += 1
+            # Inlined containment + slab test over the box's flat bounds.
+            # Arithmetic mirrors ``box_contains`` / ``box_intersects_segment``
+            # in tests/reference/game.py operation-for-operation (tests
+            # enforce bit-identical results); inlining avoids per-box tuple
+            # construction and Vec3 attribute chains on a path run
+            # O(players²) times per frame.
+            min_x, min_y, min_z, max_x, max_y, max_z = box.bounds
             if min_x <= ex <= max_x and min_y <= ey <= max_y and min_z <= ez <= max_z:
                 continue  # box contains the eye: it cannot occlude
             if min_x <= tx <= max_x and min_y <= ty <= max_y and min_z <= tz <= max_z:

@@ -129,8 +129,7 @@ class LosCache:
     :meth:`GameMap.line_of_sight` canonicalises endpoint order, so one
     cached boolean serves both LOS(a, b) and LOS(b, a).  The cache is
     cleared at each :meth:`begin_frame` to bound memory; entries would
-    actually stay valid as long as the map's solids are untouched (see
-    docs/PERFORMANCE.md for the invalidation rules).
+    actually stay valid as long as the map's solids are untouched.
     """
 
     __slots__ = ("game_map", "hits", "misses", "_frame", "_memo")

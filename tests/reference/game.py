@@ -3,14 +3,18 @@
 Each function is the body the matching fast path in ``repro.game``
 replaced, moved here unchanged once the exactness gates became its only
 callers; it shares no arithmetic with the kernel it gates.  The two
-``GameMap`` scans, the two ``Box`` tests they are built from and the bot
+``GameMap`` scans, the three ``Box`` tests they are built from and the bot
 perception scan were methods: they keep ``self`` as their first parameter,
 so ``monkeypatch.setattr(GameMap,
-"line_of_sight", line_of_sight_naive)`` swaps the grid out of a whole
+"line_of_sight", line_of_sight_naive)`` swaps the fast scan out of a whole
 session.  The only edit is the call that follows from that:
 ``compute_sets_reference`` reaches ``line_of_sight_naive(game_map, ...)``
 as a function, not as a method of the map (and ``line_of_sight_naive``
-reaches ``box_contains`` / ``box_intersects_segment`` the same way).
+reaches ``box_contains`` / ``box_intersects_segment``, and
+``floor_height_naive`` reaches ``box_contains_xy``, the same way).
+``floor_height_xy_naive`` is no twin but an adapter: it puts
+``floor_height_naive`` behind ``floor_height_xy``'s signature, so a session
+can be run with the batched physics kernel's floor query swapped too.
 
 ==========================================  ====================================
 reference                                   gates
@@ -20,8 +24,10 @@ reference                                   gates
 ``_attention_score_reference``              ``ObserverFrame.attention_scores`` / ``attention_rank``
 ``_visible_enemies_reference``              ``BotController._visible_enemies``
 ``floor_height_naive``                      ``GameMap.floor_height`` / ``floor_height_xy``
+``floor_height_xy_naive`` (adapter)         ``GameMap.floor_height_xy``, as the physics kernel calls it
 ``line_of_sight_naive``                     ``GameMap.line_of_sight``
 ``box_contains`` / ``box_intersects_segment``  the slab arithmetic inlined in ``GameMap.line_of_sight``
+``box_contains_xy``                         the containment inlined in ``GameMap.floor_height_xy``
 ``displacement_is_legal``                   what ``physics.step`` / the simulator may produce (``PositionVerifier``'s allowance)
 ``displacement_excess_reference``           ``Physics.displacement_excess`` (the ``Vec3`` offset it stopped building)
 ==========================================  ====================================
@@ -44,8 +50,10 @@ __all__ = [
     "_attention_score_reference",
     "_visible_enemies_reference",
     "floor_height_naive",
+    "floor_height_xy_naive",
     "line_of_sight_naive",
     "box_contains",
+    "box_contains_xy",
     "box_intersects_segment",
     "displacement_is_legal",
 ]
@@ -169,9 +177,14 @@ def floor_height_naive(self: GameMap, point: Vec3) -> float | None:
     """Reference linear scan over all solids (exactness-gate baseline)."""
     best: float | None = None
     for box in self.solids:
-        if box.contains_xy(point) and (best is None or box.top > best):
+        if box_contains_xy(box, point) and (best is None or box.top > best):
             best = box.top
     return best
+
+
+def floor_height_xy_naive(self: GameMap, x: float, y: float) -> float | None:
+    """``floor_height_naive`` behind ``GameMap.floor_height_xy``'s signature."""
+    return floor_height_naive(self, Vec3(x, y, 0.0))
 
 
 def line_of_sight_naive(self: GameMap, eye: Vec3, target: Vec3) -> bool:
@@ -197,6 +210,14 @@ def box_contains(self: Box, point: Vec3) -> bool:
         self.min_corner.x <= point.x <= self.max_corner.x
         and self.min_corner.y <= point.y <= self.max_corner.y
         and self.min_corner.z <= point.z <= self.max_corner.z
+    )
+
+
+def box_contains_xy(self: Box, point: Vec3, margin: float = 0.0) -> bool:
+    """Is the XY projection of ``point`` over this box (with margin)?"""
+    return (
+        self.min_corner.x - margin <= point.x <= self.max_corner.x + margin
+        and self.min_corner.y - margin <= point.y <= self.max_corner.y + margin
     )
 
 

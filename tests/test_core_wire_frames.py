@@ -44,6 +44,7 @@ from repro.core.wire import (
     seal,
 )
 from repro.faults import CrashFault, FaultSchedule
+from repro.game.simulator import generate_trace
 from repro.obs import MetricsRegistry, use_registry
 from tests.reference.egress import transmit_reference
 from tests.test_byzantine import Harness, hardened, snap
@@ -393,6 +394,28 @@ class TestMalformedInput:
             value for name, value in counters.items()
             if name.startswith("net.sent.") and name.endswith(".count")
         ) == counters["net.datagrams.sent"] == report.messages_sent
+
+    def test_a_player_signing_a_nan_position_is_dropped_and_banned(self):
+        """Player 4 signs x = NaN from frame 10 of a 12 x 240 ``paper``
+        session: every receiver refuses the frame where it enters, rates
+        the hop that handed it over, and the board bans the player.  A NaN
+        that got past the decoder would instead reach the verifiers'
+        geometry as a coordinate."""
+
+        class NanPosition(HonestBehaviour):
+            def mutate_snapshot(self, frame, snapshot):
+                if frame < 10:
+                    return snapshot
+                position = dataclasses.replace(snapshot.position, x=float("nan"))
+                return dataclasses.replace(snapshot, position=position)
+
+        trace = generate_trace(num_players=12, num_frames=240, seed=7)
+        registry = MetricsRegistry(enabled=True)
+        with use_registry(registry):
+            session = WatchmenSession(trace, behaviours={4: NanPosition()})
+            report = session.run()
+        assert registry.snapshot()["counters"].get("net.dropped.malformed", 0) > 0
+        assert 4 in report.banned
 
 
 class TestHandoffOrderIsCanonical:

