@@ -24,10 +24,9 @@ def test_fig6_detection(yard, session_trace, results_dir):
     by_check = {o.check: o for o in outcomes}
     assert set(by_check) == {"position", "kill", "guidance", "is-sub", "vs-sub"}
     for outcome in outcomes:
-        # Thresholds are calibrated at the 5 % budget on the honest run;
-        # the operating rate on the cheat run is a ~300-sample binomial
-        # re-draw (σ ≈ 1.3 points), so allow one σ of drift.
-        assert outcome.honest_flag_rate <= 0.065, outcome.check
+        # The paper's operating point: at most 5 % of honest actions
+        # flagged, for every family, on the cheat run itself.
+        assert outcome.honest_flag_rate <= 0.05, outcome.check
         assert outcome.success_rate >= 0.5, outcome.check
     # The strongest detectors are the physics-grounded ones.
     assert by_check["position"].success_rate >= 0.75

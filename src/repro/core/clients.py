@@ -1,7 +1,7 @@
 """The client book: what a node keeps for the players it proxies.
 
 The proxy role (docs/PROTOCOL.md §10): one :class:`ClientState` per client
-— subscriber table, arrival-rate monitor, recent poses, tenure summary —
+— subscriber table, arrival-rate monitor, last pose, tenure summary —
 and the two ends of the epoch handoff.  It never sends and never rates: a
 handoff comes back as a message for the node to sequence and transmit, a
 silence verdict as a rating for the node to emit.
@@ -9,7 +9,7 @@ silence verdict as a rating for the node to emit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.core.config import (
@@ -17,8 +17,6 @@ from repro.core.config import (
     DEAD_AIR_RATING_PER_FRAME,
     HANDOFF_DEPTH,
     MAX_RATING,
-    POSE_HISTORY_FRAMES,
-    POSE_MATCH_WINDOW_FRAMES,
     SILENCE_GRACE_FRAMES,
 )
 from repro.core.liveness import FirstHops
@@ -43,25 +41,6 @@ class ClientState:
     update_count: int = 0
     suspicion_flags: int = 0
     predecessor_summaries: tuple[HandoffSummary, ...] = ()
-    #: Recent per-frame snapshots, so subscriptions are verified against
-    #: the client's pose *when he planned them*, not his freshest one.
-    history: dict[int, AvatarSnapshot] = field(default_factory=dict)
-
-    def remember(self, snapshot: AvatarSnapshot) -> None:
-        self.history[snapshot.frame] = snapshot
-        if len(self.history) > POSE_HISTORY_FRAMES:
-            for frame in sorted(self.history)[: len(self.history) - POSE_HISTORY_FRAMES]:
-                del self.history[frame]
-
-    def snapshot_near(self, frame: int) -> AvatarSnapshot | None:
-        """The stored snapshot closest to ``frame`` within the match window."""
-        best = None
-        best_gap = POSE_MATCH_WINDOW_FRAMES + 1
-        for stored_frame, snapshot in self.history.items():
-            gap = abs(stored_frame - frame)
-            if gap < best_gap:
-                best, best_gap = snapshot, gap
-        return best
 
 
 class ClientBook:
@@ -83,9 +62,6 @@ class ClientBook:
                 rate=RateVerifier(),
             )
         return state
-
-    def get(self, client_id: int) -> ClientState | None:
-        return self._clients.get(client_id)
 
     def open_epoch(self, client_ids: Iterable[int]) -> None:
         """Open a record for every client the schedule assigns this epoch.

@@ -232,7 +232,8 @@ SUBSCRIPTION_SLACK_FRAMES: Final[int] = 8
 CONE_SLACK_FRACTION: Final[float] = 0.15
 #: Subscription: the target is rewound this far (the 1 Hz tiers: ½ s and 1 s).
 TARGET_REWIND_FRAMES: Final[tuple[int, ...]] = (10, 20)
-#: Subscription: occlusion (the maphack signature) needs views this fresh; calibrated.
+#: Subscription: occlusion (the maphack signature) needs views this fresh, and a
+#: pose's age (its turn allowance and discount) stops here; calibrated.
 OCCLUSION_FRESHNESS_FRAMES: Final[int] = 4
 #: Subscription: lateral offset of the occlusion probe's outer rays, units; calibrated.
 OCCLUSION_PROBE_OFFSET: Final[float] = 40.0
@@ -246,10 +247,6 @@ SUBSCRIPTION_REPEAT_WINDOW_FRAMES: Final[int] = 200
 SUBSCRIPTION_REPEAT_STEP: Final[float] = 1.5
 #: Subscription: ... and only ratings above this count as repeats; calibrated.
 ESCALATION_RATING_FLOOR: Final[float] = 2.0
-#: Subscription: client poses a proxy keeps to judge a request where it was planned.
-POSE_HISTORY_FRAMES: Final[int] = 32
-#: Subscription: how far from the request's frame the nearest pose may be; calibrated.
-POSE_MATCH_WINDOW_FRAMES: Final[int] = 4
 
 #: Rate (Table I fast-rate): arrivals are counted over one proxy period.
 RATE_WINDOW_FRAMES: Final[int] = 40

@@ -822,7 +822,6 @@ class WatchmenNode:
             state.suspicion_flags += 1
         self._verify_pose(update.snapshot, Confidence.PROXY, client=state)
         state.last_snapshot = update.snapshot
-        state.remember(update.snapshot)
         self.known[sender] = update.snapshot
         if not self.config.relax_first_hop:  # else the publisher sent directly
             self._relay(update, state.table.interest_subscribers(self.current_frame))
@@ -977,22 +976,20 @@ class WatchmenNode:
             self.metrics.count_forwarded_messages(1)
 
     def _verify_subscription(self, request: SubscriptionRequest) -> None:
-        # Judge against the subscriber's pose at (or just after) the frame
-        # he planned the subscription — he may have spun away since, and
-        # honest subscriptions must not be convicted for that.
-        state = self.clients.get(request.sender_id)
-        subscriber = None
-        if state is not None:
-            subscriber = state.snapshot_near(request.frame + 1)
-        if subscriber is None:
-            subscriber = self.known.get(request.sender_id)
+        # Judge against the latest pose of the subscriber; the verifier
+        # widens the cone by what it can turn from that pose to the planning
+        # frame and discounts the verdict by that gap.  The stamp is the
+        # subscriber's own and a request is planned no later than it
+        # arrives, so a later stamp is read as now.
+        subscriber = self.known.get(request.sender_id)
         target = self.known.get(request.target_id)
         if subscriber is None or target is None:
             return
+        frame = min(request.frame, self.current_frame)
         if request.kind == SUB_INTEREST:
             rating = self.subscription_verifier.verify_interest_subscription(
                 self.player_id,
-                request.frame,
+                frame,
                 subscriber,
                 target,
                 self.known,
@@ -1000,7 +997,7 @@ class WatchmenNode:
             )
         else:
             rating = self.subscription_verifier.verify_vision_subscription(
-                self.player_id, request.frame, subscriber, target, Confidence.PROXY
+                self.player_id, frame, subscriber, target, Confidence.PROXY
             )
         self._emit_rating(rating)
         if rating.suspicious:

@@ -713,17 +713,26 @@ class SubscriptionVerifier:
         target: AvatarSnapshot,
         confidence: float,
     ) -> CheatRating:
-        """Rate a VS subscription against the subscriber's vision cone."""
+        """Rate a VS subscription against the subscriber's vision cone.
+
+        ``subscriber`` is the latest pose the proxy holds, ``frame`` the
+        request's planning frame, which the proxy caps at its own clock (a
+        request is planned no later than it arrives; the verifier cannot see
+        that clock).  The cone may have turned for the pose's age at the
+        engine's turn rate (the aim check's bound), and the verdict is
+        staleness-discounted by it (the guidance and kill checks' rule).
+        """
         get_registry().counter("interest.classifications").inc()
         oframe = ObserverFrame(subscriber, self.interest)
-        rating, deviation, detail = self._rate_vision(oframe, frame, target)
+        age = _pose_age(frame, subscriber)
+        rating, deviation, detail = self._rate_vision(oframe, frame, target, age)
         return CheatRating(
             verifier_id=verifier_id,
             subject_id=subscriber.player_id,
             frame=frame,
             check=CheckKind.VS_SUBSCRIPTION,
             rating=rating,
-            confidence=confidence,
+            confidence=confidence * Confidence.staleness_discount(age),
             deviation=deviation,
             detail=detail,
         )
@@ -733,6 +742,7 @@ class SubscriptionVerifier:
         oframe: ObserverFrame,
         frame: int,
         target: AvatarSnapshot,
+        age: int,
     ) -> tuple[float, float, str]:
         """(rating, deviation, detail) of the cone check both kinds share."""
         subscriber = oframe.snapshot
@@ -759,7 +769,7 @@ class SubscriptionVerifier:
             # velocity and take the most charitable reading: an honest
             # subscription matches some recent target position, a bogus one
             # (never-visible target) matches none.
-            deviation = self._cone_deviation(oframe, target.position)
+            deviation = self._cone_deviation(oframe, target.position, age)
             for rewind_frames in TARGET_REWIND_FRAMES:
                 rewound = target.position - target.velocity * (
                     FRAME_SECONDS * rewind_frames
@@ -771,7 +781,7 @@ class SubscriptionVerifier:
                 ):
                     deviation = 0.0
                     break
-                deviation = min(deviation, self._cone_deviation(oframe, rewound))
+                deviation = min(deviation, self._cone_deviation(oframe, rewound, age))
             # Allow the target to be a few frames of movement outside the
             # cone: subscriptions are predicted/retained, not instantaneous.
             allowed = run_slack + CONE_SLACK_FRACTION * self.interest.vision_radius
@@ -789,10 +799,13 @@ class SubscriptionVerifier:
         known: dict[int, AvatarSnapshot],
         confidence: float,
     ) -> CheatRating:
-        """Rate an IS subscription by the target's attention rank."""
+        """Rate an IS subscription by the target's attention rank (``frame``
+        and the pose's age as for :meth:`verify_vision_subscription`)."""
         get_registry().counter("interest.classifications").inc()
         oframe = ObserverFrame(subscriber, self.interest)
-        rating, deviation, _ = self._rate_vision(oframe, frame, target)
+        age = _pose_age(frame, subscriber)
+        rating, deviation, _ = self._rate_vision(oframe, frame, target, age)
+        confidence *= Confidence.staleness_discount(age)
         if rating > MIN_RATING:
             # Not even visible: inherit the cone deviation but tag as IS.
             # (Escalation already applied inside the vision check.)
@@ -863,16 +876,33 @@ class SubscriptionVerifier:
             not self.game_map.line_of_sight(a, b) for a, b in samples
         )
 
-    def _cone_deviation(self, oframe: ObserverFrame, position: Vec3) -> float:
-        """Distance-like metric from ``position`` (feet) to the subscriber's cone."""
+    def _cone_deviation(
+        self, oframe: ObserverFrame, position: Vec3, age: int
+    ) -> float:
+        """Distance-like metric from ``position`` (feet) to the subscriber's
+        cone, widened by what it can turn in ``age`` frames."""
         offset = position - oframe.snapshot.position
         distance = offset.length()
         radial_excess = max(0.0, distance - oframe.vision_radius)
         angle_excess = max(
-            0.0, oframe.aim.angle_to(offset) - oframe.half_angle_slack
+            0.0,
+            oframe.aim.angle_to(offset)
+            - oframe.half_angle_slack
+            - MAX_TURN_RATE * FRAME_SECONDS * age,
         )
         # Arc-length conversion puts the angular excess in world units.
         return radial_excess + angle_excess * min(distance, oframe.vision_radius)
+
+
+def _pose_age(frame: int, subscriber: AvatarSnapshot) -> int:
+    """Frames from the subscriber's pose to the request, at most
+    ``OCCLUSION_FRESHNESS_FRAMES``.
+
+    A request stamped before the pose gets no allowance.  By the cap the
+    turn allowance already spans the whole circle, so capping only keeps
+    an old pose stamp from discounting a verdict's confidence to nothing.
+    """
+    return min(max(0, frame - subscriber.frame), OCCLUSION_FRESHNESS_FRAMES)
 
 
 def _rate_rating(

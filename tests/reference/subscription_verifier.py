@@ -6,9 +6,20 @@ onto one :class:`~repro.game.interest.ObserverFrame` per call, kept
 verbatim: every cone test and every attention score goes through a
 per-candidate call that rebuilds the subscriber's eye and aim, rewound
 targets are ``dataclasses.replace`` copies, and the IS check runs the VS
-check through its public method.  The only edit is the import: the cone
-and attention helpers are the naive ``_reference`` ones, so this file
-shares no arithmetic with the kernels it gates.
+check through its public method.  The cone and attention helpers are the
+naive ``_reference`` ones, so this file shares no arithmetic with the
+kernels it gates.
+
+One rule changed since, in both verifiers at once: the proxy judges the
+subscriber's latest pose instead of looking up a pose near the planning
+frame.  The pose's ``age`` is the frames from it to the request, 0 for a
+request stamped before it and at most 4 (the occlusion freshness bound,
+by which the turn allowance spans the whole circle).  The cone's angular
+excess subtracts what the engine can turn in ``age`` frames
+(``MAX_TURN_RATE * FRAME_SECONDS * age``, the aim check's bound), and the
+verdict's confidence is discounted by ``staleness_discount(age)``, as the
+guidance and kill checks discount theirs.  Without it an honest player
+mid-turn was convicted against a pose two frames old.
 
 ``tests/test_core_verification_fast.py`` asserts the shipped verifier
 returns the same :class:`CheatRating`, field for field, and leaves the
@@ -19,11 +30,13 @@ from __future__ import annotations
 
 from dataclasses import replace as dataclass_replace
 
+from repro.core.config import FRAME_SECONDS, MAX_TURN_RATE
 from repro.core.verification import (
     MAX_RATING,
     MIN_RATING,
     CheatRating,
     CheckKind,
+    Confidence,
     rating_from_deviation,
 )
 from repro.game.avatar import AvatarSnapshot
@@ -75,6 +88,7 @@ class ReferenceSubscriptionVerifier:
         slack_frames: int = 8,
     ) -> CheatRating:
         """Rate a VS subscription; slack_frames forgives subscription latency."""
+        age = min(max(0, frame - subscriber.frame), 4)
         if in_vision_cone(subscriber, target, self.interest):
             rating, deviation, detail = MIN_RATING, 0.0, "target inside cone"
             # Maphack signature: inside the cone but behind a wall — "the
@@ -98,7 +112,7 @@ class ReferenceSubscriptionVerifier:
             # velocity and take the most charitable reading: an honest
             # subscription matches some recent target position, a bogus one
             # (never-visible target) matches none.
-            deviation = self._cone_deviation(subscriber, target)
+            deviation = self._cone_deviation(subscriber, target, age)
             for rewind_frames in (10, 20):
                 rewound = dataclass_replace(
                     target,
@@ -114,7 +128,7 @@ class ReferenceSubscriptionVerifier:
                     deviation = 0.0
                     break
                 deviation = min(
-                    deviation, self._cone_deviation(subscriber, rewound)
+                    deviation, self._cone_deviation(subscriber, rewound, age)
                 )
             # Allow the target to be a few frames of movement outside the
             # cone: subscriptions are predicted/retained, not instantaneous.
@@ -128,7 +142,7 @@ class ReferenceSubscriptionVerifier:
             frame=frame,
             check=CheckKind.VS_SUBSCRIPTION,
             rating=rating,
-            confidence=confidence,
+            confidence=confidence * Confidence.staleness_discount(age),
             deviation=deviation,
             detail=detail,
         )
@@ -146,6 +160,7 @@ class ReferenceSubscriptionVerifier:
         vision_rating = self.verify_vision_subscription(
             verifier_id, frame, subscriber, target, confidence
         )
+        confidence = vision_rating.confidence
         if vision_rating.rating > MIN_RATING:
             # Not even visible: inherit the cone deviation but tag as IS.
             # (Escalation already applied inside the vision check.)
@@ -222,7 +237,7 @@ class ReferenceSubscriptionVerifier:
         )
 
     def _cone_deviation(
-        self, subscriber: AvatarSnapshot, target: AvatarSnapshot
+        self, subscriber: AvatarSnapshot, target: AvatarSnapshot, age: int
     ) -> float:
         """Distance-like metric from the target to the subscriber's cone."""
         offset = target.position - subscriber.position
@@ -230,7 +245,10 @@ class ReferenceSubscriptionVerifier:
         radial_excess = max(0.0, distance - self.interest.vision_radius)
         aim = Vec3.from_yaw(subscriber.yaw)
         angle_excess = max(
-            0.0, aim.angle_to(offset) - self.interest.effective_half_angle
+            0.0,
+            aim.angle_to(offset)
+            - self.interest.effective_half_angle
+            - MAX_TURN_RATE * FRAME_SECONDS * age,
         )
         # Arc-length conversion puts the angular excess in world units.
         return radial_excess + angle_excess * min(

@@ -5,10 +5,12 @@ import pytest
 from repro.core.config import HANDOFF_DEPTH, WatchmenConfig
 from repro.core.messages import (
     SUB_INTEREST,
+    SUB_VISION,
     StateUpdate,
     SubscriptionRequest,
 )
 from repro.core.node import WatchmenNode
+from repro.core.verification import Confidence
 from repro.core.proxy import ProxySchedule
 from repro.core.wire import encode_signable
 from repro.crypto.signatures import HmacSigner
@@ -202,6 +204,29 @@ class TestProxyForwarding:
         node = harness.nodes[0]
         # Everybody is known (seeded or updated).
         assert set(node.known) == {0, 1, 2, 3}
+
+
+class TestSubscriptionVerdict:
+    @pytest.mark.parametrize("kind", [SUB_VISION, SUB_INTEREST])
+    @pytest.mark.parametrize("stamp_offset", [-400, -6, 6, 400])
+    def test_a_forged_request_stamp_buys_no_turn(self, monkeypatch, kind, stamp_offset):
+        """The request's frame is the subscriber's own stamp.  Stamped far
+        from the pose the proxy holds, either way, it must neither widen
+        the cone nor discount the verdict: a target straight behind a
+        fresh pose is still convicted at full proxy confidence."""
+        harness = LoopbackHarness()
+        node = harness.nodes[0]
+        node.current_frame = 50
+        node.known[1] = snap(1, frame=50, x=0.0, yaw=0.0)
+        node.known[2] = snap(2, frame=50, x=-700.0)
+        ratings = []
+        monkeypatch.setattr(node, "_emit_rating", ratings.append)
+        node._verify_subscription(
+            SubscriptionRequest(1, 2, kind, 50 + stamp_offset, 1)
+        )
+        (rating,) = ratings
+        assert rating.rating > 3.0
+        assert rating.confidence == Confidence.PROXY
 
 
 class TestEnvelopeSecurity:

@@ -296,17 +296,17 @@ def request(sender, target, kind=SUB_INTEREST, frame=0):
 class TestClientBook:
     def test_records_open_on_first_use_and_reads_stay_pure(self):
         book = book_for()
-        assert book.get(3) is None
+        assert 3 not in book._clients
         assert book.subscribers_of(3, 0) == (frozenset(), frozenset())
-        assert book.get(3) is None  # the read opened nothing
+        assert 3 not in book._clients  # the read opened nothing
         state = book.state(3)
-        assert book.state(3) is state and book.get(3) is state
+        assert book.state(3) is state and book._clients[3] is state
 
     def test_open_epoch_skips_myself(self):
         book = book_for()
         book.open_epoch([ME, 2, 5])
-        assert book.get(ME) is None
-        assert book.get(2) is not None and book.get(5) is not None
+        assert ME not in book._clients
+        assert 2 in book._clients and 5 in book._clients
 
     def test_registrations_drive_every_audience(self):
         book = book_for()
@@ -325,7 +325,7 @@ class TestClientBook:
         book = book_for()
         book.open_epoch([2, 5])
         book.drop({2, 9})
-        assert book.get(2) is None and book.get(5) is not None
+        assert 2 not in book._clients and 5 in book._clients
 
 
 def handoff_pair(depth=0):
@@ -358,7 +358,7 @@ class TestHandoff:
         assert destination == new
         assert handoff.sequence == 0  # the node stamps it as it sends
         assert (handoff.sender_id, handoff.player_id, handoff.epoch) == (old, client, 0)
-        assert book.get(client) is None  # the tenure is over
+        assert client not in book._clients  # the tenure is over
 
         successor = book_for(new)
         incoming = successor.import_handoff(handoff, PROXY_PERIOD_FRAMES)
@@ -407,7 +407,7 @@ class TestHandoff:
         book = book_for()
         book.state(ghost).update_count = 5
         assert list(book.export_handoffs(PROXY_PERIOD_FRAMES, 1, hops)) == []
-        assert book.get(ghost) is None
+        assert ghost not in book._clients
 
     def test_a_re_elected_proxy_keeps_its_client(self):
         schedule = ProxySchedule(ROSTER)
@@ -424,7 +424,7 @@ class TestHandoff:
         book = book_for(proxy)
         state = book.state(client)
         assert list(book.export_handoffs(frame, epoch, hops)) == []
-        assert book.get(client) is state
+        assert book._clients[client] is state
 
     def test_a_stand_in_hands_off_only_a_client_it_actually_heard(self):
         schedule = ProxySchedule(ROSTER)

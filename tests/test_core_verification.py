@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import (
+    FRAME_SECONDS,
     GUIDANCE_FALLBACK_ALLOWANCE,
     GUIDANCE_MIN_SAMPLES,
     GUIDANCE_SIGMAS,
+    MAX_TURN_RATE,
+    MIN_RATING,
+    OCCLUSION_FRESHNESS_FRAMES,
     RATE_WINDOW_FRAMES,
 )
 from repro.core.verification import (
@@ -368,6 +372,75 @@ class TestSubscriptionVerifier:
             0, 0, subscriber, snap(3, x=-900, y=-800), 1.0
         )
         assert far_miss.deviation > near_miss.deviation
+
+
+class TestSubscriptionAgainstAnOldPose:
+    """The proxy judges a subscription against the subscriber's latest
+    pose, which may be frames older than the request.  A player turning at
+    the engine's maximum rate planned on a cone that pose does not show:
+    the verdict widens the cone by the turn the gap allows and discounts
+    its confidence by the gap, and nothing else.  The gap is capped at
+    ``OCCLUSION_FRESHNESS_FRAMES`` and is 0 for a request stamped before
+    the pose."""
+
+    AGE = 2
+    TURNED = MAX_TURN_RATE * FRAME_SECONDS * AGE  # the yaw at the request
+
+    @pytest.fixture()
+    def verifier(self, arena):
+        return SubscriptionVerifier(arena, InterestConfig())
+
+    @pytest.fixture(params=[CheckKind.VS_SUBSCRIPTION, CheckKind.IS_SUBSCRIPTION])
+    def kind(self, request):
+        return request.param
+
+    def _rate(self, verifier, yaw, distance, kind, pose_frame=10):
+        subscriber = snap(1, x=0, y=-800, yaw=0.0, frame=pose_frame)
+        target = snap(
+            2, x=distance * math.cos(yaw), y=-800 + distance * math.sin(yaw), frame=12
+        )
+        if kind == CheckKind.IS_SUBSCRIPTION:
+            return verifier.verify_interest_subscription(
+                0, 12, subscriber, target, {1: subscriber, 2: target}, Confidence.PROXY
+            )
+        return verifier.verify_vision_subscription(
+            0, 12, subscriber, target, Confidence.PROXY
+        )
+
+    def test_a_target_inside_the_turned_cone_is_normal(self, verifier, kind):
+        config = InterestConfig()
+        yaw = self.TURNED + config.vision_half_angle * 0.9
+        assert yaw > config.effective_half_angle  # outside the cone the pose shows
+        rating = self._rate(verifier, yaw, 1000.0, kind)
+        assert rating.rating == MIN_RATING
+        assert rating.confidence == Confidence.PROXY * Confidence.staleness_discount(
+            self.AGE
+        )
+
+    def test_a_target_beyond_the_widened_cone_is_still_flagged(self, verifier, kind):
+        assert InterestConfig().effective_half_angle + self.TURNED < math.pi - 0.5
+        rating = self._rate(verifier, math.pi, 2000.0, kind)
+        assert rating.rating > 3.0
+
+    def test_a_target_beyond_vision_radius_is_still_flagged(self, verifier, kind):
+        distance = InterestConfig().vision_radius * 2.0
+        rating = self._rate(verifier, self.TURNED, distance, kind)
+        assert rating.rating > 3.0
+
+    def test_a_pose_older_than_the_cap_counts_as_capped(self, verifier, kind):
+        # The turn allowance spans the circle by the cap, so a target
+        # behind the pose is normal; the confidence stays the cap's.
+        rating = self._rate(verifier, math.pi, 1000.0, kind, pose_frame=12 - 400)
+        assert rating.rating == MIN_RATING
+        assert rating.confidence == Confidence.PROXY * Confidence.staleness_discount(
+            OCCLUSION_FRESHNESS_FRAMES
+        )
+
+    def test_a_request_stamped_before_the_pose_gets_no_turn(self, verifier, kind):
+        yaw = self.TURNED + InterestConfig().vision_half_angle * 0.9
+        rating = self._rate(verifier, yaw, 1000.0, kind, pose_frame=12 + 400)
+        assert rating.rating > 3.0
+        assert rating.confidence == Confidence.PROXY
 
 
 class TestRateVerifier:

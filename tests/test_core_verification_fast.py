@@ -7,7 +7,8 @@ replaced, which is retained verbatim in
 ``tests/reference/subscription_verifier.py``:
 
 - a hypothesis property drives both over random maps, rosters, yaws,
-  velocities, stale frames and a pre-loaded escalation history, and
+  velocities, stale frames, pose ages 0-8 and a pre-loaded escalation
+  history, and
   compares every :class:`CheatRating` field for field plus the escalation
   state they leave behind;
 - a branch census proves the generator reaches every arm of the check
@@ -24,6 +25,7 @@ replaced, which is retained verbatim in
 import hashlib
 import json
 import math
+from dataclasses import replace as dataclass_replace
 from pathlib import Path
 from random import Random
 
@@ -42,11 +44,14 @@ from repro.replay import TapeScenario
 from tests.reference.subscription_verifier import ReferenceSubscriptionVerifier
 from tests.test_game_interest_fast import _random_world
 
-#: sha256 over every field of every rating of the pinned session below,
-#: recorded at the commit before PR 15 (28 269 ratings)
+#: sha256 over every field of every rating of the pinned session below
+#: (28 269 ratings), recorded at the commit before PR 15 and moved once
+#: since: when the subscription check began judging the latest pose with
+#: the turn bound and the staleness discount, 73 of its 912 checks rated
+#: suspicious before and 40 after (``090b46d1…`` -> ``320a864b…``)
 PINNED_SESSION_RATINGS = 28269
 PINNED_SESSION_SHA256 = (
-    "090b46d16741a596e3d39234e457425117bfb8a42d35423267850fa3e6b56292"
+    "320a864b5d0ef536137cd37b85ae78d8e64142e3b5c7088e8c1c36f479b6aa47"
 )
 #: the same session's registry snapshot (counters, simulated-time histograms),
 #: recorded at the commit before PR 19
@@ -128,6 +133,8 @@ def _drive(seed: int, players: int, boxes: int, checks: int) -> list[CheatRating
             )
         verifier_id = rng.randrange(players)
         confidence = rng.choice((Confidence.PROXY, Confidence.INTEREST))
+        # the pose's age, 0..8 frames: both sides of the cap
+        subscriber = dataclass_replace(subscriber, frame=now - rng.randrange(9))
         if rng.random() < 0.5:
             args = (verifier_id, now, subscriber, target, confidence)
             got = fast.verify_vision_subscription(*args)
@@ -217,10 +224,11 @@ def test_paper_profile_session_rating_stream_is_pinned():
     # needed ``registry=`` *and* ``use_registry`` to fill them), minus its two
     # always-zero ``net.dropped.budget`` / ``.nat`` rows; the histograms that
     # are left are the two in simulated time — no ``*_seconds`` host timer.
-    # One value moved since, on purpose: ``proxy.schedule.lookups`` 20 669 ->
+    # Two values moved since, on purpose: ``proxy.schedule.lookups`` 20 669 ->
     # 6 236 when ``FirstHops.is_proxy_of`` began answering from the epoch's
     # client set (``draws`` stayed 24; the session never dual-sends, so
-    # ``node.frames_signed`` did not move).
+    # ``node.frames_signed`` did not move), and ``node.ratings_suspicious``
+    # 73 -> 40 with the rating stream above.
     pinned = json.loads(PINNED_SESSION_REGISTRY.read_text())
     assert counters == pinned["counters"]
     assert registry.snapshot()["histograms"] == pinned["histograms"]
