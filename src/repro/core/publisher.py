@@ -57,10 +57,11 @@ class Publisher:
         self, frame: int, snapshot: AvatarSnapshot
     ) -> Iterator[StateUpdate | GuidanceMessage | PositionUpdate]:
         """This frame's update tiers: the frequent one, then the 1 Hz two."""
+        once_a_second = self._on_phase(frame)
         if frame % FREQUENT_INTERVAL_FRAMES == 0:
             # Delta-code against the previous update; send a keyframe once
             # per second so late receivers resynchronise.
-            if self._last_published is None or frame % FRAMES_PER_SECOND == 0:
+            if self._last_published is None or once_a_second:
                 delta: tuple[str, ...] = ()
             else:
                 delta = tuple(
@@ -74,7 +75,7 @@ class Publisher:
                 snapshot=snapshot,
                 delta_fields=delta,
             )
-        if frame % FRAMES_PER_SECOND == 0:
+        if once_a_second:
             yield GuidanceMessage(
                 sender_id=self.player_id,
                 frame=frame,
@@ -83,6 +84,21 @@ class Publisher:
                 prediction=self._guidance_prediction(frame, snapshot),
             )
             yield self.heartbeat(frame, snapshot)
+
+    def _on_phase(self, frame: int) -> bool:
+        """Whether ``frame`` carries this player's keyframe and 1 Hz tiers.
+
+        Player ``p`` publishes them on every frame ``f ≡ p`` (mod
+        ``FRAMES_PER_SECOND``), so the roster's 1 Hz traffic is spread over
+        every frame of a second instead of landing on one, and a verifier
+        can recompute the phase from the sender id.  No frame is special:
+        the first publish comes at frame ``p % FRAMES_PER_SECOND``, and no
+        gap, counted from the session's start, exceeds one second, the
+        interval the liveness thresholds assume.  Frame 0 needs no 1 Hz
+        publish of its own: every node starts knowing every frame-0 pose,
+        and a publisher's first ``StateUpdate`` is a keyframe anyway.
+        """
+        return (frame - self.player_id) % FRAMES_PER_SECOND == 0
 
     def heartbeat(self, frame: int, snapshot: AvatarSnapshot) -> PositionUpdate:
         """The 1 Hz position-only tier, which doubles as the liveness beacon."""

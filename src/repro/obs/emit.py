@@ -127,9 +127,11 @@ class MetricDelta:
 
     @property
     def relative_change(self) -> float:
+        """The change as a fraction of the old value's size: positive means
+        the metric grew, whatever the old value's sign."""
         if self.old == 0:
             return float("inf") if self.new > 0 else 0.0
-        return (self.new - self.old) / self.old
+        return (self.new - self.old) / abs(self.old)
 
     def is_regression(self, threshold: float) -> bool:
         return self.relative_change > threshold

@@ -46,11 +46,16 @@ class TestDeltaCoding:
         ], session.config
 
     def test_keyframes_once_per_second(self, updates):
+        """Everyone keyframes at frame 0, and each sender once a second on
+        its own phase: ``frame ≡ sender_id`` (mod ``FRAMES_PER_SECOND``)."""
         messages, _ = updates
         keyframes = [m for m, _ in messages if not m.delta_fields]
         assert keyframes
         for message in keyframes:
-            assert message.frame % 20 == 0
+            assert message.frame == 0 or (
+                (message.frame - message.sender_id) % FRAMES_PER_SECOND == 0
+            )
+        assert len({m.frame for m in keyframes if m.frame > 0}) > 1
 
     def test_deltas_between_keyframes(self, updates):
         messages, _ = updates

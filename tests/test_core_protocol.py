@@ -1,6 +1,7 @@
 """Integration tests for WatchmenSession (full protocol over the WAN sim)."""
 
 import gc
+import statistics
 import sys
 
 import pytest
@@ -67,6 +68,52 @@ class TestHonestRun:
             scenario.make_trace(game_map), None, game_map
         ).run()
         assert report.banned == set()
+
+    def test_no_frame_carries_a_burst(self):
+        """The 1 Hz tiers are phased by player id, so no frame after the cold
+        start sends much more than the median.  When every player published
+        them on ``frame % FRAMES_PER_SECOND == 0``, frame 20 of this run sent
+        1.46x the median frame's datagrams.  A count, not a clock: this is
+        the shape of the frame-time tail on any machine."""
+        from repro.replay import TapeScenario
+
+        scenario = TapeScenario(
+            players=24, frames=60, seed=7,
+            failover=False, reliable=False, hardening=False,
+        )
+        game_map = scenario.make_map()
+        session = scenario.make_session(
+            scenario.make_trace(game_map), None, game_map
+        )
+        marks: list[int] = []
+        session.on_frame_begin = lambda frame: marks.append(session.network.sent)
+        session.run()
+        marks.append(session.network.sent)
+        per_frame = [b - a for a, b in zip(marks, marks[1:])]
+        assert len(per_frame) == 60
+        warm = per_frame[2:]
+        assert max(warm) <= 1.25 * statistics.median(warm)
+
+    def test_no_player_seems_dead_without_a_fault(self):
+        """Every live player's heartbeat reaches every node at least once a
+        second, so a hardened run without a fault never fails over.  Loss is
+        off: one lost heartbeat leaves a 40-frame silence, past the 30-frame
+        proxy-silence threshold, whatever the schedule.  A schedule that
+        let a player's second heartbeat wait until frame ``20 + id % 20``
+        failed ids 11-19 over near frame 32 in this run."""
+        from repro.replay import TapeScenario
+
+        scenario = TapeScenario(players=24, frames=120, seed=7, loss_rate=0.0)
+        game_map = scenario.make_map()
+        session = scenario.make_session(
+            scenario.make_trace(game_map), None, game_map
+        )
+        report = session.run()
+        assert session.config.profile == "hardened"
+        assert [n.first_hops.failover_events for n in session.nodes.values()] == [
+            [] for _ in session.nodes
+        ]
+        assert report.proxy_failovers == 0
 
     def test_honest_high_rating_fraction_tiny(self, honest_session_report):
         _, report = honest_session_report

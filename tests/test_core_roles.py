@@ -7,6 +7,8 @@ constructed — in the style of ``tests/test_core_delivery.py``.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -656,27 +658,65 @@ def moving(frame):
     return replace(snap(ME, frame=frame, x=10.0 * frame), velocity=Vec3(200.0, 0, 0))
 
 
+#: A publisher whose phase is not 0, so the schedule's phase shows.
+PHASED = 7
+
+
+def tier_frames(player_id, frames):
+    """The frames carrying ``player_id``'s keyframe, guidance and position."""
+    publisher = publisher_for(me=player_id)
+    keyframes, guidance, position = set(), set(), set()
+    for frame in range(frames):
+        for message in publisher.updates(frame, moving(frame)):
+            if isinstance(message, StateUpdate) and not message.delta_fields:
+                keyframes.add(frame)
+            elif isinstance(message, GuidanceMessage):
+                guidance.add(frame)
+            elif isinstance(message, PositionUpdate):
+                position.add(frame)
+    return keyframes, guidance, position
+
+
 class TestPublisherTiers:
     def test_every_frame_a_state_update_and_once_a_second_the_slow_tiers(self):
-        publisher = publisher_for()
-        kinds = {
-            frame: [type(m) for m in publisher.updates(frame, moving(frame))]
-            for frame in range(2 * FRAMES_PER_SECOND + 1)
-        }
-        for frame, sent in kinds.items():
-            if frame % FRAMES_PER_SECOND == 0:
+        publisher = publisher_for(me=PHASED)
+        for frame in range(3 * FRAMES_PER_SECOND):
+            sent = [type(m) for m in publisher.updates(frame, moving(frame))]
+            if frame in (7, 27, 47):
                 assert sent == [StateUpdate, GuidanceMessage, PositionUpdate]
             else:
-                assert sent == [StateUpdate]
+                assert sent == [StateUpdate], frame
 
     def test_keyframe_once_a_second_and_deltas_in_between(self):
-        publisher = publisher_for()
-        for frame in range(FRAMES_PER_SECOND + 1):
+        publisher = publisher_for(me=PHASED)
+        for frame in range(2 * FRAMES_PER_SECOND):
             update = next(iter(publisher.updates(frame, moving(frame))))
-            if frame % FRAMES_PER_SECOND == 0:
+            if frame in (0, 7, 27):
                 assert update.delta_fields == ()  # late receivers resynchronise
             else:
                 assert "position" in update.delta_fields
+
+    def test_each_player_keeps_its_own_phase_and_no_frame_is_crowded(self):
+        """Each id's 1 Hz frames are exactly the frames of its own phase,
+        from frame 0 on: no gap, the one from the session's start included, is
+        longer than a second (the liveness thresholds assume as much), each
+        id sends as many in every ``[0, 20k)`` as when all published on
+        ``frame % 20 == 0``, and no frame carries more than its share of the
+        roster.  The first ``StateUpdate`` is a keyframe whatever the phase."""
+        roster, seconds = 48, 6
+        frames = seconds * FRAMES_PER_SECOND
+        crowd = Counter()
+        for player_id in range(roster):
+            keyframes, guidance, position = tier_frames(player_id, frames)
+            assert guidance == position
+            assert keyframes == position | {0}
+            once = sorted(position)
+            assert once[0] == player_id % FRAMES_PER_SECOND
+            assert {b - a for a, b in zip(once, once[1:])} == {FRAMES_PER_SECOND}
+            for k in range(1, seconds + 1):
+                assert sum(f < k * FRAMES_PER_SECOND for f in once) == k
+            crowd.update(once)
+        assert max(crowd.values()) <= math.ceil(roster / FRAMES_PER_SECOND)
 
     def test_an_unchanged_avatar_still_sends_a_minimal_delta(self):
         publisher = publisher_for()

@@ -44,17 +44,20 @@ from repro.replay import TapeScenario
 from tests.reference.subscription_verifier import ReferenceSubscriptionVerifier
 from tests.test_game_interest_fast import _random_world
 
-#: sha256 over every field of every rating of the pinned session below
-#: (28 269 ratings), recorded at the commit before PR 15 and moved once
-#: since: when the subscription check began judging the latest pose with
-#: the turn bound and the staleness discount, 73 of its 912 checks rated
-#: suspicious before and 40 after (``090b46d1…`` -> ``320a864b…``)
-PINNED_SESSION_RATINGS = 28269
+#: sha256 over every field of every rating of the pinned session below,
+#: recorded once and moved twice since: when the
+#: subscription check began judging the latest pose with the turn bound and
+#: the staleness discount, 73 of its 912 checks rated suspicious before and
+#: 40 after (``090b46d1…`` -> ``320a864b…``); when each player began sending
+#: its 1 Hz tiers on its own phase (every frame ``≡ player_id`` mod 20, frame
+#: 0 no longer for everyone), the verdicts moved with the traffic: 28 269
+#: ratings -> 28 432, 40 suspicious -> 36 (``320a864b…`` -> ``0020f759…``)
+PINNED_SESSION_RATINGS = 28432
 PINNED_SESSION_SHA256 = (
-    "320a864b5d0ef536137cd37b85ae78d8e64142e3b5c7088e8c1c36f479b6aa47"
+    "0020f75958aa7b61af0adc5662b4cc83ba8aa42e8d63a4c3389cd73bed7f883b"
 )
 #: the same session's registry snapshot (counters, simulated-time histograms),
-#: recorded at the commit before PR 19
+#: re-recorded with the phased 1 Hz tiers above
 PINNED_SESSION_REGISTRY = Path(__file__).with_name("pinned_session_registry.json")
 
 
@@ -228,7 +231,14 @@ def test_paper_profile_session_rating_stream_is_pinned():
     # 6 236 when ``FirstHops.is_proxy_of`` began answering from the epoch's
     # client set (``draws`` stayed 24; the session never dual-sends, so
     # ``node.frames_signed`` did not move), and ``node.ratings_suspicious``
-    # 73 -> 40 with the rating stream above.
+    # 73 -> 40 with the rating stream above.  The phased 1 Hz tiers then
+    # moved the traffic (``net.sent.PositionUpdate.count`` 613 -> 285,
+    # ``net.sent.GuidanceMessage.count`` 154 -> 237: a proxy relays position
+    # updates to the players outside the sender's subscriber lists and
+    # guidance to those inside, and at frame 0, where every player used to
+    # publish, no proxy knows a subscriber yet; ``net.datagrams.sent``
+    # 16 578 -> 16 560; ``node.ratings_suspicious`` 40 -> 36) and the
+    # histograms with it.
     pinned = json.loads(PINNED_SESSION_REGISTRY.read_text())
     assert counters == pinned["counters"]
     assert registry.snapshot()["histograms"] == pinned["histograms"]

@@ -243,6 +243,19 @@ class TestDiff:
         )
         assert len(regressions) == 1
 
+    def test_a_negative_baseline_grows_upward(self):
+        """A difference metric can sit below zero; falling further is an
+        improvement, rising past the gate is a regression."""
+        regressions, others = diff_rows(
+            self.rows(delta=-5.8), self.rows(delta=-102.3), threshold=0.25
+        )
+        assert regressions == []
+        assert others[0].relative_change == pytest.approx(-96.5 / 5.8)
+        regressions, _ = diff_rows(
+            self.rows(delta=-5.8), self.rows(delta=10.0), threshold=0.25
+        )
+        assert [d.metric for d in regressions] == ["delta"]
+
     def test_metrics_on_one_side_only_are_ignored(self):
         regressions, others = diff_rows(
             self.rows(old_only=1.0), self.rows(new_only=99.0)
