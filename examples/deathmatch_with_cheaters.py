@@ -12,12 +12,7 @@ from collections import Counter
 
 from repro.analysis.detection import wire_cheat
 from repro.cheats import AimbotCheat, FakeKillCheat, SpeedHack
-from repro.core import (
-    ReputationBoard,
-    ThresholdReputation,
-    WatchmenConfig,
-    WatchmenSession,
-)
+from repro.core import ReputationBoard, WatchmenConfig, WatchmenSession
 from repro.game import generate_trace, make_longest_yard
 
 SPEED_HACKER, KILL_FAKER, AIMBOTTER = 0, 1, 2
@@ -66,9 +61,7 @@ def main() -> None:
     )
     config = WatchmenConfig()
     cheats = build_cheats(trace, game_map, config)
-    board = ReputationBoard(
-        system=ThresholdReputation(ban_threshold=0.99, min_reports=50)
-    )
+    board = ReputationBoard(ban_threshold=0.99, min_reports=50)
 
     print("Running a 12-player match with 3 cheaters (ids 0, 1, 2)...")
     session = WatchmenSession(

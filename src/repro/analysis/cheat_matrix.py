@@ -298,8 +298,8 @@ def _access_outcomes(
         CheatOutcome(
             "rate-analysis", "access", TABLE1_ROWS[13][2],
             "prevented",
-            "subscriptions handled by the target's proxy; inbound rates "
-            "carry no subscriber signal (see RateAnalysisProbe tests)",
+            "subscriptions are registered at the target's proxy; the target "
+            "sees one only as the subscriber's own proxy (see TestRateAnalysis)",
             0, 0,
         ),
     ]

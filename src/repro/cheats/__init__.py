@@ -13,7 +13,6 @@ from repro.cheats.flow import (
 from repro.cheats.info import (
     MaphackProbe,
     ProbeResult,
-    RateAnalysisProbe,
     SniffingProbe,
 )
 from repro.cheats.state import (
@@ -43,7 +42,6 @@ __all__ = [
     "MaphackProbe",
     "NetworkFloodCheat",
     "ProbeResult",
-    "RateAnalysisProbe",
     "ReplayCheat",
     "SniffingProbe",
     "SpeedHack",

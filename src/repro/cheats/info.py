@@ -1,4 +1,4 @@
-"""Unauthorized-access probes: sniffing, maphack, rate analysis.
+"""Unauthorized-access probes: sniffing and maphack.
 
 These cheats are *prevented* rather than detected: Watchmen minimises what
 reaches a player's machine, so there is nothing useful to sniff.  The
@@ -8,10 +8,7 @@ a dissemination model, not behaviours:
 - :class:`SniffingProbe` — what fraction of the game state is present in
   the cheater's inbound traffic at all (a packet sniffer's ceiling);
 - :class:`MaphackProbe` — of the players *not* legitimately visible, how
-  many could a wallhack renderer draw with fresh coordinates;
-- :class:`RateAnalysisProbe` — could the cheater infer who is targeting
-  him purely from per-sender inbound rates (defeated by proxy
-  indirection: every inbound byte has the same immediate sender)?
+  many could a wallhack renderer draw with fresh coordinates.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from dataclasses import dataclass
 from repro.baselines.base import DisseminationModel
 from repro.core.disclosure import InfoLevel
 
-__all__ = ["SniffingProbe", "MaphackProbe", "RateAnalysisProbe", "ProbeResult"]
+__all__ = ["SniffingProbe", "MaphackProbe", "ProbeResult"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,39 +87,3 @@ class MaphackProbe:
             ):
                 exposed += 1
         return ProbeResult(cheater_id=cheater_id, exposed=exposed, total=total)
-
-
-class RateAnalysisProbe:
-    """Can inbound-rate analysis reveal who is watching the cheater?
-
-    ``inbound_sources(cheater)`` maps immediate datagram sources to
-    counts.  Under Watchmen every update about player X arrives from X's
-    *proxy*, and subscriptions to the cheater are handled by the
-    *cheater's own proxy* without telling him — so inbound rates carry no
-    information about subscribers.  Under a direct-subscription system the
-    per-source rate is exactly the subscriber signal.
-    """
-
-    def measure(
-        self,
-        cheater_id: int,
-        inbound_counts: dict[int, int],
-        true_subscribers: frozenset[int],
-    ) -> ProbeResult:
-        """How many true subscribers are identifiable as high-rate sources?"""
-        if not true_subscribers:
-            return ProbeResult(cheater_id=cheater_id, exposed=0, total=0)
-        if not inbound_counts:
-            return ProbeResult(
-                cheater_id=cheater_id, exposed=0, total=len(true_subscribers)
-            )
-        mean_rate = sum(inbound_counts.values()) / len(inbound_counts)
-        high_rate_sources = {
-            source for source, count in inbound_counts.items() if count > mean_rate
-        }
-        identified = len(high_rate_sources & true_subscribers)
-        return ProbeResult(
-            cheater_id=cheater_id,
-            exposed=identified,
-            total=len(true_subscribers),
-        )

@@ -450,7 +450,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 f"{metrics['frames_to_reproxy']:>7.0f} "
                 f"{metrics['stale_frac_during']:>9.3f} "
                 f"{metrics['stale_frac_after']:>9.3f} "
-                f"{metrics['view_error_p95_delta']:>9.1f}"
+                f"{metrics['view_error_p95'] - result['fault_free_view_error_p95']:>9.1f}"
             )
         byz_rows = [r for r in results if "byz_detection_frames" in r["metrics"]]
         if byz_rows:

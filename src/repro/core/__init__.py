@@ -1,7 +1,7 @@
 """Watchmen core: the paper's contribution.
 
 The package re-exports only what callers import through it — the
-config, the session, the reputation backends, the admission estimates;
+config, the session, the reputation board, the admission estimates;
 everything else is imported from its own submodule.
 
 Re-exports resolve lazily (PEP 562): importing a single leaf such as
@@ -22,7 +22,6 @@ _EXPORTS = {
     "WatchmenConfig": "repro.core.config",
     "WatchmenSession": "repro.core.protocol",
     "ReputationBoard": "repro.core.reputation",
-    "ThresholdReputation": "repro.core.reputation",
 }
 
 __all__ = sorted(_EXPORTS)

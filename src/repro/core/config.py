@@ -282,14 +282,6 @@ MIN_REPORT_CONFIDENCE: Final[float] = 0.25
 BAN_THRESHOLD: Final[float] = 0.85
 #: Reputation (§V-B "a single detection ... does not result in banning").
 BAN_MIN_REPORTS: Final[int] = 20
-#: Reputation: BetaReputation bans below this expected reputation; calibrated.
-BETA_BAN_THRESHOLD: Final[float] = 0.80
-#: Reputation: ... once this much confidence-weighted evidence is in; calibrated.
-BETA_MIN_EVIDENCE: Final[float] = 10.0
-#: Reputation: Beta prior pseudo-count of successes (players start trusted).
-BETA_PRIOR: Final[float] = 2.0
-#: Reputation: ... and of failures, as a fraction of it (prior reputation 0.8).
-BETA_PRIOR_FAILURE_FRACTION: Final[float] = 0.25
 #: Membership (§VI "removed in the next round"): epochs from quorum to removal.
 REMOVAL_DELAY_EPOCHS: Final[int] = 1
 

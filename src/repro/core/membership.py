@@ -197,8 +197,5 @@ class MembershipView:
             self._proposals.pop(subject, None)
         return due
 
-    def pending_removals(self) -> dict[int, int]:
-        return dict(self._scheduled_removals)
-
     def proposal_count(self, subject_id: int) -> int:
         return len(self._proposals.get(subject_id, ()))

@@ -15,8 +15,11 @@ questions an operator would ask after an incident:
   :data:`~repro.core.config.STALE_VIEW_AGE_FRAMES` (two missed 1 Hz
   heartbeats), averaged over the fault window and over the run's final
   proxy period.  ``after`` should return to ~0: the damage must heal.
-- ``view_error_p95_delta`` — p95 rendered-view error minus the same
-  seed's fault-free p95 (shared nearest-rank percentile).
+- ``view_error_p95`` — p95 rendered-view error of the faulted run
+  (shared nearest-rank percentile).  Each result also carries the same
+  seed's fault-free p95 as ``fault_free_view_error_p95``, so a reader can
+  print the fault's cost without a fault-free improvement reading as a
+  regression of every faulted row.
 
 All runs are deterministic: same (players, frames, seed) ⇒ byte-identical
 metrics, which is what lets CI gate on them.
@@ -358,9 +361,7 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def recovery_metrics(
-    outcome: ChaosOutcome, frames: int, baseline_p95: float
-) -> dict[str, float]:
+def recovery_metrics(outcome: ChaosOutcome, frames: int) -> dict[str, float]:
     """Distil one scenario run into the SLO metrics (all costs)."""
     report = outcome.report
     session = outcome.session
@@ -409,7 +410,7 @@ def recovery_metrics(
         "stale_frac_during": _mean(during),
         "stale_frac_peak": max(during, default=0.0),
         "stale_frac_after": _mean(after),
-        "view_error_p95_delta": stats.get("p95", 0.0) - baseline_p95,
+        "view_error_p95": stats.get("p95", 0.0),
         "messages_lost": float(report.messages_lost),
     }
 
@@ -481,10 +482,8 @@ def run_chaos(
     """Run the matrix; one result dict per scenario (bench-row shaped)."""
     matrix = scenarios if scenarios is not None else default_scenarios()
     trace = generate_trace(num_players=players, num_frames=frames, seed=seed)
-    baseline_report, _, _ = _run_once(
-        trace, None, profile="hardened", burst_loss=False
-    )
-    baseline_p95 = baseline_report.view_error_stats().get("p95", 0.0)
+    fault_free, _, _ = _run_once(trace, None, profile="hardened", burst_loss=False)
+    fault_free_p95 = fault_free.view_error_stats().get("p95", 0.0)
 
     results: list[dict[str, object]] = []
     for scenario in matrix:
@@ -504,13 +503,14 @@ def run_chaos(
             staleness=staleness,
             fault_frame=fault_frame,
         )
-        metrics = recovery_metrics(outcome, frames, baseline_p95)
+        metrics = recovery_metrics(outcome, frames)
         if scenario.byzantine:
             metrics.update(byzantine_metrics(outcome))
         results.append(
             {
                 "scenario": scenario.name,
                 "summary": scenario.summary,
+                "fault_free_view_error_p95": fault_free_p95,
                 "params": {
                     "players": players,
                     "frames": frames,

@@ -63,21 +63,6 @@ class EventQueue:
         self.processed += 1
         return True
 
-    def run_until(self, end_time: float, max_events: int | None = None) -> int:
-        """Drain events with time ≤ end_time; returns the number processed."""
-        count = 0
-        while self._heap:
-            if self._heap[0][0] > end_time:
-                break
-            if max_events is not None and count >= max_events:
-                raise SimulationError(
-                    f"exceeded {max_events} events before t={end_time}"
-                )
-            if self.step():
-                count += 1
-        self.now = max(self.now, end_time)
-        return count
-
     def run(self, max_events: int = 10_000_000) -> int:
         """Drain the whole queue (bounded by ``max_events``)."""
         count = 0

@@ -6,7 +6,6 @@ from repro.baselines import DonnybrookModel, WatchmenModel
 from repro.cheats import (
     Coalition,
     MaphackProbe,
-    RateAnalysisProbe,
     SniffingProbe,
     sample_coalitions,
 )
@@ -103,25 +102,34 @@ class TestProbes:
         # Only the (rare) proxy relationship leaks an invisible player.
         assert result.fraction <= 2 / max(1, result.total)
 
-    def test_rate_analysis_defeated_by_indirection(self):
-        """Inbound sources are proxies, not subscribers: no signal."""
-        probe = RateAnalysisProbe()
-        # Under Watchmen all inbound traffic comes via a couple of proxies
-        # who are NOT the subscribers.
-        inbound = {10: 50, 11: 48, 12: 55}
-        subscribers = frozenset({1, 2, 3})
-        result = probe.measure(0, inbound, subscribers)
-        assert result.exposed == 0
 
-    def test_rate_analysis_works_against_direct_systems(self):
-        """Direct subscription systems leak exactly this signal."""
-        probe = RateAnalysisProbe()
-        inbound = {1: 100, 2: 95, 3: 98, 4: 2, 5: 1}
-        subscribers = frozenset({1, 2, 3})
-        result = probe.measure(0, inbound, subscribers)
-        assert result.fraction == 1.0
+class TestRateAnalysis:
+    """Table I's rate-analysis row on the live path: a subscription is
+    registered at the target's proxy, so the only node that hears of one
+    and is its target is the subscriber's own proxy (about 1 in n - 1)."""
 
-    def test_rate_analysis_no_subscribers(self):
-        result = RateAnalysisProbe().measure(0, {1: 10}, frozenset())
-        assert result.total == 0
-        assert result.fraction == 0.0
+    @pytest.mark.parametrize("hardened", [False, True], ids=["paper", "hardened"])
+    def test_a_target_hears_of_a_subscription_only_as_the_subscribers_proxy(
+        self, monkeypatch, hardened
+    ):
+        from repro.core.node import WatchmenNode
+        from repro.replay import TapeScenario
+
+        heard = []
+        handler = WatchmenNode._on_subscription
+
+        def spy(node, src, request, first_hop):
+            if request.target_id == node.player_id:
+                serves = node.first_hops.serves(request.sender_id, node.current_epoch)
+                heard.append((src == request.sender_id, first_hop, serves))
+            handler(node, src, request, first_hop)
+
+        monkeypatch.setattr(WatchmenNode, "_on_subscription", spy)
+        scenario = TapeScenario(
+            players=24, frames=200, seed=7,
+            failover=hardened, reliable=hardened, hardening=hardened,
+        )
+        game_map = scenario.make_map()
+        scenario.make_session(scenario.make_trace(game_map), None, game_map).run()
+        assert heard, "no subscription reached its target: the check saw nothing"
+        assert set(heard) == {(True, True, True)}

@@ -42,7 +42,7 @@ class TestMembershipView:
         assert not view.record_proposal(0, 4, frame=100, epoch=1)
         assert not view.record_proposal(1, 4, frame=101, epoch=1)
         assert view.record_proposal(2, 4, frame=102, epoch=1)
-        assert view.pending_removals() == {4: 2}  # epoch 1 + delay 1
+        assert view._scheduled_removals == {4: 2}  # epoch 1 + delay 1
 
     def test_votes_alone_cannot_evict_a_locally_live_player(self):
         """Quorum completes but the local heartbeat refutes the silence."""
@@ -50,7 +50,7 @@ class TestMembershipView:
         view.heard_from(4, 95)
         for proposer in (0, 1, 2):
             view.record_proposal(proposer, 4, frame=100, epoch=1)
-        assert view.pending_removals() == {}
+        assert view._scheduled_removals == {}
         assert view.proposal_count(4) == 3  # votes kept for a later re-check
 
     def test_hearing_rescinds_pending_suspicion(self):
@@ -59,9 +59,9 @@ class TestMembershipView:
         view.note_own_proposal(4)
         for proposer in (0, 1, 2):
             view.record_proposal(proposer, 4, frame=100, epoch=1)
-        assert view.pending_removals() == {4: 2}
+        assert view._scheduled_removals == {4: 2}
         view.heard_from(4, 110)
-        assert view.pending_removals() == {}
+        assert view._scheduled_removals == {}
         assert view.proposal_count(4) == 0
         assert view.should_propose(4)
 
@@ -89,7 +89,7 @@ class TestMembershipView:
         view = self.make(size=8)  # quorum 5
         view.record_proposal(0, 7, 10, 1)
         view.record_proposal(1, 7, 10, 1)
-        assert view.pending_removals() == {}
+        assert view._scheduled_removals == {}
         assert 7 not in view.removed
 
     def test_removal_effective_at_future_epoch(self):

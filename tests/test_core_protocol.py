@@ -252,4 +252,4 @@ class TestReputationIntegration:
             small_trace, game_map=longest_yard, reputation=board
         )
         session.run(max_frames=60)
-        assert board.tags_seen > 0
+        assert board.ratings_seen > 0

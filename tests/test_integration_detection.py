@@ -135,14 +135,12 @@ class TestPreventedCheats:
 class TestReputationPipeline:
     def test_persistent_cheater_gets_banned(self, small_trace, longest_yard):
         """Detections flow into reputation; a heavy cheater ends banned."""
-        from repro.core import ReputationBoard, ThresholdReputation
+        from repro.core import ReputationBoard
 
         cheat = SpeedHack(factor=3.0, cheat_rate=0.5, seed=3)
         config = WatchmenConfig()
         wire_cheat(cheat, CHEATER, small_trace, longest_yard, config)
-        board = ReputationBoard(
-            system=ThresholdReputation(ban_threshold=0.9, min_reports=30)
-        )
+        board = ReputationBoard(ban_threshold=0.9, min_reports=30)
         session = WatchmenSession(
             small_trace,
             game_map=longest_yard,

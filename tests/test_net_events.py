@@ -71,29 +71,6 @@ class TestScheduling:
 
 
 class TestRunUntil:
-    def test_run_until_stops_at_boundary(self):
-        queue = EventQueue()
-        seen = []
-        queue.schedule(0.5, lambda: seen.append("early"))
-        queue.schedule(2.0, lambda: seen.append("late"))
-        count = queue.run_until(1.0)
-        assert count == 1
-        assert seen == ["early"]
-        assert queue.now == 1.0
-        assert len(queue) == 1
-
-    def test_run_until_advances_time_when_idle(self):
-        queue = EventQueue()
-        queue.run_until(5.0)
-        assert queue.now == 5.0
-
-    def test_run_until_event_budget(self):
-        queue = EventQueue()
-        for _ in range(10):
-            queue.schedule(0.1, lambda: None)
-        with pytest.raises(SimulationError):
-            queue.run_until(1.0, max_events=5)
-
     def test_run_bounded(self):
         queue = EventQueue()
 

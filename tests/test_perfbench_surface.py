@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 from perfbench.tracer import BOUNDARIES
-from perfbench.workloads import WORKLOADS
+from perfbench.workloads import WORKLOADS, Run
+from repro.replay import TapeRecorder
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,3 +57,23 @@ def test_a_shrunk_traced_child_runs_clean(workload):
     result = json.loads(child.stdout.splitlines()[0])
     assert result["traced"] is True
     assert result["failures"] == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda workload: workload.name)
+def test_a_full_size_workload_passes_its_own_check(workload, seed, tmp_path):
+    """The benchmark's children fail on an honest ban, a stale delivery path,
+    a survivor's wrong roster or a diverging tape; the shrunk self-test above
+    runs those checks at one seed only.  This builds each workload at full
+    size the way ``perfbench.child`` does, untraced, over five seeds."""
+    scenario = workload.scenario(seed)
+    game_map = scenario.make_map()
+    trace = scenario.make_trace(game_map)
+    faults = scenario.make_faults(trace.player_ids())
+    session = scenario.make_session(trace, faults=faults, game_map=game_map)
+    run = Run(scenario, session, tmp_path, lambda phase: None)
+    if workload.taped:
+        run.recorder = TapeRecorder(session, scenario, faults=faults).attach()
+    report = workload.timed_phase(run)
+    assert workload.check(run, report) == []

@@ -147,17 +147,3 @@ class TestEventQueueProperties:
         queue.run()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
-
-    @given(st.lists(st.floats(min_value=0, max_value=100, allow_nan=False),
-                    min_size=1, max_size=30),
-           st.floats(min_value=0, max_value=100, allow_nan=False))
-    @settings(max_examples=50)
-    def test_run_until_splits_cleanly(self, delays, boundary):
-        queue = EventQueue()
-        fired = []
-        for delay in delays:
-            queue.schedule(delay, lambda d=delay: fired.append(d))
-        queue.run_until(boundary)
-        assert all(d <= boundary for d in fired)
-        queue.run()
-        assert sorted(fired) == sorted(delays)

@@ -1,4 +1,4 @@
-"""Property-based tests for membership, admission, gossip and delta coding."""
+"""Property-based tests for membership, admission and delta coding."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from repro.core import WatchmenConfig, feasibility_test
 from repro.core.membership import MembershipView
 from repro.core.messages import StateUpdate
-from repro.core.reputation import InteractionTag
-from repro.core.reputation_gossip import GossipNode
 from repro.game.avatar import AvatarSnapshot, snapshot_delta_fields
 from repro.game.vector import Vec3
 from tests.wirekit import as_frame
@@ -42,7 +40,7 @@ class TestMembershipProperties:
             if proposer < size:
                 view.record_proposal(proposer, subject, 100, 0)
         valid_proposers = {p for p in proposers if p < size and True}
-        scheduled = subject in view.pending_removals()
+        scheduled = subject in view._scheduled_removals
         assert scheduled == (
             len(valid_proposers) >= size // 2 + 1
         )
@@ -55,7 +53,7 @@ class TestMembershipProperties:
         subject = size - 1
         for proposer in range(size // 2 + 1):
             view.record_proposal(proposer, subject, 100, epoch)
-        due = view.pending_removals()[subject]
+        due = view._scheduled_removals[subject]
         assert due > epoch
         assert view.apply_removals(due - 1) == set()
         assert view.apply_removals(due) == {subject}
@@ -96,31 +94,6 @@ class TestAdmissionProperties:
                 decision.pool_weights[weaker]
                 <= decision.pool_weights[stronger]
             )
-
-
-class TestGossipProperties:
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=5),  # subject
-                st.integers(min_value=0, max_value=200),  # frame
-                st.booleans(),
-            ),
-            max_size=40,
-        )
-    )
-    @settings(max_examples=40)
-    def test_digest_merge_idempotent(self, observations):
-        source = GossipNode(0)
-        for subject, frame, success in observations:
-            source.observe(
-                InteractionTag(0, subject, frame, success, 1.0)
-            )
-        sink = GossipNode(1)
-        first = sink.receive_digest(source.make_digest(limit=100))
-        second = sink.receive_digest(source.make_digest(limit=100))
-        assert second == 0
-        assert first == len(sink.make_digest(limit=100))
 
 
 class TestDeltaCodingProperties:

@@ -29,9 +29,6 @@ DEFS = (*FUNCS, ast.ClassDef)
 KEPT = {
     "send": "perfbench/tracer.py BOUNDARIES resolves DatagramNetwork.send by name; a single send is send_many of one",
     "encoded_size": "perfbench/tracer.py BOUNDARIES resolves it by name (benchmark-labelled PR)",
-    "pending_removals": "test_core_membership / test_property_extensions watch the quorum through it",
-    "run_until": "the engine's bounded drain; test_net_events::TestRunUntil, test_property_core",
-    "RateAnalysisProbe": "analysis/cheat_matrix.py cites its tests as Table 1's rate-analysis evidence",
 }
 #: Unreached and owed to the rule: each goes with the floor tests that check
 #: only it, a few per PR (ROADMAP item 5).  May only shrink.
@@ -70,7 +67,7 @@ def _named_outside_tests() -> set[str]:
 def test_every_public_name_is_reached_by_something_that_is_not_a_test():
     unreached = _public_names() - _named_outside_tests()
     assert unreached == set(KEPT) | set(OWED), "delete it, or delete its stale entry"
-    assert len(KEPT) <= 12
+    assert len(KEPT) <= 2
 
 
 # -- a knob nobody turns is a constant ----------------------------------------
@@ -79,7 +76,6 @@ def test_every_public_name_is_reached_by_something_that_is_not_a_test():
 OPTION_PACKAGES = ("core", "analysis", "net", "crypto")
 #: Never passed on purpose: the reason says what keeps each.  May only shrink.
 OWED_PARAMETERS = {
-    "EventQueue.run_until(max_events)": "KEPT's run_until; test_net_events::test_run_until_event_budget",
     "presence_heatmap(player_ids)": "Figure 1 per player; test_analysis_trace_experiments::test_player_filter",
 }
 
