@@ -1,8 +1,10 @@
 """Ablation: the Section VI latency optimizations.
 
-Toggles (1) subscription prediction-ahead, (2) subscriber retention, and
-(3) the relaxed first hop, and measures the update-age distribution and
-subscription traffic for each variant.
+Toggles (1) subscription prediction-ahead and (2) subscriber retention,
+and measures the update-age distribution and subscription traffic for
+each variant.  The paper's third, the relaxed first hop, is not
+reproduced: a publisher that sends around its proxy must learn its
+audience, which is what the proxy hides (EXPERIMENTS.md).
 """
 
 import pytest
@@ -17,7 +19,6 @@ VARIANTS = {
     "full (predict+retain)": {},
     "no prediction": {"predict_ahead": False},
     "short retention": {"subscription_retention_frames": 4},
-    "relaxed first hop": {"relax_first_hop": True},
 }
 
 
@@ -80,11 +81,8 @@ def test_ablation_latency_optimizations(yard, session_trace, results_dir):
             "Ablation — Section VI latency optimizations", body,
             params=SESSION_TRACE_PARAMS)
 
-    full_report, full_age = outcomes["full (predict+retain)"]
-    relaxed_report, relaxed_age = outcomes["relaxed first hop"]
+    full_report, _ = outcomes["full (predict+retain)"]
     short_report, _ = outcomes["short retention"]
-    # Relaxing the first hop removes one proxy hop: strictly fresher.
-    assert relaxed_age < full_age
     # Retention shorter than the subscription round trip starves receivers.
     assert sum(short_report.age_histogram.values()) < sum(
         full_report.age_histogram.values()

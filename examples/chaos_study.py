@@ -42,8 +42,9 @@ def main() -> None:
     hole = by_name["proxy_kill_no_failover"]["metrics"]
     print(
         f"\nThe headline contrast — the same proxy killed mid-epoch twice:\n"
-        f"  with failover:    re-proxied in {int(kill['frames_to_reproxy'])} "
-        f"frames (SLO: one proxy period = {PROXY_PERIOD_FRAMES})\n"
+        f"  with failover:    a client stranded at most "
+        f"{int(kill['frames_to_reproxy'])} frames (SLO: one proxy period = "
+        f"{PROXY_PERIOD_FRAMES})\n"
         f"  without failover: {int(hole['frames_to_reproxy'])} frames — the "
         f"clients stay black-holed until the schedule itself rotates."
     )

@@ -2,15 +2,13 @@
 
 Runs the same game over LAN, King-like and PeerWise-like latency models
 (the paper's two wide-area datasets) and over a deliberately slow network,
-showing the age distribution of received updates and the effect of the
-Section VI optimizations.
+showing the age distribution of received updates.
 
 Run:  python examples/latency_study.py
 """
 
 from repro.analysis import update_age_experiment
 from repro.analysis.report import render_update_age
-from repro.core import WatchmenConfig
 from repro.game import generate_trace, make_longest_yard
 from repro.net.latency import king_like, peerwise_like, uniform_lan
 
@@ -36,19 +34,6 @@ def main() -> None:
         "\nQuake III tolerates 150 ms (3 frames); the 'stale' column is the "
         "paper's effective-loss metric.  The 90 ms/hop network shows what "
         "happens when two proxy hops no longer fit the budget."
-    )
-
-    print("\nRelaxed first hop (Section VI, optimization 3):")
-    relaxed = update_age_experiment(
-        trace,
-        game_map,
-        king_like(size, seed=5),
-        config=WatchmenConfig(relax_first_hop=True),
-    )
-    print(render_update_age([relaxed]))
-    print(
-        "one hop instead of two — fresher updates at the cost of the "
-        "consistency-cheat protection the forwarding proxy provides."
     )
 
 

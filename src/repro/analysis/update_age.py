@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import WatchmenConfig
 from repro.core.protocol import WatchmenSession
 from repro.game.gamemap import GameMap
 from repro.game.trace import GameTrace
@@ -40,13 +39,11 @@ def update_age_experiment(
     trace: GameTrace,
     game_map: GameMap,
     latency: LatencyMatrix,
-    config: WatchmenConfig | None = None,
 ) -> UpdateAgeResult:
     """Run one Watchmen session and extract the Figure 7 series."""
     session = WatchmenSession(
         trace,
         game_map=game_map,
-        config=config,
         latency=latency,
         network_config=NetworkConfig(),  # the paper's 1 % loss, fixed network seed
     )

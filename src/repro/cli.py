@@ -438,7 +438,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     if args.out != "-":
         header = (
-            f"{'scenario':<24} {'evict':>5} {'reproxy':>7} "
+            f"{'scenario':<24} {'evict':>5} {'reproxy':>7} {'spurious':>8} "
             f"{'stale.dur':>9} {'stale.aft':>9} {'p95.delta':>9}"
         )
         print(header)
@@ -448,6 +448,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 f"{result['scenario']:<24} "
                 f"{metrics['false_evictions']:>5.0f} "
                 f"{metrics['frames_to_reproxy']:>7.0f} "
+                f"{metrics['spurious_failovers']:>8.0f} "
                 f"{metrics['stale_frac_during']:>9.3f} "
                 f"{metrics['stale_frac_after']:>9.3f} "
                 f"{metrics['view_error_p95'] - result['fault_free_view_error_p95']:>9.1f}"

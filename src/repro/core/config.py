@@ -84,9 +84,13 @@ MAX_USEFUL_AGE_FRAMES: Final[int] = 3
 #: Client-side proxy-death detection: if a proxy's own publisher heartbeat
 #: (its 1 Hz position updates double as liveness beacons, Section VI) has
 #: been silent this long, the node presumes it crashed and fails over.
-#: Must sit above one position-update interval (20 frames, so one lost
-#: heartbeat is tolerated) and below the 60-frame membership silence
-#: threshold, so failover always precedes eviction.
+#: It sits above one heartbeat interval (20 frames) but below two, so one
+#: lost heartbeat — a 40-frame silence — can fail a node over away from a
+#: live proxy.  That costs a duplicate first-hop send, not an update:
+#: during a failover ``FirstHops.publish_proxies`` keeps the scheduled
+#: proxy beside the stand-in.  It stays below the starvation scan and the
+#: membership silence threshold, so failover precedes both, and below one
+#: proxy period, the bound on how long a crash may strand a publisher.
 PROXY_SILENCE_THRESHOLD_FRAMES: Final[int] = 30
 
 #: Bound on the failover walk along the verifiable candidate schedule
@@ -330,7 +334,6 @@ class WatchmenConfig:
     # -- subscriptions (Section VI latency optimizations) --------------------
     subscription_retention_frames: int = PROXY_PERIOD_FRAMES  # keep subs alive
     predict_ahead: bool = True  # subscribe for the *coming* frame
-    relax_first_hop: bool = False  # send updates directly (lower security)
     # -- interest management --------------------------------------------------
     interest: InterestConfig = field(default_factory=_default_interest)
     # -- key width (Section IV: ~100-bit lightweight signatures) --------------

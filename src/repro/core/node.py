@@ -297,7 +297,7 @@ class WatchmenNode:
         self.evidence = EvidenceLog(
             player_id, signer, config.epoch_of_frame, hardened=hardened
         )
-        self.publisher = Publisher(player_id, config.relax_first_hop)
+        self.publisher = Publisher(player_id)
 
     # ------------------------------------------------------------------
     # Frame driving (called by the session)
@@ -506,12 +506,10 @@ class WatchmenNode:
         """First hop of Figure 3: everything goes through the proxy.
 
         The publisher's message gets its sequence number here, as it is
-        routed: to its direct audience (empty unless ``relax_first_hop``),
-        then to ``proxies`` — the scheduled one, preceded during a failover
-        by the live candidate (receivers dedup by sequence).
+        routed to ``proxies`` — the scheduled one, preceded during a
+        failover by the live candidate (receivers dedup by sequence).
         """
-        message = self._sequenced(message)
-        self._transmit(message, [*self.publisher.direct_audience(message), *proxies])
+        self._transmit(self._sequenced(message), proxies)
 
     def _send_subscriptions(
         self,
@@ -802,7 +800,7 @@ class WatchmenNode:
             return
         if first_hop:
             self._proxy_ingest_update(update)
-        elif src == sender and not self.config.relax_first_hop:
+        elif src == sender:
             # Direct send around the proxy: consistency-cheat attempt.
             self.metrics.count_direct_update_violation()
             self._rate_violation(sender, BYPASS_RATING, "direct state update bypassing proxy")
@@ -823,8 +821,7 @@ class WatchmenNode:
         self._verify_pose(update.snapshot, Confidence.PROXY, client=state)
         state.last_snapshot = update.snapshot
         self.known[sender] = update.snapshot
-        if not self.config.relax_first_hop:  # else the publisher sent directly
-            self._relay(update, state.table.interest_subscribers(self.current_frame))
+        self._relay(update, state.table.interest_subscribers(self.current_frame))
 
     def _consume_state_update(self, update: StateUpdate) -> None:
         """Subscriber side: measure age, refresh view, verify."""
@@ -903,8 +900,7 @@ class WatchmenNode:
             state = self.clients.state(sender)
             state.last_snapshot = message.snapshot
             self.known[sender] = message.snapshot
-            if not self.config.relax_first_hop:  # else the publisher sent directly
-                self._relay(message, state.table.vision_subscribers(self.current_frame))
+            self._relay(message, state.table.vision_subscribers(self.current_frame))
         else:
             self._refresh_view("guidance", sender, message.frame, message.snapshot)
         self.guidance_verifier.observe_guidance(sender, message.prediction)

@@ -21,7 +21,6 @@ from itertools import chain
 from typing import Callable, Collection, Iterator
 
 from repro.core.config import FRAME_SECONDS, MAX_USEFUL_AGE_FRAMES, WatchmenConfig
-from repro.core.messages import GameMessage, GuidanceMessage, StateUpdate
 from repro.core.node import HonestBehaviour, NodeBehaviour, WatchmenNode
 from repro.core.proxy import ProxySchedule
 from repro.core.reputation import ReputationBoard
@@ -277,7 +276,6 @@ class WatchmenSession:
             # dropped_by_cause stay one coherent account.
             node.protocol_drop = self.network.count_protocol_drop
             if not node.is_server:
-                node.publisher.audience_oracle = self._audience_oracle
                 node.publisher.own_future = self._future_oracle_for(node_id)
             self.nodes[node_id] = node
             self.network.register(node_id, node.on_message)
@@ -302,25 +300,6 @@ class WatchmenSession:
             return None
 
         return future
-
-    def _audience_oracle(self, publisher_id: int, message: GameMessage) -> list[int]:
-        """Relaxed-first-hop audience: read the live subscriber lists.
-
-        Stands in for the proxy piggybacking the subscriber list back to
-        the publisher, which the paper allows "if bandwidth allows it ...
-        at the cost of lower security".
-        """
-        frame = self.nodes[publisher_id].current_frame
-        epoch = self.config.epoch_of_frame(frame)
-        proxy_node = self.nodes.get(self.schedule.proxy_of(publisher_id, epoch))
-        if proxy_node is None:
-            return []
-        interest, vision = proxy_node.clients.subscribers_of(publisher_id, frame)
-        if isinstance(message, StateUpdate):
-            return sorted(interest)
-        if isinstance(message, GuidanceMessage):
-            return sorted(vision)
-        return []
 
     # ------------------------------------------------------------------
 

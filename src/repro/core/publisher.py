@@ -21,7 +21,6 @@ from repro.core.config import (
 from repro.core.messages import (
     SUB_INTEREST,
     SUB_VISION,
-    GameMessage,
     GuidanceMessage,
     KillClaim,
     PositionUpdate,
@@ -37,12 +36,8 @@ from repro.game.vector import Vec3
 class Publisher:
     """One player's outgoing publications, tier by tier."""
 
-    def __init__(self, player_id: int, relax_first_hop: bool) -> None:
+    def __init__(self, player_id: int) -> None:
         self.player_id = player_id
-        self._relax_first_hop = relax_first_hop
-        #: Relaxed-first-hop audience lookup ``(publisher, message) ->
-        #: destinations``; set by the session (see :meth:`direct_audience`).
-        self.audience_oracle: Callable[[int, GameMessage], list[int]] | None = None
         #: The player's *own* upcoming movement (his input intentions),
         #: ``frame -> AvatarSnapshot | None``: guidance carries "AI guidance
         #: instructions that enable the player to simulate the avatar's
@@ -146,24 +141,6 @@ class Publisher:
                     frame=frame,
                     sequence=0,
                 )
-
-    def direct_audience(self, message: GameMessage) -> Iterable[int]:
-        """Whom a publication reaches *around* the proxy.
-
-        Nobody, unless ``relax_first_hop`` (Section VI, optimization 3):
-        then updates go straight to the audience, concurrently with the
-        copies the proxies verify.  A node cannot compute locally whose
-        IS/VS it is in, so that audience comes from ``audience_oracle`` —
-        the session's stand-in for the proxy piggybacking its subscriber
-        list back to the publisher.
-        """
-        if (
-            not self._relax_first_hop
-            or self.audience_oracle is None
-            or isinstance(message, SubscriptionRequest)
-        ):
-            return ()
-        return self.audience_oracle(self.player_id, message)
 
     # ---- interaction claims (queued by the game, published next frame) -----
 

@@ -56,6 +56,8 @@ class SubscriptionPlanner:
         #: session (the session clears it each frame).  Purely a speedup:
         #: results are identical with or without it.
         self.los = los
+        #: where I plan from: next frame's pose under prediction ahead
+        self._observer = self._predicted_self if config.predict_ahead else _current_pose
         self._active_interest: dict[int, int] = {}  # target -> expiry frame
         self._active_vision: dict[int, int] = {}
 
@@ -66,9 +68,8 @@ class SubscriptionPlanner:
         known: dict[int, AvatarSnapshot],
     ) -> PlannedSubscriptions:
         """Compute this frame's desired sets and the subscription deltas."""
-        observer = self._predicted_self(frame, me) if self.config.predict_ahead else me
         sets = compute_sets(
-            observer,
+            self._observer(frame, me),
             known,
             self.game_map,
             frame,
@@ -132,6 +133,10 @@ class SubscriptionPlanner:
 
     def active_interest(self) -> frozenset[int]:
         return frozenset(self._active_interest)
+
+
+def _current_pose(frame: int, me: AvatarSnapshot) -> AvatarSnapshot:
+    return me
 
 
 @dataclass

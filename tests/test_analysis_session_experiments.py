@@ -32,15 +32,9 @@ pytestmark = pytest.mark.slow
 class TestUpdateAge:
     @pytest.fixture(scope="class")
     def results(self, small_trace, longest_yard):
-        # With only 8 players the default IS (5) swallows almost everyone
-        # visible; shrink it so the VS/guidance path carries traffic too.
-        from repro.core import WatchmenConfig
-        from repro.game.interest import InterestConfig
-
-        config = WatchmenConfig(interest=InterestConfig(interest_size=2))
         size = len(small_trace.player_ids())
         return [
-            update_age_experiment(small_trace, longest_yard, latency, config=config)
+            update_age_experiment(small_trace, longest_yard, latency)
             for latency in (king_like(size), peerwise_like(size))
         ]
 

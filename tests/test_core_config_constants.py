@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import (
+    BYZANTINE_STARVATION_FRAMES,
     FRAME_SECONDS,
     FRAMES_PER_SECOND,
     HANDOFF_DEPTH,
@@ -109,6 +110,16 @@ class TestConstantsMatchConfigDefaults:
         assert cfg.proxy_silence_threshold_frames == PROXY_SILENCE_THRESHOLD_FRAMES
         assert cfg.membership_silence_frames == MEMBERSHIP_SILENCE_FRAMES
 
+    def test_the_silence_thresholds_are_ordered(self):
+        # failover, then the starvation scan, then eviction; and a crash
+        # strands a publisher for less than the re-proxy bound
+        assert (
+            PROXY_SILENCE_THRESHOLD_FRAMES
+            < BYZANTINE_STARVATION_FRAMES
+            < MEMBERSHIP_SILENCE_FRAMES
+        )
+        assert PROXY_SILENCE_THRESHOLD_FRAMES < PROXY_PERIOD_FRAMES
+
     def test_interest_config_uses_the_constants(self):
         cfg = WatchmenConfig()
         assert cfg.interest.vision_half_angle == VISION_HALF_ANGLE
@@ -191,18 +202,25 @@ class TestEveryKnobHasACaller:
         )
 
     def test_field_budget(self):
-        assert len(dataclasses.fields(WatchmenConfig)) <= 11
+        assert len(dataclasses.fields(WatchmenConfig)) <= 10
         assert len(dataclasses.fields(NetworkConfig)) <= 4
 
 
 # -- mode-gate guard ------------------------------------------------------------
 
-#: ``profile`` is read where things are *built*: ``WatchmenNode.__init__``
-#: resolves the rung once and hands each mechanism (``core/delivery.py``) and
-#: each role (the modules below) its already-resolved values, so below its
-#: rung a collaborator is inert and no call site forks on the mode.
+#: Every switch in ``WatchmenConfig`` — each ``bool`` field, and the
+#: ``profile`` rung — is read where things are *built*:
+#: ``WatchmenNode.__init__`` resolves the rung once and hands each mechanism
+#: (``core/delivery.py``) and each role (the modules below) its
+#: already-resolved values, and ``SubscriptionPlanner.__init__`` resolves
+#: its own switch, so below its rung a collaborator is inert and no call
+#: site forks on the mode.
 MODE_GATE_READ_BUDGET = 0
-MODE_GATES = {"profile"}
+MODE_GATES = {
+    field.name
+    for field in dataclasses.fields(WatchmenConfig)
+    if field.type in (bool, "bool")
+} | {"profile"}
 
 #: The role collaborators behind ``WatchmenNode`` (docs/PROTOCOL.md §10).
 ROLE_MODULES = ("liveness", "clients", "evidence", "publisher")
@@ -264,13 +282,13 @@ class TestModeGatesAreResolvedAtConstruction:
     def test_gate_reads_outside_init_stay_within_budget(self):
         reads = [
             (module, function.name, read.lineno)
-            for module in ("node", "delivery", *ROLE_MODULES)
+            for module in ("node", "delivery", "subscriptions", *ROLE_MODULES)
             for function in ast.walk(_core_tree(module))
             if isinstance(function, ast.FunctionDef) and function.name != "__init__"
             for read in _gate_reads(function)
         ]
         assert len(reads) <= MODE_GATE_READ_BUDGET, (
-            f"{len(reads)} reads of config.profile outside a constructor: {reads} "
+            f"{len(reads)} reads of a config switch outside a constructor: {reads} "
             "— build the mechanism inert in __init__ instead of forking at the "
             "call site"
         )

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.core import WatchmenConfig, WatchmenSession
+from repro.core import WatchmenSession
 from repro.core.verification import CheatRating
 from repro.net.latency import uniform_lan
 from repro.net.transport import NetworkConfig
@@ -213,34 +213,6 @@ class TestLanLatency:
         report = session.run(max_frames=80)
         pdf = report.age_pdf()
         assert pdf.get(0, 0.0) + pdf.get(1, 0.0) > 0.95
-
-
-class TestRelaxedFirstHop:
-    def test_relaxed_mode_reduces_age(self, small_trace, longest_yard):
-        """Section VI optimization 3: direct sending cuts one hop."""
-        from repro.net.latency import king_like
-
-        strict = WatchmenSession(
-            small_trace,
-            game_map=longest_yard,
-            latency=king_like(8, seed=1),
-            config=WatchmenConfig(relax_first_hop=False),
-        ).run(max_frames=100)
-        relaxed = WatchmenSession(
-            small_trace,
-            game_map=longest_yard,
-            latency=king_like(8, seed=1),
-            config=WatchmenConfig(relax_first_hop=True),
-        ).run(max_frames=100)
-
-        def mean_age(report):
-            total = sum(report.age_histogram.values())
-            return (
-                sum(age * count for age, count in report.age_histogram.items())
-                / total
-            )
-
-        assert mean_age(relaxed) < mean_age(strict)
 
 
 class TestReputationIntegration:

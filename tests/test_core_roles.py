@@ -650,8 +650,8 @@ class TestStarvationScan:
 # ---------------------------------------------------------------------------
 
 
-def publisher_for(me=ME, relax=False):
-    return Publisher(me, relax_first_hop=relax)
+def publisher_for(me=ME):
+    return Publisher(me)
 
 
 def moving(frame):
@@ -774,16 +774,3 @@ class TestPublisherQueues:
         assert [type(m) for m in drained] == [ProjectileSpawn, KillClaim, KillClaim]
         assert [m.victim_id for m in drained[1:]] == [5, 6]
         assert publisher.drain_claims() == []
-
-    def test_direct_audience_only_when_the_first_hop_is_relaxed(self):
-        update = StateUpdate(ME, 0, 0, snap(ME))
-        oracle = lambda publisher, message: [3, 4]  # noqa: E731
-        strict = publisher_for()
-        strict.audience_oracle = oracle
-        assert list(strict.direct_audience(update)) == []
-        relaxed = publisher_for(relax=True)
-        assert list(relaxed.direct_audience(update)) == []  # no oracle yet
-        relaxed.audience_oracle = oracle
-        assert list(relaxed.direct_audience(update)) == [3, 4]
-        # subscriptions always go through the proxy
-        assert list(relaxed.direct_audience(request(ME, 3))) == []

@@ -108,15 +108,23 @@ class TestChaosMatrix:
             assert 0 < reproxy <= PROXY_PERIOD_FRAMES, name
 
     def test_no_failover_contrast_black_holes(self, results):
-        """Without failover the killed proxy is never re-routed around."""
+        """Without failover a player whose proxy died stays stranded for
+        the whole epoch that proxy serves him: a full period, longer than
+        failover ever leaves him."""
         by_name = {r["scenario"]: r["metrics"] for r in results}
-        assert (
-            by_name["proxy_kill_no_failover"]["frames_to_reproxy"]
-            > PROXY_PERIOD_FRAMES
-        )
+        hole = by_name["proxy_kill_no_failover"]["frames_to_reproxy"]
+        assert hole >= PROXY_PERIOD_FRAMES
+        assert hole > by_name["proxy_kill_midepoch"]["frames_to_reproxy"]
 
     def test_cli_gate_passes_on_a_clean_matrix(self, results):
         assert chaos_gate_failures(results) == []
+
+    def test_spurious_failovers_are_counted(self, results):
+        by_name = {r["scenario"]: r["metrics"] for r in results}
+        # the paper rung never fails over; loss alone makes the partition
+        # scenario's nodes fail over away from live proxies
+        assert by_name["proxy_kill_no_failover"]["spurious_failovers"] == 0
+        assert by_name["partition_2s_heal"]["spurious_failovers"] > 0
 
     def test_cli_gate_flags_violations(self):
         bad = [
@@ -133,3 +141,50 @@ class TestChaosMatrix:
         assert len(failures) == 2
         assert any("falsely evicted" in f for f in failures)
         assert any("proxy period" in f for f in failures)
+
+
+def _scenario(name):
+    return tuple(s for s in default_scenarios() if s.name == name)
+
+
+@pytest.mark.chaos
+class TestReproxyMeasuresTheRoute:
+    """``frames_to_reproxy`` reads how long a crash strands a publisher,
+    not when some node last failed over for any reason (12 × 240, the
+    CI matrix's size)."""
+
+    def test_a_loss_induced_failover_is_spurious_not_a_stranding(self):
+        # Seed 2: epoch 4 hands players 7 and 10 to crashed player 4 and
+        # they route around it at once; node 3 later fails over away from
+        # live proxy 8 on loss alone, which the old reading took for a
+        # 100-frame re-proxy.
+        (result,) = run_chaos(
+            players=12, frames=240, seed=2, scenarios=_scenario("crash_10pct")
+        )
+        assert chaos_gate_failures([result]) == []
+        assert result["metrics"]["spurious_failovers"] >= 1
+
+    def test_the_gate_bites_on_a_stranded_player(self):
+        # Seed 1 without failover strands a player for more than a period;
+        # judged as a hardened row, the gate must refuse it.
+        (result,) = run_chaos(
+            players=12,
+            frames=240,
+            seed=1,
+            scenarios=_scenario("proxy_kill_no_failover"),
+        )
+        assert result["metrics"]["frames_to_reproxy"] > PROXY_PERIOD_FRAMES
+        hardened = {**result, "params": {**result["params"], "profile": "hardened"}}
+        (failure,) = chaos_gate_failures([hardened])
+        assert "frames_to_reproxy" in failure
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_failover_meets_the_gate_on_every_seed(self, seed):
+        results = run_chaos(
+            players=12,
+            frames=240,
+            seed=seed,
+            scenarios=_scenario("crash_10pct") + _scenario("proxy_kill_midepoch"),
+        )
+        assert chaos_gate_failures(results) == []
