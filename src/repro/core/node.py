@@ -240,7 +240,8 @@ class WatchmenNode:
         self.protocol_drop: Callable[[str], None] = lambda cause: None
         self.metrics = NodeMetrics()
         #: what received buffers decode to (a session shares one memo
-        #: between its nodes, the way it shares ``los_cache``)
+        #: between its nodes, the way it shares ``los_cache``); each frame
+        #: of mine moves it on, so it holds only what is in flight
         self._frames = frames if frames is not None else FrameMemo()
 
         # -- the subscriber/witness: a view of the others, and its verifiers --
@@ -311,6 +312,7 @@ class WatchmenNode:
         """
         self.current_frame = frame
         self.current_epoch = epoch = self.config.epoch_of_frame(frame)
+        self._frames.advance(frame)
 
         if frame % self.config.proxy_period_frames == 0:
             # Agreed departures take effect at epoch boundaries ("removed

@@ -43,6 +43,7 @@ import types
 import typing
 from typing import Any, Callable, Union
 
+from repro.core.config import MAX_USEFUL_AGE_FRAMES
 from repro.core.membership import RemovalProposal
 from repro.core.messages import (
     AckMessage,
@@ -74,7 +75,7 @@ __all__ = [
     "encode_signable",
     "encoded_size",
     "seal",
-    "FRAME_MEMO_CAPACITY",
+    "FRAME_MEMO_HORIZON_FRAMES",
     "FrameMemo",
 ]
 
@@ -167,6 +168,7 @@ _STRING_CODES: dict[str, int] = {
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 _PACK_F64 = struct.Struct(">d")
+_TRUNCATED = "truncated wire frame"
 
 
 # ---- primitive writers -----------------------------------------------------
@@ -188,13 +190,16 @@ def _write_int(value: int, out: bytearray) -> None:
     _write_uvarint(zigzag, out)
 
 
-def _write_float(value: float, out: bytearray) -> None:
-    # binary64 bit pattern, verbatim: the codec must be exact on raw
-    # simulation doubles or decode(encode(m)) == m fails.
-    try:
-        out += _PACK_F64.pack(value)
-    except (TypeError, struct.error) as error:
-        raise WireError(f"cannot encode float {value!r}") from error
+def _write_floats(values: tuple[Any, ...], out: bytearray) -> None:
+    """One binary64 bit pattern per value, verbatim: the codec must be
+    exact on raw simulation doubles or decode(encode(m)) == m fails.
+    Int-valued floats arrive from hand-built messages and are normalised
+    rather than rejected."""
+    for value in values:
+        try:
+            out += _PACK_F64.pack(float(value) if type(value) is int else value)
+        except (TypeError, struct.error) as error:
+            raise WireError(f"cannot encode float {value!r}") from error
 
 
 def _write_str(value: str, out: bytearray) -> None:
@@ -208,49 +213,27 @@ def _write_str(value: str, out: bytearray) -> None:
     out += raw
 
 
-def _write_bytes(value: bytes, out: bytearray) -> None:
-    _write_uvarint(len(value), out)
-    out += value
+def _expected(cls: type, value: Any, floats: tuple[Any, ...]) -> None:
+    """Refuse a nested value of the wrong type, after whatever the float
+    fields encoded before it would have refused."""
+    _write_floats(floats, bytearray())
+    raise WireError(f"expected {cls.__name__}, got {type(value).__name__}")
 
 
 # ---- primitive readers -----------------------------------------------------
+#
+# The ``*_at`` readers take the buffer and a position and return (value,
+# next position).  An overrun is an IndexError, which the compiled decoder
+# that called the reader turns into "truncated wire frame".
 
 
-class _Reader:
-    """Bounds-checked cursor: every overrun is a WireError, never an
-    IndexError or struct.error escaping to the caller."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def byte(self) -> int:
-        if self.pos >= len(self.data):
-            raise WireError("truncated wire frame")
-        value = self.data[self.pos]
-        self.pos += 1
-        return value
-
-    def take(self, count: int) -> bytes:
-        end = self.pos + count
-        if end > len(self.data):
-            raise WireError("truncated wire frame")
-        chunk = self.data[self.pos : end]
-        self.pos = end
-        return chunk
-
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
-
-
-def _read_uvarint(reader: _Reader) -> int:
+def _uvarint_at(data: bytes, pos: int) -> tuple[int, int]:
     result = 0
     shift = 0
     count = 0
     while True:
-        byte = reader.byte()
+        byte = data[pos]
+        pos += 1
         count += 1
         result |= (byte & 0x7F) << shift
         if not (byte & 0x80):
@@ -259,224 +242,449 @@ def _read_uvarint(reader: _Reader) -> int:
                 raise WireError("non-minimal varint")
             if result > (1 << 64) - 1:
                 raise WireError("varint exceeds 64 bits")
-            return result
+            return result, pos
         if count >= 10:
             raise WireError("varint exceeds 64 bits")
         shift += 7
 
 
-def _read_int(reader: _Reader) -> int:
-    zigzag = _read_uvarint(reader)
-    return (zigzag >> 1) if not (zigzag & 1) else -((zigzag + 1) >> 1)
-
-
-def _read_float(reader: _Reader) -> float:
-    value = _PACK_F64.unpack(reader.take(8))[0]
-    if value - value != 0.0:
-        # NaN or an infinity: no game quantity is one, and past the
-        # boundary it would reach geometry and verifiers as a coordinate.
-        raise WireError(f"non-finite float {value!r}")
-    return value
-
-
-def _read_str(reader: _Reader) -> str:
-    code = reader.byte()
-    if code != 0:
-        if code > len(_STRING_TABLE):
-            raise WireError(f"unknown string-table code {code}")
-        return _STRING_TABLE[code - 1]
-    length = _read_uvarint(reader)
+def _str_at(data: bytes, pos: int) -> tuple[str, int]:
+    """An inline string; ``pos`` is just past its 0x00 escape."""
+    length, pos = _uvarint_at(data, pos)
+    end = pos + length
+    if end > len(data):
+        raise WireError(_TRUNCATED)
     try:
-        value = reader.take(length).decode("utf-8")
+        value = data[pos:end].decode("utf-8")
     except UnicodeDecodeError as error:
         raise WireError("invalid UTF-8 in wire string") from error
     if value in _STRING_CODES:
         raise WireError(f"non-canonical inline encoding of {value!r}")
-    return value
+    return value, end
 
 
-def _read_bytes(reader: _Reader) -> bytes:
-    return reader.take(_read_uvarint(reader))
+def _check_finite(values: tuple[float, ...]) -> None:
+    for value in values:
+        if value - value != 0.0:
+            # NaN or an infinity: no game quantity is one, and past the
+            # boundary it would reach geometry and verifiers as a coordinate.
+            raise WireError(f"non-finite float {value!r}")
 
 
-# ---- structural codec ------------------------------------------------------
+def _short_floats(data: bytes, pos: int) -> None:
+    """Refuse a run of floats the buffer cannot hold, as reading them one
+    by one would: a non-finite one before the cut, else the cut."""
+    while pos + 8 <= len(data):
+        _check_finite(_PACK_F64.unpack_from(data, pos))
+        pos += 8
+    raise WireError(_TRUNCATED)
+
+
+# ---- compiled codecs -------------------------------------------------------
 #
-# One compiled (encoder, decoder) closure pair per declared field type,
-# cached by the type object — type-hint dispatch happens once per type,
-# not once per message, which matters because every signature covers an
-# encode_signable() call on the hot path.
-
-_Encoder = Callable[[Any, bytearray], None]
-_Decoder = Callable[[_Reader], Any]
-_CODECS: dict[Any, tuple[_Encoder, _Decoder]] = {}
-
-
-def _codec_for(declared: Any) -> tuple[_Encoder, _Decoder]:
-    pair = _CODECS.get(declared)
-    if pair is None:
-        pair = _build_codec(declared)
-        _CODECS[declared] = pair
-    return pair
+# Each registered message type gets one straight-line encoder and one
+# decoder, generated as Python source from its dataclass fields and
+# compiled on first use, the way ``dataclasses`` builds ``__init__``
+# (importing this module compiles nothing).  Nested dataclasses are
+# inlined, so a run of adjacent float fields — a snapshot's position,
+# velocity and yaw — is one ``struct`` call; a varint of one or two
+# bytes never leaves the function; and a message is built positionally.
+# Longer varints, inline strings and every refusal go through the helpers
+# above.
+# ``tests/reference/wire.py`` keeps the per-field closures this replaced,
+# and ``tests/test_core_wire_compiled.py`` holds the two to the same
+# bytes, values and errors.
 
 
-def _bool_encoder(value: Any, out: bytearray) -> None:
-    out.append(1 if value else 0)
+class _Source:
+    """One generated function: its lines, its globals, and the float run
+    waiting for one ``struct`` call."""
+
+    def __init__(self, params: str) -> None:
+        self.lines = [f"def compiled({params}):"]
+        self.indent = 1
+        self.globals: dict[str, Any] = {
+            "WireError": WireError,
+            "struct": struct,
+            "_TRUNCATED": _TRUNCATED,
+        }
+        self.names = 0
+        #: float targets (decoding) or expressions (encoding) in field order
+        self.run: list[str] = []
+        #: lines that use the run's values, emitted right after it
+        self.after_run: list[str] = []
+
+    def local(self) -> str:
+        self.names += 1
+        return f"v{self.names}"
+
+    def const(self, value: Any) -> str:
+        name = f"c{len(self.globals)}"
+        self.globals[name] = value
+        return name
+
+    def emit(self, *lines: str) -> None:
+        pad = "    " * self.indent
+        self.lines.extend(pad + line for line in lines)
+
+    def then(self, *lines: str) -> None:
+        """Lines that need the values read so far."""
+        if self.run:
+            self.after_run.extend(lines)
+        else:
+            self.emit(*lines)
+
+    def flush(self) -> None:
+        """Emit the pending float run; subclasses say how."""
+        raise NotImplementedError
+
+    def open_block(self, header: str) -> None:
+        self.flush()
+        self.emit(header)
+        self.indent += 1
+
+    def close_block(self) -> None:
+        self.flush()
+        self.indent -= 1
+
+    def build(self) -> Callable[..., Any]:
+        self.flush()
+        namespace: dict[str, Any] = {}
+        exec("\n".join(self.lines), self.globals, namespace)
+        return typing.cast(Callable[..., Any], namespace["compiled"])
 
 
-def _bool_decoder(reader: _Reader) -> bool:
-    flag = reader.byte()
-    if flag > 1:
-        raise WireError(f"bool byte must be 0 or 1, got {flag}")
-    return flag == 1
-
-
-def _float_encoder(value: Any, out: bytearray) -> None:
-    # int-valued floats arrive from hand-built messages; normalise like
-    # the JSON codec did rather than reject.
-    _write_float(float(value) if type(value) is int else value, out)
-
-
-def _build_codec(declared: Any) -> tuple[_Encoder, _Decoder]:
+def _shape(declared: Any) -> tuple[str, Any]:
+    """What a declared field type encodes as, and its inner type."""
     origin = typing.get_origin(declared)
     if origin in (Union, types.UnionType):
         arms = [a for a in typing.get_args(declared) if a is not type(None)]
         if len(arms) != 1:
             raise WireError(f"ambiguous union {declared!r}")
-        inner_encode, inner_decode = _codec_for(arms[0])
-
-        def encode(value: Any, out: bytearray) -> None:
-            if value is None:
-                out.append(0)
-            else:
-                out.append(1)
-                inner_encode(value, out)
-
-        def decode(reader: _Reader) -> Any:
-            present = reader.byte()
-            if present == 0:
-                return None
-            if present != 1:
-                raise WireError(f"presence byte must be 0 or 1, got {present}")
-            return inner_decode(reader)
-
-        return encode, decode
-    if origin is tuple:
+        return "optional", arms[0]
+    if origin in (tuple, frozenset):
         args = typing.get_args(declared)
-        if len(args) == 2 and args[1] is Ellipsis:
-            item_encode, item_decode = _codec_for(args[0])
-
-            def encode(value: Any, out: bytearray) -> None:
-                _write_uvarint(len(value), out)
-                for item in value:
-                    item_encode(item, out)
-
-            def decode(reader: _Reader) -> Any:
-                count = _read_uvarint(reader)
-                if count > reader.remaining():
-                    # every element costs >= 1 byte; reject absurd counts
-                    # before looping rather than after
-                    raise WireError("truncated wire frame")
-                return tuple(item_decode(reader) for _ in range(count))
-
-            return encode, decode
-        arm_codecs = [_codec_for(arm) for arm in args]
-
-        def encode(value: Any, out: bytearray) -> None:
-            if len(value) != len(arm_codecs):
-                raise WireError(
-                    f"expected {len(arm_codecs)}-tuple, got {len(value)}"
-                )
-            for (arm_encode, _), item in zip(arm_codecs, value):
-                arm_encode(item, out)
-
-        def decode(reader: _Reader) -> Any:
-            return tuple(arm_decode(reader) for _, arm_decode in arm_codecs)
-
-        return encode, decode
-    if origin is frozenset:
-        (arm,) = typing.get_args(declared)
-        item_encode, item_decode = _codec_for(arm)
-
-        def encode(value: Any, out: bytearray) -> None:
-            _write_uvarint(len(value), out)
-            for item in sorted(value):
-                item_encode(item, out)
-
-        def decode(reader: _Reader) -> Any:
-            count = _read_uvarint(reader)
-            if count > reader.remaining():
-                raise WireError("truncated wire frame")
-            items = []
-            for _ in range(count):
-                item = item_decode(reader)
-                if items and not item > items[-1]:
-                    raise WireError("set elements must be strictly ascending")
-                items.append(item)
-            return frozenset(items)
-
-        return encode, decode
-    if declared is Signature:
-        return _codec_for_dataclass(Signature)
-    if declared is bytes:
-        return _write_bytes, _read_bytes
+        if origin is tuple and not (len(args) == 2 and args[1] is Ellipsis):
+            raise WireError(f"cannot build a wire codec for {declared!r}")
+        return origin.__name__, args[0]
     if dataclasses.is_dataclass(declared):
-        return _codec_for_dataclass(declared)
-    if declared is bool:
-        return _bool_encoder, _bool_decoder
-    if declared is int:
-        return _write_int, _read_int
-    if declared is float:
-        return _float_encoder, _read_float
-    if declared is str:
-        return _write_str, _read_str
+        return "dataclass", declared
+    if declared in (bytes, bool, int, float, str):
+        return declared.__name__, None
     raise WireError(f"cannot build a wire codec for {declared!r}")
 
 
-def _codec_for_dataclass(cls: type) -> tuple[_Encoder, _Decoder]:
-    plan = _field_plan(cls)
-
-    def encode(value: Any, out: bytearray) -> None:
-        if type(value) is not cls:
-            raise WireError(
-                f"expected {cls.__name__}, got {type(value).__name__}"
-            )
-        for name, (field_encode, _) in plan:
-            field_encode(getattr(value, name), out)
-
-    def decode(reader: _Reader) -> Any:
-        kwargs = {
-            name: field_decode(reader) for name, (_, field_decode) in plan
-        }
-        try:
-            return cls(**kwargs)
-        except WireError:
-            raise
-        except (TypeError, ValueError) as error:
-            # e.g. SubscriptionRequest's kind validation
-            raise WireError(f"invalid {cls.__name__}: {error}") from error
-
-    return encode, decode
+def _validates(cls: type) -> bool:
+    """Can building ``cls`` refuse its values (a ``__post_init__`` check)?"""
+    return hasattr(cls, "__post_init__")
 
 
-def _field_plan(cls: type) -> tuple[tuple[str, tuple[_Encoder, _Decoder]], ...]:
-    # `from __future__ import annotations` makes every hint a string until
-    # this call; callers cache the plan, so it resolves once per class.
+def _fields(cls: type) -> list[tuple[str, Any]]:
+    """``cls``'s fields in declared order, which is its positional order.
+    ``from __future__ import annotations`` makes every hint a string until
+    this call, which runs once per class per compiled function."""
     hints = typing.get_type_hints(cls)
-    return tuple(
-        (field.name, _codec_for(hints[field.name]))
-        for field in dataclasses.fields(cls)
+    return [(field.name, hints[field.name]) for field in dataclasses.fields(cls)]
+
+
+# -- decoding ----------------------------------------------------------------
+
+
+class _DecodeSource(_Source):
+    def flush(self) -> None:
+        if not self.run:
+            return
+        targets, count = self.run, len(self.run)
+        self.run = []
+        unpack = self.const(struct.Struct(f">{count}d").unpack_from)
+        self.emit(
+            f"if pos + {8 * count} > n:",
+            "    _short_floats(data, pos)",
+            f"{', '.join(targets)}, = {unpack}(data, pos)",
+            f"pos += {8 * count}",
+            f"if {' + '.join(f'({t} - {t})' for t in targets)} != 0.0:",
+            f"    _check_finite(({', '.join(targets)},))",
+            *self.after_run,
+        )
+        self.after_run = []
+
+
+def _refusing(build: str, cls: type) -> tuple[str, ...]:
+    """Lines around ``build`` that turn a refused value into a WireError."""
+    return (
+        "try:",
+        f"    {build}",
+        "except WireError:",
+        "    raise",
+        "except (TypeError, ValueError) as error:",
+        f"    raise WireError(f'invalid {cls.__name__}: {{error}}') from error",
     )
 
 
-_PLAN_CACHE: dict[type, tuple[tuple[str, tuple[_Encoder, _Decoder]], ...]] = {}
+def _emit_read_fields(src: _DecodeSource, cls: type) -> str:
+    """Read every field of ``cls`` at ``pos``; the expression that builds it."""
+    args = []
+    for _, declared in _fields(cls):
+        arg = src.local()
+        _emit_read(src, declared, arg)
+        args.append(arg)
+    return f"{src.const(cls)}({', '.join(args)})"
 
 
-def _plan_for(cls: type) -> tuple[tuple[str, tuple[_Encoder, _Decoder]], ...]:
-    plan = _PLAN_CACHE.get(cls)
-    if plan is None:
-        plan = _field_plan(cls)
-        _PLAN_CACHE[cls] = plan
-    return plan
+def _emit_read_count(src: _DecodeSource, target: str) -> None:
+    src.emit(
+        f"{target} = data[pos]",
+        f"if {target} < 128:",
+        "    pos += 1",
+        "else:",
+        f"    {target}, pos = _uvarint_at(data, pos)",
+    )
+
+
+def _emit_read(src: _DecodeSource, declared: Any, target: str) -> None:
+    """Emit the lines that read one ``declared`` value at ``pos`` into ``target``."""
+    kind, inner = _shape(declared)
+    if kind == "float":
+        src.run.append(target)
+        return
+    if kind == "dataclass":
+        build = _emit_read_fields(src, inner)
+        if _validates(inner):
+            src.flush()
+            src.emit(*_refusing(f"{target} = {build}", inner))
+        else:
+            src.then(f"{target} = {build}")
+        return
+    src.flush()
+    if kind == "int":
+        src.emit(
+            f"{target} = data[pos]",
+            f"if {target} < 128:",
+            "    pos += 1",
+            f"elif 0 < data[pos + 1] < 128:",
+            f"    {target} = {target} & 127 | data[pos + 1] << 7",
+            "    pos += 2",
+            "else:",
+            f"    {target}, pos = _uvarint_at(data, pos)",
+            f"{target} = ({target} >> 1) ^ -({target} & 1)",
+        )
+    elif kind == "bool":
+        src.emit(
+            f"{target} = data[pos]",
+            "pos += 1",
+            f"if {target} > 1:",
+            f"    raise WireError(f'bool byte must be 0 or 1, got {{{target}}}')",
+            f"{target} = {target} == 1",
+        )
+    elif kind == "str":
+        by_code = src.const((None, *_STRING_TABLE))
+        src.emit(
+            f"{target} = data[pos]",
+            "pos += 1",
+            f"if {target} == 0:",
+            f"    {target}, pos = _str_at(data, pos)",
+            f"elif {target} <= {len(_STRING_TABLE)}:",
+            f"    {target} = {by_code}[{target}]",
+            "else:",
+            f"    raise WireError(f'unknown string-table code {{{target}}}')",
+        )
+    elif kind == "bytes":
+        _emit_read_count(src, target)
+        src.emit(
+            f"if pos + {target} > n:",
+            "    raise WireError(_TRUNCATED)",
+            f"{target} = data[pos:pos + {target}]",
+            f"pos += len({target})",
+        )
+    elif kind == "optional":
+        present = src.local()
+        src.emit(f"{present} = data[pos]", "pos += 1")
+        src.open_block(f"if {present} == 1:")
+        _emit_read(src, inner, target)
+        src.close_block()
+        src.emit(
+            f"elif {present} == 0:",
+            f"    {target} = None",
+            "else:",
+            f"    raise WireError(f'presence byte must be 0 or 1, got {{{present}}}')",
+        )
+    else:  # a tuple[X, ...] or a frozenset[X]: count, then the items
+        count, items, item = src.local(), src.local(), src.local()
+        _emit_read_count(src, count)
+        src.emit(
+            # every element costs >= 1 byte; reject absurd counts before
+            # looping rather than after
+            f"if {count} > n - pos:",
+            "    raise WireError(_TRUNCATED)",
+            f"{items} = []",
+        )
+        src.open_block(f"for _ in range({count}):")
+        _emit_read(src, inner, item)
+        if kind == "frozenset":
+            src.then(
+                f"if {items} and not {item} > {items}[-1]:",
+                "    raise WireError('set elements must be strictly ascending')",
+            )
+        src.then(f"{items}.append({item})")
+        src.close_block()
+        src.emit(f"{target} = {kind}({items})")
+
+
+def _compile_decoder(cls: type) -> Callable[[bytes, int], Any]:
+    """``decode(data, pos)``: the message of type ``cls`` whose fields start
+    at ``pos`` and end the buffer."""
+    src = _DecodeSource("data, pos")
+    src.emit("n = len(data)")
+    src.open_block("try:")
+    build = _emit_read_fields(src, cls)
+    src.close_block()
+    src.emit(
+        "except IndexError:",
+        "    raise WireError(_TRUNCATED) from None",
+        "if pos != n:",
+        "    raise WireError(f'{n - pos} trailing bytes after frame')",
+    )
+    if _validates(cls):
+        src.emit(*_refusing(f"return {build}", cls))
+    else:
+        src.emit(f"return {build}")
+    src.globals.update(
+        _uvarint_at=_uvarint_at, _str_at=_str_at, _check_finite=_check_finite,
+        _short_floats=_short_floats,
+    )
+    return src.build()
+
+
+# -- encoding ----------------------------------------------------------------
+
+
+class _EncodeSource(_Source):
+    def flush(self) -> None:
+        if not self.run:
+            return
+        values = f"{', '.join(self.run)},"
+        pack = self.const(struct.Struct(f">{len(self.run)}d").pack)
+        self.run = []
+        self.emit(
+            "try:",
+            f"    out += {pack}({values})",
+            "except (TypeError, struct.error):",
+            f"    _write_floats(({values}), out)",
+        )
+
+
+def _emit_write(src: _EncodeSource, declared: Any, value: str) -> None:
+    """Emit the lines that append ``value`` (an expression) to ``out``."""
+    kind, inner = _shape(declared)
+    if kind == "float":
+        src.run.append(value)
+        return
+    local = value
+    if not value.isidentifier():
+        local = src.local()
+        src.emit(f"{local} = {value}")
+    if kind == "dataclass":
+        cls = src.const(inner)
+        src.emit(
+            f"if type({local}) is not {cls}:",
+            f"    _expected({cls}, {local}, ({''.join(v + ', ' for v in src.run)}))",
+        )
+        for name, field_type in _fields(inner):
+            _emit_write(src, field_type, f"{local}.{name}")
+        return
+    src.flush()
+    if kind == "int":
+        src.emit(
+            f"if 0 <= {local} < 64:",
+            f"    out.append({local} << 1)",
+            f"elif 0 < {local} < 8192:",
+            f"    out.append({local} << 1 & 127 | 128)",
+            f"    out.append({local} >> 6)",
+            "else:",
+            f"    _write_int({local}, out)",
+        )
+    elif kind == "bool":
+        src.emit(f"out.append(1 if {local} else 0)")
+    elif kind == "str":
+        code = src.local()
+        src.emit(
+            f"{code} = _STRING_CODES.get({local})",
+            f"if {code} is None:",
+            f"    _write_str({local}, out)",
+            "else:",
+            f"    out.append({code})",
+        )
+    elif kind == "bytes":
+        src.emit(f"_write_uvarint(len({local}), out)", f"out += {local}")
+    elif kind == "optional":
+        src.emit(f"if {local} is None:", "    out.append(0)")
+        src.open_block("else:")
+        src.emit("out.append(1)")
+        _emit_write(src, inner, local)
+        src.close_block()
+    else:  # a tuple[X, ...] or a frozenset[X] (in ascending order)
+        item = src.local()
+        src.emit(f"_write_uvarint(len({local}), out)")
+        items = local if kind == "tuple" else f"sorted({local})"
+        src.open_block(f"for {item} in {items}:")
+        _emit_write(src, inner, item)
+        src.close_block()
+
+
+def _encoder_source(params: str) -> _EncodeSource:
+    src = _EncodeSource(params)
+    src.globals.update(
+        _write_uvarint=_write_uvarint, _write_int=_write_int,
+        _write_floats=_write_floats, _write_str=_write_str, _expected=_expected,
+        _STRING_CODES=_STRING_CODES,
+    )
+    return src
+
+
+def _compile_encoder(cls: type) -> Callable[[Any, bool], bytearray]:
+    """``encode(message, signed)``: the tag and every field of a ``cls``
+    message in declared order, its signature only if ``signed``."""
+    name = cls.__name__
+    tag = MESSAGE_TAGS.get(name)
+    if tag is None or MESSAGE_TYPES.get(name) is not cls:
+        raise WireError(f"unregistered message type {name}")
+    src = _encoder_source("m, signed")
+    src.emit(f"out = bytearray({bytes((tag,))!r})")
+    for field_name, declared in _fields(cls):
+        if field_name == "signature":
+            src.open_block("if signed:")
+            _emit_write(src, declared, "m.signature")
+            src.close_block()
+        else:
+            _emit_write(src, declared, f"m.{field_name}")
+    src.flush()
+    src.emit("return out")
+    return src.build()
+
+
+_ENCODERS: dict[type, Callable[[Any, bool], bytearray]] = {}
+_DECODERS: dict[int, Callable[[bytes, int], Any]] = {}
+
+
+def _encoder(cls: type) -> Callable[[Any, bool], bytearray]:
+    encode = _ENCODERS.get(cls)
+    if encode is None:
+        encode = _ENCODERS[cls] = _compile_encoder(cls)
+    return encode
+
+
+def _signature_field(signature: Signature | None) -> bytearray:
+    """A frame's last field: presence byte, then scheme, signer and MAC.
+    Its encoder is cached under ``Signature``, which no message type is."""
+    encode = _ENCODERS.get(Signature)
+    if encode is None:
+        src = _encoder_source("m, signed")
+        src.emit("out = bytearray()")
+        _emit_write(src, Signature | None, "m")
+        src.flush()
+        src.emit("return out")
+        encode = _ENCODERS[Signature] = src.build()
+    return encode(signature, True)
 
 
 # ---- binary envelope -------------------------------------------------------
@@ -484,38 +692,26 @@ def _plan_for(cls: type) -> tuple[tuple[str, tuple[_Encoder, _Decoder]], ...]:
 
 def encode_bytes(message: GameMessage) -> bytes:
     """One canonical binary frame: tag byte + fields in declared order."""
-    name = type(message).__name__
-    tag = MESSAGE_TAGS.get(name)
-    if tag is None or MESSAGE_TYPES.get(name) is not type(message):
-        raise WireError(f"unregistered message type {name}")
-    out = bytearray((tag,))
-    for field_name, (field_encode, _) in _plan_for(type(message)):
-        field_encode(getattr(message, field_name), out)
-    return bytes(out)
+    return bytes(_encoder(type(message))(message, True))
 
 
 def decode_bytes(payload: bytes) -> GameMessage:
     """Inverse of :func:`encode_bytes`; raises WireError on any malformed
     input — truncation, bad tags, non-canonical forms, trailing bytes."""
-    if not isinstance(payload, (bytes, bytearray, memoryview)):
-        raise WireError("wire frame must be bytes")
-    reader = _Reader(bytes(payload))
-    tag = reader.byte()
-    cls = _TAG_TO_TYPE.get(tag)
-    if cls is None:
-        raise WireError(f"unknown message tag {tag}")
-    kwargs = {
-        name: field_decode(reader)
-        for name, (_, field_decode) in _plan_for(cls)
-    }
-    if reader.remaining():
-        raise WireError(f"{reader.remaining()} trailing bytes after frame")
-    try:
-        return cls(**kwargs)
-    except WireError:
-        raise
-    except (TypeError, ValueError) as error:
-        raise WireError(f"invalid {cls.__name__}: {error}") from error
+    if type(payload) is not bytes:
+        if not isinstance(payload, (bytes, bytearray, memoryview)):
+            raise WireError("wire frame must be bytes")
+        payload = bytes(payload)
+    if not payload:
+        raise WireError(_TRUNCATED)
+    decode = _DECODERS.get(payload[0])
+    if decode is None:
+        cls = _TAG_TO_TYPE.get(payload[0])
+        if cls is None:
+            raise WireError(f"unknown message tag {payload[0]}")
+        decode = _DECODERS[payload[0]] = _compile_decoder(cls)
+    message: GameMessage = decode(payload, 1)
+    return message
 
 
 def encode_signable(message: GameMessage) -> bytes:
@@ -523,16 +719,7 @@ def encode_signable(message: GameMessage) -> bytes:
     top-level signature field.  Nested signatures (the signed updates
     inside MisbehaviorEvidence) stay in — the evidence covers them.
     Canonicality of the frame makes this deterministic across nodes."""
-    name = type(message).__name__
-    tag = MESSAGE_TAGS.get(name)
-    if tag is None or MESSAGE_TYPES.get(name) is not type(message):
-        raise WireError(f"unregistered message type {name}")
-    out = bytearray((tag,))
-    for field_name, (field_encode, _) in _plan_for(type(message)):
-        if field_name == "signature":
-            continue
-        field_encode(getattr(message, field_name), out)
-    return bytes(out)
+    return bytes(_encoder(type(message))(message, False))
 
 
 def encoded_size(message: GameMessage) -> int:
@@ -540,16 +727,6 @@ def encoded_size(message: GameMessage) -> int:
     is charged ``len(frame)``.  Off every live path but kept by name:
     perfbench's tracer resolves its ``core.wire`` boundaries by name."""
     return len(encode_bytes(message))
-
-
-_encode_signature_field = _codec_for(Signature | None)[0]
-
-
-def _signature_field(signature: Signature | None) -> bytes:
-    """A frame's last field: presence byte, then scheme, signer and MAC."""
-    out = bytearray()
-    _encode_signature_field(signature, out)
-    return bytes(out)
 
 
 def seal(signable: bytes, signature: Signature) -> bytes:
@@ -561,12 +738,12 @@ def seal(signable: bytes, signature: Signature) -> bytes:
 
 # ---- frames in flight ------------------------------------------------------
 
-#: Distinct frames a :class:`FrameMemo` remembers.  Sized from a
-#: measurement, not a knob (docs/PERFORMANCE.md): at 2 048 a 48-player
-#: session decodes every distinct delivered frame exactly once, for
-#: about +1 MiB over 512 entries; 16 384 decodes no fewer there and
-#: costs +3 to +6 MiB on every workload.
-FRAME_MEMO_CAPACITY = 2048
+#: Frames a :class:`FrameMemo` keeps a buffer after the frame it was first
+#: opened in.  An update older than ``MAX_USEFUL_AGE_FRAMES`` is loss to
+#: whoever receives it, so every delivery and relay of a buffer falls
+#: inside this window; the extra frame is for the hardened rung's first
+#: retransmissions (docs/PERFORMANCE.md, "PR 44").
+FRAME_MEMO_HORIZON_FRAMES = MAX_USEFUL_AGE_FRAMES + 1
 
 
 class FrameMemo:
@@ -585,17 +762,22 @@ class FrameMemo:
     returned maps back to the very buffer it came from, so a relay or
     retransmission sends that buffer untouched.  Any other
     object — a hand-built message, a copy a tampering hop altered — is
-    encoded afresh.  The oldest entry is evicted at
-    ``FRAME_MEMO_CAPACITY``; canonical framing makes that invisible
-    (the frame re-decodes, the message re-encodes, to equal values).
+    encoded afresh.  What the memo holds is what is in flight: an entry
+    goes once it is ``FRAME_MEMO_HORIZON_FRAMES`` older than the frame
+    :meth:`advance` last named, a simulated frame, never a clock or a
+    count.  Canonical framing makes that invisible (the frame re-decodes,
+    the message re-encodes, to equal values).
     """
 
     def __init__(self) -> None:
-        #: frame -> (message, end of the signed prefix), oldest first
+        #: frame -> (message, end of the signed prefix)
         self._opened: dict[bytes, tuple[GameMessage, int]] = {}
         #: id(message) -> frame, for exactly the messages ``_opened`` holds
         #: (and thereby keeps alive, so an id is never a recycled one)
         self._arrived_as: dict[int, bytes] = {}
+        #: simulated frame -> the buffers first opened in it, oldest first
+        self._born: dict[int, list[bytes]] = {0: []}
+        self._frame = 0
         obs = get_registry()
         self._ctr_decoded = obs.counter("wire.frames.decoded")
         self._ctr_reused = obs.counter("wire.frames.reused")
@@ -603,6 +785,19 @@ class FrameMemo:
 
     def __len__(self) -> int:
         return len(self._opened)
+
+    def advance(self, frame: int) -> None:
+        """Frame ``frame`` has begun: forget every buffer first opened more
+        than ``FRAME_MEMO_HORIZON_FRAMES`` before it.  Every node sharing
+        the memo calls this; the first call of a frame does the work."""
+        if frame <= self._frame:
+            return
+        self._frame = frame
+        self._born[frame] = []
+        for born in [f for f in self._born if f < frame - FRAME_MEMO_HORIZON_FRAMES]:
+            for buffer in self._born.pop(born):
+                message, _ = self._opened.pop(buffer)
+                del self._arrived_as[id(message)]
 
     def open_frame(self, frame: bytes) -> tuple[GameMessage, int]:
         """``(message, signed_end)`` for a received buffer; the signature
@@ -616,11 +811,9 @@ class FrameMemo:
             return entry
         message = decode_bytes(frame)
         entry = (message, len(frame) - len(_signature_field(message.signature)))
-        if len(self._opened) >= FRAME_MEMO_CAPACITY:
-            evicted, _ = self._opened.pop(next(iter(self._opened)))
-            del self._arrived_as[id(evicted)]
         self._opened[frame] = entry
         self._arrived_as[id(message)] = frame
+        self._born[self._frame].append(frame)
         self._ctr_decoded.inc()
         return entry
 

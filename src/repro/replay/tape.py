@@ -127,12 +127,11 @@ class TapedMessage:
     def digest_bytes(self) -> bytes:
         """The canonical bytes this message contributes to digests: the
         routing envelope as canonical JSON, then the raw wire frame —
-        exactly what a node would transmit."""
-        return (
-            _canonical([self.src, self.dst, self.size_bytes, int(self.accepted)])
-            + b"|"
-            + self.payload
-        )
+        exactly what a node would transmit.  The envelope is four ints, so
+        it is formatted directly: the bytes ``_canonical`` would give."""
+        return b"[%d,%d,%d,%d]|" % (
+            self.src, self.dst, self.size_bytes, self.accepted
+        ) + self.payload
 
     def type_name(self) -> str:
         """Message type from the frame's leading tag byte ('?' if alien)."""

@@ -7,8 +7,8 @@ The invariants the transport refactor rests on:
   handed and the bytes a sender signs are the head of what it transmits;
 - :class:`~repro.core.wire.FrameMemo` is invisible: it decodes each
   distinct buffer once, hands the same buffer back for the object it
-  decoded, stays within its bound, and an evicted entry re-decodes and
-  re-encodes to equal values;
+  decoded, holds only what is in flight, and an evicted entry re-decodes
+  and re-encodes to equal values;
 - a relayed or retransmitted message leaves a node as the
   very buffer it arrived in — and one flipped byte on the way is caught;
 - malformed input fails closed where it enters, with the books intact.
@@ -17,10 +17,11 @@ The invariants the transport refactor rests on:
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from repro.core import WatchmenSession
+from repro.core import WatchmenSession, wire
 from repro.core.config import FRAME_SECONDS, WatchmenConfig
 from repro.core.messages import (
     SUB_INTEREST,
@@ -34,7 +35,7 @@ from repro.core.node import HonestBehaviour
 from repro.core.subscriptions import SubscriberTable
 from repro.core.verification import CheckKind
 from repro.core.wire import (
-    FRAME_MEMO_CAPACITY,
+    FRAME_MEMO_HORIZON_FRAMES,
     MESSAGE_TAGS,
     FrameMemo,
     WireError,
@@ -120,24 +121,71 @@ class TestFrameMemo:
     def test_bound_holds_and_eviction_is_invisible(self):
         memo = FrameMemo()
         frames = [
-            as_frame(AckMessage(1, 0, sequence, 2, sequence))
-            for sequence in range(FRAME_MEMO_CAPACITY + 300)
+            [as_frame(AckMessage(1, born, 10 * born + i, 2, i)) for i in range(3)]
+            for born in range(FRAME_MEMO_HORIZON_FRAMES + 4)
         ]
         opened = []
-        for frame in frames:
-            opened.append(memo.open_frame(frame))
-            assert len(memo) <= FRAME_MEMO_CAPACITY
-        assert len(memo) == FRAME_MEMO_CAPACITY
-        # the oldest entries are gone: their messages re-encode, their
-        # frames re-decode, and both come back equal
-        evicted_message, evicted_end = opened[0]
-        assert memo.frame_of(evicted_message) == frames[0]
-        assert memo.frame_of(evicted_message) is not frames[0]
-        reopened, reopened_end = memo.open_frame(frames[0])
+        for born, batch in enumerate(frames):
+            memo.advance(born)
+            memo.advance(born)  # every node of a session advances it
+            opened.append([memo.open_frame(frame) for frame in batch])
+            held = min(born, FRAME_MEMO_HORIZON_FRAMES) + 1
+            assert len(memo) == 3 * held
+        # the entries first opened more than the horizon ago are gone:
+        # their messages re-encode, their frames re-decode, both equal
+        evicted_message, evicted_end = opened[0][0]
+        assert memo.frame_of(evicted_message) == frames[0][0]
+        assert memo.frame_of(evicted_message) is not frames[0][0]
+        reopened, reopened_end = memo.open_frame(frames[0][0])
         assert reopened == evicted_message and reopened is not evicted_message
         assert reopened_end == evicted_end
-        # the newest are still held by identity
-        assert memo.frame_of(opened[-1][0]) is frames[-1]
+        # the oldest still in flight and the newest are held by identity
+        oldest_held = len(frames) - 1 - FRAME_MEMO_HORIZON_FRAMES
+        assert memo.frame_of(opened[oldest_held][0][0]) is frames[oldest_held][0]
+        assert memo.frame_of(opened[-1][-1][0]) is frames[-1][-1]
+        # a frame going back in time moves nothing
+        memo.advance(0)
+        assert memo.frame_of(opened[oldest_held][0][0]) is frames[oldest_held][0]
+
+    def test_a_session_decodes_each_buffer_in_flight_once(
+        self, small_trace, longest_yard, monkeypatch
+    ):
+        """A paper-rung session (no retransmissions) runs the validating
+        decoder exactly once per distinct delivered buffer, and at every
+        frame's end its memo holds nothing first opened more than the
+        horizon ago."""
+        decodes: Counter[bytes] = Counter()
+        decode = wire.decode_bytes
+
+        def counted(payload):
+            decodes[payload] += 1
+            return decode(payload)
+
+        monkeypatch.setattr(wire, "decode_bytes", counted)
+        session = WatchmenSession(
+            small_trace, game_map=longest_yard, config=WatchmenConfig(profile="paper")
+        )
+        delivered = set()
+        handlers = session.network._handlers
+        for node_id, handler in list(handlers.items()):
+            def tapped(src, frame, handler=handler):
+                delivered.add(frame)
+                handler(src, frame)
+
+            handlers[node_id] = tapped
+        memo = session.frames
+        held = []
+        session.on_frame_end = lambda frame: held.append(
+            (frame, {born: len(buffers) for born, buffers in memo._born.items()}, len(memo))
+        )
+        session.run()
+
+        assert len(delivered) > 1000
+        assert set(decodes) == delivered
+        assert set(decodes.values()) == {1}
+        for frame, born, size in held:
+            assert min(born) >= frame - FRAME_MEMO_HORIZON_FRAMES, frame
+            assert sum(born.values()) == size
 
     def test_only_bytes_are_frames(self):
         memo = FrameMemo()

@@ -103,9 +103,12 @@ class TestChaosMatrix:
 
     def test_failover_reproxies_within_one_period(self, results):
         by_name = {r["scenario"]: r["metrics"] for r in results}
-        for name in ("crash_10pct", "proxy_kill_midepoch"):
-            reproxy = by_name[name]["frames_to_reproxy"]
-            assert 0 < reproxy <= PROXY_PERIOD_FRAMES, name
+        # 0 means no live player was ever stranded, the best outcome: a
+        # crash victim need not have been anybody's proxy
+        assert 0 <= by_name["crash_10pct"]["frames_to_reproxy"] <= PROXY_PERIOD_FRAMES
+        # a serving proxy is killed by construction, so someone is stranded
+        # until failover routes round it: the probe has something to read
+        assert 0 < by_name["proxy_kill_midepoch"]["frames_to_reproxy"] <= PROXY_PERIOD_FRAMES
 
     def test_no_failover_contrast_black_holes(self, results):
         """Without failover a player whose proxy died stays stranded for

@@ -18,6 +18,7 @@ from repro.replay import (
     read_tape,
     verify_tape,
 )
+from repro.replay.tape import _canonical
 
 from tests.test_replay_tape import header_row
 
@@ -47,6 +48,17 @@ def test_header_matches_preset(preset):
     assert header["config_hash"] == config_hash(
         GOLDEN_PRESETS[preset], tape.faults
     ), "committed tape was recorded under a different configuration"
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_digest_envelope_is_the_canonical_json_one(preset):
+    """``digest_bytes`` formats its four ints itself; over every message of
+    the corpus that is byte for byte the canonical JSON envelope."""
+    tape = read_tape(TAPES_DIR / f"{preset}.tape")
+    for tape_frame in tape.frames:
+        for message in tape_frame.messages:
+            envelope = [message.src, message.dst, message.size_bytes, int(message.accepted)]
+            assert message.digest_bytes() == _canonical(envelope) + b"|" + message.payload
 
 
 def test_chaos_tape_embeds_fault_schedule():
