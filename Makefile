@@ -35,8 +35,10 @@ bench:
 		benchmarks/bench_wire.py -q
 
 # How a performance claim is measured (docs/PERFORMANCE.md): alternating
-# perfbench driver pairs, BASE (a git ref) against the working tree.
+# perfbench driver pairs, BASE (a git ref) against the working tree, on one
+# workload or a comma-separated list of them (base exported once).
 #   make bench-pairs BASE=HEAD~1 WORKLOAD=paper48 PAIRS=10 FIRST_SEED=500
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=paper48,crowd96,hardened32_crash,taped24_cheats
 BASE ?= HEAD
 WORKLOAD ?= crowd96
 PAIRS ?= 10

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Alternating base/change driver pairs on one perfbench workload.
+"""Alternating base/change driver pairs on one or more perfbench workloads.
 
     python scripts/bench_pairs.py --base HEAD~1 --workload crowd96 --pairs 10
+    python scripts/bench_pairs.py --base HEAD~1 --workload paper48,crowd96
 
-Exports ``--base`` (any git ref) into a temporary directory with ``git
+Exports ``--base`` (any git ref) once into a temporary directory with ``git
 archive`` (nothing is written to ``.git``; the copy is removed on exit),
-then for seeds ``first-seed .. first-seed + pairs - 1`` runs
+then for each workload in the order given and seeds ``first-seed ..
+first-seed + pairs - 1`` runs
 
     perfbench/run.py --workload W --seed N --seconds S --trace 0
 
@@ -19,7 +21,8 @@ pairs, win nine tenths of them *and* move the median by more than the
 base's IQR).  The simulated metrics depend on the seed alone, so it also says, per
 seed, whether they came out identical on both sides.
 
-Exits 1 when a simulated metric differs on any seed or any child failed its
+One summary table is printed per workload.  Exits 1 when, on any
+workload, a simulated metric differs on any seed or any child failed its
 correctness check, on either side; 0 otherwise, whatever the timings say.
 
 Runs the benchmark as a subprocess exactly as the driver does; imports
@@ -109,45 +112,34 @@ def summarise(
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, help="git ref to compare against")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=500)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--json", type=Path, help="also write every run and the summary here")
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-
+def measure(
+    workload: str, sides: dict[str, Path], args: argparse.Namespace
+) -> dict[str, Any]:
+    """Every pair of one workload, its summary table, and what went wrong."""
     runs: list[dict[str, Any]] = []
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
-        base_tree = Path(scratch)
-        export_ref(args.base, base_tree)
-        sides = {"base": base_tree, "change": ROOT}
-        for pair in range(args.pairs):
-            seed = args.first_seed + pair
-            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            for side in order:
-                result = driver_run(sides[side], args.workload, seed, args.seconds)
-                values = {k: v["value"] for k, v in result["metrics"].items()}
-                runs.append({
-                    "seed": seed, "side": side, "first": side == order[0],
-                    "correct": result["correct"], "failed": result["failed"],
-                    "attempted": result["attempted"], **values,
-                })
-                print(
-                    f"seed {seed} {side:6s} wall_per_sim_s {values['wall_per_sim_s']:.3f} "
-                    f"p50 {values['frame_ms_p50']:.1f} ms "
-                    f"{'ok' if result['correct'] else 'CHECK FAILED'}",
-                    flush=True,
-                )
+    for pair in range(args.pairs):
+        seed = args.first_seed + pair
+        order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+        for side in order:
+            result = driver_run(sides[side], workload, seed, args.seconds)
+            values = {k: v["value"] for k, v in result["metrics"].items()}
+            runs.append({
+                "seed": seed, "side": side, "first": side == order[0],
+                "correct": result["correct"], "failed": result["failed"],
+                "attempted": result["attempted"], **values,
+            })
+            print(
+                f"{workload} seed {seed} {side:6s} "
+                f"wall_per_sim_s {values['wall_per_sim_s']:.3f} "
+                f"p50 {values['frame_ms_p50']:.1f} ms "
+                f"{'ok' if result['correct'] else 'CHECK FAILED'}",
+                flush=True,
+            )
 
     by_side = {
         side: [run for run in runs if run["side"] == side] for side in ("base", "change")
     }
-    print(f"\n{args.workload}: {args.pairs} pairs, base {args.base}, "
+    print(f"\n{workload}: {args.pairs} pairs, base {args.base}, "
           f"seeds {args.first_seed}..{args.first_seed + args.pairs - 1}")
     header = (
         f"{'metric':16s} {'base q1/med/q3':>26s} {'change q1/med/q3':>26s} "
@@ -189,14 +181,50 @@ def main(argv: list[str] | None = None) -> int:
         attempted = sum(run["attempted"] for run in side_runs)
         any_failed |= failed > 0 or not all(run["correct"] for run in side_runs)
         print(f"{side}: {failed} of {attempted} children failed their check")
+    return {
+        "workload": workload, "runs": runs, "summary": summaries,
+        "simulated_differ": differing, "failed": any_failed,
+    }
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git ref to compare against")
+    parser.add_argument(
+        "--workload", required=True,
+        help="a workload, or several separated by commas (measured in that order)",
+    )
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=500)
+    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--json", type=Path, help="also write every run and the summary here")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    workloads = [name.strip() for name in args.workload.split(",")]
+    if not all(workloads) or len(set(workloads)) != len(workloads):
+        parser.error("--workload takes distinct names separated by commas")
+
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        base_tree = Path(scratch)
+        export_ref(args.base, base_tree)
+        sides = {"base": base_tree, "change": ROOT}
+        results = [measure(workload, sides, args) for workload in workloads]
+
+    if len(results) > 1:
+        print()
+        for result in results:
+            status = (
+                "simulated metrics DIFFER" if result["simulated_differ"]
+                else "a child FAILED its check" if result["failed"]
+                else "ok"
+            )
+            print(f"{result['workload']}: {status}")
     if args.json:
         args.json.write_text(json.dumps(
-            {"workload": args.workload, "base": args.base, "runs": runs,
-             "summary": summaries, "simulated_differ": differing},
-            indent=2,
+            {"base": args.base, "workloads": results}, indent=2
         ) + "\n")
-    return 1 if differing or any_failed else 0
+    return 1 if any(r["simulated_differ"] or r["failed"] for r in results) else 0
 
 
 if __name__ == "__main__":

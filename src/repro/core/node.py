@@ -329,6 +329,9 @@ class WatchmenNode:
             assigned = self.schedule.clients_of(self.player_id, epoch)
             self.first_hops.open_epoch(epoch, assigned)
             self.clients.open_epoch(assigned)
+            # Client records were handed off or dropped just above; the
+            # subscription check's held poses of subscribers go with them.
+            self.subscription_verifier.forget_observers()
 
         # -- proxy liveness / failover (Section VI extended; inert at depth 0) --
         if not self.is_server:
@@ -1107,8 +1110,18 @@ class WatchmenNode:
         return self._sequence
 
     def _sequenced(self, message: GameMessage) -> GameMessage:
-        """A role's unsequenced message, stamped as it is about to leave."""
-        return dataclass_replace(message, sequence=self._next_sequence())
+        """A role's unsequenced message, stamped as it is about to leave.
+
+        A field-for-field copy with ``sequence`` set.  The role built (and
+        its type's ``__post_init__`` checked) every other field, so this
+        neither re-reads the dataclass fields nor re-runs the check, as
+        ``dataclasses.replace`` would for every message sent.
+        """
+        stamped = object.__new__(type(message))
+        for name in message.__slots__:
+            object.__setattr__(stamped, name, getattr(message, name))
+        object.__setattr__(stamped, "sequence", self._next_sequence())
+        return stamped
 
     def _transmit(self, message: GameMessage, destinations: Iterable[int]) -> None:
         """Sign and send through the behaviour hooks and the transport.

@@ -704,6 +704,21 @@ class SubscriptionVerifier:
         self.game_map = game_map
         self.interest = interest
         self._suspicious_frames: dict[int, list[int]] = {}
+        #: subscriber -> the ObserverFrame of the pose last judged.  It is a
+        #: pure function of that snapshot object (which it keeps alive), so
+        #: it is reused while the caller passes the very same object.
+        self._observers: dict[int, ObserverFrame] = {}
+
+    def _observer(self, subscriber: AvatarSnapshot) -> ObserverFrame:
+        oframe = self._observers.get(subscriber.player_id)
+        if oframe is None or oframe.snapshot is not subscriber:
+            oframe = ObserverFrame(subscriber, self.interest)
+            self._observers[subscriber.player_id] = oframe
+        return oframe
+
+    def forget_observers(self) -> None:
+        """Drop every held ObserverFrame (the next request rebuilds its own)."""
+        self._observers.clear()
 
     def verify_vision_subscription(
         self,
@@ -723,7 +738,7 @@ class SubscriptionVerifier:
         staleness-discounted by it (the guidance and kill checks' rule).
         """
         get_registry().counter("interest.classifications").inc()
-        oframe = ObserverFrame(subscriber, self.interest)
+        oframe = self._observer(subscriber)
         age = _pose_age(frame, subscriber)
         rating, deviation, detail = self._rate_vision(oframe, frame, target, age)
         return CheatRating(
@@ -802,7 +817,7 @@ class SubscriptionVerifier:
         """Rate an IS subscription by the target's attention rank (``frame``
         and the pose's age as for :meth:`verify_vision_subscription`)."""
         get_registry().counter("interest.classifications").inc()
-        oframe = ObserverFrame(subscriber, self.interest)
+        oframe = self._observer(subscriber)
         age = _pose_age(frame, subscriber)
         rating, deviation, _ = self._rate_vision(oframe, frame, target, age)
         confidence *= Confidence.staleness_discount(age)
@@ -861,19 +876,19 @@ class SubscriptionVerifier:
         Verifier views lag the subscriber's by a frame or two; near wall
         edges that flips single-ray visibility and would convict honest
         subscriptions.  A maphack target sits deep behind geometry, where
-        every sampled ray is blocked.
+        every sampled ray is blocked.  The rays are tried in that order and
+        the first clear one ends the probe; the offsets are built only once
+        the direct ray is blocked.
         """
+        line_of_sight = self.game_map.line_of_sight
         eye_a = oframe.eye
         eye_b = eye_position(target.position)
+        if line_of_sight(eye_a, eye_b):
+            return False
         direction = (eye_b - eye_a).with_z(0.0).normalized()
         perp = Vec3(-direction.y, direction.x, 0.0) * OCCLUSION_PROBE_OFFSET
-        samples = (
-            (eye_a, eye_b),
-            (eye_a + perp, eye_b + perp),
-            (eye_a - perp, eye_b - perp),
-        )
-        return all(
-            not self.game_map.line_of_sight(a, b) for a, b in samples
+        return not line_of_sight(eye_a + perp, eye_b + perp) and not line_of_sight(
+            eye_a - perp, eye_b - perp
         )
 
     def _cone_deviation(

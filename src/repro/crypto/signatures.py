@@ -60,6 +60,24 @@ class HmacKeyRegistry:
         return key
 
 
+#: RFC 2104's pads, as byte translation tables (``hmac``'s own idiom)
+_INNER_PAD = bytes(byte ^ 0x36 for byte in range(256))
+_OUTER_PAD = bytes(byte ^ 0x5C for byte in range(256))
+
+
+def _keyed_sha256(key: bytes) -> tuple[hashlib._Hash, hashlib._Hash]:
+    """HMAC-SHA256's two hash states after the key block (RFC 2104): the
+    key, hashed first if longer than SHA-256's 64-byte block, zero-padded
+    to it and XORed with each pad."""
+    if len(key) > 64:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(64, b"\0")
+    return (
+        hashlib.sha256(key.translate(_INNER_PAD)),
+        hashlib.sha256(key.translate(_OUTER_PAD)),
+    )
+
+
 class HmacSigner:
     """Truncated HMAC-SHA256 'signatures' (default 100 bits, the paper's size)."""
 
@@ -71,15 +89,28 @@ class HmacSigner:
         self.registry = HmacKeyRegistry()
         self.signature_bits = signature_bits
         self._size_bytes = (signature_bits + 7) // 8
+        #: player -> the HMAC-SHA256 inner and outer hash states with that
+        #: player's padded key already absorbed.  Each MAC runs on copies,
+        #: so the two key-pad blocks are hashed once per player, not once
+        #: per message.  Key material only: no message, no MAC, no outcome.
+        self._keyed: dict[int, tuple[hashlib._Hash, hashlib._Hash]] = {}
 
     def register(self, player_id: int) -> None:
         """Derive the player's key now (it is derived on demand otherwise)."""
         self.registry.key_for(player_id)
 
     def _mac(self, player_id: int, message: bytes) -> bytes:
-        return hmac.digest(self.registry.key_for(player_id), message, "sha256")[
-            : self._size_bytes
-        ]
+        """``hmac.digest(key, message, "sha256")``, truncated."""
+        keyed = self._keyed.get(player_id)
+        if keyed is None:
+            keyed = self._keyed[player_id] = _keyed_sha256(
+                self.registry.key_for(player_id)
+            )
+        inner = keyed[0].copy()
+        inner.update(message)
+        outer = keyed[1].copy()
+        outer.update(inner.digest())
+        return outer.digest()[: self._size_bytes]
 
     def sign(self, player_id: int, message: bytes) -> Signature:
         return Signature(

@@ -170,9 +170,11 @@ class ObserverFrame:
     ``Vec3.from_yaw(observer.yaw)`` for *every* target; this computes them
     once.  It is the one place the cone / attention arithmetic runs: the
     planner (:func:`compute_sets`) builds one per plan and the proxy-side
-    :class:`~repro.core.verification.SubscriptionVerifier` one per verified
-    subscription (the ``interest.observer_frames`` counter over
-    ``interest.classifications`` is that ratio, gated at <= 1).  The scalar
+    :class:`~repro.core.verification.SubscriptionVerifier` one per
+    subscriber pose, kept while the subscriber's snapshot is the same
+    object (the ``interest.observer_frames`` counter over
+    ``interest.classifications`` is that ratio, gated at <= 1: one per
+    plan or subscriber pose, at most one per classification).  The scalar
     methods below mirror the reference arithmetic operation-for-operation
     (same order, same intermediate expressions) so their results are
     bit-identical — the property tests enforce it.

@@ -66,3 +66,59 @@ def test_a_child_that_failed_its_check_exits_1(bench_pairs, monkeypatch, capsys)
     stub_runs(bench_pairs, monkeypatch, failed=1)
     assert main(bench_pairs) == 1
     assert "change: 3 of 9 children failed their check" in capsys.readouterr().out
+
+
+def test_a_workload_list_exports_once_and_summarises_each(
+    bench_pairs, monkeypatch, capsys
+):
+    exports, calls = [], []
+    monkeypatch.setattr(bench_pairs, "export_ref", lambda ref, into: exports.append(ref))
+    stub_runs(bench_pairs, monkeypatch)
+    stubbed = bench_pairs.driver_run
+
+    def driver_run(tree, workload, seed, seconds):
+        calls.append((workload, seed, "change" if tree == bench_pairs.ROOT else "base"))
+        return stubbed(tree, workload, seed, seconds)
+
+    monkeypatch.setattr(bench_pairs, "driver_run", driver_run)
+    assert bench_pairs.main([
+        "--base", "HEAD", "--workload", "paper48, crowd96", "--pairs", "2",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert exports == ["HEAD"]
+    assert calls == [
+        ("paper48", 500, "base"), ("paper48", 500, "change"),
+        ("paper48", 501, "change"), ("paper48", 501, "base"),
+        ("crowd96", 500, "base"), ("crowd96", 500, "change"),
+        ("crowd96", 501, "change"), ("crowd96", 501, "base"),
+    ]
+    assert "paper48: 2 pairs, base HEAD" in out
+    assert "crowd96: 2 pairs, base HEAD" in out
+    assert out.count("identical on every seed") == 2
+
+
+def test_one_differing_workload_in_a_list_exits_1(bench_pairs, monkeypatch, capsys):
+    def driver_run(tree, workload, seed, seconds):
+        values = {metric: 1.0 for metric in bench_pairs.TIMED + bench_pairs.SIMULATED}
+        if workload == "crowd96" and tree == bench_pairs.ROOT:
+            values["failed_fraction"] = 0.5
+        return {
+            "correct": True, "failed": 0, "attempted": 3,
+            "metrics": {metric: {"value": v} for metric, v in values.items()},
+        }
+
+    monkeypatch.setattr(bench_pairs, "driver_run", driver_run)
+    assert bench_pairs.main([
+        "--base", "HEAD", "--workload", "paper48,crowd96,taped24_cheats", "--pairs", "1",
+    ]) == 1
+    out = capsys.readouterr().out
+    assert "paper48: ok" in out
+    assert "crowd96: simulated metrics DIFFER" in out
+    assert "taped24_cheats: ok" in out
+
+
+@pytest.mark.parametrize("workloads", ["paper48,,crowd96", "paper48,paper48", ","])
+def test_a_malformed_workload_list_is_a_usage_error(bench_pairs, workloads):
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--base", "HEAD", "--workload", workloads])
+    assert exit_.value.code == 2

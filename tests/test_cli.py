@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -105,7 +106,11 @@ class TestMetrics:
         out = capsys.readouterr().out
         assert "6 players x 40 frames" in out
         assert "bandwidth" in out
-        assert "observer_frames_per_classification 1.000" in out
+        # one ObserverFrame per plan and per distinct subscriber pose a
+        # proxy judges, so at most one per classification
+        ratio = re.search(r"observer_frames_per_classification (\d+\.\d{3}) ", out)
+        assert ratio is not None
+        assert float(ratio.group(1)) <= 1.0
 
     def test_metrics_json_stdout(self, capsys):
         assert main([

@@ -18,8 +18,12 @@ replaced, which is retained verbatim in
   stream to the value recorded before the verifier was hoisted, and holds
   planner and verifier together to one ``ObserverFrame`` per
   classification;
+- a second property drives both the way a proxy does — a few subscribers
+  asking repeatedly with the roster's current snapshot objects, some
+  replaced between requests — so the fast verifier's held
+  ``ObserverFrame`` is compared on hits and on misses;
 - a counter test holds the hoisting itself: one ``ObserverFrame`` per
-  verified subscription.
+  distinct subscriber pose, at most one per verified subscription.
 """
 
 import hashlib
@@ -152,6 +156,58 @@ def _drive(seed: int, players: int, boxes: int, checks: int) -> list[CheatRating
     return ratings
 
 
+def _drive_held_poses(
+    seed: int, players: int, boxes: int, checks: int
+) -> tuple[list[CheatRating], int]:
+    """Like :func:`_drive`, but the way a proxy calls: a few subscribers ask
+    again and again, each request passes the roster's *current* snapshot
+    object, and between requests some snapshots are replaced by a new pose
+    (moved, turned, aged).  The fast verifier reuses its held
+    ``ObserverFrame`` exactly while the object is the same, so both hits
+    and misses are compared with the reference.  Returns the ratings and
+    the number of distinct subscriber poses judged."""
+    rng = Random(seed)
+    now = 50 + seed % 400
+    game_map, _, _ = _random_world(seed, 0, boxes)
+    roster = _random_roster(rng, players, now)
+    fast, reference = _verifier_pair(rng, game_map, players, now)
+    askers = rng.sample(range(players), min(players, rng.randrange(1, 4)))
+    #: every pose judged, by identity (held here, so no id is reused)
+    poses: dict[int, AvatarSnapshot] = {}
+    ratings = []
+    for _ in range(checks):
+        if rng.random() < 0.3:
+            moved_id = rng.choice(askers) if rng.random() < 0.8 else rng.randrange(players)
+            moved = roster[moved_id]
+            toward = roster[rng.randrange(players)].position - moved.position
+            roster[moved_id] = dataclass_replace(
+                moved,
+                frame=now - rng.randrange(9),
+                position=moved.position + Vec3(
+                    rng.uniform(-60, 60), rng.uniform(-60, 60), 0.0
+                ),
+                yaw=toward.yaw() + rng.uniform(-1.3, 1.3),
+            )
+        subscriber_id = rng.choice(askers)
+        target_id = rng.choice([p for p in range(players) if p != subscriber_id])
+        subscriber, target = roster[subscriber_id], roster[target_id]
+        poses[id(subscriber)] = subscriber
+        verifier_id = rng.randrange(players)
+        confidence = rng.choice((Confidence.PROXY, Confidence.INTEREST))
+        if rng.random() < 0.5:
+            args = (verifier_id, now, subscriber, target, confidence)
+            got = fast.verify_vision_subscription(*args)
+            want = reference.verify_vision_subscription(*args)
+        else:
+            args = (verifier_id, now, subscriber, target, roster, confidence)
+            got = fast.verify_interest_subscription(*args)
+            want = reference.verify_interest_subscription(*args)
+        assert got == want
+        assert fast._suspicious_frames == reference._suspicious_frames
+        ratings.append(got)
+    return ratings, len(poses)
+
+
 class TestFastVerifierEqualsReference:
     @given(
         st.integers(min_value=0, max_value=2**31 - 1),
@@ -161,6 +217,15 @@ class TestFastVerifierEqualsReference:
     @settings(max_examples=60, deadline=None)
     def test_ratings_and_escalation_state_match(self, seed, players, boxes):
         _drive(seed, players, boxes, checks=12)
+
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=2, max_value=48),
+        st.integers(min_value=0, max_value=14),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_held_observer_frames_match_on_hits_and_misses(self, seed, players, boxes):
+        _drive_held_poses(seed, players, boxes, checks=24)
 
     def test_generator_reaches_every_branch(self):
         seen: dict[str, int] = {}
@@ -190,13 +255,23 @@ class TestFastVerifierEqualsReference:
             assert seen.get(branch, 0) >= 3, (branch, seen)
 
     def test_one_observer_frame_per_verified_subscription(self):
+        """One per distinct subscriber pose, at most one per verified
+        subscription (the reference goes through the naive helpers and
+        counts nothing)."""
         registry = MetricsRegistry(enabled=True)
         with use_registry(registry):
             _drive(seed=11, players=32, boxes=8, checks=30)
         counters = registry.snapshot()["counters"]
-        # the reference goes through the naive helpers and counts nothing
+        # every request of ``_drive`` carries a pose object of its own
         assert counters["interest.classifications"] == 30
         assert counters["interest.observer_frames"] == 30
+
+        registry = MetricsRegistry(enabled=True)
+        with use_registry(registry):
+            _, poses = _drive_held_poses(seed=11, players=32, boxes=8, checks=60)
+        counters = registry.snapshot()["counters"]
+        assert counters["interest.classifications"] == 60
+        assert counters["interest.observer_frames"] == poses < 60
 
 
 @pytest.mark.slow
@@ -238,7 +313,9 @@ def test_paper_profile_session_rating_stream_is_pinned():
     # guidance to those inside, and at frame 0, where every player used to
     # publish, no proxy knows a subscriber yet; ``net.datagrams.sent``
     # 16 578 -> 16 560; ``node.ratings_suspicious`` 40 -> 36) and the
-    # histograms with it.
+    # histograms with it.  ``interest.observer_frames`` 1 873 -> 1 221 when
+    # the proxy-side check began keeping one ``ObserverFrame`` per
+    # subscriber pose instead of building one per verified subscription.
     pinned = json.loads(PINNED_SESSION_REGISTRY.read_text())
     assert counters == pinned["counters"]
     assert registry.snapshot()["histograms"] == pinned["histograms"]
