@@ -21,9 +21,13 @@ pairs, win nine tenths of them *and* move the median by more than the
 base's IQR).  The simulated metrics depend on the seed alone, so it also says, per
 seed, whether they came out identical on both sides.
 
-One summary table is printed per workload.  Exits 1 when, on any
-workload, a simulated metric differs on any seed or any child failed its
-correctness check, on either side; 0 otherwise, whatever the timings say.
+One summary table is printed per workload.  A run whose children failed
+their correctness check has the driver's ``FAILED …`` lines printed under
+it, and the summary names the seeds that failed on both trees with
+identical simulated metrics (a check the two trees fail alike) apart from
+those that failed on one side only.  Exits 1 when, on any workload, a
+simulated metric differs on any seed or any child failed its correctness
+check, on either side; 0 otherwise, whatever the timings say.
 
 Runs the benchmark as a subprocess exactly as the driver does; imports
 nothing from ``perfbench/`` and edits nothing there.
@@ -64,7 +68,8 @@ def export_ref(ref: str, into: Path) -> None:
 
 
 def driver_run(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, Any]:
-    """One ``perfbench/run.py`` driver run in ``tree``; its last-line JSON."""
+    """One ``perfbench/run.py`` driver run in ``tree``: its last-line JSON,
+    with the ``FAILED …`` lines it wrote to stderr under ``failure_lines``."""
     done = subprocess.run(
         [
             sys.executable, "perfbench/run.py", "--workload", workload,
@@ -74,12 +79,16 @@ def driver_run(tree: Path, workload: str, seed: int, seconds: float) -> dict[str
     )
     lines = done.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        result: dict[str, Any] = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         raise SystemExit(
             f"{tree}: run.py exited {done.returncode} without a result\n"
             f"{done.stderr.strip()}"
         ) from None
+    result["failure_lines"] = [
+        line for line in done.stderr.splitlines() if line.startswith("FAILED ")
+    ]
+    return result
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -126,7 +135,8 @@ def measure(
             runs.append({
                 "seed": seed, "side": side, "first": side == order[0],
                 "correct": result["correct"], "failed": result["failed"],
-                "attempted": result["attempted"], **values,
+                "attempted": result["attempted"],
+                "failure_lines": result.get("failure_lines", []), **values,
             })
             print(
                 f"{workload} seed {seed} {side:6s} "
@@ -135,6 +145,8 @@ def measure(
                 f"{'ok' if result['correct'] else 'CHECK FAILED'}",
                 flush=True,
             )
+            for line in runs[-1]["failure_lines"]:
+                print(f"    {line}", flush=True)
 
     by_side = {
         side: [run for run in runs if run["side"] == side] for side in ("base", "change")
@@ -175,16 +187,45 @@ def measure(
         ))
     else:
         print("simulated metrics (" + ", ".join(SIMULATED) + "): identical on every seed")
-    any_failed = False
     for side, side_runs in by_side.items():
         failed = sum(run["failed"] for run in side_runs)
         attempted = sum(run["attempted"] for run in side_runs)
-        any_failed |= failed > 0 or not all(run["correct"] for run in side_runs)
         print(f"{side}: {failed} of {attempted} children failed their check")
+    failed_alike, failed_one_side = failed_seeds(by_side["base"], by_side["change"])
+    if failed_alike:
+        print(
+            "failed on both trees with identical simulated metrics (seeds): "
+            + ", ".join(map(str, failed_alike))
+        )
+    if failed_one_side:
+        print("failed on one side only (seed side): " + ", ".join(
+            f"{seed} {side}" for seed, side in failed_one_side
+        ))
     return {
         "workload": workload, "runs": runs, "summary": summaries,
-        "simulated_differ": differing, "failed": any_failed,
+        "simulated_differ": differing, "failed": bool(failed_alike or failed_one_side),
+        "failed_alike": failed_alike, "failed_one_side": failed_one_side,
     }
+
+
+def failed_seeds(
+    base_runs: list[dict[str, Any]], change_runs: list[dict[str, Any]]
+) -> tuple[list[int], list[tuple[int, str]]]:
+    """The seeds whose children failed their check on both trees with the
+    same simulated metrics, and ``(seed, side)`` for every other failure:
+    one side only, or both sides with metrics that differ."""
+    alike: list[int] = []
+    others: list[tuple[int, str]] = []
+    for base, change in zip(base_runs, change_runs):
+        failed = {
+            run["side"] for run in (base, change) if run["failed"] or not run["correct"]
+        }
+        same = all(base[metric] == change[metric] for metric in SIMULATED)
+        if failed == {"base", "change"} and same:
+            alike.append(base["seed"])
+        else:
+            others += [(base["seed"], side) for side in ("base", "change") if side in failed]
+    return alike, others
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -216,7 +257,9 @@ def main(argv: list[str] | None = None) -> int:
         for result in results:
             status = (
                 "simulated metrics DIFFER" if result["simulated_differ"]
-                else "a child FAILED its check" if result["failed"]
+                else "a child FAILED its check on one side" if result["failed_one_side"]
+                else "children FAILED their check on both trees alike"
+                if result["failed_alike"]
                 else "ok"
             )
             print(f"{result['workload']}: {status}")

@@ -30,10 +30,15 @@ TARGET = Path("src/repro/core/membership.py")
 
 #: the rescind-on-liveness guard inside ``heard_from``
 MUTATION_BLOCK = """\
-            if player_id not in self.removed and player_id not in self.convicted:
-                self._proposals.pop(player_id, None)
-                self._own_proposals.discard(player_id)
-                self._scheduled_removals.pop(player_id, None)
+        if (
+            # nothing pending (every heartbeat of a clean run): nothing to rescind
+            (self._proposals or self._own_proposals or self._scheduled_removals)
+            and player_id not in self.removed
+            and player_id not in self.convicted
+        ):
+            self._proposals.pop(player_id, None)
+            self._own_proposals.discard(player_id)
+            self._scheduled_removals.pop(player_id, None)
 """
 
 

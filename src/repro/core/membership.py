@@ -85,14 +85,20 @@ class MembershipView:
         A removal already applied is never undone (roster changes stay
         deterministic); only pending suspicion is cleared.
         """
-        if player_id in self._last_heard:
-            self._last_heard[player_id] = max(
-                self._last_heard[player_id], frame
-            )
-            if player_id not in self.removed and player_id not in self.convicted:
-                self._proposals.pop(player_id, None)
-                self._own_proposals.discard(player_id)
-                self._scheduled_removals.pop(player_id, None)
+        last_heard = self._last_heard.get(player_id)
+        if last_heard is None:
+            return
+        if frame > last_heard:
+            self._last_heard[player_id] = frame
+        if (
+            # nothing pending (every heartbeat of a clean run): nothing to rescind
+            (self._proposals or self._own_proposals or self._scheduled_removals)
+            and player_id not in self.removed
+            and player_id not in self.convicted
+        ):
+            self._proposals.pop(player_id, None)
+            self._own_proposals.discard(player_id)
+            self._scheduled_removals.pop(player_id, None)
 
     def last_heard_frame(self, player_id: int) -> int | None:
         """Latest frame any update about a player was consumed (None if

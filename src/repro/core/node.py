@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter as Tally
 from dataclasses import dataclass, field, replace as dataclass_replace
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
 from repro.core.clients import ClientBook, ClientState
 from repro.core.config import (
@@ -122,6 +122,15 @@ class NodeBehaviour(Protocol):
 
 class HonestBehaviour(NodeBehaviour):
     """Identity hooks: play exactly by the protocol."""
+
+
+_Hook = TypeVar("_Hook", bound=Callable[..., object])
+
+
+def _overridden(hook: _Hook, default: Callable[..., object]) -> _Hook | None:
+    """``hook`` (a behaviour's bound hook), or None where it is ``default``,
+    :class:`NodeBehaviour`'s identity version, which a node need not call."""
+    return None if getattr(hook, "__func__", None) is default else hook
 
 
 #: Sent peer to peer, never through a proxy: no first-hop role to triage.
@@ -233,7 +242,7 @@ class WatchmenNode:
         self.schedule = schedule
         self.signer = signer
         self._send_many = send_many
-        self.behaviour: NodeBehaviour = behaviour or HonestBehaviour()
+        self.behaviour = behaviour or HonestBehaviour()
         self._rating_sink = rating_sink
         #: sink into the transport's unified drop accounting (the session
         #: points it at ``DatagramNetwork.count_protocol_drop``)
@@ -300,6 +309,27 @@ class WatchmenNode:
         )
         self.publisher = Publisher(player_id)
 
+    @property
+    def behaviour(self) -> NodeBehaviour:
+        """The hooks on this node's externally visible acts."""
+        return self._behaviour
+
+    @behaviour.setter
+    def behaviour(self, behaviour: NodeBehaviour) -> None:
+        # Resolved here, once: a hook left at its identity default is None
+        # and never called (an honest node's sends skip the filter, its
+        # deliveries the observer, its own snapshot the mutator).
+        self._behaviour = behaviour
+        self._filter_outgoing = _overridden(
+            behaviour.filter_outgoing, NodeBehaviour.filter_outgoing
+        )
+        self._observe_incoming = _overridden(
+            behaviour.observe_incoming, NodeBehaviour.observe_incoming
+        )
+        self._mutate_snapshot = _overridden(
+            behaviour.mutate_snapshot, NodeBehaviour.mutate_snapshot
+        )
+
     # ------------------------------------------------------------------
     # Frame driving (called by the session)
     # ------------------------------------------------------------------
@@ -346,7 +376,8 @@ class WatchmenNode:
 
         # -- publisher duties (players only) -----------------------------------
         if own_snapshot is not None and not self.is_server:
-            own_snapshot = self.behaviour.mutate_snapshot(frame, own_snapshot)
+            if self._mutate_snapshot is not None:
+                own_snapshot = self._mutate_snapshot(frame, own_snapshot)
             self.known[self.player_id] = own_snapshot
             proxies = self.first_hops.publish_proxies(frame, epoch)
             for update in self.publisher.updates(frame, own_snapshot):
@@ -638,7 +669,8 @@ class WatchmenNode:
                 self._note_quarantine(src)
             self.protocol_drop("quarantine")
             return
-        self.behaviour.observe_incoming(self.current_frame, src, message)
+        if self._observe_incoming is not None:
+            self._observe_incoming(self.current_frame, src, message)
         signed = buffer[:signed_end]
         if not self._verify_envelope(src, message, signed):
             return
@@ -1123,13 +1155,17 @@ class WatchmenNode:
         object.__setattr__(stamped, "sequence", self._next_sequence())
         return stamped
 
-    def _transmit(self, message: GameMessage, destinations: Iterable[int]) -> None:
+    def _transmit(self, message: GameMessage, destinations: Sequence[int]) -> None:
         """Sign and send through the behaviour hooks and the transport.
 
         The behaviour filters destination by destination; consecutive
-        outputs that are the same message object leave as one send.
+        outputs that are the same message object leave as one send.  With
+        no filter (the honest identity) that is one send to them all.
         """
-        filter_outgoing, frame = self.behaviour.filter_outgoing, self.current_frame
+        filter_outgoing, frame = self._filter_outgoing, self.current_frame
+        if filter_outgoing is None:
+            self._transmit_unfiltered(message, destinations)
+            return
         batch_message = message
         batch: list[int] = []
         for destination in destinations:

@@ -283,6 +283,9 @@ class PositionVerifier:
     def __init__(self, physics: Physics) -> None:
         self.physics = physics
         self._last_seen: dict[int, AvatarSnapshot] = {}
+        #: frame gap -> the allowance it is rated against (at most
+        #: ``POSITION_MAX_GAP_FRAMES`` entries: longer gaps abstain)
+        self._allowed: dict[int, float] = {}
 
     def observe(
         self,
@@ -305,15 +308,20 @@ class PositionVerifier:
         # evidence would get near-zero confidence anyway).
         if frames > POSITION_MAX_GAP_FRAMES:
             return None
-        physics = self.physics
-        excess = physics.displacement_excess(previous.position, snapshot.position, frames)
-        # Slack absorbs frame-phase and quantization noise so honest
-        # movement never rates above 1 (the FP ≤ 5 % operating point).
-        slack = physics.max_horizontal_travel(frames) * (POSITION_TOLERANCE - 1.0)
-        allowed = max(POSITION_SLACK_FLOOR, slack)
+        excess = self.physics.displacement_excess(
+            previous.position, snapshot.position, frames
+        )
+        allowed = self._allowed.get(frames)
+        if allowed is None:
+            # Slack absorbs frame-phase and quantization noise so honest
+            # movement never rates above 1 (the FP ≤ 5 % operating point).
+            slack = self.physics.max_horizontal_travel(frames) * (POSITION_TOLERANCE - 1.0)
+            allowed = self._allowed[frames] = max(POSITION_SLACK_FLOOR, slack)
         return CheatRating(  # positionally: built once per delivered update
             verifier_id, subject, snapshot.frame, CheckKind.POSITION,
-            rating_from_deviation(excess, allowed), confidence, excess,
+            # ``allowed`` > 0, so this is rating_from_deviation's first branch
+            MIN_RATING if excess <= allowed else rating_from_deviation(excess, allowed),
+            confidence, excess,
             f"envelope excess {excess:.0f}u over {frames} frame(s)",
         )
 
@@ -329,6 +337,9 @@ class AimVerifier:
 
     def __init__(self) -> None:
         self._last_seen: dict[int, AvatarSnapshot] = {}
+        #: frame gap -> the turn allowance it is rated against (at most
+        #: ``AIM_MAX_GAP_FRAMES`` entries: longer gaps are not judged)
+        self._allowed: dict[int, float] = {}
 
     def observe(
         self,
@@ -349,10 +360,16 @@ class AimVerifier:
         delta = abs(
             (snapshot.yaw - previous.yaw + math.pi) % (2.0 * math.pi) - math.pi
         )
-        allowed = MAX_TURN_RATE * FRAME_SECONDS * frames * AIM_TOLERANCE
+        allowed = self._allowed.get(frames)
+        if allowed is None:
+            allowed = self._allowed[frames] = (
+                MAX_TURN_RATE * FRAME_SECONDS * frames * AIM_TOLERANCE
+            )
         return CheatRating(  # positionally: built once per delivered update
             verifier_id, subject, snapshot.frame, CheckKind.AIM,
-            rating_from_deviation(delta, allowed), confidence, delta,
+            # ``allowed`` > 0 (``frames`` >= 1): rating_from_deviation's first branch
+            MIN_RATING if delta <= allowed else rating_from_deviation(delta, allowed),
+            confidence, delta,
             f"turned {delta:.2f} rad in {frames} frame(s)",
         )
 

@@ -288,7 +288,8 @@ def _short_floats(data: bytes, pos: int) -> None:
 # (importing this module compiles nothing).  Nested dataclasses are
 # inlined, so a run of adjacent float fields — a snapshot's position,
 # velocity and yaw — is one ``struct`` call; a varint of one or two
-# bytes never leaves the function; and a message is built positionally.
+# bytes never leaves the function; and each value is built in one step
+# (:func:`_built`).
 # Longer varints, inline strings and every refusal go through the helpers
 # above.
 # ``tests/reference/wire.py`` keeps the per-field closures this replaced,
@@ -409,26 +410,40 @@ class _DecodeSource(_Source):
         self.after_run = []
 
 
-def _refusing(build: str, cls: type) -> tuple[str, ...]:
-    """Lines around ``build`` that turn a refused value into a WireError."""
-    return (
-        "try:",
-        f"    {build}",
-        "except WireError:",
-        "    raise",
-        "except (TypeError, ValueError) as error:",
-        f"    raise WireError(f'invalid {cls.__name__}: {{error}}') from error",
-    )
+def _built(src: _DecodeSource, cls: type, args: list[str], target: str) -> list[str]:
+    """Lines that make ``target`` the ``cls`` of ``args`` (its fields, in
+    order) in one step: a bare instance, each slot set through its member
+    descriptor, then the class's ``__post_init__`` check, if it has one,
+    with a refusal turned into a WireError.  What the generated
+    ``__init__`` would have done, less its ``object.__setattr__`` call per
+    field: the value is as frozen, equal and hashable as a constructed one.
+    """
+    lines = [f"{target} = _new({src.const(cls)})"]
+    for (name, _), arg in zip(_fields(cls), args):
+        slot = cls.__dict__.get(name)
+        if type(slot) is not types.MemberDescriptorType:
+            raise WireError(f"{cls.__name__}.{name} is not a slot (wire types are slots=True)")
+        lines.append(f"{src.const(slot.__set__)}({target}, {arg})")
+    if _validates(cls):
+        lines += (
+            "try:",
+            f"    {src.const(getattr(cls, '__post_init__'))}({target})",
+            "except WireError:",
+            "    raise",
+            "except (TypeError, ValueError) as error:",
+            f"    raise WireError(f'invalid {cls.__name__}: {{error}}') from error",
+        )
+    return lines
 
 
-def _emit_read_fields(src: _DecodeSource, cls: type) -> str:
-    """Read every field of ``cls`` at ``pos``; the expression that builds it."""
+def _emit_read_fields(src: _DecodeSource, cls: type) -> list[str]:
+    """Read every field of ``cls`` at ``pos``; the locals that hold them."""
     args = []
     for _, declared in _fields(cls):
         arg = src.local()
         _emit_read(src, declared, arg)
         args.append(arg)
-    return f"{src.const(cls)}({', '.join(args)})"
+    return args
 
 
 def _emit_read_count(src: _DecodeSource, target: str) -> None:
@@ -448,12 +463,12 @@ def _emit_read(src: _DecodeSource, declared: Any, target: str) -> None:
         src.run.append(target)
         return
     if kind == "dataclass":
-        build = _emit_read_fields(src, inner)
+        build = _built(src, inner, _emit_read_fields(src, inner), target)
         if _validates(inner):
             src.flush()
-            src.emit(*_refusing(f"{target} = {build}", inner))
+            src.emit(*build)
         else:
-            src.then(f"{target} = {build}")
+            src.then(*build)
         return
     src.flush()
     if kind == "int":
@@ -545,21 +560,18 @@ def _compile_decoder(cls: type) -> Callable[[bytes, int], tuple[Any, int]]:
         arg = src.local()
         _emit_read(src, declared, arg)
         args.append(arg)
-    build = f"{src.const(cls)}({', '.join(args)}), signed_end"
     src.close_block()
     src.emit(
         "except IndexError:",
         "    raise WireError(_TRUNCATED) from None",
         "if pos != n:",
         "    raise WireError(f'{n - pos} trailing bytes after frame')",
+        *_built(src, cls, args, "m"),
+        "return m, signed_end",
     )
-    if _validates(cls):
-        src.emit(*_refusing(f"return {build}", cls))
-    else:
-        src.emit(f"return {build}")
     src.globals.update(
         _uvarint_at=_uvarint_at, _str_at=_str_at, _check_finite=_check_finite,
-        _short_floats=_short_floats,
+        _short_floats=_short_floats, _new=object.__new__,
     )
     return src.build()
 

@@ -345,7 +345,9 @@ class ObserverFrame:
         the score of :meth:`attention_score`, each expression for
         expression (they share ``dx``, ``dy`` and the left-associated
         ``dx * dx + dy * dy`` prefix; the two ``dz`` differ, eye to eye
-        against feet to feet, and are both kept).
+        against feet to feet, and are both kept).  A candidate too far
+        away to out-score ``target`` whatever its aim term is dropped
+        after the cone's cheap cull, before its ``sqrt`` and ``acos``.
         """
         observer = self.snapshot
         observer_id = observer.player_id
@@ -372,15 +374,26 @@ class ObserverFrame:
             dx = other_position.x - opx
             dy = other_position.y - opy
             dxy_sq = dx * dx + dy * dy
-            dot_xy = ax * dx + ay * dy
-            # -- cone_contains, eye to eye
+            # -- cone_contains' squared-distance cull, eye to eye
             dz = (other_position.z + EYE_HEIGHT) - eye_z
             dist_sq = dxy_sq + dz * dz
             if dist_sq > cull_radius_sq:
                 continue
+            # -- the score's bound: its aim term is at most 1.0 and recency
+            # is 0, so a candidate whose ``proximity + 1.0`` does not beat
+            # the target's score never counts (rounding is monotone; a NaN
+            # proximity compares False and goes on to the cone test)
+            feet_dz = other_position.z - opz
+            proximity = 1.0 / (
+                1.0 + sqrt(dxy_sq + feet_dz * feet_dz) / proximity_scale
+            )
+            if proximity + 1.0 <= threshold:
+                continue
+            # -- the rest of cone_contains
             distance = sqrt(dist_sq)
             if distance > vision_radius or distance == 0.0:
                 continue
+            dot_xy = ax * dx + ay * dy
             denom = aim_length * distance
             if denom != 0.0:
                 cosine = (dot_xy + az * dz) / denom
@@ -390,10 +403,7 @@ class ObserverFrame:
                 # ``not <=``, never ``>``: a NaN pose stays outside the cone
                 if not acos(cosine) <= half_angle:
                     continue
-            # -- attention_score, feet to feet, no recency
-            dz = other_position.z - opz
-            distance = sqrt(dxy_sq + dz * dz)
-            proximity = 1.0 / (1.0 + distance / proximity_scale)
+            # -- the rest of attention_score, feet to feet, no recency
             horizontal = sqrt(dxy_sq + 0.0 * 0.0)
             denom = aim_length * horizontal
             if denom == 0.0:

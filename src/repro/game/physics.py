@@ -78,7 +78,19 @@ class Physics:
 
     def __init__(self, game_map: GameMap, config: PhysicsConfig | None = None) -> None:
         self.game_map = game_map
-        self.config = config or PhysicsConfig()
+        self._config = config or PhysicsConfig()
+        # The legality envelope of one frame.  Each bound method is its
+        # config expression times ``frames``, and ``x * 1`` is ``x``, so
+        # ``unit * frames`` is that method's value, bit for bit.
+        self._travel_unit = self.max_horizontal_travel(1)
+        self._ascent_unit = self.max_ascent(1)
+        self._descent_unit = self.max_descent(1)
+
+    @property
+    def config(self) -> PhysicsConfig:
+        """The movement envelope, fixed for this object's lifetime: the
+        per-frame units above are read from it once."""
+        return self._config
 
     # ---- stepping ----------------------------------------------------------
 
@@ -336,7 +348,9 @@ class Physics:
 
         Checked component-wise — "gravity, limited velocity" are separate
         rules — so a 2× horizontal speed hack cannot hide inside the
-        free-fall vertical allowance.  Returns 0 for legal movement.
+        free-fall vertical allowance.  Returns 0 for legal movement.  The
+        three bounds are the methods above, as their per-frame units times
+        ``frames``.
         """
         if frames <= 0:
             return start.distance_to(end)
@@ -345,10 +359,10 @@ class Physics:
         horizontal_excess = max(
             0.0,
             math.hypot(end.x - start.x, end.y - start.y)
-            - self.max_horizontal_travel(frames),
+            - self._travel_unit * frames,
         )
         if dz >= 0:
-            vertical_excess = max(0.0, dz - self.max_ascent(frames))
+            vertical_excess = max(0.0, dz - self._ascent_unit * frames)
         else:
-            vertical_excess = max(0.0, -dz - self.max_descent(frames))
+            vertical_excess = max(0.0, -dz - self._descent_unit * frames)
         return max(horizontal_excess, vertical_excess)

@@ -117,6 +117,60 @@ def test_one_differing_workload_in_a_list_exits_1(bench_pairs, monkeypatch, caps
     assert "taped24_cheats: ok" in out
 
 
+def stub_failing_seeds(module, monkeypatch, *, one_sided: bool) -> None:
+    """Seed 501 fails the same check on both trees (identical simulated
+    metrics); if ``one_sided``, seed 502 fails on the working tree only."""
+
+    def driver_run(tree, workload, seed, seconds):
+        lines = []
+        if seed == 501:
+            lines = ["FAILED seed 501: stale_fraction 0.0205 > 0.02"]
+        elif seed == 502 and one_sided and tree == module.ROOT:
+            lines = ["FAILED seed 502: honest players banned: [3]"]
+        values = {metric: 1.0 for metric in module.TIMED + module.SIMULATED}
+        return {
+            "correct": not lines, "failed": len(lines), "attempted": 3,
+            "metrics": {metric: {"value": v} for metric, v in values.items()},
+            "failure_lines": lines,
+        }
+
+    monkeypatch.setattr(module, "driver_run", driver_run)
+
+
+def test_failed_seeds_are_named_alike_or_one_sided(bench_pairs, monkeypatch, capsys):
+    """Each run's ``FAILED`` lines print under it, and the summary keeps a
+    check both trees fail alike apart from one failed on one side only."""
+    stub_failing_seeds(bench_pairs, monkeypatch, one_sided=True)
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "paper48", "--pairs", "4"]) == 1
+    out = capsys.readouterr().out.splitlines()
+
+    def line_after(prefix):
+        return out[out.index(next(line for line in out if line.startswith(prefix))) + 1]
+
+    for side in ("base", "change"):
+        assert line_after(f"paper48 seed 501 {side}") == (
+            "    FAILED seed 501: stale_fraction 0.0205 > 0.02"
+        )
+    assert line_after("paper48 seed 502 change") == (
+        "    FAILED seed 502: honest players banned: [3]"
+    )
+    assert "failed on both trees with identical simulated metrics (seeds): 501" in out
+    assert "failed on one side only (seed side): 502 change" in out
+
+
+def test_a_check_failed_alike_on_both_trees_still_exits_1(
+    bench_pairs, monkeypatch, capsys
+):
+    stub_failing_seeds(bench_pairs, monkeypatch, one_sided=False)
+    assert bench_pairs.main([
+        "--base", "HEAD", "--workload", "paper48,crowd96", "--pairs", "3",
+    ]) == 1
+    out = capsys.readouterr().out
+    assert "failed on one side only" not in out
+    assert "paper48: children FAILED their check on both trees alike" in out
+    assert "crowd96: children FAILED their check on both trees alike" in out
+
+
 @pytest.mark.parametrize("workloads", ["paper48,,crowd96", "paper48,paper48", ","])
 def test_a_malformed_workload_list_is_a_usage_error(bench_pairs, workloads):
     with pytest.raises(SystemExit) as exit_:

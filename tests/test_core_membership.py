@@ -1,11 +1,17 @@
 """Tests for churn membership management (Section VI agreement round)."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import WatchmenSession
 from repro.core.membership import MembershipView, RemovalProposal
 from repro.faults import CrashFault, FaultSchedule
 from repro.net.latency import uniform_lan
+
+from tests.reference.membership import heard_from_reference
 
 
 class TestMembershipView:
@@ -119,6 +125,51 @@ class TestMembershipView:
             view.record_proposal(proposer, 4, 100, epoch=0)
         view.apply_removals(epoch=2)
         assert view.quorum_size() == 3  # majority of 4 remaining
+
+
+#: one step of a membership history: (operation, player, frame)
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ("hear", "hear", "hear", "propose", "own", "convict", "remove")
+        ),
+        st.integers(min_value=0, max_value=9),  # 8 on the roster, 9 is not
+        st.integers(min_value=0, max_value=400),
+    ),
+    max_size=60,
+)
+
+
+class TestHeardFromMatchesReference:
+    """A heartbeat that skips the suspicion tables when none is pending
+    leaves the view exactly as the method that always popped them."""
+
+    @staticmethod
+    def apply(view: MembershipView, step: tuple[str, int, int], hear) -> None:
+        op, player, frame = step
+        epoch = frame // 20
+        if op == "hear":
+            hear(view, player, frame)
+        elif op == "propose":
+            for proposer in range(view.quorum_size()):
+                view.record_proposal(proposer, player, frame, epoch)
+        elif op == "own":
+            if view.should_propose(player):
+                view.note_own_proposal(player)
+        elif op == "convict":
+            view.convict(player, epoch + 1)
+        else:
+            view.apply_removals(epoch)
+
+    @given(_steps)
+    @settings(max_examples=150, deadline=None)
+    def test_state_equal_after_every_step(self, steps):
+        fast = MembershipView(list(range(8)), silence_threshold_frames=30)
+        reference = copy.deepcopy(fast)
+        for step in steps:
+            self.apply(fast, step, MembershipView.heard_from)
+            self.apply(reference, step, heard_from_reference)
+            assert fast == reference
 
 
 class TestChurnIntegration:

@@ -24,6 +24,14 @@ replaced, which is retained verbatim in
   ``ObserverFrame`` is compared on hits and on misses;
 - a counter test holds the hoisting itself: one ``ObserverFrame`` per
   distinct subscriber pose, at most one per verified subscription.
+
+The per-update pose verifiers get the same treatment: a hypothesis
+property feeds :class:`PositionVerifier` and :class:`AimVerifier` random
+snapshot streams — frame gaps from repeats through gaps past either
+verifier's cap, deaths, steps inside and far outside the envelope, NaN-free
+extremes — next to the copies of their ``observe`` kept in
+``tests/reference/pose_verifiers.py``, and compares every verdict by its
+``repr`` (float bits included); a census proves the streams reach every arm.
 """
 
 import hashlib
@@ -37,14 +45,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.verification import CheatRating, Confidence, SubscriptionVerifier
+from repro.core.config import AIM_MAX_GAP_FRAMES, MIN_RATING, POSITION_MAX_GAP_FRAMES
+from repro.core.verification import (
+    AimVerifier,
+    CheatRating,
+    Confidence,
+    PositionVerifier,
+    SubscriptionVerifier,
+)
 from repro.game.avatar import AvatarSnapshot
 from repro.game.gamemap import GameMap
 from repro.game.interest import InterestConfig
+from repro.game.physics import Physics
 from repro.game.vector import Vec3
 from repro.obs import MetricsRegistry, use_registry
 from repro.replay import TapeScenario
 
+from tests.arena import make_arena
+from tests.reference.pose_verifiers import ReferenceAimVerifier, ReferencePositionVerifier
 from tests.reference.subscription_verifier import ReferenceSubscriptionVerifier
 from tests.test_game_interest_fast import _random_world
 
@@ -272,6 +290,95 @@ class TestFastVerifierEqualsReference:
         counters = registry.snapshot()["counters"]
         assert counters["interest.classifications"] == 60
         assert counters["interest.observer_frames"] == poses < 60
+
+
+def _pose_stream(seed: int, length: int) -> list[AvatarSnapshot]:
+    """Updates about a few subjects, as a receiver sees them: mostly the
+    next frame or a few later and a step inside the envelope, but also
+    repeats and reorders, gaps past both verifiers' caps, deaths, sprints
+    and teleports, snapped and wildly wound yaws, coordinates up to 1e6."""
+    rng = Random(seed)
+    last: dict[int, AvatarSnapshot] = {}
+    stream = []
+    for _ in range(length):
+        subject = rng.randrange(4)
+        before = last.get(subject)
+        if before is None:
+            before = AvatarSnapshot(
+                player_id=subject, frame=rng.randrange(100),
+                position=Vec3(rng.uniform(-2000, 2000), rng.uniform(-2000, 2000), 0.0),
+                velocity=Vec3(), yaw=rng.uniform(-math.pi, math.pi),
+                health=100, armor=0, weapon="machinegun", ammo=10, alive=True,
+            )
+        gap = rng.choice((1, 1, 1, 2, 3, 0, -1, 5, 6, 40, 41, rng.randrange(1, 60)))
+        scale = rng.choice((0.0, 8.0, 16.0, 17.6, 20.0, 60.0, 400.0))
+        position = before.position + Vec3(
+            rng.uniform(-scale, scale) * max(gap, 1),
+            rng.uniform(-scale, scale) * max(gap, 1),
+            rng.choice((0.0, 0.0, rng.uniform(-60.0, 60.0) * max(gap, 1))),
+        )
+        if rng.random() < 0.05:
+            position = Vec3(*(rng.choice((-1e6, 1e6, rng.uniform(-1e6, 1e6))) for _ in "xyz"))
+        yaw = before.yaw + rng.choice((0.0, 0.3, -0.6, 1.0, math.pi, rng.uniform(-9.0, 9.0)))
+        if rng.random() < 0.05:
+            yaw = rng.choice((-1e3, 1e3, rng.uniform(-1e3, 1e3)))
+        snapshot = dataclass_replace(
+            before, frame=max(0, before.frame + gap), position=position, yaw=yaw,
+            alive=rng.random() > 0.06,
+        )
+        last[subject] = snapshot
+        stream.append(snapshot)
+    return stream
+
+
+def _pose_verdicts(seed: int, length: int) -> list[tuple[CheatRating | None, ...]]:
+    """Both verifier pairs over one stream, asserting equal verdicts (by
+    ``repr``: every field, float bits included); returns the verdicts."""
+    physics = Physics(make_arena())
+    pairs = (
+        (PositionVerifier(physics), ReferencePositionVerifier(physics)),
+        (AimVerifier(), ReferenceAimVerifier()),
+    )
+    verdicts = []
+    for snapshot in _pose_stream(seed, length):
+        confidence = Confidence.staleness_discount(snapshot.frame % 7)
+        row = []
+        for fast, reference in pairs:
+            got = fast.observe(3, snapshot, confidence)
+            assert repr(got) == repr(reference.observe(3, snapshot, confidence))
+            row.append(got)
+        verdicts.append(tuple(row))
+    return verdicts
+
+
+class TestPoseVerifiersEqualReference:
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_verdicts_match_over_random_streams(self, seed):
+        _pose_verdicts(seed, length=60)
+
+    def test_streams_reach_every_arm(self):
+        """In-allowance (the short cut), over-allowance and saturated
+        verdicts, and abstentions past each cap, for both verifiers."""
+        seen: dict[str, int] = {}
+        capped = {0: POSITION_MAX_GAP_FRAMES, 1: AIM_MAX_GAP_FRAMES}
+        for seed in range(30):
+            last_frame: dict[tuple[int, int], int] = {}
+            for snapshot, row in zip(_pose_stream(seed, 60), _pose_verdicts(seed, 60)):
+                for which, rating in enumerate(row):
+                    key = (which, snapshot.player_id)
+                    gap = snapshot.frame - last_frame.get(key, snapshot.frame)
+                    last_frame[key] = snapshot.frame
+                    if rating is None:
+                        arm = "past cap" if gap > capped[which] else "abstain"
+                    elif rating.rating == MIN_RATING:
+                        arm = "in allowance"
+                    else:
+                        arm = "saturated" if rating.rating >= 10.0 else "rated"
+                    seen[f"{which}:{arm}"] = seen.get(f"{which}:{arm}", 0) + 1
+        for which in (0, 1):
+            for arm in ("in allowance", "rated", "saturated", "past cap", "abstain"):
+                assert seen.get(f"{which}:{arm}", 0) >= 3, (which, arm, seen)
 
 
 @pytest.mark.slow

@@ -5,7 +5,10 @@ registered message type, on first use; ``tests/reference/wire.py`` is the
 per-field closure codec, verbatim.  On every message type the two write
 the same bytes, and on any buffer — a frame, a truncation, an extension,
 one byte changed — they accept and refuse alike, return equal values and
-raise the same ``WireError`` message.
+raise the same ``WireError`` message.  A decoded value is built in one
+step (a bare instance, its slots set, its ``__post_init__`` run), so the
+values themselves are held to what the constructor makes: frozen all the
+way down, equal and hash-equal to ``cls(*fields)``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 import pytest
 
 from repro.core import wire
-from repro.core.messages import StateUpdate
+from repro.core.messages import SUB_VISION, StateUpdate, SubscriptionRequest
 from repro.core.wire import WireError
 from repro.game.vector import Vec3
 from tests.reference import wire as reference
@@ -27,6 +30,7 @@ from tests.test_core_wire_roundtrip import (
     _class_strategy,
     any_float,
     build_message,
+    finite,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -95,6 +99,69 @@ class TestSameAsTheClosureCodec:
             assert_same_decoding(buffer)
 
         run()
+
+
+def constructed(value):
+    """``value`` rebuilt through the constructors, nested values first."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return type(value)(
+            *(constructed(getattr(value, f.name)) for f in dataclasses.fields(value))
+        )
+    if isinstance(value, tuple):
+        return tuple(constructed(item) for item in value)
+    return value
+
+
+def assert_frozen(value) -> int:
+    """Every field of ``value`` and of each value nested in it refuses
+    assignment; returns how many fields were tried."""
+    tried = 0
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for field in dataclasses.fields(value):
+            current = getattr(value, field.name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, current)
+            tried += 1 + assert_frozen(current)
+    elif isinstance(value, tuple):
+        tried += sum(assert_frozen(item) for item in value)
+    return tried
+
+
+@pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda c: c.__name__)
+def test_decoded_values_are_constructed_values(cls):
+    @settings(max_examples=40, deadline=None)
+    @given(message=_class_strategy(cls, finite))
+    def run(message):
+        decoded = wire.decode_bytes(wire.encode_bytes(message))
+        assert type(decoded) is cls
+        assert assert_frozen(decoded) >= len(dataclasses.fields(cls))
+        rebuilt = cls(*(getattr(decoded, f.name) for f in dataclasses.fields(cls)))
+        deep = constructed(decoded)
+        for twin in (rebuilt, deep, message):
+            assert decoded == twin and twin == decoded
+            assert hash(decoded) == hash(twin)
+
+    run()
+
+
+def test_a_refused_subscription_kind_reads_as_before():
+    """``SubscriptionRequest.__post_init__`` still runs on a decoded value,
+    and its refusal still becomes the same ``WireError``."""
+    valid = build_message(SubscriptionRequest)
+    for kind in ("bogus", "VS ", "position", ""):
+        forged = object.__new__(SubscriptionRequest)
+        for field in dataclasses.fields(SubscriptionRequest):
+            object.__setattr__(forged, field.name, getattr(valid, field.name))
+        object.__setattr__(forged, "kind", kind)
+        frame = wire.encode_bytes(forged)
+        assert frame == reference.encode_bytes(forged)
+        with pytest.raises(WireError) as compiled:
+            wire.decode_bytes(frame)
+        assert str(compiled.value) == (
+            f"invalid SubscriptionRequest: unknown subscription kind {kind!r}"
+        )
+        assert assert_same_decoding(frame) == ("refused", str(compiled.value))
+    assert wire.decode_bytes(wire.encode_bytes(valid)).kind == SUB_VISION
 
 
 def test_any_buffer_at_all_decodes_alike():

@@ -204,6 +204,23 @@ class TestAttentionBatch:
             )
 
 
+def _rank_reference(
+    roster: dict[int, AvatarSnapshot], target_id: int, config: InterestConfig
+) -> int:
+    """1 + the live in-cone avatars out-scoring the target, candidate by
+    candidate through the reference cone test and score (observer 0)."""
+    observer = roster[0]
+    target_score = _attention_score_reference(observer, roster[target_id], 0, config)
+    return 1 + sum(
+        1
+        for pid, other in roster.items()
+        if pid not in (0, target_id)
+        and other.alive
+        and _in_vision_cone_reference(observer, other, config)
+        and _attention_score_reference(observer, other, 0, config) > target_score
+    )
+
+
 class TestAttentionRank:
     @given(seed=st.integers(0, 10_000), count=st.integers(2, 40))
     @settings(max_examples=60, deadline=None)
@@ -213,21 +230,73 @@ class TestAttentionRank:
         for pid in range(2, count, 9):
             roster[pid] = replace(roster[pid], position=roster[0].position)
         config = InterestConfig()
-        observer = roster[0]
-        oframe = ObserverFrame(observer, config)
+        oframe = ObserverFrame(roster[0], config)
         for target_id in range(1, count):
-            target = roster[target_id]
-            target_score = _attention_score_reference(observer, target, 0, config)
-            rank = 1 + sum(
-                1
-                for pid, other in roster.items()
-                if pid not in (0, target_id)
-                and other.alive
-                and _in_vision_cone_reference(observer, other, config)
-                and _attention_score_reference(observer, other, 0, config)
-                > target_score
+            rank = _rank_reference(roster, target_id, config)
+            assert oframe.attention_rank(roster[target_id], roster) == rank
+
+    @staticmethod
+    def boundary_roster(
+        z: int, d: float, off_x: int, off_y: int, seed: int
+    ) -> dict[int, AvatarSnapshot]:
+        """Observer 0 at ``(0, 0, z)`` aiming down +x (aim exactly (1, 0, 0)),
+        target 1 on that axis at distance ``d`` — its aim term is exactly
+        1.0, so its score is ``proximity(d) + 1.0`` — and candidates built
+        on the score's bound: at distance ``d`` off the axis (``proximity +
+        1.0`` equals the target's score), one ulp nearer and farther on the
+        axis, stacked on the target and mirrored across the axis (equal
+        scores), then a NaN pose, a dead one and random others."""
+        rng = Random(seed)
+
+        def at(pid: int, x: float, y: float, dz: float = 0.0, alive: bool = True):
+            return AvatarSnapshot(
+                player_id=pid, frame=0, position=Vec3(x, y, z + dz), velocity=Vec3(),
+                yaw=0.0, health=100, armor=0, weapon="machinegun", ammo=10, alive=alive,
             )
-            assert oframe.attention_rank(target, roster) == rank
+
+        nan = float("nan")
+        placed = [
+            at(0, 0.0, 0.0),
+            at(1, d, 0.0),
+            at(2, 0.0, d), at(3, 0.0, -d), at(4, -d, 0.0), at(5, 0.0, 0.0, d),
+            at(6, math.nextafter(d, 0.0), 0.0), at(7, math.nextafter(d, math.inf), 0.0),
+            at(8, d, 0.0),  # stacked on the target
+            at(9, off_x, off_y), at(10, off_x, -off_y),  # mirror images
+            at(11, nan, 0.0), at(12, d / 2, 0.0, alive=False),
+        ]
+        placed += [
+            at(pid, rng.uniform(-2600, 2600), rng.uniform(-2600, 2600), rng.uniform(-50, 50))
+            for pid in range(13, 13 + rng.randrange(12))
+        ]
+        return {snapshot.player_id: snapshot for snapshot in placed}
+
+    @given(
+        z=st.integers(-200, 400),
+        d=st.one_of(st.integers(1, 2499).map(float), st.floats(0.5, 2499.0)),
+        off_x=st.integers(-2400, 2400),
+        off_y=st.integers(1, 2400),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_rank_matches_reference_on_the_score_bound(self, z, d, off_x, off_y, seed):
+        """Candidates whose ``proximity + 1.0`` equals the target's score
+        exactly, and candidates tied with a target, rank as the reference
+        ranks them, whichever avatar is the target."""
+        roster = self.boundary_roster(z, d, off_x, off_y, seed)
+        config = InterestConfig()
+        observer, target = roster[0], roster[1]
+        # the construction sits on the bound: the target's score is
+        # proximity(d) + 1.0, and so is each off-axis candidate's bound
+        threshold = _attention_score_reference(observer, target, 0, config)
+        for pid in (1, 2, 3, 4):
+            distance = (roster[pid].position - observer.position).length()
+            assert 1.0 / (1.0 + distance / config.proximity_scale) + 1.0 == threshold
+        oframe = ObserverFrame(observer, config)
+        for target_id in roster:
+            if target_id != 0:
+                assert oframe.attention_rank(roster[target_id], roster) == (
+                    _rank_reference(roster, target_id, config)
+                )
 
 
 class TestBotPerception:

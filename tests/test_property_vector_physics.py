@@ -6,7 +6,7 @@ import struct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.game.physics import MoveIntent, Physics
+from repro.game.physics import MoveIntent, Physics, PhysicsConfig
 from repro.game.vector import Vec3, clamp
 
 from tests.arena import make_arena
@@ -120,6 +120,40 @@ class TestPhysicsProperties:
         assert struct.pack(">d", self.physics.displacement_excess(a, b, frames)) == (
             struct.pack(">d", displacement_excess_reference(self.physics, a, b, frames))
         )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(small_vectors, vectors),
+                st.one_of(small_vectors, vectors),
+                st.integers(min_value=0, max_value=45),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.floats(min_value=0.001, max_value=1.0),
+        st.floats(min_value=1.0, max_value=2000.0),
+        st.floats(min_value=0.0, max_value=100.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_excess_on_one_physics_matches_reference_bitwise(
+        self, draws, frame_seconds, fall_speed, step_height
+    ):
+        """One ``Physics`` (its per-frame units computed once) answers gaps
+        in whatever order they come, on configs other than the default,
+        exactly as the bound methods, which re-read the config each call."""
+        physics = Physics(
+            make_arena(),
+            PhysicsConfig(
+                frame_seconds=frame_seconds,
+                max_fall_speed=fall_speed,
+                step_height=step_height,
+            ),
+        )
+        for a, b, frames in draws:
+            assert struct.pack(">d", physics.displacement_excess(a, b, frames)) == (
+                struct.pack(">d", displacement_excess_reference(physics, a, b, frames))
+            )
 
     @given(small_vectors, small_vectors, st.integers(min_value=1, max_value=50))
     @settings(max_examples=50)
