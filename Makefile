@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test fast lint precheck bench bench-pairs chaos chaos-byz \
+.PHONY: test fast lint precheck bench bench-pairs verdict-digest chaos chaos-byz \
 	tapes replay-verify model-check
 
 test:
@@ -46,6 +46,14 @@ FIRST_SEED ?= 500
 bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) \
 		--pairs $(PAIRS) --first-seed $(FIRST_SEED)
+
+# What a byte-identical change must leave as it was, per perfbench workload:
+# verdict count and stream sha256, bans, reputations, LOS queries, decodes,
+# MACs (scripts/verdict_digest.py).  Run it on both trees and diff.
+#   make verdict-digest SEED=7
+SEED ?= 7
+verdict-digest:
+	$(PYTHON) scripts/verdict_digest.py --seed $(SEED)
 
 # Regenerate the golden tape corpus (docs/REPLAY.md).  Recording is
 # deterministic: on an unchanged protocol this rewrites identical bytes,

@@ -74,11 +74,13 @@ from repro.core.verification import (
     CheatRating,
     CheckKind,
     Confidence,
+    DetailTemplate,
     GuidanceVerifier,
     KillVerifier,
     PositionVerifier,
     ProjectileTracker,
     RatingLog,
+    SUSPICIOUS_ABOVE,
     SubscriptionVerifier,
 )
 from repro.crypto.signatures import HmacSigner
@@ -160,19 +162,24 @@ class NodeMetrics:
     built, so session totals (counters, the update-age histogram) come for
     free — and cost nothing when that registry is the disabled default.
     Observations nobody reads per node are registry instruments only.
-    A verdict lives in ``ratings`` for the rest of the match: ≈ 58 B and no
-    object apiece, read in place by the session report (it holds no copy).
+    A verdict lives in ``ratings``, the log of ``player_id``'s verdicts, for
+    the rest of the match: one row and no object apiece (its size:
+    docs/OBSERVABILITY.md, "Where the verdicts are"), read in place by the
+    session report (it holds no copy).
     """
 
+    #: whose verdicts ``ratings`` holds
+    player_id: int
     #: received updates per (kind, age in frames)
     update_ages: Tally[tuple[str, int]] = field(default_factory=Tally)
-    ratings: RatingLog = field(default_factory=RatingLog)
+    ratings: RatingLog = field(init=False)
     signature_failures: int = 0
     replayed_messages: int = 0
     direct_update_violations: int = 0
     forwarded_messages: int = 0
 
     def __post_init__(self) -> None:
+        self.ratings = RatingLog(self.player_id)
         registry = get_registry()
         self._ctr_signature = registry.counter("node.signature_failures")
         self._ctr_replayed = registry.counter("node.replayed_messages")
@@ -228,7 +235,7 @@ class WatchmenNode:
         signer: HmacSigner,
         send_many: Callable[[int, Sequence[int], bytes], None],
         behaviour: NodeBehaviour | None = None,
-        rating_sink: Callable[[CheatRating], None] | None = None,
+        rating_sink: Callable[[int, float, float], None] | None = None,
         is_server: bool = False,
         los_cache: LosCache | None = None,
         frames: FrameMemo | None = None,
@@ -247,7 +254,7 @@ class WatchmenNode:
         #: sink into the transport's unified drop accounting (the session
         #: points it at ``DatagramNetwork.count_protocol_drop``)
         self.protocol_drop: Callable[[str], None] = lambda cause: None
-        self.metrics = NodeMetrics()
+        self.metrics = NodeMetrics(player_id)
         #: what received buffers decode to (a session shares one memo
         #: between its nodes, the way it shares ``los_cache``); each frame
         #: of mine moves it on, so it holds only what is in flight
@@ -882,21 +889,25 @@ class WatchmenNode:
         needs the unbroken first-hop stream) runs when configured.
         Position-only snapshots carry no orientation, so ``aim`` is off.
         """
-        me = self.player_id
-        rating = self.position_verifier.observe(me, snapshot, confidence)
-        if rating is not None:
-            self._emit_rating(rating, client)
+        me, subject, frame = self.player_id, snapshot.player_id, snapshot.frame
+        judged = self.position_verifier.observe(snapshot)
+        if judged is not None:
+            rating, excess, detail = judged
+            self._file(
+                subject, frame, CheckKind.POSITION, rating, confidence, excess, detail, client
+            )
         if aim:
-            rating = self.aim_verifier.observe(me, snapshot, confidence)
-            if rating is not None:
-                self._emit_rating(rating, client)
+            judged = self.aim_verifier.observe(snapshot)
+            if judged is not None:
+                rating, delta, detail = judged
+                self._file(subject, frame, CheckKind.AIM, rating, confidence, delta, detail, client)
         if client is not None and self.action_repetition_verifier is not None:
-            rating = self.action_repetition_verifier.observe(me, snapshot, confidence)
-            if rating is not None and rating.suspicious:
-                self._emit_rating(rating, client)
-        rating = self.guidance_verifier.observe_position(me, snapshot, confidence)
-        if rating is not None:
-            self._emit_rating(rating)
+            verdict = self.action_repetition_verifier.observe(me, snapshot, confidence)
+            if verdict is not None and verdict.suspicious:
+                self._emit_rating(verdict, client)
+        verdict = self.guidance_verifier.observe_position(me, snapshot, confidence)
+        if verdict is not None:
+            self._emit_rating(verdict)
 
     def _refresh_view(
         self, kind: str, sender: int, frame: int, snapshot: AvatarSnapshot
@@ -1218,20 +1229,36 @@ class WatchmenNode:
         self.metrics.frames_signed.inc()
         return seal(signable, self.signer.sign(self.player_id, signable))
 
-    def _emit_rating(
-        self, rating: CheatRating, client: ClientState | None = None
+    def _file(
+        self,
+        subject: int,
+        frame: int,
+        check: str,
+        rating: float,
+        confidence: float,
+        deviation: float,
+        detail: str | DetailTemplate,
+        client: ClientState | None = None,
     ) -> None:
-        """File a verdict; a suspicious one about a ``client`` I proxy also
-        counts toward his handoff summary."""
+        """File a verdict of mine, as numbers, and hand it to the sink; a
+        suspicious one about a ``client`` I proxy also counts toward his
+        handoff summary."""
         metrics = self.metrics
-        metrics.ratings.append(rating)
+        metrics.ratings.file(subject, frame, check, rating, confidence, deviation, detail)
         metrics.ratings_emitted.inc()
-        if rating.suspicious:
+        if rating > SUSPICIOUS_ABOVE:
             metrics.ratings_suspicious.inc()
             if client is not None:
                 client.suspicion_flags += 1
         if self._rating_sink is not None:
-            self._rating_sink(rating)
+            self._rating_sink(subject, rating, confidence)
+
+    def _emit_rating(
+        self, rating: CheatRating, client: ClientState | None = None
+    ) -> None:
+        """File a rare verifier's whole verdict through :meth:`_file` (one in
+        another verifier's name is refused with ``ValueError``)."""
+        self._file(*self.metrics.ratings.fields_of(rating), client)
 
     def _rate_violation(
         self,
@@ -1245,15 +1272,6 @@ class WatchmenNode:
         """Rate a protocol violation: not a game-state check but a breach
         of the message discipline itself (all file under ``CheckKind.RATE``,
         stamped with the current frame)."""
-        self._emit_rating(
-            CheatRating(
-                verifier_id=self.player_id,
-                subject_id=subject_id,
-                frame=self.current_frame,
-                check=CheckKind.RATE,
-                rating=rating,
-                confidence=confidence,
-                deviation=deviation,
-                detail=detail,
-            )
+        self._file(
+            subject_id, self.current_frame, CheckKind.RATE, rating, confidence, deviation, detail
         )

@@ -19,7 +19,6 @@ from repro.core.config import (
     MIN_REPORT_CONFIDENCE,
     SUSPICION_RATING_THRESHOLD,
 )
-from repro.core.verification import CheatRating
 
 __all__ = ["ReputationBoard"]
 
@@ -48,13 +47,13 @@ class ReputationBoard:
         self._bad: dict[int, float] = {}
         self._count: dict[int, int] = {}
 
-    def submit_rating(self, rating: CheatRating) -> None:
+    def submit_rating(self, subject: int, rating: float, confidence: float) -> None:
+        """One verdict's tag: its ``subject``, ``rating`` and ``confidence``."""
         self.ratings_seen += 1
-        if rating.confidence < MIN_REPORT_CONFIDENCE:
+        if confidence < MIN_REPORT_CONFIDENCE:
             return
-        subject = rating.subject_id
-        tally = self._good if rating.rating < SUSPICION_RATING_THRESHOLD else self._bad
-        tally[subject] = tally.get(subject, 0.0) + rating.confidence
+        tally = self._good if rating < SUSPICION_RATING_THRESHOLD else self._bad
+        tally[subject] = tally.get(subject, 0.0) + confidence
         self._count[subject] = self._count.get(subject, 0) + 1
 
     def reputation_of(self, subject_id: int) -> float:

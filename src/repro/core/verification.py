@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterator, NamedTuple, Sequence
+from itertools import compress, repeat
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from repro.core.config import (
     AIM_MAX_GAP_FRAMES,
@@ -87,6 +87,8 @@ __all__ = [
     "Confidence",
     "CheckKind",
     "CheatRating",
+    "DetailTemplate",
+    "SUSPICIOUS_ABOVE",
     "RatingLog",
     "DeviationCalibration",
     "PositionVerifier",
@@ -130,6 +132,11 @@ class CheckKind:
     ALL = (POSITION, GUIDANCE, KILL, IS_SUBSCRIPTION, VS_SUBSCRIPTION, RATE, AIM)
 
 
+#: A verdict is suspicious when its rating is above this (``MIN_RATING`` up
+#: to float noise): :attr:`CheatRating.suspicious` and the node's filing path.
+SUSPICIOUS_ABOVE = MIN_RATING + 1e-9
+
+
 class CheatRating(NamedTuple):
     """One verifier's verdict on one observed action."""
 
@@ -149,51 +156,73 @@ class CheatRating(NamedTuple):
 
     @property
     def suspicious(self) -> bool:
-        return self.rating > MIN_RATING + 1e-9
+        return self.rating > SUSPICIOUS_ABOVE
+
+
+#: A detail that is text around the verdict's own deviation: called with the
+#: ``deviation`` column's value, it returns the ``detail`` (a ``str.format``).
+DetailTemplate = Callable[[float], str]
 
 
 class RatingLog(Sequence[CheatRating]):
     """Every verdict one verifier filed, in filing order, as typed columns.
 
-    A 48-player session keeps ~39 000 verdicts per simulated second.  As a
-    tuple each costs 232 B and is one more object for the collector to
-    walk; here it is a row across six ``array`` columns: ints as wide as
-    the wire's, the three floats, and one ``kind`` index into this log's
-    table of distinct ``(check, detail)`` pairs — 44 B, nothing tracked
-    per row.  Reading rebuilds an equal ``CheatRating``.
+    A row spans six ``array`` columns: ints as wide as the wire's, the three
+    floats, and one ``kind`` index into this log's table of distinct kinds.
+    A kind is a check with either a literal detail or a
+    :data:`DetailTemplate`, which is formatted from the row's own
+    ``deviation`` when the row is read, so filing writes numbers only.
+    Nothing is tracked per row (its size: docs/OBSERVABILITY.md, "Where
+    the verdicts are").  Reading rebuilds an equal ``CheatRating``.
     """
 
-    def __init__(self) -> None:
-        #: Whose log this is: the first verdict says, a foreign one is refused.
-        self.verifier_id: int | None = None
+    def __init__(self, verifier_id: int) -> None:
+        #: Whose log this is: a whole verdict in another's name is refused.
+        self.verifier_id = verifier_id
         #: subject, frame, kind, rating, confidence, deviation
         self._columns = (array("q"), array("q"), array("I"), array("d"), array("d"), array("d"))
-        #: check -> detail -> kind: the index into the two lists below
-        self._kinds: dict[str, dict[str, int]] = {}
+        #: check -> detail or template -> kind: the index into the two lists below
+        self._kinds: dict[str, dict[str | DetailTemplate, int]] = {}
         self._checks: list[str] = []
-        self._details: list[str] = []
-        #: One object per distinct ``detail`` (≤ 176 a node at 48 players).
+        self._details: list[str | DetailTemplate] = []
+        #: One object per distinct literal ``detail``.
         self._interned: dict[str, str] = {}
 
-    def append(self, rating: CheatRating) -> None:
-        verifier, subject, frame, check, value, confidence, deviation, detail = rating
-        if verifier != self.verifier_id:
-            if self.verifier_id is not None:
-                raise ValueError(f"verifier {verifier} filing in {self.verifier_id}'s log")
-            self.verifier_id = verifier
+    def file(
+        self,
+        subject: int,
+        frame: int,
+        check: str,
+        rating: float,
+        confidence: float,
+        deviation: float,
+        detail: str | DetailTemplate,
+    ) -> None:
+        """File one verdict of this log's verifier, as numbers."""
         try:
             kind = self._kinds[check][detail]
-        except KeyError:  # once per kind: a few hundred times a log
+        except KeyError:  # once per kind: a few dozen times a log
             kind = self._kinds.setdefault(check, {})[detail] = len(self._checks)
             self._checks.append(check)
-            self._details.append(self._interned.setdefault(detail, detail))
+            self._details.append(
+                self._interned.setdefault(detail, detail) if isinstance(detail, str) else detail
+            )
         subjects, frames, kinds, values, confidences, deviations = self._columns
         subjects.append(subject)  # an int beyond the column raises, never wraps
         frames.append(frame)
         kinds.append(kind)
-        values.append(value)
+        values.append(rating)
         confidences.append(confidence)
         deviations.append(deviation)
+
+    def fields_of(self, rating: CheatRating) -> tuple:
+        """A whole verdict's fields after ``verifier_id`` — :meth:`file`'s
+        arguments.  A verdict in another verifier's name raises ``ValueError``."""
+        if rating.verifier_id != self.verifier_id:
+            raise ValueError(
+                f"verifier {rating.verifier_id} filing in {self.verifier_id}'s log"
+            )
+        return rating[1:]
 
     def __len__(self) -> int:
         return len(self._columns[-1])
@@ -208,16 +237,30 @@ class RatingLog(Sequence[CheatRating]):
         subject, frame, kind, value, confidence, deviation = cells
         return CheatRating(
             self.verifier_id, subject, frame, self._checks[kind],
-            value, confidence, deviation, self._details[kind],
+            value, confidence, deviation, self._detail(kind, deviation),
         )
 
+    def of_check(self, check: str) -> Iterator[CheatRating]:
+        """The verdicts filed under ``check``, in filing order; no other row
+        is rebuilt (nor its detail formatted)."""
+        wanted = [filed == check for filed in self._checks]
+        keep = list(map(wanted.__getitem__, self._columns[2]))
+        return self._read(*(list(compress(column, keep)) for column in self._columns))
+
+    def _detail(self, kind: int, deviation: float) -> str:
+        detail = self._details[kind]
+        return detail if isinstance(detail, str) else detail(deviation)
+
     def _read(
-        self, subjects: array, frames: array, kinds: array, *floats: array
+        self, subjects: Sequence[int], frames: Sequence[int], kinds: Sequence[int],
+        values: Sequence[float], confidences: Sequence[float], deviations: Sequence[float],
     ) -> Iterator[CheatRating]:
-        """Rows rebuilt from (slices of) the columns, each kind resolved."""
+        """Rows rebuilt from (slices or selections of) the columns, each kind
+        resolved."""
         return map(
             CheatRating, repeat(self.verifier_id), subjects, frames,
-            map(self._checks.__getitem__, kinds), *floats, map(self._details.__getitem__, kinds),
+            map(self._checks.__getitem__, kinds), values, confidences, deviations,
+            map(self._detail, kinds, deviations),
         )
 
 
@@ -283,17 +326,15 @@ class PositionVerifier:
     def __init__(self, physics: Physics) -> None:
         self.physics = physics
         self._last_seen: dict[int, AvatarSnapshot] = {}
-        #: frame gap -> the allowance it is rated against (at most
-        #: ``POSITION_MAX_GAP_FRAMES`` entries: longer gaps abstain)
-        self._allowed: dict[int, float] = {}
+        #: frame gap -> the allowance it is rated against and its verdicts'
+        #: detail (at most ``POSITION_MAX_GAP_FRAMES`` entries: longer gaps
+        #: abstain)
+        self._allowed: dict[int, tuple[float, DetailTemplate]] = {}
 
-    def observe(
-        self,
-        verifier_id: int,
-        snapshot: AvatarSnapshot,
-        confidence: float,
-    ) -> CheatRating | None:
-        """Feed one received update; returns a rating once history exists."""
+    def observe(self, snapshot: AvatarSnapshot) -> tuple[float, float, DetailTemplate] | None:
+        """Feed one received update; once history exists, returns the
+        verdict as numbers: ``(rating, envelope excess, detail template)``.
+        Its check is ``CheckKind.POSITION``."""
         subject = snapshot.player_id
         previous = self._last_seen.get(subject)
         self._last_seen[subject] = snapshot
@@ -311,18 +352,20 @@ class PositionVerifier:
         excess = self.physics.displacement_excess(
             previous.position, snapshot.position, frames
         )
-        allowed = self._allowed.get(frames)
-        if allowed is None:
+        memo = self._allowed.get(frames)
+        if memo is None:
             # Slack absorbs frame-phase and quantization noise so honest
             # movement never rates above 1 (the FP ≤ 5 % operating point).
             slack = self.physics.max_horizontal_travel(frames) * (POSITION_TOLERANCE - 1.0)
-            allowed = self._allowed[frames] = max(POSITION_SLACK_FLOOR, slack)
-        return CheatRating(  # positionally: built once per delivered update
-            verifier_id, subject, snapshot.frame, CheckKind.POSITION,
+            memo = self._allowed[frames] = (
+                max(POSITION_SLACK_FLOOR, slack),
+                f"envelope excess {{:.0f}}u over {frames} frame(s)".format,
+            )
+        allowed, detail = memo
+        return (
             # ``allowed`` > 0, so this is rating_from_deviation's first branch
             MIN_RATING if excess <= allowed else rating_from_deviation(excess, allowed),
-            confidence, excess,
-            f"envelope excess {excess:.0f}u over {frames} frame(s)",
+            excess, detail,
         )
 
 
@@ -337,16 +380,15 @@ class AimVerifier:
 
     def __init__(self) -> None:
         self._last_seen: dict[int, AvatarSnapshot] = {}
-        #: frame gap -> the turn allowance it is rated against (at most
-        #: ``AIM_MAX_GAP_FRAMES`` entries: longer gaps are not judged)
-        self._allowed: dict[int, float] = {}
+        #: frame gap -> the turn allowance it is rated against and its
+        #: verdicts' detail (at most ``AIM_MAX_GAP_FRAMES`` entries: longer
+        #: gaps are not judged)
+        self._allowed: dict[int, tuple[float, DetailTemplate]] = {}
 
-    def observe(
-        self,
-        verifier_id: int,
-        snapshot: AvatarSnapshot,
-        confidence: float,
-    ) -> CheatRating | None:
+    def observe(self, snapshot: AvatarSnapshot) -> tuple[float, float, DetailTemplate] | None:
+        """Feed one received update; once history exists, returns the
+        verdict as numbers: ``(rating, turn in rad, detail template)``.  Its
+        check is ``CheckKind.AIM``."""
         subject = snapshot.player_id
         previous = self._last_seen.get(subject)
         self._last_seen[subject] = snapshot
@@ -360,17 +402,17 @@ class AimVerifier:
         delta = abs(
             (snapshot.yaw - previous.yaw + math.pi) % (2.0 * math.pi) - math.pi
         )
-        allowed = self._allowed.get(frames)
-        if allowed is None:
-            allowed = self._allowed[frames] = (
-                MAX_TURN_RATE * FRAME_SECONDS * frames * AIM_TOLERANCE
+        memo = self._allowed.get(frames)
+        if memo is None:
+            memo = self._allowed[frames] = (
+                MAX_TURN_RATE * FRAME_SECONDS * frames * AIM_TOLERANCE,
+                f"turned {{:.2f}} rad in {frames} frame(s)".format,
             )
-        return CheatRating(  # positionally: built once per delivered update
-            verifier_id, subject, snapshot.frame, CheckKind.AIM,
+        allowed, detail = memo
+        return (
             # ``allowed`` > 0 (``frames`` >= 1): rating_from_deviation's first branch
             MIN_RATING if delta <= allowed else rating_from_deviation(delta, allowed),
-            confidence, delta,
-            f"turned {delta:.2f} rad in {frames} frame(s)",
+            delta, detail,
         )
 
 

@@ -151,9 +151,8 @@ def single_kill_credit(session: WatchmenSession) -> str | None:
     for node_id, node in sorted(session.nodes.items()):
         credits = Counter(
             (rating.subject_id, rating.frame)
-            for rating in node.metrics.ratings
-            if rating.check == CheckKind.KILL
-            and _is_claim_judgement(rating.detail)
+            for rating in node.metrics.ratings.of_check(CheckKind.KILL)
+            if _is_claim_judgement(rating.detail)
         )
         for (subject_id, frame), count in sorted(credits.items()):
             if count > 1:

@@ -8,8 +8,10 @@ for one call: the envelope excess comes from ``tests/reference/game.py``'s
 ``displacement_excess_reference``, which asks the ``Physics`` bound methods
 (the config re-read on every call), so no per-frame unit is shared with
 the verifiers they gate.
-``tests/test_core_verification_fast.py`` holds the two pairs to the same
-verdicts, field for field.
+The fast verifiers return their verdict as numbers with a per-gap detail
+template; ``tests/test_core_verification_fast.py`` files those into a
+``RatingLog`` and holds every row read back to these ``CheatRating``s,
+field for field.
 """
 
 from __future__ import annotations

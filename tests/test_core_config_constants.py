@@ -226,7 +226,7 @@ MODE_GATES = {
 ROLE_MODULES = ("liveness", "clients", "evidence", "publisher")
 
 #: What only the node may do: touch the wire and feed the rating sink.
-NODE_ONLY = {"_transmit", "_transmit_unfiltered", "_send_many", "_emit_rating",
+NODE_ONLY = {"_transmit", "_transmit_unfiltered", "_send_many", "_file", "_emit_rating",
              "_rate_violation"}
 
 #: State the roles own; none of it may reappear on the node.

@@ -131,7 +131,7 @@ class TestUpdateAges:
     def test_ages_are_tallied_in_first_seen_order_and_fold_into_the_report(
         self, small_trace, longest_yard
     ):
-        metrics = NodeMetrics()
+        metrics = NodeMetrics(0)
         for kind, age in [("state", 1), ("position", 0), ("state", 1), ("state", 0)]:
             metrics.record_age(kind, age)
         assert list(metrics.update_ages.items()) == [

@@ -119,48 +119,55 @@ class TestCalibration:
 
 
 class TestPositionVerifier:
+    """A verdict is numbers: ``(rating, envelope excess, detail template)``;
+    the template is the verifier's one for that frame gap."""
+
     @pytest.fixture()
     def verifier(self, arena):
         return PositionVerifier(Physics(arena))
 
     def test_first_observation_no_rating(self, verifier):
-        assert verifier.observe(0, snap(frame=0), 1.0) is None
+        assert verifier.observe(snap(frame=0)) is None
 
     def test_legal_move_rates_normal(self, verifier):
-        verifier.observe(0, snap(frame=0, x=0), 1.0)
-        rating = verifier.observe(0, snap(frame=1, x=15.0), 1.0)
-        assert rating is not None
-        assert rating.rating == 1.0
-        assert rating.check == CheckKind.POSITION
+        verifier.observe(snap(frame=0, x=0))
+        rating, excess, detail = verifier.observe(snap(frame=1, x=15.0))
+        assert (rating, excess) == (1.0, 0.0)
+        assert detail(excess) == "envelope excess 0u over 1 frame(s)"
 
     def test_speed_hack_rates_high(self, verifier):
-        verifier.observe(0, snap(frame=0, x=0), 1.0)
-        rating = verifier.observe(0, snap(frame=1, x=64.0), 1.0)  # 4× speed
-        assert rating is not None
-        assert rating.rating >= 8.0
+        verifier.observe(snap(frame=0, x=0))
+        rating, excess, _ = verifier.observe(snap(frame=1, x=64.0))  # 4× speed
+        assert rating >= 8.0 and excess > 0
 
     def test_out_of_order_updates_skipped(self, verifier):
-        verifier.observe(0, snap(frame=5), 1.0)
-        assert verifier.observe(0, snap(frame=3, x=500), 1.0) is None
+        verifier.observe(snap(frame=5))
+        assert verifier.observe(snap(frame=3, x=500)) is None
 
     def test_death_transition_skipped(self, verifier):
-        verifier.observe(0, snap(frame=0, alive=False), 1.0)
-        assert verifier.observe(0, snap(frame=1, x=900), 1.0) is None
+        verifier.observe(snap(frame=0, alive=False))
+        assert verifier.observe(snap(frame=1, x=900)) is None
 
     def test_large_gap_abstains(self, verifier):
-        verifier.observe(0, snap(frame=0), 1.0)
-        assert verifier.observe(0, snap(frame=100, x=3000), 1.0) is None
+        verifier.observe(snap(frame=0))
+        assert verifier.observe(snap(frame=100, x=3000)) is None
 
     def test_multi_frame_gap_scales_allowance(self, verifier):
-        verifier.observe(0, snap(frame=0), 1.0)
+        verifier.observe(snap(frame=0))
         # 10 frames at max speed is legal.
-        rating = verifier.observe(0, snap(frame=10, x=160.0), 1.0)
-        assert rating is not None and rating.rating == 1.0
+        rating, excess, detail = verifier.observe(snap(frame=10, x=160.0))
+        assert rating == 1.0 and detail(excess) == "envelope excess 0u over 10 frame(s)"
 
     def test_confidence_passed_through(self, verifier):
-        verifier.observe(0, snap(frame=0), 0.3)
-        rating = verifier.observe(0, snap(frame=1, x=10), 0.3)
-        assert rating.confidence == 0.3
+        """The verifier rates; the confidence is the filer's, filed beside
+        the numbers, and the row reads back as the whole verdict."""
+        verifier.observe(snap(frame=0))
+        rating, excess, detail = verifier.observe(snap(frame=1, x=10))
+        log = RatingLog(7)
+        log.file(1, 1, CheckKind.POSITION, rating, 0.3, excess, detail)
+        assert log[0] == CheatRating(
+            7, 1, 1, CheckKind.POSITION, 1.0, 0.3, 0.0, "envelope excess 0u over 1 frame(s)"
+        )
 
 
 class TestAimVerifier:
@@ -169,25 +176,25 @@ class TestAimVerifier:
         return AimVerifier()
 
     def test_slow_turn_normal(self, verifier):
-        verifier.observe(0, snap(frame=0, yaw=0.0), 1.0)
-        rating = verifier.observe(0, snap(frame=1, yaw=0.3), 1.0)
-        assert rating is not None and rating.rating == 1.0
+        verifier.observe(snap(frame=0, yaw=0.0))
+        rating, turn, detail = verifier.observe(snap(frame=1, yaw=0.3))
+        assert rating == 1.0
+        assert detail(turn) == "turned 0.30 rad in 1 frame(s)"
 
     def test_instant_snap_flagged(self, verifier):
-        verifier.observe(0, snap(frame=0, yaw=0.0), 1.0)
-        rating = verifier.observe(0, snap(frame=1, yaw=math.pi * 0.95), 1.0)
-        assert rating is not None
-        assert rating.rating > 5.0
-        assert rating.check == CheckKind.AIM
+        verifier.observe(snap(frame=0, yaw=0.0))
+        rating, turn, _ = verifier.observe(snap(frame=1, yaw=math.pi * 0.95))
+        assert rating > 5.0
+        assert turn == pytest.approx(math.pi * 0.95)
 
     def test_long_gap_ambiguous_abstains(self, verifier):
-        verifier.observe(0, snap(frame=0, yaw=0.0), 1.0)
-        assert verifier.observe(0, snap(frame=30, yaw=3.0), 1.0) is None
+        verifier.observe(snap(frame=0, yaw=0.0))
+        assert verifier.observe(snap(frame=30, yaw=3.0)) is None
 
     def test_wrap_around_small_turn(self, verifier):
-        verifier.observe(0, snap(frame=0, yaw=math.pi - 0.05), 1.0)
-        rating = verifier.observe(0, snap(frame=1, yaw=-math.pi + 0.05), 1.0)
-        assert rating is not None and rating.rating == 1.0
+        verifier.observe(snap(frame=0, yaw=math.pi - 0.05))
+        rating, turn, _ = verifier.observe(snap(frame=1, yaw=-math.pi + 0.05))
+        assert rating == 1.0 and turn == pytest.approx(0.1)
 
 
 class TestGuidanceVerifier:
@@ -508,6 +515,15 @@ rows = st.tuples(
 VERDICT = CheatRating(3, 5, 120, CheckKind.AIM, 1.0, 0.9, 0.25, "turned 0.25 rad in 1 frame(s)")
 
 
+def log_of(verifier, ratings):
+    """``verifier``'s log with ``ratings`` filed whole, the way a node files
+    a rare verifier's verdict."""
+    log = RatingLog(verifier)
+    for rating in ratings:
+        log.file(*log.fields_of(rating))
+    return log
+
+
 class TestRatingLog:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -524,9 +540,7 @@ class TestRatingLog:
         ]
         at = data.draw(st.integers(0, len(filed)))
         filed = [CheatRating(verifier, *row) for row in filed[:at] + many + filed[at:]]
-        log = RatingLog()
-        for rating in filed:
-            log.append(rating)
+        log = log_of(verifier, filed)
         want = [exact(r) for r in filed]
         assert len(log) == len(filed)
         assert [exact(r) for r in log] == want
@@ -537,32 +551,58 @@ class TestRatingLog:
         assert [exact(r) for r in log[cut]] == want[cut]
         # equal details are one object, however many verdicts carry them
         assert len({id(r.detail) for r in log}) == len({r.detail for r in filed})
+        for check in CheckKind.ALL:
+            assert [exact(r) for r in log.of_check(check)] == [
+                exact(r) for r in filed if r.check == check
+            ]
+
+    def test_rows_of_one_check_format_no_other_detail(self):
+        """``of_check`` rebuilds only its own rows: another check's
+        templates are never called."""
+        formatted = []
+
+        def template(deviation):
+            formatted.append(deviation)
+            return f"turned {deviation:.2f} rad in 1 frame(s)"
+
+        log = RatingLog(3)
+        log.file(5, 1, CheckKind.AIM, 1.0, 0.9, 0.25, template)
+        log.file(5, 2, CheckKind.KILL, 6.0, 0.9, 2.0, "claim judged")
+        log.file(5, 3, CheckKind.AIM, 1.0, 0.9, 0.5, template)
+        assert list(log.of_check(CheckKind.KILL)) == [
+            CheatRating(3, 5, 2, CheckKind.KILL, 6.0, 0.9, 2.0, "claim judged")
+        ]
+        assert formatted == []
+        assert [r.detail for r in log.of_check(CheckKind.AIM)] == [
+            "turned 0.25 rad in 1 frame(s)", "turned 0.50 rad in 1 frame(s)"
+        ]
+        assert formatted == [0.25, 0.5]
 
     def test_an_empty_log(self):
-        log = RatingLog()
+        log = RatingLog(3)
         assert len(log) == 0 and list(log) == [] and log[:] == [] and log[3:] == []
         with pytest.raises(IndexError):
             log[0]
 
     def test_the_wire_s_whole_int_range_fits(self):
-        log = RatingLog()
         extremes = VERDICT._replace(subject_id=-(2**63), frame=2**63 - 1)
-        log.append(extremes)
+        log = log_of(3, [extremes])
         assert exact(log[0]) == exact(extremes)
 
     def test_a_foreign_verifier_is_refused(self):
-        log = RatingLog()
-        log.append(VERDICT)
+        log = log_of(3, [VERDICT])
         with pytest.raises(ValueError, match="verifier 4 filing in 3's log"):
-            log.append(VERDICT._replace(verifier_id=4))
+            log_of(3, [VERDICT._replace(verifier_id=4)])
+        with pytest.raises(ValueError, match="verifier 4 filing in 3's log"):
+            log.fields_of(VERDICT._replace(verifier_id=4))
         assert list(log) == [VERDICT]
 
     @pytest.mark.parametrize("field", ["subject_id", "frame"])
     @pytest.mark.parametrize("value", [2**63, -(2**63) - 1], ids=["above", "below"])
     def test_an_out_of_range_int_raises_rather_than_wraps(self, field, value):
         with pytest.raises(OverflowError):
-            RatingLog().append(VERDICT._replace(**{field: value}))
+            log_of(3, [VERDICT._replace(**{field: value})])
 
     def test_a_float_is_not_silently_truncated_to_an_id(self):
         with pytest.raises(TypeError):
-            RatingLog().append(VERDICT._replace(subject_id=5.5))
+            log_of(3, [VERDICT._replace(subject_id=5.5)])

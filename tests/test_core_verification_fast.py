@@ -14,8 +14,9 @@ replaced, which is retained verbatim in
 - a branch census proves the generator reaches every arm of the check
   (in-cone, occluded, rewind-rescued, outside, IS rank), so the property
   is not vacuously green;
-- one full paper-profile session pins the sha256 of its complete rating
-  stream to the value recorded before the verifier was hoisted, and holds
+- one full paper-profile session, run by ``scripts/verdict_digest.py``'s
+  core, pins the sha256 of its complete rating stream (the script's one
+  recipe) to the value recorded before the verifier was hoisted, and holds
   planner and verifier together to one ``ObserverFrame`` per
   classification;
 - a second property drives both the way a proxy does — a few subscribers
@@ -30,16 +31,22 @@ property feeds :class:`PositionVerifier` and :class:`AimVerifier` random
 snapshot streams — frame gaps from repeats through gaps past either
 verifier's cap, deaths, steps inside and far outside the envelope, NaN-free
 extremes — next to the copies of their ``observe`` kept in
-``tests/reference/pose_verifiers.py``, and compares every verdict by its
-``repr`` (float bits included); a census proves the streams reach every arm.
+``tests/reference/pose_verifiers.py``.  The fast verifiers give numbers
+and a per-gap detail template; each verdict is filed into a ``RatingLog``
+and read back (iteration, ``log[i]``, ``log[a:b]``), and must be the
+twin's ``CheatRating`` by ``repr`` (float bits and formatted detail
+included).  A second property files deviations no stream reaches (NaN,
+±inf, −0.0, subnormals, 1e300) under every gap up to each cap, against the
+twin's own detail f-string; a census proves the streams reach every arm.
 """
 
-import hashlib
+import importlib.util
 import json
 import math
 from dataclasses import replace as dataclass_replace
 from pathlib import Path
 from random import Random
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -49,8 +56,10 @@ from repro.core.config import AIM_MAX_GAP_FRAMES, MIN_RATING, POSITION_MAX_GAP_F
 from repro.core.verification import (
     AimVerifier,
     CheatRating,
+    CheckKind,
     Confidence,
     PositionVerifier,
+    RatingLog,
     SubscriptionVerifier,
 )
 from repro.game.avatar import AvatarSnapshot
@@ -83,14 +92,10 @@ PINNED_SESSION_SHA256 = (
 PINNED_SESSION_REGISTRY = Path(__file__).with_name("pinned_session_registry.json")
 
 
-def rating_stream_sha256(ratings: list[CheatRating]) -> str:
-    digest = hashlib.sha256()
-    for r in ratings:
-        digest.update(repr((
-            r.verifier_id, r.subject_id, r.frame, r.check,
-            r.rating, r.confidence, r.deviation, r.detail,
-        )).encode())
-    return digest.hexdigest()
+_DIGEST_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "verdict_digest.py"
+_spec = importlib.util.spec_from_file_location("verdict_digest", _DIGEST_SCRIPT)
+verdict_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(verdict_digest)
 
 
 def _random_roster(rng: Random, players: int, now: int) -> dict[int, AvatarSnapshot]:
@@ -331,24 +336,69 @@ def _pose_stream(seed: int, length: int) -> list[AvatarSnapshot]:
     return stream
 
 
-def _pose_verdicts(seed: int, length: int) -> list[tuple[CheatRating | None, ...]]:
-    """Both verifier pairs over one stream, asserting equal verdicts (by
-    ``repr``: every field, float bits included); returns the verdicts."""
-    physics = Physics(make_arena())
-    pairs = (
-        (PositionVerifier(physics), ReferencePositionVerifier(physics)),
-        (AimVerifier(), ReferenceAimVerifier()),
+def _pose_pairs(physics: Physics) -> tuple:
+    """``(check, fast, twin)`` for both pose verifiers."""
+    return (
+        (CheckKind.POSITION, PositionVerifier(physics), ReferencePositionVerifier(physics)),
+        (CheckKind.AIM, AimVerifier(), ReferenceAimVerifier()),
     )
-    verdicts = []
+
+
+def _assert_reads_back(log: RatingLog, want: list[CheatRating], rng: Random) -> None:
+    """``log`` read by iteration, ``log[i]`` and ``log[a:b]`` is ``want`` by
+    ``repr``: every field, float bits and formatted detail included."""
+    expected = list(map(repr, want))
+    assert list(map(repr, log)) == expected
+    assert [repr(log[i]) for i in range(-len(log), len(log))] == expected * 2
+    for _ in range(4):
+        a, b = sorted(rng.randrange(len(log) + 1) for _ in "ab")
+        assert list(map(repr, log[a:b])) == expected[a:b]
+
+
+def _pose_verdicts(seed: int, length: int) -> list[tuple[CheatRating | None, ...]]:
+    """Both verifier pairs over one stream.  Each verdict the fast verifier
+    gives — numbers and its gap's template — is filed into a ``RatingLog``,
+    and the log must read back as the twins' ``CheatRating``s; returns the
+    read-back verdicts per snapshot (``None`` where both abstain)."""
+    pairs = _pose_pairs(Physics(make_arena()))
+    log = RatingLog(3)
+    want: list[CheatRating] = []
+    rows = []
     for snapshot in _pose_stream(seed, length):
         confidence = Confidence.staleness_discount(snapshot.frame % 7)
         row = []
-        for fast, reference in pairs:
-            got = fast.observe(3, snapshot, confidence)
-            assert repr(got) == repr(reference.observe(3, snapshot, confidence))
-            row.append(got)
-        verdicts.append(tuple(row))
-    return verdicts
+        for check, fast, twin in pairs:
+            expected = twin.observe(3, snapshot, confidence)
+            judged = fast.observe(snapshot)
+            assert (judged is None) == (expected is None), (check, snapshot)
+            if judged is not None:
+                rating, deviation, detail = judged
+                log.file(
+                    snapshot.player_id, snapshot.frame, check, rating, confidence, deviation, detail
+                )
+                want.append(expected)
+            row.append(None if judged is None else len(want) - 1)
+        rows.append(row)
+    _assert_reads_back(log, want, Random(seed))
+    return [tuple(None if i is None else log[i] for i in row) for row in rows]
+
+
+#: each twin's ``detail`` f-string (tests/reference/pose_verifiers.py), per
+#: deviation and frame gap
+TWIN_DETAILS: dict[str, Callable[[float, int], str]] = {
+    CheckKind.POSITION: lambda excess, frames: f"envelope excess {excess:.0f}u over {frames} frame(s)",
+    CheckKind.AIM: lambda delta, frames: f"turned {delta:.2f} rad in {frames} frame(s)",
+}
+
+
+#: every kind of double the templates may meet, plus any
+deviations = st.one_of(
+    st.sampled_from((
+        math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+        2.2250738585072014e-308, 1e300, -1e300, 0.5, 1.5, 2.5, 0.005, 0.015, 0.125,
+    )),
+    st.floats(),
+)
 
 
 class TestPoseVerifiersEqualReference:
@@ -356,6 +406,39 @@ class TestPoseVerifiersEqualReference:
     @settings(max_examples=80, deadline=None)
     def test_verdicts_match_over_random_streams(self, seed):
         _pose_verdicts(seed, length=60)
+
+    @given(st.lists(deviations, min_size=1, max_size=12), st.integers(0, 2**31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_every_gap_s_template_reads_back_as_the_twin_s_detail(self, drawn, seed):
+        """Deviations the streams cannot reach (NaN, ±inf, −0.0, subnormals,
+        1e300), filed under every gap up to each cap, read back with the
+        detail the twin's f-string gives them."""
+        log = RatingLog(3)
+        want = []
+        for check, fast, _ in _pose_pairs(Physics(make_arena())):
+            cap = POSITION_MAX_GAP_FRAMES if check == CheckKind.POSITION else AIM_MAX_GAP_FRAMES
+            still = AvatarSnapshot(
+                player_id=1, frame=0, position=Vec3(), velocity=Vec3(), yaw=0.0,
+                health=100, armor=0, weapon="machinegun", ammo=10, alive=True,
+            )
+            assert fast.observe(still) is None
+            frame = 0
+            templates = {}
+            for gap in [*range(1, cap + 1)] * 2:  # an update at each gap, twice
+                frame += gap
+                template = fast.observe(dataclass_replace(still, frame=frame))[2]
+                # one template per gap, made with its allowance and then reused
+                assert templates.setdefault(gap, template) is template
+            detail = TWIN_DETAILS[check]
+            for gap, template in templates.items():
+                for deviation in drawn:
+                    log.file(1, gap, check, MIN_RATING, 0.5, deviation, template)
+                    want.append(CheatRating(
+                        3, 1, gap, check, MIN_RATING, 0.5, deviation, detail(deviation, gap)
+                    ))
+        _assert_reads_back(log, want, Random(seed))
+        # a kind per (check, gap): the deviations share their gap's template
+        assert len(log._details) == POSITION_MAX_GAP_FRAMES + AIM_MAX_GAP_FRAMES
 
     def test_streams_reach_every_arm(self):
         """In-allowance (the short cut), over-allowance and saturated
@@ -389,19 +472,28 @@ def test_paper_profile_session_rating_stream_is_pinned():
     perturbs one rating by one ulp changes it.  The same run counts the
     hoisting end to end: planner and proxy-side verifier together build at
     most one ``ObserverFrame`` per plan / verified subscription, and a
-    caller that goes back to per-candidate helpers pushes that to ~n."""
+    caller that goes back to per-candidate helpers pushes that to ~n.
+
+    The session is run by ``scripts/verdict_digest.py``'s core, built as a
+    perfbench child builds it, so the script reads the pin too; its MAC
+    counter leaves ``HmacSigner`` as it found it."""
+    from repro.crypto.signatures import HmacSigner
+
     scenario = TapeScenario(
         players=24, frames=40, seed=7,
         failover=False, reliable=False, hardening=False,
     )
-    game_map = scenario.make_map()
-    trace = scenario.make_trace(game_map)
     registry = MetricsRegistry(enabled=True)
-    with use_registry(registry):
-        report = scenario.make_session(trace, None, game_map).run()
-    assert len(report.ratings) == PINNED_SESSION_RATINGS
-    assert rating_stream_sha256(report.ratings) == PINNED_SESSION_SHA256
+    mac = HmacSigner._mac
+    got = verdict_digest.digest(scenario, registry)
+    assert HmacSigner._mac is mac
+    assert got["verdicts"] == PINNED_SESSION_RATINGS
+    assert got["verdict_sha256"] == PINNED_SESSION_SHA256
+    assert got["bans"] == []
     counters = registry.snapshot()["counters"]
+    assert got["frames_decoded"] == counters["wire.frames.decoded"]
+    # one MAC per signed frame, one per delivery it checks
+    assert got["macs"] > counters["node.frames_signed"] > 0
     assert counters["interest.classifications"] > 0
     assert counters["interest.observer_frames"] <= counters["interest.classifications"]
     # One route to the registry: ``use_registry`` around build + run reaches

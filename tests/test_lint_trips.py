@@ -52,7 +52,7 @@ PLANTS = (
     Plant(
         "D103",
         "core/verification.py",
-        "return self.rating > MIN_RATING + 1e-9",
+        "return self.rating > SUSPICIOUS_ABOVE",
         "return self.rating != 1.0",
         reported="self.rating != 1.0",
     ),

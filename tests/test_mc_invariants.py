@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from repro.core.verification import CheckKind
+from repro.core.config import MIN_RATING
+from repro.core.verification import CheckKind, RatingLog
 from repro.mc import invariants
 from repro.mc.invariants import (
     INVARIANTS,
@@ -17,12 +18,16 @@ from repro.mc.invariants import (
 
 
 def node(roster=(), ratings=(), removed=()):
+    """A node shape whose rating log is a real one, ``ratings`` filed in order."""
+    log = RatingLog(0)
+    for r in ratings:
+        log.file(r.subject_id, r.frame, r.check, MIN_RATING, 1.0, 0.0, r.detail)
     return SimpleNamespace(
         membership=SimpleNamespace(
             current_roster=lambda r=tuple(roster): list(r),
             removed=set(removed),
         ),
-        metrics=SimpleNamespace(ratings=list(ratings)),
+        metrics=SimpleNamespace(ratings=log),
     )
 
 
